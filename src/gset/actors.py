@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import struct
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, is_dataclass
 from random import Random
 from typing import Callable, Mapping, Protocol
 
@@ -35,7 +35,6 @@ from . import codec
 from .codec import CodecError
 from .crypto import (
     Digest,
-    DualSignature,
     EnvelopeError,
     KeyPair,
     hash_bytes,
@@ -43,7 +42,6 @@ from .crypto import (
     open_envelope,
     seal,
     sign,
-    verify,
     verify_with_oi,
     verify_with_pi,
 )
@@ -113,15 +111,43 @@ class Network(Protocol):
 Outbound = list[tuple[str, bytes]]
 
 
-def _pack(parts: list[bytes]) -> bytes:
-    out = bytearray()
-    for part in parts:
-        out += struct.pack(">I", len(part))
-        out += part
-    return bytes(out)
+def _leaf(tag: bytes, data: bytes) -> bytes:
+    # The non-zero tag keeps the framing of adjacent leaves from forming a
+    # run of zero bytes that could read as a big-endian privacy marker.
+    return tag + struct.pack(">I", len(data)) + data
+
+
+def _state_encode(value) -> bytes:
+    """Canonical bytes of one piece of actor state (see ``state_bytes``)."""
+    if isinstance(value, Ledger):
+        value = value.snapshot()
+    if value is None:
+        return b"N"
+    if isinstance(value, int):  # bools and IntEnums too
+        width = max(8, (value.bit_length() + 8) // 8)
+        return _leaf(b"I", value.to_bytes(width, "big", signed=True))
+    if isinstance(value, str):
+        return _leaf(b"S", value.encode("utf-8"))
+    if isinstance(value, bytes):
+        return _leaf(b"B", value)
+    if is_dataclass(value):
+        parts = [_state_encode(getattr(value, f.name)) for f in fields(value)]
+    elif isinstance(value, dict):
+        parts = sorted(_state_encode(k) + _state_encode(v) for k, v in value.items())
+    elif isinstance(value, (set, frozenset)):
+        parts = sorted(_state_encode(item) for item in value)
+    elif isinstance(value, (list, tuple, deque)):
+        parts = [_state_encode(item) for item in value]
+    else:
+        raise TypeError(f"no state encoding for {type(value).__name__}")
+    return b"L" + struct.pack(">I", len(parts)) + b"".join(parts)
 
 
 class _ActorBase:
+    # Construction-time wiring, not state: the private key, the public-key
+    # directory, the randomness source, the fixed config, the dispatch table.
+    _WIRING = frozenset({"identity", "directory", "rng", "config", "_handlers"})
+
     def __init__(self, identity: KeyPair, directory: Mapping[str, bytes], rng: Random) -> None:
         self.identity = identity
         self.subject_id = identity.subject_id
@@ -167,7 +193,15 @@ class _ActorBase:
         return handler(sender, msg, now, net)
 
     def state_bytes(self) -> bytes:
-        raise NotImplementedError
+        """Deterministic bytes of everything this actor has recorded.
+
+        Every instance attribute except the wiring is encoded, so state an
+        actor starts keeping is inside the privacy scanner's reach without
+        further bookkeeping.  Sets and mappings are sorted by encoding, so
+        hash order never reaches the bytes.
+        """
+        state = {k: v for k, v in vars(self).items() if k not in self._WIRING}
+        return _state_encode([type(self).__name__, state])
 
 
 # --- service requester --------------------------------------------------------
@@ -275,7 +309,6 @@ class ServiceRequester(_ActorBase):
         return AuthorizationRequest(
             order_info=order,
             payment_envelope=envelope,
-            pi_digest=hash_bytes(payment_bytes),
             dual=dual,
         )
 
@@ -382,21 +415,6 @@ class ServiceRequester(_ActorBase):
         )
         return [(self.config.provider_id, codec.encode(done))]
 
-    def state_bytes(self) -> bytes:
-        parts: list[bytes] = [b"requester", self.subject_id.encode()]
-        for nonce, usage in self.pending_usage:
-            parts += [nonce, codec.encode(usage)]
-        for order_nonce in sorted(self.pending_auths):
-            order, payment = self.pending_auths[order_nonce]
-            parts += [codec.encode(order), codec.encode(payment)]
-        parts += sorted(self.approved_orders) + sorted(self.denied_orders)
-        if self.grant is not None:
-            parts.append(codec.encode(self.grant))
-        for ticket_id in sorted(self.retrieved):
-            parts += [ticket_id, self.retrieved[ticket_id]]
-        parts += [note.encode() for note in self.notes]
-        return _pack(parts)
-
 
 # --- service provider ---------------------------------------------------------
 
@@ -455,6 +473,11 @@ class ServiceProvider(_ActorBase):
                 reason=f"no pricing for service {request.usage.service_id!r}",
             )
         price = rate * request.usage.quantity
+        if price.bit_length() > 64:
+            return QuoteDenial(
+                request_nonce=request.nonce,
+                reason=f"price for quantity {request.usage.quantity} exceeds 2**64 - 1",
+            )
         quote = build_signed(
             PriceQuote,
             self.identity,
@@ -493,9 +516,8 @@ class ServiceProvider(_ActorBase):
         requester_key = self._key_of(order.requester_id)
         if requester_key is None:
             return deny(DenialReason.BAD_SIGNATURE, "unknown requester")
-        order_bytes = codec.encode(order)
         if auth.dual.signature.signer_id != order.requester_id or not verify_with_oi(
-            requester_key, order_bytes, auth.pi_digest, auth.dual
+            requester_key, codec.encode(order), auth.dual
         ):
             return deny(DenialReason.BAD_SIGNATURE, "dual signature fails on order side")
         quote = self.issued_quotes.get(order.quote_id)
@@ -517,7 +539,6 @@ class ServiceProvider(_ActorBase):
             AuthorizeAndHold,
             self.identity,
             payment_envelope=auth.payment_envelope,
-            oi_digest=hash_bytes(order_bytes),
             dual=auth.dual,
             charge_amount=quote.price,
             provider_id=self.subject_id,
@@ -535,9 +556,7 @@ class ServiceProvider(_ActorBase):
         if not outcome.approved:
             raise DeniedError(outcome.reason)
         token = outcome.token
-        tm_key = self._key_of(self.config.trust_manager_id)
-        if tm_key is None or not verify_signed(token, tm_key) \
-                or token.tm_signature.signer_id != self.config.trust_manager_id:
+        if not self._signed_by(token, self.config.trust_manager_id):
             raise TrustError("capture token signature does not verify")
         if token.provider_id != self.subject_id:
             raise TrustError("capture token names a different provider")
@@ -611,11 +630,8 @@ class ServiceProvider(_ActorBase):
         approved = False
         if outcome.approved:
             token = outcome.token
-            tm_key = self._key_of(self.config.trust_manager_id)
             if (
-                tm_key is not None
-                and verify_signed(token, tm_key)
-                and token.tm_signature.signer_id == self.config.trust_manager_id
+                self._signed_by(token, self.config.trust_manager_id)
                 and token.provider_id == self.subject_id
                 and token.charge_amount == self.charges.get(order_nonce)
             ):
@@ -707,26 +723,6 @@ class ServiceProvider(_ActorBase):
         # response is a duplicate or an injection.
         self._note("ignored unsolicited capture response")
         return []
-
-    def state_bytes(self) -> bytes:
-        parts: list[bytes] = [b"provider", self.subject_id.encode()]
-        for quote_id in sorted(self.issued_quotes):
-            parts.append(codec.encode(self.issued_quotes[quote_id]))
-        for order_nonce in sorted(self.orders):
-            parts.append(codec.encode(self.orders[order_nonce]))
-            parts.append(struct.pack(">Q", self.charges[order_nonce]))
-        for order_nonce in sorted(self.approved_tokens):
-            parts.append(codec.encode(self.approved_tokens[order_nonce]))
-        for grant_id in sorted(self.granted):
-            order_nonce, tickets = self.granted[grant_id]
-            parts += [grant_id, order_nonce] + [codec.encode(t) for t in tickets]
-        for ticket_id in sorted(self.stored_objects):
-            parts += [ticket_id, self.stored_objects[ticket_id]]
-        parts += sorted(self.redeemed)
-        parts += sorted(self.captured_grants)
-        parts.append(struct.pack(">Q", self.receivable_total))
-        parts += [note.encode() for note in self.notes]
-        return _pack(parts)
 
 
 # --- trust manager --------------------------------------------------------------
@@ -820,7 +816,7 @@ class TrustManager(_ActorBase):
         payer_key = self._key_of(msg.dual.signature.signer_id)
         if payer_key is None:
             return deny(DenialReason.BAD_SIGNATURE, "unknown payer identity")
-        if not verify_with_pi(payer_key, msg.oi_digest, payment_bytes, msg.dual):
+        if not verify_with_pi(payer_key, payment_bytes, msg.dual):
             return deny(DenialReason.BAD_SIGNATURE, "dual signature fails on payment side")
         if msg.charge_amount > payment.authorized_limit:
             return deny(
@@ -926,24 +922,6 @@ class TrustManager(_ActorBase):
         self._note(f"ignored unsolicited {type(msg).__name__}")
         return []
 
-    def state_bytes(self) -> bytes:
-        parts: list[bytes] = [b"trust-manager", self.subject_id.encode()]
-        parts += sorted(self.seen_payment_nonces)
-        for hold_ref in sorted(self.holds):
-            record = self.holds[hold_ref]
-            parts += [
-                hold_ref,
-                record.account_provider_id.encode(),
-                record.account_ref_digest.bytes,
-                struct.pack(">Q", record.amount),
-                record.provider_id.encode(),
-            ]
-        parts += sorted(self.spent_tokens)
-        for token_id in sorted(self.minted_tokens):
-            parts.append(codec.encode(self.minted_tokens[token_id]))
-        parts += [note.encode() for note in self.notes]
-        return _pack(parts)
-
 
 # --- account provider -----------------------------------------------------------
 
@@ -1028,10 +1006,3 @@ class AccountProvider(_ActorBase):
             self._note(f"settle refused: {exc}")
             return respond(False, 0, DenialReason.UNKNOWN_ACCOUNT)
         return respond(True, amount, None)
-
-    def state_bytes(self) -> bytes:
-        parts: list[bytes] = [b"account-provider", self.subject_id.encode()]
-        parts.append(self.ledger.state_bytes())
-        parts += sorted(self.seen_hold_nonces)
-        parts += [note.encode() for note in self.notes]
-        return _pack(parts)

@@ -133,8 +133,9 @@ class DualSignature:
     """Signature binding an order half to a payment half.
 
     The signed message is ``hash(oi_digest || pi_digest)``, so a holder of
-    the order plaintext plus the payment digest can verify, and vice versa,
-    without either side seeing the other's plaintext.
+    the order plaintext can verify against ``pi_digest``, and a holder of the
+    payment plaintext against ``oi_digest``, without either side seeing the
+    other's plaintext.
     """
 
     oi_digest: Digest
@@ -314,6 +315,11 @@ def open_envelope(key: KeyPair, envelope: SealedEnvelope) -> bytes:
         raise EnvelopeIntegrityError("envelope failed authenticated decryption") from exc
 
 
+def _linked(oi_digest: Digest, pi_digest: Digest) -> bytes:
+    """The message a dual signature signs: ``hash(oi_digest || pi_digest)``."""
+    return hash_bytes(oi_digest.bytes + pi_digest.bytes).bytes
+
+
 def make_dual_signature(key: KeyPair, order_info: bytes, payment_info: bytes) -> DualSignature:
     """Bind order bytes and payment bytes under one signature.
 
@@ -324,31 +330,28 @@ def make_dual_signature(key: KeyPair, order_info: bytes, payment_info: bytes) ->
         raise ValueError("order_info and payment_info must be non-empty")
     oi_digest = hash_bytes(order_info)
     pi_digest = hash_bytes(payment_info)
-    linked = hash_bytes(oi_digest.bytes + pi_digest.bytes)
     return DualSignature(
         oi_digest=oi_digest,
         pi_digest=pi_digest,
-        signature=sign(key, linked.bytes),
+        signature=sign(key, _linked(oi_digest, pi_digest)),
     )
 
 
-def verify_with_oi(
-    public_key: bytes, order_info: bytes, pi_digest: Digest, dual: DualSignature
-) -> bool:
-    """Verify a dual signature holding the order plaintext and payment digest."""
-    oi_digest = hash_bytes(order_info)
-    if oi_digest != dual.oi_digest or pi_digest != dual.pi_digest:
+def verify_with_oi(public_key: bytes, order_info: bytes, dual: DualSignature) -> bool:
+    """Verify a dual signature holding the order plaintext.
+
+    The payment half is known only through ``dual.pi_digest``.
+    """
+    if hash_bytes(order_info) != dual.oi_digest:
         return False
-    linked = hash_bytes(oi_digest.bytes + pi_digest.bytes)
-    return verify(public_key, linked.bytes, dual.signature)
+    return verify(public_key, _linked(dual.oi_digest, dual.pi_digest), dual.signature)
 
 
-def verify_with_pi(
-    public_key: bytes, oi_digest: Digest, payment_info: bytes, dual: DualSignature
-) -> bool:
-    """Verify a dual signature holding the payment plaintext and order digest."""
-    pi_digest = hash_bytes(payment_info)
-    if oi_digest != dual.oi_digest or pi_digest != dual.pi_digest:
+def verify_with_pi(public_key: bytes, payment_info: bytes, dual: DualSignature) -> bool:
+    """Verify a dual signature holding the payment plaintext.
+
+    The order half is known only through ``dual.oi_digest``.
+    """
+    if hash_bytes(payment_info) != dual.pi_digest:
         return False
-    linked = hash_bytes(oi_digest.bytes + pi_digest.bytes)
-    return verify(public_key, linked.bytes, dual.signature)
+    return verify(public_key, _linked(dual.oi_digest, dual.pi_digest), dual.signature)

@@ -203,13 +203,13 @@ class QuoteDenial:
 class AuthorizationRequest:
     """Requester to provider: order in the clear, payment sealed away.
 
-    ``pi_digest`` is the hash of the sealed plaintext, letting the provider
-    run the order-side dual-signature check without opening the envelope.
+    ``dual.pi_digest`` is the hash of the sealed plaintext, letting the
+    provider run the order-side dual-signature check without opening the
+    envelope.
     """
 
     order_info: OrderInfo
     payment_envelope: SealedEnvelope
-    pi_digest: Digest
     dual: DualSignature
 
 
@@ -218,11 +218,11 @@ class AuthorizeAndHold:
     """Provider to trust manager: relay the sealed payment, name a charge.
 
     Deliberately contains no OrderInfo plaintext; the trust manager learns
-    the charge and the order digest, never what was ordered.
+    the charge and the order digest (``dual.oi_digest``), never what was
+    ordered.
     """
 
     payment_envelope: SealedEnvelope
-    oi_digest: Digest
     dual: DualSignature
     charge_amount: int
     provider_id: str

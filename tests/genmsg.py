@@ -124,15 +124,12 @@ def gen_quote_denial(rng: Random) -> QuoteDenial:
 
 
 def gen_authorization_request(rng: Random) -> AuthorizationRequest:
-    return AuthorizationRequest(
-        gen_order_info(rng), gen_envelope(rng), gen_digest(rng), gen_dual(rng)
-    )
+    return AuthorizationRequest(gen_order_info(rng), gen_envelope(rng), gen_dual(rng))
 
 
 def gen_authorize_and_hold(rng: Random) -> AuthorizeAndHold:
     return AuthorizeAndHold(
-        gen_envelope(rng), gen_digest(rng), gen_dual(rng),
-        u64(rng, 1), label(rng), gen_signature(rng),
+        gen_envelope(rng), gen_dual(rng), u64(rng, 1), label(rng), gen_signature(rng),
     )
 
 

@@ -1,4 +1,4 @@
-"""Shared test rig: deterministic keys, a direct-call network, actor builders."""
+"""Shared test rig: deterministic keys, a simnet call handle, actor builders."""
 from __future__ import annotations
 
 from random import Random
@@ -16,6 +16,7 @@ from gset import (
     UsageDescriptor,
     generate_keypair,
 )
+from gset.simnet import _NetHandle, _Runner
 
 ACTOR_IDS = ("SR", "SP", "TM", "AP")
 KEY_SEED = 7
@@ -35,29 +36,6 @@ def make_directory(keys: dict[str, KeyPair]) -> dict[str, bytes]:
     return {name: kp.public_key for name, kp in keys.items()}
 
 
-class DirectNet:
-    """Synchronous bridge that routes net.call straight into deliver().
-
-    Each instance is bound to a caller identity so the callee sees the right
-    sender.  Nested calls get a fresh bridge bound to the callee.
-    """
-
-    def __init__(self, registry: dict[str, object], caller_id: str, now: int = 0):
-        self.registry = registry
-        self.caller_id = caller_id
-        self.now = now
-
-    def call(self, dest: str, raw: bytes) -> bytes | None:
-        actor = self.registry.get(dest)
-        if actor is None:
-            return None
-        nested = DirectNet(self.registry, dest, self.now)
-        for target, payload in actor.deliver(self.caller_id, raw, self.now, nested):
-            if target == self.caller_id:
-                return payload
-        return None
-
-
 class ActorSet:
     def __init__(self, sr, sp, tm, ap):
         self.sr = sr
@@ -66,8 +44,11 @@ class ActorSet:
         self.ap = ap
         self.registry = {a.subject_id: a for a in (sr, sp, tm, ap)}
 
-    def net(self, caller_id: str, now: int = 0) -> DirectNet:
-        return DirectNet(self.registry, caller_id, now)
+    def net(self, caller_id: str, now: int = 0) -> _NetHandle:
+        """The simnet's own call path, with no adversary, at tick ``now``."""
+        runner = _Runner(self.registry, None, Random(0))
+        runner.tick = now
+        return _NetHandle(runner, caller_id)
 
 
 def build_actors(

@@ -202,17 +202,19 @@ def test_dual_signature_split_verification_over_randomized_pairs():
         order_info = rng.randbytes(rng.randint(1, 64))
         payment_info = rng.randbytes(rng.randint(1, 64))
         dual = make_dual_signature(signer, order_info, payment_info)
-        assert verify_with_oi(signer.public_key, order_info, dual.pi_digest, dual)
-        assert verify_with_pi(signer.public_key, dual.oi_digest, payment_info, dual)
+        assert verify_with_oi(signer.public_key, order_info, dual)
+        assert verify_with_pi(signer.public_key, payment_info, dual)
 
         bad_oi = genmsg.flip_bit(order_info, rng.randrange(len(order_info) * 8))
-        assert not verify_with_oi(signer.public_key, bad_oi, dual.pi_digest, dual)
+        assert not verify_with_oi(signer.public_key, bad_oi, dual)
         bad_pi = genmsg.flip_bit(payment_info, rng.randrange(len(payment_info) * 8))
-        assert not verify_with_pi(signer.public_key, dual.oi_digest, bad_pi, dual)
+        assert not verify_with_pi(signer.public_key, bad_pi, dual)
         bad_oid = Digest(genmsg.flip_bit(dual.oi_digest.bytes, rng.randrange(256)))
-        assert not verify_with_pi(signer.public_key, bad_oid, payment_info, dual)
+        bad_dual = dataclasses.replace(dual, oi_digest=bad_oid)
+        assert not verify_with_pi(signer.public_key, payment_info, bad_dual)
         bad_pid = Digest(genmsg.flip_bit(dual.pi_digest.bytes, rng.randrange(256)))
-        assert not verify_with_oi(signer.public_key, order_info, bad_pid, dual)
+        bad_dual = dataclasses.replace(dual, pi_digest=bad_pid)
+        assert not verify_with_oi(signer.public_key, order_info, bad_dual)
 
 
 # 9. Canonical encoding: decode(encode(m)) == m and encoding is injective

@@ -103,6 +103,18 @@ def test_unknown_service_id_gets_a_denial():
     assert reply.request_nonce == request.nonce
 
 
+def test_price_beyond_u64_gets_a_denial_not_an_encode_error():
+    actors = build_actors(rate=10)
+    request = actors.sr.request_price(usage_mb(2**64 - 1))
+    reply = actors.sp.quote_price(request, now=0)
+    assert isinstance(reply, QuoteDenial)
+    assert reply.request_nonce == request.nonce
+    assert actors.sp.issued_quotes == {}
+    [(dest, raw)] = actors.sp.deliver("SR", codec.encode(request), 0, None)
+    assert dest == "SR"
+    assert isinstance(codec.decode(raw), QuoteDenial)
+
+
 def test_quote_signature_verifies_and_covers_price():
     actors = build_actors()
     quote = quote_for(actors, 5)
@@ -162,8 +174,9 @@ def test_dual_signature_binds_order_and_payment():
     actors = build_actors()
     quote = quote_for(actors, 5)
     auth = actors.sr.build_authorization(quote, now=1)
+    _order, payment = actors.sr.pending_auths[auth.order_info.order_nonce]
     assert auth.dual.oi_digest == hash_bytes(codec.encode(auth.order_info))
-    assert auth.pi_digest == auth.dual.pi_digest
+    assert auth.dual.pi_digest == hash_bytes(codec.encode(payment))
 
 
 # --- provider-side authorization handling -------------------------------------
@@ -209,9 +222,7 @@ def test_dual_signature_mutation_denied_as_bad_signature():
     quote = quote_for(actors, 5)
     auth = actors.sr.build_authorization(quote, now=1)
     wrong_pi = hash_bytes(b"some other payment half")
-    doctored = dataclasses.replace(
-        auth, dual=dataclasses.replace(auth.dual, pi_digest=wrong_pi), pi_digest=wrong_pi
-    )
+    doctored = dataclasses.replace(auth, dual=dataclasses.replace(auth.dual, pi_digest=wrong_pi))
     decision = actors.sp.handle_authorization(doctored, "SR", now=1)
     assert isinstance(decision, AuthDecision)
     assert not decision.approved

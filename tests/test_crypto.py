@@ -1,6 +1,7 @@
 """Identity, hashing, signing, envelope, and split-signature behavior."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from random import Random
 
@@ -258,14 +259,14 @@ def test_dual_signature_structure():
 def test_split_verification_passes_on_honest_inputs():
     sr = generate_keypair("SR", 7)
     dual = make_dual_signature(sr, OI, PI)
-    assert verify_with_oi(sr.public_key, OI, hash_bytes(PI), dual)
-    assert verify_with_pi(sr.public_key, hash_bytes(OI), PI, dual)
+    assert verify_with_oi(sr.public_key, OI, dual)
+    assert verify_with_pi(sr.public_key, PI, dual)
 
 
 def test_substituted_payment_info_fails_pi_verification():
     sr = generate_keypair("SR", 7)
     dual = make_dual_signature(sr, OI, PI)
-    assert not verify_with_pi(sr.public_key, hash_bytes(OI), PI + b"!", dual)
+    assert not verify_with_pi(sr.public_key, PI + b"!", dual)
 
 
 def test_mutated_order_info_fails_oi_verification():
@@ -273,15 +274,15 @@ def test_mutated_order_info_fails_oi_verification():
     dual = make_dual_signature(sr, OI, PI)
     mutated = bytearray(OI)
     mutated[0] ^= 0x01
-    assert not verify_with_oi(sr.public_key, bytes(mutated), hash_bytes(PI), dual)
+    assert not verify_with_oi(sr.public_key, bytes(mutated), dual)
 
 
 def test_substituted_digests_fail_verification():
     sr = generate_keypair("SR", 7)
     dual = make_dual_signature(sr, OI, PI)
     wrong = hash_bytes(b"some other half")
-    assert not verify_with_oi(sr.public_key, OI, wrong, dual)
-    assert not verify_with_pi(sr.public_key, wrong, PI, dual)
+    assert not verify_with_oi(sr.public_key, OI, dataclasses.replace(dual, pi_digest=wrong))
+    assert not verify_with_pi(sr.public_key, PI, dataclasses.replace(dual, oi_digest=wrong))
 
 
 def test_dual_signature_reproducible_across_key_regeneration():
@@ -302,8 +303,8 @@ def test_dual_signature_by_wrong_key_fails_both_ways():
     sr = generate_keypair("SR", 7)
     other = generate_keypair("SR", 8)
     dual = make_dual_signature(other, OI, PI)
-    assert not verify_with_oi(sr.public_key, OI, hash_bytes(PI), dual)
-    assert not verify_with_pi(sr.public_key, hash_bytes(OI), PI, dual)
+    assert not verify_with_oi(sr.public_key, OI, dual)
+    assert not verify_with_pi(sr.public_key, PI, dual)
 
 
 def test_randomized_mutations_never_verify():
@@ -316,13 +317,17 @@ def test_randomized_mutations_never_verify():
         kind = rng.randrange(4)
         if kind == 0:
             bad = flip_bit(oi, rng.randrange(len(oi) * 8))
-            assert not verify_with_oi(sr.public_key, bad, hash_bytes(pi), dual)
+            assert not verify_with_oi(sr.public_key, bad, dual)
         elif kind == 1:
             bad = flip_bit(pi, rng.randrange(len(pi) * 8))
-            assert not verify_with_pi(sr.public_key, hash_bytes(oi), bad, dual)
+            assert not verify_with_pi(sr.public_key, bad, dual)
         elif kind == 2:
             bad_digest = Digest(flip_bit(hash_bytes(pi).bytes, rng.randrange(256)))
-            assert not verify_with_oi(sr.public_key, oi, bad_digest, dual)
+            assert not verify_with_oi(
+                sr.public_key, oi, dataclasses.replace(dual, pi_digest=bad_digest)
+            )
         else:
             bad_digest = Digest(flip_bit(hash_bytes(oi).bytes, rng.randrange(256)))
-            assert not verify_with_pi(sr.public_key, bad_digest, pi, dual)
+            assert not verify_with_pi(
+                sr.public_key, pi, dataclasses.replace(dual, oi_digest=bad_digest)
+            )

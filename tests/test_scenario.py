@@ -182,6 +182,13 @@ def test_tamper_sweep_stays_clean_at_small_scale():
     assert sweep.runs == len(TAMPER_TARGETS) * 3
 
 
+def test_tamper_sweep_survives_a_price_request_whose_price_overflows():
+    # this seed's PriceRequest tamper raises the quantity until
+    # rate * quantity no longer fits in a u64
+    sweep = tamper_sweep(seed=3174133209588332760, mutations_per_type=1)
+    assert sweep.findings == []
+
+
 def test_replay_sweep_stays_clean():
     sweep = replay_sweep(seed=7)
     assert sweep.ok, sweep.findings[:5]

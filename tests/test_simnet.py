@@ -385,6 +385,26 @@ def test_scanner_catches_usage_markers_in_trust_manager_state():
     assert any("trust" in h.location or "TM" in h.location for h in report.hits)
 
 
+@pytest.mark.parametrize(
+    "attribute", ["seen_order_nonces", "pending_relays", "granted_orders"]
+)
+def test_provider_state_scan_reaches_every_recorded_attribute(attribute):
+    report = run_once()
+    assert report.complete_success() and report.privacy.clean
+    scenario = report.scenario
+    provider = scenario.provider
+    leak = scenario.account_ref.encode()
+    held = getattr(provider, attribute)
+    (held.add if isinstance(held, set) else held.append)(leak)
+    privacy = assert_privacy(
+        report.transcript,
+        provider.state_bytes(),
+        scenario.trust_manager.state_bytes(),
+        scenario.markers,
+    )
+    assert [(hit.location, hit.marker) for hit in privacy.hits] == [("provider-state", leak)]
+
+
 def test_scanner_checks_eavesdropper_captures():
     scenario = build_scenario(CONFIG)
     meta = TranscriptMeta(seed=1, max_ticks=5, adversary_spec="none", initial=())
