@@ -13,8 +13,9 @@ The privacy split is enforced here by what each actor stores:
 
 * the provider keeps order state, tokens, and objects, and never sees
   payment plaintext (it only relays the sealed envelope);
-* the trust manager keeps payment nonces, holds, and spent tokens, and
-  never sees order plaintext (it only handles digests and amounts);
+* the trust manager keeps payment nonces and the tokens it minted and
+  spent, and never sees order plaintext (it only handles digests and
+  amounts);
 * the account provider keeps a ledger keyed by account digests.
 
 Protocol-level operations (quote_price, build_authorization,
@@ -165,6 +166,25 @@ class _ActorBase:
     def _key_of(self, subject_id: str) -> bytes | None:
         return self.directory.get(subject_id)
 
+    def _exchange(self, net: Network | None, dest: str, msg, expect: type):
+        """One signed round trip to ``dest``; None on any failure, with a note."""
+        if net is None:
+            self._note(f"no network channel for {type(msg).__name__}")
+            return None
+        raw = net.call(dest, codec.encode(msg))
+        if raw is None:
+            self._note(f"{type(msg).__name__} got no response")
+            return None
+        try:
+            response = codec.decode(raw, expect)
+        except CodecError as exc:
+            self._note(f"{expect.__name__} undecodable: {exc}")
+            return None
+        if not self._signed_by(response, dest):
+            self._note(f"{expect.__name__} signature does not verify")
+            return None
+        return response
+
     def _signed_by(self, msg, subject_id: str) -> bool:
         """Does the message's detached signature verify under ``subject_id``'s key?"""
         public = self._key_of(subject_id)
@@ -234,8 +254,6 @@ class ServiceRequester(_ActorBase):
         self.config = config
         self.pending_usage: list[tuple[bytes, UsageDescriptor]] = []
         self.pending_auths: dict[bytes, tuple[OrderInfo, PaymentInfo]] = {}
-        self.approved_orders: set[bytes] = set()
-        self.denied_orders: set[bytes] = set()
         self.grant: ServiceGrant | None = None
         self.tickets: dict[bytes, Ticket] = {}
         self.unredeemed: set[bytes] = set()
@@ -353,10 +371,8 @@ class ServiceRequester(_ActorBase):
             self._note("auth decision for no pending order")
             return []
         if not decision.approved:
-            self.denied_orders.add(decision.order_nonce)
             self._note("authorization denied")
             return []
-        self.approved_orders.add(decision.order_nonce)
         upload = build_signed(
             ObjectUpload,
             self.identity,
@@ -441,16 +457,15 @@ class ServiceProvider(_ActorBase):
         self.config = config
         self.issued_quotes: dict[bytes, PriceQuote] = {}
         self.denials: list[DenialReason] = []
-        self.seen_order_nonces: set[bytes] = set()
         self.pending_relays: deque[bytes] = deque()
+        # order_nonce -> order; only orders matched to an issued quote
         self.orders: dict[bytes, OrderInfo] = {}
-        self.charges: dict[bytes, int] = {}
+        # order_nonce -> verified token, until its capture settles
         self.approved_tokens: dict[bytes, CaptureToken] = {}
-        self.granted: dict[bytes, tuple[bytes, tuple[Ticket, ...]]] = {}
-        self.granted_orders: set[bytes] = set()
+        # grant_id -> order_nonce
+        self.granted: dict[bytes, bytes] = {}
+        # ticket_id -> object, until the ticket is redeemed
         self.stored_objects: dict[bytes, bytes] = {}
-        self.redeemed: set[bytes] = set()
-        self.captured_grants: set[bytes] = set()
         self.receivable_total = 0
         self._handlers = {
             PriceRequest: self._on_price_request,
@@ -527,13 +542,11 @@ class ServiceProvider(_ActorBase):
             return deny(DenialReason.EXPIRED_QUOTE, "quote expired")
         if order.usage != quote.usage:
             return deny(DenialReason.EXPIRED_QUOTE, "order does not match quoted usage")
-        if order.order_nonce in self.seen_order_nonces:
+        if order.order_nonce in self.orders:
             self._note("duplicate authorization for an accepted order ignored")
             return None
 
-        self.seen_order_nonces.add(order.order_nonce)
         self.orders[order.order_nonce] = order
-        self.charges[order.order_nonce] = quote.price
         self.pending_relays.append(order.order_nonce)
         return build_signed(
             AuthorizeAndHold,
@@ -562,8 +575,11 @@ class ServiceProvider(_ActorBase):
             raise TrustError("capture token names a different provider")
         if not payload_objects:
             raise PolicyError("nothing to store")
+        return self._store_and_grant(order.order_nonce, payload_objects)
+
+    def _store_and_grant(self, order_nonce: bytes, objects: tuple[bytes, ...]) -> ServiceGrant:
         tickets = []
-        for obj in payload_objects:
+        for obj in objects:
             ticket = Ticket(ticket_id=self._nonce(), object_digest=hash_bytes(obj))
             self.stored_objects[ticket.ticket_id] = obj
             tickets.append(ticket)
@@ -573,27 +589,14 @@ class ServiceProvider(_ActorBase):
             grant_id=self._nonce(),
             tickets=tuple(tickets),
         )
-        self.granted[grant.grant_id] = (order.order_nonce, grant.tickets)
-        self.granted_orders.add(order.order_nonce)
+        self.granted[grant.grant_id] = order_nonce
         return grant
 
     def collect_credits(self, token: CaptureToken, net: Network | None) -> CaptureResponse | None:
         """Present a capture token to the trust manager and book the credit."""
-        if net is None:
-            self._note("no network channel for capture")
-            return None
         request = build_signed(CaptureRequest, self.identity, token=token)
-        raw = net.call(self.config.trust_manager_id, codec.encode(request))
-        if raw is None:
-            self._note("capture call got no response")
-            return None
-        try:
-            response = codec.decode(raw, CaptureResponse)
-        except CodecError as exc:
-            self._note(f"capture response undecodable: {exc}")
-            return None
-        if not self._signed_by(response, self.config.trust_manager_id):
-            self._note("capture response signature does not verify")
+        response = self._exchange(net, self.config.trust_manager_id, request, CaptureResponse)
+        if response is None:
             return None
         if response.settled:
             self.receivable_total += token.charge_amount
@@ -627,13 +630,14 @@ class ServiceProvider(_ActorBase):
             self._note("auth outcome with no pending relay")
             return []
         order_nonce = self.pending_relays.popleft()
+        order = self.orders[order_nonce]
         approved = False
         if outcome.approved:
             token = outcome.token
             if (
                 self._signed_by(token, self.config.trust_manager_id)
                 and token.provider_id == self.subject_id
-                and token.charge_amount == self.charges.get(order_nonce)
+                and token.charge_amount == self.issued_quotes[order.quote_id].price
             ):
                 self.approved_tokens[order_nonce] = token
                 approved = True
@@ -641,11 +645,10 @@ class ServiceProvider(_ActorBase):
                 self._note("approved outcome carried an unverifiable token")
         else:
             self._note(f"authorization denied by trust manager: {outcome.reason.name}")
-        requester = self.orders[order_nonce].requester_id
         decision = build_signed(
             AuthDecision, self.identity, order_nonce=order_nonce, approved=approved
         )
-        return [(requester, codec.encode(decision))]
+        return [(order.requester_id, codec.encode(decision))]
 
     def _on_object_upload(self, sender: str, upload: ObjectUpload, now: int, net) -> Outbound:
         order = self.orders.get(upload.order_nonce)
@@ -655,25 +658,21 @@ class ServiceProvider(_ActorBase):
         if not self._signed_by(upload, sender):
             self._note("upload signature does not verify")
             return []
-        token = self.approved_tokens.get(upload.order_nonce)
-        if token is None:
-            self._note("upload for unapproved order")
-            return []
-        if upload.order_nonce in self.granted_orders:
+        if upload.order_nonce in self.granted.values():
             self._note("upload for already granted order")
             return []
-        grant = self.grant_service(
-            AuthOutcome(approved=True, token=token, reason=None), order, upload.objects
-        )
+        if upload.order_nonce not in self.approved_tokens:
+            self._note("upload for unapproved order")
+            return []
+        grant = self._store_and_grant(upload.order_nonce, upload.objects)
         return [(sender, codec.encode(grant))]
 
     def _on_redeem_request(
         self, sender: str, request: TicketRedeemRequest, now: int, net
     ) -> Outbound:
         ticket_id = request.ticket_id
-        if ticket_id in self.stored_objects and ticket_id not in self.redeemed:
-            self.redeemed.add(ticket_id)
-            payload = self.stored_objects.pop(ticket_id)
+        payload = self.stored_objects.pop(ticket_id, None)
+        if payload is not None:
             response = build_signed(
                 TicketRedeemResponse,
                 self.identity,
@@ -695,25 +694,21 @@ class ServiceProvider(_ActorBase):
     def _on_service_complete(
         self, sender: str, done: ServiceComplete, now: int, net
     ) -> Outbound:
-        entry = self.granted.get(done.grant_id)
-        if entry is None:
+        order_nonce = self.granted.get(done.grant_id)
+        if order_nonce is None:
             self._note("completion for unknown grant")
             return []
-        order_nonce, _tickets = entry
         if self.orders[order_nonce].requester_id != sender \
                 or not self._signed_by(done, sender):
             self._note("completion signature does not verify")
             return []
-        if done.grant_id in self.captured_grants:
-            self._note("grant already captured")
-            return []
         token = self.approved_tokens.get(order_nonce)
         if token is None:
-            self._note("no capture token for completed grant")
+            self._note("grant already captured")
             return []
         response = self.collect_credits(token, net)
         if response is not None and response.settled:
-            self.captured_grants.add(done.grant_id)
+            del self.approved_tokens[order_nonce]
         return []
 
     def _on_stray_capture_response(
@@ -733,14 +728,6 @@ class TrustManagerConfig:
     account_providers: frozenset[str]
 
 
-@dataclass(frozen=True)
-class HoldRecord:
-    account_provider_id: str
-    account_ref_digest: Digest
-    amount: int
-    provider_id: str
-
-
 class TrustManager(_ActorBase):
     """Opens payment envelopes, enforces limits, places holds, mints tokens."""
 
@@ -755,7 +742,6 @@ class TrustManager(_ActorBase):
         self.config = config
         self.seen_payment_nonces: set[bytes] = set()
         self.denials: list[DenialReason] = []
-        self.holds: dict[bytes, HoldRecord] = {}
         self.spent_tokens: set[bytes] = set()
         self.minted_tokens: dict[bytes, CaptureToken] = {}
         self._handlers = {
@@ -764,25 +750,6 @@ class TrustManager(_ActorBase):
             HoldResponse: self._on_stray_ap_response,
             SettleResponse: self._on_stray_ap_response,
         }
-
-    # -- account provider exchange --
-
-    def _exchange(self, net: Network | None, dest: str, msg, expect: type):
-        """One signed round trip to an account provider; None on any failure."""
-        if net is None:
-            return None
-        raw = net.call(dest, codec.encode(msg))
-        if raw is None:
-            return None
-        try:
-            response = codec.decode(raw, expect)
-        except CodecError as exc:
-            self._note(f"{expect.__name__} undecodable: {exc}")
-            return None
-        if not self._signed_by(response, dest):
-            self._note(f"{expect.__name__} signature does not verify")
-            return None
-        return response
 
     # -- protocol operations --
 
@@ -842,12 +809,6 @@ class TrustManager(_ActorBase):
         if not response.ok:
             return deny(response.reason, "account provider refused the hold")
 
-        self.holds[response.hold_ref] = HoldRecord(
-            account_provider_id=payment.account_provider_id,
-            account_ref_digest=account_digest,
-            amount=msg.charge_amount,
-            provider_id=msg.provider_id,
-        )
         token = build_signed(
             CaptureToken,
             self.identity,
@@ -874,15 +835,12 @@ class TrustManager(_ActorBase):
         token = request.token
         if token.provider_id != sender or not self._signed_by(request, sender):
             return refuse(DenialReason.BAD_SIGNATURE, "provider signature fails")
-        if not verify_signed(token, self.identity.public_key) \
-                or token.tm_signature.signer_id != self.subject_id:
+        # the stored token is the one this trust manager signed, so equality
+        # (signature included) proves authorship, provider and amount at once
+        if self.minted_tokens.get(token.token_id) != token:
             return refuse(DenialReason.BAD_SIGNATURE, "token was not minted here")
         if token.token_id in self.spent_tokens:
             return refuse(DenialReason.REPLAY, "token already spent")
-        record = self.holds.get(token.hold_ref)
-        if record is None or record.provider_id != sender \
-                or record.amount != token.charge_amount:
-            return refuse(DenialReason.UNKNOWN_ACCOUNT, "no matching hold")
 
         settle = build_signed(
             SettleRequest,
@@ -890,7 +848,7 @@ class TrustManager(_ActorBase):
             settle_nonce=self._nonce(),
             hold_ref=token.hold_ref,
         )
-        response = self._exchange(net, record.account_provider_id, settle, SettleResponse)
+        response = self._exchange(net, token.account_provider_id, settle, SettleResponse)
         if response is None:
             return refuse(DenialReason.UNKNOWN_ACCOUNT, "account provider unreachable")
         if response.settle_nonce != settle.settle_nonce:
@@ -901,7 +859,6 @@ class TrustManager(_ActorBase):
             return refuse(DenialReason.BAD_SIGNATURE, "settled amount mismatch")
 
         self.spent_tokens.add(token.token_id)
-        del self.holds[token.hold_ref]
         return build_signed(CaptureResponse, self.identity, settled=True, reason=None)
 
     # -- message handlers --

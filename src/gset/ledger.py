@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from random import Random
 
-from . import codec
 from .codec import canonical_message
 from .crypto import Digest, hash_bytes
 
@@ -96,7 +95,6 @@ class Ledger:
         self._hold_owner: dict[bytes, bytes] = {}  # hold_ref -> account digest
         self.settled_refs: set[bytes] = set()
         self.released_refs: set[bytes] = set()
-        self.settle_count = 0
 
     def open_account(self, account_ref: str, credit_limit: int) -> Digest:
         """Create an account for ``account_ref``; returns its digest key.
@@ -162,7 +160,6 @@ class Ledger:
         del self._hold_owner[hold_ref]
         account.settled_total += amount
         self.settled_refs.add(hold_ref)
-        self.settle_count += 1
         self._assert_conserved(account)
         return amount
 
@@ -181,6 +178,10 @@ class Ledger:
             raise AssertionError("ledger conservation violated")
 
     # --- observability -------------------------------------------------------
+
+    @property
+    def settle_count(self) -> int:
+        return len(self.settled_refs)
 
     def total_settled(self) -> int:
         return sum(a.settled_total for a in self._accounts.values())
@@ -208,6 +209,3 @@ class Ledger:
                 )
             )
         return LedgerSnapshot(accounts=tuple(accounts))
-
-    def state_bytes(self) -> bytes:
-        return codec.encode(self.snapshot())

