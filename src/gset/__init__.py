@@ -15,7 +15,6 @@ from .actors import (
     AccountProvider,
     AccountProviderConfig,
     ActorError,
-    DeniedError,
     PolicyError,
     ProviderConfig,
     RequesterConfig,

@@ -19,7 +19,7 @@ The privacy split is enforced here by what each actor stores:
 * the account provider keeps a ledger keyed by account digests.
 
 Protocol-level operations (quote_price, build_authorization,
-handle_authorize, grant_service, collect_credits, handle_capture, ...)
+handle_authorize, collect_credits, handle_capture, ...)
 are public methods so they can be exercised directly; the message
 handlers are thin wrappers around them.
 """
@@ -93,14 +93,6 @@ class PolicyError(ActorError):
 
 class TrustError(ActorError):
     """A counterparty presented something that does not verify."""
-
-
-class DeniedError(ActorError):
-    """An operation was attempted on a denied outcome."""
-
-    def __init__(self, reason: DenialReason | None) -> None:
-        super().__init__(f"authorization denied: {reason.name if reason else 'unknown'}")
-        self.reason = reason
 
 
 class Network(Protocol):
@@ -273,7 +265,7 @@ class ServiceRequester(_ActorBase):
 
     def request_price(self, usage: UsageDescriptor) -> PriceRequest:
         """Start the pricing flow; each call uses a fresh nonce."""
-        request = PriceRequest(requester_id=self.subject_id, usage=usage, nonce=self._nonce())
+        request = PriceRequest(usage=usage, nonce=self._nonce())
         self.pending_usage.append((request.nonce, usage))
         return request
 
@@ -281,12 +273,7 @@ class ServiceRequester(_ActorBase):
         """Kick-off message for a simulation run."""
         return (self.config.provider_id, codec.encode(self.request_price(usage)))
 
-    def build_authorization(
-        self,
-        quote: PriceQuote,
-        now: int,
-        enforce_limit_sanity: bool | None = None,
-    ) -> AuthorizationRequest:
+    def build_authorization(self, quote: PriceQuote, now: int) -> AuthorizationRequest:
         """Turn an acceptable quote into a dual-signed authorization.
 
         Raises:
@@ -298,9 +285,7 @@ class ServiceRequester(_ActorBase):
             raise TrustError("quote signature does not verify")
         if now >= quote.expiry:
             raise PolicyError(f"quote expired at tick {quote.expiry}, now {now}")
-        enforce = self.config.enforce_limit_sanity if enforce_limit_sanity is None \
-            else enforce_limit_sanity
-        if enforce and self.config.authorized_limit < quote.price:
+        if self.config.enforce_limit_sanity and self.config.authorized_limit < quote.price:
             raise PolicyError(
                 f"authorized limit {self.config.authorized_limit} below price {quote.price}"
             )
@@ -474,7 +459,6 @@ class ServiceProvider(_ActorBase):
             ObjectUpload: self._on_object_upload,
             TicketRedeemRequest: self._on_redeem_request,
             ServiceComplete: self._on_service_complete,
-            CaptureResponse: self._on_stray_capture_response,
         }
 
     # -- protocol operations --
@@ -554,30 +538,10 @@ class ServiceProvider(_ActorBase):
             payment_envelope=auth.payment_envelope,
             dual=auth.dual,
             charge_amount=quote.price,
-            provider_id=self.subject_id,
         )
 
-    def grant_service(
-        self, outcome: AuthOutcome, order: OrderInfo, payload_objects: tuple[bytes, ...]
-    ) -> ServiceGrant:
-        """Store the payload and issue one single-use ticket per object.
-
-        Raises:
-            DeniedError: the outcome was a denial; nothing is stored.
-            TrustError: the capture token does not verify; nothing is stored.
-        """
-        if not outcome.approved:
-            raise DeniedError(outcome.reason)
-        token = outcome.token
-        if not self._signed_by(token, self.config.trust_manager_id):
-            raise TrustError("capture token signature does not verify")
-        if token.provider_id != self.subject_id:
-            raise TrustError("capture token names a different provider")
-        if not payload_objects:
-            raise PolicyError("nothing to store")
-        return self._store_and_grant(order.order_nonce, payload_objects)
-
     def _store_and_grant(self, order_nonce: bytes, objects: tuple[bytes, ...]) -> ServiceGrant:
+        """Store the payload and issue one single-use ticket per object."""
         tickets = []
         for obj in objects:
             ticket = Ticket(ticket_id=self._nonce(), object_digest=hash_bytes(obj))
@@ -607,9 +571,6 @@ class ServiceProvider(_ActorBase):
     # -- message handlers --
 
     def _on_price_request(self, sender: str, request: PriceRequest, now: int, net) -> Outbound:
-        if request.requester_id != sender:
-            self._note("price request names a different requester")
-            return []
         return [(sender, codec.encode(self.quote_price(request, now)))]
 
     def _on_authorization(
@@ -670,25 +631,13 @@ class ServiceProvider(_ActorBase):
     def _on_redeem_request(
         self, sender: str, request: TicketRedeemRequest, now: int, net
     ) -> Outbound:
-        ticket_id = request.ticket_id
-        payload = self.stored_objects.pop(ticket_id, None)
-        if payload is not None:
-            response = build_signed(
-                TicketRedeemResponse,
-                self.identity,
-                ticket_id=ticket_id,
-                ok=True,
-                payload=payload,
-            )
-        else:
+        # stored objects are never empty, so no bytes means a refusal
+        payload = self.stored_objects.pop(request.ticket_id, b"")
+        if not payload:
             self._note("redemption refused: unknown or spent ticket")
-            response = build_signed(
-                TicketRedeemResponse,
-                self.identity,
-                ticket_id=ticket_id,
-                ok=False,
-                payload=b"",
-            )
+        response = build_signed(
+            TicketRedeemResponse, self.identity, ticket_id=request.ticket_id, payload=payload
+        )
         return [(sender, codec.encode(response))]
 
     def _on_service_complete(
@@ -709,14 +658,6 @@ class ServiceProvider(_ActorBase):
         response = self.collect_credits(token, net)
         if response is not None and response.settled:
             del self.approved_tokens[order_nonce]
-        return []
-
-    def _on_stray_capture_response(
-        self, sender: str, response: CaptureResponse, now: int, net
-    ) -> Outbound:
-        # Captures run synchronously inside collect_credits; a queue-delivered
-        # response is a duplicate or an injection.
-        self._note("ignored unsolicited capture response")
         return []
 
 
@@ -747,8 +688,6 @@ class TrustManager(_ActorBase):
         self._handlers = {
             AuthorizeAndHold: self._on_authorize_and_hold,
             CaptureRequest: self._on_capture_request,
-            HoldResponse: self._on_stray_ap_response,
-            SettleResponse: self._on_stray_ap_response,
         }
 
     # -- protocol operations --
@@ -765,9 +704,9 @@ class TrustManager(_ActorBase):
         def deny(reason: DenialReason, detail: str) -> AuthOutcome:
             self._note(f"authorization denied ({reason.name}): {detail}")
             self.denials.append(reason)
-            return AuthOutcome(approved=False, token=None, reason=reason)
+            return AuthOutcome(token=None, reason=reason)
 
-        if msg.provider_id != sender or not self._signed_by(msg, msg.provider_id):
+        if not self._signed_by(msg, sender):
             return deny(DenialReason.BAD_SIGNATURE, "provider signature fails")
         try:
             payment_bytes = open_envelope(self.identity, msg.payment_envelope)
@@ -813,13 +752,13 @@ class TrustManager(_ActorBase):
             CaptureToken,
             self.identity,
             token_id=self._nonce(),
-            provider_id=msg.provider_id,
+            provider_id=sender,
             charge_amount=msg.charge_amount,
             account_provider_id=payment.account_provider_id,
             hold_ref=response.hold_ref,
         )
         self.minted_tokens[token.token_id] = token
-        return AuthOutcome(approved=True, token=token, reason=None)
+        return AuthOutcome(token=token, reason=None)
 
     def handle_capture(
         self, request: CaptureRequest, sender: str, net: Network | None
@@ -828,9 +767,7 @@ class TrustManager(_ActorBase):
 
         def refuse(reason: DenialReason, detail: str) -> CaptureResponse:
             self._note(f"capture refused ({reason.name}): {detail}")
-            return build_signed(
-                CaptureResponse, self.identity, settled=False, reason=reason
-            )
+            return build_signed(CaptureResponse, self.identity, reason=reason)
 
         token = request.token
         if token.provider_id != sender or not self._signed_by(request, sender):
@@ -859,7 +796,7 @@ class TrustManager(_ActorBase):
             return refuse(DenialReason.BAD_SIGNATURE, "settled amount mismatch")
 
         self.spent_tokens.add(token.token_id)
-        return build_signed(CaptureResponse, self.identity, settled=True, reason=None)
+        return build_signed(CaptureResponse, self.identity, reason=None)
 
     # -- message handlers --
 
@@ -872,12 +809,6 @@ class TrustManager(_ActorBase):
     def _on_capture_request(self, sender: str, msg: CaptureRequest, now: int, net) -> Outbound:
         response = self.handle_capture(msg, sender, net)
         return [(sender, codec.encode(response))]
-
-    def _on_stray_ap_response(self, sender: str, msg, now: int, net) -> Outbound:
-        # Hold/settle exchanges are synchronous; anything arriving through
-        # the queue is a duplicate or an injection.
-        self._note(f"ignored unsolicited {type(msg).__name__}")
-        return []
 
 
 # --- account provider -----------------------------------------------------------
@@ -911,12 +842,11 @@ class AccountProvider(_ActorBase):
         return self.ledger.open_account(account_ref, credit_limit)
 
     def _on_hold_request(self, sender: str, msg: HoldRequest, now: int, net) -> Outbound:
-        def respond(ok: bool, hold_ref: bytes, reason: DenialReason | None) -> Outbound:
+        def respond(hold_ref: bytes, reason: DenialReason | None) -> Outbound:
             response = build_signed(
                 HoldResponse,
                 self.identity,
                 hold_nonce=msg.hold_nonce,
-                ok=ok,
                 hold_ref=hold_ref,
                 reason=reason,
             )
@@ -924,28 +854,27 @@ class AccountProvider(_ActorBase):
 
         if sender not in self.config.trust_managers or not self._signed_by(msg, sender):
             self._note("hold request signature does not verify")
-            return respond(False, b"", DenialReason.BAD_SIGNATURE)
+            return respond(b"", DenialReason.BAD_SIGNATURE)
         if msg.hold_nonce in self.seen_hold_nonces:
             self._note("hold request nonce already used")
-            return respond(False, b"", DenialReason.REPLAY)
+            return respond(b"", DenialReason.REPLAY)
         self.seen_hold_nonces.add(msg.hold_nonce)
         try:
             receipt = self.ledger.place_hold(msg.account_ref_digest, msg.amount)
         except InsufficientCreditError as exc:
             self._note(f"hold refused: {exc}")
-            return respond(False, b"", DenialReason.INSUFFICIENT_CREDIT)
+            return respond(b"", DenialReason.INSUFFICIENT_CREDIT)
         except (UnknownAccountError, LedgerError) as exc:
             self._note(f"hold refused: {exc}")
-            return respond(False, b"", DenialReason.UNKNOWN_ACCOUNT)
-        return respond(True, receipt.hold_ref, None)
+            return respond(b"", DenialReason.UNKNOWN_ACCOUNT)
+        return respond(receipt.hold_ref, None)
 
     def _on_settle_request(self, sender: str, msg: SettleRequest, now: int, net) -> Outbound:
-        def respond(ok: bool, amount: int, reason: DenialReason | None) -> Outbound:
+        def respond(amount: int, reason: DenialReason | None) -> Outbound:
             response = build_signed(
                 SettleResponse,
                 self.identity,
                 settle_nonce=msg.settle_nonce,
-                ok=ok,
                 amount=amount,
                 reason=reason,
             )
@@ -953,13 +882,13 @@ class AccountProvider(_ActorBase):
 
         if sender not in self.config.trust_managers or not self._signed_by(msg, sender):
             self._note("settle request signature does not verify")
-            return respond(False, 0, DenialReason.BAD_SIGNATURE)
+            return respond(0, DenialReason.BAD_SIGNATURE)
         try:
             amount = self.ledger.settle_hold(msg.hold_ref)
         except HoldClosedError:
             self._note("settle refused: hold already closed")
-            return respond(False, 0, DenialReason.REPLAY)
+            return respond(0, DenialReason.REPLAY)
         except LedgerError as exc:
             self._note(f"settle refused: {exc}")
-            return respond(False, 0, DenialReason.UNKNOWN_ACCOUNT)
-        return respond(True, amount, None)
+            return respond(0, DenialReason.UNKNOWN_ACCOUNT)
+        return respond(amount, None)

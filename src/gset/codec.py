@@ -2,15 +2,15 @@
 
 The wire layout is fixed and self-delimiting:
 
-* a message encodes as a leading type-name field followed by each of its
-  dataclass fields in declared order,
+* a top-level message encodes as a leading type-name field followed by
+  each of its dataclass fields in declared order,
 * every field is a 4-byte big-endian length prefix followed by content,
 * unsigned integers are 8-byte big-endian content (booleans encode as 0/1,
   enums as their integer value),
 * strings are UTF-8 content, byte strings are raw content, and 32-byte
   digests are raw content,
-* nested messages are encoded recursively, the complete encoding becoming
-  the field content,
+* a nested message is encoded as its fields alone, with no type-name
+  field: the enclosing schema already fixes its type,
 * sequences are a 4-byte big-endian element count followed by each element
   as a length-prefixed field; optional values are a sequence of zero or one.
 
@@ -27,7 +27,7 @@ import enum
 import struct
 import types
 import typing
-from typing import Any, Callable, TypeVar
+from typing import Any, TypeVar
 
 from .crypto import DIGEST_SIZE, Digest
 
@@ -235,7 +235,7 @@ def _encode_content(codec: _FieldCodec, value: Any, what: str) -> bytes:
     if kind == _KIND_NESTED:
         if not isinstance(value, codec.inner):
             raise EncodeError(f"{what}: expected {codec.inner.__name__}")
-        return encode(value)
+        return _encode_fields(_schema_for(codec.inner), value)
     if kind == _KIND_LIST:
         if not isinstance(value, (tuple, list)):
             raise EncodeError(f"{what}: expected a sequence")
@@ -254,16 +254,20 @@ def _encode_content(codec: _FieldCodec, value: Any, what: str) -> bytes:
     raise EncodeError(f"{what}: unhandled kind {kind!r}")
 
 
-def encode(msg: Any) -> bytes:
-    """Canonical bytes for ``msg``; raises if any invariant fails."""
-    schema = _schema_for(type(msg))
+def _encode_fields(schema: _Schema, msg: Any) -> bytes:
     validate = getattr(msg, "validate", None)
     if callable(validate):
         validate()
-    parts = [_frame(schema.tag.encode("utf-8"))]
-    for name, codec in schema.fields:
-        parts.append(_frame(_encode_content(codec, getattr(msg, name), f"{schema.tag}.{name}")))
-    return b"".join(parts)
+    return b"".join(
+        _frame(_encode_content(codec, getattr(msg, name), f"{schema.tag}.{name}"))
+        for name, codec in schema.fields
+    )
+
+
+def encode(msg: Any) -> bytes:
+    """Canonical bytes for ``msg``; raises if any invariant fails."""
+    schema = _schema_for(type(msg))
+    return _frame(schema.tag.encode("utf-8")) + _encode_fields(schema, msg)
 
 
 def signing_payload_from(cls: type, values: dict[str, Any]) -> bytes:
@@ -358,7 +362,7 @@ def _decode_content(codec: _FieldCodec, content: bytes, base: int, what: str) ->
             raise DecodeError(f"{what}: digest must be {DIGEST_SIZE} bytes", base)
         return Digest(content)
     if kind == _KIND_NESTED:
-        return _decode_message(content, base, codec.inner)
+        return _decode_fields(_BY_CLASS[codec.inner], _Reader(content, base))
     if kind == _KIND_LIST:
         reader = _Reader(content, base)
         count = reader.u32(f"{what} count")
@@ -398,6 +402,11 @@ def _decode_message(raw: bytes, base: int, expected: type | None) -> Any:
         raise MessageTypeError(
             f"expected {expected.__name__}, found {tag}", tag_at
         )
+    return _decode_fields(schema, reader)
+
+
+def _decode_fields(schema: _Schema, reader: _Reader) -> Any:
+    """Read every field of ``schema`` and nothing more; build the message."""
     values = {}
     for name, codec in schema.fields:
         content, at = reader.field(f"{schema.tag}.{name}")
@@ -407,7 +416,7 @@ def _decode_message(raw: bytes, base: int, expected: type | None) -> Any:
     try:
         return schema.cls(**values)
     except (ValidationError, ValueError) as exc:
-        raise DecodeError(f"{schema.tag} invariant violated: {exc}", base)
+        raise DecodeError(f"{schema.tag} invariant violated: {exc}", reader.base)
 
 
 def decode(raw: bytes, expected: type[M] | None = None) -> M:

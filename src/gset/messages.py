@@ -159,12 +159,12 @@ class CaptureToken:
 
 @canonical_message
 class PriceRequest:
-    requester_id: str
+    """Unauthenticated enquiry; the provider answers whoever sent it."""
+
     usage: UsageDescriptor
     nonce: bytes
 
     def validate(self) -> None:
-        _need_label(self.requester_id, "requester_id")
         _need_nonce(self.nonce, "nonce")
 
 
@@ -219,35 +219,32 @@ class AuthorizeAndHold:
 
     Deliberately contains no OrderInfo plaintext; the trust manager learns
     the charge and the order digest (``dual.oi_digest``), never what was
-    ordered.
+    ordered.  The provider is the signer of ``provider_signature``.
     """
 
     payment_envelope: SealedEnvelope
     dual: DualSignature
     charge_amount: int
-    provider_id: str
     provider_signature: Signature
 
     def validate(self) -> None:
         _need_u64(self.charge_amount, "charge_amount", minimum=1)
-        _need_label(self.provider_id, "provider_id")
 
 
 @canonical_message
 class AuthOutcome:
     """Trust manager's verdict: a capture token, or a precise refusal."""
 
-    approved: bool
     token: CaptureToken | None
     reason: DenialReason | None
 
+    @property
+    def approved(self) -> bool:
+        return self.token is not None
+
     def validate(self) -> None:
-        if self.approved:
-            _need(self.token is not None, "approved outcome must carry a token")
-            _need(self.reason is None, "approved outcome must carry no reason")
-        else:
-            _need(self.token is None, "denied outcome must carry no token")
-            _need(self.reason is not None, "denied outcome must carry a reason")
+        _need((self.token is None) != (self.reason is None),
+              "outcome must carry exactly one of token and reason")
 
 
 @canonical_message
@@ -309,17 +306,22 @@ class TicketRedeemRequest:
 
 @canonical_message
 class TicketRedeemResponse:
+    """The stored object, or no bytes at all when the ticket is refused.
+
+    Stored objects are never empty (see ``ObjectUpload``), so an empty
+    payload is unambiguous.
+    """
+
     ticket_id: bytes
-    ok: bool
     payload: bytes
     provider_signature: Signature
 
+    @property
+    def ok(self) -> bool:
+        return bool(self.payload)
+
     def validate(self) -> None:
         _need_nonce(self.ticket_id, "ticket_id")
-        if self.ok:
-            _need(bool(self.payload), "successful redemption must carry the object")
-        else:
-            _need(not self.payload, "failed redemption must carry no object")
 
 
 @canonical_message
@@ -341,15 +343,12 @@ class CaptureRequest:
 
 @canonical_message
 class CaptureResponse:
-    settled: bool
     reason: DenialReason | None
     tm_signature: Signature
 
-    def validate(self) -> None:
-        if self.settled:
-            _need(self.reason is None, "settled response must carry no reason")
-        else:
-            _need(self.reason is not None, "refused response must carry a reason")
+    @property
+    def settled(self) -> bool:
+        return self.reason is None
 
 
 # --- trust manager / account provider exchange -------------------------------
@@ -372,19 +371,20 @@ class HoldRequest:
 @canonical_message
 class HoldResponse:
     hold_nonce: bytes
-    ok: bool
     hold_ref: bytes
     reason: DenialReason | None
     ap_signature: Signature
+
+    @property
+    def ok(self) -> bool:
+        return self.reason is None
 
     def validate(self) -> None:
         _need_nonce(self.hold_nonce, "hold_nonce")
         if self.ok:
             _need_nonce(self.hold_ref, "hold_ref")
-            _need(self.reason is None, "accepted hold must carry no reason")
         else:
             _need(not self.hold_ref, "refused hold must carry no hold_ref")
-            _need(self.reason is not None, "refused hold must carry a reason")
 
 
 @canonical_message
@@ -403,19 +403,20 @@ class SettleRequest:
 @canonical_message
 class SettleResponse:
     settle_nonce: bytes
-    ok: bool
     amount: int
     reason: DenialReason | None
     ap_signature: Signature
+
+    @property
+    def ok(self) -> bool:
+        return self.reason is None
 
     def validate(self) -> None:
         _need_nonce(self.settle_nonce, "settle_nonce")
         if self.ok:
             _need_u64(self.amount, "amount", minimum=1)
-            _need(self.reason is None, "settled response must carry no reason")
         else:
             _need(self.amount == 0, "refused settlement must carry amount 0")
-            _need(self.reason is not None, "refused settlement must carry a reason")
 
 
 # --- signing helpers ----------------------------------------------------------

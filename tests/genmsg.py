@@ -112,7 +112,7 @@ def gen_capture_token(rng: Random) -> CaptureToken:
 
 
 def gen_price_request(rng: Random) -> PriceRequest:
-    return PriceRequest(label(rng), gen_usage(rng), nonce(rng))
+    return PriceRequest(gen_usage(rng), nonce(rng))
 
 
 def gen_price_quote(rng: Random) -> PriceQuote:
@@ -129,7 +129,7 @@ def gen_authorization_request(rng: Random) -> AuthorizationRequest:
 
 def gen_authorize_and_hold(rng: Random) -> AuthorizeAndHold:
     return AuthorizeAndHold(
-        gen_envelope(rng), gen_dual(rng), u64(rng, 1), label(rng), gen_signature(rng),
+        gen_envelope(rng), gen_dual(rng), u64(rng, 1), gen_signature(rng),
     )
 
 
@@ -139,8 +139,8 @@ def gen_denial_reason(rng: Random) -> DenialReason:
 
 def gen_auth_outcome(rng: Random) -> AuthOutcome:
     if rng.random() < 0.5:
-        return AuthOutcome(True, gen_capture_token(rng), None)
-    return AuthOutcome(False, None, gen_denial_reason(rng))
+        return AuthOutcome(gen_capture_token(rng), None)
+    return AuthOutcome(None, gen_denial_reason(rng))
 
 
 def gen_auth_decision(rng: Random) -> AuthDecision:
@@ -163,8 +163,8 @@ def gen_redeem_request(rng: Random) -> TicketRedeemRequest:
 
 def gen_redeem_response(rng: Random) -> TicketRedeemResponse:
     if rng.random() < 0.5:
-        return TicketRedeemResponse(nonce(rng), True, blob(rng, 1, 96), gen_signature(rng))
-    return TicketRedeemResponse(nonce(rng), False, b"", gen_signature(rng))
+        return TicketRedeemResponse(nonce(rng), blob(rng, 1, 96), gen_signature(rng))
+    return TicketRedeemResponse(nonce(rng), b"", gen_signature(rng))
 
 
 def gen_service_complete(rng: Random) -> ServiceComplete:
@@ -177,8 +177,8 @@ def gen_capture_request(rng: Random) -> CaptureRequest:
 
 def gen_capture_response(rng: Random) -> CaptureResponse:
     if rng.random() < 0.5:
-        return CaptureResponse(True, None, gen_signature(rng))
-    return CaptureResponse(False, gen_denial_reason(rng), gen_signature(rng))
+        return CaptureResponse(None, gen_signature(rng))
+    return CaptureResponse(gen_denial_reason(rng), gen_signature(rng))
 
 
 def gen_hold_request(rng: Random) -> HoldRequest:
@@ -187,8 +187,8 @@ def gen_hold_request(rng: Random) -> HoldRequest:
 
 def gen_hold_response(rng: Random) -> HoldResponse:
     if rng.random() < 0.5:
-        return HoldResponse(nonce(rng), True, nonce(rng), None, gen_signature(rng))
-    return HoldResponse(nonce(rng), False, b"", gen_denial_reason(rng), gen_signature(rng))
+        return HoldResponse(nonce(rng), nonce(rng), None, gen_signature(rng))
+    return HoldResponse(nonce(rng), b"", gen_denial_reason(rng), gen_signature(rng))
 
 
 def gen_settle_request(rng: Random) -> SettleRequest:
@@ -197,8 +197,8 @@ def gen_settle_request(rng: Random) -> SettleRequest:
 
 def gen_settle_response(rng: Random) -> SettleResponse:
     if rng.random() < 0.5:
-        return SettleResponse(nonce(rng), True, u64(rng, 1), None, gen_signature(rng))
-    return SettleResponse(nonce(rng), False, 0, gen_denial_reason(rng), gen_signature(rng))
+        return SettleResponse(nonce(rng), u64(rng, 1), None, gen_signature(rng))
+    return SettleResponse(nonce(rng), 0, gen_denial_reason(rng), gen_signature(rng))
 
 
 def gen_ledger_hold_state(rng: Random) -> LedgerHoldState:

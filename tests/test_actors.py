@@ -11,14 +11,17 @@ from gset import (
     AuthOutcome,
     AuthorizeAndHold,
     CaptureRequest,
+    CaptureResponse,
     CaptureToken,
-    DeniedError,
     DenialReason,
+    HoldResponse,
+    ObjectUpload,
     PaymentInfo,
     PolicyError,
     PriceQuote,
     QuoteDenial,
     ServiceGrant,
+    SettleResponse,
     Signature,
     TicketRedeemResponse,
     TrustError,
@@ -26,6 +29,7 @@ from gset import (
     TrustManagerConfig,
     UsageDescriptor,
     ValidationError,
+    build_signed,
     codec,
     generate_keypair,
     hash_bytes,
@@ -49,13 +53,31 @@ def quote_for(actors, quantity: int, now: int = 0):
     return quote
 
 
-def approved_outcome(actors, quantity: int = 5, now: int = 0, sanity: bool | None = None):
+def approved_outcome(actors, quantity: int = 5, now: int = 0):
     quote = quote_for(actors, quantity, now)
-    auth = actors.sr.build_authorization(quote, now=now, enforce_limit_sanity=sanity)
+    auth = actors.sr.build_authorization(quote, now=now)
     relay = actors.sp.handle_authorization(auth, "SR", now=now)
     assert isinstance(relay, AuthorizeAndHold)
     outcome = actors.tm.handle_authorize(relay, "SP", actors.net("TM"))
     return auth, relay, outcome
+
+
+def deliver_outcome_then_upload(actors, auth, outcome, now: int = 1):
+    """The SP receives the TM's outcome, then the requester's signed upload."""
+    actors.sp.deliver("TM", codec.encode(outcome), now, None)
+    upload = build_signed(
+        ObjectUpload,
+        actors.sr.identity,
+        order_nonce=auth.order_info.order_nonce,
+        objects=harness.OBJECTS,
+    )
+    return actors.sp.deliver("SR", codec.encode(upload), now, None)
+
+
+def granted(actors, auth, outcome) -> ServiceGrant:
+    [(dest, raw)] = deliver_outcome_then_upload(actors, auth, outcome)
+    assert dest == "SR"
+    return codec.decode(raw, ServiceGrant)
 
 
 # --- price discovery --------------------------------------------------------
@@ -66,7 +88,6 @@ def test_price_request_for_five_megabytes():
     request = actors.sr.request_price(usage_mb(5))
     assert request.usage.quantity == 5
     assert request.usage.unit == "megabyte"
-    assert request.requester_id == "SR"
 
 
 def test_price_requests_use_fresh_nonces():
@@ -191,7 +212,7 @@ def test_valid_authorization_becomes_hold_instruction_at_quoted_price():
     relay = actors.sp.handle_authorization(auth, "SR", now=1)
     assert isinstance(relay, AuthorizeAndHold)
     assert relay.charge_amount == 50
-    assert relay.provider_id == "SP"
+    assert relay.provider_signature.signer_id == "SP"
     assert relay.payment_envelope == auth.payment_envelope
 
 
@@ -275,8 +296,8 @@ def test_limit_60_charge_50_credit_100_approves_and_holds_50():
 
 
 def test_limit_60_charge_70_denied_over_limit_with_no_hold():
-    actors = build_actors(limit=60, credit=500)
-    _, relay, outcome = approved_outcome(actors, quantity=7, sanity=False)
+    actors = build_actors(limit=60, credit=500, sanity=False)
+    _, relay, outcome = approved_outcome(actors, quantity=7)
     assert not outcome.approved
     assert outcome.reason == DenialReason.OVER_LIMIT
     assert actors.tm.denials == [DenialReason.OVER_LIMIT]
@@ -301,6 +322,18 @@ def test_same_hold_instruction_twice_is_replay():
     digest = hash_bytes(harness.ACCOUNT_REF.encode())
     assert actors.ap.ledger.holds_created() == 1
     assert sum(actors.ap.ledger.active_holds(digest).values()) == 50
+
+
+def test_relay_presented_by_anyone_but_its_signer_is_refused():
+    # the provider's identity on a relay is its signature's signer, nothing else
+    actors = build_actors()
+    quote = quote_for(actors, 5)
+    auth = actors.sr.build_authorization(quote, now=0)
+    relay = actors.sp.handle_authorization(auth, "SR", now=0)
+    outcome = actors.tm.handle_authorize(relay, "SR", actors.net("TM"))
+    assert outcome.reason == DenialReason.BAD_SIGNATURE
+    assert actors.ap.ledger.holds_created() == 0
+    assert actors.tm.minted_tokens == {}
 
 
 def test_denied_attempt_still_burns_the_payment_nonce():
@@ -345,8 +378,8 @@ def test_minted_token_verifies_and_names_the_provider():
 
 
 def test_tm_state_is_clean_after_denial():
-    actors = build_actors(limit=60)
-    _, _, outcome = approved_outcome(actors, quantity=7, sanity=False)
+    actors = build_actors(limit=60, sanity=False)
+    _, _, outcome = approved_outcome(actors, quantity=7)
     assert not outcome.approved
     assert actors.tm.minted_tokens == {}
 
@@ -357,8 +390,7 @@ def test_tm_state_is_clean_after_denial():
 def test_three_objects_make_three_digest_matched_tickets():
     actors = build_actors()
     auth, _, outcome = approved_outcome(actors, quantity=5)
-    grant = actors.sp.grant_service(outcome, auth.order_info, harness.OBJECTS)
-    assert isinstance(grant, ServiceGrant)
+    grant = granted(actors, auth, outcome)
     assert len(grant.tickets) == 3
     for ticket, obj in zip(grant.tickets, harness.OBJECTS):
         assert ticket.object_digest == hash_bytes(obj)
@@ -366,11 +398,10 @@ def test_three_objects_make_three_digest_matched_tickets():
 
 
 def test_denied_outcome_stores_nothing():
-    actors = build_actors(limit=60)
-    auth, _, outcome = approved_outcome(actors, quantity=7, sanity=False)
-    with pytest.raises(DeniedError) as info:
-        actors.sp.grant_service(outcome, auth.order_info, harness.OBJECTS)
-    assert info.value.reason == DenialReason.OVER_LIMIT
+    actors = build_actors(limit=60, sanity=False)
+    auth, _, outcome = approved_outcome(actors, quantity=7)
+    assert outcome.reason == DenialReason.OVER_LIMIT
+    assert deliver_outcome_then_upload(actors, auth, outcome) == []
     assert actors.sp.stored_objects == {}
 
 
@@ -393,16 +424,15 @@ def test_forged_token_rejected_with_no_storage():
         ),
     )
     forged = dataclasses.replace(token, tm_signature=forged_sig)
-    fake_outcome = AuthOutcome(True, forged, None)
-    with pytest.raises(TrustError):
-        actors.sp.grant_service(fake_outcome, auth.order_info, harness.OBJECTS)
+    fake_outcome = AuthOutcome(forged, None)
+    assert deliver_outcome_then_upload(actors, auth, fake_outcome) == []
     assert actors.sp.stored_objects == {}
 
 
 def test_ticket_redeems_to_matching_object_once():
     actors = build_actors()
     auth, _, outcome = approved_outcome(actors, quantity=5)
-    grant = actors.sp.grant_service(outcome, auth.order_info, harness.OBJECTS)
+    grant = granted(actors, auth, outcome)
     ticket = grant.tickets[0]
     out = actors.sp.deliver("SR", codec.encode(actors.sr.redeem_request(ticket)), 2, None)
     response = codec.decode(out[0][1], TicketRedeemResponse)
@@ -421,7 +451,7 @@ def test_ticket_redeems_to_matching_object_once():
 def test_fabricated_ticket_is_refused():
     actors = build_actors()
     auth, _, outcome = approved_outcome(actors, quantity=5)
-    actors.sp.grant_service(outcome, auth.order_info, harness.OBJECTS)
+    granted(actors, auth, outcome)
     from gset import TicketRedeemRequest
 
     out = actors.sp.deliver(
@@ -509,17 +539,41 @@ def test_garbage_bytes_are_dropped_with_a_note():
     assert any("undecodable" in note or "decode" in note for note in actors.sp.notes)
 
 
-def test_unexpected_message_type_is_ignored():
-    actors = build_actors()
-    quote = quote_for(actors, 5)
-    # a quote delivered to the account provider means nothing to it
-    assert actors.ap.deliver("SP", codec.encode(quote), 0, None) == []
+def _stray_capture_response(actors):
+    return build_signed(CaptureResponse, actors.tm.identity, reason=None)
 
 
-def test_price_request_with_mismatched_sender_is_ignored():
+def _stray_hold_response(actors):
+    return build_signed(
+        HoldResponse, actors.ap.identity, hold_nonce=bytes(16), hold_ref=bytes(16), reason=None
+    )
+
+
+def _stray_settle_response(actors):
+    return build_signed(
+        SettleResponse, actors.ap.identity, settle_nonce=bytes(16), amount=50, reason=None
+    )
+
+
+@pytest.mark.parametrize(
+    "receiver, sender, make",
+    [
+        # a quote delivered to the account provider means nothing to it
+        ("ap", "SP", lambda actors: quote_for(actors, 5)),
+        # responses to synchronous calls are never queued; a queued one is
+        # a duplicate or an injection
+        ("sp", "TM", _stray_capture_response),
+        ("tm", "AP", _stray_hold_response),
+        ("tm", "AP", _stray_settle_response),
+    ],
+    ids=["PriceQuote-to-AP", "CaptureResponse-to-SP", "HoldResponse-to-TM",
+         "SettleResponse-to-TM"],
+)
+def test_unexpected_message_type_is_ignored(receiver, sender, make):
     actors = build_actors()
-    request = actors.sr.request_price(USAGE)
-    assert actors.sp.deliver("TM", codec.encode(request), 0, None) == []
+    actor = getattr(actors, receiver)
+    assert actor.deliver(sender, codec.encode(make(actors)), 0, None) == []
+    assert actor.notes[-1].startswith("ignored unexpected")
 
 
 def test_state_bytes_are_deterministic():
@@ -536,7 +590,7 @@ def test_state_bytes_are_deterministic():
 def test_provider_state_never_contains_payment_markers():
     actors = build_actors()
     auth, _, outcome = approved_outcome(actors, quantity=5)
-    actors.sp.grant_service(outcome, auth.order_info, harness.OBJECTS)
+    granted(actors, auth, outcome)
     actors.sp.collect_credits(outcome.token, actors.net("SP"))
     blob = actors.sp.state_bytes()
     assert harness.ACCOUNT_REF.encode() not in blob

@@ -11,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gset import (
+    AuthDecision,
     AuthOutcome,
     AuthorizeAndHold,
     CaptureToken,
     DenialReason,
     Digest,
     PriceQuote,
+    PriceRequest,
     Signature,
     UsageDescriptor,
     codec,
@@ -53,6 +55,22 @@ GOLDEN_USAGE_BYTES = b"".join(struct.pack(">I", len(f)) + f for f in GOLDEN_USAG
 def test_golden_usage_descriptor_bytes():
     msg = UsageDescriptor("store", "put", 1, "megabyte")
     assert encode(msg) == GOLDEN_USAGE_BYTES
+
+
+def _framed(fields: list[bytes]) -> bytes:
+    return b"".join(struct.pack(">I", len(f)) + f for f in fields)
+
+
+def test_golden_price_request_bytes_tag_only_the_top_level():
+    # the nested UsageDescriptor is its fields alone: the schema fixes its type
+    nonce = bytes(range(16))
+    msg = PriceRequest(UsageDescriptor("store", "put", 1, "megabyte"), nonce)
+    raw = encode(msg)
+    assert raw == _framed([b"PriceRequest", _framed(GOLDEN_USAGE_FIELDS[1:]), nonce])
+    assert decode(raw) == msg
+    # the earlier layout, with a tag on the nested value too, no longer decodes
+    with pytest.raises(DecodeError):
+        decode(_framed([b"PriceRequest", GOLDEN_USAGE_BYTES, nonce]))
 
 
 def test_encoding_identical_across_processes():
@@ -166,11 +184,11 @@ def test_invalid_utf8_rejected():
 
 
 def test_bool_field_must_be_zero_or_one():
-    msg = AuthOutcome(False, None, DenialReason.OVER_LIMIT)
+    msg = AuthDecision(bytes(16), False, Signature(b"s" * 64, "SP"))
     raw = bytearray(encode(msg))
-    # first field after the tag is the bool; its 8-byte value starts after
-    # two 4-byte length prefixes plus the tag text
-    offset = 4 + len("AuthOutcome") + 4
+    # the bool follows the tag and the 16-byte order nonce; its 8-byte value
+    # starts after three 4-byte length prefixes plus the tag and nonce
+    offset = 4 + len("AuthDecision") + 4 + 16 + 4
     assert raw[offset + 7] == 0
     raw[offset + 7] = 2
     with pytest.raises(DecodeError):
@@ -178,7 +196,7 @@ def test_bool_field_must_be_zero_or_one():
 
 
 def test_enum_field_must_hold_a_known_value():
-    msg = AuthOutcome(False, None, DenialReason.OVER_LIMIT)
+    msg = AuthOutcome(None, DenialReason.OVER_LIMIT)
     raw = bytearray(encode(msg))
     assert raw.count(struct.pack(">Q", int(DenialReason.OVER_LIMIT))) == 1
     i = raw.find(struct.pack(">Q", int(DenialReason.OVER_LIMIT)))

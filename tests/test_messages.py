@@ -135,16 +135,12 @@ def test_authorize_and_hold_requires_positive_charge():
 
 def test_auth_outcome_approval_token_coupling():
     token = CaptureToken(NONCE, "SP", 50, "AP", NONCE, SIG)
-    AuthOutcome(True, token, None)
-    AuthOutcome(False, None, DenialReason.OVER_LIMIT)
+    assert AuthOutcome(token, None).approved
+    assert not AuthOutcome(None, DenialReason.OVER_LIMIT).approved
     with pytest.raises(ValidationError):
-        AuthOutcome(True, None, None)
+        AuthOutcome(None, None)
     with pytest.raises(ValidationError):
-        AuthOutcome(True, token, DenialReason.OVER_LIMIT)
-    with pytest.raises(ValidationError):
-        AuthOutcome(False, token, DenialReason.OVER_LIMIT)
-    with pytest.raises(ValidationError):
-        AuthOutcome(False, None, None)
+        AuthOutcome(token, DenialReason.OVER_LIMIT)
 
 
 def test_object_upload_rules():
@@ -163,45 +159,31 @@ def test_service_grant_needs_tickets():
 
 
 def test_redeem_response_payload_coupling():
-    TicketRedeemResponse(NONCE, True, b"payload", SIG)
-    TicketRedeemResponse(NONCE, False, b"", SIG)
-    with pytest.raises(ValidationError):
-        TicketRedeemResponse(NONCE, True, b"", SIG)
-    with pytest.raises(ValidationError):
-        TicketRedeemResponse(NONCE, False, b"payload", SIG)
+    assert TicketRedeemResponse(NONCE, b"payload", SIG).ok
+    assert not TicketRedeemResponse(NONCE, b"", SIG).ok
 
 
 def test_capture_response_reason_coupling():
-    CaptureResponse(True, None, SIG)
-    CaptureResponse(False, DenialReason.REPLAY, SIG)
-    with pytest.raises(ValidationError):
-        CaptureResponse(True, DenialReason.REPLAY, SIG)
-    with pytest.raises(ValidationError):
-        CaptureResponse(False, None, SIG)
+    assert CaptureResponse(None, SIG).settled
+    assert not CaptureResponse(DenialReason.REPLAY, SIG).settled
 
 
 def test_hold_response_branches():
-    HoldResponse(NONCE, True, NONCE, None, SIG)
-    HoldResponse(NONCE, False, b"", DenialReason.INSUFFICIENT_CREDIT, SIG)
+    assert HoldResponse(NONCE, NONCE, None, SIG).ok
+    assert not HoldResponse(NONCE, b"", DenialReason.INSUFFICIENT_CREDIT, SIG).ok
     with pytest.raises(ValidationError):
-        HoldResponse(NONCE, True, b"", None, SIG)
+        HoldResponse(NONCE, b"", None, SIG)
     with pytest.raises(ValidationError):
-        HoldResponse(NONCE, True, NONCE, DenialReason.REPLAY, SIG)
-    with pytest.raises(ValidationError):
-        HoldResponse(NONCE, False, NONCE, DenialReason.REPLAY, SIG)
-    with pytest.raises(ValidationError):
-        HoldResponse(NONCE, False, b"", None, SIG)
+        HoldResponse(NONCE, NONCE, DenialReason.REPLAY, SIG)
 
 
 def test_settle_response_branches():
-    SettleResponse(NONCE, True, 50, None, SIG)
-    SettleResponse(NONCE, False, 0, DenialReason.REPLAY, SIG)
+    assert SettleResponse(NONCE, 50, None, SIG).ok
+    assert not SettleResponse(NONCE, 0, DenialReason.REPLAY, SIG).ok
     with pytest.raises(ValidationError):
-        SettleResponse(NONCE, True, 0, None, SIG)
+        SettleResponse(NONCE, 0, None, SIG)
     with pytest.raises(ValidationError):
-        SettleResponse(NONCE, False, 50, DenialReason.REPLAY, SIG)
-    with pytest.raises(ValidationError):
-        SettleResponse(NONCE, False, 0, None, SIG)
+        SettleResponse(NONCE, 50, DenialReason.REPLAY, SIG)
 
 
 # --- detached signature helpers ----------------------------------------------

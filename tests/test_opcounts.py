@@ -1,8 +1,9 @@
 """Deterministic operation counts of one default storage transaction.
 
-Signs, verifies and wire records per run do not depend on the machine,
-so they are gated exactly: a check added to or dropped from the protocol
-shows here before it shows in any timing.
+Signs, verifies, wire records and wire bytes per run do not depend on the
+machine, so they are gated exactly: a check added to or dropped from the
+protocol, or a wire field added back, shows here before it shows in any
+timing.
 """
 from __future__ import annotations
 
@@ -27,9 +28,20 @@ def _count_calls(monkeypatch, name: str) -> list[int]:
     return calls
 
 
-def test_default_transaction_signs_verifies_and_records(monkeypatch):
+def _counts(monkeypatch, config: ScenarioConfig) -> tuple[int, int, int, int]:
+    """Signs, verifies, wire records and wire payload bytes of one run."""
     signs = _count_calls(monkeypatch, "sign")
     verifies = _count_calls(monkeypatch, "verify")
-    report = run_storage_scenario(ScenarioConfig())
+    report = run_storage_scenario(config)
     assert report.complete_success()
-    assert (signs[0], verifies[0], len(report.transcript.records)) == (17, 18, 21)
+    records = report.transcript.records
+    return signs[0], verifies[0], len(records), sum(len(r.payload) for r in records)
+
+
+def test_default_transaction_signs_verifies_and_records(monkeypatch):
+    assert _counts(monkeypatch, ScenarioConfig()) == (17, 18, 21, 4017)
+
+
+def test_bulk_transaction_signs_verifies_and_records(monkeypatch):
+    config = ScenarioConfig(object_count=16, object_size=65536)
+    assert _counts(monkeypatch, config) == (30, 31, 47, 2_103_814)
