@@ -5,9 +5,9 @@ Each actor is a single-threaded state machine with one external surface:
     deliver(sender_id, raw_bytes, now, net) -> [(dest_id, raw_bytes), ...]
 
 The simulated network calls ``deliver`` for every incoming message and
-forwards whatever comes back.  Synchronous exchanges (the trust manager
-consulting the account provider, the provider collecting credits) go
-through ``net.call``, which the network also mediates and records.
+queues whatever comes back; only the requester's legs travel that way.
+Every exchange between two servers is a ``net.call``, which the network
+also mediates and records, and its answer is the call's return value.
 
 The privacy split is enforced here by what each actor stores:
 
@@ -27,7 +27,6 @@ handlers are thin wrappers around them.
 from __future__ import annotations
 
 import struct
-from collections import deque
 from dataclasses import dataclass, fields, is_dataclass
 from random import Random
 from typing import Callable, Mapping, Protocol
@@ -129,7 +128,7 @@ def _state_encode(value) -> bytes:
         parts = sorted(_state_encode(k) + _state_encode(v) for k, v in value.items())
     elif isinstance(value, (set, frozenset)):
         parts = sorted(_state_encode(item) for item in value)
-    elif isinstance(value, (list, tuple, deque)):
+    elif isinstance(value, (list, tuple)):
         parts = [_state_encode(item) for item in value]
     else:
         raise TypeError(f"no state encoding for {type(value).__name__}")
@@ -172,7 +171,8 @@ class _ActorBase:
         except CodecError as exc:
             self._note(f"{expect.__name__} undecodable: {exc}")
             return None
-        if not self._signed_by(response, dest):
+        # AuthOutcome is unsigned: an approval's authority is its token's signature
+        if expect is not AuthOutcome and not self._signed_by(response, dest):
             self._note(f"{expect.__name__} signature does not verify")
             return None
         return response
@@ -245,7 +245,7 @@ class ServiceRequester(_ActorBase):
         super().__init__(identity, directory, rng)
         self.config = config
         self.pending_usage: list[tuple[bytes, UsageDescriptor]] = []
-        self.pending_auths: dict[bytes, tuple[OrderInfo, PaymentInfo]] = {}
+        self.pending_auths: set[bytes] = set()
         self.grant: ServiceGrant | None = None
         self.tickets: dict[bytes, Ticket] = {}
         self.unredeemed: set[bytes] = set()
@@ -308,7 +308,7 @@ class ServiceRequester(_ActorBase):
             raise TrustError(f"no public key for {self.config.trust_manager_id!r}")
         envelope = seal(tm_key, self.config.trust_manager_id, payment_bytes, self.rng)
         dual = make_dual_signature(self.identity, order_bytes, payment_bytes)
-        self.pending_auths[order.order_nonce] = (order, payment)
+        self.pending_auths.add(order.order_nonce)
         return AuthorizationRequest(
             order_info=order,
             payment_envelope=envelope,
@@ -351,10 +351,10 @@ class ServiceRequester(_ActorBase):
         if not self._signed_by(decision, self.config.provider_id):
             self._note("auth decision signature does not verify")
             return []
-        pending = self.pending_auths.pop(decision.order_nonce, None)
-        if pending is None:
+        if decision.order_nonce not in self.pending_auths:
             self._note("auth decision for no pending order")
             return []
+        self.pending_auths.remove(decision.order_nonce)
         if not decision.approved:
             self._note("authorization denied")
             return []
@@ -442,7 +442,6 @@ class ServiceProvider(_ActorBase):
         self.config = config
         self.issued_quotes: dict[bytes, PriceQuote] = {}
         self.denials: list[DenialReason] = []
-        self.pending_relays: deque[bytes] = deque()
         # order_nonce -> order; only orders matched to an issued quote
         self.orders: dict[bytes, OrderInfo] = {}
         # order_nonce -> verified token, until its capture settles
@@ -455,7 +454,6 @@ class ServiceProvider(_ActorBase):
         self._handlers = {
             PriceRequest: self._on_price_request,
             AuthorizationRequest: self._on_authorization,
-            AuthOutcome: self._on_auth_outcome,
             ObjectUpload: self._on_object_upload,
             TicketRedeemRequest: self._on_redeem_request,
             ServiceComplete: self._on_service_complete,
@@ -493,11 +491,12 @@ class ServiceProvider(_ActorBase):
     ) -> AuthorizeAndHold | AuthDecision | None:
         """Validate the order half and relay the payment half.
 
-        On success the provider retains the order locally and forwards a
+        On success the provider retains the order locally and returns a
         signed AuthorizeAndHold carrying the untouched sealed envelope; the
         order plaintext goes no further.  On failure the requester gets a
         bare denied decision.  A duplicate of an order already accepted is
-        ignored outright (None): answering it would race the real decision.
+        ignored outright (None): that order's one relay has been answered,
+        and a second could only draw the trust manager's REPLAY refusal.
         """
         order = auth.order_info
 
@@ -531,7 +530,6 @@ class ServiceProvider(_ActorBase):
             return None
 
         self.orders[order.order_nonce] = order
-        self.pending_relays.append(order.order_nonce)
         return build_signed(
             AuthorizeAndHold,
             self.identity,
@@ -581,24 +579,17 @@ class ServiceProvider(_ActorBase):
             return []
         if isinstance(result, AuthDecision):
             return [(sender, codec.encode(result))]
-        return [(self.config.trust_manager_id, codec.encode(result))]
-
-    def _on_auth_outcome(self, sender: str, outcome: AuthOutcome, now: int, net) -> Outbound:
-        if sender != self.config.trust_manager_id:
-            self._note(f"auth outcome from unexpected sender {sender}")
+        outcome = self._exchange(net, self.config.trust_manager_id, result, AuthOutcome)
+        if outcome is None:
             return []
-        if not self.pending_relays:
-            self._note("auth outcome with no pending relay")
-            return []
-        order_nonce = self.pending_relays.popleft()
-        order = self.orders[order_nonce]
+        order_nonce = auth.order_info.order_nonce
         approved = False
         if outcome.approved:
             token = outcome.token
             if (
                 self._signed_by(token, self.config.trust_manager_id)
                 and token.provider_id == self.subject_id
-                and token.charge_amount == self.issued_quotes[order.quote_id].price
+                and token.charge_amount == result.charge_amount
             ):
                 self.approved_tokens[order_nonce] = token
                 approved = True
@@ -609,7 +600,7 @@ class ServiceProvider(_ActorBase):
         decision = build_signed(
             AuthDecision, self.identity, order_nonce=order_nonce, approved=approved
         )
-        return [(order.requester_id, codec.encode(decision))]
+        return [(sender, codec.encode(decision))]
 
     def _on_object_upload(self, sender: str, upload: ObjectUpload, now: int, net) -> Outbound:
         order = self.orders.get(upload.order_nonce)

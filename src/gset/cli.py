@@ -23,7 +23,7 @@ from .scenario import (
     ini_overrides,
     run_storage_scenario,
 )
-from .simnet import Adversary, SimnetError
+from .simnet import SimnetError
 
 DEFAULT_SEED = 7
 DEFAULT_IDS = ("SR", "SP", "TM", "AP")

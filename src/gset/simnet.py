@@ -62,8 +62,10 @@ class Adversary:
     acted on; 0 means unlimited.  Tamper mutations:
 
     * ``bit=rand``   flip one randomly chosen bit
-    * ``bit=tail/K`` flip the bit K positions before the end
-    * ``bit=abs/K``  flip bit K from the start
+    * ``bit=tail/K`` flip the bit K >= 1 positions before the end
+    * ``bit=abs/K``  flip bit K >= 0 from the start
+
+    Any other mutation raises ``SimnetError`` when the adversary is built.
     """
 
     mode: AdversaryMode
@@ -73,6 +75,18 @@ class Adversary:
     rng: Random | None = None
     hits: int = 0
     capture_log: list[bytes] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        kind, _, arg = self.mutation.partition("/")
+        k = int(arg) if arg.isascii() and arg.isdigit() else -1
+        if self.mutation == "bit=rand":
+            self._pick = lambda bits, rng: rng.randrange(bits)
+        elif kind == "bit=tail" and k > 0:
+            self._pick = lambda bits, rng: max(0, bits - k)
+        elif kind == "bit=abs" and k >= 0:
+            self._pick = lambda bits, rng: min(k, bits - 1)
+        else:
+            raise SimnetError(f"unknown mutation {self.mutation!r}")
 
     @property
     def spec(self) -> str:
@@ -127,15 +141,7 @@ class Adversary:
         total_bits = len(payload) * 8
         if total_bits == 0:
             return payload
-        kind, _, arg = self.mutation.partition("/")
-        if kind == "bit=rand":
-            index = rng.randrange(total_bits)
-        elif kind == "bit=tail":
-            index = max(0, total_bits - int(arg))
-        elif kind == "bit=abs":
-            index = min(int(arg), total_bits - 1)
-        else:
-            raise SimnetError(f"unknown mutation {self.mutation!r}")
+        index = self._pick(total_bits, rng)
         flipped = bytearray(payload)
         flipped[index // 8] ^= 1 << (7 - index % 8)
         return bytes(flipped)

@@ -3,16 +3,18 @@ from __future__ import annotations
 
 import dataclasses
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
 from gset import (
+    Adversary,
+    AdversaryMode,
     AuthDecision,
     AuthOutcome,
     AuthorizeAndHold,
     CaptureRequest,
     CaptureResponse,
-    CaptureToken,
     DenialReason,
     HoldResponse,
     ObjectUpload,
@@ -34,8 +36,8 @@ from gset import (
     generate_keypair,
     hash_bytes,
     open_envelope,
+    run_scenario,
     sign,
-    signing_payload_from,
 )
 
 import harness
@@ -62,21 +64,30 @@ def approved_outcome(actors, quantity: int = 5, now: int = 0):
     return auth, relay, outcome
 
 
-def deliver_outcome_then_upload(actors, auth, outcome, now: int = 1):
-    """The SP receives the TM's outcome, then the requester's signed upload."""
-    actors.sp.deliver("TM", codec.encode(outcome), now, None)
+def decide_then_upload(actors, quantity: int = 5, now: int = 0):
+    """The SP relays a fresh authorization to the TM by call and answers the
+    requester, then receives the requester's signed upload.
+
+    Returns the SP's decision and its answer to the upload.
+    """
+    quote = quote_for(actors, quantity, now)
+    auth = actors.sr.build_authorization(quote, now=now)
+    [(dest, raw)] = actors.sp.deliver("SR", codec.encode(auth), now, actors.net("SP", now))
+    assert dest == "SR"
     upload = build_signed(
         ObjectUpload,
         actors.sr.identity,
         order_nonce=auth.order_info.order_nonce,
         objects=harness.OBJECTS,
     )
-    return actors.sp.deliver("SR", codec.encode(upload), now, None)
+    return codec.decode(raw, AuthDecision), actors.sp.deliver(
+        "SR", codec.encode(upload), now + 1, None
+    )
 
 
-def granted(actors, auth, outcome) -> ServiceGrant:
-    [(dest, raw)] = deliver_outcome_then_upload(actors, auth, outcome)
-    assert dest == "SR"
+def granted(actors, quantity: int = 5) -> ServiceGrant:
+    decision, [(dest, raw)] = decide_then_upload(actors, quantity)
+    assert decision.approved and dest == "SR"
     return codec.decode(raw, ServiceGrant)
 
 
@@ -197,9 +208,10 @@ def test_dual_signature_binds_order_and_payment():
     actors = build_actors()
     quote = quote_for(actors, 5)
     auth = actors.sr.build_authorization(quote, now=1)
-    _order, payment = actors.sr.pending_auths[auth.order_info.order_nonce]
+    # the payment half as the trust manager will see it
+    payment = open_envelope(harness.make_keys()["TM"], auth.payment_envelope)
     assert auth.dual.oi_digest == hash_bytes(codec.encode(auth.order_info))
-    assert auth.dual.pi_digest == hash_bytes(codec.encode(payment))
+    assert auth.dual.pi_digest == hash_bytes(payment)
 
 
 # --- provider-side authorization handling -------------------------------------
@@ -389,8 +401,7 @@ def test_tm_state_is_clean_after_denial():
 
 def test_three_objects_make_three_digest_matched_tickets():
     actors = build_actors()
-    auth, _, outcome = approved_outcome(actors, quantity=5)
-    grant = granted(actors, auth, outcome)
+    grant = granted(actors)
     assert len(grant.tickets) == 3
     for ticket, obj in zip(grant.tickets, harness.OBJECTS):
         assert ticket.object_digest == hash_bytes(obj)
@@ -399,40 +410,52 @@ def test_three_objects_make_three_digest_matched_tickets():
 
 def test_denied_outcome_stores_nothing():
     actors = build_actors(limit=60, sanity=False)
-    auth, _, outcome = approved_outcome(actors, quantity=7)
-    assert outcome.reason == DenialReason.OVER_LIMIT
-    assert deliver_outcome_then_upload(actors, auth, outcome) == []
+    decision, upload_reply = decide_then_upload(actors, quantity=7)
+    assert actors.tm.denials == [DenialReason.OVER_LIMIT]
+    assert not decision.approved
+    assert upload_reply == []
     assert actors.sp.stored_objects == {}
 
 
 def test_forged_token_rejected_with_no_storage():
     actors = build_actors()
-    auth, _, outcome = approved_outcome(actors, quantity=5)
     impostor = generate_keypair("TM", 999)
-    token = outcome.token
-    forged_sig = sign(
-        impostor,
-        signing_payload_from(
-            CaptureToken,
-            dict(
-                token_id=token.token_id,
-                provider_id=token.provider_id,
-                charge_amount=token.charge_amount,
-                account_provider_id=token.account_provider_id,
-                hold_ref=token.hold_ref,
-            ),
-        ),
-    )
-    forged = dataclasses.replace(token, tm_signature=forged_sig)
-    fake_outcome = AuthOutcome(forged, None)
-    assert deliver_outcome_then_upload(actors, auth, fake_outcome) == []
+    real_tm = actors.tm
+
+    def forging_tm(sender, raw, now, net):
+        # the real verdict, its token re-signed by a key that is not the TM's
+        [(dest, out)] = real_tm.deliver(sender, raw, now, net)
+        token = codec.decode(out, AuthOutcome).token
+        forged = dataclasses.replace(
+            token, tm_signature=sign(impostor, codec.signing_payload(token))
+        )
+        return [(dest, codec.encode(AuthOutcome(forged, None)))]
+
+    actors.registry["TM"] = SimpleNamespace(subject_id="TM", deliver=forging_tm)
+    decision, upload_reply = decide_then_upload(actors)
+    assert not decision.approved
+    assert upload_reply == []
     assert actors.sp.stored_objects == {}
+
+
+def test_lost_outcome_cannot_approve_another_order_in_its_place():
+    # two orders in flight; the trust manager's answer to the first is lost
+    actors = build_actors()
+    auths = [
+        actors.sr.build_authorization(quote_for(actors, 5), now=0) for _ in range(2)
+    ]
+    run_scenario(
+        actors.registry,
+        [("SR", "SP", codec.encode(auth)) for auth in auths],
+        adversary=Adversary(mode=AdversaryMode.DROP, target="AuthOutcome", max_hits=1),
+    )
+    assert set(actors.sp.granted.values()) == {auths[1].order_info.order_nonce}
+    assert actors.ap.ledger.settle_count == 1
 
 
 def test_ticket_redeems_to_matching_object_once():
     actors = build_actors()
-    auth, _, outcome = approved_outcome(actors, quantity=5)
-    grant = granted(actors, auth, outcome)
+    grant = granted(actors)
     ticket = grant.tickets[0]
     out = actors.sp.deliver("SR", codec.encode(actors.sr.redeem_request(ticket)), 2, None)
     response = codec.decode(out[0][1], TicketRedeemResponse)
@@ -450,8 +473,7 @@ def test_ticket_redeems_to_matching_object_once():
 
 def test_fabricated_ticket_is_refused():
     actors = build_actors()
-    auth, _, outcome = approved_outcome(actors, quantity=5)
-    granted(actors, auth, outcome)
+    granted(actors)
     from gset import TicketRedeemRequest
 
     out = actors.sp.deliver(
@@ -563,11 +585,13 @@ def _stray_settle_response(actors):
         # responses to synchronous calls are never queued; a queued one is
         # a duplicate or an injection
         ("sp", "TM", _stray_capture_response),
+        # a genuine outcome arriving outside the call that asked for it
+        ("sp", "TM", lambda actors: approved_outcome(actors)[2]),
         ("tm", "AP", _stray_hold_response),
         ("tm", "AP", _stray_settle_response),
     ],
-    ids=["PriceQuote-to-AP", "CaptureResponse-to-SP", "HoldResponse-to-TM",
-         "SettleResponse-to-TM"],
+    ids=["PriceQuote-to-AP", "CaptureResponse-to-SP", "AuthOutcome-to-SP",
+         "HoldResponse-to-TM", "SettleResponse-to-TM"],
 )
 def test_unexpected_message_type_is_ignored(receiver, sender, make):
     actors = build_actors()
@@ -589,9 +613,9 @@ def test_state_bytes_are_deterministic():
 
 def test_provider_state_never_contains_payment_markers():
     actors = build_actors()
-    auth, _, outcome = approved_outcome(actors, quantity=5)
-    granted(actors, auth, outcome)
-    actors.sp.collect_credits(outcome.token, actors.net("SP"))
+    granted(actors)
+    [token] = actors.sp.approved_tokens.values()
+    actors.sp.collect_credits(token, actors.net("SP"))
     blob = actors.sp.state_bytes()
     assert harness.ACCOUNT_REF.encode() not in blob
 

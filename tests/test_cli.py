@@ -159,6 +159,17 @@ def test_unknown_config_key_exits_two(tmp_path, monkeypatch, capsys):
     assert "wrong_key" in err
 
 
+def test_malformed_tamper_mutation_in_config_exits_two(tmp_path, monkeypatch, capsys):
+    ini = tmp_path / "bad.ini"
+    ini.write_text("[scenario]\nadversary_spec = tamper:PriceQuote:bit=tail/0:1\n")
+    code, _, err = run_cli(
+        ["demo-storage", "--config", str(ini)],
+        cwd=tmp_path, monkeypatch=monkeypatch, capsys=capsys,
+    )
+    assert code == 2
+    assert "error:" in err
+
+
 def test_unknown_command_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"], env={})

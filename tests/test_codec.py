@@ -16,12 +16,10 @@ from gset import (
     AuthorizeAndHold,
     CaptureToken,
     DenialReason,
-    Digest,
     PriceQuote,
     PriceRequest,
     Signature,
     UsageDescriptor,
-    codec,
 )
 from gset.codec import (
     CodecError,

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from gset import (
     Digest,
-    DualSignature,
     EnvelopeError,
     EnvelopeIntegrityError,
     InvalidIdentityError,

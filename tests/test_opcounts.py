@@ -1,9 +1,9 @@
 """Deterministic operation counts of one default storage transaction.
 
-Signs, verifies, wire records and wire bytes per run do not depend on the
-machine, so they are gated exactly: a check added to or dropped from the
-protocol, or a wire field added back, shows here before it shows in any
-timing.
+Signs, verifies, wire records, wire bytes and ticks per run do not depend
+on the machine, so they are gated exactly: a check added to or dropped from
+the protocol, a wire field added back, or a server-to-server exchange moved
+back onto the queue shows here before it shows in any timing.
 """
 from __future__ import annotations
 
@@ -28,20 +28,21 @@ def _count_calls(monkeypatch, name: str) -> list[int]:
     return calls
 
 
-def _counts(monkeypatch, config: ScenarioConfig) -> tuple[int, int, int, int]:
-    """Signs, verifies, wire records and wire payload bytes of one run."""
+def _counts(monkeypatch, config: ScenarioConfig) -> tuple[int, int, int, int, int]:
+    """Signs, verifies, wire records, wire payload bytes and ticks of one run."""
     signs = _count_calls(monkeypatch, "sign")
     verifies = _count_calls(monkeypatch, "verify")
     report = run_storage_scenario(config)
     assert report.complete_success()
     records = report.transcript.records
-    return signs[0], verifies[0], len(records), sum(len(r.payload) for r in records)
+    payload_bytes = sum(len(r.payload) for r in records)
+    return signs[0], verifies[0], len(records), payload_bytes, report.ticks_used
 
 
 def test_default_transaction_signs_verifies_and_records(monkeypatch):
-    assert _counts(monkeypatch, ScenarioConfig()) == (17, 18, 21, 4017)
+    assert _counts(monkeypatch, ScenarioConfig()) == (17, 18, 21, 4017, 13)
 
 
 def test_bulk_transaction_signs_verifies_and_records(monkeypatch):
     config = ScenarioConfig(object_count=16, object_size=65536)
-    assert _counts(monkeypatch, config) == (30, 31, 47, 2_103_814)
+    assert _counts(monkeypatch, config) == (30, 31, 47, 2_103_814, 39)

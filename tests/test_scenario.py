@@ -6,8 +6,6 @@ import dataclasses
 import pytest
 
 from gset import (
-    RunReport,
-    Scenario,
     ScenarioConfig,
     ScenarioError,
     build_scenario,

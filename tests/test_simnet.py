@@ -10,7 +10,6 @@ import pytest
 from gset import (
     Adversary,
     AdversaryMode,
-    DenialReason,
     PrivacyMarkers,
     ScenarioConfig,
     SimnetError,
@@ -28,8 +27,6 @@ from gset import (
     run_storage_scenario,
     scan_for_markers,
 )
-
-import genmsg
 
 CONFIG = ScenarioConfig()
 
@@ -71,6 +68,14 @@ def test_active_modes_require_a_target():
     for bad in ("tamper", "replay", "drop", "tamper:", "unknownmode:X"):
         with pytest.raises(SimnetError):
             Adversary.from_spec(bad)
+
+
+@pytest.mark.parametrize(
+    "mutation", ["bit=tail/x", "bit=tail", "bit=tail/0", "bit=abs/-9", "bit=bogus"]
+)
+def test_malformed_mutation_is_refused_when_the_adversary_is_built(mutation):
+    with pytest.raises(SimnetError):
+        Adversary.from_spec(f"tamper:PriceQuote:{mutation}:1")
 
 
 def test_tail_mutation_flips_a_bit_near_the_end():
@@ -272,10 +277,15 @@ def test_replayed_completion_or_upload_is_served_and_captured_once(target):
     assert sent.count("CaptureRequest") == 1
 
 
-def test_dropped_quote_stalls_the_run_without_breakage():
-    report = run_once("drop:PriceQuote:1")
+@pytest.mark.parametrize(
+    "target, holds",
+    [("PriceQuote", 0), ("AuthorizeAndHold", 0), ("AuthOutcome", 1)],
+    ids=["PriceQuote", "AuthorizeAndHold", "AuthOutcome"],
+)
+def test_dropped_quote_stalls_the_run_without_breakage(target, holds):
+    report = run_once(f"drop:{target}:1")
     assert report.business_outcome == "INCOMPLETE"
-    assert report.holds_created == 0
+    assert report.holds_created == holds
     assert report.invariant_failures == []
     dropped = [r for r in report.transcript.records if r.action == "dropped"]
     assert len(dropped) == 1
