@@ -1,6 +1,7 @@
 """Canonical wire encoding: determinism, round trips, rejection of bad bytes."""
 from __future__ import annotations
 
+import hashlib
 import struct
 import subprocess
 import sys
@@ -28,6 +29,7 @@ from gset.codec import (
     MessageTypeError,
     ValidationError,
     decode,
+    decode_stream,
     encode,
     peek_type,
     registered_types,
@@ -289,3 +291,63 @@ def test_token_round_trip_preserves_signature_bytes():
     rng = Random("token")
     token = genmsg.random_message(CaptureToken, rng)
     assert decode(encode(token), CaptureToken).tm_signature == token.tm_signature
+
+
+# --- wire-format pin --------------------------------------------------------
+#
+# Both digests were taken from the reference implementation of the codec.  A
+# rewrite of the encoder or decoder must reproduce every transcript byte and
+# every decode outcome, rejections included: exception type, text and offset.
+
+DEFAULT_TRANSCRIPT_SHA256 = "e1d9ee43402f3cd3d3d9b614ce07130d6ffe18313afc0809511e0861c463fe62"
+DECODE_OUTCOMES_SHA256 = "3299e8043f3700ae7fb189cd4f39528aaf3e42df10eba3cc0e4705d510e632e5"
+
+
+def _outcome(fn, raw: bytes) -> tuple:
+    try:
+        return ("ok", repr(fn(raw)))
+    except CodecError as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "offset", None))
+
+
+def _mutations(raw: bytes):
+    """Every truncation, every single-bit flip and one trailing byte."""
+    for cut in range(len(raw)):
+        yield raw[:cut]
+    for bit in range(len(raw) * 8):
+        flipped = bytearray(raw)
+        flipped[bit // 8] ^= 0x80 >> (bit % 8)
+        yield bytes(flipped)
+    yield raw + b"\x00"
+
+
+def test_default_transcript_bytes_are_pinned():
+    from gset import ScenarioConfig, run_storage_scenario
+
+    raw = run_storage_scenario(ScenarioConfig()).transcript.to_bytes()
+    assert hashlib.sha256(raw).hexdigest() == DEFAULT_TRANSCRIPT_SHA256
+
+
+def _decode_outcomes_digest() -> str:
+    from gset import ScenarioConfig, run_storage_scenario
+
+    transcript = run_storage_scenario(ScenarioConfig()).transcript
+    samples: dict[str, bytes] = {}
+    for record in transcript.records:
+        samples.setdefault(peek_type(record.payload), record.payload)
+    samples["TranscriptMeta"] = encode(transcript.meta)
+    samples["TranscriptRecord"] = encode(transcript.records[0])
+    stream = encode(transcript.meta) + encode(transcript.records[0])
+    digest = hashlib.sha256()
+    for tag in sorted(samples):
+        for raw in _mutations(samples[tag]):
+            digest.update(repr(_outcome(decode, raw)).encode())
+        for cut in range(64):
+            digest.update(repr(_outcome(peek_type, samples[tag][:cut])).encode())
+    for raw in _mutations(stream):
+        digest.update(repr(_outcome(decode_stream, raw)).encode())
+    return digest.hexdigest()
+
+
+def test_decode_outcomes_under_mutation_are_pinned():
+    assert _decode_outcomes_digest() == DECODE_OUTCOMES_SHA256
