@@ -26,6 +26,7 @@ from .scenario import (
 from .simnet import SimnetError
 
 DEFAULT_SEED = 7
+MAX_SEED = 2**64 - 1
 DEFAULT_IDS = ("SR", "SP", "TM", "AP")
 
 # What the --adversary shorthand expands to.  The tamper preset flips a
@@ -46,16 +47,20 @@ class UsageError(Exception):
 def _resolve_seed(cli_seed: int | None, config_seed: int | None, env: dict) -> int:
     """Precedence: --seed, then config file, then GSET_SEED, then default."""
     if cli_seed is not None:
-        return cli_seed
-    if config_seed is not None:
-        return config_seed
-    raw = env.get("GSET_SEED")
-    if raw:
+        seed = cli_seed
+    elif config_seed is not None:
+        seed = config_seed
+    elif env.get("GSET_SEED"):
+        raw = env["GSET_SEED"]
         try:
-            return int(raw)
+            seed = int(raw)
         except ValueError:
             raise UsageError(f"GSET_SEED must be an integer, got {raw!r}")
-    return DEFAULT_SEED
+    else:
+        seed = DEFAULT_SEED
+    if not 0 <= seed <= MAX_SEED:
+        raise UsageError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    return seed
 
 
 def _load_config(args, env: dict) -> ScenarioConfig:
@@ -210,6 +215,8 @@ def cmd_keys(args, env: dict) -> int:
     ids = tuple(args.ids) if args.ids else DEFAULT_IDS
     if len(set(ids)) != len(ids):
         raise UsageError(f"duplicate subject ids: {', '.join(ids)}")
+    if not all(ids):
+        raise UsageError("subject ids must be non-empty")
     seed = _resolve_seed(args.seed, None, env)
     lines = ["[keys]", f"seed = {seed}", ""]
     for subject_id in ids:

@@ -27,7 +27,7 @@ import enum
 import struct
 import types
 import typing
-from typing import Any, TypeVar
+from typing import Any, Callable, TypeVar
 
 from .crypto import DIGEST_SIZE, Digest
 
@@ -67,68 +67,299 @@ class MessageTypeError(DecodeError):
     """The type tag on the wire differs from the expected message type."""
 
 
-# --- field kinds -----------------------------------------------------------
+# --- compiled field codecs --------------------------------------------------
+#
+# register_message turns each field type, once, into a pair of closures.
+# An encoder appends one whole field, length prefix and content, to the
+# chunk list ``out`` and returns the number of bytes it appended; a leaf
+# knows its length up front, a container reserves its length slot and
+# fills it in after its content.  A decoder reads the content
+# ``data[start:stop]`` of one field in place, through absolute offsets, so
+# error offsets need no translation and only leaves are sliced.  ``what``
+# names the value in error messages.
 
-_KIND_U64 = "u64"
-_KIND_BOOL = "bool"
-_KIND_STR = "str"
-_KIND_BYTES = "bytes"
-_KIND_DIGEST = "digest"
-_KIND_ENUM = "enum"
-_KIND_NESTED = "nested"
-_KIND_LIST = "list"
-_KIND_OPTIONAL = "optional"
+Encoder = Callable[[Any, list, str], int]
+Decoder = Callable[[bytes, int, int, str], Any]
+
+_U32 = struct.Struct(">I")
+_U64 = struct.Struct(">Q")
+_PACK_U32 = _U32.pack
+_PACK_U64_FIELD = struct.Struct(">IQ").pack  # length 8, then the value
+_BOOL_FIELDS = (_PACK_U64_FIELD(8, 0), _PACK_U64_FIELD(8, 1))
+_ABSENT_FIELD = struct.pack(">II", 4, 0)  # an optional holding nothing
 
 
-@dataclasses.dataclass(frozen=True)
-class _FieldCodec:
-    kind: str
-    inner: Any = None  # enum class, nested class, or element _FieldCodec
+def _put(content: bytes, out: list) -> int:
+    """Append one leaf field; returns the bytes appended."""
+    if len(content) > _U32_MAX:
+        raise EncodeError("field content exceeds 4-byte length prefix")
+    out.append(_PACK_U32(len(content)))
+    out.append(content)
+    return 4 + len(content)
+
+
+def _close(out: list, slot: int, n: int) -> int:
+    """Fill in the length slot ``out[slot]`` for ``n`` content bytes after it."""
+    if n > _U32_MAX:
+        raise EncodeError("field content exceeds 4-byte length prefix")
+    out[slot] = _PACK_U32(n)
+    return 4 + n
+
+
+def _field(data: bytes, pos: int, end: int, what: str) -> tuple[int, int]:
+    """Bounds ``(start, stop)`` of the length-prefixed field at ``pos``."""
+    if pos + 4 > end:
+        raise DecodeError(f"truncated input reading {what} length", pos)
+    start = pos + 4
+    stop = start + _U32.unpack_from(data, pos)[0]
+    if stop > end:
+        raise DecodeError(f"truncated input reading {what}", start)
+    return start, stop
+
+
+def _encode_u64(value: Any, out: list, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise EncodeError(f"{what}: expected an unsigned integer")
+    if not 0 <= value <= _U64_MAX:
+        raise EncodeError(f"{what}: {value} outside unsigned 64-bit range")
+    out.append(_PACK_U64_FIELD(8, value))
+    return 12
+
+
+def _read_u64(data: bytes, start: int, stop: int, what: str) -> int:
+    if stop - start != 8:
+        raise DecodeError(f"{what}: integer content must be 8 bytes", start)
+    return _U64.unpack_from(data, start)[0]
+
+
+def _encode_bool(value: Any, out: list, what: str) -> int:
+    if not isinstance(value, bool):
+        raise EncodeError(f"{what}: expected bool")
+    out.append(_BOOL_FIELDS[value])
+    return 12
+
+
+def _decode_bool(data: bytes, start: int, stop: int, what: str) -> bool:
+    value = _read_u64(data, start, stop, what)
+    if value > 1:
+        raise DecodeError(f"{what}: boolean out of range", start)
+    return bool(value)
+
+
+def _encode_str(value: Any, out: list, what: str) -> int:
+    if not isinstance(value, str):
+        raise EncodeError(f"{what}: expected str")
+    return _put(value.encode("utf-8"), out)
+
+
+def _decode_str(data: bytes, start: int, stop: int, what: str) -> str:
+    try:
+        return data[start:stop].decode("utf-8")
+    except UnicodeDecodeError:
+        raise DecodeError(f"{what}: invalid UTF-8", start)
+
+
+def _encode_bytes(value: Any, out: list, what: str) -> int:
+    if not isinstance(value, (bytes, bytearray)):
+        raise EncodeError(f"{what}: expected bytes")
+    return _put(bytes(value), out)
+
+
+def _decode_bytes(data: bytes, start: int, stop: int, what: str) -> bytes:
+    return data[start:stop]
+
+
+def _encode_digest(value: Any, out: list, what: str) -> int:
+    if not isinstance(value, Digest):
+        raise EncodeError(f"{what}: expected Digest")
+    return _put(value.bytes, out)
+
+
+def _decode_digest(data: bytes, start: int, stop: int, what: str) -> Digest:
+    if stop - start != DIGEST_SIZE:
+        raise DecodeError(f"{what}: digest must be {DIGEST_SIZE} bytes", start)
+    return Digest(data[start:stop])
+
+
+def _enum_codec(cls: type[enum.IntEnum]) -> tuple[Encoder, Decoder]:
+    def encode_enum(value: Any, out: list, what: str) -> int:
+        if not isinstance(value, cls):
+            raise EncodeError(f"{what}: expected {cls.__name__}")
+        out.append(_PACK_U64_FIELD(8, int(value)))
+        return 12
+
+    def decode_enum(data: bytes, start: int, stop: int, what: str) -> enum.IntEnum:
+        value = _read_u64(data, start, stop, what)
+        try:
+            return cls(value)
+        except ValueError:
+            raise DecodeError(f"{what}: {value} is not a valid {cls.__name__}", start)
+
+    return encode_enum, decode_enum
+
+
+def _nested_codec(schema: "_Schema") -> tuple[Encoder, Decoder]:
+    cls = schema.cls
+    write = schema.write
+    read = schema.read
+
+    def encode_nested(value: Any, out: list, what: str) -> int:
+        if not isinstance(value, cls):
+            raise EncodeError(f"{what}: expected {cls.__name__}")
+        slot = len(out)
+        out.append(b"")
+        return _close(out, slot, write(value, out))
+
+    def decode_nested(data: bytes, start: int, stop: int, what: str) -> Any:
+        return read(data, start, stop, start)
+
+    return encode_nested, decode_nested
+
+
+def _sequence_codec(element: tuple[Encoder, Decoder]) -> tuple[Encoder, Decoder]:
+    encode_element, decode_element = element
+
+    def encode_sequence(value: Any, out: list, what: str) -> int:
+        if not isinstance(value, (tuple, list)):
+            raise EncodeError(f"{what}: expected a sequence")
+        if len(value) > _U32_MAX:
+            raise EncodeError(f"{what}: sequence too long")
+        slot = len(out)
+        out.append(b"")
+        out.append(_PACK_U32(len(value)))
+        n = 4
+        for i, item in enumerate(value):
+            n += encode_element(item, out, f"{what}[{i}]")
+        return _close(out, slot, n)
+
+    def decode_sequence(data: bytes, start: int, stop: int, what: str) -> tuple:
+        if start + 4 > stop:
+            raise DecodeError(f"truncated input reading {what} count", start)
+        pos = start + 4
+        items = []
+        for i in range(_U32.unpack_from(data, start)[0]):
+            label = f"{what}[{i}]"
+            at, pos = _field(data, pos, stop, label)
+            items.append(decode_element(data, at, pos, label))
+        if pos != stop:
+            raise DecodeError(f"{what}: trailing bytes after sequence", pos)
+        return tuple(items)
+
+    return encode_sequence, decode_sequence
+
+
+def _optional_codec(inner: tuple[Encoder, Decoder]) -> tuple[Encoder, Decoder]:
+    encode_inner, decode_inner = inner
+
+    def encode_optional(value: Any, out: list, what: str) -> int:
+        if value is None:
+            out.append(_ABSENT_FIELD)
+            return 8
+        slot = len(out)
+        out.append(b"")
+        out.append(_PACK_U32(1))
+        return _close(out, slot, 4 + encode_inner(value, out, what))
+
+    def decode_optional(data: bytes, start: int, stop: int, what: str) -> Any:
+        if start + 4 > stop:
+            raise DecodeError(f"truncated input reading {what} presence", start)
+        count = _U32.unpack_from(data, start)[0]
+        if count > 1:
+            raise DecodeError(f"{what}: optional count must be 0 or 1", start)
+        pos = start + 4
+        value = None
+        if count == 1:
+            at, pos = _field(data, pos, stop, what)
+            value = decode_inner(data, at, pos, what)
+        if pos != stop:
+            raise DecodeError(f"{what}: trailing bytes after optional", pos)
+        return value
+
+    return encode_optional, decode_optional
+
+
+_LEAVES: dict[Any, tuple[Encoder, Decoder]] = {
+    bool: (_encode_bool, _decode_bool),
+    int: (_encode_u64, _read_u64),
+    str: (_encode_str, _decode_str),
+    bytes: (_encode_bytes, _decode_bytes),
+    Digest: (_encode_digest, _decode_digest),
+}
+
+
+def _compile(tp: Any, owner: str) -> tuple[Encoder, Decoder]:
+    """The encoder and decoder for a field annotated ``tp``."""
+    leaf = _LEAVES.get(tp)
+    if leaf is not None:
+        return leaf
+    if isinstance(tp, type) and issubclass(tp, enum.IntEnum):
+        return _enum_codec(tp)
+    origin = typing.get_origin(tp)
+    if origin in (typing.Union, types.UnionType):
+        args = [a for a in typing.get_args(tp) if a is not type(None)]
+        if len(args) != 1 or len(typing.get_args(tp)) != 2:
+            raise TypeError(f"{owner}: only Optional[...] unions are encodable")
+        return _optional_codec(_compile(args[0], owner))
+    if origin in (tuple, list):
+        args = typing.get_args(tp)
+        if origin is tuple and (len(args) != 2 or args[1] is not Ellipsis):
+            raise TypeError(f"{owner}: tuples must be homogeneous tuple[X, ...]")
+        return _sequence_codec(_compile(args[0], owner))
+    if isinstance(tp, type) and tp in _BY_CLASS:
+        return _nested_codec(_BY_CLASS[tp])
+    raise TypeError(f"{owner}: field type {tp!r} has no canonical encoding")
 
 
 @dataclasses.dataclass(frozen=True)
 class _Schema:
     cls: type
     tag: str
-    fields: tuple[tuple[str, _FieldCodec], ...]
+    tag_field: bytes  # the framed type-name field that leads a top-level message
+    fields: tuple[tuple[str, str, Encoder], ...]  # (name, "Tag.name" label, encoder)
     signature_field: str | None  # trailing detached-signature field, if any
+    write: Callable[[Any, list], int]  # validate, then append every field
+    read: Callable[[bytes, int, int, int], Any]  # (data, pos, end, base) -> message
 
 
 _BY_TAG: dict[str, _Schema] = {}
 _BY_CLASS: dict[type, _Schema] = {}
 
 
-def _resolve(tp: Any, owner: str) -> _FieldCodec:
-    if tp is bool:
-        return _FieldCodec(_KIND_BOOL)
-    if tp is int:
-        return _FieldCodec(_KIND_U64)
-    if tp is str:
-        return _FieldCodec(_KIND_STR)
-    if tp is bytes:
-        return _FieldCodec(_KIND_BYTES)
-    if tp is Digest:
-        return _FieldCodec(_KIND_DIGEST)
-    if isinstance(tp, type) and issubclass(tp, enum.IntEnum):
-        return _FieldCodec(_KIND_ENUM, tp)
-    origin = typing.get_origin(tp)
-    if origin in (typing.Union, types.UnionType):
-        args = [a for a in typing.get_args(tp) if a is not type(None)]
-        if len(args) != 1 or len(typing.get_args(tp)) != 2:
-            raise TypeError(f"{owner}: only Optional[...] unions are encodable")
-        return _FieldCodec(_KIND_OPTIONAL, _resolve(args[0], owner))
-    if origin in (tuple, list):
-        args = typing.get_args(tp)
-        if origin is tuple:
-            if len(args) != 2 or args[1] is not Ellipsis:
-                raise TypeError(f"{owner}: tuples must be homogeneous tuple[X, ...]")
-            element = args[0]
-        else:
-            element = args[0]
-        return _FieldCodec(_KIND_LIST, _resolve(element, owner))
-    if isinstance(tp, type) and tp in _BY_CLASS:
-        return _FieldCodec(_KIND_NESTED, tp)
-    raise TypeError(f"{owner}: field type {tp!r} has no canonical encoding")
+def _compile_schema(cls: type, tag: str, compiled: list, signature_field: str | None) -> _Schema:
+    tag_bytes = tag.encode("utf-8")
+    encoders = tuple((name, label, encoder) for name, label, encoder, _ in compiled)
+    decoders = tuple((label, decoder) for _, label, _, decoder in compiled)
+
+    def write(msg: Any, out: list) -> int:
+        validate = getattr(msg, "validate", None)
+        if callable(validate):
+            validate()
+        n = 0
+        for name, label, encoder in encoders:
+            n += encoder(getattr(msg, name), out, label)
+        return n
+
+    def read(data: bytes, pos: int, end: int, base: int) -> Any:
+        values = []
+        for label, decoder in decoders:
+            start, pos = _field(data, pos, end, label)
+            values.append(decoder(data, start, pos, label))
+        if pos != end:
+            raise DecodeError("trailing bytes after message", pos)
+        try:
+            return cls(*values)
+        except (ValidationError, ValueError) as exc:
+            raise DecodeError(f"{tag} invariant violated: {exc}", base)
+
+    return _Schema(
+        cls=cls,
+        tag=tag,
+        tag_field=_PACK_U32(len(tag_bytes)) + tag_bytes,
+        fields=encoders,
+        signature_field=signature_field,
+        write=write,
+        read=read,
+    )
 
 
 def register_message(cls: type) -> type:
@@ -137,6 +368,7 @@ def register_message(cls: type) -> type:
     Field order on the wire is the dataclass declaration order.  A trailing
     field of type Signature whose name ends in ``_signature`` is treated as
     the message's detached signature and excluded from signing payloads.
+    Each field's encoder and decoder are compiled here, once.
     """
     from .crypto import Signature  # local import keeps layering one-way
 
@@ -146,19 +378,16 @@ def register_message(cls: type) -> type:
     if tag in _BY_TAG:
         raise TypeError(f"duplicate message tag {tag!r}")
     hints = typing.get_type_hints(cls)
-    fields = []
+    compiled = []
     for f in dataclasses.fields(cls):
-        fields.append((f.name, _resolve(hints[f.name], f"{tag}.{f.name}")))
+        label = f"{tag}.{f.name}"
+        compiled.append((f.name, label, *_compile(hints[f.name], label)))
     signature_field = None
-    if fields:
-        last_name, last_codec = fields[-1]
-        if (
-            last_name.endswith("_signature")
-            and last_codec.kind == _KIND_NESTED
-            and last_codec.inner is Signature
-        ):
+    if compiled:
+        last_name = compiled[-1][0]
+        if last_name.endswith("_signature") and hints[last_name] is Signature:
             signature_field = last_name
-    schema = _Schema(cls=cls, tag=tag, fields=tuple(fields), signature_field=signature_field)
+    schema = _compile_schema(cls, tag, compiled, signature_field)
     _BY_TAG[tag] = schema
     _BY_CLASS[cls] = schema
     return cls
@@ -194,80 +423,12 @@ def _schema_for(cls: type) -> _Schema:
 # --- encoding ---------------------------------------------------------------
 
 
-def _frame(content: bytes) -> bytes:
-    if len(content) > _U32_MAX:
-        raise EncodeError("field content exceeds 4-byte length prefix")
-    return struct.pack(">I", len(content)) + content
-
-
-def _encode_u64(value: Any, what: str) -> bytes:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise EncodeError(f"{what}: expected an unsigned integer")
-    if not 0 <= value <= _U64_MAX:
-        raise EncodeError(f"{what}: {value} outside unsigned 64-bit range")
-    return struct.pack(">Q", value)
-
-
-def _encode_content(codec: _FieldCodec, value: Any, what: str) -> bytes:
-    kind = codec.kind
-    if kind == _KIND_BOOL:
-        if not isinstance(value, bool):
-            raise EncodeError(f"{what}: expected bool")
-        return struct.pack(">Q", 1 if value else 0)
-    if kind == _KIND_U64:
-        return _encode_u64(value, what)
-    if kind == _KIND_ENUM:
-        if not isinstance(value, codec.inner):
-            raise EncodeError(f"{what}: expected {codec.inner.__name__}")
-        return struct.pack(">Q", int(value))
-    if kind == _KIND_STR:
-        if not isinstance(value, str):
-            raise EncodeError(f"{what}: expected str")
-        return value.encode("utf-8")
-    if kind == _KIND_BYTES:
-        if not isinstance(value, (bytes, bytearray)):
-            raise EncodeError(f"{what}: expected bytes")
-        return bytes(value)
-    if kind == _KIND_DIGEST:
-        if not isinstance(value, Digest):
-            raise EncodeError(f"{what}: expected Digest")
-        return value.bytes
-    if kind == _KIND_NESTED:
-        if not isinstance(value, codec.inner):
-            raise EncodeError(f"{what}: expected {codec.inner.__name__}")
-        return _encode_fields(_schema_for(codec.inner), value)
-    if kind == _KIND_LIST:
-        if not isinstance(value, (tuple, list)):
-            raise EncodeError(f"{what}: expected a sequence")
-        if len(value) > _U32_MAX:
-            raise EncodeError(f"{what}: sequence too long")
-        parts = [struct.pack(">I", len(value))]
-        for i, element in enumerate(value):
-            parts.append(_frame(_encode_content(codec.inner, element, f"{what}[{i}]")))
-        return b"".join(parts)
-    if kind == _KIND_OPTIONAL:
-        if value is None:
-            return struct.pack(">I", 0)
-        return struct.pack(">I", 1) + _frame(
-            _encode_content(codec.inner, value, what)
-        )
-    raise EncodeError(f"{what}: unhandled kind {kind!r}")
-
-
-def _encode_fields(schema: _Schema, msg: Any) -> bytes:
-    validate = getattr(msg, "validate", None)
-    if callable(validate):
-        validate()
-    return b"".join(
-        _frame(_encode_content(codec, getattr(msg, name), f"{schema.tag}.{name}"))
-        for name, codec in schema.fields
-    )
-
-
 def encode(msg: Any) -> bytes:
     """Canonical bytes for ``msg``; raises if any invariant fails."""
     schema = _schema_for(type(msg))
-    return _frame(schema.tag.encode("utf-8")) + _encode_fields(schema, msg)
+    out = [schema.tag_field]
+    schema.write(msg, out)
+    return b"".join(out)
 
 
 def signing_payload_from(cls: type, values: dict[str, Any]) -> bytes:
@@ -275,20 +436,20 @@ def signing_payload_from(cls: type, values: dict[str, Any]) -> bytes:
     schema = _schema_for(cls)
     if schema.signature_field is None:
         raise EncodeError(f"{schema.tag} carries no detached signature")
-    parts = [_frame(schema.tag.encode("utf-8"))]
-    for name, codec in schema.fields:
+    out = [schema.tag_field]
+    for name, label, encoder in schema.fields:
         if name == schema.signature_field:
             continue
         if name not in values:
-            raise EncodeError(f"{schema.tag}.{name} missing from signing payload")
-        parts.append(_frame(_encode_content(codec, values[name], f"{schema.tag}.{name}")))
-    return b"".join(parts)
+            raise EncodeError(f"{label} missing from signing payload")
+        encoder(values[name], out, label)
+    return b"".join(out)
 
 
 def signing_payload(msg: Any) -> bytes:
     """Signing payload of a signed message instance (its signature excluded)."""
     schema = _schema_for(type(msg))
-    values = {name: getattr(msg, name) for name, _ in schema.fields}
+    values = {name: getattr(msg, name) for name, _, _ in schema.fields}
     return signing_payload_from(type(msg), values)
 
 
@@ -302,99 +463,17 @@ def signature_field_name(cls: type) -> str:
 # --- decoding ---------------------------------------------------------------
 
 
-class _Reader:
-    __slots__ = ("data", "pos", "base")
-
-    def __init__(self, data: bytes, base: int = 0) -> None:
-        self.data = data
-        self.pos = 0
-        self.base = base
-
-    @property
-    def offset(self) -> int:
-        return self.base + self.pos
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.data):
-            raise DecodeError(f"truncated input reading {what}", self.offset)
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self, what: str) -> int:
-        return struct.unpack(">I", self.take(4, what))[0]
-
-    def field(self, what: str) -> tuple[bytes, int]:
-        """Read one length-prefixed field; returns (content, content offset)."""
-        length = self.u32(f"{what} length")
-        start = self.offset
-        return self.take(length, what), start
-
-    def finished(self) -> bool:
-        return self.pos == len(self.data)
-
-
-def _decode_content(codec: _FieldCodec, content: bytes, base: int, what: str) -> Any:
-    kind = codec.kind
-    if kind in (_KIND_U64, _KIND_BOOL, _KIND_ENUM):
-        if len(content) != 8:
-            raise DecodeError(f"{what}: integer content must be 8 bytes", base)
-        value = struct.unpack(">Q", content)[0]
-        if kind == _KIND_U64:
-            return value
-        if kind == _KIND_BOOL:
-            if value > 1:
-                raise DecodeError(f"{what}: boolean out of range", base)
-            return bool(value)
-        try:
-            return codec.inner(value)
-        except ValueError:
-            raise DecodeError(f"{what}: {value} is not a valid {codec.inner.__name__}", base)
-    if kind == _KIND_STR:
-        try:
-            return content.decode("utf-8")
-        except UnicodeDecodeError:
-            raise DecodeError(f"{what}: invalid UTF-8", base)
-    if kind == _KIND_BYTES:
-        return content
-    if kind == _KIND_DIGEST:
-        if len(content) != DIGEST_SIZE:
-            raise DecodeError(f"{what}: digest must be {DIGEST_SIZE} bytes", base)
-        return Digest(content)
-    if kind == _KIND_NESTED:
-        return _decode_fields(_BY_CLASS[codec.inner], _Reader(content, base))
-    if kind == _KIND_LIST:
-        reader = _Reader(content, base)
-        count = reader.u32(f"{what} count")
-        items = []
-        for i in range(count):
-            element, at = reader.field(f"{what}[{i}]")
-            items.append(_decode_content(codec.inner, element, at, f"{what}[{i}]"))
-        if not reader.finished():
-            raise DecodeError(f"{what}: trailing bytes after sequence", reader.offset)
-        return tuple(items)
-    if kind == _KIND_OPTIONAL:
-        reader = _Reader(content, base)
-        count = reader.u32(f"{what} presence")
-        if count > 1:
-            raise DecodeError(f"{what}: optional count must be 0 or 1", base)
-        value = None
-        if count == 1:
-            element, at = reader.field(what)
-            value = _decode_content(codec.inner, element, at, what)
-        if not reader.finished():
-            raise DecodeError(f"{what}: trailing bytes after optional", reader.offset)
-        return value
-    raise DecodeError(f"{what}: unhandled kind {kind!r}", base)
-
-
-def _decode_message(raw: bytes, base: int, expected: type | None) -> Any:
-    reader = _Reader(raw, base)
-    tag_bytes, tag_at = reader.field("type tag")
+def _read_tag(data: bytes, pos: int, end: int) -> tuple[str, int, int]:
+    """The type tag of the message at ``pos``, its offset and where fields start."""
+    start, stop = _field(data, pos, end, "type tag")
     try:
-        tag = tag_bytes.decode("utf-8")
+        return data[start:stop].decode("utf-8"), start, stop
     except UnicodeDecodeError:
-        raise DecodeError("type tag is not valid UTF-8", tag_at)
+        raise DecodeError("type tag is not valid UTF-8", start)
+
+
+def _decode_message(data: bytes, pos: int, end: int, expected: type | None) -> Any:
+    tag, tag_at, fields_at = _read_tag(data, pos, end)
     schema = _BY_TAG.get(tag)
     if schema is None:
         raise MessageTypeError(f"unknown message type tag {tag!r}", tag_at)
@@ -402,38 +481,21 @@ def _decode_message(raw: bytes, base: int, expected: type | None) -> Any:
         raise MessageTypeError(
             f"expected {expected.__name__}, found {tag}", tag_at
         )
-    return _decode_fields(schema, reader)
-
-
-def _decode_fields(schema: _Schema, reader: _Reader) -> Any:
-    """Read every field of ``schema`` and nothing more; build the message."""
-    values = {}
-    for name, codec in schema.fields:
-        content, at = reader.field(f"{schema.tag}.{name}")
-        values[name] = _decode_content(codec, content, at, f"{schema.tag}.{name}")
-    if not reader.finished():
-        raise DecodeError("trailing bytes after message", reader.offset)
-    try:
-        return schema.cls(**values)
-    except (ValidationError, ValueError) as exc:
-        raise DecodeError(f"{schema.tag} invariant violated: {exc}", reader.base)
+    return schema.read(data, fields_at, end, pos)
 
 
 def decode(raw: bytes, expected: type[M] | None = None) -> M:
     """Decode one complete message; ``expected`` pins the required type."""
     if not isinstance(raw, (bytes, bytearray)):
         raise DecodeError("decode expects bytes")
-    return _decode_message(bytes(raw), 0, expected)
+    data = bytes(raw)
+    return _decode_message(data, 0, len(data), expected)
 
 
 def peek_type(raw: bytes) -> str:
     """Type tag of an encoded message without decoding the body."""
-    reader = _Reader(bytes(raw))
-    tag_bytes, tag_at = reader.field("type tag")
-    try:
-        return tag_bytes.decode("utf-8")
-    except UnicodeDecodeError:
-        raise DecodeError("type tag is not valid UTF-8", tag_at)
+    data = bytes(raw)
+    return _read_tag(data, 0, len(data))[0]
 
 
 def decode_stream(raw: bytes) -> list[Any]:
@@ -441,18 +503,17 @@ def decode_stream(raw: bytes) -> list[Any]:
     out = []
     pos = 0
     data = bytes(raw)
-    while pos < len(data):
-        reader = _Reader(data[pos:], pos)
-        tag_bytes, _ = reader.field("type tag")
-        tag = tag_bytes.decode("utf-8", errors="replace")
+    end = len(data)
+    while pos < end:
+        start, stop = _field(data, pos, end, "type tag")
+        tag = data[start:stop].decode("utf-8", errors="replace")
         schema = _BY_TAG.get(tag)
         if schema is None:
             raise DecodeError(f"unknown message type tag {tag!r}", pos)
-        for name, _codec in schema.fields:
-            reader.field(f"{tag}.{name}")
-        end = pos + reader.pos
-        out.append(_decode_message(data[pos:end], pos, schema.cls))
-        pos = end
+        for _name, label, _encoder in schema.fields:
+            _, stop = _field(data, stop, end, label)
+        out.append(_decode_message(data, pos, stop, schema.cls))
+        pos = stop
     return out
 
 

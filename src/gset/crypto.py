@@ -17,6 +17,19 @@ Ed25519 verify key concatenated with the X25519 key-agreement key, and
 the private half mirrors that layout.  Certificate infrastructure is out
 of scope; callers distribute public keys through a trusted in-memory
 directory populated when a simulation is set up.
+
+``sign`` and ``verify`` keep the last few parsed Ed25519 key objects in
+one small LRU keyed by the parser and the raw 32 key bytes, so the handful
+of identities active in one transaction are parsed once each.  The parser
+is part of the key: a private and a public key never share an entry, and a
+key class swapped for a stand-in (one that counts parses, say) starts from
+an empty cache instead of being handed objects the old class parsed.  The
+parsed objects are deliberately not kept on ``KeyPair``: callers keep key
+pairs for many identities alive at once (the scenario key cache holds every
+pair it ever derived), and parsed key objects on each would grow memory
+with every identity rather than with the few in use.  A malformed key
+raises on parse and is never cached, so ``verify`` returns False for it
+every time.
 """
 
 from __future__ import annotations
@@ -25,7 +38,9 @@ import hashlib
 import os
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from random import Random
+from typing import Any, Callable
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes
@@ -50,6 +65,7 @@ _GCM_TAG_SIZE = 16
 _CEK_SIZE = 32
 _WRAPPED_KEY_SIZE = _KEY_SEGMENT + _GCM_NONCE_SIZE + _CEK_SIZE + _GCM_TAG_SIZE
 _U64_MAX = 2**64 - 1
+_KEY_CACHE_SIZE = 16       # parsed Ed25519 keys kept by sign and verify
 
 _SIGN_DERIVE_TAG = b"gset/keys/sign/v1"
 _SEAL_DERIVE_TAG = b"gset/keys/seal/v1"
@@ -196,10 +212,16 @@ def _require_private(key: KeyPair) -> bytes:
     return key.private_key
 
 
+@lru_cache(maxsize=_KEY_CACHE_SIZE)
+def _parsed_key(parse: Callable[[bytes], Any], raw: bytes) -> Any:
+    """``parse(raw)``, remembered for the last few (parser, raw key) pairs."""
+    return parse(raw)
+
+
 def sign(key: KeyPair, message: bytes) -> Signature:
     """Sign ``message`` with the subject's signing key."""
     private = _require_private(key)
-    signer = Ed25519PrivateKey.from_private_bytes(private[:_KEY_SEGMENT])
+    signer = _parsed_key(Ed25519PrivateKey.from_private_bytes, private[:_KEY_SEGMENT])
     return Signature(bytes=signer.sign(bytes(message)), signer_id=key.subject_id)
 
 
@@ -214,9 +236,8 @@ def verify(public_key: bytes, message: bytes, sig: Signature) -> bool:
     if not isinstance(sig, Signature) or len(sig.bytes) != SIGNATURE_SIZE:
         return False
     try:
-        Ed25519PublicKey.from_public_bytes(public_key[:_KEY_SEGMENT]).verify(
-            sig.bytes, bytes(message)
-        )
+        verifier = _parsed_key(Ed25519PublicKey.from_public_bytes, public_key[:_KEY_SEGMENT])
+        verifier.verify(sig.bytes, bytes(message))
     except (InvalidSignature, ValueError):
         return False
     return True

@@ -127,13 +127,32 @@ def test_config_seed_beats_environment(tmp_path, monkeypatch, capsys):
     assert "seed=21" in out
 
 
-def test_bad_environment_seed_is_usage_error(tmp_path, monkeypatch, capsys):
-    code, _, err = run_cli(
-        ["demo-storage"], env={"GSET_SEED": "banana"},
-        cwd=tmp_path, monkeypatch=monkeypatch, capsys=capsys,
-    )
+@pytest.mark.parametrize(
+    "argv, env, config, expected",
+    [
+        (["demo-storage"], {"GSET_SEED": "banana"}, None, "GSET_SEED"),
+        (["demo-storage"], {"GSET_SEED": "-1"}, None, "seed"),
+        (["demo-storage", "--seed", "-5"], {}, None, "seed"),
+        (["demo-storage", "--seed", str(2**64)], {}, None, "seed"),
+        (["demo-storage"], {}, "[scenario]\nseed = -1\n", "seed"),
+        (["keys", "SR", "--seed", "-1"], {}, None, "seed"),
+        (["keys", "SR", "--seed", str(2**64)], {}, None, "seed"),
+        (["attack-suite", "--seed", "-1", "--iterations", "1"], {}, None, "seed"),
+    ],
+    ids=["env-banana", "env-negative", "demo-negative", "demo-2**64", "config-negative",
+         "keys-negative", "keys-2**64", "attack-suite-negative"],
+)
+def test_bad_environment_seed_is_usage_error(
+    tmp_path, monkeypatch, capsys, argv, env, config, expected
+):
+    if config is not None:
+        ini = tmp_path / "seed.ini"
+        ini.write_text(config)
+        argv = argv + ["--config", str(ini)]
+    code, _, err = run_cli(argv, env=env, cwd=tmp_path, monkeypatch=monkeypatch, capsys=capsys)
     assert code == 2
-    assert "GSET_SEED" in err
+    assert "error:" in err
+    assert expected in err
 
 
 # --- config errors ---------------------------------------------------------------
@@ -243,9 +262,15 @@ def test_keys_differ_across_seeds(tmp_path, monkeypatch, capsys):
     assert a.read_bytes() != b.read_bytes()
 
 
-def test_keys_rejects_duplicate_ids(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "ids, expected",
+    [(["SR", "SR"], "duplicate"), ([""], "non-empty"), (["SR", ""], "non-empty")],
+    ids=["duplicate", "empty", "one-empty"],
+)
+def test_keys_rejects_duplicate_ids(tmp_path, monkeypatch, capsys, ids, expected):
     code, _, err = run_cli(
-        ["keys", "SR", "SR"], cwd=tmp_path, monkeypatch=monkeypatch, capsys=capsys,
+        ["keys", *ids], cwd=tmp_path, monkeypatch=monkeypatch, capsys=capsys,
     )
     assert code == 2
-    assert "duplicate" in err
+    assert "error:" in err
+    assert expected in err

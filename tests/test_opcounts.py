@@ -3,7 +3,8 @@
 Signs, verifies, wire records, wire bytes and ticks per run do not depend
 on the machine, so they are gated exactly: a check added to or dropped from
 the protocol, a wire field added back, or a server-to-server exchange moved
-back onto the queue shows here before it shows in any timing.
+back onto the queue shows here before it shows in any timing.  Private-key
+parses are gated the same way: each signing key is parsed once per run.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import sys
 
 import gset.crypto
 from gset import ScenarioConfig, run_storage_scenario
+from gset.scenario import build_scenario
 
 
 def _count_calls(monkeypatch, name: str) -> list[int]:
@@ -46,3 +48,39 @@ def test_default_transaction_signs_verifies_and_records(monkeypatch):
 def test_bulk_transaction_signs_verifies_and_records(monkeypatch):
     config = ScenarioConfig(object_count=16, object_size=65536)
     assert _counts(monkeypatch, config) == (30, 31, 47, 2_103_814, 39)
+
+
+class _CountingKeyClass:
+    """Stands in for a key class inside gset.crypto and counts its parses."""
+
+    def __init__(self, cls: type, calls: list[int]) -> None:
+        self._cls = cls
+        self._calls = calls
+
+    def from_private_bytes(self, data):
+        self._calls[0] += 1
+        return self._cls.from_private_bytes(data)
+
+    def __getattr__(self, name):
+        return getattr(self._cls, name)
+
+
+def _key_parses(monkeypatch, config: ScenarioConfig) -> int:
+    """Private-key parses of one run whose identities were derived beforehand."""
+    build_scenario(config)  # derives and caches the run's key pairs
+    gset.crypto._parsed_key.cache_clear()
+    calls = [0]
+    for name in ("Ed25519PrivateKey", "X25519PrivateKey"):
+        monkeypatch.setattr(gset.crypto, name, _CountingKeyClass(getattr(gset.crypto, name), calls))
+    assert run_storage_scenario(config).complete_success()
+    return calls[0]
+
+
+# four signing keys, the trust manager's seal key and one ephemeral seal key
+def test_default_transaction_parses_each_key_once(monkeypatch):
+    assert _key_parses(monkeypatch, ScenarioConfig()) == 6
+
+
+def test_bulk_transaction_parses_each_key_once(monkeypatch):
+    config = ScenarioConfig(object_count=16, object_size=65536)
+    assert _key_parses(monkeypatch, config) == 6
