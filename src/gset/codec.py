@@ -18,6 +18,13 @@ Decoding accepts exactly the image of encoding.  Trailing bytes, truncated
 input, unknown type tags, out-of-range values, and messages whose own
 invariants fail are all rejected, with the byte offset of the problem where
 one is known.
+
+``register_message`` compiles each field's type, once, into an encoder and
+a decoder closure, so no call dispatches on a field's kind.  An encoder
+appends length prefixes and contents to one chunk list, which is joined
+once per message, so a large byte field is copied once rather than once per
+level of framing.  A decoder reads the one input buffer at absolute
+offsets and slices only leaf values.  The wire format is the one above.
 """
 
 from __future__ import annotations
@@ -126,7 +133,7 @@ def _encode_u64(value: Any, out: list, what: str) -> int:
     return 12
 
 
-def _read_u64(data: bytes, start: int, stop: int, what: str) -> int:
+def _decode_u64(data: bytes, start: int, stop: int, what: str) -> int:
     if stop - start != 8:
         raise DecodeError(f"{what}: integer content must be 8 bytes", start)
     return _U64.unpack_from(data, start)[0]
@@ -140,7 +147,7 @@ def _encode_bool(value: Any, out: list, what: str) -> int:
 
 
 def _decode_bool(data: bytes, start: int, stop: int, what: str) -> bool:
-    value = _read_u64(data, start, stop, what)
+    value = _decode_u64(data, start, stop, what)
     if value > 1:
         raise DecodeError(f"{what}: boolean out of range", start)
     return bool(value)
@@ -189,7 +196,7 @@ def _enum_codec(cls: type[enum.IntEnum]) -> tuple[Encoder, Decoder]:
         return 12
 
     def decode_enum(data: bytes, start: int, stop: int, what: str) -> enum.IntEnum:
-        value = _read_u64(data, start, stop, what)
+        value = _decode_u64(data, start, stop, what)
         try:
             return cls(value)
         except ValueError:
@@ -280,7 +287,7 @@ def _optional_codec(inner: tuple[Encoder, Decoder]) -> tuple[Encoder, Decoder]:
 
 _LEAVES: dict[Any, tuple[Encoder, Decoder]] = {
     bool: (_encode_bool, _decode_bool),
-    int: (_encode_u64, _read_u64),
+    int: (_encode_u64, _decode_u64),
     str: (_encode_str, _decode_str),
     bytes: (_encode_bytes, _decode_bytes),
     Digest: (_encode_digest, _decode_digest),
