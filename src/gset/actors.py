@@ -137,8 +137,13 @@ def _state_encode(value) -> bytes:
 
 class _ActorBase:
     # Construction-time wiring, not state: the private key, the public-key
-    # directory, the randomness source, the fixed config, the dispatch table.
-    _WIRING = frozenset({"identity", "directory", "rng", "config", "_handlers"})
+    # directory, the randomness source, the fixed config.
+    _WIRING = frozenset({"identity", "directory", "rng", "config"})
+    # Message type -> handler(self, sender, msg, now, net).  A class-level
+    # table of plain functions: bound methods stored on the instance would
+    # point back at it, so each run's actors could only be freed by the
+    # cyclic garbage collector.
+    _HANDLERS: Mapping[type, Callable] = {}
 
     def __init__(self, identity: KeyPair, directory: Mapping[str, bytes], rng: Random) -> None:
         self.identity = identity
@@ -146,7 +151,6 @@ class _ActorBase:
         self.directory = directory
         self.rng = rng
         self.notes: list[str] = []
-        self._handlers: dict[type, Callable] = {}
 
     def _note(self, text: str) -> None:
         self.notes.append(text)
@@ -198,11 +202,11 @@ class _ActorBase:
         except CodecError as exc:
             self._note(f"rejected undecodable message from {sender}: {exc}")
             return []
-        handler = self._handlers.get(type(msg))
+        handler = self._HANDLERS.get(type(msg))
         if handler is None:
             self._note(f"ignored unexpected {type(msg).__name__} from {sender}")
             return []
-        return handler(sender, msg, now, net)
+        return handler(self, sender, msg, now, net)
 
     def state_bytes(self) -> bytes:
         """Deterministic bytes of everything this actor has recorded.
@@ -251,15 +255,7 @@ class ServiceRequester(_ActorBase):
         self.unredeemed: set[bytes] = set()
         self.retrieved: dict[bytes, bytes] = {}
         self.redeem_failures = 0
-        self.mismatches = 0
         self.completed = False
-        self._handlers = {
-            PriceQuote: self._on_price_quote,
-            QuoteDenial: self._on_quote_denial,
-            AuthDecision: self._on_auth_decision,
-            ServiceGrant: self._on_service_grant,
-            TicketRedeemResponse: self._on_redeem_response,
-        }
 
     # -- protocol operations --
 
@@ -377,7 +373,7 @@ class ServiceRequester(_ActorBase):
             self._note("grant ticket count does not match uploaded objects")
             return []
         for ticket, obj in zip(grant.tickets, self.config.objects):
-            if ticket.object_digest != hash_bytes(obj):
+            if not ticket.matches(obj):
                 self._note("grant ticket digest does not match uploaded object")
                 return []
         self.grant = grant
@@ -391,30 +387,35 @@ class ServiceRequester(_ActorBase):
     def _on_redeem_response(
         self, sender: str, resp: TicketRedeemResponse, now: int, net
     ) -> Outbound:
-        if not self._signed_by(resp, self.config.provider_id):
-            self._note("redeem response signature does not verify")
-            return []
+        # The response is unsigned: the signed grant's ticket already commits
+        # to the object's digest, so the digest is the integrity check.
         if resp.ticket_id not in self.unredeemed:
             self._note("redeem response for no outstanding ticket")
+            return []
+        if resp.ok and not self.tickets[resp.ticket_id].matches(resp.payload):
+            self._note("redeemed object does not match ticket digest")
             return []
         self.unredeemed.discard(resp.ticket_id)
         if not resp.ok:
             self.redeem_failures += 1
             self._note("ticket redemption refused")
             return []
-        ticket = self.tickets[resp.ticket_id]
-        if hash_bytes(resp.payload) != ticket.object_digest:
-            self.mismatches += 1
-            self._note("retrieved object does not match ticket digest")
-            return []
         self.retrieved[resp.ticket_id] = resp.payload
-        if self.unredeemed or self.mismatches or self.redeem_failures or self.completed:
+        if self.unredeemed or self.redeem_failures or self.completed:
             return []
         self.completed = True
         done = build_signed(
             ServiceComplete, self.identity, grant_id=self.grant.grant_id
         )
         return [(self.config.provider_id, codec.encode(done))]
+
+    _HANDLERS = {
+        PriceQuote: _on_price_quote,
+        QuoteDenial: _on_quote_denial,
+        AuthDecision: _on_auth_decision,
+        ServiceGrant: _on_service_grant,
+        TicketRedeemResponse: _on_redeem_response,
+    }
 
 
 # --- service provider ---------------------------------------------------------
@@ -451,13 +452,6 @@ class ServiceProvider(_ActorBase):
         # ticket_id -> object, until the ticket is redeemed
         self.stored_objects: dict[bytes, bytes] = {}
         self.receivable_total = 0
-        self._handlers = {
-            PriceRequest: self._on_price_request,
-            AuthorizationRequest: self._on_authorization,
-            ObjectUpload: self._on_object_upload,
-            TicketRedeemRequest: self._on_redeem_request,
-            ServiceComplete: self._on_service_complete,
-        }
 
     # -- protocol operations --
 
@@ -626,9 +620,7 @@ class ServiceProvider(_ActorBase):
         payload = self.stored_objects.pop(request.ticket_id, b"")
         if not payload:
             self._note("redemption refused: unknown or spent ticket")
-        response = build_signed(
-            TicketRedeemResponse, self.identity, ticket_id=request.ticket_id, payload=payload
-        )
+        response = TicketRedeemResponse(ticket_id=request.ticket_id, payload=payload)
         return [(sender, codec.encode(response))]
 
     def _on_service_complete(
@@ -650,6 +642,14 @@ class ServiceProvider(_ActorBase):
         if response is not None and response.settled:
             del self.approved_tokens[order_nonce]
         return []
+
+    _HANDLERS = {
+        PriceRequest: _on_price_request,
+        AuthorizationRequest: _on_authorization,
+        ObjectUpload: _on_object_upload,
+        TicketRedeemRequest: _on_redeem_request,
+        ServiceComplete: _on_service_complete,
+    }
 
 
 # --- trust manager --------------------------------------------------------------
@@ -676,10 +676,6 @@ class TrustManager(_ActorBase):
         self.denials: list[DenialReason] = []
         self.spent_tokens: set[bytes] = set()
         self.minted_tokens: dict[bytes, CaptureToken] = {}
-        self._handlers = {
-            AuthorizeAndHold: self._on_authorize_and_hold,
-            CaptureRequest: self._on_capture_request,
-        }
 
     # -- protocol operations --
 
@@ -801,6 +797,11 @@ class TrustManager(_ActorBase):
         response = self.handle_capture(msg, sender, net)
         return [(sender, codec.encode(response))]
 
+    _HANDLERS = {
+        AuthorizeAndHold: _on_authorize_and_hold,
+        CaptureRequest: _on_capture_request,
+    }
+
 
 # --- account provider -----------------------------------------------------------
 
@@ -824,10 +825,6 @@ class AccountProvider(_ActorBase):
         self.config = config
         self.ledger = Ledger(rng=rng)
         self.seen_hold_nonces: set[bytes] = set()
-        self._handlers = {
-            HoldRequest: self._on_hold_request,
-            SettleRequest: self._on_settle_request,
-        }
 
     def open_account(self, account_ref: str, credit_limit: int) -> Digest:
         return self.ledger.open_account(account_ref, credit_limit)
@@ -883,3 +880,8 @@ class AccountProvider(_ActorBase):
             self._note(f"settle refused: {exc}")
             return respond(0, DenialReason.UNKNOWN_ACCOUNT)
         return respond(amount, None)
+
+    _HANDLERS = {
+        HoldRequest: _on_hold_request,
+        SettleRequest: _on_settle_request,
+    }

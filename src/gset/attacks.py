@@ -94,7 +94,7 @@ def _audit_common(sweep: SweepReport, attack: str, report: RunReport) -> None:
     if report.retrieval_mismatches:
         sweep.findings.append(
             AttackFinding(
-                attack, "retrieved objects match ticket digests",
+                attack, "retrieved objects match the uploaded ones",
                 f"{report.retrieval_mismatches} mismatches",
             )
         )

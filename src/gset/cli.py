@@ -132,7 +132,7 @@ def _five_dimensions(report: RunReport, deterministic: bool) -> tuple[list[str],
         ),
         row(
             trust, "trust",
-            "every accepted message passed signature verification; books reconcile"
+            "every accepted message passed its signature or ticket-digest check; books reconcile"
             if trust
             else "; ".join(report.invariant_failures) or "retrieval mismatches",
         ),

@@ -15,6 +15,36 @@ Messages are frozen dataclasses registered with the canonical codec; each
 validates its own invariants on construction and on encode.  A trailing
 ``*_signature`` field is a detached signature over the canonical encoding
 of everything before it (see ``build_signed`` / ``verify_signed``).
+
+One proof per fact.  Each signature below is checked by the party named as
+its verifier, and the signed message is what that party could later show to
+a third party (an arbiter, or the next party in the flow) as evidence of
+what the signer said:
+
+    signed type            signer  verifier  evidence it gives, and to whom
+    PriceQuote             SP      SR        the offered price, to the TM or an arbiter
+    AuthorizationRequest   SR      SP, TM    the order (SP) and the payment cap (TM),
+      .dual                                  bound together, to an arbiter
+    AuthorizeAndHold       SP      TM        the charge the provider asked for, to the AP
+    HoldRequest            TM      AP        the hold instruction, to an arbiter
+    HoldResponse           AP      TM        the hold placed or refused, to an arbiter
+    CaptureToken           TM      SP        the approved charge, back to the TM at capture
+    AuthDecision           SP      SR        the approval or refusal, to an arbiter
+    ObjectUpload           SR      SP        the objects the requester shipped, to an arbiter
+    ServiceGrant           SP      SR        receipt of those objects (one digest per
+                                             ticket), to an arbiter
+    ServiceComplete        SR      SP        the requester's acceptance, to the TM or an arbiter
+    CaptureRequest         SP      TM        the provider's claim on the token, to the AP
+    SettleRequest          TM      AP        the settle instruction, to an arbiter
+    SettleResponse         AP      TM        the amount settled, to an arbiter
+    CaptureResponse        TM      SP        the settled capture, to an arbiter
+
+Unsigned: ``PriceRequest`` and ``QuoteDenial`` (an enquiry and its refusal
+commit nobody), ``AuthOutcome`` (an approval's authority is its token's
+signature), ``TicketRedeemRequest`` (a bearer claim) and
+``TicketRedeemResponse``: the signed ``ServiceGrant`` ticket already
+commits to the object's digest, which the requester checks the payload
+against, so a provider signature would prove the same fact twice.
 """
 
 from __future__ import annotations
@@ -29,6 +59,7 @@ from .crypto import (
     KeyPair,
     SealedEnvelope,
     Signature,
+    hash_bytes,
     sign,
     verify,
 )
@@ -130,6 +161,10 @@ class Ticket:
 
     ticket_id: bytes
     object_digest: Digest
+
+    def matches(self, obj: bytes) -> bool:
+        """Is ``obj`` the object this ticket commits to?"""
+        return hash_bytes(obj) == self.object_digest
 
     def validate(self) -> None:
         _need_nonce(self.ticket_id, "ticket_id")
@@ -309,12 +344,12 @@ class TicketRedeemResponse:
     """The stored object, or no bytes at all when the ticket is refused.
 
     Stored objects are never empty (see ``ObjectUpload``), so an empty
-    payload is unambiguous.
+    payload is unambiguous.  Unsigned: the requester checks the payload
+    against the digest its signed ``ServiceGrant`` ticket commits to.
     """
 
     ticket_id: bytes
     payload: bytes
-    provider_signature: Signature
 
     @property
     def ok(self) -> bool:

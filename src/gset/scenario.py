@@ -349,8 +349,14 @@ def run_storage_scenario(
             f"provider booked {provider.receivable_total} "
             f"but only {ledger.total_settled()} is settled"
         )
-    if requester.mismatches:
-        failures.append(f"{requester.mismatches} retrieved objects failed digest checks")
+    # Compared with the uploaded bytes, not with the requester's own check.
+    # Its tickets are kept in grant order, one per uploaded object.
+    uploaded = dict(zip(requester.tickets, scenario.objects))
+    mismatches = sum(
+        obj != uploaded.get(ticket_id) for ticket_id, obj in requester.retrieved.items()
+    )
+    if mismatches:
+        failures.append(f"{mismatches} retrieved objects differ from the uploaded ones")
     for account in ledger.snapshot().accounts:
         held = sum(hold.amount for hold in account.holds)
         if account.settled_total + held > account.credit_limit:
@@ -381,7 +387,7 @@ def run_storage_scenario(
         tokens_minted=len(trust_manager.minted_tokens),
         grants_issued=len(provider.granted),
         objects_retrieved=len(requester.retrieved),
-        retrieval_mismatches=requester.mismatches,
+        retrieval_mismatches=mismatches,
         provider_receivable=provider.receivable_total,
         settled_total=ledger.total_settled(),
         ticks_used=transcript.records[-1].tick if transcript.records else 0,

@@ -163,8 +163,8 @@ def gen_redeem_request(rng: Random) -> TicketRedeemRequest:
 
 def gen_redeem_response(rng: Random) -> TicketRedeemResponse:
     if rng.random() < 0.5:
-        return TicketRedeemResponse(nonce(rng), blob(rng, 1, 96), gen_signature(rng))
-    return TicketRedeemResponse(nonce(rng), b"", gen_signature(rng))
+        return TicketRedeemResponse(nonce(rng), blob(rng, 1, 96))
+    return TicketRedeemResponse(nonce(rng), b"")
 
 
 def gen_service_complete(rng: Random) -> ServiceComplete:

@@ -42,7 +42,7 @@ def test_happy_path_completes_and_transcript_is_reproducible():
     requester = report.scenario.requester
     assert len(requester.tickets) == 3
     assert len(requester.retrieved) == 3
-    assert requester.mismatches == 0
+    assert report.retrieval_mismatches == 0
 
     again = run_storage_scenario(ScenarioConfig())
     assert again.transcript.to_bytes() == report.transcript.to_bytes()

@@ -22,6 +22,7 @@ from gset import (
     PolicyError,
     PriceQuote,
     QuoteDenial,
+    ServiceComplete,
     ServiceGrant,
     SettleResponse,
     Signature,
@@ -481,6 +482,29 @@ def test_fabricated_ticket_is_refused():
     )
     response = codec.decode(out[0][1], TicketRedeemResponse)
     assert not response.ok
+
+
+def test_redeemed_object_failing_its_ticket_digest_is_ignored():
+    actors = build_actors()
+    _, [(_, grant_raw)] = decide_then_upload(actors)
+    requests = actors.sr.deliver("SP", grant_raw, 2, None)
+    responses = [actors.sp.deliver("SR", raw, 3, None)[0][1] for _, raw in requests]
+    genuine = codec.decode(responses[0], TicketRedeemResponse)
+    flipped = genuine.payload[:-1] + bytes([genuine.payload[-1] ^ 1])
+    wrong = dataclasses.replace(genuine, payload=flipped)
+    assert actors.sr.deliver("SP", codec.encode(wrong), 4, None) == []
+    # ignored, not counted: the ticket is still outstanding
+    assert genuine.ticket_id in actors.sr.unredeemed
+    assert actors.sr.retrieved == {}
+    assert actors.sr.redeem_failures == 0
+    # the genuine responses, delivered afterwards, complete the order
+    outs = [actors.sr.deliver("SP", raw, 5, None) for raw in responses]
+    assert outs[:-1] == [[]] * (len(responses) - 1)
+    [(dest, raw)] = outs[-1]
+    assert dest == "SP"
+    assert codec.decode(raw, ServiceComplete).grant_id == actors.sr.grant.grant_id
+    assert actors.sr.completed
+    assert actors.sr.retrieved[genuine.ticket_id] == genuine.payload
 
 
 # --- capture ---------------------------------------------------------------------

