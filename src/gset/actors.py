@@ -78,6 +78,7 @@ from .messages import (
     TicketRedeemResponse,
     UsageDescriptor,
     build_signed,
+    object_digests,
     verify_signed,
 )
 
@@ -181,15 +182,18 @@ class _ActorBase:
             return None
         return response
 
-    def _signed_by(self, msg, subject_id: str) -> bool:
-        """Does the message's detached signature verify under ``subject_id``'s key?"""
+    def _signed_by(self, msg, subject_id: str, digests: tuple[Digest, ...] | None = None) -> bool:
+        """Does the message's detached signature verify under ``subject_id``'s key?
+
+        ``digests`` are an ``ObjectUpload``'s object digests, when the caller holds them.
+        """
         public = self._key_of(subject_id)
         if public is None:
             return False
         sig = getattr(msg, codec.signature_field_name(type(msg)))
         if sig.signer_id != subject_id:
             return False
-        return verify_signed(msg, public)
+        return verify_signed(msg, public, digests)
 
     def deliver(self, sender: str, raw: bytes, now: int, net: Network | None = None) -> Outbound:
         """Process one incoming message; returns outbound (dest, bytes) pairs.
@@ -250,6 +254,8 @@ class ServiceRequester(_ActorBase):
         self.config = config
         self.pending_usage: list[tuple[bytes, UsageDescriptor]] = []
         self.pending_auths: set[bytes] = set()
+        # what the upload signature committed to, one digest per object
+        self.uploaded_digests: tuple[Digest, ...] = ()
         self.grant: ServiceGrant | None = None
         self.tickets: dict[bytes, Ticket] = {}
         self.unredeemed: set[bytes] = set()
@@ -354,9 +360,11 @@ class ServiceRequester(_ActorBase):
         if not decision.approved:
             self._note("authorization denied")
             return []
+        self.uploaded_digests = object_digests(self.config.objects)
         upload = build_signed(
             ObjectUpload,
             self.identity,
+            digests=self.uploaded_digests,
             order_nonce=decision.order_nonce,
             objects=self.config.objects,
         )
@@ -369,11 +377,11 @@ class ServiceRequester(_ActorBase):
         if self.grant is not None:
             self._note("duplicate service grant ignored")
             return []
-        if len(grant.tickets) != len(self.config.objects):
+        if len(grant.tickets) != len(self.uploaded_digests):
             self._note("grant ticket count does not match uploaded objects")
             return []
-        for ticket, obj in zip(grant.tickets, self.config.objects):
-            if not ticket.matches(obj):
+        for ticket, digest in zip(grant.tickets, self.uploaded_digests):
+            if ticket.object_digest != digest:
                 self._note("grant ticket digest does not match uploaded object")
                 return []
         self.grant = grant
@@ -532,11 +540,17 @@ class ServiceProvider(_ActorBase):
             charge_amount=quote.price,
         )
 
-    def _store_and_grant(self, order_nonce: bytes, objects: tuple[bytes, ...]) -> ServiceGrant:
-        """Store the payload and issue one single-use ticket per object."""
+    def _store_and_grant(
+        self, order_nonce: bytes, objects: tuple[bytes, ...], digests: tuple[Digest, ...]
+    ) -> ServiceGrant:
+        """Store the payload and issue one single-use ticket per object.
+
+        ``digests`` are ``object_digests(objects)``, already computed to check
+        the upload signature.
+        """
         tickets = []
-        for obj in objects:
-            ticket = Ticket(ticket_id=self._nonce(), object_digest=hash_bytes(obj))
+        for obj, digest in zip(objects, digests):
+            ticket = Ticket(ticket_id=self._nonce(), object_digest=digest)
             self.stored_objects[ticket.ticket_id] = obj
             tickets.append(ticket)
         grant = build_signed(
@@ -601,7 +615,8 @@ class ServiceProvider(_ActorBase):
         if order is None or order.requester_id != sender:
             self._note("upload for unknown order")
             return []
-        if not self._signed_by(upload, sender):
+        digests = object_digests(upload.objects)
+        if not self._signed_by(upload, sender, digests):
             self._note("upload signature does not verify")
             return []
         if upload.order_nonce in self.granted.values():
@@ -610,7 +625,7 @@ class ServiceProvider(_ActorBase):
         if upload.order_nonce not in self.approved_tokens:
             self._note("upload for unapproved order")
             return []
-        grant = self._store_and_grant(upload.order_nonce, upload.objects)
+        grant = self._store_and_grant(upload.order_nonce, upload.objects, digests)
         return [(sender, codec.encode(grant))]
 
     def _on_redeem_request(

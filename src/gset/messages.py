@@ -30,7 +30,8 @@ what the signer said:
     HoldResponse           AP      TM        the hold placed or refused, to an arbiter
     CaptureToken           TM      SP        the approved charge, back to the TM at capture
     AuthDecision           SP      SR        the approval or refusal, to an arbiter
-    ObjectUpload           SR      SP        the objects the requester shipped, to an arbiter
+    ObjectUpload           SR      SP        the digests of the objects the requester
+                                             shipped, to an arbiter
     ServiceGrant           SP      SR        receipt of those objects (one digest per
                                              ticket), to an arbiter
     ServiceComplete        SR      SP        the requester's acceptance, to the TM or an arbiter
@@ -38,6 +39,11 @@ what the signer said:
     SettleRequest          TM      AP        the settle instruction, to an arbiter
     SettleResponse         AP      TM        the amount settled, to an arbiter
     CaptureResponse        TM      SP        the settled capture, to an arbiter
+
+An ``ObjectUpload`` signature covers the order nonce and the SHA-256 digest
+of each object, not the object bytes (``upload_signing_payload``), so a
+forged upload needs a SHA-256 collision or second preimage on an object: the
+assumption the tickets and the dual signature already rest on.
 
 Unsigned: ``PriceRequest`` and ``QuoteDenial`` (an enquiry and its refusal
 commit nobody), ``AuthOutcome`` (an approval's authority is its token's
@@ -50,6 +56,7 @@ against, so a provider signature would prove the same fact twice.
 from __future__ import annotations
 
 import enum
+import struct
 
 from . import codec
 from .codec import ValidationError, canonical_message
@@ -456,21 +463,72 @@ class SettleResponse:
 
 # --- signing helpers ----------------------------------------------------------
 
+_UPLOAD_DIGESTS_TAG = b"ObjectUpload/digests"
+_FRAMED_UPLOAD_DIGESTS_TAG = struct.pack(">I", len(_UPLOAD_DIGESTS_TAG)) + _UPLOAD_DIGESTS_TAG
 
-def build_signed(cls: type, key: KeyPair, **fields):
+
+def object_digests(objects: tuple[bytes, ...]) -> tuple[Digest, ...]:
+    """The SHA-256 digest of each object, in order."""
+    return tuple(hash_bytes(obj) for obj in objects)
+
+
+def upload_signing_payload(order_nonce: bytes, digests: tuple[Digest, ...]) -> bytes:
+    """What an ``ObjectUpload`` signature covers: the order nonce and the
+    digest of each object, in upload order.
+
+    Hash-then-sign, as in Ed25519ph: no object byte goes through Ed25519,
+    and the digests are the ones the ``ServiceGrant`` tickets commit to.
+    The payload is a length-prefixed tag, the length-prefixed nonce, the
+    digest count and the 32-byte digests.  The tag is the distinct
+    ``ObjectUpload/digests``: no registered type has that name, so the
+    payload can be read neither as a wire ``ObjectUpload`` whose objects
+    are 32-byte strings nor as the signing payload of any other type.
+    """
+    _need_nonce(order_nonce, "order_nonce")
+    _need(len(digests) > 0, "upload must commit to at least one object")
+    out = [_FRAMED_UPLOAD_DIGESTS_TAG, struct.pack(">I", NONCE_SIZE), order_nonce,
+           struct.pack(">I", len(digests))]
+    for digest in digests:
+        _need(isinstance(digest, Digest), "upload digests must be Digests")
+        out.append(digest.bytes)
+    return b"".join(out)
+
+
+def _upload_payload(
+    order_nonce: bytes, objects: tuple[bytes, ...], digests: tuple[Digest, ...] | None
+) -> bytes:
+    return upload_signing_payload(
+        order_nonce, object_digests(objects) if digests is None else digests
+    )
+
+
+def build_signed(cls: type, key: KeyPair, *, digests: tuple[Digest, ...] | None = None, **fields):
     """Construct ``cls`` with its detached signature filled in.
 
     The signature covers the canonical encoding of the type tag and every
     field except the signature itself, so any bit of the message body is
-    tamper-evident.
+    tamper-evident.  An ``ObjectUpload`` is the one exception: its
+    signature covers ``upload_signing_payload``.  A caller that already
+    holds ``object_digests(objects)`` passes them as ``digests``, so no
+    object is hashed twice.
     """
-    payload = codec.signing_payload_from(cls, fields)
+    if cls is ObjectUpload:
+        payload = _upload_payload(fields["order_nonce"], fields["objects"], digests)
+    else:
+        payload = codec.signing_payload_from(cls, fields)
     sig_field = codec.signature_field_name(cls)
     return cls(**fields, **{sig_field: sign(key, payload)})
 
 
-def verify_signed(msg, public_key: bytes) -> bool:
-    """Check a message's detached signature against ``public_key``."""
-    sig_field = codec.signature_field_name(type(msg))
-    sig: Signature = getattr(msg, sig_field)
-    return verify(public_key, codec.signing_payload(msg), sig)
+def verify_signed(msg, public_key: bytes, digests: tuple[Digest, ...] | None = None) -> bool:
+    """Check a message's detached signature against ``public_key``.
+
+    For an ``ObjectUpload``, a caller that already holds
+    ``object_digests(msg.objects)`` passes them as ``digests``.
+    """
+    if type(msg) is ObjectUpload:
+        payload = _upload_payload(msg.order_nonce, msg.objects, digests)
+    else:
+        payload = codec.signing_payload(msg)
+    sig: Signature = getattr(msg, codec.signature_field_name(type(msg)))
+    return verify(public_key, payload, sig)

@@ -39,7 +39,9 @@ from gset import (
     open_envelope,
     run_scenario,
     sign,
+    verify_signed,
 )
+from gset.messages import object_digests, upload_signing_payload
 
 import harness
 from harness import USAGE, build_actors
@@ -409,6 +411,105 @@ def test_three_objects_make_three_digest_matched_tickets():
         assert actors.sp.stored_objects[ticket.ticket_id] == obj
 
 
+def approved_order_nonces(actors, count: int) -> list[bytes]:
+    """Order nonces of ``count`` orders the provider has approved."""
+    nonces = []
+    for _ in range(count):
+        auth = actors.sr.build_authorization(quote_for(actors, 5), now=0)
+        [(_, raw)] = actors.sp.deliver("SR", codec.encode(auth), 0, actors.net("SP"))
+        assert codec.decode(raw, AuthDecision).approved
+        nonces.append(auth.order_info.order_nonce)
+    return nonces
+
+
+def honest_upload(actors, order_nonce: bytes) -> ObjectUpload:
+    return build_signed(
+        ObjectUpload, actors.sr.identity, order_nonce=order_nonce, objects=harness.OBJECTS
+    )
+
+
+def _flip_first_bit(objects: tuple[bytes, ...], index: int) -> tuple[bytes, ...]:
+    flipped = bytes([objects[index][0] ^ 0x80]) + objects[index][1:]
+    return objects[:index] + (flipped,) + objects[index + 1:]
+
+
+def _signed_over_raw_bytes(actors, upload: ObjectUpload, _other: bytes) -> ObjectUpload:
+    # the signature an upload carried when it covered the object bytes
+    raw_payload = codec.signing_payload_from(
+        ObjectUpload, {"order_nonce": upload.order_nonce, "objects": upload.objects}
+    )
+    return dataclasses.replace(
+        upload, requester_signature=sign(actors.sr.identity, raw_payload)
+    )
+
+
+UPLOAD_FORGERIES = {
+    **{
+        f"bit flipped in objects[{i}]": (
+            lambda actors, up, other, i=i: dataclasses.replace(
+                up, objects=_flip_first_bit(up.objects, i)
+            )
+        )
+        for i in range(len(harness.OBJECTS))
+    },
+    "two objects swapped": lambda actors, up, other: dataclasses.replace(
+        up, objects=(up.objects[1], up.objects[0], *up.objects[2:])
+    ),
+    "one object dropped": lambda actors, up, other: dataclasses.replace(
+        up, objects=up.objects[:-1]
+    ),
+    "one object appended": lambda actors, up, other: dataclasses.replace(
+        up, objects=up.objects + (b"delta" * 13,)
+    ),
+    "another order's nonce": lambda actors, up, other: dataclasses.replace(
+        up, order_nonce=other
+    ),
+    "signed over the raw object bytes": _signed_over_raw_bytes,
+}
+
+
+def test_honest_upload_signature_covers_the_object_digests():
+    actors = build_actors()
+    [nonce] = approved_order_nonces(actors, 1)
+    upload = honest_upload(actors, nonce)
+    public = actors.sr.identity.public_key
+    digests = object_digests(harness.OBJECTS)
+    assert verify_signed(upload, public)
+    assert verify_signed(upload, public, digests)
+    from gset import verify
+
+    assert verify(public, upload_signing_payload(nonce, digests), upload.requester_signature)
+    [(dest, raw)] = actors.sp.deliver("SR", codec.encode(upload), 1, None)
+    assert dest == "SR"
+    assert len(actors.sp.stored_objects) == len(harness.OBJECTS)
+
+
+@pytest.mark.parametrize("forgery", sorted(UPLOAD_FORGERIES))
+def test_provider_refuses_an_upload_its_signature_does_not_bind(forgery):
+    actors = build_actors()
+    nonce, other = approved_order_nonces(actors, 2)
+    forged = UPLOAD_FORGERIES[forgery](actors, honest_upload(actors, nonce), other)
+    assert not verify_signed(forged, actors.sr.identity.public_key)
+    assert actors.sp.deliver("SR", codec.encode(forged), 1, None) == []
+    assert actors.sp.notes[-1] == "upload signature does not verify"
+    assert actors.sp.stored_objects == {}
+    # the refusal was the signature's: the honest upload is then granted
+    assert actors.sp.deliver("SR", codec.encode(honest_upload(actors, nonce)), 2, None)
+    assert len(actors.sp.stored_objects) == len(harness.OBJECTS)
+
+
+def test_an_upload_payload_is_no_wire_upload_of_digests():
+    # signing payloads lead with their type tag; the upload's tag is its own
+    digests = object_digests(harness.OBJECTS)
+    payload = upload_signing_payload(b"\x01" * 16, digests)
+    as_wire = codec.signing_payload_from(
+        ObjectUpload, {"order_nonce": b"\x01" * 16, "objects": tuple(d.bytes for d in digests)}
+    )
+    assert payload != as_wire
+    with pytest.raises(codec.CodecError):
+        codec.decode(payload)
+
+
 def test_denied_outcome_stores_nothing():
     actors = build_actors(limit=60, sanity=False)
     decision, upload_reply = decide_then_upload(actors, quantity=7)
@@ -486,7 +587,10 @@ def test_fabricated_ticket_is_refused():
 
 def test_redeemed_object_failing_its_ticket_digest_is_ignored():
     actors = build_actors()
-    _, [(_, grant_raw)] = decide_then_upload(actors)
+    decision, [(_, grant_raw)] = decide_then_upload(actors)
+    # the requester checks the grant against the digests it signed its upload over
+    [(_, upload_raw)] = actors.sr.deliver("SP", codec.encode(decision), 1, None)
+    assert codec.decode(upload_raw, ObjectUpload).objects == harness.OBJECTS
     requests = actors.sr.deliver("SP", grant_raw, 2, None)
     responses = [actors.sp.deliver("SR", raw, 3, None)[0][1] for _, raw in requests]
     genuine = codec.decode(responses[0], TicketRedeemResponse)

@@ -298,9 +298,13 @@ def test_token_round_trip_preserves_signature_bytes():
 # Both digests were taken from the reference implementation of the codec.  A
 # rewrite of the encoder or decoder must reproduce every transcript byte and
 # every decode outcome, rejections included: exception type, text and offset.
+# They were re-taken once when the upload signature moved to the object
+# digests and the objects to an AES-CTR keystream; only the ObjectUpload,
+# ServiceGrant (object digests) and TicketRedeemResponse (object bytes)
+# records changed.
 
-DEFAULT_TRANSCRIPT_SHA256 = "226997c3952fe413cddf186a1803da3a943de8d2afbb851dbb740cce8c6efa73"
-DECODE_OUTCOMES_SHA256 = "777214e9cd34cd66406a2fca29a0e2827e65830d8538e9ef1ab7dbf61ab083be"
+DEFAULT_TRANSCRIPT_SHA256 = "31cda4a85fb44b71db9f39d4d85c8d035143be1be7d7bb25124824d73e1081f0"
+DECODE_OUTCOMES_SHA256 = "963c9012df952ec655a028cc25fcaf393c3f6e46baeab256b89ffec116cb78da"
 
 
 def _outcome(fn, raw: bytes) -> tuple:

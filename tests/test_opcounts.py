@@ -5,6 +5,8 @@ on the machine, so they are gated exactly: a check added to or dropped from
 the protocol, a wire field added back, or a server-to-server exchange moved
 back onto the queue shows here before it shows in any timing.  Private-key
 parses are gated the same way: each signing key is parsed once per run.
+So are the bytes hashed, signed and verified: a second hash of an object, or
+object bytes back under a signature, shows as a byte count.
 """
 from __future__ import annotations
 
@@ -15,13 +17,19 @@ from gset import ScenarioConfig, run_storage_scenario
 from gset.scenario import build_scenario
 
 
-def _count_calls(monkeypatch, name: str) -> list[int]:
-    """Rebind ``gset.crypto.<name>`` in every gset module that binds it."""
+def _count_calls(monkeypatch, name: str, data_arg: int | None = None) -> list[int]:
+    """Rebind ``gset.crypto.<name>`` in every gset module that binds it.
+
+    Counts calls in ``[0]`` and, with ``data_arg``, the bytes passed as that
+    positional argument in ``[1]``.
+    """
     original = getattr(gset.crypto, name)
-    calls = [0]
+    calls = [0, 0]
 
     def counted(*args, **kwargs):
         calls[0] += 1
+        if data_arg is not None:
+            calls[1] += len(args[data_arg])
         return original(*args, **kwargs)
 
     for module_name, module in list(sys.modules.items()):
@@ -48,6 +56,27 @@ def test_default_transaction_signs_verifies_and_records(monkeypatch):
 def test_bulk_transaction_signs_verifies_and_records(monkeypatch):
     config = ScenarioConfig(object_count=16, object_size=65536)
     assert _counts(monkeypatch, config) == (14, 15, 47, 2_102_566, 39)
+
+
+def _bytes_through(monkeypatch, config: ScenarioConfig) -> tuple[int, int, int]:
+    """Bytes hashed, signed and verified in one run."""
+    hashed = _count_calls(monkeypatch, "hash_bytes", data_arg=0)
+    signed = _count_calls(monkeypatch, "sign", data_arg=1)
+    verified = _count_calls(monkeypatch, "verify", data_arg=1)
+    assert run_storage_scenario(config).complete_success()
+    return hashed[1], signed[1], verified[1]
+
+
+# Each object is hashed three times: by the requester to sign its upload, by
+# the provider on receipt (one digest for the signature check and the ticket)
+# and by the requester at redemption.  No object byte goes through Ed25519.
+def test_default_transaction_hashes_signs_and_verifies_bytes(monkeypatch):
+    assert _bytes_through(monkeypatch, ScenarioConfig()) == (1338, 1575, 1607)
+
+
+def test_bulk_transaction_hashes_signs_and_verifies_bytes(monkeypatch):
+    config = ScenarioConfig(object_count=16, object_size=65536)
+    assert _bytes_through(monkeypatch, config) == (3_146_490, 2771, 2803)
 
 
 class _CountingKeyClass:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import hashlib
 
 import pytest
 
@@ -111,6 +112,26 @@ def test_scenario_objects_match_config():
     assert all(len(obj) == 32 for obj in scenario.objects)
 
 
+BULK = dict(object_count=16, object_size=65536)
+
+
+def test_bulk_objects_are_pinned():
+    # one AES-256-CTR keystream keyed by SHA-256("1/objects"), zero nonce
+    objects = build_scenario(ScenarioConfig(seed=1, **BULK)).objects
+    assert hashlib.sha256(b"".join(objects)).hexdigest() == (
+        "d30721ccdc0488ef2f3a49b1077b9333cbb8cdc94724c8ab4acf6216d55b253b"
+    )
+
+
+def test_equal_configs_give_equal_objects_and_seeds_differ():
+    a = build_scenario(ScenarioConfig(seed=3, **BULK)).objects
+    b = build_scenario(ScenarioConfig(seed=3, **BULK)).objects
+    c = build_scenario(ScenarioConfig(seed=4, **BULK)).objects
+    assert a == b
+    assert len(set(a)) == len(a)
+    assert not set(a) & set(c)
+
+
 def test_scenario_markers_cover_both_sides():
     scenario = build_scenario(ScenarioConfig())
     assert scenario.account_ref.encode() in scenario.markers.payment_markers
@@ -142,8 +163,8 @@ def test_a_wrong_retrieved_object_is_caught_by_the_audit(monkeypatch):
     monkeypatch.setattr(Ticket, "matches", lambda self, obj: True)
     store_and_grant = ServiceProvider._store_and_grant
 
-    def corrupting(self, order_nonce, objects):
-        grant = store_and_grant(self, order_nonce, objects)
+    def corrupting(self, order_nonce, objects, digests):
+        grant = store_and_grant(self, order_nonce, objects, digests)
         first = grant.tickets[0].ticket_id
         self.stored_objects[first] = b"not what was uploaded"
         return grant
