@@ -3,9 +3,10 @@
 A requester authorizes a spend without telling the provider who pays;
 a trust manager enforces the spending limit without learning what was
 bought; an account provider holds and settles credit without seeing
-either side.  Dual signatures bind the halves together, a sealed
-envelope carries the payment past the provider, and single-use tokens,
-tickets, and nonces keep every step from happening twice.
+either side.  Dual signatures bind the halves together, pairwise MACs
+authenticate the server-to-server legs, a sealed envelope carries the
+payment past the provider, and single-use tokens, tickets, and nonces
+keep every step from happening twice.
 
 The package ships the actors, the wire codec, a credit ledger, a
 deterministic simulated network with an adversary, and a scenario CLI.
@@ -30,17 +31,18 @@ from .codec import (
     EncodeError,
     MessageTypeError,
     ValidationError,
+    authenticator_field_name,
     canonical_message,
     decode,
     decode_stream,
     encode,
     peek_type,
     registered_types,
-    signature_field_name,
     signing_payload,
     signing_payload_from,
 )
 from .crypto import (
+    MAC_SIZE,
     PRIVATE_KEY_SIZE,
     PUBLIC_KEY_SIZE,
     CryptoError,
@@ -56,6 +58,9 @@ from .crypto import (
     WrongRecipientError,
     generate_keypair,
     hash_bytes,
+    mac,
+    mac_keys,
+    mac_ok,
     make_dual_signature,
     open_envelope,
     seal,
@@ -102,7 +107,9 @@ from .messages import (
     TicketRedeemRequest,
     TicketRedeemResponse,
     UsageDescriptor,
+    build_maced,
     build_signed,
+    verify_maced,
     verify_signed,
 )
 from .scenario import (

@@ -8,6 +8,9 @@ The simulated network calls ``deliver`` for every incoming message and
 queues whatever comes back; only the requester's legs travel that way.
 Every exchange between two servers is a ``net.call``, which the network
 also mediates and records, and its answer is the call's return value.
+Those seven server-to-server legs carry a pairwise MAC; the signed
+messages of the requester's legs and the trust manager's capture token
+keep their signatures (see ``_authentic``).
 
 The privacy split is enforced here by what each actor stores:
 
@@ -38,6 +41,7 @@ from .crypto import (
     EnvelopeError,
     KeyPair,
     hash_bytes,
+    mac_keys,
     make_dual_signature,
     open_envelope,
     seal,
@@ -77,8 +81,10 @@ from .messages import (
     TicketRedeemRequest,
     TicketRedeemResponse,
     UsageDescriptor,
+    build_maced,
     build_signed,
     object_digests,
+    verify_maced,
     verify_signed,
 )
 
@@ -138,8 +144,9 @@ def _state_encode(value) -> bytes:
 
 class _ActorBase:
     # Construction-time wiring, not state: the private key, the public-key
-    # directory, the randomness source, the fixed config.
-    _WIRING = frozenset({"identity", "directory", "rng", "config"})
+    # directory, the randomness source, the fixed config, and the MAC keys
+    # derived from the first two.
+    _WIRING = frozenset({"identity", "directory", "rng", "config", "pair_keys"})
     # Message type -> handler(self, sender, msg, now, net).  A class-level
     # table of plain functions: bound methods stored on the instance would
     # point back at it, so each run's actors could only be freed by the
@@ -151,6 +158,8 @@ class _ActorBase:
         self.subject_id = identity.subject_id
         self.directory = directory
         self.rng = rng
+        # peer id -> (key to the peer, key from the peer), derived on first use
+        self.pair_keys: dict[str, tuple[bytes, bytes]] = {}
         self.notes: list[str] = []
 
     def _note(self, text: str) -> None:
@@ -163,7 +172,9 @@ class _ActorBase:
         return self.directory.get(subject_id)
 
     def _exchange(self, net: Network | None, dest: str, msg, expect: type):
-        """One signed round trip to ``dest``; None on any failure, with a note."""
+        """One authenticated round trip to ``dest``; None on any failure, with a note."""
+        if msg is None:
+            return None
         if net is None:
             self._note(f"no network channel for {type(msg).__name__}")
             return None
@@ -177,21 +188,45 @@ class _ActorBase:
             self._note(f"{expect.__name__} undecodable: {exc}")
             return None
         # AuthOutcome is unsigned: an approval's authority is its token's signature
-        if expect is not AuthOutcome and not self._signed_by(response, dest):
-            self._note(f"{expect.__name__} signature does not verify")
+        if expect is not AuthOutcome and not self._authentic(response, dest):
+            self._note(f"{expect.__name__} authenticator does not verify")
             return None
         return response
 
-    def _signed_by(self, msg, subject_id: str, digests: tuple[Digest, ...] | None = None) -> bool:
-        """Does the message's detached signature verify under ``subject_id``'s key?
+    def _keys_with(self, peer_id: str) -> tuple[bytes, bytes] | None:
+        """The MAC keys shared with ``peer_id``: one X25519 agreement per peer and run."""
+        keys = self.pair_keys.get(peer_id)
+        if keys is None:
+            keys = mac_keys(self.identity, peer_id, self._key_of(peer_id))
+            if keys is not None:
+                self.pair_keys[peer_id] = keys
+        return keys
 
-        ``digests`` are an ``ObjectUpload``'s object digests, when the caller holds them.
+    def _maced_for(self, peer_id: str, cls: type, **fields):
+        """``cls`` with its MAC to ``peer_id``; None, with a note, without a key."""
+        keys = self._keys_with(peer_id)
+        if keys is None:
+            self._note(f"no MAC key for {peer_id}; {cls.__name__} not sent")
+            return None
+        return build_maced(cls, keys[0], **fields)
+
+    def _authentic(self, msg, peer_id: str, digests: tuple[Digest, ...] | None = None) -> bool:
+        """Did ``peer_id`` send ``msg``, by its trailing signature or MAC?
+
+        A ``*_mac`` is checked under the key from ``peer_id`` to this actor; a
+        ``*_signature`` must name ``peer_id`` and verify under its public key.
+        ``digests`` are an ``ObjectUpload``'s object digests, when the caller
+        holds them.
         """
-        public = self._key_of(subject_id)
+        field = codec.authenticator_field_name(type(msg))
+        if field.endswith("_mac"):
+            keys = self._keys_with(peer_id)
+            return keys is not None and verify_maced(msg, keys[1])
+        public = self._key_of(peer_id)
         if public is None:
             return False
-        sig = getattr(msg, codec.signature_field_name(type(msg)))
-        if sig.signer_id != subject_id:
+        sig = getattr(msg, field)
+        if sig.signer_id != peer_id:
             return False
         return verify_signed(msg, public, digests)
 
@@ -283,7 +318,7 @@ class ServiceRequester(_ActorBase):
             PolicyError: the quote is expired, or (with the sanity check on)
                 the configured limit would not cover the quoted price.
         """
-        if not self._signed_by(quote, self.config.provider_id):
+        if not self._authentic(quote, self.config.provider_id):
             raise TrustError("quote signature does not verify")
         if now >= quote.expiry:
             raise PolicyError(f"quote expired at tick {quote.expiry}, now {now}")
@@ -350,7 +385,7 @@ class ServiceRequester(_ActorBase):
         return []
 
     def _on_auth_decision(self, sender: str, decision: AuthDecision, now: int, net) -> Outbound:
-        if not self._signed_by(decision, self.config.provider_id):
+        if not self._authentic(decision, self.config.provider_id):
             self._note("auth decision signature does not verify")
             return []
         if decision.order_nonce not in self.pending_auths:
@@ -371,7 +406,7 @@ class ServiceRequester(_ActorBase):
         return [(self.config.provider_id, codec.encode(upload))]
 
     def _on_service_grant(self, sender: str, grant: ServiceGrant, now: int, net) -> Outbound:
-        if not self._signed_by(grant, self.config.provider_id):
+        if not self._authentic(grant, self.config.provider_id):
             self._note("service grant signature does not verify")
             return []
         if self.grant is not None:
@@ -493,12 +528,14 @@ class ServiceProvider(_ActorBase):
     ) -> AuthorizeAndHold | AuthDecision | None:
         """Validate the order half and relay the payment half.
 
-        On success the provider retains the order locally and returns a
-        signed AuthorizeAndHold carrying the untouched sealed envelope; the
-        order plaintext goes no further.  On failure the requester gets a
-        bare denied decision.  A duplicate of an order already accepted is
-        ignored outright (None): that order's one relay has been answered,
-        and a second could only draw the trust manager's REPLAY refusal.
+        On success the provider retains the order locally and returns an
+        AuthorizeAndHold, MAC'd to the trust manager, carrying the untouched
+        sealed envelope; the order plaintext goes no further.  On failure
+        the requester gets a bare denied decision.  A duplicate of an order
+        already accepted is ignored outright (None): that order's one relay
+        has been answered, and a second could only draw the trust manager's
+        REPLAY refusal.  Without a key for the trust manager there is no
+        relay either (None), and the order is not kept.
         """
         order = auth.order_info
 
@@ -531,14 +568,16 @@ class ServiceProvider(_ActorBase):
             self._note("duplicate authorization for an accepted order ignored")
             return None
 
-        self.orders[order.order_nonce] = order
-        return build_signed(
+        relay = self._maced_for(
+            self.config.trust_manager_id,
             AuthorizeAndHold,
-            self.identity,
             payment_envelope=auth.payment_envelope,
             dual=auth.dual,
             charge_amount=quote.price,
         )
+        if relay is not None:
+            self.orders[order.order_nonce] = order
+        return relay
 
     def _store_and_grant(
         self, order_nonce: bytes, objects: tuple[bytes, ...], digests: tuple[Digest, ...]
@@ -564,7 +603,7 @@ class ServiceProvider(_ActorBase):
 
     def collect_credits(self, token: CaptureToken, net: Network | None) -> CaptureResponse | None:
         """Present a capture token to the trust manager and book the credit."""
-        request = build_signed(CaptureRequest, self.identity, token=token)
+        request = self._maced_for(self.config.trust_manager_id, CaptureRequest, token=token)
         response = self._exchange(net, self.config.trust_manager_id, request, CaptureResponse)
         if response is None:
             return None
@@ -595,7 +634,7 @@ class ServiceProvider(_ActorBase):
         if outcome.approved:
             token = outcome.token
             if (
-                self._signed_by(token, self.config.trust_manager_id)
+                self._authentic(token, self.config.trust_manager_id)
                 and token.provider_id == self.subject_id
                 and token.charge_amount == result.charge_amount
             ):
@@ -616,7 +655,7 @@ class ServiceProvider(_ActorBase):
             self._note("upload for unknown order")
             return []
         digests = object_digests(upload.objects)
-        if not self._signed_by(upload, sender, digests):
+        if not self._authentic(upload, sender, digests):
             self._note("upload signature does not verify")
             return []
         if upload.order_nonce in self.granted.values():
@@ -646,7 +685,7 @@ class ServiceProvider(_ActorBase):
             self._note("completion for unknown grant")
             return []
         if self.orders[order_nonce].requester_id != sender \
-                or not self._signed_by(done, sender):
+                or not self._authentic(done, sender):
             self._note("completion signature does not verify")
             return []
         token = self.approved_tokens.get(order_nonce)
@@ -708,8 +747,8 @@ class TrustManager(_ActorBase):
             self.denials.append(reason)
             return AuthOutcome(token=None, reason=reason)
 
-        if not self._signed_by(msg, sender):
-            return deny(DenialReason.BAD_SIGNATURE, "provider signature fails")
+        if not self._authentic(msg, sender):
+            return deny(DenialReason.BAD_SIGNATURE, "provider MAC fails")
         try:
             payment_bytes = open_envelope(self.identity, msg.payment_envelope)
         except EnvelopeError as exc:
@@ -735,9 +774,9 @@ class TrustManager(_ActorBase):
             return deny(DenialReason.UNKNOWN_ACCOUNT, "account provider not recognised")
 
         account_digest = hash_bytes(payment.account_ref.encode("utf-8"))
-        hold = build_signed(
+        hold = self._maced_for(
+            payment.account_provider_id,
             HoldRequest,
-            self.identity,
             hold_nonce=self._nonce(),
             account_ref_digest=account_digest,
             amount=msg.charge_amount,
@@ -764,16 +803,19 @@ class TrustManager(_ActorBase):
 
     def handle_capture(
         self, request: CaptureRequest, sender: str, net: Network | None
-    ) -> CaptureResponse:
-        """Settle a capture token exactly once."""
+    ) -> CaptureResponse | None:
+        """Settle a capture token exactly once.
 
-        def refuse(reason: DenialReason, detail: str) -> CaptureResponse:
+        The answer is MAC'd to ``sender``; None when no key for it is known.
+        """
+
+        def refuse(reason: DenialReason, detail: str) -> CaptureResponse | None:
             self._note(f"capture refused ({reason.name}): {detail}")
-            return build_signed(CaptureResponse, self.identity, reason=reason)
+            return self._maced_for(sender, CaptureResponse, reason=reason)
 
         token = request.token
-        if token.provider_id != sender or not self._signed_by(request, sender):
-            return refuse(DenialReason.BAD_SIGNATURE, "provider signature fails")
+        if token.provider_id != sender or not self._authentic(request, sender):
+            return refuse(DenialReason.BAD_SIGNATURE, "provider MAC fails")
         # the stored token is the one this trust manager signed, so equality
         # (signature included) proves authorship, provider and amount at once
         if self.minted_tokens.get(token.token_id) != token:
@@ -781,9 +823,9 @@ class TrustManager(_ActorBase):
         if token.token_id in self.spent_tokens:
             return refuse(DenialReason.REPLAY, "token already spent")
 
-        settle = build_signed(
+        settle = self._maced_for(
+            token.account_provider_id,
             SettleRequest,
-            self.identity,
             settle_nonce=self._nonce(),
             hold_ref=token.hold_ref,
         )
@@ -798,7 +840,7 @@ class TrustManager(_ActorBase):
             return refuse(DenialReason.BAD_SIGNATURE, "settled amount mismatch")
 
         self.spent_tokens.add(token.token_id)
-        return build_signed(CaptureResponse, self.identity, reason=None)
+        return self._maced_for(sender, CaptureResponse, reason=None)
 
     # -- message handlers --
 
@@ -810,7 +852,7 @@ class TrustManager(_ActorBase):
 
     def _on_capture_request(self, sender: str, msg: CaptureRequest, now: int, net) -> Outbound:
         response = self.handle_capture(msg, sender, net)
-        return [(sender, codec.encode(response))]
+        return [] if response is None else [(sender, codec.encode(response))]
 
     _HANDLERS = {
         AuthorizeAndHold: _on_authorize_and_hold,
@@ -827,7 +869,7 @@ class AccountProviderConfig:
 
 
 class AccountProvider(_ActorBase):
-    """Holds the credit ledger and answers signed hold/settle instructions."""
+    """Holds the credit ledger and answers MAC'd hold/settle instructions."""
 
     def __init__(
         self,
@@ -846,17 +888,13 @@ class AccountProvider(_ActorBase):
 
     def _on_hold_request(self, sender: str, msg: HoldRequest, now: int, net) -> Outbound:
         def respond(hold_ref: bytes, reason: DenialReason | None) -> Outbound:
-            response = build_signed(
-                HoldResponse,
-                self.identity,
-                hold_nonce=msg.hold_nonce,
-                hold_ref=hold_ref,
-                reason=reason,
+            response = self._maced_for(
+                sender, HoldResponse, hold_nonce=msg.hold_nonce, hold_ref=hold_ref, reason=reason
             )
-            return [(sender, codec.encode(response))]
+            return [] if response is None else [(sender, codec.encode(response))]
 
-        if sender not in self.config.trust_managers or not self._signed_by(msg, sender):
-            self._note("hold request signature does not verify")
+        if sender not in self.config.trust_managers or not self._authentic(msg, sender):
+            self._note("hold request MAC does not verify")
             return respond(b"", DenialReason.BAD_SIGNATURE)
         if msg.hold_nonce in self.seen_hold_nonces:
             self._note("hold request nonce already used")
@@ -874,17 +912,13 @@ class AccountProvider(_ActorBase):
 
     def _on_settle_request(self, sender: str, msg: SettleRequest, now: int, net) -> Outbound:
         def respond(amount: int, reason: DenialReason | None) -> Outbound:
-            response = build_signed(
-                SettleResponse,
-                self.identity,
-                settle_nonce=msg.settle_nonce,
-                amount=amount,
-                reason=reason,
+            response = self._maced_for(
+                sender, SettleResponse, settle_nonce=msg.settle_nonce, amount=amount, reason=reason
             )
-            return [(sender, codec.encode(response))]
+            return [] if response is None else [(sender, codec.encode(response))]
 
-        if sender not in self.config.trust_managers or not self._signed_by(msg, sender):
-            self._note("settle request signature does not verify")
+        if sender not in self.config.trust_managers or not self._authentic(msg, sender):
+            self._note("settle request MAC does not verify")
             return respond(0, DenialReason.BAD_SIGNATURE)
         try:
             amount = self.ledger.settle_hold(msg.hold_ref)

@@ -323,7 +323,7 @@ class _Schema:
     tag: str
     tag_field: bytes  # the framed type-name field that leads a top-level message
     fields: tuple[tuple[str, str, Encoder], ...]  # (name, "Tag.name" label, encoder)
-    signature_field: str | None  # trailing detached-signature field, if any
+    authenticator: str | None  # trailing signature or MAC field, if any
     write: Callable[[Any, list], int]  # validate, then append every field
     read: Callable[[bytes, int, int, int], Any]  # (data, pos, end, base) -> message
 
@@ -332,7 +332,7 @@ _BY_TAG: dict[str, _Schema] = {}
 _BY_CLASS: dict[type, _Schema] = {}
 
 
-def _compile_schema(cls: type, tag: str, compiled: list, signature_field: str | None) -> _Schema:
+def _compile_schema(cls: type, tag: str, compiled: list, authenticator: str | None) -> _Schema:
     tag_bytes = tag.encode("utf-8")
     encoders = tuple((name, label, encoder) for name, label, encoder, _ in compiled)
     decoders = tuple((label, decoder) for _, label, _, decoder in compiled)
@@ -363,7 +363,7 @@ def _compile_schema(cls: type, tag: str, compiled: list, signature_field: str | 
         tag=tag,
         tag_field=_PACK_U32(len(tag_bytes)) + tag_bytes,
         fields=encoders,
-        signature_field=signature_field,
+        authenticator=authenticator,
         write=write,
         read=read,
     )
@@ -373,8 +373,9 @@ def register_message(cls: type) -> type:
     """Register an existing dataclass with the canonical codec.
 
     Field order on the wire is the dataclass declaration order.  A trailing
-    field of type Signature whose name ends in ``_signature`` is treated as
-    the message's detached signature and excluded from signing payloads.
+    field of type Signature whose name ends in ``_signature``, or of type
+    bytes whose name ends in ``_mac``, is the message's authenticator (a
+    detached signature or a MAC) and is excluded from signing payloads.
     Each field's encoder and decoder are compiled here, once.
     """
     from .crypto import Signature  # local import keeps layering one-way
@@ -389,12 +390,14 @@ def register_message(cls: type) -> type:
     for f in dataclasses.fields(cls):
         label = f"{tag}.{f.name}"
         compiled.append((f.name, label, *_compile(hints[f.name], label)))
-    signature_field = None
+    authenticator = None
     if compiled:
         last_name = compiled[-1][0]
-        if last_name.endswith("_signature") and hints[last_name] is Signature:
-            signature_field = last_name
-    schema = _compile_schema(cls, tag, compiled, signature_field)
+        if (last_name.endswith("_signature") and hints[last_name] is Signature) or (
+            last_name.endswith("_mac") and hints[last_name] is bytes
+        ):
+            authenticator = last_name
+    schema = _compile_schema(cls, tag, compiled, authenticator)
     _BY_TAG[tag] = schema
     _BY_CLASS[cls] = schema
     return cls
@@ -439,13 +442,17 @@ def encode(msg: Any) -> bytes:
 
 
 def signing_payload_from(cls: type, values: dict[str, Any]) -> bytes:
-    """Signing payload for ``cls`` built from field values, signature excluded."""
+    """Signing payload for ``cls`` built from field values, authenticator excluded.
+
+    A signature and a MAC cover the same bytes: the type tag and every
+    field before the trailing authenticator.
+    """
     schema = _schema_for(cls)
-    if schema.signature_field is None:
-        raise EncodeError(f"{schema.tag} carries no detached signature")
+    if schema.authenticator is None:
+        raise EncodeError(f"{schema.tag} carries no signature or MAC")
     out = [schema.tag_field]
     for name, label, encoder in schema.fields:
-        if name == schema.signature_field:
+        if name == schema.authenticator:
             continue
         if name not in values:
             raise EncodeError(f"{label} missing from signing payload")
@@ -454,17 +461,18 @@ def signing_payload_from(cls: type, values: dict[str, Any]) -> bytes:
 
 
 def signing_payload(msg: Any) -> bytes:
-    """Signing payload of a signed message instance (its signature excluded)."""
+    """Signing payload of an authenticated message instance (authenticator excluded)."""
     schema = _schema_for(type(msg))
     values = {name: getattr(msg, name) for name, _, _ in schema.fields}
     return signing_payload_from(type(msg), values)
 
 
-def signature_field_name(cls: type) -> str:
+def authenticator_field_name(cls: type) -> str:
+    """Name of the trailing ``*_signature`` or ``*_mac`` field of ``cls``."""
     schema = _schema_for(cls)
-    if schema.signature_field is None:
-        raise EncodeError(f"{schema.tag} carries no detached signature")
-    return schema.signature_field
+    if schema.authenticator is None:
+        raise EncodeError(f"{schema.tag} carries no signature or MAC")
+    return schema.authenticator
 
 
 # --- decoding ---------------------------------------------------------------

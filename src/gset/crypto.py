@@ -7,6 +7,8 @@ messages lives here:
   runs are reproducible byte for byte,
 * SHA-256 digests,
 * Ed25519 signatures,
+* pairwise HMAC-SHA256 tags between two servers that hold each other's
+  public keys, under one key per direction,
 * sealed envelopes (a fresh symmetric key per message, wrapped to the
   recipient's public key, with authenticated encryption throughout),
 * dual signatures binding an order description to a payment description
@@ -18,23 +20,28 @@ the private half mirrors that layout.  Certificate infrastructure is out
 of scope; callers distribute public keys through a trusted in-memory
 directory populated when a simulation is set up.
 
-``sign`` and ``verify`` keep the last few parsed Ed25519 key objects in
-one small LRU keyed by the parser and the raw 32 key bytes, so the handful
-of identities active in one transaction are parsed once each.  The parser
-is part of the key: a private and a public key never share an entry, and a
-key class swapped for a stand-in (one that counts parses, say) starts from
-an empty cache instead of being handed objects the old class parsed.  The
-parsed objects are deliberately not kept on ``KeyPair``: callers keep key
-pairs for many identities alive at once (the scenario key cache holds every
-pair it ever derived), and parsed key objects on each would grow memory
-with every identity rather than with the few in use.  A malformed key
-raises on parse and is never cached, so ``verify`` returns False for it
-every time.
+``sign``, ``verify``, ``open_envelope`` and ``mac_keys`` keep the last few
+parsed key objects (Ed25519, and X25519 private) in one small LRU keyed by
+the parser and the raw 32 key bytes, so the handful of identities active in
+one transaction are parsed once each; ``seal``'s one-shot ephemeral key is
+not cached.  The parser is part of the key: a private and a public key
+never share an entry, and a key class swapped for a stand-in (one that
+counts parses, say) starts from an empty cache instead of being handed
+objects the old class parsed.  The parsed objects are deliberately not
+kept on ``KeyPair``: callers keep key pairs for many identities alive at
+once (the scenario key cache holds every pair it ever derived), and parsed
+key objects on each would grow memory with every identity rather than with
+the few in use.  A malformed key raises on parse and is never cached, so
+``verify`` returns False for it every time.
+
+The pairwise MAC keys are not cached here: each actor keeps the keys it
+shares with each peer for its own run (``actors._ActorBase.pair_keys``).
 """
 
 from __future__ import annotations
 
 import hashlib
+import hmac
 import os
 import struct
 from dataclasses import dataclass
@@ -65,11 +72,13 @@ _GCM_TAG_SIZE = 16
 _CEK_SIZE = 32
 _WRAPPED_KEY_SIZE = _KEY_SEGMENT + _GCM_NONCE_SIZE + _CEK_SIZE + _GCM_TAG_SIZE
 _U64_MAX = 2**64 - 1
-_KEY_CACHE_SIZE = 16       # parsed Ed25519 keys kept by sign and verify
+MAC_SIZE = 32              # HMAC-SHA256 tag length
+_KEY_CACHE_SIZE = 16       # parsed keys kept by sign, verify, open_envelope, mac_keys
 
 _SIGN_DERIVE_TAG = b"gset/keys/sign/v1"
 _SEAL_DERIVE_TAG = b"gset/keys/seal/v1"
 _ENVELOPE_INFO = b"gset/envelope/v1"
+_MAC_INFO = b"gset/mac/v1"
 
 
 class CryptoError(Exception):
@@ -243,6 +252,63 @@ def verify(public_key: bytes, message: bytes, sig: Signature) -> bool:
     return True
 
 
+def _framed_id(subject_id: str) -> bytes:
+    subject = subject_id.encode("utf-8")
+    return struct.pack(">I", len(subject)) + subject
+
+
+def _mac_key(shared: bytes, sender_id: str, receiver_id: str) -> bytes:
+    return HKDF(
+        algorithm=hashes.SHA256(),
+        length=MAC_SIZE,
+        salt=None,
+        info=_MAC_INFO + _framed_id(sender_id) + _framed_id(receiver_id),
+    ).derive(shared)
+
+
+def mac_keys(
+    own: KeyPair, peer_id: str, peer_public_key: bytes | None
+) -> tuple[bytes, bytes] | None:
+    """The two directional MAC keys ``own`` shares with ``peer_id``.
+
+    Returns ``(key own -> peer, key peer -> own)`` from one X25519 agreement
+    of the two seal keys; each is HKDF-SHA256 of the shared secret with info
+    ``gset/mac/v1`` followed by the length-prefixed sender and receiver ids.
+    The peer derives the same two keys in the other order, and no key serves
+    two directions or two pairs.  A missing or malformed peer key yields
+    None rather than raising, as ``verify`` yields False.
+    """
+    private = _require_private(own)
+    if not isinstance(peer_public_key, bytes) or len(peer_public_key) != PUBLIC_KEY_SIZE:
+        return None
+    try:
+        seal_key = _parsed_key(X25519PrivateKey.from_private_bytes, private[_KEY_SEGMENT:])
+        peer_seal_key = X25519PublicKey.from_public_bytes(peer_public_key[_KEY_SEGMENT:])
+        shared = seal_key.exchange(peer_seal_key)
+    except ValueError:  # a low-order peer point gives an all-zero secret
+        return None
+    return (
+        _mac_key(shared, own.subject_id, peer_id),
+        _mac_key(shared, peer_id, own.subject_id),
+    )
+
+
+def mac(key: bytes, message: bytes) -> bytes:
+    """HMAC-SHA256 of ``message`` under one directional key from ``mac_keys``."""
+    return hmac.digest(key, message, "sha256")
+
+
+def mac_ok(key: bytes, message: bytes, tag: bytes) -> bool:
+    """True iff ``tag`` is the HMAC-SHA256 of ``message`` under ``key``.
+
+    A malformed tag yields False rather than raising; the comparison takes
+    the same time wherever the tags differ.
+    """
+    if not isinstance(tag, bytes) or len(tag) != MAC_SIZE:
+        return False
+    return hmac.compare_digest(hmac.digest(key, message, "sha256"), tag)
+
+
 def _rand_bytes(rng: Random | None, n: int) -> bytes:
     if rng is None:
         return os.urandom(n)
@@ -320,7 +386,7 @@ def open_envelope(key: KeyPair, envelope: SealedEnvelope) -> bytes:
     wrap_nonce = envelope.wrapped_key[_KEY_SEGMENT:_KEY_SEGMENT + _GCM_NONCE_SIZE]
     wrapped = envelope.wrapped_key[_KEY_SEGMENT + _GCM_NONCE_SIZE:]
     try:
-        seal_key = X25519PrivateKey.from_private_bytes(private[_KEY_SEGMENT:])
+        seal_key = _parsed_key(X25519PrivateKey.from_private_bytes, private[_KEY_SEGMENT:])
         shared = seal_key.exchange(X25519PublicKey.from_public_bytes(eph_pub))
         kek = HKDF(
             algorithm=hashes.SHA256(),

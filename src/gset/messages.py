@@ -13,8 +13,10 @@ dual signature ties the two halves together through digests alone.
 
 Messages are frozen dataclasses registered with the canonical codec; each
 validates its own invariants on construction and on encode.  A trailing
-``*_signature`` field is a detached signature over the canonical encoding
-of everything before it (see ``build_signed`` / ``verify_signed``).
+``*_signature`` field is a detached Ed25519 signature, and a trailing
+``*_mac`` field a 32-byte HMAC-SHA256 tag, over the canonical encoding of
+the type tag and everything before it (see ``build_signed`` /
+``verify_signed`` and ``build_maced`` / ``verify_maced``).
 
 One proof per fact.  Each signature below is checked by the party named as
 its verifier, and the signed message is what that party could later show to
@@ -25,9 +27,6 @@ what the signer said:
     PriceQuote             SP      SR        the offered price, to the TM or an arbiter
     AuthorizationRequest   SR      SP, TM    the order (SP) and the payment cap (TM),
       .dual                                  bound together, to an arbiter
-    AuthorizeAndHold       SP      TM        the charge the provider asked for, to the AP
-    HoldRequest            TM      AP        the hold instruction, to an arbiter
-    HoldResponse           AP      TM        the hold placed or refused, to an arbiter
     CaptureToken           TM      SP        the approved charge, back to the TM at capture
     AuthDecision           SP      SR        the approval or refusal, to an arbiter
     ObjectUpload           SR      SP        the digests of the objects the requester
@@ -35,10 +34,28 @@ what the signer said:
     ServiceGrant           SP      SR        receipt of those objects (one digest per
                                              ticket), to an arbiter
     ServiceComplete        SR      SP        the requester's acceptance, to the TM or an arbiter
-    CaptureRequest         SP      TM        the provider's claim on the token, to the AP
-    SettleRequest          TM      AP        the settle instruction, to an arbiter
-    SettleResponse         AP      TM        the amount settled, to an arbiter
-    CaptureResponse        TM      SP        the settled capture, to an arbiter
+
+The seven server-to-server legs are never handed to a third party: each is
+checked by its one receiver and goes no further.  They carry a MAC under a
+key only the two ends hold, one key per direction (``crypto.mac_keys``):
+
+    MAC'd type             sender  receiver  evidence it gives
+    AuthorizeAndHold       SP      TM        MAC, pairwise; no third-party evidence
+    HoldRequest            TM      AP        MAC, pairwise; no third-party evidence
+    HoldResponse           AP      TM        MAC, pairwise; no third-party evidence
+    CaptureRequest         SP      TM        MAC, pairwise; no third-party evidence
+    SettleRequest          TM      AP        MAC, pairwise; no third-party evidence
+    SettleResponse         AP      TM        MAC, pairwise; no third-party evidence
+    CaptureResponse        TM      SP        MAC, pairwise; no third-party evidence
+
+Non-repudiation given up on those legs: the receiver can compute the tag
+itself, so none of these messages shows an arbiter who said it.  No
+arbiter can be shown the charge the provider asked the TM for, the TM's
+hold and settle instructions, the AP's hold placed or refused and amount
+settled, the provider's claim on its token, or the TM's settled capture.
+What an arbiter can still be shown is signed: the requester's order and
+payment cap (the dual signature) and the TM's approved charge (the
+``CaptureToken``).
 
 An ``ObjectUpload`` signature covers the order nonce and the SHA-256 digest
 of each object, not the object bytes (``upload_signing_payload``), so a
@@ -61,12 +78,15 @@ import struct
 from . import codec
 from .codec import ValidationError, canonical_message
 from .crypto import (
+    MAC_SIZE,
     Digest,
     DualSignature,
     KeyPair,
     SealedEnvelope,
     Signature,
     hash_bytes,
+    mac,
+    mac_ok,
     sign,
     verify,
 )
@@ -98,6 +118,11 @@ def _need_nonce(value: bytes, what: str) -> None:
 
 def _need_label(value: str, what: str) -> None:
     _need(isinstance(value, str) and bool(value), f"{what} must be non-empty")
+
+
+def _need_mac(value: bytes, what: str) -> None:
+    _need(isinstance(value, bytes) and len(value) == MAC_SIZE,
+          f"{what} must be {MAC_SIZE} bytes")
 
 
 def _need_u64(value: int, what: str, minimum: int = 0) -> None:
@@ -261,16 +286,17 @@ class AuthorizeAndHold:
 
     Deliberately contains no OrderInfo plaintext; the trust manager learns
     the charge and the order digest (``dual.oi_digest``), never what was
-    ordered.  The provider is the signer of ``provider_signature``.
+    ordered.  ``provider_mac`` is under the provider-to-trust-manager key.
     """
 
     payment_envelope: SealedEnvelope
     dual: DualSignature
     charge_amount: int
-    provider_signature: Signature
+    provider_mac: bytes
 
     def validate(self) -> None:
         _need_u64(self.charge_amount, "charge_amount", minimum=1)
+        _need_mac(self.provider_mac, "provider_mac")
 
 
 @canonical_message
@@ -380,17 +406,23 @@ class ServiceComplete:
 @canonical_message
 class CaptureRequest:
     token: CaptureToken
-    provider_signature: Signature
+    provider_mac: bytes
+
+    def validate(self) -> None:
+        _need_mac(self.provider_mac, "provider_mac")
 
 
 @canonical_message
 class CaptureResponse:
     reason: DenialReason | None
-    tm_signature: Signature
+    tm_mac: bytes
 
     @property
     def settled(self) -> bool:
         return self.reason is None
+
+    def validate(self) -> None:
+        _need_mac(self.tm_mac, "tm_mac")
 
 
 # --- trust manager / account provider exchange -------------------------------
@@ -403,11 +435,12 @@ class HoldRequest:
     hold_nonce: bytes
     account_ref_digest: Digest
     amount: int
-    tm_signature: Signature
+    tm_mac: bytes
 
     def validate(self) -> None:
         _need_nonce(self.hold_nonce, "hold_nonce")
         _need_u64(self.amount, "amount", minimum=1)
+        _need_mac(self.tm_mac, "tm_mac")
 
 
 @canonical_message
@@ -415,7 +448,7 @@ class HoldResponse:
     hold_nonce: bytes
     hold_ref: bytes
     reason: DenialReason | None
-    ap_signature: Signature
+    ap_mac: bytes
 
     @property
     def ok(self) -> bool:
@@ -427,6 +460,7 @@ class HoldResponse:
             _need_nonce(self.hold_ref, "hold_ref")
         else:
             _need(not self.hold_ref, "refused hold must carry no hold_ref")
+        _need_mac(self.ap_mac, "ap_mac")
 
 
 @canonical_message
@@ -435,11 +469,12 @@ class SettleRequest:
 
     settle_nonce: bytes
     hold_ref: bytes
-    tm_signature: Signature
+    tm_mac: bytes
 
     def validate(self) -> None:
         _need_nonce(self.settle_nonce, "settle_nonce")
         _need_nonce(self.hold_ref, "hold_ref")
+        _need_mac(self.tm_mac, "tm_mac")
 
 
 @canonical_message
@@ -447,7 +482,7 @@ class SettleResponse:
     settle_nonce: bytes
     amount: int
     reason: DenialReason | None
-    ap_signature: Signature
+    ap_mac: bytes
 
     @property
     def ok(self) -> bool:
@@ -459,6 +494,7 @@ class SettleResponse:
             _need_u64(self.amount, "amount", minimum=1)
         else:
             _need(self.amount == 0, "refused settlement must carry amount 0")
+        _need_mac(self.ap_mac, "ap_mac")
 
 
 # --- signing helpers ----------------------------------------------------------
@@ -516,7 +552,7 @@ def build_signed(cls: type, key: KeyPair, *, digests: tuple[Digest, ...] | None 
         payload = _upload_payload(fields["order_nonce"], fields["objects"], digests)
     else:
         payload = codec.signing_payload_from(cls, fields)
-    sig_field = codec.signature_field_name(cls)
+    sig_field = codec.authenticator_field_name(cls)
     return cls(**fields, **{sig_field: sign(key, payload)})
 
 
@@ -530,5 +566,22 @@ def verify_signed(msg, public_key: bytes, digests: tuple[Digest, ...] | None = N
         payload = _upload_payload(msg.order_nonce, msg.objects, digests)
     else:
         payload = codec.signing_payload(msg)
-    sig: Signature = getattr(msg, codec.signature_field_name(type(msg)))
+    sig: Signature = getattr(msg, codec.authenticator_field_name(type(msg)))
     return verify(public_key, payload, sig)
+
+
+def build_maced(cls: type, key: bytes, **fields):
+    """Construct ``cls`` with its trailing ``*_mac`` filled in under ``key``,
+    the sender-to-receiver key from ``crypto.mac_keys``.
+
+    The tag covers the same bytes a signature would: the type tag and every
+    field before the MAC.
+    """
+    payload = codec.signing_payload_from(cls, fields)
+    return cls(**fields, **{codec.authenticator_field_name(cls): mac(key, payload)})
+
+
+def verify_maced(msg, key: bytes) -> bool:
+    """Check a message's trailing MAC under the sender-to-receiver ``key``."""
+    tag = getattr(msg, codec.authenticator_field_name(type(msg)))
+    return mac_ok(key, codec.signing_payload(msg), tag)

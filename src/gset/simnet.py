@@ -6,8 +6,9 @@ a transcript is a faithful, replayable record of every byte that moved,
 including the legs the adversary touched.
 
 The adversary operates strictly on encoded bytes.  It can observe, flip
-bits, duplicate, or swallow messages; it cannot forge signatures or open
-envelopes, which is exactly the boundary the protocol is supposed to hold.
+bits, duplicate, or swallow messages; it cannot forge signatures or MACs
+or open envelopes, which is exactly the boundary the protocol is supposed
+to hold.
 """
 
 from __future__ import annotations

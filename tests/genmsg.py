@@ -81,6 +81,10 @@ def gen_signature(rng: Random) -> Signature:
     return Signature(blob(rng, 1, 80), label(rng))
 
 
+def gen_mac(rng: Random) -> bytes:
+    return rng.randbytes(32)
+
+
 def gen_envelope(rng: Random) -> SealedEnvelope:
     return SealedEnvelope(label(rng), blob(rng, 1, 120), blob(rng, 1, 120))
 
@@ -129,7 +133,7 @@ def gen_authorization_request(rng: Random) -> AuthorizationRequest:
 
 def gen_authorize_and_hold(rng: Random) -> AuthorizeAndHold:
     return AuthorizeAndHold(
-        gen_envelope(rng), gen_dual(rng), u64(rng, 1), gen_signature(rng),
+        gen_envelope(rng), gen_dual(rng), u64(rng, 1), gen_mac(rng),
     )
 
 
@@ -172,33 +176,33 @@ def gen_service_complete(rng: Random) -> ServiceComplete:
 
 
 def gen_capture_request(rng: Random) -> CaptureRequest:
-    return CaptureRequest(gen_capture_token(rng), gen_signature(rng))
+    return CaptureRequest(gen_capture_token(rng), gen_mac(rng))
 
 
 def gen_capture_response(rng: Random) -> CaptureResponse:
     if rng.random() < 0.5:
-        return CaptureResponse(None, gen_signature(rng))
-    return CaptureResponse(gen_denial_reason(rng), gen_signature(rng))
+        return CaptureResponse(None, gen_mac(rng))
+    return CaptureResponse(gen_denial_reason(rng), gen_mac(rng))
 
 
 def gen_hold_request(rng: Random) -> HoldRequest:
-    return HoldRequest(nonce(rng), gen_digest(rng), u64(rng, 1), gen_signature(rng))
+    return HoldRequest(nonce(rng), gen_digest(rng), u64(rng, 1), gen_mac(rng))
 
 
 def gen_hold_response(rng: Random) -> HoldResponse:
     if rng.random() < 0.5:
-        return HoldResponse(nonce(rng), nonce(rng), None, gen_signature(rng))
-    return HoldResponse(nonce(rng), b"", gen_denial_reason(rng), gen_signature(rng))
+        return HoldResponse(nonce(rng), nonce(rng), None, gen_mac(rng))
+    return HoldResponse(nonce(rng), b"", gen_denial_reason(rng), gen_mac(rng))
 
 
 def gen_settle_request(rng: Random) -> SettleRequest:
-    return SettleRequest(nonce(rng), nonce(rng), gen_signature(rng))
+    return SettleRequest(nonce(rng), nonce(rng), gen_mac(rng))
 
 
 def gen_settle_response(rng: Random) -> SettleResponse:
     if rng.random() < 0.5:
-        return SettleResponse(nonce(rng), u64(rng, 1), None, gen_signature(rng))
-    return SettleResponse(nonce(rng), 0, gen_denial_reason(rng), gen_signature(rng))
+        return SettleResponse(nonce(rng), u64(rng, 1), None, gen_mac(rng))
+    return SettleResponse(nonce(rng), 0, gen_denial_reason(rng), gen_mac(rng))
 
 
 def gen_ledger_hold_state(rng: Random) -> LedgerHoldState:

@@ -22,28 +22,33 @@ from gset import (
     PolicyError,
     PriceQuote,
     QuoteDenial,
+    ScenarioConfig,
     ServiceComplete,
     ServiceGrant,
     SettleResponse,
-    Signature,
     TicketRedeemResponse,
     TrustError,
     TrustManager,
     TrustManagerConfig,
     UsageDescriptor,
     ValidationError,
+    build_maced,
     build_signed,
     codec,
     generate_keypair,
     hash_bytes,
+    mac_keys,
     open_envelope,
+    peek_type,
     run_scenario,
+    run_storage_scenario,
     sign,
     verify_signed,
 )
 from gset.messages import object_digests, upload_signing_payload
 
 import harness
+from genmsg import flip_bit
 from harness import USAGE, build_actors
 
 
@@ -227,7 +232,9 @@ def test_valid_authorization_becomes_hold_instruction_at_quoted_price():
     relay = actors.sp.handle_authorization(auth, "SR", now=1)
     assert isinstance(relay, AuthorizeAndHold)
     assert relay.charge_amount == 50
-    assert relay.provider_signature.signer_id == "SP"
+    # MAC'd under the provider-to-trust-manager key, which no one else's is
+    assert actors.tm._authentic(relay, "SP")
+    assert not actors.tm._authentic(relay, "SR")
     assert relay.payment_envelope == auth.payment_envelope
 
 
@@ -671,13 +678,17 @@ def test_token_signed_with_the_tm_key_but_minted_elsewhere_is_refused():
 def test_capture_request_must_come_from_the_named_provider():
     actors = build_actors()
     _, _, outcome = approved_outcome(actors, quantity=5)
-    request = CaptureRequest(
-        token=outcome.token,
-        provider_signature=Signature(b"\x01" * 64, "SP"),
-    )
+    request = CaptureRequest(token=outcome.token, provider_mac=b"\x01" * 32)
     response = actors.tm.handle_capture(request, "SP", actors.net("TM"))
     assert not response.settled
     assert response.reason == DenialReason.BAD_SIGNATURE
+    # the requester's own MAC is genuine, but the token names the provider
+    keys = harness.make_keys()
+    to_tm = mac_keys(keys["SR"], "TM", keys["TM"].public_key)[0]
+    presented = build_maced(CaptureRequest, to_tm, token=outcome.token)
+    response = actors.tm.handle_capture(presented, "SR", actors.net("TM"))
+    assert response.reason == DenialReason.BAD_SIGNATURE
+    assert actors.ap.ledger.settle_count == 0
 
 
 # --- defensive delivery ------------------------------------------------------------
@@ -690,18 +701,18 @@ def test_garbage_bytes_are_dropped_with_a_note():
 
 
 def _stray_capture_response(actors):
-    return build_signed(CaptureResponse, actors.tm.identity, reason=None)
+    return actors.tm._maced_for("SP", CaptureResponse, reason=None)
 
 
 def _stray_hold_response(actors):
-    return build_signed(
-        HoldResponse, actors.ap.identity, hold_nonce=bytes(16), hold_ref=bytes(16), reason=None
+    return actors.ap._maced_for(
+        "TM", HoldResponse, hold_nonce=bytes(16), hold_ref=bytes(16), reason=None
     )
 
 
 def _stray_settle_response(actors):
-    return build_signed(
-        SettleResponse, actors.ap.identity, settle_nonce=bytes(16), amount=50, reason=None
+    return actors.ap._maced_for(
+        "TM", SettleResponse, settle_nonce=bytes(16), amount=50, reason=None
     )
 
 
@@ -754,3 +765,72 @@ def test_trust_manager_state_never_contains_usage_markers():
     blob = actors.tm.state_bytes()
     for marker in (b"mobile-storage", b"store-objects", b"megabyte"):
         assert marker not in blob
+
+
+# --- pairwise MACs on the server-to-server legs ----------------------------------
+
+MACED_TAGS = (
+    "AuthorizeAndHold", "HoldRequest", "HoldResponse", "CaptureRequest",
+    "SettleRequest", "SettleResponse", "CaptureResponse",
+)
+
+
+@pytest.mark.parametrize("tag", MACED_TAGS)
+def test_no_single_bit_flip_of_a_maced_leg_is_accepted(tag):
+    # every bit of one honest encoding, flipped in turn: the receiver either
+    # cannot decode the result or finds its MAC wrong, never accepts it
+    report = run_storage_scenario(ScenarioConfig())
+    record = next(r for r in report.transcript.records if peek_type(r.payload) == tag)
+    receiver = report.scenario.endpoints[record.to_id]
+    honest = codec.decode(record.payload)
+    assert receiver._authentic(honest, record.from_id)
+    undecodable = refused = 0
+    for bit in range(len(record.payload) * 8):
+        try:
+            msg = codec.decode(flip_bit(record.payload, bit))
+        except codec.CodecError:
+            undecodable += 1
+            continue
+        assert type(msg) is type(honest), bit
+        assert not receiver._authentic(msg, record.from_id), bit
+        refused += 1
+    assert undecodable and refused
+    assert undecodable + refused == len(record.payload) * 8
+
+
+def test_a_malformed_peer_key_is_a_refusal_not_an_exception():
+    actors = build_actors()
+    quote = quote_for(actors, 5)
+    relay = actors.sp.handle_authorization(actors.sr.build_authorization(quote, 0), "SR", 0)
+    for bad in (b"", b"\x00" * 63, b"\x00" * 64):  # short, and a low-order X25519 point
+        keys = harness.make_keys()
+        directory = {**harness.make_directory(keys), "SP": bad}
+        tm = TrustManager(keys["TM"], directory,
+                          TrustManagerConfig(account_providers=frozenset({"AP"})), Random(0))
+        outcome = tm.handle_authorize(relay, "SP", actors.net("TM"))
+        assert outcome.reason == DenialReason.BAD_SIGNATURE
+        assert tm.pair_keys == {}
+
+
+def test_an_actor_without_a_peer_key_sends_that_peer_nothing():
+    actors = build_actors()
+    _, _, outcome = approved_outcome(actors, quantity=5)
+    del actors.tm.directory["SP"]
+    actors.tm.pair_keys.clear()
+    request = actors.sp._maced_for("TM", CaptureRequest, token=outcome.token)
+    assert actors.tm.deliver("SP", codec.encode(request), 0, actors.net("TM")) == []
+    assert actors.tm.notes[-1] == "no MAC key for SP; CaptureResponse not sent"
+    assert actors.ap.ledger.settle_count == 0
+
+
+def test_pairwise_keys_are_derived_once_per_peer_and_stay_out_of_state():
+    report = run_storage_scenario(ScenarioConfig())
+    actors = report.scenario.endpoints
+    assert sorted(actors["TM"].pair_keys) == ["AP", "SP"]
+    assert sorted(actors["SP"].pair_keys) == ["TM"]
+    assert sorted(actors["AP"].pair_keys) == ["TM"]
+    assert actors["SR"].pair_keys == {}
+    for actor in actors.values():
+        state = actor.state_bytes()
+        for pair in actor.pair_keys.values():
+            assert pair[0] not in state and pair[1] not in state

@@ -15,10 +15,13 @@ from gset import (
     AuthDecision,
     AuthOutcome,
     AuthorizeAndHold,
+    CaptureRequest,
     CaptureToken,
     DenialReason,
+    HoldRequest,
     PriceQuote,
     PriceRequest,
+    SettleResponse,
     Signature,
     UsageDescriptor,
 )
@@ -28,6 +31,7 @@ from gset.codec import (
     EncodeError,
     MessageTypeError,
     ValidationError,
+    authenticator_field_name,
     decode,
     decode_stream,
     encode,
@@ -236,6 +240,16 @@ def test_signing_payload_excludes_trailing_signature():
     assert signing_payload(other) == payload
 
 
+@pytest.mark.parametrize("cls", [HoldRequest, SettleResponse, CaptureRequest],
+                         ids=lambda cls: cls.__name__)
+def test_signing_payload_excludes_a_trailing_mac(cls):
+    # a MAC covers what a signature would: the encoding up to its own field
+    msg = genmsg.random_message(cls, Random(f"mac/{cls.__name__}"))
+    assert authenticator_field_name(cls).endswith("_mac")
+    tag = getattr(msg, authenticator_field_name(cls))
+    assert encode(msg) == signing_payload(msg) + struct.pack(">I", len(tag)) + tag
+
+
 def test_signing_payload_depends_on_every_other_field():
     rng = Random("signing2")
     quote = genmsg.random_message(PriceQuote, rng)
@@ -298,13 +312,15 @@ def test_token_round_trip_preserves_signature_bytes():
 # Both digests were taken from the reference implementation of the codec.  A
 # rewrite of the encoder or decoder must reproduce every transcript byte and
 # every decode outcome, rejections included: exception type, text and offset.
-# They were re-taken once when the upload signature moved to the object
-# digests and the objects to an AES-CTR keystream; only the ObjectUpload,
+# They were re-taken when the upload signature moved to the object digests
+# and the objects to an AES-CTR keystream; only the ObjectUpload,
 # ServiceGrant (object digests) and TicketRedeemResponse (object bytes)
-# records changed.
+# records changed.  They were re-taken again when the seven server-to-server
+# legs moved from a signature to a 32-byte MAC; only those seven types'
+# records and decode outcomes changed.
 
-DEFAULT_TRANSCRIPT_SHA256 = "31cda4a85fb44b71db9f39d4d85c8d035143be1be7d7bb25124824d73e1081f0"
-DECODE_OUTCOMES_SHA256 = "963c9012df952ec655a028cc25fcaf393c3f6e46baeab256b89ffec116cb78da"
+DEFAULT_TRANSCRIPT_SHA256 = "5dcbdc073db924378be76221b4d166f69b98fcb5e2bcdc4ae80b94789b196b48"
+DECODE_OUTCOMES_SHA256 = "1606a2a02834a1146ead68c39b7d374c3ad06dffdf656496085f859c63d976c3"
 
 
 def _outcome(fn, raw: bytes) -> tuple:

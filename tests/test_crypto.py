@@ -10,16 +10,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gset import (
+    MAC_SIZE,
     Digest,
     EnvelopeError,
     EnvelopeIntegrityError,
+    HoldRequest,
     InvalidIdentityError,
     KeyPair,
     MissingKeyError,
+    SettleRequest,
     Signature,
     WrongRecipientError,
     generate_keypair,
     hash_bytes,
+    mac,
+    mac_keys,
+    mac_ok,
     make_dual_signature,
     open_envelope,
     seal,
@@ -28,7 +34,9 @@ from gset import (
     verify_with_oi,
     verify_with_pi,
 )
+from gset.codec import signing_payload_from
 from gset.crypto import PRIVATE_KEY_SIZE, PUBLIC_KEY_SIZE
+from gset.messages import verify_maced
 
 from genmsg import flip_bit
 
@@ -157,6 +165,72 @@ def test_sign_without_private_key_raises():
     public_only = KeyPair(public_key=kp.public_key, private_key=b"", subject_id="SP")
     with pytest.raises(MissingKeyError):
         sign(public_only, b"m")
+
+
+# --- pairwise MAC keys -------------------------------------------------------
+
+
+def _pair(a: str, b: str, seed: int = 7):
+    """``a``'s keys with ``b`` and ``b``'s keys with ``a``."""
+    ka, kb = generate_keypair(a, seed), generate_keypair(b, seed)
+    return mac_keys(ka, b, kb.public_key), mac_keys(kb, a, ka.public_key)
+
+
+def test_both_ends_derive_the_same_key_for_each_direction():
+    sp_side, tm_side = _pair("SP", "TM")
+    assert sp_side == (tm_side[1], tm_side[0])
+    assert all(len(key) == MAC_SIZE for key in sp_side)
+    tag = mac(sp_side[0], b"charge 50")
+    assert mac_ok(tm_side[1], b"charge 50", tag)
+
+
+def test_each_direction_and_each_pair_has_its_own_key():
+    (sp_to_tm, tm_to_sp), _ = _pair("SP", "TM")
+    (tm_to_ap, ap_to_tm), _ = _pair("TM", "AP")
+    keys = [sp_to_tm, tm_to_sp, tm_to_ap, ap_to_tm]
+    assert len(set(keys)) == 4
+    # a tag made for one direction fails in the other
+    assert not mac_ok(tm_to_sp, b"m", mac(sp_to_tm, b"m"))
+
+
+def test_a_hold_request_tag_fails_on_a_settle_request_payload():
+    (tm_to_ap, _), _ = _pair("TM", "AP")
+    nonce = bytes(range(16))
+    hold = signing_payload_from(
+        HoldRequest, {"hold_nonce": nonce, "account_ref_digest": hash_bytes(b"acct"), "amount": 50}
+    )
+    settle = signing_payload_from(SettleRequest, {"settle_nonce": nonce, "hold_ref": nonce})
+    tag = mac(tm_to_ap, hold)
+    assert mac_ok(tm_to_ap, hold, tag)
+    assert not mac_ok(tm_to_ap, settle, tag)
+    assert not verify_maced(SettleRequest(nonce, nonce, tag), tm_to_ap)
+
+
+def test_every_single_bit_flip_of_a_tag_fails():
+    (key, _), _ = _pair("SP", "TM")
+    tag = mac(key, b"charge 50")
+    for bit in range(MAC_SIZE * 8):
+        assert not mac_ok(key, b"charge 50", flip_bit(tag, bit))
+
+
+def test_a_wrong_or_malformed_peer_key_yields_false_not_an_exception():
+    tm, sp = generate_keypair("TM", 7), generate_keypair("SP", 7)
+    (sp_to_tm, _), _ = _pair("SP", "TM")
+    tag = mac(sp_to_tm, b"m")
+    # the trust manager holding someone else's key for "SP"
+    wrong = mac_keys(tm, "SP", generate_keypair("SP", 8).public_key)
+    assert not mac_ok(wrong[1], b"m", tag)
+    # a key of the wrong size, and the all-zero (low-order) X25519 point
+    for malformed in (b"", b"short", sp.public_key[:32], bytes(64)):
+        assert mac_keys(tm, "SP", malformed) is None
+    for bad_tag in (b"", tag[:-1], tag + b"\x00", "not bytes"):
+        assert not mac_ok(sp_to_tm, b"m", bad_tag)
+
+
+def test_mac_keys_without_a_private_key_raise():
+    tm, sp = generate_keypair("TM", 7), generate_keypair("SP", 7)
+    with pytest.raises(MissingKeyError):
+        mac_keys(tm.public_only(), "SP", sp.public_key)
 
 
 # --- sealed envelopes -------------------------------------------------------

@@ -8,9 +8,11 @@ import pytest
 from gset import (
     AuthOutcome,
     AuthorizeAndHold,
+    CaptureRequest,
     CaptureResponse,
     CaptureToken,
     DenialReason,
+    HoldRequest,
     HoldResponse,
     ObjectUpload,
     OrderInfo,
@@ -25,15 +27,21 @@ from gset import (
     TicketRedeemResponse,
     UsageDescriptor,
     ValidationError,
+    codec,
     generate_keypair,
     hash_bytes,
 )
-from gset.messages import build_signed, verify_signed
+from gset.messages import build_maced, build_signed, verify_maced, verify_signed
 
 import genmsg
 
 SIG = Signature(bytes=b"s" * 64, signer_id="X")
+MAC = b"m" * 32
 NONCE = bytes(range(16))
+MACED_TYPES = (
+    AuthorizeAndHold, HoldRequest, HoldResponse, CaptureRequest,
+    SettleRequest, SettleResponse, CaptureResponse,
+)
 
 
 def test_denial_reason_codes_are_stable():
@@ -164,34 +172,49 @@ def test_redeem_response_payload_coupling():
 
 
 def test_capture_response_reason_coupling():
-    assert CaptureResponse(None, SIG).settled
-    assert not CaptureResponse(DenialReason.REPLAY, SIG).settled
+    assert CaptureResponse(None, MAC).settled
+    assert not CaptureResponse(DenialReason.REPLAY, MAC).settled
 
 
 def test_hold_response_branches():
-    assert HoldResponse(NONCE, NONCE, None, SIG).ok
-    assert not HoldResponse(NONCE, b"", DenialReason.INSUFFICIENT_CREDIT, SIG).ok
+    assert HoldResponse(NONCE, NONCE, None, MAC).ok
+    assert not HoldResponse(NONCE, b"", DenialReason.INSUFFICIENT_CREDIT, MAC).ok
     with pytest.raises(ValidationError):
-        HoldResponse(NONCE, b"", None, SIG)
+        HoldResponse(NONCE, b"", None, MAC)
     with pytest.raises(ValidationError):
-        HoldResponse(NONCE, NONCE, DenialReason.REPLAY, SIG)
+        HoldResponse(NONCE, NONCE, DenialReason.REPLAY, MAC)
 
 
 def test_settle_response_branches():
-    assert SettleResponse(NONCE, 50, None, SIG).ok
-    assert not SettleResponse(NONCE, 0, DenialReason.REPLAY, SIG).ok
+    assert SettleResponse(NONCE, 50, None, MAC).ok
+    assert not SettleResponse(NONCE, 0, DenialReason.REPLAY, MAC).ok
     with pytest.raises(ValidationError):
-        SettleResponse(NONCE, 0, None, SIG)
+        SettleResponse(NONCE, 0, None, MAC)
     with pytest.raises(ValidationError):
-        SettleResponse(NONCE, 50, DenialReason.REPLAY, SIG)
+        SettleResponse(NONCE, 50, DenialReason.REPLAY, MAC)
 
 
-# --- detached signature helpers ----------------------------------------------
+@pytest.mark.parametrize("cls", MACED_TYPES, ids=lambda cls: cls.__name__)
+def test_a_mac_must_be_32_bytes(cls):
+    sample = genmsg.random_message(cls, genmsg.Random(cls.__name__))
+    field = codec.authenticator_field_name(cls)
+    assert field.endswith("_mac")
+    for size in (0, 31, 33, 64):
+        with pytest.raises(ValidationError):
+            dataclasses.replace(sample, **{field: bytes(size)})
+
+
+# --- detached signature and MAC helpers ----------------------------------------
+
+
+def _token_fields() -> dict:
+    return dict(token_id=NONCE, provider_id="SP", charge_amount=50,
+                account_provider_id="AP", hold_ref=NONCE)
 
 
 def test_build_signed_round_trips_with_verify_signed():
     tm = generate_keypair("TM", seed=7)
-    msg = build_signed(SettleRequest, tm, settle_nonce=NONCE, hold_ref=NONCE)
+    msg = build_signed(CaptureToken, tm, **_token_fields())
     assert msg.tm_signature.signer_id == "TM"
     assert verify_signed(msg, tm.public_key)
 
@@ -199,7 +222,22 @@ def test_build_signed_round_trips_with_verify_signed():
 def test_verify_signed_fails_for_wrong_key_or_altered_field():
     tm = generate_keypair("TM", seed=7)
     other = generate_keypair("TM2", seed=7)
-    msg = build_signed(SettleRequest, tm, settle_nonce=NONCE, hold_ref=NONCE)
+    msg = build_signed(CaptureToken, tm, **_token_fields())
     assert not verify_signed(msg, other.public_key)
     altered = dataclasses.replace(msg, hold_ref=bytes(16))
     assert not verify_signed(altered, tm.public_key)
+
+
+def test_build_maced_round_trips_with_verify_maced():
+    key = bytes(range(32))
+    msg = build_maced(SettleRequest, key, settle_nonce=NONCE, hold_ref=NONCE)
+    assert len(msg.tm_mac) == 32
+    assert verify_maced(msg, key)
+    assert codec.decode(codec.encode(msg), SettleRequest) == msg
+
+
+def test_verify_maced_fails_for_wrong_key_or_altered_field():
+    key = bytes(range(32))
+    msg = build_maced(SettleRequest, key, settle_nonce=NONCE, hold_ref=NONCE)
+    assert not verify_maced(msg, bytes(32))
+    assert not verify_maced(dataclasses.replace(msg, hold_ref=bytes(16)), key)

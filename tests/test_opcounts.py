@@ -3,10 +3,13 @@
 Signs, verifies, wire records, wire bytes and ticks per run do not depend
 on the machine, so they are gated exactly: a check added to or dropped from
 the protocol, a wire field added back, or a server-to-server exchange moved
-back onto the queue shows here before it shows in any timing.  Private-key
-parses are gated the same way: each signing key is parsed once per run.
-So are the bytes hashed, signed and verified: a second hash of an object, or
-object bytes back under a signature, shows as a byte count.
+back onto the queue shows here before it shows in any timing.  MACs made
+and checked, and the X25519 agreements behind them, are gated the same way:
+a server-to-server leg back under a signature, or a pairwise key derived
+more than once per peer and run, shows here.  Private-key parses are gated
+too: each signing key and each seal key is parsed once per run.  So are the
+bytes hashed, signed and verified: a second hash of an object, or object
+bytes back under a signature, shows as a byte count.
 """
 from __future__ import annotations
 
@@ -50,33 +53,63 @@ def _counts(monkeypatch, config: ScenarioConfig) -> tuple[int, int, int, int, in
 
 
 def test_default_transaction_signs_verifies_and_records(monkeypatch):
-    assert _counts(monkeypatch, ScenarioConfig()) == (14, 15, 21, 3783, 13)
+    assert _counts(monkeypatch, ScenarioConfig()) == (7, 8, 21, 3489, 13)
 
 
 def test_bulk_transaction_signs_verifies_and_records(monkeypatch):
     config = ScenarioConfig(object_count=16, object_size=65536)
-    assert _counts(monkeypatch, config) == (14, 15, 47, 2_102_566, 39)
+    assert _counts(monkeypatch, config) == (7, 8, 47, 2_102_272, 39)
 
 
-def _bytes_through(monkeypatch, config: ScenarioConfig) -> tuple[int, int, int]:
-    """Bytes hashed, signed and verified in one run."""
+def _mac_counts(monkeypatch, config: ScenarioConfig) -> tuple[int, int, int, int, int]:
+    """MACs made and checked, and the X25519 agreements of one run.
+
+    Each ``mac_keys``, ``seal`` and ``open_envelope`` call makes exactly one
+    agreement: the pairwise ones, the requester's ephemeral one and the
+    trust manager's opening of it.
+    """
+    made = _count_calls(monkeypatch, "mac")
+    checked = _count_calls(monkeypatch, "mac_ok")
+    pairwise = _count_calls(monkeypatch, "mac_keys")
+    seals = _count_calls(monkeypatch, "seal")
+    opens = _count_calls(monkeypatch, "open_envelope")
+    assert run_storage_scenario(config).complete_success()
+    return made[0], checked[0], pairwise[0], seals[0], opens[0]
+
+
+# Seven legs, one MAC made and one checked each; one agreement per pair of
+# servers at each end: SP-TM and TM-AP.
+def test_default_transaction_macs_and_agreements(monkeypatch):
+    assert _mac_counts(monkeypatch, ScenarioConfig()) == (7, 7, 4, 1, 1)
+
+
+def test_bulk_transaction_macs_and_agreements(monkeypatch):
+    config = ScenarioConfig(object_count=16, object_size=65536)
+    assert _mac_counts(monkeypatch, config) == (7, 7, 4, 1, 1)
+
+
+def _bytes_through(monkeypatch, config: ScenarioConfig) -> tuple[int, int, int, int, int]:
+    """Bytes hashed, signed, verified, MAC'd and MAC-checked in one run."""
     hashed = _count_calls(monkeypatch, "hash_bytes", data_arg=0)
     signed = _count_calls(monkeypatch, "sign", data_arg=1)
     verified = _count_calls(monkeypatch, "verify", data_arg=1)
+    maced = _count_calls(monkeypatch, "mac", data_arg=1)
+    checked = _count_calls(monkeypatch, "mac_ok", data_arg=1)
     assert run_storage_scenario(config).complete_success()
-    return hashed[1], signed[1], verified[1]
+    return hashed[1], signed[1], verified[1], maced[1], checked[1]
 
 
 # Each object is hashed three times: by the requester to sign its upload, by
 # the provider on receipt (one digest for the signature check and the ticket)
-# and by the requester at redemption.  No object byte goes through Ed25519.
+# and by the requester at redemption.  No object byte goes through Ed25519
+# or HMAC, and each MAC'd payload is checked once.
 def test_default_transaction_hashes_signs_and_verifies_bytes(monkeypatch):
-    assert _bytes_through(monkeypatch, ScenarioConfig()) == (1338, 1575, 1607)
+    assert _bytes_through(monkeypatch, ScenarioConfig()) == (1338, 688, 720, 887, 887)
 
 
 def test_bulk_transaction_hashes_signs_and_verifies_bytes(monkeypatch):
     config = ScenarioConfig(object_count=16, object_size=65536)
-    assert _bytes_through(monkeypatch, config) == (3_146_490, 2771, 2803)
+    assert _bytes_through(monkeypatch, config) == (3_146_490, 1884, 1916, 887, 887)
 
 
 class _CountingKeyClass:
@@ -105,11 +138,12 @@ def _key_parses(monkeypatch, config: ScenarioConfig) -> int:
     return calls[0]
 
 
-# four signing keys, the trust manager's seal key and one ephemeral seal key
+# three signing keys (SR, SP, TM), three seal keys (SP, TM, AP: the trust
+# manager's serves its envelope and both its pairs) and one ephemeral seal key
 def test_default_transaction_parses_each_key_once(monkeypatch):
-    assert _key_parses(monkeypatch, ScenarioConfig()) == 6
+    assert _key_parses(monkeypatch, ScenarioConfig()) == 7
 
 
 def test_bulk_transaction_parses_each_key_once(monkeypatch):
     config = ScenarioConfig(object_count=16, object_size=65536)
-    assert _key_parses(monkeypatch, config) == 6
+    assert _key_parses(monkeypatch, config) == 7
