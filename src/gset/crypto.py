@@ -28,20 +28,27 @@ not cached.  The parser is part of the key: a private and a public key
 never share an entry, and a key class swapped for a stand-in (one that
 counts parses, say) starts from an empty cache instead of being handed
 objects the old class parsed.  The parsed objects are deliberately not
-kept on ``KeyPair``: callers keep key pairs for many identities alive at
-once (the scenario key cache holds every pair it ever derived), and parsed
-key objects on each would grow memory with every identity rather than with
-the few in use.  A malformed key raises on parse and is never cached, so
-``verify`` returns False for it every time.
+kept on ``KeyPair`` or cached per identity: callers keep keys for many
+identities alive at once (the scenario key cache holds every public key it
+ever derived), and parsed key objects for each would grow memory with every
+identity rather than with the few in use.  A malformed key raises on
+parse and is never cached, so ``verify`` returns False for it every time.
 
 The pairwise MAC keys are not cached here: each actor keeps the keys it
 shares with each peer for its own run (``actors._ActorBase.pair_keys``).
+
+Every primitive, SHA-256 and HMAC-SHA256 included, comes from the one
+``cryptography`` library.  No gset module imports ``hashlib`` or ``hmac``:
+either would load the system's libcrypto beside the OpenSSL that
+``cryptography`` bundles, at a few MiB of resident memory.  The
+private half of a key pair is two SHA-256 derivations
+(``derive_private_key``) and the public half two scalar multiplications,
+so the scenario key cache keeps only each identity's 64-byte public key
+and derives the private half again on each use.
 """
 
 from __future__ import annotations
 
-import hashlib
-import hmac
 import os
 import struct
 from dataclasses import dataclass
@@ -50,7 +57,7 @@ from random import Random
 from typing import Any, Callable
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
-from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives import hashes, hmac
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
@@ -79,6 +86,7 @@ _SIGN_DERIVE_TAG = b"gset/keys/sign/v1"
 _SEAL_DERIVE_TAG = b"gset/keys/seal/v1"
 _ENVELOPE_INFO = b"gset/envelope/v1"
 _MAC_INFO = b"gset/mac/v1"
+_SHA256 = hashes.SHA256()
 
 
 class CryptoError(Exception):
@@ -180,17 +188,38 @@ class KeyPair:
         return KeyPair(self.public_key, b"", self.subject_id)
 
 
+def _sha256(data: bytes) -> bytes:
+    digest = hashes.Hash(_SHA256)
+    digest.update(data)
+    return digest.finalize()
+
+
 def hash_bytes(data: bytes) -> Digest:
     """SHA-256 of ``data`` as a :class:`Digest`."""
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise TypeError("hash_bytes expects bytes")
-    return Digest(hashlib.sha256(bytes(data)).digest())
+    return Digest(_sha256(data))
 
 
 def _derive_seed(tag: bytes, subject_id: str, seed: int) -> bytes:
     subject = subject_id.encode("utf-8")
-    material = tag + struct.pack(">I", len(subject)) + subject + struct.pack(">Q", seed)
-    return hashlib.sha256(material).digest()
+    return _sha256(tag + struct.pack(">I", len(subject)) + subject + struct.pack(">Q", seed))
+
+
+def derive_private_key(subject_id: str, seed: int) -> bytes:
+    """The private half of ``generate_keypair(subject_id, seed)``.
+
+    Two SHA-256 derivations and no key parse: the raw Ed25519 signing
+    seed followed by the raw X25519 seal key.
+    """
+    if not isinstance(subject_id, str) or not subject_id:
+        raise InvalidIdentityError("subject_id must be a non-empty string")
+    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= _U64_MAX:
+        raise ValueError("seed must be an unsigned 64-bit integer")
+    return (
+        _derive_seed(_SIGN_DERIVE_TAG, subject_id, seed)
+        + _derive_seed(_SEAL_DERIVE_TAG, subject_id, seed)
+    )
 
 
 def generate_keypair(subject_id: str, seed: int) -> KeyPair:
@@ -200,18 +229,10 @@ def generate_keypair(subject_id: str, seed: int) -> KeyPair:
     which keeps simulation transcripts reproducible.  Distinct subjects or
     seeds diverge at the first derivation step.
     """
-    if not isinstance(subject_id, str) or not subject_id:
-        raise InvalidIdentityError("subject_id must be a non-empty string")
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= _U64_MAX:
-        raise ValueError("seed must be an unsigned 64-bit integer")
-    sign_key = Ed25519PrivateKey.from_private_bytes(
-        _derive_seed(_SIGN_DERIVE_TAG, subject_id, seed)
-    )
-    seal_key = X25519PrivateKey.from_private_bytes(
-        _derive_seed(_SEAL_DERIVE_TAG, subject_id, seed)
-    )
+    private = derive_private_key(subject_id, seed)
+    sign_key = Ed25519PrivateKey.from_private_bytes(private[:_KEY_SEGMENT])
+    seal_key = X25519PrivateKey.from_private_bytes(private[_KEY_SEGMENT:])
     public = sign_key.public_key().public_bytes_raw() + seal_key.public_key().public_bytes_raw()
-    private = sign_key.private_bytes_raw() + seal_key.private_bytes_raw()
     return KeyPair(public_key=public, private_key=private, subject_id=subject_id)
 
 
@@ -293,9 +314,15 @@ def mac_keys(
     )
 
 
+def _hmac_sha256(key: bytes, message: bytes) -> hmac.HMAC:
+    tagger = hmac.HMAC(key, _SHA256)
+    tagger.update(message)
+    return tagger
+
+
 def mac(key: bytes, message: bytes) -> bytes:
     """HMAC-SHA256 of ``message`` under one directional key from ``mac_keys``."""
-    return hmac.digest(key, message, "sha256")
+    return _hmac_sha256(key, message).finalize()
 
 
 def mac_ok(key: bytes, message: bytes, tag: bytes) -> bool:
@@ -306,7 +333,11 @@ def mac_ok(key: bytes, message: bytes, tag: bytes) -> bool:
     """
     if not isinstance(tag, bytes) or len(tag) != MAC_SIZE:
         return False
-    return hmac.compare_digest(hmac.digest(key, message, "sha256"), tag)
+    try:
+        _hmac_sha256(key, message).verify(tag)
+    except InvalidSignature:
+        return False
+    return True
 
 
 def _rand_bytes(rng: Random | None, n: int) -> bytes:

@@ -9,12 +9,12 @@ indistinguishable, which is what makes transcript replay meaningful.
 from __future__ import annotations
 
 import configparser
-import hashlib
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from random import Random
 from typing import Callable, Mapping
 
+from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from .actors import (
@@ -27,7 +27,7 @@ from .actors import (
     TrustManager,
     TrustManagerConfig,
 )
-from .crypto import KeyPair, generate_keypair
+from .crypto import KeyPair, derive_private_key, generate_keypair
 from .messages import UsageDescriptor
 from .simnet import (
     Actor,
@@ -107,15 +107,20 @@ def ini_overrides(path: str | Path) -> dict:
     return overrides
 
 
-_key_cache: dict[tuple[str, int], KeyPair] = {}
+# The 64-byte public key of every (subject, seed) identity derived so far.
+# Only the public half is kept: it costs two scalar multiplications to
+# derive, the private half two SHA-256 calls, which ``_keypair`` repeats on
+# each use.  No parsed key object is kept (see the ``crypto`` docstring).
+_key_cache: dict[tuple[str, int], bytes] = {}
 
 
 def _keypair(subject_id: str, seed: int) -> KeyPair:
-    pair = _key_cache.get((subject_id, seed))
-    if pair is None:
+    public = _key_cache.get((subject_id, seed))
+    if public is None:
         pair = generate_keypair(subject_id, seed)
-        _key_cache[(subject_id, seed)] = pair
-    return pair
+        _key_cache[(subject_id, seed)] = pair.public_key
+        return pair
+    return KeyPair(public, derive_private_key(subject_id, seed), subject_id)
 
 
 def _objects(config: ScenarioConfig) -> tuple[bytes, ...]:
@@ -125,8 +130,9 @@ def _objects(config: ScenarioConfig) -> tuple[bytes, ...]:
     ``Random.randbytes``, which made object generation a visible share of a
     bulk run.
     """
-    key = hashlib.sha256(f"{config.seed}/objects".encode("utf-8")).digest()
-    stream = Cipher(algorithms.AES(key), modes.CTR(bytes(16))).encryptor()
+    key = hashes.Hash(hashes.SHA256())
+    key.update(f"{config.seed}/objects".encode("utf-8"))
+    stream = Cipher(algorithms.AES(key.finalize()), modes.CTR(bytes(16))).encryptor()
     zeros = bytes(config.object_size)
     return tuple(stream.update(zeros) for _ in range(config.object_count))
 

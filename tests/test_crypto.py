@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import hmac
 from random import Random
 
 import pytest
@@ -35,7 +36,7 @@ from gset import (
     verify_with_pi,
 )
 from gset.codec import signing_payload_from
-from gset.crypto import PRIVATE_KEY_SIZE, PUBLIC_KEY_SIZE
+from gset.crypto import PRIVATE_KEY_SIZE, PUBLIC_KEY_SIZE, derive_private_key
 from gset.messages import verify_maced
 
 from genmsg import flip_bit
@@ -61,6 +62,15 @@ def test_keypair_differs_across_seeds():
 
 def test_keypair_differs_across_subjects():
     assert generate_keypair("TM", 7).public_key != generate_keypair("SR", 7).public_key
+
+
+def test_private_half_is_derived_without_the_public_half():
+    for subject, seed in (("TM", 7), ("SR", 0), ("AP", 2**64 - 1)):
+        assert derive_private_key(subject, seed) == generate_keypair(subject, seed).private_key
+    with pytest.raises(InvalidIdentityError):
+        derive_private_key("", 7)
+    with pytest.raises(ValueError):
+        derive_private_key("TM", -1)
 
 
 def test_keypair_sizes():
@@ -231,6 +241,28 @@ def test_mac_keys_without_a_private_key_raise():
     tm, sp = generate_keypair("TM", 7), generate_keypair("SP", 7)
     with pytest.raises(MissingKeyError):
         mac_keys(tm.public_only(), "SP", sp.public_key)
+
+
+def test_mac_matches_rfc_4231_test_case_2():
+    tag = mac(b"Jefe", b"what do ya want for nothing?")
+    assert tag.hex() == "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
+
+
+def test_mac_matches_the_standard_library_hmac():
+    rng = Random(0x4231)
+    for _ in range(200):
+        key = rng.randbytes(rng.choice((MAC_SIZE, rng.randint(0, 100))))
+        message = rng.randbytes(rng.randint(0, 300))
+        tag = mac(key, message)
+        assert tag == hmac.digest(key, message, "sha256")
+        assert mac_ok(key, message, tag)
+
+
+def test_mac_ok_rejects_a_tag_of_the_wrong_length_or_type():
+    (key, _), _ = _pair("SP", "TM")
+    tag = mac(key, b"m")
+    for bad_tag in (tag[:31], tag + b"\x00", bytearray(tag), memoryview(tag), tag.hex()):
+        assert not mac_ok(key, b"m", bad_tag)
 
 
 # --- sealed envelopes -------------------------------------------------------

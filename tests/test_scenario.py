@@ -4,9 +4,13 @@ from __future__ import annotations
 import dataclasses
 import gc
 import hashlib
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gset
 from gset import (
     ScenarioConfig,
     ScenarioError,
@@ -24,7 +28,8 @@ from gset.attacks import (
     run_attack_suite,
     tamper_sweep,
 )
-from gset.scenario import ini_overrides
+from gset.crypto import PUBLIC_KEY_SIZE, generate_keypair
+from gset.scenario import _key_cache, _keypair, ini_overrides
 
 
 # --- configuration ------------------------------------------------------------
@@ -136,6 +141,34 @@ def test_scenario_markers_cover_both_sides():
     scenario = build_scenario(ScenarioConfig())
     assert scenario.account_ref.encode() in scenario.markers.payment_markers
     assert b"mobile-storage" in scenario.markers.usage_markers
+
+
+def test_a_cached_identity_rebuilds_the_full_key_pair():
+    config = ScenarioConfig(seed=41)
+    build_scenario(config)  # derives and caches the four identities
+    for subject in ("SR", "SP", "TM", "AP"):
+        assert (subject, config.seed) in _key_cache
+        assert _keypair(subject, config.seed) == generate_keypair(subject, config.seed)
+
+
+def test_the_key_cache_holds_only_public_keys():
+    build_scenario(ScenarioConfig())
+    assert _key_cache
+    for public in _key_cache.values():
+        assert type(public) is bytes and len(public) == PUBLIC_KEY_SIZE
+
+
+def test_a_run_loads_one_crypto_library():
+    # in a fresh process, since the test runner itself imports hashlib;
+    # hashlib and hmac would load a second libcrypto through _hashlib
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]);"
+        "import gset, gset.attacks;"
+        "assert gset.run_storage_scenario(gset.ScenarioConfig()).complete_success();"
+        "sys.exit('_hashlib' in sys.modules)"
+    )
+    src = str(Path(gset.__file__).resolve().parent.parent)
+    subprocess.run([sys.executable, "-c", script, src], check=True)
 
 
 # --- run reports ----------------------------------------------------------------
