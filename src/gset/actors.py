@@ -270,9 +270,9 @@ class RequesterConfig:
     account_ref: str
     authorized_limit: int
     objects: tuple[bytes, ...]
-    # The honest-client default refuses to authorize more than the quote.
-    # Simulations switch this off to exercise trust-manager enforcement.
-    enforce_limit_sanity: bool = True
+    # On, the requester refuses to authorize a limit below the quoted price
+    # before anything is sent; off, the trust manager's check is the one hit.
+    enforce_limit_sanity: bool
 
 
 class ServiceRequester(_ActorBase):

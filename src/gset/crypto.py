@@ -184,9 +184,6 @@ class KeyPair:
     private_key: bytes
     subject_id: str
 
-    def public_only(self) -> "KeyPair":
-        return KeyPair(self.public_key, b"", self.subject_id)
-
 
 def _sha256(data: bytes) -> bytes:
     digest = hashes.Hash(_SHA256)

@@ -64,18 +64,12 @@ class ScenarioConfig:
     max_ticks: int = 10_000
     adversary_spec: str = "none"
     # Scenario runs exercise wire-level enforcement, so the requester's own
-    # limit-versus-price sanity check defaults off here (the actor-level
-    # default keeps it on for library users).
+    # limit-versus-price sanity check defaults off.
     enforce_limit_sanity: bool = False
 
     @property
     def expected_price(self) -> int:
         return self.rate * self.quantity
-
-    @classmethod
-    def from_ini(cls, path: str | Path) -> "ScenarioConfig":
-        """Load overrides from an INI file's [scenario] section."""
-        return cls(**ini_overrides(path))
 
 
 def ini_overrides(path: str | Path) -> dict:

@@ -232,9 +232,6 @@ class Transcript:
     meta: TranscriptMeta
     records: tuple[TranscriptRecord, ...]
 
-    def delivered_to(self, subject_id: str) -> list[TranscriptRecord]:
-        return [r for r in self.records if r.to_id == subject_id and r.delivered]
-
     def payloads(self) -> list[bytes]:
         return [r.payload for r in self.records]
 

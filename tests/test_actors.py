@@ -29,7 +29,6 @@ from gset import (
     TicketRedeemResponse,
     TrustError,
     TrustManager,
-    TrustManagerConfig,
     UsageDescriptor,
     ValidationError,
     build_maced,
@@ -47,17 +46,16 @@ from gset import (
 )
 from gset.messages import object_digests, upload_signing_payload
 
-import harness
 from genmsg import flip_bit
-from harness import USAGE, build_actors
+from harness import build_actors
 
 
-def usage_mb(quantity: int) -> UsageDescriptor:
-    return dataclasses.replace(USAGE, quantity=quantity)
+def usage_mb(actors, quantity: int) -> UsageDescriptor:
+    return dataclasses.replace(actors.scenario.usage, quantity=quantity)
 
 
 def quote_for(actors, quantity: int, now: int = 0):
-    request = actors.sr.request_price(usage_mb(quantity))
+    request = actors.sr.request_price(usage_mb(actors, quantity))
     quote = actors.sp.quote_price(request, now=now)
     assert isinstance(quote, PriceQuote)
     return quote
@@ -86,7 +84,7 @@ def decide_then_upload(actors, quantity: int = 5, now: int = 0):
         ObjectUpload,
         actors.sr.identity,
         order_nonce=auth.order_info.order_nonce,
-        objects=harness.OBJECTS,
+        objects=actors.scenario.objects,
     )
     return codec.decode(raw, AuthDecision), actors.sp.deliver(
         "SR", codec.encode(upload), now + 1, None
@@ -104,21 +102,21 @@ def granted(actors, quantity: int = 5) -> ServiceGrant:
 
 def test_price_request_for_five_megabytes():
     actors = build_actors()
-    request = actors.sr.request_price(usage_mb(5))
+    request = actors.sr.request_price(usage_mb(actors, 5))
     assert request.usage.quantity == 5
     assert request.usage.unit == "megabyte"
 
 
 def test_price_requests_use_fresh_nonces():
     actors = build_actors()
-    a = actors.sr.request_price(USAGE)
-    b = actors.sr.request_price(USAGE)
+    a = actors.sr.request_price(actors.scenario.usage)
+    b = actors.sr.request_price(actors.scenario.usage)
     assert a.nonce != b.nonce
 
 
 def test_zero_quantity_usage_is_unconstructible():
     with pytest.raises(ValidationError):
-        usage_mb(0)
+        usage_mb(build_actors(), 0)
 
 
 def test_quote_is_rate_times_quantity():
@@ -130,7 +128,7 @@ def test_quote_is_rate_times_quantity():
 
 def test_two_quotes_for_same_request_have_distinct_ids():
     actors = build_actors()
-    request = actors.sr.request_price(usage_mb(5))
+    request = actors.sr.request_price(usage_mb(actors, 5))
     a = actors.sp.quote_price(request, now=0)
     b = actors.sp.quote_price(request, now=0)
     assert a.quote_id != b.quote_id
@@ -147,7 +145,7 @@ def test_unknown_service_id_gets_a_denial():
 
 def test_price_beyond_u64_gets_a_denial_not_an_encode_error():
     actors = build_actors(rate=10)
-    request = actors.sr.request_price(usage_mb(2**64 - 1))
+    request = actors.sr.request_price(usage_mb(actors, 2**64 - 1))
     reply = actors.sp.quote_price(request, now=0)
     assert isinstance(reply, QuoteDenial)
     assert reply.request_nonce == request.nonce
@@ -160,7 +158,7 @@ def test_price_beyond_u64_gets_a_denial_not_an_encode_error():
 def test_quote_signature_verifies_and_covers_price():
     actors = build_actors()
     quote = quote_for(actors, 5)
-    sp_pub = harness.make_keys()["SP"].public_key
+    sp_pub = actors.sp.identity.public_key
     from gset import verify
 
     assert verify(sp_pub, codec.signing_payload(quote), quote.provider_signature)
@@ -173,25 +171,24 @@ def test_authorization_envelope_opens_at_tm_to_the_limit():
     actors = build_actors(limit=60)
     quote = quote_for(actors, 5)
     auth = actors.sr.build_authorization(quote, now=1)
-    tm_key = harness.make_keys()["TM"]
-    payment = codec.decode(open_envelope(tm_key, auth.payment_envelope), PaymentInfo)
+    payment = codec.decode(open_envelope(actors.tm.identity, auth.payment_envelope), PaymentInfo)
     assert payment.authorized_limit == 60
     assert payment.account_provider_id == "AP"
-    assert payment.account_ref == harness.ACCOUNT_REF
+    assert payment.account_ref == actors.scenario.account_ref
 
 
 def test_envelope_bytes_hide_the_account_ref():
     actors = build_actors()
     quote = quote_for(actors, 5)
     auth = actors.sr.build_authorization(quote, now=1)
-    marker = harness.ACCOUNT_REF.encode()
+    marker = actors.scenario.account_ref.encode()
     assert marker not in auth.payment_envelope.ciphertext
     assert marker not in auth.payment_envelope.wrapped_key
     assert marker not in codec.encode(auth)
 
 
 def test_limit_below_price_fails_before_sending():
-    actors = build_actors(limit=40)
+    actors = build_actors(limit=40, sanity=True)
     quote = quote_for(actors, 5)  # price 50
     with pytest.raises(PolicyError):
         actors.sr.build_authorization(quote, now=1)
@@ -217,7 +214,7 @@ def test_dual_signature_binds_order_and_payment():
     quote = quote_for(actors, 5)
     auth = actors.sr.build_authorization(quote, now=1)
     # the payment half as the trust manager will see it
-    payment = open_envelope(harness.make_keys()["TM"], auth.payment_envelope)
+    payment = open_envelope(actors.tm.identity, auth.payment_envelope)
     assert auth.dual.oi_digest == hash_bytes(codec.encode(auth.order_info))
     assert auth.dual.pi_digest == hash_bytes(payment)
 
@@ -312,7 +309,7 @@ def test_limit_60_charge_50_credit_100_approves_and_holds_50():
     assert outcome.approved
     assert outcome.token is not None
     assert outcome.token.charge_amount == 50
-    digest = hash_bytes(harness.ACCOUNT_REF.encode())
+    digest = hash_bytes(actors.scenario.account_ref.encode())
     assert sum(actors.ap.ledger.active_holds(digest).values()) == 50
     assert actors.ap.ledger.available(digest) == 50
 
@@ -341,7 +338,7 @@ def test_same_hold_instruction_twice_is_replay():
     second = actors.tm.handle_authorize(relay, "SP", actors.net("TM"))
     assert not second.approved
     assert second.reason == DenialReason.REPLAY
-    digest = hash_bytes(harness.ACCOUNT_REF.encode())
+    digest = hash_bytes(actors.scenario.account_ref.encode())
     assert actors.ap.ledger.holds_created() == 1
     assert sum(actors.ap.ledger.active_holds(digest).values()) == 50
 
@@ -391,7 +388,7 @@ def test_minted_token_verifies_and_names_the_provider():
     actors = build_actors()
     _, _, outcome = approved_outcome(actors, quantity=5)
     token = outcome.token
-    tm_pub = harness.make_keys()["TM"].public_key
+    tm_pub = actors.tm.identity.public_key
     from gset import verify
 
     assert token.provider_id == "SP"
@@ -413,7 +410,7 @@ def test_three_objects_make_three_digest_matched_tickets():
     actors = build_actors()
     grant = granted(actors)
     assert len(grant.tickets) == 3
-    for ticket, obj in zip(grant.tickets, harness.OBJECTS):
+    for ticket, obj in zip(grant.tickets, actors.scenario.objects):
         assert ticket.object_digest == hash_bytes(obj)
         assert actors.sp.stored_objects[ticket.ticket_id] == obj
 
@@ -431,7 +428,7 @@ def approved_order_nonces(actors, count: int) -> list[bytes]:
 
 def honest_upload(actors, order_nonce: bytes) -> ObjectUpload:
     return build_signed(
-        ObjectUpload, actors.sr.identity, order_nonce=order_nonce, objects=harness.OBJECTS
+        ObjectUpload, actors.sr.identity, order_nonce=order_nonce, objects=actors.scenario.objects
     )
 
 
@@ -457,7 +454,7 @@ UPLOAD_FORGERIES = {
                 up, objects=_flip_first_bit(up.objects, i)
             )
         )
-        for i in range(len(harness.OBJECTS))
+        for i in range(ScenarioConfig().object_count)
     },
     "two objects swapped": lambda actors, up, other: dataclasses.replace(
         up, objects=(up.objects[1], up.objects[0], *up.objects[2:])
@@ -480,7 +477,7 @@ def test_honest_upload_signature_covers_the_object_digests():
     [nonce] = approved_order_nonces(actors, 1)
     upload = honest_upload(actors, nonce)
     public = actors.sr.identity.public_key
-    digests = object_digests(harness.OBJECTS)
+    digests = object_digests(actors.scenario.objects)
     assert verify_signed(upload, public)
     assert verify_signed(upload, public, digests)
     from gset import verify
@@ -488,7 +485,7 @@ def test_honest_upload_signature_covers_the_object_digests():
     assert verify(public, upload_signing_payload(nonce, digests), upload.requester_signature)
     [(dest, raw)] = actors.sp.deliver("SR", codec.encode(upload), 1, None)
     assert dest == "SR"
-    assert len(actors.sp.stored_objects) == len(harness.OBJECTS)
+    assert len(actors.sp.stored_objects) == len(actors.scenario.objects)
 
 
 @pytest.mark.parametrize("forgery", sorted(UPLOAD_FORGERIES))
@@ -502,12 +499,12 @@ def test_provider_refuses_an_upload_its_signature_does_not_bind(forgery):
     assert actors.sp.stored_objects == {}
     # the refusal was the signature's: the honest upload is then granted
     assert actors.sp.deliver("SR", codec.encode(honest_upload(actors, nonce)), 2, None)
-    assert len(actors.sp.stored_objects) == len(harness.OBJECTS)
+    assert len(actors.sp.stored_objects) == len(actors.scenario.objects)
 
 
 def test_an_upload_payload_is_no_wire_upload_of_digests():
     # signing payloads lead with their type tag; the upload's tag is its own
-    digests = object_digests(harness.OBJECTS)
+    digests = object_digests(build_actors().scenario.objects)
     payload = upload_signing_payload(b"\x01" * 16, digests)
     as_wire = codec.signing_payload_from(
         ObjectUpload, {"order_nonce": b"\x01" * 16, "objects": tuple(d.bytes for d in digests)}
@@ -597,7 +594,7 @@ def test_redeemed_object_failing_its_ticket_digest_is_ignored():
     decision, [(_, grant_raw)] = decide_then_upload(actors)
     # the requester checks the grant against the digests it signed its upload over
     [(_, upload_raw)] = actors.sr.deliver("SP", codec.encode(decision), 1, None)
-    assert codec.decode(upload_raw, ObjectUpload).objects == harness.OBJECTS
+    assert codec.decode(upload_raw, ObjectUpload).objects == actors.scenario.objects
     requests = actors.sr.deliver("SP", grant_raw, 2, None)
     responses = [actors.sp.deliver("SR", raw, 3, None)[0][1] for _, raw in requests]
     genuine = codec.decode(responses[0], TicketRedeemResponse)
@@ -626,7 +623,7 @@ def test_capture_settles_the_held_amount():
     _, _, outcome = approved_outcome(actors, quantity=5)
     response = actors.sp.collect_credits(outcome.token, actors.net("SP"))
     assert response.settled
-    digest = hash_bytes(harness.ACCOUNT_REF.encode())
+    digest = hash_bytes(actors.scenario.account_ref.encode())
     assert actors.ap.ledger.settled_total(digest) == 50
     assert actors.ap.ledger.active_holds(digest) == {}
     assert actors.sp.receivable_total == 50
@@ -639,7 +636,7 @@ def test_capturing_the_same_token_twice_fails_with_replay():
     second = actors.sp.collect_credits(outcome.token, actors.net("SP"))
     assert not second.settled
     assert second.reason == DenialReason.REPLAY
-    digest = hash_bytes(harness.ACCOUNT_REF.encode())
+    digest = hash_bytes(actors.scenario.account_ref.encode())
     assert actors.ap.ledger.settled_total(digest) == 50
     assert actors.ap.ledger.settle_count == 1
 
@@ -660,13 +657,7 @@ def test_token_signed_with_the_tm_key_but_minted_elsewhere_is_refused():
     auth = actors.sr.build_authorization(quote, now=0)
     relay = actors.sp.handle_authorization(auth, "SR", now=0)
     # a second trust manager with the same keys mints a token this one never did
-    keys = harness.make_keys()
-    twin = TrustManager(
-        keys["TM"],
-        harness.make_directory(keys),
-        TrustManagerConfig(account_providers=frozenset({"AP"})),
-        Random("twin/TM"),
-    )
+    twin = TrustManager(actors.tm.identity, actors.tm.directory, actors.tm.config, Random("twin/TM"))
     outcome = twin.handle_authorize(relay, "SP", actors.net("TM"))
     assert outcome.approved
     response = actors.sp.collect_credits(outcome.token, actors.net("SP"))
@@ -683,8 +674,7 @@ def test_capture_request_must_come_from_the_named_provider():
     assert not response.settled
     assert response.reason == DenialReason.BAD_SIGNATURE
     # the requester's own MAC is genuine, but the token names the provider
-    keys = harness.make_keys()
-    to_tm = mac_keys(keys["SR"], "TM", keys["TM"].public_key)[0]
+    to_tm = mac_keys(actors.sr.identity, "TM", actors.tm.identity.public_key)[0]
     presented = build_maced(CaptureRequest, to_tm, token=outcome.token)
     response = actors.tm.handle_capture(presented, "SR", actors.net("TM"))
     assert response.reason == DenialReason.BAD_SIGNATURE
@@ -756,7 +746,7 @@ def test_provider_state_never_contains_payment_markers():
     [token] = actors.sp.approved_tokens.values()
     actors.sp.collect_credits(token, actors.net("SP"))
     blob = actors.sp.state_bytes()
-    assert harness.ACCOUNT_REF.encode() not in blob
+    assert actors.scenario.account_ref.encode() not in blob
 
 
 def test_trust_manager_state_never_contains_usage_markers():
@@ -803,10 +793,8 @@ def test_a_malformed_peer_key_is_a_refusal_not_an_exception():
     quote = quote_for(actors, 5)
     relay = actors.sp.handle_authorization(actors.sr.build_authorization(quote, 0), "SR", 0)
     for bad in (b"", b"\x00" * 63, b"\x00" * 64):  # short, and a low-order X25519 point
-        keys = harness.make_keys()
-        directory = {**harness.make_directory(keys), "SP": bad}
-        tm = TrustManager(keys["TM"], directory,
-                          TrustManagerConfig(account_providers=frozenset({"AP"})), Random(0))
+        directory = {**actors.tm.directory, "SP": bad}
+        tm = TrustManager(actors.tm.identity, directory, actors.tm.config, Random(0))
         outcome = tm.handle_authorize(relay, "SP", actors.net("TM"))
         assert outcome.reason == DenialReason.BAD_SIGNATURE
         assert tm.pair_keys == {}

@@ -240,7 +240,7 @@ def test_a_wrong_or_malformed_peer_key_yields_false_not_an_exception():
 def test_mac_keys_without_a_private_key_raise():
     tm, sp = generate_keypair("TM", 7), generate_keypair("SP", 7)
     with pytest.raises(MissingKeyError):
-        mac_keys(tm.public_only(), "SP", sp.public_key)
+        mac_keys(KeyPair(tm.public_key, b"", "TM"), "SP", sp.public_key)
 
 
 def test_mac_matches_rfc_4231_test_case_2():

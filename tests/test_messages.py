@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import pytest
 
@@ -31,6 +32,7 @@ from gset import (
     generate_keypair,
     hash_bytes,
 )
+from gset import messages
 from gset.messages import build_maced, build_signed, verify_maced, verify_signed
 
 import genmsg
@@ -202,6 +204,39 @@ def test_a_mac_must_be_32_bytes(cls):
     for size in (0, 31, 33, 64):
         with pytest.raises(ValidationError):
             dataclasses.replace(sample, **{field: bytes(size)})
+
+
+def _docstring_table(header: str) -> set[str]:
+    """Type names in the ``gset.messages`` docstring table under ``header``."""
+    lines = messages.__doc__.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.strip().startswith(header))
+    names = set()
+    for line in lines[start + 1:]:
+        if not line.strip():
+            return names
+        if match := re.match(r" {4}([A-Z]\w+) ", line):
+            names.add(match[1])
+    raise AssertionError(f"table {header!r} runs to the end of the docstring")
+
+
+def _trailing_authenticator(suffix: str) -> set[str]:
+    names = set()
+    for tag, cls in codec.registered_types().items():
+        try:
+            field = codec.authenticator_field_name(cls)
+        except codec.EncodeError:
+            continue
+        if field.endswith(suffix):
+            names.add(tag)
+    return names
+
+
+def test_the_evidence_tables_name_exactly_the_authenticated_types():
+    # AuthorizationRequest's dual signature is a field of its own, not a trailer
+    signed = _trailing_authenticator("_signature") | {"AuthorizationRequest"}
+    assert _docstring_table("signed type") == signed
+    assert _docstring_table("MAC'd type") == _trailing_authenticator("_mac")
+    assert {cls.__name__ for cls in MACED_TYPES} == _docstring_table("MAC'd type")
 
 
 # --- detached signature and MAC helpers ----------------------------------------

