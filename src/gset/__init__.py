@@ -34,8 +34,10 @@ from .codec import (
     authenticator_field_name,
     canonical_message,
     decode,
+    decode_authenticated,
     decode_stream,
     encode,
+    encode_authenticated,
     peek_type,
     registered_types,
     signing_payload,

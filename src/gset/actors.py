@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, fields, is_dataclass
+from functools import cache
 from random import Random
 from typing import Callable, Mapping, Protocol
 
@@ -108,12 +109,19 @@ class Network(Protocol):
 
 
 Outbound = list[tuple[str, bytes]]
+# A message and its encoding, made together so that it is encoded once.
+Sent = tuple[object, bytes]
 
 
 def _leaf(tag: bytes, data: bytes) -> bytes:
     # The non-zero tag keeps the framing of adjacent leaves from forming a
     # run of zero bytes that could read as a big-endian privacy marker.
     return tag + struct.pack(">I", len(data)) + data
+
+
+@cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
 
 
 def _state_encode(value) -> bytes:
@@ -130,7 +138,7 @@ def _state_encode(value) -> bytes:
     if isinstance(value, bytes):
         return _leaf(b"B", value)
     if is_dataclass(value):
-        parts = [_state_encode(getattr(value, f.name)) for f in fields(value)]
+        parts = [_state_encode(getattr(value, name)) for name in _field_names(type(value))]
     elif isinstance(value, dict):
         parts = sorted(_state_encode(k) + _state_encode(v) for k, v in value.items())
     elif isinstance(value, (set, frozenset)):
@@ -147,7 +155,8 @@ class _ActorBase:
     # directory, the randomness source, the fixed config, and the MAC keys
     # derived from the first two.
     _WIRING = frozenset({"identity", "directory", "rng", "config", "pair_keys"})
-    # Message type -> handler(self, sender, msg, now, net).  A class-level
+    # Message type -> handler(self, sender, msg, covered, now, net), where
+    # ``covered`` is what ``codec.decode_authenticated`` returned.  A class-level
     # table of plain functions: bound methods stored on the instance would
     # point back at it, so each run's actors could only be freed by the
     # cyclic garbage collector.
@@ -171,24 +180,25 @@ class _ActorBase:
     def _key_of(self, subject_id: str) -> bytes | None:
         return self.directory.get(subject_id)
 
-    def _exchange(self, net: Network | None, dest: str, msg, expect: type):
+    def _exchange(self, net: Network | None, dest: str, sent: Sent | None, expect: type):
         """One authenticated round trip to ``dest``; None on any failure, with a note."""
-        if msg is None:
+        if sent is None:
             return None
+        msg, raw = sent
         if net is None:
             self._note(f"no network channel for {type(msg).__name__}")
             return None
-        raw = net.call(dest, codec.encode(msg))
-        if raw is None:
+        reply = net.call(dest, raw)
+        if reply is None:
             self._note(f"{type(msg).__name__} got no response")
             return None
         try:
-            response = codec.decode(raw, expect)
+            response, covered = codec.decode_authenticated(reply, expect)
         except CodecError as exc:
             self._note(f"{expect.__name__} undecodable: {exc}")
             return None
         # AuthOutcome is unsigned: an approval's authority is its token's signature
-        if expect is not AuthOutcome and not self._authentic(response, dest):
+        if expect is not AuthOutcome and not self._authentic(response, dest, covered):
             self._note(f"{expect.__name__} authenticator does not verify")
             return None
         return response
@@ -202,33 +212,43 @@ class _ActorBase:
                 self.pair_keys[peer_id] = keys
         return keys
 
-    def _maced_for(self, peer_id: str, cls: type, **fields):
-        """``cls`` with its MAC to ``peer_id``; None, with a note, without a key."""
+    def _maced_for(self, peer_id: str, cls: type, **fields) -> Sent | None:
+        """``cls`` with its MAC to ``peer_id``, and its encoding; None, with a
+        note, without a key."""
         keys = self._keys_with(peer_id)
         if keys is None:
             self._note(f"no MAC key for {peer_id}; {cls.__name__} not sent")
             return None
         return build_maced(cls, keys[0], **fields)
 
-    def _authentic(self, msg, peer_id: str, digests: tuple[Digest, ...] | None = None) -> bool:
+    def _authentic(
+        self,
+        msg,
+        peer_id: str,
+        covered: bytes | memoryview | None = None,
+        digests: tuple[Digest, ...] | None = None,
+    ) -> bool:
         """Did ``peer_id`` send ``msg``, by its trailing signature or MAC?
 
         A ``*_mac`` is checked under the key from ``peer_id`` to this actor; a
         ``*_signature`` must name ``peer_id`` and verify under its public key.
+        ``covered`` is the part of the received bytes the authenticator
+        covers (``codec.decode_authenticated``); it is encoded again from
+        ``msg`` only when absent, as for a token nested in another message.
         ``digests`` are an ``ObjectUpload``'s object digests, when the caller
         holds them.
         """
         field = codec.authenticator_field_name(type(msg))
         if field.endswith("_mac"):
             keys = self._keys_with(peer_id)
-            return keys is not None and verify_maced(msg, keys[1])
+            return keys is not None and verify_maced(msg, keys[1], covered)
         public = self._key_of(peer_id)
         if public is None:
             return False
         sig = getattr(msg, field)
         if sig.signer_id != peer_id:
             return False
-        return verify_signed(msg, public, digests)
+        return verify_signed(msg, public, digests, covered)
 
     def deliver(self, sender: str, raw: bytes, now: int, net: Network | None = None) -> Outbound:
         """Process one incoming message; returns outbound (dest, bytes) pairs.
@@ -237,7 +257,7 @@ class _ActorBase:
         a hostile network must not be able to crash an actor.
         """
         try:
-            msg = codec.decode(raw)
+            msg, covered = codec.decode_authenticated(raw)
         except CodecError as exc:
             self._note(f"rejected undecodable message from {sender}: {exc}")
             return []
@@ -245,7 +265,7 @@ class _ActorBase:
         if handler is None:
             self._note(f"ignored unexpected {type(msg).__name__} from {sender}")
             return []
-        return handler(self, sender, msg, now, net)
+        return handler(self, sender, msg, covered, now, net)
 
     def state_bytes(self) -> bytes:
         """Deterministic bytes of everything this actor has recorded.
@@ -310,15 +330,20 @@ class ServiceRequester(_ActorBase):
         """Kick-off message for a simulation run."""
         return (self.config.provider_id, codec.encode(self.request_price(usage)))
 
-    def build_authorization(self, quote: PriceQuote, now: int) -> AuthorizationRequest:
+    def build_authorization(
+        self, quote: PriceQuote, now: int, covered: bytes | memoryview | None = None
+    ) -> AuthorizationRequest:
         """Turn an acceptable quote into a dual-signed authorization.
+
+        ``covered`` is the part of the received quote its signature covers
+        (see ``_authentic``).
 
         Raises:
             TrustError: the quote's signature does not verify.
             PolicyError: the quote is expired, or (with the sanity check on)
                 the configured limit would not cover the quoted price.
         """
-        if not self._authentic(quote, self.config.provider_id):
+        if not self._authentic(quote, self.config.provider_id, covered):
             raise TrustError("quote signature does not verify")
         if now >= quote.expiry:
             raise PolicyError(f"quote expired at tick {quote.expiry}, now {now}")
@@ -357,7 +382,7 @@ class ServiceRequester(_ActorBase):
 
     # -- message handlers --
 
-    def _on_price_quote(self, sender: str, quote: PriceQuote, now: int, net) -> Outbound:
+    def _on_price_quote(self, sender: str, quote: PriceQuote, covered, now: int, net) -> Outbound:
         if sender != self.config.provider_id:
             self._note(f"quote from unexpected sender {sender}")
             return []
@@ -369,14 +394,16 @@ class ServiceRequester(_ActorBase):
             self._note("quote does not match any pending request")
             return []
         try:
-            auth = self.build_authorization(quote, now)
+            auth = self.build_authorization(quote, now, covered)
         except (TrustError, PolicyError) as exc:
             self._note(f"quote not usable: {exc}")
             return []
         self.pending_usage.pop(matched)
         return [(self.config.provider_id, codec.encode(auth))]
 
-    def _on_quote_denial(self, sender: str, denial: QuoteDenial, now: int, net) -> Outbound:
+    def _on_quote_denial(
+        self, sender: str, denial: QuoteDenial, covered, now: int, net
+    ) -> Outbound:
         self._note(f"price request denied: {denial.reason}")
         self.pending_usage = [
             (nonce, usage) for nonce, usage in self.pending_usage
@@ -384,8 +411,10 @@ class ServiceRequester(_ActorBase):
         ]
         return []
 
-    def _on_auth_decision(self, sender: str, decision: AuthDecision, now: int, net) -> Outbound:
-        if not self._authentic(decision, self.config.provider_id):
+    def _on_auth_decision(
+        self, sender: str, decision: AuthDecision, covered, now: int, net
+    ) -> Outbound:
+        if not self._authentic(decision, self.config.provider_id, covered):
             self._note("auth decision signature does not verify")
             return []
         if decision.order_nonce not in self.pending_auths:
@@ -396,17 +425,19 @@ class ServiceRequester(_ActorBase):
             self._note("authorization denied")
             return []
         self.uploaded_digests = object_digests(self.config.objects)
-        upload = build_signed(
+        _, raw = build_signed(
             ObjectUpload,
             self.identity,
             digests=self.uploaded_digests,
             order_nonce=decision.order_nonce,
             objects=self.config.objects,
         )
-        return [(self.config.provider_id, codec.encode(upload))]
+        return [(self.config.provider_id, raw)]
 
-    def _on_service_grant(self, sender: str, grant: ServiceGrant, now: int, net) -> Outbound:
-        if not self._authentic(grant, self.config.provider_id):
+    def _on_service_grant(
+        self, sender: str, grant: ServiceGrant, covered, now: int, net
+    ) -> Outbound:
+        if not self._authentic(grant, self.config.provider_id, covered):
             self._note("service grant signature does not verify")
             return []
         if self.grant is not None:
@@ -428,7 +459,7 @@ class ServiceRequester(_ActorBase):
         return out
 
     def _on_redeem_response(
-        self, sender: str, resp: TicketRedeemResponse, now: int, net
+        self, sender: str, resp: TicketRedeemResponse, covered, now: int, net
     ) -> Outbound:
         # The response is unsigned: the signed grant's ticket already commits
         # to the object's digest, so the digest is the integrity check.
@@ -447,10 +478,8 @@ class ServiceRequester(_ActorBase):
         if self.unredeemed or self.redeem_failures or self.completed:
             return []
         self.completed = True
-        done = build_signed(
-            ServiceComplete, self.identity, grant_id=self.grant.grant_id
-        )
-        return [(self.config.provider_id, codec.encode(done))]
+        _, raw = build_signed(ServiceComplete, self.identity, grant_id=self.grant.grant_id)
+        return [(self.config.provider_id, raw)]
 
     _HANDLERS = {
         PriceQuote: _on_price_quote,
@@ -498,21 +527,23 @@ class ServiceProvider(_ActorBase):
 
     # -- protocol operations --
 
-    def quote_price(self, request: PriceRequest, now: int) -> PriceQuote | QuoteDenial:
-        """Price a usage request: rate * quantity, valid for quote_ttl ticks."""
+    def quote_price(self, request: PriceRequest, now: int) -> Sent:
+        """Price a usage request: rate * quantity, valid for quote_ttl ticks.
+
+        Returns the ``PriceQuote`` or ``QuoteDenial`` and its encoding.
+        """
+
+        def deny(reason: str) -> Sent:
+            denial = QuoteDenial(request_nonce=request.nonce, reason=reason)
+            return denial, codec.encode(denial)
+
         rate = self.config.pricing.get(request.usage.service_id)
         if rate is None:
-            return QuoteDenial(
-                request_nonce=request.nonce,
-                reason=f"no pricing for service {request.usage.service_id!r}",
-            )
+            return deny(f"no pricing for service {request.usage.service_id!r}")
         price = rate * request.usage.quantity
         if price.bit_length() > 64:
-            return QuoteDenial(
-                request_nonce=request.nonce,
-                reason=f"price for quantity {request.usage.quantity} exceeds 2**64 - 1",
-            )
-        quote = build_signed(
+            return deny(f"price for quantity {request.usage.quantity} exceeds 2**64 - 1")
+        quote, raw = build_signed(
             PriceQuote,
             self.identity,
             quote_id=self._nonce(),
@@ -521,17 +552,18 @@ class ServiceProvider(_ActorBase):
             expiry=now + self.config.quote_ttl,
         )
         self.issued_quotes[quote.quote_id] = quote
-        return quote
+        return quote, raw
 
     def handle_authorization(
         self, auth: AuthorizationRequest, sender: str, now: int
-    ) -> AuthorizeAndHold | AuthDecision | None:
+    ) -> Sent | None:
         """Validate the order half and relay the payment half.
 
         On success the provider retains the order locally and returns an
         AuthorizeAndHold, MAC'd to the trust manager, carrying the untouched
         sealed envelope; the order plaintext goes no further.  On failure
-        the requester gets a bare denied decision.  A duplicate of an order
+        the requester gets a bare denied decision.  Either comes with its
+        encoding.  A duplicate of an order
         already accepted is ignored outright (None): that order's one relay
         has been answered, and a second could only draw the trust manager's
         REPLAY refusal.  Without a key for the trust manager there is no
@@ -539,7 +571,7 @@ class ServiceProvider(_ActorBase):
         """
         order = auth.order_info
 
-        def deny(reason: DenialReason, detail: str) -> AuthDecision:
+        def deny(reason: DenialReason, detail: str) -> Sent:
             self._note(f"authorization refused ({reason.name}): {detail}")
             self.denials.append(reason)
             return build_signed(
@@ -581,7 +613,7 @@ class ServiceProvider(_ActorBase):
 
     def _store_and_grant(
         self, order_nonce: bytes, objects: tuple[bytes, ...], digests: tuple[Digest, ...]
-    ) -> ServiceGrant:
+    ) -> Sent:
         """Store the payload and issue one single-use ticket per object.
 
         ``digests`` are ``object_digests(objects)``, already computed to check
@@ -592,14 +624,14 @@ class ServiceProvider(_ActorBase):
             ticket = Ticket(ticket_id=self._nonce(), object_digest=digest)
             self.stored_objects[ticket.ticket_id] = obj
             tickets.append(ticket)
-        grant = build_signed(
+        grant, raw = build_signed(
             ServiceGrant,
             self.identity,
             grant_id=self._nonce(),
             tickets=tuple(tickets),
         )
         self.granted[grant.grant_id] = order_nonce
-        return grant
+        return grant, raw
 
     def collect_credits(self, token: CaptureToken, net: Network | None) -> CaptureResponse | None:
         """Present a capture token to the trust manager and book the credit."""
@@ -615,17 +647,20 @@ class ServiceProvider(_ActorBase):
 
     # -- message handlers --
 
-    def _on_price_request(self, sender: str, request: PriceRequest, now: int, net) -> Outbound:
-        return [(sender, codec.encode(self.quote_price(request, now)))]
+    def _on_price_request(
+        self, sender: str, request: PriceRequest, covered, now: int, net
+    ) -> Outbound:
+        return [(sender, self.quote_price(request, now)[1])]
 
     def _on_authorization(
-        self, sender: str, auth: AuthorizationRequest, now: int, net
+        self, sender: str, auth: AuthorizationRequest, covered, now: int, net
     ) -> Outbound:
         result = self.handle_authorization(auth, sender, now)
         if result is None:
             return []
-        if isinstance(result, AuthDecision):
-            return [(sender, codec.encode(result))]
+        reply, raw = result
+        if isinstance(reply, AuthDecision):
+            return [(sender, raw)]
         outcome = self._exchange(net, self.config.trust_manager_id, result, AuthOutcome)
         if outcome is None:
             return []
@@ -636,7 +671,7 @@ class ServiceProvider(_ActorBase):
             if (
                 self._authentic(token, self.config.trust_manager_id)
                 and token.provider_id == self.subject_id
-                and token.charge_amount == result.charge_amount
+                and token.charge_amount == reply.charge_amount
             ):
                 self.approved_tokens[order_nonce] = token
                 approved = True
@@ -644,18 +679,20 @@ class ServiceProvider(_ActorBase):
                 self._note("approved outcome carried an unverifiable token")
         else:
             self._note(f"authorization denied by trust manager: {outcome.reason.name}")
-        decision = build_signed(
+        _, raw = build_signed(
             AuthDecision, self.identity, order_nonce=order_nonce, approved=approved
         )
-        return [(sender, codec.encode(decision))]
+        return [(sender, raw)]
 
-    def _on_object_upload(self, sender: str, upload: ObjectUpload, now: int, net) -> Outbound:
+    def _on_object_upload(
+        self, sender: str, upload: ObjectUpload, covered, now: int, net
+    ) -> Outbound:
         order = self.orders.get(upload.order_nonce)
         if order is None or order.requester_id != sender:
             self._note("upload for unknown order")
             return []
         digests = object_digests(upload.objects)
-        if not self._authentic(upload, sender, digests):
+        if not self._authentic(upload, sender, digests=digests):
             self._note("upload signature does not verify")
             return []
         if upload.order_nonce in self.granted.values():
@@ -664,11 +701,11 @@ class ServiceProvider(_ActorBase):
         if upload.order_nonce not in self.approved_tokens:
             self._note("upload for unapproved order")
             return []
-        grant = self._store_and_grant(upload.order_nonce, upload.objects, digests)
-        return [(sender, codec.encode(grant))]
+        _, raw = self._store_and_grant(upload.order_nonce, upload.objects, digests)
+        return [(sender, raw)]
 
     def _on_redeem_request(
-        self, sender: str, request: TicketRedeemRequest, now: int, net
+        self, sender: str, request: TicketRedeemRequest, covered, now: int, net
     ) -> Outbound:
         # stored objects are never empty, so no bytes means a refusal
         payload = self.stored_objects.pop(request.ticket_id, b"")
@@ -678,14 +715,14 @@ class ServiceProvider(_ActorBase):
         return [(sender, codec.encode(response))]
 
     def _on_service_complete(
-        self, sender: str, done: ServiceComplete, now: int, net
+        self, sender: str, done: ServiceComplete, covered, now: int, net
     ) -> Outbound:
         order_nonce = self.granted.get(done.grant_id)
         if order_nonce is None:
             self._note("completion for unknown grant")
             return []
         if self.orders[order_nonce].requester_id != sender \
-                or not self._authentic(done, sender):
+                or not self._authentic(done, sender, covered):
             self._note("completion signature does not verify")
             return []
         token = self.approved_tokens.get(order_nonce)
@@ -734,12 +771,17 @@ class TrustManager(_ActorBase):
     # -- protocol operations --
 
     def handle_authorize(
-        self, msg: AuthorizeAndHold, sender: str, net: Network | None
+        self,
+        msg: AuthorizeAndHold,
+        sender: str,
+        net: Network | None,
+        covered: bytes | memoryview | None = None,
     ) -> AuthOutcome:
         """Decide an authorization: open, verify, check limit, hold, mint.
 
         Denials carry a precise reason; the only state a failed attempt
-        leaves behind is the payment nonce, which stays burned.
+        leaves behind is the payment nonce, which stays burned.  ``covered``
+        is the part of the received request its MAC covers.
         """
 
         def deny(reason: DenialReason, detail: str) -> AuthOutcome:
@@ -747,7 +789,7 @@ class TrustManager(_ActorBase):
             self.denials.append(reason)
             return AuthOutcome(token=None, reason=reason)
 
-        if not self._authentic(msg, sender):
+        if not self._authentic(msg, sender, covered):
             return deny(DenialReason.BAD_SIGNATURE, "provider MAC fails")
         try:
             payment_bytes = open_envelope(self.identity, msg.payment_envelope)
@@ -774,22 +816,23 @@ class TrustManager(_ActorBase):
             return deny(DenialReason.UNKNOWN_ACCOUNT, "account provider not recognised")
 
         account_digest = hash_bytes(payment.account_ref.encode("utf-8"))
+        hold_nonce = self._nonce()
         hold = self._maced_for(
             payment.account_provider_id,
             HoldRequest,
-            hold_nonce=self._nonce(),
+            hold_nonce=hold_nonce,
             account_ref_digest=account_digest,
             amount=msg.charge_amount,
         )
         response = self._exchange(net, payment.account_provider_id, hold, HoldResponse)
         if response is None:
             return deny(DenialReason.UNKNOWN_ACCOUNT, "account provider unreachable")
-        if response.hold_nonce != hold.hold_nonce:
+        if response.hold_nonce != hold_nonce:
             return deny(DenialReason.BAD_SIGNATURE, "hold response nonce mismatch")
         if not response.ok:
             return deny(response.reason, "account provider refused the hold")
 
-        token = build_signed(
+        token, _ = build_signed(
             CaptureToken,
             self.identity,
             token_id=self._nonce(),
@@ -802,19 +845,25 @@ class TrustManager(_ActorBase):
         return AuthOutcome(token=token, reason=None)
 
     def handle_capture(
-        self, request: CaptureRequest, sender: str, net: Network | None
-    ) -> CaptureResponse | None:
+        self,
+        request: CaptureRequest,
+        sender: str,
+        net: Network | None,
+        covered: bytes | memoryview | None = None,
+    ) -> Sent | None:
         """Settle a capture token exactly once.
 
-        The answer is MAC'd to ``sender``; None when no key for it is known.
+        ``covered`` is the part of the received request its MAC covers.  The
+        answer is a ``CaptureResponse`` MAC'd to ``sender``, with its
+        encoding; None when no key for it is known.
         """
 
-        def refuse(reason: DenialReason, detail: str) -> CaptureResponse | None:
+        def refuse(reason: DenialReason, detail: str) -> Sent | None:
             self._note(f"capture refused ({reason.name}): {detail}")
             return self._maced_for(sender, CaptureResponse, reason=reason)
 
         token = request.token
-        if token.provider_id != sender or not self._authentic(request, sender):
+        if token.provider_id != sender or not self._authentic(request, sender, covered):
             return refuse(DenialReason.BAD_SIGNATURE, "provider MAC fails")
         # the stored token is the one this trust manager signed, so equality
         # (signature included) proves authorship, provider and amount at once
@@ -823,16 +872,17 @@ class TrustManager(_ActorBase):
         if token.token_id in self.spent_tokens:
             return refuse(DenialReason.REPLAY, "token already spent")
 
+        settle_nonce = self._nonce()
         settle = self._maced_for(
             token.account_provider_id,
             SettleRequest,
-            settle_nonce=self._nonce(),
+            settle_nonce=settle_nonce,
             hold_ref=token.hold_ref,
         )
         response = self._exchange(net, token.account_provider_id, settle, SettleResponse)
         if response is None:
             return refuse(DenialReason.UNKNOWN_ACCOUNT, "account provider unreachable")
-        if response.settle_nonce != settle.settle_nonce:
+        if response.settle_nonce != settle_nonce:
             return refuse(DenialReason.BAD_SIGNATURE, "settle response nonce mismatch")
         if not response.ok:
             return refuse(response.reason, "account provider refused settlement")
@@ -845,14 +895,16 @@ class TrustManager(_ActorBase):
     # -- message handlers --
 
     def _on_authorize_and_hold(
-        self, sender: str, msg: AuthorizeAndHold, now: int, net
+        self, sender: str, msg: AuthorizeAndHold, covered, now: int, net
     ) -> Outbound:
-        outcome = self.handle_authorize(msg, sender, net)
+        outcome = self.handle_authorize(msg, sender, net, covered)
         return [(sender, codec.encode(outcome))]
 
-    def _on_capture_request(self, sender: str, msg: CaptureRequest, now: int, net) -> Outbound:
-        response = self.handle_capture(msg, sender, net)
-        return [] if response is None else [(sender, codec.encode(response))]
+    def _on_capture_request(
+        self, sender: str, msg: CaptureRequest, covered, now: int, net
+    ) -> Outbound:
+        response = self.handle_capture(msg, sender, net, covered)
+        return [] if response is None else [(sender, response[1])]
 
     _HANDLERS = {
         AuthorizeAndHold: _on_authorize_and_hold,
@@ -886,14 +938,15 @@ class AccountProvider(_ActorBase):
     def open_account(self, account_ref: str, credit_limit: int) -> Digest:
         return self.ledger.open_account(account_ref, credit_limit)
 
-    def _on_hold_request(self, sender: str, msg: HoldRequest, now: int, net) -> Outbound:
+    def _on_hold_request(self, sender: str, msg: HoldRequest, covered, now: int, net) -> Outbound:
         def respond(hold_ref: bytes, reason: DenialReason | None) -> Outbound:
             response = self._maced_for(
                 sender, HoldResponse, hold_nonce=msg.hold_nonce, hold_ref=hold_ref, reason=reason
             )
-            return [] if response is None else [(sender, codec.encode(response))]
+            return [] if response is None else [(sender, response[1])]
 
-        if sender not in self.config.trust_managers or not self._authentic(msg, sender):
+        if sender not in self.config.trust_managers \
+                or not self._authentic(msg, sender, covered):
             self._note("hold request MAC does not verify")
             return respond(b"", DenialReason.BAD_SIGNATURE)
         if msg.hold_nonce in self.seen_hold_nonces:
@@ -910,14 +963,17 @@ class AccountProvider(_ActorBase):
             return respond(b"", DenialReason.UNKNOWN_ACCOUNT)
         return respond(receipt.hold_ref, None)
 
-    def _on_settle_request(self, sender: str, msg: SettleRequest, now: int, net) -> Outbound:
+    def _on_settle_request(
+        self, sender: str, msg: SettleRequest, covered, now: int, net
+    ) -> Outbound:
         def respond(amount: int, reason: DenialReason | None) -> Outbound:
             response = self._maced_for(
                 sender, SettleResponse, settle_nonce=msg.settle_nonce, amount=amount, reason=reason
             )
-            return [] if response is None else [(sender, codec.encode(response))]
+            return [] if response is None else [(sender, response[1])]
 
-        if sender not in self.config.trust_managers or not self._authentic(msg, sender):
+        if sender not in self.config.trust_managers \
+                or not self._authentic(msg, sender, covered):
             self._note("settle request MAC does not verify")
             return respond(0, DenialReason.BAD_SIGNATURE)
         try:

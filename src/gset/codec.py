@@ -25,6 +25,13 @@ appends length prefixes and contents to one chunk list, which is joined
 once per message, so a large byte field is copied once rather than once per
 level of framing.  A decoder reads the one input buffer at absolute
 offsets and slices only leaf values.  The wire format is the one above.
+
+A trailing signature or MAC covers the type tag and every field before it,
+which is the leading part of the message's own encoding.  So
+``encode_authenticated`` encodes that part once, authenticates it and
+appends the authenticator, and ``decode_authenticated`` hands a receiver
+that part of the bytes it received: the bytes sent are the bytes
+authenticated, and neither end encodes a message a second time.
 """
 
 from __future__ import annotations
@@ -218,7 +225,7 @@ def _nested_codec(schema: "_Schema") -> tuple[Encoder, Decoder]:
         return _close(out, slot, write(value, out))
 
     def decode_nested(data: bytes, start: int, stop: int, what: str) -> Any:
-        return read(data, start, stop, start)
+        return read(data, start, stop, start)[0]
 
     return encode_nested, decode_nested
 
@@ -325,7 +332,8 @@ class _Schema:
     fields: tuple[tuple[str, str, Encoder], ...]  # (name, "Tag.name" label, encoder)
     authenticator: str | None  # trailing signature or MAC field, if any
     write: Callable[[Any, list], int]  # validate, then append every field
-    read: Callable[[bytes, int, int, int], Any]  # (data, pos, end, base) -> message
+    # (data, pos, end, base) -> (message, offset of its last field)
+    read: Callable[[bytes, int, int, int], tuple[Any, int]]
 
 
 _BY_TAG: dict[str, _Schema] = {}
@@ -346,15 +354,17 @@ def _compile_schema(cls: type, tag: str, compiled: list, authenticator: str | No
             n += encoder(getattr(msg, name), out, label)
         return n
 
-    def read(data: bytes, pos: int, end: int, base: int) -> Any:
+    def read(data: bytes, pos: int, end: int, base: int) -> tuple[Any, int]:
         values = []
+        last = pos
         for label, decoder in decoders:
+            last = pos
             start, pos = _field(data, pos, end, label)
             values.append(decoder(data, start, pos, label))
         if pos != end:
             raise DecodeError("trailing bytes after message", pos)
         try:
-            return cls(*values)
+            return cls(*values), last
         except (ValidationError, ValueError) as exc:
             raise DecodeError(f"{tag} invariant violated: {exc}", base)
 
@@ -407,8 +417,10 @@ def canonical_message(cls: type) -> type:
     """Declare a frozen dataclass message with canonical encoding.
 
     A ``validate`` method, when present, runs on construction and again on
-    encode, so invariant-violating instances neither exist nor leave the
-    process.
+    ``encode``, so invariant-violating instances neither exist nor leave the
+    process.  ``encode_authenticated`` encodes the field values first and
+    constructs the instance last, so there it runs once, on construction,
+    before any byte is returned.
     """
     if "validate" in cls.__dict__ and "__post_init__" not in cls.__dict__:
         def __post_init__(self) -> None:  # noqa: N807
@@ -461,10 +473,36 @@ def signing_payload_from(cls: type, values: dict[str, Any]) -> bytes:
 
 
 def signing_payload(msg: Any) -> bytes:
-    """Signing payload of an authenticated message instance (authenticator excluded)."""
+    """Signing payload of an authenticated message instance (authenticator excluded).
+
+    A receiver has the payload of a top-level message as received
+    (``decode_authenticated``); this re-encoding serves a message nested
+    inside another, whose own type tag is not on the wire.
+    """
     schema = _schema_for(type(msg))
     values = {name: getattr(msg, name) for name, _, _ in schema.fields}
     return signing_payload_from(type(msg), values)
+
+
+def encode_authenticated(
+    cls: type[M], values: dict[str, Any], authenticate: Callable[[bytes], Any]
+) -> tuple[M, bytes]:
+    """Construct ``cls`` from ``values`` and its authenticator, and encode it once.
+
+    ``authenticate`` gets the signing payload (``signing_payload_from``) and
+    returns the trailing field's value.  The payload is also the leading
+    part of the encoding, so the whole message is that payload followed by
+    the authenticator field: the bytes sent are the bytes authenticated.
+    Returns the message and its canonical encoding.
+    """
+    schema = _schema_for(cls)
+    payload = signing_payload_from(cls, values)
+    value = authenticate(payload)
+    msg = cls(**values, **{schema.authenticator: value})
+    _, label, encoder = schema.fields[-1]
+    out = [payload]
+    encoder(value, out, label)
+    return msg, b"".join(out)
 
 
 def authenticator_field_name(cls: type) -> str:
@@ -487,7 +525,10 @@ def _read_tag(data: bytes, pos: int, end: int) -> tuple[str, int, int]:
         raise DecodeError("type tag is not valid UTF-8", start)
 
 
-def _decode_message(data: bytes, pos: int, end: int, expected: type | None) -> Any:
+def _decode_message(
+    data: bytes, pos: int, end: int, expected: type | None
+) -> tuple[Any, _Schema, int]:
+    """The message at ``data[pos:end]``, its schema and where its last field starts."""
     tag, tag_at, fields_at = _read_tag(data, pos, end)
     schema = _BY_TAG.get(tag)
     if schema is None:
@@ -496,15 +537,38 @@ def _decode_message(data: bytes, pos: int, end: int, expected: type | None) -> A
         raise MessageTypeError(
             f"expected {expected.__name__}, found {tag}", tag_at
         )
-    return schema.read(data, fields_at, end, pos)
+    msg, last = schema.read(data, fields_at, end, pos)
+    return msg, schema, last
+
+
+def _input(raw: bytes) -> bytes:
+    if not isinstance(raw, (bytes, bytearray)):
+        raise DecodeError("decode expects bytes")
+    return bytes(raw)
 
 
 def decode(raw: bytes, expected: type[M] | None = None) -> M:
     """Decode one complete message; ``expected`` pins the required type."""
-    if not isinstance(raw, (bytes, bytearray)):
-        raise DecodeError("decode expects bytes")
-    data = bytes(raw)
-    return _decode_message(data, 0, len(data), expected)
+    data = _input(raw)
+    return _decode_message(data, 0, len(data), expected)[0]
+
+
+def decode_authenticated(
+    raw: bytes, expected: type[M] | None = None
+) -> tuple[M, memoryview | None]:
+    """Decode one message, and the part of ``raw`` its authenticator covers.
+
+    That part is the received type tag and every field before the trailing
+    ``*_signature`` or ``*_mac``.  Decoding accepts only canonical bytes, so
+    it equals ``signing_payload(msg)``: a receiver checks the bytes it
+    received instead of encoding them again.  It is a view of ``raw``, so a
+    large message is not copied; None for a type with no authenticator.
+    """
+    data = _input(raw)
+    msg, schema, last = _decode_message(data, 0, len(data), expected)
+    if schema.authenticator is None:
+        return msg, None
+    return msg, memoryview(data)[:last]
 
 
 def peek_type(raw: bytes) -> str:
@@ -527,7 +591,7 @@ def decode_stream(raw: bytes) -> list[Any]:
             raise DecodeError(f"unknown message type tag {tag!r}", pos)
         for _name, label, _encoder in schema.fields:
             _, stop = _field(data, stop, end, label)
-        out.append(_decode_message(data, pos, stop, schema.cls))
+        out.append(_decode_message(data, pos, stop, schema.cls)[0])
         pos = stop
     return out
 

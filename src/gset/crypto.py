@@ -67,7 +67,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PublicKey,
 )
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-from cryptography.hazmat.primitives.kdf.hkdf import HKDF
+from cryptography.hazmat.primitives.kdf.hkdf import HKDF, HKDFExpand
 
 DIGEST_SIZE = 32
 SIGNATURE_SIZE = 64
@@ -87,6 +87,8 @@ _SEAL_DERIVE_TAG = b"gset/keys/seal/v1"
 _ENVELOPE_INFO = b"gset/envelope/v1"
 _MAC_INFO = b"gset/mac/v1"
 _SHA256 = hashes.SHA256()
+# Copying an empty context costs less than setting up a new one.
+_EMPTY_SHA256 = hashes.Hash(_SHA256)
 
 
 class CryptoError(Exception):
@@ -186,7 +188,7 @@ class KeyPair:
 
 
 def _sha256(data: bytes) -> bytes:
-    digest = hashes.Hash(_SHA256)
+    digest = _EMPTY_SHA256.copy()
     digest.update(data)
     return digest.finalize()
 
@@ -275,13 +277,13 @@ def _framed_id(subject_id: str) -> bytes:
     return struct.pack(">I", len(subject)) + subject
 
 
-def _mac_key(shared: bytes, sender_id: str, receiver_id: str) -> bytes:
-    return HKDF(
-        algorithm=hashes.SHA256(),
+def _mac_key(prk: bytes, sender_id: str, receiver_id: str) -> bytes:
+    """HKDF-Expand of the extracted secret ``prk`` for one direction."""
+    return HKDFExpand(
+        algorithm=_SHA256,
         length=MAC_SIZE,
-        salt=None,
         info=_MAC_INFO + _framed_id(sender_id) + _framed_id(receiver_id),
-    ).derive(shared)
+    ).derive(prk)
 
 
 def mac_keys(
@@ -292,6 +294,8 @@ def mac_keys(
     Returns ``(key own -> peer, key peer -> own)`` from one X25519 agreement
     of the two seal keys; each is HKDF-SHA256 of the shared secret with info
     ``gset/mac/v1`` followed by the length-prefixed sender and receiver ids.
+    The two keys share one HKDF-Extract (no salt: RFC 5869's string of
+    zeros), and each direction is one HKDF-Expand of it.
     The peer derives the same two keys in the other order, and no key serves
     two directions or two pairs.  A missing or malformed peer key yields
     None rather than raising, as ``verify`` yields False.
@@ -305,9 +309,10 @@ def mac_keys(
         shared = seal_key.exchange(peer_seal_key)
     except ValueError:  # a low-order peer point gives an all-zero secret
         return None
+    prk = _hmac_sha256(bytes(_SHA256.digest_size), shared).finalize()  # HKDF-Extract
     return (
-        _mac_key(shared, own.subject_id, peer_id),
-        _mac_key(shared, peer_id, own.subject_id),
+        _mac_key(prk, own.subject_id, peer_id),
+        _mac_key(prk, peer_id, own.subject_id),
     )
 
 

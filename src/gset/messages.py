@@ -14,9 +14,13 @@ dual signature ties the two halves together through digests alone.
 Messages are frozen dataclasses registered with the canonical codec; each
 validates its own invariants on construction and on encode.  A trailing
 ``*_signature`` field is a detached Ed25519 signature, and a trailing
-``*_mac`` field a 32-byte HMAC-SHA256 tag, over the canonical encoding of
-the type tag and everything before it (see ``build_signed`` /
-``verify_signed`` and ``build_maced`` / ``verify_maced``).
+``*_mac`` field a 32-byte HMAC-SHA256 tag, over the leading part of the
+message's encoding: the type tag and every field before the
+authenticator.  The sender authenticates that part of the bytes it sends
+(``build_signed``, ``build_maced``), and the receiver checks the same part
+of the bytes it received (``codec.decode_authenticated``,
+``verify_signed``, ``verify_maced``); neither end encodes the message a
+second time.
 
 One proof per fact.  Each signature below is checked by the party named as
 its verifier, and the signed message is what that party could later show to
@@ -74,6 +78,8 @@ from __future__ import annotations
 
 import enum
 import struct
+from functools import partial
+from typing import TypeVar
 
 from . import codec
 from .codec import ValidationError, canonical_message
@@ -92,6 +98,7 @@ from .crypto import (
 )
 
 NONCE_SIZE = 16
+M = TypeVar("M")
 _U64_MAX = 2**64 - 1
 
 
@@ -538,50 +545,66 @@ def _upload_payload(
     )
 
 
-def build_signed(cls: type, key: KeyPair, *, digests: tuple[Digest, ...] | None = None, **fields):
-    """Construct ``cls`` with its detached signature filled in.
+def build_signed(
+    cls: type[M], key: KeyPair, *, digests: tuple[Digest, ...] | None = None, **fields
+) -> tuple[M, bytes]:
+    """Construct ``cls`` with its detached signature filled in, and encode it.
 
-    The signature covers the canonical encoding of the type tag and every
-    field except the signature itself, so any bit of the message body is
-    tamper-evident.  An ``ObjectUpload`` is the one exception: its
+    Returns the message and the bytes to send.  The signature covers the
+    leading part of those bytes, the type tag and every field before the
+    signature, so any bit of the message body is tamper-evident and the
+    fields are encoded once.  An ``ObjectUpload`` is the one exception: its
     signature covers ``upload_signing_payload``.  A caller that already
     holds ``object_digests(objects)`` passes them as ``digests``, so no
     object is hashed twice.
     """
     if cls is ObjectUpload:
         payload = _upload_payload(fields["order_nonce"], fields["objects"], digests)
-    else:
-        payload = codec.signing_payload_from(cls, fields)
-    sig_field = codec.authenticator_field_name(cls)
-    return cls(**fields, **{sig_field: sign(key, payload)})
+        upload = cls(**fields, requester_signature=sign(key, payload))
+        return upload, codec.encode(upload)
+    return codec.encode_authenticated(cls, fields, partial(sign, key))
 
 
-def verify_signed(msg, public_key: bytes, digests: tuple[Digest, ...] | None = None) -> bool:
+def verify_signed(
+    msg,
+    public_key: bytes,
+    digests: tuple[Digest, ...] | None = None,
+    covered: bytes | memoryview | None = None,
+) -> bool:
     """Check a message's detached signature against ``public_key``.
 
-    For an ``ObjectUpload``, a caller that already holds
+    ``covered`` is the part of the received bytes the signature covers
+    (``codec.decode_authenticated``); the receiver checks those bytes as
+    they arrived.  Without it, as for a message nested in another, the part
+    is encoded again from ``msg``.  An ``ObjectUpload``'s signature covers
+    its order nonce and object digests instead: a caller that already holds
     ``object_digests(msg.objects)`` passes them as ``digests``.
     """
     if type(msg) is ObjectUpload:
         payload = _upload_payload(msg.order_nonce, msg.objects, digests)
     else:
-        payload = codec.signing_payload(msg)
+        payload = codec.signing_payload(msg) if covered is None else covered
     sig: Signature = getattr(msg, codec.authenticator_field_name(type(msg)))
     return verify(public_key, payload, sig)
 
 
-def build_maced(cls: type, key: bytes, **fields):
+def build_maced(cls: type[M], key: bytes, **fields) -> tuple[M, bytes]:
     """Construct ``cls`` with its trailing ``*_mac`` filled in under ``key``,
-    the sender-to-receiver key from ``crypto.mac_keys``.
+    the sender-to-receiver key from ``crypto.mac_keys``, and encode it.
 
-    The tag covers the same bytes a signature would: the type tag and every
-    field before the MAC.
+    Returns the message and the bytes to send.  The tag covers the same
+    part of those bytes a signature would: the type tag and every field
+    before the MAC.
     """
-    payload = codec.signing_payload_from(cls, fields)
-    return cls(**fields, **{codec.authenticator_field_name(cls): mac(key, payload)})
+    return codec.encode_authenticated(cls, fields, partial(mac, key))
 
 
-def verify_maced(msg, key: bytes) -> bool:
-    """Check a message's trailing MAC under the sender-to-receiver ``key``."""
+def verify_maced(msg, key: bytes, covered: bytes | memoryview | None = None) -> bool:
+    """Check a message's trailing MAC under the sender-to-receiver ``key``.
+
+    ``covered`` is the part of the received bytes the tag covers, as for
+    ``verify_signed``; without it, that part is encoded again from ``msg``.
+    """
     tag = getattr(msg, codec.authenticator_field_name(type(msg)))
-    return mac_ok(key, codec.signing_payload(msg), tag)
+    payload = codec.signing_payload(msg) if covered is None else covered
+    return mac_ok(key, payload, tag)

@@ -21,7 +21,7 @@ from random import Random
 from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 from . import codec
-from .codec import CodecError, canonical_message
+from .codec import CodecError, ValidationError, canonical_message
 
 
 class SimnetError(Exception):
@@ -177,8 +177,6 @@ class WireMessage:
     payload: bytes
 
     def validate(self) -> None:
-        from .codec import ValidationError
-
         if not self.from_id or not self.to_id:
             raise ValidationError("wire message needs both endpoint ids")
         if not self.payload:
@@ -195,8 +193,6 @@ class TranscriptRecord:
     error: str
 
     def validate(self) -> None:
-        from .codec import ValidationError
-
         if not self.from_id or not self.to_id:
             raise ValidationError("record needs both endpoint ids")
         if not self.payload:
@@ -217,8 +213,6 @@ class TranscriptMeta:
     initial: tuple[WireMessage, ...]
 
     def validate(self) -> None:
-        from .codec import ValidationError
-
         if self.max_ticks < 1:
             raise ValidationError("max_ticks must be at least 1")
         if not self.adversary_spec:
@@ -279,7 +273,7 @@ class _Runner:
         self,
         endpoints: Mapping[str, Actor],
         adversary: Adversary | None,
-        rng: Random,
+        rng: Random | None,  # the adversary's; None without one
     ) -> None:
         self.endpoints = dict(endpoints)
         self.adversary = adversary
@@ -373,8 +367,9 @@ def run_scenario(
         else WireMessage(from_id=item[0], to_id=item[1], payload=item[2])
         for item in initial
     ]
-    rng = adversary.rng if adversary is not None and adversary.rng is not None \
-        else Random(f"{seed}/adversary")
+    rng = None
+    if adversary is not None:
+        rng = adversary.rng if adversary.rng is not None else Random(f"{seed}/adversary")
     runner = _Runner(endpoints, adversary, rng)
     for wire in wires:
         runner.queue.append((wire.from_id, wire.to_id, wire.payload))

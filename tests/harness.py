@@ -1,8 +1,6 @@
 """Shared test rig: the four actors of a built scenario, and a simnet call handle."""
 from __future__ import annotations
 
-from random import Random
-
 from gset import Scenario, ScenarioConfig, build_scenario
 from gset.simnet import _NetHandle, _Runner
 
@@ -29,7 +27,7 @@ class ActorSet:
 
     def net(self, caller_id: str, now: int = 0) -> _NetHandle:
         """The simnet's own call path, with no adversary, at tick ``now``."""
-        runner = _Runner(self.registry, None, Random(0))
+        runner = _Runner(self.registry, None, None)
         runner.tick = now
         return _NetHandle(runner, caller_id)
 

@@ -48,6 +48,7 @@ from gset.messages import object_digests, upload_signing_payload
 
 from genmsg import flip_bit
 from harness import build_actors
+from test_messages import MACED_TYPES
 
 
 def usage_mb(actors, quantity: int) -> UsageDescriptor:
@@ -56,7 +57,7 @@ def usage_mb(actors, quantity: int) -> UsageDescriptor:
 
 def quote_for(actors, quantity: int, now: int = 0):
     request = actors.sr.request_price(usage_mb(actors, quantity))
-    quote = actors.sp.quote_price(request, now=now)
+    quote, _ = actors.sp.quote_price(request, now=now)
     assert isinstance(quote, PriceQuote)
     return quote
 
@@ -64,7 +65,7 @@ def quote_for(actors, quantity: int, now: int = 0):
 def approved_outcome(actors, quantity: int = 5, now: int = 0):
     quote = quote_for(actors, quantity, now)
     auth = actors.sr.build_authorization(quote, now=now)
-    relay = actors.sp.handle_authorization(auth, "SR", now=now)
+    relay, _ = actors.sp.handle_authorization(auth, "SR", now=now)
     assert isinstance(relay, AuthorizeAndHold)
     outcome = actors.tm.handle_authorize(relay, "SP", actors.net("TM"))
     return auth, relay, outcome
@@ -80,7 +81,7 @@ def decide_then_upload(actors, quantity: int = 5, now: int = 0):
     auth = actors.sr.build_authorization(quote, now=now)
     [(dest, raw)] = actors.sp.deliver("SR", codec.encode(auth), now, actors.net("SP", now))
     assert dest == "SR"
-    upload = build_signed(
+    upload, _ = build_signed(
         ObjectUpload,
         actors.sr.identity,
         order_nonce=auth.order_info.order_nonce,
@@ -129,8 +130,8 @@ def test_quote_is_rate_times_quantity():
 def test_two_quotes_for_same_request_have_distinct_ids():
     actors = build_actors()
     request = actors.sr.request_price(usage_mb(actors, 5))
-    a = actors.sp.quote_price(request, now=0)
-    b = actors.sp.quote_price(request, now=0)
+    a, _ = actors.sp.quote_price(request, now=0)
+    b, _ = actors.sp.quote_price(request, now=0)
     assert a.quote_id != b.quote_id
 
 
@@ -138,7 +139,7 @@ def test_unknown_service_id_gets_a_denial():
     actors = build_actors()
     odd = UsageDescriptor("unpriced-service", "noop", 1, "each")
     request = actors.sr.request_price(odd)
-    reply = actors.sp.quote_price(request, now=0)
+    reply, _ = actors.sp.quote_price(request, now=0)
     assert isinstance(reply, QuoteDenial)
     assert reply.request_nonce == request.nonce
 
@@ -146,7 +147,7 @@ def test_unknown_service_id_gets_a_denial():
 def test_price_beyond_u64_gets_a_denial_not_an_encode_error():
     actors = build_actors(rate=10)
     request = actors.sr.request_price(usage_mb(actors, 2**64 - 1))
-    reply = actors.sp.quote_price(request, now=0)
+    reply, _ = actors.sp.quote_price(request, now=0)
     assert isinstance(reply, QuoteDenial)
     assert reply.request_nonce == request.nonce
     assert actors.sp.issued_quotes == {}
@@ -226,7 +227,7 @@ def test_valid_authorization_becomes_hold_instruction_at_quoted_price():
     actors = build_actors()
     quote = quote_for(actors, 5)
     auth = actors.sr.build_authorization(quote, now=1)
-    relay = actors.sp.handle_authorization(auth, "SR", now=1)
+    relay, _ = actors.sp.handle_authorization(auth, "SR", now=1)
     assert isinstance(relay, AuthorizeAndHold)
     assert relay.charge_amount == 50
     # MAC'd under the provider-to-trust-manager key, which no one else's is
@@ -239,8 +240,7 @@ def test_relay_encoding_carries_no_usage_strings():
     actors = build_actors()
     quote = quote_for(actors, 5)
     auth = actors.sr.build_authorization(quote, now=1)
-    relay = actors.sp.handle_authorization(auth, "SR", now=1)
-    raw = codec.encode(relay)
+    _, raw = actors.sp.handle_authorization(auth, "SR", now=1)
     for marker in (b"mobile-storage", b"store-objects", b"megabyte"):
         assert marker not in raw
 
@@ -253,7 +253,7 @@ def test_tampered_order_info_denied_as_bad_signature():
         auth.order_info, usage=dataclasses.replace(auth.order_info.usage, quantity=4)
     )
     doctored = dataclasses.replace(auth, order_info=doctored_order)
-    decision = actors.sp.handle_authorization(doctored, "SR", now=1)
+    decision, _ = actors.sp.handle_authorization(doctored, "SR", now=1)
     assert isinstance(decision, AuthDecision)
     assert not decision.approved
     assert actors.sp.denials[-1] == DenialReason.BAD_SIGNATURE
@@ -265,7 +265,7 @@ def test_dual_signature_mutation_denied_as_bad_signature():
     auth = actors.sr.build_authorization(quote, now=1)
     wrong_pi = hash_bytes(b"some other payment half")
     doctored = dataclasses.replace(auth, dual=dataclasses.replace(auth.dual, pi_digest=wrong_pi))
-    decision = actors.sp.handle_authorization(doctored, "SR", now=1)
+    decision, _ = actors.sp.handle_authorization(doctored, "SR", now=1)
     assert isinstance(decision, AuthDecision)
     assert not decision.approved
     assert actors.sp.denials[-1] == DenialReason.BAD_SIGNATURE
@@ -277,7 +277,7 @@ def test_unknown_quote_denied_as_expired():
     auth = actors.sr.build_authorization(quote, now=1)
     # provider has dropped the quote by the time the order arrives
     del actors.sp.issued_quotes[quote.quote_id]
-    decision = actors.sp.handle_authorization(auth, "SR", now=1)
+    decision, _ = actors.sp.handle_authorization(auth, "SR", now=1)
     assert isinstance(decision, AuthDecision) and not decision.approved
     assert actors.sp.denials[-1] == DenialReason.EXPIRED_QUOTE
 
@@ -286,7 +286,7 @@ def test_expired_quote_denied_at_provider():
     actors = build_actors(quote_ttl=10)
     quote = quote_for(actors, 5, now=0)
     auth = actors.sr.build_authorization(quote, now=5)
-    decision = actors.sp.handle_authorization(auth, "SR", now=11)
+    decision, _ = actors.sp.handle_authorization(auth, "SR", now=11)
     assert isinstance(decision, AuthDecision) and not decision.approved
     assert actors.sp.denials[-1] == DenialReason.EXPIRED_QUOTE
 
@@ -295,7 +295,7 @@ def test_duplicate_authorization_is_ignored_not_answered():
     actors = build_actors()
     quote = quote_for(actors, 5)
     auth = actors.sr.build_authorization(quote, now=1)
-    first = actors.sp.handle_authorization(auth, "SR", now=1)
+    first, _ = actors.sp.handle_authorization(auth, "SR", now=1)
     assert isinstance(first, AuthorizeAndHold)
     assert actors.sp.handle_authorization(auth, "SR", now=1) is None
 
@@ -348,7 +348,7 @@ def test_relay_presented_by_anyone_but_its_signer_is_refused():
     actors = build_actors()
     quote = quote_for(actors, 5)
     auth = actors.sr.build_authorization(quote, now=0)
-    relay = actors.sp.handle_authorization(auth, "SR", now=0)
+    relay, _ = actors.sp.handle_authorization(auth, "SR", now=0)
     outcome = actors.tm.handle_authorize(relay, "SR", actors.net("TM"))
     assert outcome.reason == DenialReason.BAD_SIGNATURE
     assert actors.ap.ledger.holds_created() == 0
@@ -368,7 +368,7 @@ def test_unknown_account_provider_is_denied():
     quote = quote_for(actors, 5)
     actors.sr.config = dataclasses.replace(actors.sr.config, account_provider_id="BANK9")
     auth = actors.sr.build_authorization(quote, now=1)
-    relay = actors.sp.handle_authorization(auth, "SR", now=1)
+    relay, _ = actors.sp.handle_authorization(auth, "SR", now=1)
     outcome = actors.tm.handle_authorize(relay, "SP", actors.net("TM"))
     assert not outcome.approved
     assert outcome.reason == DenialReason.UNKNOWN_ACCOUNT
@@ -378,7 +378,7 @@ def test_unreachable_account_provider_is_denied():
     actors = build_actors()
     quote = quote_for(actors, 5)
     auth = actors.sr.build_authorization(quote, now=1)
-    relay = actors.sp.handle_authorization(auth, "SR", now=1)
+    relay, _ = actors.sp.handle_authorization(auth, "SR", now=1)
     outcome = actors.tm.handle_authorize(relay, "SP", net=None)
     assert not outcome.approved
     assert outcome.reason == DenialReason.UNKNOWN_ACCOUNT
@@ -427,9 +427,10 @@ def approved_order_nonces(actors, count: int) -> list[bytes]:
 
 
 def honest_upload(actors, order_nonce: bytes) -> ObjectUpload:
-    return build_signed(
+    upload, _ = build_signed(
         ObjectUpload, actors.sr.identity, order_nonce=order_nonce, objects=actors.scenario.objects
     )
+    return upload
 
 
 def _flip_first_bit(objects: tuple[bytes, ...], index: int) -> tuple[bytes, ...]:
@@ -655,7 +656,7 @@ def test_token_signed_with_the_tm_key_but_minted_elsewhere_is_refused():
     actors = build_actors()
     quote = quote_for(actors, 5)
     auth = actors.sr.build_authorization(quote, now=0)
-    relay = actors.sp.handle_authorization(auth, "SR", now=0)
+    relay, _ = actors.sp.handle_authorization(auth, "SR", now=0)
     # a second trust manager with the same keys mints a token this one never did
     twin = TrustManager(actors.tm.identity, actors.tm.directory, actors.tm.config, Random("twin/TM"))
     outcome = twin.handle_authorize(relay, "SP", actors.net("TM"))
@@ -670,13 +671,13 @@ def test_capture_request_must_come_from_the_named_provider():
     actors = build_actors()
     _, _, outcome = approved_outcome(actors, quantity=5)
     request = CaptureRequest(token=outcome.token, provider_mac=b"\x01" * 32)
-    response = actors.tm.handle_capture(request, "SP", actors.net("TM"))
+    response, _ = actors.tm.handle_capture(request, "SP", actors.net("TM"))
     assert not response.settled
     assert response.reason == DenialReason.BAD_SIGNATURE
     # the requester's own MAC is genuine, but the token names the provider
     to_tm = mac_keys(actors.sr.identity, "TM", actors.tm.identity.public_key)[0]
-    presented = build_maced(CaptureRequest, to_tm, token=outcome.token)
-    response = actors.tm.handle_capture(presented, "SR", actors.net("TM"))
+    presented, _ = build_maced(CaptureRequest, to_tm, token=outcome.token)
+    response, _ = actors.tm.handle_capture(presented, "SR", actors.net("TM"))
     assert response.reason == DenialReason.BAD_SIGNATURE
     assert actors.ap.ledger.settle_count == 0
 
@@ -691,19 +692,19 @@ def test_garbage_bytes_are_dropped_with_a_note():
 
 
 def _stray_capture_response(actors):
-    return actors.tm._maced_for("SP", CaptureResponse, reason=None)
+    return actors.tm._maced_for("SP", CaptureResponse, reason=None)[0]
 
 
 def _stray_hold_response(actors):
     return actors.ap._maced_for(
         "TM", HoldResponse, hold_nonce=bytes(16), hold_ref=bytes(16), reason=None
-    )
+    )[0]
 
 
 def _stray_settle_response(actors):
     return actors.ap._maced_for(
         "TM", SettleResponse, settle_nonce=bytes(16), amount=50, reason=None
-    )
+    )[0]
 
 
 @pytest.mark.parametrize(
@@ -757,41 +758,56 @@ def test_trust_manager_state_never_contains_usage_markers():
         assert marker not in blob
 
 
-# --- pairwise MACs on the server-to-server legs ----------------------------------
+# --- every bit the receiver authenticates ------------------------------------------
 
-MACED_TAGS = (
-    "AuthorizeAndHold", "HoldRequest", "HoldResponse", "CaptureRequest",
-    "SettleRequest", "SettleResponse", "CaptureResponse",
-)
+# The evidence-table test in test_messages checks this list against the codec.
+MACED_TAGS = tuple(cls.__name__ for cls in MACED_TYPES)
+# Every wire type with a trailing signature: three the requester checks, two
+# the provider checks.  (The capture token's signature travels nested.)
+SIGNED_TAGS = ("PriceQuote", "AuthDecision", "ServiceGrant", "ObjectUpload", "ServiceComplete")
 
 
-@pytest.mark.parametrize("tag", MACED_TAGS)
-def test_no_single_bit_flip_of_a_maced_leg_is_accepted(tag):
-    # every bit of one honest encoding, flipped in turn: the receiver either
-    # cannot decode the result or finds its MAC wrong, never accepts it
+def _flip_every_bit(tag: str) -> None:
+    """Flip each bit of one honest ``tag`` record in turn: its receiver either
+    cannot decode the result or refuses it by its check on the received
+    bytes, never accepts it, and both outcomes occur."""
     report = run_storage_scenario(ScenarioConfig())
     record = next(r for r in report.transcript.records if peek_type(r.payload) == tag)
     receiver = report.scenario.endpoints[record.to_id]
-    honest = codec.decode(record.payload)
-    assert receiver._authentic(honest, record.from_id)
+    honest, covered = codec.decode_authenticated(record.payload)
+    assert receiver._authentic(honest, record.from_id, covered)
+    if tag != "ObjectUpload":  # the upload's signature covers its object digests
+        # the check reads the bytes it is handed, not a re-encoding of the message
+        altered = flip_bit(bytes(covered), len(covered) * 8 - 1)
+        assert not receiver._authentic(honest, record.from_id, altered)
     undecodable = refused = 0
     for bit in range(len(record.payload) * 8):
         try:
-            msg = codec.decode(flip_bit(record.payload, bit))
+            msg, covered = codec.decode_authenticated(flip_bit(record.payload, bit))
         except codec.CodecError:
             undecodable += 1
             continue
         assert type(msg) is type(honest), bit
-        assert not receiver._authentic(msg, record.from_id), bit
+        assert not receiver._authentic(msg, record.from_id, covered), bit
         refused += 1
     assert undecodable and refused
     assert undecodable + refused == len(record.payload) * 8
 
 
+@pytest.mark.parametrize("tag", MACED_TAGS)
+def test_no_single_bit_flip_of_a_maced_leg_is_accepted(tag):
+    _flip_every_bit(tag)
+
+
+@pytest.mark.parametrize("tag", SIGNED_TAGS)
+def test_no_single_bit_flip_of_a_signed_leg_is_accepted(tag):
+    _flip_every_bit(tag)
+
+
 def test_a_malformed_peer_key_is_a_refusal_not_an_exception():
     actors = build_actors()
     quote = quote_for(actors, 5)
-    relay = actors.sp.handle_authorization(actors.sr.build_authorization(quote, 0), "SR", 0)
+    relay, _ = actors.sp.handle_authorization(actors.sr.build_authorization(quote, 0), "SR", 0)
     for bad in (b"", b"\x00" * 63, b"\x00" * 64):  # short, and a low-order X25519 point
         directory = {**actors.tm.directory, "SP": bad}
         tm = TrustManager(actors.tm.identity, directory, actors.tm.config, Random(0))
@@ -805,8 +821,8 @@ def test_an_actor_without_a_peer_key_sends_that_peer_nothing():
     _, _, outcome = approved_outcome(actors, quantity=5)
     del actors.tm.directory["SP"]
     actors.tm.pair_keys.clear()
-    request = actors.sp._maced_for("TM", CaptureRequest, token=outcome.token)
-    assert actors.tm.deliver("SP", codec.encode(request), 0, actors.net("TM")) == []
+    _, raw = actors.sp._maced_for("TM", CaptureRequest, token=outcome.token)
+    assert actors.tm.deliver("SP", raw, 0, actors.net("TM")) == []
     assert actors.tm.notes[-1] == "no MAC key for SP; CaptureResponse not sent"
     assert actors.ap.ledger.settle_count == 0
 

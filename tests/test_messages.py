@@ -249,15 +249,16 @@ def _token_fields() -> dict:
 
 def test_build_signed_round_trips_with_verify_signed():
     tm = generate_keypair("TM", seed=7)
-    msg = build_signed(CaptureToken, tm, **_token_fields())
+    msg, raw = build_signed(CaptureToken, tm, **_token_fields())
     assert msg.tm_signature.signer_id == "TM"
     assert verify_signed(msg, tm.public_key)
+    assert raw == codec.encode(msg)
 
 
 def test_verify_signed_fails_for_wrong_key_or_altered_field():
     tm = generate_keypair("TM", seed=7)
     other = generate_keypair("TM2", seed=7)
-    msg = build_signed(CaptureToken, tm, **_token_fields())
+    msg, _ = build_signed(CaptureToken, tm, **_token_fields())
     assert not verify_signed(msg, other.public_key)
     altered = dataclasses.replace(msg, hold_ref=bytes(16))
     assert not verify_signed(altered, tm.public_key)
@@ -265,14 +266,15 @@ def test_verify_signed_fails_for_wrong_key_or_altered_field():
 
 def test_build_maced_round_trips_with_verify_maced():
     key = bytes(range(32))
-    msg = build_maced(SettleRequest, key, settle_nonce=NONCE, hold_ref=NONCE)
+    msg, raw = build_maced(SettleRequest, key, settle_nonce=NONCE, hold_ref=NONCE)
     assert len(msg.tm_mac) == 32
     assert verify_maced(msg, key)
-    assert codec.decode(codec.encode(msg), SettleRequest) == msg
+    assert raw == codec.encode(msg)
+    assert codec.decode(raw, SettleRequest) == msg
 
 
 def test_verify_maced_fails_for_wrong_key_or_altered_field():
     key = bytes(range(32))
-    msg = build_maced(SettleRequest, key, settle_nonce=NONCE, hold_ref=NONCE)
+    msg, _ = build_maced(SettleRequest, key, settle_nonce=NONCE, hold_ref=NONCE)
     assert not verify_maced(msg, bytes(32))
     assert not verify_maced(dataclasses.replace(msg, hold_ref=bytes(16)), key)

@@ -9,24 +9,29 @@ a server-to-server leg back under a signature, or a pairwise key derived
 more than once per peer and run, shows here.  Private-key parses are gated
 too: each signing key and each seal key is parsed once per run.  So are the
 bytes hashed, signed and verified: a second hash of an object, or object
-bytes back under a signature, shows as a byte count.
+bytes back under a signature, shows as a byte count.  So are the codec's
+encodes: a message encoded twice by its sender, or encoded again by its
+receiver to check its authenticator, shows as a call count.
 """
 from __future__ import annotations
 
 import sys
 
+import gset.codec
 import gset.crypto
 from gset import ScenarioConfig, run_storage_scenario
 from gset.scenario import build_scenario
 
 
-def _count_calls(monkeypatch, name: str, data_arg: int | None = None) -> list[int]:
-    """Rebind ``gset.crypto.<name>`` in every gset module that binds it.
+def _count_calls(
+    monkeypatch, name: str, data_arg: int | None = None, home=gset.crypto
+) -> list[int]:
+    """Rebind ``<home>.<name>`` in every gset module that binds it.
 
     Counts calls in ``[0]`` and, with ``data_arg``, the bytes passed as that
     positional argument in ``[1]``.
     """
-    original = getattr(gset.crypto, name)
+    original = getattr(home, name)
     calls = [0, 0]
 
     def counted(*args, **kwargs):
@@ -147,3 +152,31 @@ def test_default_transaction_parses_each_key_once(monkeypatch):
 def test_bulk_transaction_parses_each_key_once(monkeypatch):
     config = ScenarioConfig(object_count=16, object_size=65536)
     assert _key_parses(monkeypatch, config) == 7
+
+
+def _codec_calls(monkeypatch, config: ScenarioConfig) -> tuple[int, int, int]:
+    """Calls of ``codec.encode``, ``signing_payload`` and ``signing_payload_from``
+    in one run, inner calls included."""
+    calls = [
+        _count_calls(monkeypatch, name, home=gset.codec)
+        for name in ("encode", "signing_payload", "signing_payload_from")
+    ]
+    assert run_storage_scenario(config).complete_success()
+    return tuple(count[0] for count in calls)
+
+
+# A sender encodes an authenticated message once: its signing payload, then
+# the authenticator appended (12 of them: 7 MAC'd legs and the price quote,
+# decision, grant, completion and capture token).  ``encode`` serves the
+# unauthenticated messages, the upload (its signature covers the object
+# digests), and the order and payment halves the dual signature hashes.  A
+# receiver checks the bytes it received; the one payload still encoded on
+# receipt is that of the capture token nested in the trust manager's
+# outcome, which travels without its type tag.
+def test_default_transaction_encodes_each_message_once(monkeypatch):
+    assert _codec_calls(monkeypatch, ScenarioConfig()) == (13, 1, 13)
+
+
+def test_bulk_transaction_encodes_each_message_once(monkeypatch):
+    config = ScenarioConfig(object_count=16, object_size=65536)
+    assert _codec_calls(monkeypatch, config) == (39, 1, 13)

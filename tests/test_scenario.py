@@ -197,10 +197,10 @@ def test_a_wrong_retrieved_object_is_caught_by_the_audit(monkeypatch):
     store_and_grant = ServiceProvider._store_and_grant
 
     def corrupting(self, order_nonce, objects, digests):
-        grant = store_and_grant(self, order_nonce, objects, digests)
+        grant, raw = store_and_grant(self, order_nonce, objects, digests)
         first = grant.tickets[0].ticket_id
         self.stored_objects[first] = b"not what was uploaded"
-        return grant
+        return grant, raw
 
     monkeypatch.setattr(ServiceProvider, "_store_and_grant", corrupting)
     report = run_storage_scenario(ScenarioConfig())
