@@ -15,13 +15,10 @@ deterministic simulated network with an adversary, and a scenario CLI.
 from .actors import (
     AccountProvider,
     AccountProviderConfig,
-    ActorError,
-    PolicyError,
     ProviderConfig,
     RequesterConfig,
     ServiceProvider,
     ServiceRequester,
-    TrustError,
     TrustManager,
     TrustManagerConfig,
 )
@@ -136,7 +133,6 @@ from .simnet import (
     TranscriptRecord,
     WireMessage,
     assert_privacy,
-    final_states,
     replay_transcript,
     run_scenario,
     scan_for_markers,

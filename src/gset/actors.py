@@ -21,10 +21,8 @@ The privacy split is enforced here by what each actor stores:
   amounts);
 * the account provider keeps a ledger keyed by account digests.
 
-Protocol-level operations (quote_price, build_authorization,
-handle_authorize, collect_credits, handle_capture, ...)
-are public methods so they can be exercised directly; the message
-handlers are thin wrappers around them.
+``deliver`` is the only way into an actor (the requester's ``begin``
+only makes the first message); tests drive the actors through it too.
 """
 
 from __future__ import annotations
@@ -88,18 +86,6 @@ from .messages import (
     verify_maced,
     verify_signed,
 )
-
-
-class ActorError(Exception):
-    """Base class for actor-level failures."""
-
-
-class PolicyError(ActorError):
-    """A local policy check failed before any message was sent."""
-
-
-class TrustError(ActorError):
-    """A counterparty presented something that does not verify."""
 
 
 class Network(Protocol):
@@ -221,6 +207,12 @@ class _ActorBase:
             return None
         return build_maced(cls, keys[0], **fields)
 
+    def _maced_reply(self, peer_id: str, cls: type, **fields) -> Outbound:
+        """``cls`` MAC'd to ``peer_id`` as the answer to its call; nothing
+        without a key."""
+        sent = self._maced_for(peer_id, cls, **fields)
+        return [] if sent is None else [(peer_id, sent[1])]
+
     def _authentic(
         self,
         msg,
@@ -235,8 +227,8 @@ class _ActorBase:
         ``covered`` is the part of the received bytes the authenticator
         covers (``codec.decode_authenticated``); it is encoded again from
         ``msg`` only when absent, as for a token nested in another message.
-        ``digests`` are an ``ObjectUpload``'s object digests, when the caller
-        holds them.
+        ``digests`` are an ``ObjectUpload``'s object digests, which its
+        signature covers in place of the objects.
         """
         field = codec.authenticator_field_name(type(msg))
         if field.endswith("_mac"):
@@ -318,37 +310,38 @@ class ServiceRequester(_ActorBase):
         self.redeem_failures = 0
         self.completed = False
 
-    # -- protocol operations --
-
-    def request_price(self, usage: UsageDescriptor) -> PriceRequest:
-        """Start the pricing flow; each call uses a fresh nonce."""
+    def begin(self, usage: UsageDescriptor) -> tuple[str, bytes]:
+        """Kick-off message for a simulation run: a price request for
+        ``usage`` under a fresh nonce."""
         request = PriceRequest(usage=usage, nonce=self._nonce())
         self.pending_usage.append((request.nonce, usage))
-        return request
+        return (self.config.provider_id, codec.encode(request))
 
-    def begin(self, usage: UsageDescriptor) -> tuple[str, bytes]:
-        """Kick-off message for a simulation run."""
-        return (self.config.provider_id, codec.encode(self.request_price(usage)))
+    # -- message handlers --
 
-    def build_authorization(
-        self, quote: PriceQuote, now: int, covered: bytes | memoryview | None = None
-    ) -> AuthorizationRequest:
-        """Turn an acceptable quote into a dual-signed authorization.
+    def _on_price_quote(self, sender: str, quote: PriceQuote, covered, now: int, net) -> Outbound:
+        """Turn an acceptable quote into a dual-signed authorization."""
+        if sender != self.config.provider_id:
+            self._note(f"quote from unexpected sender {sender}")
+            return []
+        matched = next(
+            (i for i, (_n, usage) in enumerate(self.pending_usage) if usage == quote.usage),
+            None,
+        )
+        if matched is None:
+            self._note("quote does not match any pending request")
+            return []
 
-        ``covered`` is the part of the received quote its signature covers
-        (see ``_authentic``).
+        def refuse(detail: str) -> Outbound:
+            self._note(f"quote not usable: {detail}")
+            return []
 
-        Raises:
-            TrustError: the quote's signature does not verify.
-            PolicyError: the quote is expired, or (with the sanity check on)
-                the configured limit would not cover the quoted price.
-        """
         if not self._authentic(quote, self.config.provider_id, covered):
-            raise TrustError("quote signature does not verify")
+            return refuse("quote signature does not verify")
         if now >= quote.expiry:
-            raise PolicyError(f"quote expired at tick {quote.expiry}, now {now}")
+            return refuse(f"quote expired at tick {quote.expiry}, now {now}")
         if self.config.enforce_limit_sanity and self.config.authorized_limit < quote.price:
-            raise PolicyError(
+            return refuse(
                 f"authorized limit {self.config.authorized_limit} below price {quote.price}"
             )
         order = OrderInfo(
@@ -367,38 +360,12 @@ class ServiceRequester(_ActorBase):
         payment_bytes = codec.encode(payment)
         tm_key = self._key_of(self.config.trust_manager_id)
         if tm_key is None:
-            raise TrustError(f"no public key for {self.config.trust_manager_id!r}")
+            return refuse(f"no public key for {self.config.trust_manager_id!r}")
         envelope = seal(tm_key, self.config.trust_manager_id, payment_bytes, self.rng)
         dual = make_dual_signature(self.identity, order_bytes, payment_bytes)
         self.pending_auths.add(order.order_nonce)
-        return AuthorizationRequest(
-            order_info=order,
-            payment_envelope=envelope,
-            dual=dual,
-        )
-
-    def redeem_request(self, ticket: Ticket) -> TicketRedeemRequest:
-        return TicketRedeemRequest(ticket_id=ticket.ticket_id)
-
-    # -- message handlers --
-
-    def _on_price_quote(self, sender: str, quote: PriceQuote, covered, now: int, net) -> Outbound:
-        if sender != self.config.provider_id:
-            self._note(f"quote from unexpected sender {sender}")
-            return []
-        matched = next(
-            (i for i, (_n, usage) in enumerate(self.pending_usage) if usage == quote.usage),
-            None,
-        )
-        if matched is None:
-            self._note("quote does not match any pending request")
-            return []
-        try:
-            auth = self.build_authorization(quote, now, covered)
-        except (TrustError, PolicyError) as exc:
-            self._note(f"quote not usable: {exc}")
-            return []
         self.pending_usage.pop(matched)
+        auth = AuthorizationRequest(order_info=order, payment_envelope=envelope, dual=dual)
         return [(self.config.provider_id, codec.encode(auth))]
 
     def _on_quote_denial(
@@ -455,7 +422,8 @@ class ServiceRequester(_ActorBase):
         for ticket in grant.tickets:
             self.tickets[ticket.ticket_id] = ticket
             self.unredeemed.add(ticket.ticket_id)
-            out.append((self.config.provider_id, codec.encode(self.redeem_request(ticket))))
+            request = TicketRedeemRequest(ticket_id=ticket.ticket_id)
+            out.append((self.config.provider_id, codec.encode(request)))
         return out
 
     def _on_redeem_response(
@@ -525,17 +493,16 @@ class ServiceProvider(_ActorBase):
         self.stored_objects: dict[bytes, bytes] = {}
         self.receivable_total = 0
 
-    # -- protocol operations --
+    # -- message handlers --
 
-    def quote_price(self, request: PriceRequest, now: int) -> Sent:
-        """Price a usage request: rate * quantity, valid for quote_ttl ticks.
+    def _on_price_request(
+        self, sender: str, request: PriceRequest, covered, now: int, net
+    ) -> Outbound:
+        """Price a usage request: rate * quantity, valid for quote_ttl ticks."""
 
-        Returns the ``PriceQuote`` or ``QuoteDenial`` and its encoding.
-        """
-
-        def deny(reason: str) -> Sent:
+        def deny(reason: str) -> Outbound:
             denial = QuoteDenial(request_nonce=request.nonce, reason=reason)
-            return denial, codec.encode(denial)
+            return [(sender, codec.encode(denial))]
 
         rate = self.config.pricing.get(request.usage.service_id)
         if rate is None:
@@ -552,31 +519,33 @@ class ServiceProvider(_ActorBase):
             expiry=now + self.config.quote_ttl,
         )
         self.issued_quotes[quote.quote_id] = quote
-        return quote, raw
+        return [(sender, raw)]
 
-    def handle_authorization(
-        self, auth: AuthorizationRequest, sender: str, now: int
-    ) -> Sent | None:
-        """Validate the order half and relay the payment half.
+    def _on_authorization(
+        self, sender: str, auth: AuthorizationRequest, covered, now: int, net
+    ) -> Outbound:
+        """Validate the order half, relay the payment half, answer the requester.
 
-        On success the provider retains the order locally and returns an
-        AuthorizeAndHold, MAC'd to the trust manager, carrying the untouched
-        sealed envelope; the order plaintext goes no further.  On failure
-        the requester gets a bare denied decision.  Either comes with its
-        encoding.  A duplicate of an order
-        already accepted is ignored outright (None): that order's one relay
-        has been answered, and a second could only draw the trust manager's
-        REPLAY refusal.  Without a key for the trust manager there is no
-        relay either (None), and the order is not kept.
+        The order stays here.  The trust manager gets an AuthorizeAndHold,
+        MAC'd to it, carrying the untouched sealed envelope; the order
+        plaintext goes no further.  A duplicate of an order already
+        accepted is ignored outright: that order's one relay has been
+        answered, and a second could only draw the trust manager's REPLAY
+        refusal.  Without a key for the trust manager there is no relay
+        and no answer, and the order is not kept.
         """
         order = auth.order_info
 
-        def deny(reason: DenialReason, detail: str) -> Sent:
+        def decide(approved: bool) -> Outbound:
+            _, raw = build_signed(
+                AuthDecision, self.identity, order_nonce=order.order_nonce, approved=approved
+            )
+            return [(sender, raw)]
+
+        def deny(reason: DenialReason, detail: str) -> Outbound:
             self._note(f"authorization refused ({reason.name}): {detail}")
             self.denials.append(reason)
-            return build_signed(
-                AuthDecision, self.identity, order_nonce=order.order_nonce, approved=False
-            )
+            return decide(False)
 
         # authenticity first: any tampering surfaces as BAD_SIGNATURE before
         # policy questions like quote expiry get a say
@@ -598,7 +567,7 @@ class ServiceProvider(_ActorBase):
             return deny(DenialReason.EXPIRED_QUOTE, "order does not match quoted usage")
         if order.order_nonce in self.orders:
             self._note("duplicate authorization for an accepted order ignored")
-            return None
+            return []
 
         relay = self._maced_for(
             self.config.trust_manager_id,
@@ -607,9 +576,25 @@ class ServiceProvider(_ActorBase):
             dual=auth.dual,
             charge_amount=quote.price,
         )
-        if relay is not None:
-            self.orders[order.order_nonce] = order
-        return relay
+        if relay is None:
+            return []
+        self.orders[order.order_nonce] = order
+        outcome = self._exchange(net, self.config.trust_manager_id, relay, AuthOutcome)
+        if outcome is None:
+            return []
+        if not outcome.approved:
+            self._note(f"authorization denied by trust manager: {outcome.reason.name}")
+            return decide(False)
+        token = outcome.token
+        if (
+            self._authentic(token, self.config.trust_manager_id)
+            and token.provider_id == self.subject_id
+            and token.charge_amount == quote.price
+        ):
+            self.approved_tokens[order.order_nonce] = token
+            return decide(True)
+        self._note("approved outcome carried an unverifiable token")
+        return decide(False)
 
     def _store_and_grant(
         self, order_nonce: bytes, objects: tuple[bytes, ...], digests: tuple[Digest, ...]
@@ -632,57 +617,6 @@ class ServiceProvider(_ActorBase):
         )
         self.granted[grant.grant_id] = order_nonce
         return grant, raw
-
-    def collect_credits(self, token: CaptureToken, net: Network | None) -> CaptureResponse | None:
-        """Present a capture token to the trust manager and book the credit."""
-        request = self._maced_for(self.config.trust_manager_id, CaptureRequest, token=token)
-        response = self._exchange(net, self.config.trust_manager_id, request, CaptureResponse)
-        if response is None:
-            return None
-        if response.settled:
-            self.receivable_total += token.charge_amount
-        else:
-            self._note(f"capture refused: {response.reason.name}")
-        return response
-
-    # -- message handlers --
-
-    def _on_price_request(
-        self, sender: str, request: PriceRequest, covered, now: int, net
-    ) -> Outbound:
-        return [(sender, self.quote_price(request, now)[1])]
-
-    def _on_authorization(
-        self, sender: str, auth: AuthorizationRequest, covered, now: int, net
-    ) -> Outbound:
-        result = self.handle_authorization(auth, sender, now)
-        if result is None:
-            return []
-        reply, raw = result
-        if isinstance(reply, AuthDecision):
-            return [(sender, raw)]
-        outcome = self._exchange(net, self.config.trust_manager_id, result, AuthOutcome)
-        if outcome is None:
-            return []
-        order_nonce = auth.order_info.order_nonce
-        approved = False
-        if outcome.approved:
-            token = outcome.token
-            if (
-                self._authentic(token, self.config.trust_manager_id)
-                and token.provider_id == self.subject_id
-                and token.charge_amount == reply.charge_amount
-            ):
-                self.approved_tokens[order_nonce] = token
-                approved = True
-            else:
-                self._note("approved outcome carried an unverifiable token")
-        else:
-            self._note(f"authorization denied by trust manager: {outcome.reason.name}")
-        _, raw = build_signed(
-            AuthDecision, self.identity, order_nonce=order_nonce, approved=approved
-        )
-        return [(sender, raw)]
 
     def _on_object_upload(
         self, sender: str, upload: ObjectUpload, covered, now: int, net
@@ -729,9 +663,16 @@ class ServiceProvider(_ActorBase):
         if token is None:
             self._note("grant already captured")
             return []
-        response = self.collect_credits(token, net)
-        if response is not None and response.settled:
+        # present the token to the trust manager and book the credit
+        request = self._maced_for(self.config.trust_manager_id, CaptureRequest, token=token)
+        response = self._exchange(net, self.config.trust_manager_id, request, CaptureResponse)
+        if response is None:
+            return []
+        if response.settled:
+            self.receivable_total += token.charge_amount
             del self.approved_tokens[order_nonce]
+        else:
+            self._note(f"capture refused: {response.reason.name}")
         return []
 
     _HANDLERS = {
@@ -768,26 +709,19 @@ class TrustManager(_ActorBase):
         self.spent_tokens: set[bytes] = set()
         self.minted_tokens: dict[bytes, CaptureToken] = {}
 
-    # -- protocol operations --
-
-    def handle_authorize(
-        self,
-        msg: AuthorizeAndHold,
-        sender: str,
-        net: Network | None,
-        covered: bytes | memoryview | None = None,
-    ) -> AuthOutcome:
+    def _on_authorize_and_hold(
+        self, sender: str, msg: AuthorizeAndHold, covered, now: int, net
+    ) -> Outbound:
         """Decide an authorization: open, verify, check limit, hold, mint.
 
         Denials carry a precise reason; the only state a failed attempt
-        leaves behind is the payment nonce, which stays burned.  ``covered``
-        is the part of the received request its MAC covers.
+        leaves behind is the payment nonce, which stays burned.
         """
 
-        def deny(reason: DenialReason, detail: str) -> AuthOutcome:
+        def deny(reason: DenialReason, detail: str) -> Outbound:
             self._note(f"authorization denied ({reason.name}): {detail}")
             self.denials.append(reason)
-            return AuthOutcome(token=None, reason=reason)
+            return [(sender, codec.encode(AuthOutcome(token=None, reason=reason)))]
 
         if not self._authentic(msg, sender, covered):
             return deny(DenialReason.BAD_SIGNATURE, "provider MAC fails")
@@ -842,25 +776,16 @@ class TrustManager(_ActorBase):
             hold_ref=response.hold_ref,
         )
         self.minted_tokens[token.token_id] = token
-        return AuthOutcome(token=token, reason=None)
+        return [(sender, codec.encode(AuthOutcome(token=token, reason=None)))]
 
-    def handle_capture(
-        self,
-        request: CaptureRequest,
-        sender: str,
-        net: Network | None,
-        covered: bytes | memoryview | None = None,
-    ) -> Sent | None:
-        """Settle a capture token exactly once.
+    def _on_capture_request(
+        self, sender: str, request: CaptureRequest, covered, now: int, net
+    ) -> Outbound:
+        """Settle a capture token exactly once."""
 
-        ``covered`` is the part of the received request its MAC covers.  The
-        answer is a ``CaptureResponse`` MAC'd to ``sender``, with its
-        encoding; None when no key for it is known.
-        """
-
-        def refuse(reason: DenialReason, detail: str) -> Sent | None:
+        def refuse(reason: DenialReason, detail: str) -> Outbound:
             self._note(f"capture refused ({reason.name}): {detail}")
-            return self._maced_for(sender, CaptureResponse, reason=reason)
+            return self._maced_reply(sender, CaptureResponse, reason=reason)
 
         token = request.token
         if token.provider_id != sender or not self._authentic(request, sender, covered):
@@ -890,21 +815,7 @@ class TrustManager(_ActorBase):
             return refuse(DenialReason.BAD_SIGNATURE, "settled amount mismatch")
 
         self.spent_tokens.add(token.token_id)
-        return self._maced_for(sender, CaptureResponse, reason=None)
-
-    # -- message handlers --
-
-    def _on_authorize_and_hold(
-        self, sender: str, msg: AuthorizeAndHold, covered, now: int, net
-    ) -> Outbound:
-        outcome = self.handle_authorize(msg, sender, net, covered)
-        return [(sender, codec.encode(outcome))]
-
-    def _on_capture_request(
-        self, sender: str, msg: CaptureRequest, covered, now: int, net
-    ) -> Outbound:
-        response = self.handle_capture(msg, sender, net, covered)
-        return [] if response is None else [(sender, response[1])]
+        return self._maced_reply(sender, CaptureResponse, reason=None)
 
     _HANDLERS = {
         AuthorizeAndHold: _on_authorize_and_hold,
@@ -935,15 +846,11 @@ class AccountProvider(_ActorBase):
         self.ledger = Ledger(rng=rng)
         self.seen_hold_nonces: set[bytes] = set()
 
-    def open_account(self, account_ref: str, credit_limit: int) -> Digest:
-        return self.ledger.open_account(account_ref, credit_limit)
-
     def _on_hold_request(self, sender: str, msg: HoldRequest, covered, now: int, net) -> Outbound:
         def respond(hold_ref: bytes, reason: DenialReason | None) -> Outbound:
-            response = self._maced_for(
+            return self._maced_reply(
                 sender, HoldResponse, hold_nonce=msg.hold_nonce, hold_ref=hold_ref, reason=reason
             )
-            return [] if response is None else [(sender, response[1])]
 
         if sender not in self.config.trust_managers \
                 or not self._authentic(msg, sender, covered):
@@ -967,10 +874,9 @@ class AccountProvider(_ActorBase):
         self, sender: str, msg: SettleRequest, covered, now: int, net
     ) -> Outbound:
         def respond(amount: int, reason: DenialReason | None) -> Outbound:
-            response = self._maced_for(
+            return self._maced_reply(
                 sender, SettleResponse, settle_nonce=msg.settle_nonce, amount=amount, reason=reason
             )
-            return [] if response is None else [(sender, response[1])]
 
         if sender not in self.config.trust_managers \
                 or not self._authentic(msg, sender, covered):

@@ -537,14 +537,6 @@ def upload_signing_payload(order_nonce: bytes, digests: tuple[Digest, ...]) -> b
     return b"".join(out)
 
 
-def _upload_payload(
-    order_nonce: bytes, objects: tuple[bytes, ...], digests: tuple[Digest, ...] | None
-) -> bytes:
-    return upload_signing_payload(
-        order_nonce, object_digests(objects) if digests is None else digests
-    )
-
-
 def build_signed(
     cls: type[M], key: KeyPair, *, digests: tuple[Digest, ...] | None = None, **fields
 ) -> tuple[M, bytes]:
@@ -554,12 +546,11 @@ def build_signed(
     leading part of those bytes, the type tag and every field before the
     signature, so any bit of the message body is tamper-evident and the
     fields are encoded once.  An ``ObjectUpload`` is the one exception: its
-    signature covers ``upload_signing_payload``.  A caller that already
-    holds ``object_digests(objects)`` passes them as ``digests``, so no
-    object is hashed twice.
+    signature covers ``upload_signing_payload``, over the ``digests`` the
+    caller passes, ``object_digests(objects)``.
     """
     if cls is ObjectUpload:
-        payload = _upload_payload(fields["order_nonce"], fields["objects"], digests)
+        payload = upload_signing_payload(fields["order_nonce"], digests)
         upload = cls(**fields, requester_signature=sign(key, payload))
         return upload, codec.encode(upload)
     return codec.encode_authenticated(cls, fields, partial(sign, key))
@@ -577,11 +568,11 @@ def verify_signed(
     (``codec.decode_authenticated``); the receiver checks those bytes as
     they arrived.  Without it, as for a message nested in another, the part
     is encoded again from ``msg``.  An ``ObjectUpload``'s signature covers
-    its order nonce and object digests instead: a caller that already holds
-    ``object_digests(msg.objects)`` passes them as ``digests``.
+    its order nonce and object digests instead: the caller passes
+    ``object_digests(msg.objects)`` as ``digests``.
     """
     if type(msg) is ObjectUpload:
-        payload = _upload_payload(msg.order_nonce, msg.objects, digests)
+        payload = upload_signing_payload(msg.order_nonce, digests)
     else:
         payload = codec.signing_payload(msg) if covered is None else covered
     sig: Signature = getattr(msg, codec.authenticator_field_name(type(msg)))
@@ -599,12 +590,12 @@ def build_maced(cls: type[M], key: bytes, **fields) -> tuple[M, bytes]:
     return codec.encode_authenticated(cls, fields, partial(mac, key))
 
 
-def verify_maced(msg, key: bytes, covered: bytes | memoryview | None = None) -> bool:
+def verify_maced(msg, key: bytes, covered: bytes | memoryview) -> bool:
     """Check a message's trailing MAC under the sender-to-receiver ``key``.
 
-    ``covered`` is the part of the received bytes the tag covers, as for
-    ``verify_signed``; without it, that part is encoded again from ``msg``.
+    ``covered`` is the part of the received bytes the tag covers
+    (``codec.decode_authenticated``).  No MAC'd type travels nested, so
+    there are always received bytes to check.
     """
     tag = getattr(msg, codec.authenticator_field_name(type(msg)))
-    payload = codec.signing_payload(msg) if covered is None else covered
-    return mac_ok(key, payload, tag)
+    return mac_ok(key, covered, tag)

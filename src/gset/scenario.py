@@ -35,6 +35,7 @@ from .simnet import (
     PrivacyMarkers,
     PrivacyReport,
     Transcript,
+    WireMessage,
     assert_privacy,
     run_scenario,
 )
@@ -141,7 +142,7 @@ class Scenario:
     account_ref: str
     objects: tuple[bytes, ...]
     markers: PrivacyMarkers
-    initial: list[tuple[str, str, bytes]]
+    initial: list[WireMessage]
 
     @property
     def requester(self) -> ServiceRequester:
@@ -219,7 +220,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         AccountProviderConfig(trust_managers=frozenset({config.trust_manager_id})),
         Random(f"{config.seed}/{config.account_provider_id}"),
     )
-    account_provider.open_account(account_ref, config.credit_limit)
+    account_provider.ledger.open_account(account_ref, config.credit_limit)
 
     markers = PrivacyMarkers(
         payment_markers=(
@@ -238,8 +239,8 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         actor.subject_id: actor
         for actor in (requester, provider, trust_manager, account_provider)
     }
-    kick = requester.begin(usage)
-    initial = [(config.requester_id, kick[0], kick[1])]
+    to_id, kick = requester.begin(usage)
+    initial = [WireMessage(from_id=config.requester_id, to_id=to_id, payload=kick)]
     return Scenario(
         config=config,
         endpoints=endpoints,

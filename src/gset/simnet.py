@@ -346,12 +346,9 @@ class _Runner:
         return delivered
 
 
-InitialMessage = WireMessage | tuple[str, str, bytes]
-
-
 def run_scenario(
     endpoints: Mapping[str, Actor],
-    initial: Sequence[InitialMessage],
+    initial: Sequence[WireMessage],
     adversary: Adversary | None = None,
     seed: int = 0,
     max_ticks: int = 10_000,
@@ -362,16 +359,11 @@ def run_scenario(
     the transcript in execution order.  Nested exchanges share the tick of
     the delivery they ran inside.
     """
-    wires = [
-        item if isinstance(item, WireMessage)
-        else WireMessage(from_id=item[0], to_id=item[1], payload=item[2])
-        for item in initial
-    ]
     rng = None
     if adversary is not None:
         rng = adversary.rng if adversary.rng is not None else Random(f"{seed}/adversary")
     runner = _Runner(endpoints, adversary, rng)
-    for wire in wires:
+    for wire in initial:
         runner.queue.append((wire.from_id, wire.to_id, wire.payload))
     while runner.queue and runner.tick < max_ticks:
         runner.tick += 1
@@ -381,7 +373,7 @@ def run_scenario(
         seed=seed,
         max_ticks=max_ticks,
         adversary_spec=adversary.spec if adversary is not None else "none",
-        initial=tuple(wires),
+        initial=tuple(initial),
     )
     return Transcript(meta=meta, records=tuple(runner.records))
 
@@ -429,7 +421,7 @@ def replay_transcript(
         adversary = Adversary.from_spec(meta.adversary_spec)
     fresh = run_scenario(
         endpoints_factory(meta.seed),
-        list(meta.initial),
+        meta.initial,
         adversary=adversary,
         seed=meta.seed,
         max_ticks=meta.max_ticks,
@@ -561,11 +553,3 @@ def assert_privacy(
     for index, blob in enumerate(captured):
         hits += scan_for_markers(f"captured[{index}]", blob, markers.payment_markers)
     return PrivacyReport(hits=tuple(hits), locations_checked=checked)
-
-
-def final_states(endpoints: Mapping[str, Actor]) -> dict[str, bytes]:
-    """Deterministic snapshot of every actor's state after a run."""
-    return {
-        subject_id: endpoints[subject_id].state_bytes()
-        for subject_id in sorted(endpoints)
-    }

@@ -1,7 +1,7 @@
 """Shared test rig: the four actors of a built scenario, and a simnet call handle."""
 from __future__ import annotations
 
-from gset import Scenario, ScenarioConfig, build_scenario
+from gset import Adversary, AdversaryMode, Scenario, ScenarioConfig, build_scenario, peek_type
 from gset.simnet import _NetHandle, _Runner
 
 # build_actors keyword -> the ScenarioConfig field it sets
@@ -25,11 +25,19 @@ class ActorSet:
         self.ap = scenario.account_provider
         self.registry = scenario.endpoints
 
-    def net(self, caller_id: str, now: int = 0) -> _NetHandle:
-        """The simnet's own call path, with no adversary, at tick ``now``."""
-        runner = _Runner(self.registry, None, None)
+    def net(self, caller_id: str, now: int = 0, drop: str | None = None) -> _NetHandle:
+        """The simnet's own call path at tick ``now``: with no adversary, or
+        with one that drops the first message of type ``drop``."""
+        adversary = None if drop is None else Adversary(mode=AdversaryMode.DROP, target=drop)
+        runner = _Runner(self.registry, adversary, None)
         runner.tick = now
         return _NetHandle(runner, caller_id)
+
+
+def recorded(net: _NetHandle, tag: str) -> list[bytes]:
+    """The payloads of type ``tag`` among the calls made through ``net``, as
+    its runner recorded them (a dropped message included)."""
+    return [r.payload for r in net._runner.records if peek_type(r.payload) == tag]
 
 
 def build_actors(**knobs) -> ActorSet:

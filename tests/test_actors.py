@@ -1,4 +1,4 @@
-"""Behavior of the four principals, driven directly and over a call bridge."""
+"""Behavior of the four principals, driven through ``deliver`` and the simnet's calls."""
 from __future__ import annotations
 
 import dataclasses
@@ -8,10 +8,12 @@ from types import SimpleNamespace
 import pytest
 
 from gset import (
+    AccountProvider,
     Adversary,
     AdversaryMode,
     AuthDecision,
     AuthOutcome,
+    AuthorizationRequest,
     AuthorizeAndHold,
     CaptureRequest,
     CaptureResponse,
@@ -19,18 +21,21 @@ from gset import (
     HoldResponse,
     ObjectUpload,
     PaymentInfo,
-    PolicyError,
     PriceQuote,
+    PriceRequest,
     QuoteDenial,
     ScenarioConfig,
     ServiceComplete,
     ServiceGrant,
+    ServiceProvider,
+    ServiceRequester,
     SettleResponse,
+    TicketRedeemRequest,
     TicketRedeemResponse,
-    TrustError,
     TrustManager,
     UsageDescriptor,
     ValidationError,
+    WireMessage,
     build_maced,
     build_signed,
     codec,
@@ -42,33 +47,77 @@ from gset import (
     run_scenario,
     run_storage_scenario,
     sign,
+    verify,
     verify_signed,
 )
 from gset.messages import object_digests, upload_signing_payload
 
 from genmsg import flip_bit
-from harness import build_actors
-from test_messages import MACED_TYPES
+from harness import build_actors, recorded
+from test_messages import MACED_TYPES, _trailing_authenticator
 
 
 def usage_mb(actors, quantity: int) -> UsageDescriptor:
     return dataclasses.replace(actors.scenario.usage, quantity=quantity)
 
 
-def quote_for(actors, quantity: int, now: int = 0):
-    request = actors.sr.request_price(usage_mb(actors, quantity))
-    quote, _ = actors.sp.quote_price(request, now=now)
-    assert isinstance(quote, PriceQuote)
-    return quote
+def price_request(actors, usage: UsageDescriptor) -> bytes:
+    """The requester's price request for ``usage``, addressed to the provider."""
+    dest, raw = actors.sr.begin(usage)
+    assert dest == "SP"
+    return raw
+
+
+def quote_for(actors, quantity: int, now: int = 0) -> bytes:
+    """The provider's answer, at tick ``now``, to a price request for ``quantity``."""
+    [(dest, raw)] = actors.sp.deliver("SR", price_request(actors, usage_mb(actors, quantity)), now)
+    assert dest == "SR"
+    return raw
+
+
+def authorization(actors, quantity: int = 5, now: int = 0) -> bytes:
+    """The requester's answer, at tick ``now``, to a tick-0 quote for ``quantity``."""
+    [(dest, raw)] = actors.sr.deliver("SP", quote_for(actors, quantity), now)
+    assert dest == "SP"
+    return raw
+
+
+def decide(actors, auth: bytes, now: int = 0, net=None) -> AuthDecision:
+    """The provider's decision on ``auth``, its relay going through ``net``."""
+    [(dest, raw)] = actors.sp.deliver("SR", auth, now, net)
+    assert dest == "SR"
+    return codec.decode(raw, AuthDecision)
+
+
+def relay_of(actors, quantity: int = 5, now: int = 0) -> bytes:
+    """The provider's AuthorizeAndHold for a fresh authorization, taken off
+    its call before it reaches the trust manager."""
+    net = actors.net("SP", now, drop="AuthorizeAndHold")
+    assert actors.sp.deliver("SR", authorization(actors, quantity, now), now, net) == []
+    [relay] = recorded(net, "AuthorizeAndHold")
+    return relay
+
+
+def outcome_of(tm, relay: bytes, net, sender: str = "SP") -> AuthOutcome:
+    """The trust manager ``tm``'s answer to ``relay`` presented by ``sender``."""
+    [(dest, raw)] = tm.deliver(sender, relay, 0, net)
+    assert dest == sender
+    return codec.decode(raw, AuthOutcome)
 
 
 def approved_outcome(actors, quantity: int = 5, now: int = 0):
-    quote = quote_for(actors, quantity, now)
-    auth = actors.sr.build_authorization(quote, now=now)
-    relay, _ = actors.sp.handle_authorization(auth, "SR", now=now)
-    assert isinstance(relay, AuthorizeAndHold)
-    outcome = actors.tm.handle_authorize(relay, "SP", actors.net("TM"))
-    return auth, relay, outcome
+    """A relay of a fresh authorization and the trust manager's outcome for it."""
+    relay = relay_of(actors, quantity, now)
+    return relay, outcome_of(actors.tm, relay, actors.net("TM", now))
+
+
+def upload_for(actors, order_nonce: bytes) -> ObjectUpload:
+    objects = actors.scenario.objects
+    upload, _ = build_signed(
+        ObjectUpload, actors.sr.identity, digests=object_digests(objects),
+        order_nonce=order_nonce, objects=objects,
+    )
+    return upload
 
 
 def decide_then_upload(actors, quantity: int = 5, now: int = 0):
@@ -77,19 +126,10 @@ def decide_then_upload(actors, quantity: int = 5, now: int = 0):
 
     Returns the SP's decision and its answer to the upload.
     """
-    quote = quote_for(actors, quantity, now)
-    auth = actors.sr.build_authorization(quote, now=now)
-    [(dest, raw)] = actors.sp.deliver("SR", codec.encode(auth), now, actors.net("SP", now))
-    assert dest == "SR"
-    upload, _ = build_signed(
-        ObjectUpload,
-        actors.sr.identity,
-        order_nonce=auth.order_info.order_nonce,
-        objects=actors.scenario.objects,
-    )
-    return codec.decode(raw, AuthDecision), actors.sp.deliver(
-        "SR", codec.encode(upload), now + 1, None
-    )
+    auth = authorization(actors, quantity, now)
+    decision = decide(actors, auth, now, actors.net("SP", now))
+    upload = upload_for(actors, codec.decode(auth, AuthorizationRequest).order_info.order_nonce)
+    return decision, actors.sp.deliver("SR", codec.encode(upload), now + 1)
 
 
 def granted(actors, quantity: int = 5) -> ServiceGrant:
@@ -98,20 +138,60 @@ def granted(actors, quantity: int = 5) -> ServiceGrant:
     return codec.decode(raw, ServiceGrant)
 
 
+def complete(actors, grant: ServiceGrant, now: int = 2):
+    """Deliver the requester's completion of ``grant`` to the provider.
+
+    Returns the capture call the provider makes: its request, as bytes, and
+    the trust manager's response.
+    """
+    _, raw = build_signed(ServiceComplete, actors.sr.identity, grant_id=grant.grant_id)
+    net = actors.net("SP", now)
+    assert actors.sp.deliver("SR", raw, now, net) == []
+    [request] = recorded(net, "CaptureRequest")
+    [response] = recorded(net, "CaptureResponse")
+    return request, codec.decode(response, CaptureResponse)
+
+
+def hold_token(actors, token) -> None:
+    """Put ``token`` in place of the one token the provider holds."""
+    [order_nonce] = actors.sp.approved_tokens
+    actors.sp.approved_tokens[order_nonce] = token
+
+
+# --- one way in ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "cls, extra",
+    [(ServiceRequester, {"begin"}), (ServiceProvider, set()), (TrustManager, set()),
+     (AccountProvider, set())],
+    ids=["SR", "SP", "TM", "AP"],
+)
+def test_deliver_is_the_only_way_into_an_actor(cls, extra):
+    # every protocol step is a handler behind deliver; the requester's begin
+    # only makes the first message of a run
+    [actor] = [a for a in build_actors().registry.values() if type(a) is cls]
+    public = {
+        name for name in dir(actor)
+        if not name.startswith("_") and callable(getattr(actor, name))
+    }
+    assert public == {"deliver", "state_bytes"} | extra
+
+
 # --- price discovery --------------------------------------------------------
 
 
 def test_price_request_for_five_megabytes():
     actors = build_actors()
-    request = actors.sr.request_price(usage_mb(actors, 5))
+    request = codec.decode(price_request(actors, usage_mb(actors, 5)), PriceRequest)
     assert request.usage.quantity == 5
     assert request.usage.unit == "megabyte"
 
 
 def test_price_requests_use_fresh_nonces():
     actors = build_actors()
-    a = actors.sr.request_price(actors.scenario.usage)
-    b = actors.sr.request_price(actors.scenario.usage)
+    a = codec.decode(price_request(actors, actors.scenario.usage), PriceRequest)
+    b = codec.decode(price_request(actors, actors.scenario.usage), PriceRequest)
     assert a.nonce != b.nonce
 
 
@@ -122,46 +202,42 @@ def test_zero_quantity_usage_is_unconstructible():
 
 def test_quote_is_rate_times_quantity():
     actors = build_actors(rate=10)
-    quote = quote_for(actors, 5)
+    quote = codec.decode(quote_for(actors, 5), PriceQuote)
     assert quote.price == 50
     assert quote.expiry == actors.sp.config.quote_ttl
 
 
 def test_two_quotes_for_same_request_have_distinct_ids():
     actors = build_actors()
-    request = actors.sr.request_price(usage_mb(actors, 5))
-    a, _ = actors.sp.quote_price(request, now=0)
-    b, _ = actors.sp.quote_price(request, now=0)
-    assert a.quote_id != b.quote_id
+    request = price_request(actors, usage_mb(actors, 5))
+    [(_, a)] = actors.sp.deliver("SR", request, 0)
+    [(_, b)] = actors.sp.deliver("SR", request, 0)
+    assert codec.decode(a, PriceQuote).quote_id != codec.decode(b, PriceQuote).quote_id
 
 
 def test_unknown_service_id_gets_a_denial():
     actors = build_actors()
-    odd = UsageDescriptor("unpriced-service", "noop", 1, "each")
-    request = actors.sr.request_price(odd)
-    reply, _ = actors.sp.quote_price(request, now=0)
-    assert isinstance(reply, QuoteDenial)
-    assert reply.request_nonce == request.nonce
+    request = price_request(actors, UsageDescriptor("unpriced-service", "noop", 1, "each"))
+    [(dest, raw)] = actors.sp.deliver("SR", request, 0)
+    reply = codec.decode(raw, QuoteDenial)
+    assert dest == "SR"
+    assert reply.request_nonce == codec.decode(request, PriceRequest).nonce
 
 
 def test_price_beyond_u64_gets_a_denial_not_an_encode_error():
     actors = build_actors(rate=10)
-    request = actors.sr.request_price(usage_mb(actors, 2**64 - 1))
-    reply, _ = actors.sp.quote_price(request, now=0)
-    assert isinstance(reply, QuoteDenial)
-    assert reply.request_nonce == request.nonce
-    assert actors.sp.issued_quotes == {}
-    [(dest, raw)] = actors.sp.deliver("SR", codec.encode(request), 0, None)
+    request = price_request(actors, usage_mb(actors, 2**64 - 1))
+    [(dest, raw)] = actors.sp.deliver("SR", request, 0)
+    reply = codec.decode(raw, QuoteDenial)
     assert dest == "SR"
-    assert isinstance(codec.decode(raw), QuoteDenial)
+    assert reply.request_nonce == codec.decode(request, PriceRequest).nonce
+    assert actors.sp.issued_quotes == {}
 
 
 def test_quote_signature_verifies_and_covers_price():
     actors = build_actors()
-    quote = quote_for(actors, 5)
+    quote = codec.decode(quote_for(actors, 5), PriceQuote)
     sp_pub = actors.sp.identity.public_key
-    from gset import verify
-
     assert verify(sp_pub, codec.signing_payload(quote), quote.provider_signature)
 
 
@@ -170,8 +246,7 @@ def test_quote_signature_verifies_and_covers_price():
 
 def test_authorization_envelope_opens_at_tm_to_the_limit():
     actors = build_actors(limit=60)
-    quote = quote_for(actors, 5)
-    auth = actors.sr.build_authorization(quote, now=1)
+    auth = codec.decode(authorization(actors, 5, now=1), AuthorizationRequest)
     payment = codec.decode(open_envelope(actors.tm.identity, auth.payment_envelope), PaymentInfo)
     assert payment.authorized_limit == 60
     assert payment.account_provider_id == "AP"
@@ -180,40 +255,43 @@ def test_authorization_envelope_opens_at_tm_to_the_limit():
 
 def test_envelope_bytes_hide_the_account_ref():
     actors = build_actors()
-    quote = quote_for(actors, 5)
-    auth = actors.sr.build_authorization(quote, now=1)
+    raw = authorization(actors, 5, now=1)
+    auth = codec.decode(raw, AuthorizationRequest)
     marker = actors.scenario.account_ref.encode()
     assert marker not in auth.payment_envelope.ciphertext
     assert marker not in auth.payment_envelope.wrapped_key
-    assert marker not in codec.encode(auth)
+    assert marker not in raw
+
+
+def _refused_quote(actors, quote: bytes, now: int, note: str) -> None:
+    # the requester sends nothing and keeps no order for a quote it refuses
+    assert actors.sr.deliver("SP", quote, now) == []
+    assert actors.sr.notes[-1] == f"quote not usable: {note}"
+    assert actors.sr.pending_auths == set()
 
 
 def test_limit_below_price_fails_before_sending():
     actors = build_actors(limit=40, sanity=True)
     quote = quote_for(actors, 5)  # price 50
-    with pytest.raises(PolicyError):
-        actors.sr.build_authorization(quote, now=1)
+    _refused_quote(actors, quote, 1, "authorized limit 40 below price 50")
 
 
 def test_expired_quote_rejected_by_requester():
     actors = build_actors(quote_ttl=10)
     quote = quote_for(actors, 5, now=0)
-    with pytest.raises(PolicyError):
-        actors.sr.build_authorization(quote, now=10)
+    _refused_quote(actors, quote, 10, "quote expired at tick 10, now 10")
 
 
 def test_forged_quote_signature_rejected():
     actors = build_actors()
-    quote = quote_for(actors, 5)
-    doctored = dataclasses.replace(quote, price=1)
-    with pytest.raises(TrustError):
-        actors.sr.build_authorization(doctored, now=1)
+    quote = codec.decode(quote_for(actors, 5), PriceQuote)
+    doctored = codec.encode(dataclasses.replace(quote, price=1))
+    _refused_quote(actors, doctored, 1, "quote signature does not verify")
 
 
 def test_dual_signature_binds_order_and_payment():
     actors = build_actors()
-    quote = quote_for(actors, 5)
-    auth = actors.sr.build_authorization(quote, now=1)
+    auth = codec.decode(authorization(actors, 5, now=1), AuthorizationRequest)
     # the payment half as the trust manager will see it
     payment = open_envelope(actors.tm.identity, auth.payment_envelope)
     assert auth.dual.oi_digest == hash_bytes(codec.encode(auth.order_info))
@@ -225,79 +303,75 @@ def test_dual_signature_binds_order_and_payment():
 
 def test_valid_authorization_becomes_hold_instruction_at_quoted_price():
     actors = build_actors()
-    quote = quote_for(actors, 5)
-    auth = actors.sr.build_authorization(quote, now=1)
-    relay, _ = actors.sp.handle_authorization(auth, "SR", now=1)
-    assert isinstance(relay, AuthorizeAndHold)
+    auth = authorization(actors, 5, now=1)
+    net = actors.net("SP", 1)
+    assert decide(actors, auth, 1, net).approved
+    [raw] = recorded(net, "AuthorizeAndHold")
+    relay, covered = codec.decode_authenticated(raw, AuthorizeAndHold)
     assert relay.charge_amount == 50
     # MAC'd under the provider-to-trust-manager key, which no one else's is
-    assert actors.tm._authentic(relay, "SP")
-    assert not actors.tm._authentic(relay, "SR")
-    assert relay.payment_envelope == auth.payment_envelope
+    assert actors.tm._authentic(relay, "SP", covered)
+    assert not actors.tm._authentic(relay, "SR", covered)
+    assert relay.payment_envelope == codec.decode(auth, AuthorizationRequest).payment_envelope
 
 
 def test_relay_encoding_carries_no_usage_strings():
     actors = build_actors()
-    quote = quote_for(actors, 5)
-    auth = actors.sr.build_authorization(quote, now=1)
-    _, raw = actors.sp.handle_authorization(auth, "SR", now=1)
+    relay = relay_of(actors, 5, now=1)
     for marker in (b"mobile-storage", b"store-objects", b"megabyte"):
-        assert marker not in raw
+        assert marker not in relay
+
+
+def _refused_authorization(actors, auth: AuthorizationRequest, now: int, reason) -> None:
+    # the provider answers with a refusal and relays nothing
+    net = actors.net("SP", now)
+    decision = decide(actors, codec.encode(auth), now, net)
+    assert decision.order_nonce == auth.order_info.order_nonce
+    assert not decision.approved
+    assert actors.sp.denials[-1] == reason
+    assert net._runner.records == []
 
 
 def test_tampered_order_info_denied_as_bad_signature():
     actors = build_actors()
-    quote = quote_for(actors, 5)
-    auth = actors.sr.build_authorization(quote, now=1)
+    auth = codec.decode(authorization(actors, 5, now=1), AuthorizationRequest)
     doctored_order = dataclasses.replace(
         auth.order_info, usage=dataclasses.replace(auth.order_info.usage, quantity=4)
     )
     doctored = dataclasses.replace(auth, order_info=doctored_order)
-    decision, _ = actors.sp.handle_authorization(doctored, "SR", now=1)
-    assert isinstance(decision, AuthDecision)
-    assert not decision.approved
-    assert actors.sp.denials[-1] == DenialReason.BAD_SIGNATURE
+    _refused_authorization(actors, doctored, 1, DenialReason.BAD_SIGNATURE)
 
 
 def test_dual_signature_mutation_denied_as_bad_signature():
     actors = build_actors()
-    quote = quote_for(actors, 5)
-    auth = actors.sr.build_authorization(quote, now=1)
+    auth = codec.decode(authorization(actors, 5, now=1), AuthorizationRequest)
     wrong_pi = hash_bytes(b"some other payment half")
     doctored = dataclasses.replace(auth, dual=dataclasses.replace(auth.dual, pi_digest=wrong_pi))
-    decision, _ = actors.sp.handle_authorization(doctored, "SR", now=1)
-    assert isinstance(decision, AuthDecision)
-    assert not decision.approved
-    assert actors.sp.denials[-1] == DenialReason.BAD_SIGNATURE
+    _refused_authorization(actors, doctored, 1, DenialReason.BAD_SIGNATURE)
 
 
 def test_unknown_quote_denied_as_expired():
     actors = build_actors()
-    quote = quote_for(actors, 5)
-    auth = actors.sr.build_authorization(quote, now=1)
+    auth = codec.decode(authorization(actors, 5, now=1), AuthorizationRequest)
     # provider has dropped the quote by the time the order arrives
-    del actors.sp.issued_quotes[quote.quote_id]
-    decision, _ = actors.sp.handle_authorization(auth, "SR", now=1)
-    assert isinstance(decision, AuthDecision) and not decision.approved
-    assert actors.sp.denials[-1] == DenialReason.EXPIRED_QUOTE
+    del actors.sp.issued_quotes[auth.order_info.quote_id]
+    _refused_authorization(actors, auth, 1, DenialReason.EXPIRED_QUOTE)
 
 
 def test_expired_quote_denied_at_provider():
     actors = build_actors(quote_ttl=10)
-    quote = quote_for(actors, 5, now=0)
-    auth = actors.sr.build_authorization(quote, now=5)
-    decision, _ = actors.sp.handle_authorization(auth, "SR", now=11)
-    assert isinstance(decision, AuthDecision) and not decision.approved
-    assert actors.sp.denials[-1] == DenialReason.EXPIRED_QUOTE
+    auth = codec.decode(authorization(actors, 5, now=5), AuthorizationRequest)
+    _refused_authorization(actors, auth, 11, DenialReason.EXPIRED_QUOTE)
 
 
 def test_duplicate_authorization_is_ignored_not_answered():
     actors = build_actors()
-    quote = quote_for(actors, 5)
-    auth = actors.sr.build_authorization(quote, now=1)
-    first, _ = actors.sp.handle_authorization(auth, "SR", now=1)
-    assert isinstance(first, AuthorizeAndHold)
-    assert actors.sp.handle_authorization(auth, "SR", now=1) is None
+    auth = authorization(actors, 5, now=1)
+    assert decide(actors, auth, 1, actors.net("SP", 1)).approved
+    again = actors.net("SP", 1)
+    assert actors.sp.deliver("SR", auth, 1, again) == []
+    assert actors.sp.notes[-1] == "duplicate authorization for an accepted order ignored"
+    assert again._runner.records == []
 
 
 # --- trust manager authorization ----------------------------------------------
@@ -305,7 +379,7 @@ def test_duplicate_authorization_is_ignored_not_answered():
 
 def test_limit_60_charge_50_credit_100_approves_and_holds_50():
     actors = build_actors(limit=60, credit=100)
-    _, relay, outcome = approved_outcome(actors, quantity=5)
+    _, outcome = approved_outcome(actors, quantity=5)
     assert outcome.approved
     assert outcome.token is not None
     assert outcome.token.charge_amount == 50
@@ -316,7 +390,7 @@ def test_limit_60_charge_50_credit_100_approves_and_holds_50():
 
 def test_limit_60_charge_70_denied_over_limit_with_no_hold():
     actors = build_actors(limit=60, credit=500, sanity=False)
-    _, relay, outcome = approved_outcome(actors, quantity=7)
+    _, outcome = approved_outcome(actors, quantity=7)
     assert not outcome.approved
     assert outcome.reason == DenialReason.OVER_LIMIT
     assert actors.tm.denials == [DenialReason.OVER_LIMIT]
@@ -325,7 +399,7 @@ def test_limit_60_charge_70_denied_over_limit_with_no_hold():
 
 def test_limit_200_charge_150_credit_100_denied_insufficient():
     actors = build_actors(limit=200, credit=100)
-    _, relay, outcome = approved_outcome(actors, quantity=15)
+    _, outcome = approved_outcome(actors, quantity=15)
     assert not outcome.approved
     assert outcome.reason == DenialReason.INSUFFICIENT_CREDIT
     assert actors.ap.ledger.holds_created() == 0
@@ -333,9 +407,9 @@ def test_limit_200_charge_150_credit_100_denied_insufficient():
 
 def test_same_hold_instruction_twice_is_replay():
     actors = build_actors()
-    _, relay, first = approved_outcome(actors, quantity=5)
+    relay, first = approved_outcome(actors, quantity=5)
     assert first.approved
-    second = actors.tm.handle_authorize(relay, "SP", actors.net("TM"))
+    second = outcome_of(actors.tm, relay, actors.net("TM"))
     assert not second.approved
     assert second.reason == DenialReason.REPLAY
     digest = hash_bytes(actors.scenario.account_ref.encode())
@@ -346,10 +420,7 @@ def test_same_hold_instruction_twice_is_replay():
 def test_relay_presented_by_anyone_but_its_signer_is_refused():
     # the provider's identity on a relay is its signature's signer, nothing else
     actors = build_actors()
-    quote = quote_for(actors, 5)
-    auth = actors.sr.build_authorization(quote, now=0)
-    relay, _ = actors.sp.handle_authorization(auth, "SR", now=0)
-    outcome = actors.tm.handle_authorize(relay, "SR", actors.net("TM"))
+    outcome = outcome_of(actors.tm, relay_of(actors, 5), actors.net("TM"), sender="SR")
     assert outcome.reason == DenialReason.BAD_SIGNATURE
     assert actors.ap.ledger.holds_created() == 0
     assert actors.tm.minted_tokens == {}
@@ -357,40 +428,32 @@ def test_relay_presented_by_anyone_but_its_signer_is_refused():
 
 def test_denied_attempt_still_burns_the_payment_nonce():
     actors = build_actors(limit=200, credit=100)
-    _, relay, outcome = approved_outcome(actors, quantity=15)
+    relay, outcome = approved_outcome(actors, quantity=15)
     assert outcome.reason == DenialReason.INSUFFICIENT_CREDIT
-    again = actors.tm.handle_authorize(relay, "SP", actors.net("TM"))
+    again = outcome_of(actors.tm, relay, actors.net("TM"))
     assert again.reason == DenialReason.REPLAY
 
 
 def test_unknown_account_provider_is_denied():
     actors = build_actors()
-    quote = quote_for(actors, 5)
     actors.sr.config = dataclasses.replace(actors.sr.config, account_provider_id="BANK9")
-    auth = actors.sr.build_authorization(quote, now=1)
-    relay, _ = actors.sp.handle_authorization(auth, "SR", now=1)
-    outcome = actors.tm.handle_authorize(relay, "SP", actors.net("TM"))
+    _, outcome = approved_outcome(actors, quantity=5, now=1)
     assert not outcome.approved
     assert outcome.reason == DenialReason.UNKNOWN_ACCOUNT
 
 
 def test_unreachable_account_provider_is_denied():
     actors = build_actors()
-    quote = quote_for(actors, 5)
-    auth = actors.sr.build_authorization(quote, now=1)
-    relay, _ = actors.sp.handle_authorization(auth, "SR", now=1)
-    outcome = actors.tm.handle_authorize(relay, "SP", net=None)
+    outcome = outcome_of(actors.tm, relay_of(actors, 5, now=1), net=None)
     assert not outcome.approved
     assert outcome.reason == DenialReason.UNKNOWN_ACCOUNT
 
 
 def test_minted_token_verifies_and_names_the_provider():
     actors = build_actors()
-    _, _, outcome = approved_outcome(actors, quantity=5)
+    _, outcome = approved_outcome(actors, quantity=5)
     token = outcome.token
     tm_pub = actors.tm.identity.public_key
-    from gset import verify
-
     assert token.provider_id == "SP"
     assert token.account_provider_id == "AP"
     assert verify(tm_pub, codec.signing_payload(token), token.tm_signature)
@@ -398,7 +461,7 @@ def test_minted_token_verifies_and_names_the_provider():
 
 def test_tm_state_is_clean_after_denial():
     actors = build_actors(limit=60, sanity=False)
-    _, _, outcome = approved_outcome(actors, quantity=7)
+    _, outcome = approved_outcome(actors, quantity=7)
     assert not outcome.approved
     assert actors.tm.minted_tokens == {}
 
@@ -419,18 +482,10 @@ def approved_order_nonces(actors, count: int) -> list[bytes]:
     """Order nonces of ``count`` orders the provider has approved."""
     nonces = []
     for _ in range(count):
-        auth = actors.sr.build_authorization(quote_for(actors, 5), now=0)
-        [(_, raw)] = actors.sp.deliver("SR", codec.encode(auth), 0, actors.net("SP"))
-        assert codec.decode(raw, AuthDecision).approved
-        nonces.append(auth.order_info.order_nonce)
+        auth = authorization(actors)
+        assert decide(actors, auth, 0, actors.net("SP")).approved
+        nonces.append(codec.decode(auth, AuthorizationRequest).order_info.order_nonce)
     return nonces
-
-
-def honest_upload(actors, order_nonce: bytes) -> ObjectUpload:
-    upload, _ = build_signed(
-        ObjectUpload, actors.sr.identity, order_nonce=order_nonce, objects=actors.scenario.objects
-    )
-    return upload
 
 
 def _flip_first_bit(objects: tuple[bytes, ...], index: int) -> tuple[bytes, ...]:
@@ -476,15 +531,12 @@ UPLOAD_FORGERIES = {
 def test_honest_upload_signature_covers_the_object_digests():
     actors = build_actors()
     [nonce] = approved_order_nonces(actors, 1)
-    upload = honest_upload(actors, nonce)
+    upload = upload_for(actors, nonce)
     public = actors.sr.identity.public_key
     digests = object_digests(actors.scenario.objects)
-    assert verify_signed(upload, public)
     assert verify_signed(upload, public, digests)
-    from gset import verify
-
     assert verify(public, upload_signing_payload(nonce, digests), upload.requester_signature)
-    [(dest, raw)] = actors.sp.deliver("SR", codec.encode(upload), 1, None)
+    [(dest, raw)] = actors.sp.deliver("SR", codec.encode(upload), 1)
     assert dest == "SR"
     assert len(actors.sp.stored_objects) == len(actors.scenario.objects)
 
@@ -493,13 +545,14 @@ def test_honest_upload_signature_covers_the_object_digests():
 def test_provider_refuses_an_upload_its_signature_does_not_bind(forgery):
     actors = build_actors()
     nonce, other = approved_order_nonces(actors, 2)
-    forged = UPLOAD_FORGERIES[forgery](actors, honest_upload(actors, nonce), other)
-    assert not verify_signed(forged, actors.sr.identity.public_key)
-    assert actors.sp.deliver("SR", codec.encode(forged), 1, None) == []
+    forged = UPLOAD_FORGERIES[forgery](actors, upload_for(actors, nonce), other)
+    public = actors.sr.identity.public_key
+    assert not verify_signed(forged, public, object_digests(forged.objects))
+    assert actors.sp.deliver("SR", codec.encode(forged), 1) == []
     assert actors.sp.notes[-1] == "upload signature does not verify"
     assert actors.sp.stored_objects == {}
     # the refusal was the signature's: the honest upload is then granted
-    assert actors.sp.deliver("SR", codec.encode(honest_upload(actors, nonce)), 2, None)
+    assert actors.sp.deliver("SR", codec.encode(upload_for(actors, nonce)), 2)
     assert len(actors.sp.stored_objects) == len(actors.scenario.objects)
 
 
@@ -541,6 +594,7 @@ def test_forged_token_rejected_with_no_storage():
     actors.registry["TM"] = SimpleNamespace(subject_id="TM", deliver=forging_tm)
     decision, upload_reply = decide_then_upload(actors)
     assert not decision.approved
+    assert "approved outcome carried an unverifiable token" in actors.sp.notes
     assert upload_reply == []
     assert actors.sp.stored_objects == {}
 
@@ -548,15 +602,14 @@ def test_forged_token_rejected_with_no_storage():
 def test_lost_outcome_cannot_approve_another_order_in_its_place():
     # two orders in flight; the trust manager's answer to the first is lost
     actors = build_actors()
-    auths = [
-        actors.sr.build_authorization(quote_for(actors, 5), now=0) for _ in range(2)
-    ]
+    auths = [authorization(actors) for _ in range(2)]
     run_scenario(
         actors.registry,
-        [("SR", "SP", codec.encode(auth)) for auth in auths],
+        [WireMessage("SR", "SP", auth) for auth in auths],
         adversary=Adversary(mode=AdversaryMode.DROP, target="AuthOutcome", max_hits=1),
     )
-    assert set(actors.sp.granted.values()) == {auths[1].order_info.order_nonce}
+    second = codec.decode(auths[1], AuthorizationRequest)
+    assert set(actors.sp.granted.values()) == {second.order_info.order_nonce}
     assert actors.ap.ledger.settle_count == 1
 
 
@@ -564,16 +617,13 @@ def test_ticket_redeems_to_matching_object_once():
     actors = build_actors()
     grant = granted(actors)
     ticket = grant.tickets[0]
-    out = actors.sp.deliver("SR", codec.encode(actors.sr.redeem_request(ticket)), 2, None)
+    request = codec.encode(TicketRedeemRequest(ticket.ticket_id))
+    out = actors.sp.deliver("SR", request, 2)
     response = codec.decode(out[0][1], TicketRedeemResponse)
     assert response.ok
     assert hash_bytes(response.payload) == ticket.object_digest
     # the same ticket a second time is refused
-    from gset import TicketRedeemRequest
-
-    again = actors.sp.deliver(
-        "SR", codec.encode(TicketRedeemRequest(ticket.ticket_id)), 3, None
-    )
+    again = actors.sp.deliver("SR", request, 3)
     response2 = codec.decode(again[0][1], TicketRedeemResponse)
     assert not response2.ok
 
@@ -581,11 +631,7 @@ def test_ticket_redeems_to_matching_object_once():
 def test_fabricated_ticket_is_refused():
     actors = build_actors()
     granted(actors)
-    from gset import TicketRedeemRequest
-
-    out = actors.sp.deliver(
-        "SR", codec.encode(TicketRedeemRequest(b"\x42" * 16)), 2, None
-    )
+    out = actors.sp.deliver("SR", codec.encode(TicketRedeemRequest(b"\x42" * 16)), 2)
     response = codec.decode(out[0][1], TicketRedeemResponse)
     assert not response.ok
 
@@ -594,20 +640,23 @@ def test_redeemed_object_failing_its_ticket_digest_is_ignored():
     actors = build_actors()
     decision, [(_, grant_raw)] = decide_then_upload(actors)
     # the requester checks the grant against the digests it signed its upload over
-    [(_, upload_raw)] = actors.sr.deliver("SP", codec.encode(decision), 1, None)
+    [(_, upload_raw)] = actors.sr.deliver("SP", codec.encode(decision), 1)
     assert codec.decode(upload_raw, ObjectUpload).objects == actors.scenario.objects
-    requests = actors.sr.deliver("SP", grant_raw, 2, None)
-    responses = [actors.sp.deliver("SR", raw, 3, None)[0][1] for _, raw in requests]
+    requests = actors.sr.deliver("SP", grant_raw, 2)
+    assert [codec.decode(raw, TicketRedeemRequest).ticket_id for _, raw in requests] == [
+        ticket.ticket_id for ticket in codec.decode(grant_raw, ServiceGrant).tickets
+    ]
+    responses = [actors.sp.deliver("SR", raw, 3)[0][1] for _, raw in requests]
     genuine = codec.decode(responses[0], TicketRedeemResponse)
     flipped = genuine.payload[:-1] + bytes([genuine.payload[-1] ^ 1])
     wrong = dataclasses.replace(genuine, payload=flipped)
-    assert actors.sr.deliver("SP", codec.encode(wrong), 4, None) == []
+    assert actors.sr.deliver("SP", codec.encode(wrong), 4) == []
     # ignored, not counted: the ticket is still outstanding
     assert genuine.ticket_id in actors.sr.unredeemed
     assert actors.sr.retrieved == {}
     assert actors.sr.redeem_failures == 0
     # the genuine responses, delivered afterwards, complete the order
-    outs = [actors.sr.deliver("SP", raw, 5, None) for raw in responses]
+    outs = [actors.sr.deliver("SP", raw, 5) for raw in responses]
     assert outs[:-1] == [[]] * (len(responses) - 1)
     [(dest, raw)] = outs[-1]
     assert dest == "SP"
@@ -621,63 +670,81 @@ def test_redeemed_object_failing_its_ticket_digest_is_ignored():
 
 def test_capture_settles_the_held_amount():
     actors = build_actors()
-    _, _, outcome = approved_outcome(actors, quantity=5)
-    response = actors.sp.collect_credits(outcome.token, actors.net("SP"))
+    _, response = complete(actors, granted(actors))
     assert response.settled
     digest = hash_bytes(actors.scenario.account_ref.encode())
     assert actors.ap.ledger.settled_total(digest) == 50
     assert actors.ap.ledger.active_holds(digest) == {}
     assert actors.sp.receivable_total == 50
+    assert actors.sp.approved_tokens == {}
 
 
 def test_capturing_the_same_token_twice_fails_with_replay():
     actors = build_actors()
-    _, _, outcome = approved_outcome(actors, quantity=5)
-    assert actors.sp.collect_credits(outcome.token, actors.net("SP")).settled
-    second = actors.sp.collect_credits(outcome.token, actors.net("SP"))
+    grant = granted(actors)
+    request, first = complete(actors, grant)
+    assert first.settled
+    # the provider does not present a captured grant's token again
+    _, raw = build_signed(ServiceComplete, actors.sr.identity, grant_id=grant.grant_id)
+    assert actors.sp.deliver("SR", raw, 3, actors.net("SP", 3)) == []
+    assert actors.sp.notes[-1] == "grant already captured"
+    # and the trust manager refuses the same request a second time
+    [(dest, again)] = actors.tm.deliver("SP", request, 3, actors.net("TM", 3))
+    second = codec.decode(again, CaptureResponse)
+    assert dest == "SP"
     assert not second.settled
     assert second.reason == DenialReason.REPLAY
     digest = hash_bytes(actors.scenario.account_ref.encode())
     assert actors.ap.ledger.settled_total(digest) == 50
     assert actors.ap.ledger.settle_count == 1
+    assert actors.sp.receivable_total == 50
+
+
+def _refused_capture(actors, grant: ServiceGrant) -> None:
+    _, response = complete(actors, grant)
+    assert not response.settled
+    assert response.reason == DenialReason.BAD_SIGNATURE
+    assert actors.sp.notes[-1] == "capture refused: BAD_SIGNATURE"
+    assert actors.sp.receivable_total == 0
+    assert actors.ap.ledger.settle_count == 0
 
 
 def test_token_with_tampered_charge_fails_signature_check():
     actors = build_actors()
-    _, _, outcome = approved_outcome(actors, quantity=5)
-    doctored = dataclasses.replace(outcome.token, charge_amount=1)
-    response = actors.sp.collect_credits(doctored, actors.net("SP"))
-    assert not response.settled
-    assert response.reason == DenialReason.BAD_SIGNATURE
-    assert actors.ap.ledger.settle_count == 0
+    grant = granted(actors)
+    [token] = actors.sp.approved_tokens.values()
+    hold_token(actors, dataclasses.replace(token, charge_amount=1))
+    _refused_capture(actors, grant)
 
 
 def test_token_signed_with_the_tm_key_but_minted_elsewhere_is_refused():
     actors = build_actors()
-    quote = quote_for(actors, 5)
-    auth = actors.sr.build_authorization(quote, now=0)
-    relay, _ = actors.sp.handle_authorization(auth, "SR", now=0)
+    grant = granted(actors)
     # a second trust manager with the same keys mints a token this one never did
     twin = TrustManager(actors.tm.identity, actors.tm.directory, actors.tm.config, Random("twin/TM"))
-    outcome = twin.handle_authorize(relay, "SP", actors.net("TM"))
+    outcome = outcome_of(twin, relay_of(actors), actors.net("TM"))
     assert outcome.approved
-    response = actors.sp.collect_credits(outcome.token, actors.net("SP"))
-    assert not response.settled
-    assert response.reason == DenialReason.BAD_SIGNATURE
-    assert actors.ap.ledger.settle_count == 0
+    hold_token(actors, outcome.token)
+    _refused_capture(actors, grant)
 
 
 def test_capture_request_must_come_from_the_named_provider():
     actors = build_actors()
-    _, _, outcome = approved_outcome(actors, quantity=5)
+    _, outcome = approved_outcome(actors, quantity=5)
+
+    def capture(sender: str, raw: bytes) -> CaptureResponse:
+        [(dest, out)] = actors.tm.deliver(sender, raw, 0, actors.net("TM"))
+        assert dest == sender
+        return codec.decode(out, CaptureResponse)
+
     request = CaptureRequest(token=outcome.token, provider_mac=b"\x01" * 32)
-    response, _ = actors.tm.handle_capture(request, "SP", actors.net("TM"))
+    response = capture("SP", codec.encode(request))
     assert not response.settled
     assert response.reason == DenialReason.BAD_SIGNATURE
     # the requester's own MAC is genuine, but the token names the provider
     to_tm = mac_keys(actors.sr.identity, "TM", actors.tm.identity.public_key)[0]
-    presented, _ = build_maced(CaptureRequest, to_tm, token=outcome.token)
-    response, _ = actors.tm.handle_capture(presented, "SR", actors.net("TM"))
+    _, presented = build_maced(CaptureRequest, to_tm, token=outcome.token)
+    response = capture("SR", presented)
     assert response.reason == DenialReason.BAD_SIGNATURE
     assert actors.ap.ledger.settle_count == 0
 
@@ -692,19 +759,19 @@ def test_garbage_bytes_are_dropped_with_a_note():
 
 
 def _stray_capture_response(actors):
-    return actors.tm._maced_for("SP", CaptureResponse, reason=None)[0]
+    return actors.tm._maced_for("SP", CaptureResponse, reason=None)[1]
 
 
 def _stray_hold_response(actors):
     return actors.ap._maced_for(
         "TM", HoldResponse, hold_nonce=bytes(16), hold_ref=bytes(16), reason=None
-    )[0]
+    )[1]
 
 
 def _stray_settle_response(actors):
     return actors.ap._maced_for(
         "TM", SettleResponse, settle_nonce=bytes(16), amount=50, reason=None
-    )[0]
+    )[1]
 
 
 @pytest.mark.parametrize(
@@ -716,7 +783,7 @@ def _stray_settle_response(actors):
         # a duplicate or an injection
         ("sp", "TM", _stray_capture_response),
         # a genuine outcome arriving outside the call that asked for it
-        ("sp", "TM", lambda actors: approved_outcome(actors)[2]),
+        ("sp", "TM", lambda actors: codec.encode(approved_outcome(actors)[1])),
         ("tm", "AP", _stray_hold_response),
         ("tm", "AP", _stray_settle_response),
     ],
@@ -726,7 +793,7 @@ def _stray_settle_response(actors):
 def test_unexpected_message_type_is_ignored(receiver, sender, make):
     actors = build_actors()
     actor = getattr(actors, receiver)
-    assert actor.deliver(sender, codec.encode(make(actors)), 0, None) == []
+    assert actor.deliver(sender, make(actors), 0, None) == []
     assert actor.notes[-1].startswith("ignored unexpected")
 
 
@@ -743,9 +810,8 @@ def test_state_bytes_are_deterministic():
 
 def test_provider_state_never_contains_payment_markers():
     actors = build_actors()
-    granted(actors)
-    [token] = actors.sp.approved_tokens.values()
-    actors.sp.collect_credits(token, actors.net("SP"))
+    _, response = complete(actors, granted(actors))
+    assert response.settled
     blob = actors.sp.state_bytes()
     assert actors.scenario.account_ref.encode() not in blob
 
@@ -762,9 +828,31 @@ def test_trust_manager_state_never_contains_usage_markers():
 
 # The evidence-table test in test_messages checks this list against the codec.
 MACED_TAGS = tuple(cls.__name__ for cls in MACED_TYPES)
-# Every wire type with a trailing signature: three the requester checks, two
-# the provider checks.  (The capture token's signature travels nested.)
-SIGNED_TAGS = ("PriceQuote", "AuthDecision", "ServiceGrant", "ObjectUpload", "ServiceComplete")
+
+
+def _signed_tags() -> tuple[str, ...]:
+    """The wire types of the default run whose trailing authenticator is a
+    signature, in the order they first travel.  (The capture token's
+    signature travels nested.)"""
+    signed = _trailing_authenticator("_signature")
+    payloads = run_storage_scenario(ScenarioConfig()).transcript.payloads()
+    return tuple(dict.fromkeys(tag for tag in map(peek_type, payloads) if tag in signed))
+
+
+SIGNED_TAGS = _signed_tags()
+
+
+def test_a_run_carries_five_signed_wire_types():
+    # three the requester checks, two the provider checks
+    assert sorted(SIGNED_TAGS) == sorted(
+        ["PriceQuote", "AuthDecision", "ServiceGrant", "ObjectUpload", "ServiceComplete"]
+    )
+
+
+def _authentic(receiver, msg, sender: str, covered) -> bool:
+    # the provider hashes an upload's objects before it checks the signature
+    digests = object_digests(msg.objects) if type(msg) is ObjectUpload else None
+    return receiver._authentic(msg, sender, covered, digests)
 
 
 def _flip_every_bit(tag: str) -> None:
@@ -775,11 +863,11 @@ def _flip_every_bit(tag: str) -> None:
     record = next(r for r in report.transcript.records if peek_type(r.payload) == tag)
     receiver = report.scenario.endpoints[record.to_id]
     honest, covered = codec.decode_authenticated(record.payload)
-    assert receiver._authentic(honest, record.from_id, covered)
+    assert _authentic(receiver, honest, record.from_id, covered)
     if tag != "ObjectUpload":  # the upload's signature covers its object digests
         # the check reads the bytes it is handed, not a re-encoding of the message
         altered = flip_bit(bytes(covered), len(covered) * 8 - 1)
-        assert not receiver._authentic(honest, record.from_id, altered)
+        assert not _authentic(receiver, honest, record.from_id, altered)
     undecodable = refused = 0
     for bit in range(len(record.payload) * 8):
         try:
@@ -788,7 +876,7 @@ def _flip_every_bit(tag: str) -> None:
             undecodable += 1
             continue
         assert type(msg) is type(honest), bit
-        assert not receiver._authentic(msg, record.from_id, covered), bit
+        assert not _authentic(receiver, msg, record.from_id, covered), bit
         refused += 1
     assert undecodable and refused
     assert undecodable + refused == len(record.payload) * 8
@@ -806,19 +894,18 @@ def test_no_single_bit_flip_of_a_signed_leg_is_accepted(tag):
 
 def test_a_malformed_peer_key_is_a_refusal_not_an_exception():
     actors = build_actors()
-    quote = quote_for(actors, 5)
-    relay, _ = actors.sp.handle_authorization(actors.sr.build_authorization(quote, 0), "SR", 0)
+    relay = relay_of(actors, 5)
     for bad in (b"", b"\x00" * 63, b"\x00" * 64):  # short, and a low-order X25519 point
         directory = {**actors.tm.directory, "SP": bad}
         tm = TrustManager(actors.tm.identity, directory, actors.tm.config, Random(0))
-        outcome = tm.handle_authorize(relay, "SP", actors.net("TM"))
+        outcome = outcome_of(tm, relay, actors.net("TM"))
         assert outcome.reason == DenialReason.BAD_SIGNATURE
         assert tm.pair_keys == {}
 
 
 def test_an_actor_without_a_peer_key_sends_that_peer_nothing():
     actors = build_actors()
-    _, _, outcome = approved_outcome(actors, quantity=5)
+    _, outcome = approved_outcome(actors, quantity=5)
     del actors.tm.directory["SP"]
     actors.tm.pair_keys.clear()
     _, raw = actors.sp._maced_for("TM", CaptureRequest, token=outcome.token)

@@ -213,7 +213,7 @@ def test_a_hold_request_tag_fails_on_a_settle_request_payload():
     tag = mac(tm_to_ap, hold)
     assert mac_ok(tm_to_ap, hold, tag)
     assert not mac_ok(tm_to_ap, settle, tag)
-    assert not verify_maced(SettleRequest(nonce, nonce, tag), tm_to_ap)
+    assert not verify_maced(SettleRequest(nonce, nonce, tag), tm_to_ap, settle)
 
 
 def test_every_single_bit_flip_of_a_tag_fails():

@@ -268,13 +268,14 @@ def test_build_maced_round_trips_with_verify_maced():
     key = bytes(range(32))
     msg, raw = build_maced(SettleRequest, key, settle_nonce=NONCE, hold_ref=NONCE)
     assert len(msg.tm_mac) == 32
-    assert verify_maced(msg, key)
+    assert verify_maced(msg, key, codec.decode_authenticated(raw)[1])
     assert raw == codec.encode(msg)
     assert codec.decode(raw, SettleRequest) == msg
 
 
 def test_verify_maced_fails_for_wrong_key_or_altered_field():
     key = bytes(range(32))
-    msg, _ = build_maced(SettleRequest, key, settle_nonce=NONCE, hold_ref=NONCE)
-    assert not verify_maced(msg, bytes(32))
-    assert not verify_maced(dataclasses.replace(msg, hold_ref=bytes(16)), key)
+    msg, raw = build_maced(SettleRequest, key, settle_nonce=NONCE, hold_ref=NONCE)
+    assert not verify_maced(msg, bytes(32), codec.decode_authenticated(raw)[1])
+    altered = dataclasses.replace(msg, hold_ref=bytes(16))
+    assert not verify_maced(altered, key, codec.decode_authenticated(codec.encode(altered))[1])
