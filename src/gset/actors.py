@@ -347,7 +347,6 @@ class ServiceRequester(_ActorBase):
         order = OrderInfo(
             quote_id=quote.quote_id,
             usage=quote.usage,
-            requester_id=self.subject_id,
             order_nonce=self._nonce(),
         )
         payment = PaymentInfo(
@@ -446,7 +445,7 @@ class ServiceRequester(_ActorBase):
         if self.unredeemed or self.redeem_failures or self.completed:
             return []
         self.completed = True
-        _, raw = build_signed(ServiceComplete, self.identity, grant_id=self.grant.grant_id)
+        _, raw = build_signed(ServiceComplete, self.identity, order_nonce=self.grant.order_nonce)
         return [(self.config.provider_id, raw)]
 
     _HANDLERS = {
@@ -466,7 +465,7 @@ class ProviderConfig:
     trust_manager_id: str
     # service_id -> price per unit of usage
     pricing: Mapping[str, int]
-    quote_ttl: int = 100
+    quote_ttl: int
 
 
 class ServiceProvider(_ActorBase):
@@ -483,12 +482,12 @@ class ServiceProvider(_ActorBase):
         self.config = config
         self.issued_quotes: dict[bytes, PriceQuote] = {}
         self.denials: list[DenialReason] = []
-        # order_nonce -> order; only orders matched to an issued quote
-        self.orders: dict[bytes, OrderInfo] = {}
+        # order_nonce -> requester id; only orders matched to an issued quote
+        self.orders: dict[bytes, str] = {}
         # order_nonce -> verified token, until its capture settles
         self.approved_tokens: dict[bytes, CaptureToken] = {}
-        # grant_id -> order_nonce
-        self.granted: dict[bytes, bytes] = {}
+        # order nonces of the orders whose objects are stored
+        self.granted: set[bytes] = set()
         # ticket_id -> object, until the ticket is redeemed
         self.stored_objects: dict[bytes, bytes] = {}
         self.receivable_total = 0
@@ -549,14 +548,12 @@ class ServiceProvider(_ActorBase):
 
         # authenticity first: any tampering surfaces as BAD_SIGNATURE before
         # policy questions like quote expiry get a say
-        if order.requester_id != sender:
-            return deny(DenialReason.BAD_SIGNATURE, "order names a different requester")
-        requester_key = self._key_of(order.requester_id)
+        if auth.dual.signature.signer_id != sender:
+            return deny(DenialReason.BAD_SIGNATURE, "dual signature names a different requester")
+        requester_key = self._key_of(sender)
         if requester_key is None:
             return deny(DenialReason.BAD_SIGNATURE, "unknown requester")
-        if auth.dual.signature.signer_id != order.requester_id or not verify_with_oi(
-            requester_key, codec.encode(order), auth.dual
-        ):
+        if not verify_with_oi(requester_key, codec.encode(order), auth.dual):
             return deny(DenialReason.BAD_SIGNATURE, "dual signature fails on order side")
         quote = self.issued_quotes.get(order.quote_id)
         if quote is None:
@@ -578,7 +575,7 @@ class ServiceProvider(_ActorBase):
         )
         if relay is None:
             return []
-        self.orders[order.order_nonce] = order
+        self.orders[order.order_nonce] = sender
         outcome = self._exchange(net, self.config.trust_manager_id, relay, AuthOutcome)
         if outcome is None:
             return []
@@ -609,27 +606,22 @@ class ServiceProvider(_ActorBase):
             ticket = Ticket(ticket_id=self._nonce(), object_digest=digest)
             self.stored_objects[ticket.ticket_id] = obj
             tickets.append(ticket)
-        grant, raw = build_signed(
-            ServiceGrant,
-            self.identity,
-            grant_id=self._nonce(),
-            tickets=tuple(tickets),
+        self.granted.add(order_nonce)
+        return build_signed(
+            ServiceGrant, self.identity, order_nonce=order_nonce, tickets=tuple(tickets)
         )
-        self.granted[grant.grant_id] = order_nonce
-        return grant, raw
 
     def _on_object_upload(
         self, sender: str, upload: ObjectUpload, covered, now: int, net
     ) -> Outbound:
-        order = self.orders.get(upload.order_nonce)
-        if order is None or order.requester_id != sender:
+        if self.orders.get(upload.order_nonce) != sender:
             self._note("upload for unknown order")
             return []
         digests = object_digests(upload.objects)
         if not self._authentic(upload, sender, digests=digests):
             self._note("upload signature does not verify")
             return []
-        if upload.order_nonce in self.granted.values():
+        if upload.order_nonce in self.granted:
             self._note("upload for already granted order")
             return []
         if upload.order_nonce not in self.approved_tokens:
@@ -651,26 +643,26 @@ class ServiceProvider(_ActorBase):
     def _on_service_complete(
         self, sender: str, done: ServiceComplete, covered, now: int, net
     ) -> Outbound:
-        order_nonce = self.granted.get(done.grant_id)
-        if order_nonce is None:
+        if done.order_nonce not in self.granted:
             self._note("completion for unknown grant")
             return []
-        if self.orders[order_nonce].requester_id != sender \
-                or not self._authentic(done, sender, covered):
+        if self.orders[done.order_nonce] != sender or not self._authentic(done, sender, covered):
             self._note("completion signature does not verify")
             return []
-        token = self.approved_tokens.get(order_nonce)
+        token = self.approved_tokens.get(done.order_nonce)
         if token is None:
             self._note("grant already captured")
             return []
-        # present the token to the trust manager and book the credit
-        request = self._maced_for(self.config.trust_manager_id, CaptureRequest, token=token)
+        # name the token to the trust manager and book the credit
+        request = self._maced_for(
+            self.config.trust_manager_id, CaptureRequest, token_id=token.token_id
+        )
         response = self._exchange(net, self.config.trust_manager_id, request, CaptureResponse)
         if response is None:
             return []
         if response.settled:
             self.receivable_total += token.charge_amount
-            del self.approved_tokens[order_nonce]
+            del self.approved_tokens[done.order_nonce]
         else:
             self._note(f"capture refused: {response.reason.name}")
         return []
@@ -781,19 +773,17 @@ class TrustManager(_ActorBase):
     def _on_capture_request(
         self, sender: str, request: CaptureRequest, covered, now: int, net
     ) -> Outbound:
-        """Settle a capture token exactly once."""
+        """Settle the minted token the request names by id, exactly once."""
 
         def refuse(reason: DenialReason, detail: str) -> Outbound:
             self._note(f"capture refused ({reason.name}): {detail}")
             return self._maced_reply(sender, CaptureResponse, reason=reason)
 
-        token = request.token
-        if token.provider_id != sender or not self._authentic(request, sender, covered):
+        if not self._authentic(request, sender, covered):
             return refuse(DenialReason.BAD_SIGNATURE, "provider MAC fails")
-        # the stored token is the one this trust manager signed, so equality
-        # (signature included) proves authorship, provider and amount at once
-        if self.minted_tokens.get(token.token_id) != token:
-            return refuse(DenialReason.BAD_SIGNATURE, "token was not minted here")
+        token = self.minted_tokens.get(request.token_id)
+        if token is None or token.provider_id != sender:
+            return refuse(DenialReason.BAD_SIGNATURE, "no token minted here for this provider")
         if token.token_id in self.spent_tokens:
             return refuse(DenialReason.REPLAY, "token already spent")
 

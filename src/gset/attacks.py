@@ -100,18 +100,14 @@ def _audit_common(sweep: SweepReport, attack: str, report: RunReport) -> None:
         )
 
 
-def tamper_sweep(
-    seed: int = 7,
-    mutations_per_type: int = 200,
-    config: ScenarioConfig | None = None,
-) -> SweepReport:
+def tamper_sweep(seed: int = 7, mutations_per_type: int = 200) -> SweepReport:
     """Flip one random bit per run in each wire message type, many times.
 
     A tampered message must never yield an approval or settlement of its
     own: the books may only show what the honest prefix of the run already
     earned.
     """
-    base = config if config is not None else ScenarioConfig(seed=seed)
+    base = ScenarioConfig(seed=seed)
     sweep = SweepReport(name="tamper")
     for target in TAMPER_TARGETS:
         expectation = TAMPER_EXPECTATIONS.get(target)
@@ -158,10 +154,10 @@ def tamper_sweep(
     return sweep
 
 
-def replay_sweep(seed: int = 7, config: ScenarioConfig | None = None) -> SweepReport:
+def replay_sweep(seed: int = 7) -> SweepReport:
     """Duplicate each wire message type once; the flow must still finish
     with exactly one hold and one settlement."""
-    base = config if config is not None else ScenarioConfig(seed=seed)
+    base = ScenarioConfig(seed=seed)
     sweep = SweepReport(name="replay")
     for target in REPLAY_TARGETS:
         adversary = Adversary(mode=AdversaryMode.REPLAY, target=target, max_hits=1)
@@ -192,9 +188,9 @@ def replay_sweep(seed: int = 7, config: ScenarioConfig | None = None) -> SweepRe
     return sweep
 
 
-def eavesdrop_check(seed: int = 7, config: ScenarioConfig | None = None) -> SweepReport:
+def eavesdrop_check(seed: int = 7) -> SweepReport:
     """Record every byte on the wire and scan the haul for payment markers."""
-    base = config if config is not None else ScenarioConfig(seed=seed)
+    base = ScenarioConfig(seed=seed)
     sweep = SweepReport(name="eavesdrop")
     adversary = Adversary(mode=AdversaryMode.PASSIVE_EAVESDROP, max_hits=0)
     report = run_storage_scenario(base, adversary=adversary)

@@ -31,13 +31,14 @@ what the signer said:
     PriceQuote             SP      SR        the offered price, to the TM or an arbiter
     AuthorizationRequest   SR      SP, TM    the order (SP) and the payment cap (TM),
       .dual                                  bound together, to an arbiter
-    CaptureToken           TM      SP        the approved charge, back to the TM at capture
+    CaptureToken           TM      SP        the approved charge, to an arbiter
     AuthDecision           SP      SR        the approval or refusal, to an arbiter
     ObjectUpload           SR      SP        the digests of the objects the requester
                                              shipped, to an arbiter
     ServiceGrant           SP      SR        receipt of those objects (one digest per
-                                             ticket), to an arbiter
-    ServiceComplete        SR      SP        the requester's acceptance, to the TM or an arbiter
+                                             ticket) for the order it names, to an arbiter
+    ServiceComplete        SR      SP        the requester's acceptance of the order it
+                                             names, to the TM or an arbiter
 
 The seven server-to-server legs are never handed to a third party: each is
 checked by its one receiver and goes no further.  They carry a MAC under a
@@ -56,7 +57,7 @@ Non-repudiation given up on those legs: the receiver can compute the tag
 itself, so none of these messages shows an arbiter who said it.  No
 arbiter can be shown the charge the provider asked the TM for, the TM's
 hold and settle instructions, the AP's hold placed or refused and amount
-settled, the provider's claim on its token, or the TM's settled capture.
+settled, the provider's claim on a token id, or the TM's settled capture.
 What an arbiter can still be shown is signed: the requester's order and
 payment cap (the dual signature) and the TM's approved charge (the
 ``CaptureToken``).
@@ -161,16 +162,15 @@ class UsageDescriptor:
 
 @canonical_message
 class OrderInfo:
-    """The order half of an authorization: quote reference plus usage."""
+    """The order half of an authorization: quote reference plus usage.  Its
+    requester is the dual signature's signer."""
 
     quote_id: bytes
     usage: UsageDescriptor
-    requester_id: str
     order_nonce: bytes
 
     def validate(self) -> None:
         _need_nonce(self.quote_id, "quote_id")
-        _need_label(self.requester_id, "requester_id")
         _need_nonce(self.order_nonce, "order_nonce")
 
 
@@ -358,14 +358,15 @@ class ObjectUpload:
 
 @canonical_message
 class ServiceGrant:
-    """Provider's receipt for stored objects: one single-use ticket each."""
+    """Provider's receipt for the objects stored for the order ``order_nonce``:
+    one single-use ticket each."""
 
-    grant_id: bytes
+    order_nonce: bytes
     tickets: tuple[Ticket, ...]
     provider_signature: Signature
 
     def validate(self) -> None:
-        _need_nonce(self.grant_id, "grant_id")
+        _need_nonce(self.order_nonce, "order_nonce")
         _need(len(self.tickets) > 0, "grant must contain at least one ticket")
 
 
@@ -401,21 +402,25 @@ class TicketRedeemResponse:
 
 @canonical_message
 class ServiceComplete:
-    """Requester confirms delivery; the provider may now collect credit."""
+    """Requester confirms delivery of the order ``order_nonce``; the provider
+    may now collect credit."""
 
-    grant_id: bytes
+    order_nonce: bytes
     requester_signature: Signature
 
     def validate(self) -> None:
-        _need_nonce(self.grant_id, "grant_id")
+        _need_nonce(self.order_nonce, "order_nonce")
 
 
 @canonical_message
 class CaptureRequest:
-    token: CaptureToken
+    """Provider claims the token it names; the trust manager holds the token."""
+
+    token_id: bytes
     provider_mac: bytes
 
     def validate(self) -> None:
+        _need_nonce(self.token_id, "token_id")
         _need_mac(self.provider_mac, "provider_mac")
 
 

@@ -281,14 +281,13 @@ class _Runner:
         self.queue: deque[tuple[str, str, bytes]] = deque()
         self.records: list[TranscriptRecord] = []
         self.tick = 0
-        self._pending_route: tuple[str, str] = ("", "")
 
-    def _interpose(self, payload: bytes) -> tuple[str, bytes | None]:
+    def _interpose(self, frm: str, to: str, payload: bytes) -> tuple[str, bytes | None]:
         if self.adversary is None:
             return ("", payload)
         action, delivered, inject = self.adversary.act(payload, self.rng)
         for extra in inject:
-            self.queue.append(self._pending_route + (extra,))
+            self.queue.append((frm, to, extra))
         return (action, delivered)
 
     def _record(self, frm: str, to: str, payload: bytes, action: str, error: str) -> int:
@@ -302,8 +301,7 @@ class _Runner:
 
     def _deliver(self, frm: str, to: str, payload: bytes) -> list[tuple[str, bytes]] | None:
         """Shared delivery path; returns the actor's outbound list, or None."""
-        self._pending_route = (frm, to)
-        action, delivered = self._interpose(payload)
+        action, delivered = self._interpose(frm, to, payload)
         if delivered is None:
             self._record(frm, to, payload, action, "")
             return None
@@ -337,8 +335,7 @@ class _Runner:
                 self.queue.append((to, dest, raw))
         if response is None:
             return None
-        self._pending_route = (to, frm)
-        action, delivered = self._interpose(response)
+        action, delivered = self._interpose(to, frm, response)
         if delivered is None:
             self._record(to, frm, response, action, "")
             return None

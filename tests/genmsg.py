@@ -98,7 +98,7 @@ def gen_usage(rng: Random) -> UsageDescriptor:
 
 
 def gen_order_info(rng: Random) -> OrderInfo:
-    return OrderInfo(nonce(rng), gen_usage(rng), label(rng), nonce(rng))
+    return OrderInfo(nonce(rng), gen_usage(rng), nonce(rng))
 
 
 def gen_payment_info(rng: Random) -> PaymentInfo:
@@ -176,7 +176,7 @@ def gen_service_complete(rng: Random) -> ServiceComplete:
 
 
 def gen_capture_request(rng: Random) -> CaptureRequest:
-    return CaptureRequest(gen_capture_token(rng), gen_mac(rng))
+    return CaptureRequest(nonce(rng), gen_mac(rng))
 
 
 def gen_capture_response(rng: Random) -> CaptureResponse:

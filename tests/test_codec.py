@@ -370,10 +370,15 @@ def test_token_round_trip_preserves_signature_bytes():
 # ServiceGrant (object digests) and TicketRedeemResponse (object bytes)
 # records changed.  They were re-taken again when the seven server-to-server
 # legs moved from a signature to a 32-byte MAC; only those seven types'
-# records and decode outcomes changed.
+# records and decode outcomes changed.  They were re-taken again when the
+# grant and the completion came to name their order, the order stopped
+# naming its requester and a capture came to send only its token id; only
+# the AuthorizationRequest, AuthorizeAndHold (the order digest under the
+# dual signature), ServiceGrant, ServiceComplete and CaptureRequest records
+# changed, with the same routes, ticks and types.
 
-DEFAULT_TRANSCRIPT_SHA256 = "5dcbdc073db924378be76221b4d166f69b98fcb5e2bcdc4ae80b94789b196b48"
-DECODE_OUTCOMES_SHA256 = "1606a2a02834a1146ead68c39b7d374c3ad06dffdf656496085f859c63d976c3"
+DEFAULT_TRANSCRIPT_SHA256 = "6e55f33df37e99f3ac73a8ea82e6ff8efd03be6df51c3e61ff63408155f766ff"
+DECODE_OUTCOMES_SHA256 = "e56b70365c7646efe1a38fabd12923dbd8ef4bd59f69f77e0cf38d0e240fef99"
 
 
 def _outcome(fn, raw: bytes) -> tuple:
