@@ -303,7 +303,8 @@ class ServiceRequester(_ActorBase):
         self.pending_auths: set[bytes] = set()
         # what the upload signature committed to, one digest per object
         self.uploaded_digests: tuple[Digest, ...] = ()
-        self.grant: ServiceGrant | None = None
+        # the order nonce of the one grant accepted; its tickets are in ``tickets``
+        self.granted_order: bytes | None = None
         self.tickets: dict[bytes, Ticket] = {}
         self.unredeemed: set[bytes] = set()
         self.retrieved: dict[bytes, bytes] = {}
@@ -406,7 +407,7 @@ class ServiceRequester(_ActorBase):
         if not self._authentic(grant, self.config.provider_id, covered):
             self._note("service grant signature does not verify")
             return []
-        if self.grant is not None:
+        if self.granted_order is not None:
             self._note("duplicate service grant ignored")
             return []
         if len(grant.tickets) != len(self.uploaded_digests):
@@ -416,7 +417,7 @@ class ServiceRequester(_ActorBase):
             if ticket.object_digest != digest:
                 self._note("grant ticket digest does not match uploaded object")
                 return []
-        self.grant = grant
+        self.granted_order = grant.order_nonce
         out: Outbound = []
         for ticket in grant.tickets:
             self.tickets[ticket.ticket_id] = ticket
@@ -445,7 +446,7 @@ class ServiceRequester(_ActorBase):
         if self.unredeemed or self.redeem_failures or self.completed:
             return []
         self.completed = True
-        _, raw = build_signed(ServiceComplete, self.identity, order_nonce=self.grant.order_nonce)
+        _, raw = build_signed(ServiceComplete, self.identity, order_nonce=self.granted_order)
         return [(self.config.provider_id, raw)]
 
     _HANDLERS = {

@@ -20,10 +20,11 @@ from .scenario import (
     RunReport,
     ScenarioConfig,
     ScenarioError,
+    endpoints_factory,
     ini_overrides,
     run_storage_scenario,
 )
-from .simnet import SimnetError
+from .simnet import DivergenceReport, SimnetError, replay_transcript
 
 DEFAULT_SEED = 7
 MAX_SEED = 2**64 - 1
@@ -95,7 +96,7 @@ def _oracle_outcome(config: ScenarioConfig) -> str:
     return "APPROVED"
 
 
-def _five_dimensions(report: RunReport, deterministic: bool) -> tuple[list[str], bool]:
+def _five_dimensions(report: RunReport, replay: DivergenceReport) -> tuple[list[str], bool]:
     config = report.config
     restricted = {config.trust_manager_id, config.account_provider_id}
     requester = config.requester_id
@@ -145,13 +146,13 @@ def _five_dimensions(report: RunReport, deterministic: bool) -> tuple[list[str],
         ),
         row(agility, "agility", agility_note),
         row(
-            deterministic, "reliability",
+            replay.matches, "reliability",
             f"rerun with seed {config.seed} reproduced the transcript byte for byte"
-            if deterministic
-            else "rerun DIVERGED from the recorded transcript",
+            if replay.matches
+            else f"rerun DIVERGED from the recorded transcript: {replay.detail}",
         ),
     ]
-    ok = transparency and trust and privacy and agility and deterministic
+    ok = transparency and trust and privacy and agility and replay.matches
     return lines, ok
 
 
@@ -160,8 +161,7 @@ def cmd_demo_storage(args, env: dict) -> int:
     report = run_storage_scenario(config)
 
     # the reliability dimension: an independent rerun must reproduce the wire
-    rerun = run_storage_scenario(config)
-    deterministic = rerun.transcript.to_bytes() == report.transcript.to_bytes()
+    replay = replay_transcript(report.transcript, endpoints_factory(config))
 
     out_path = Path(args.out) if args.out else Path("gset-demo.gsett")
     report.transcript.save(out_path)
@@ -180,7 +180,7 @@ def cmd_demo_storage(args, env: dict) -> int:
     for line in report.describe():
         print(line)
     print()
-    dimension_lines, dimensions_ok = _five_dimensions(report, deterministic)
+    dimension_lines, dimensions_ok = _five_dimensions(report, replay)
     print("five dimensions:")
     for line in dimension_lines:
         print(line)

@@ -331,7 +331,7 @@ class _Schema:
     tag_field: bytes  # the framed type-name field that leads a top-level message
     fields: tuple[tuple[str, str, Encoder], ...]  # (name, "Tag.name" label, encoder)
     authenticator: str | None  # trailing signature or MAC field, if any
-    write: Callable[[Any, list], int]  # validate, then append every field
+    write: Callable[[Any, list], int]  # append every field
     # (data, pos, end, base) -> (message, offset of its last field)
     read: Callable[[bytes, int, int, int], tuple[Any, int]]
 
@@ -346,9 +346,6 @@ def _compile_schema(cls: type, tag: str, compiled: list, authenticator: str | No
     decoders = tuple((label, decoder) for _, label, _, decoder in compiled)
 
     def write(msg: Any, out: list) -> int:
-        validate = getattr(msg, "validate", None)
-        if callable(validate):
-            validate()
         n = 0
         for name, label, encoder in encoders:
             n += encoder(getattr(msg, name), out, label)
@@ -416,11 +413,11 @@ def register_message(cls: type) -> type:
 def canonical_message(cls: type) -> type:
     """Declare a frozen dataclass message with canonical encoding.
 
-    A ``validate`` method, when present, runs on construction and again on
-    ``encode``, so invariant-violating instances neither exist nor leave the
-    process.  ``encode_authenticated`` encodes the field values first and
-    constructs the instance last, so there it runs once, on construction,
-    before any byte is returned.
+    A ``validate`` method, when present, runs on construction, so an
+    invariant-violating instance never exists and encoding need not check
+    again; decoding constructs the instance, so it runs there too.
+    ``encode_authenticated`` encodes the field values first and constructs
+    the instance last, so a violation raises before any byte is returned.
     """
     if "validate" in cls.__dict__ and "__post_init__" not in cls.__dict__:
         def __post_init__(self) -> None:  # noqa: N807

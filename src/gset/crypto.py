@@ -20,19 +20,14 @@ the private half mirrors that layout.  Certificate infrastructure is out
 of scope; callers distribute public keys through a trusted in-memory
 directory populated when a simulation is set up.
 
-``sign``, ``verify``, ``open_envelope`` and ``mac_keys`` keep the last few
-parsed key objects (Ed25519, and X25519 private) in one small LRU keyed by
-the parser and the raw 32 key bytes, so the handful of identities active in
-one transaction are parsed once each; ``seal``'s one-shot ephemeral key is
-not cached.  The parser is part of the key: a private and a public key
-never share an entry, and a key class swapped for a stand-in (one that
-counts parses, say) starts from an empty cache instead of being handed
-objects the old class parsed.  The parsed objects are deliberately not
-kept on ``KeyPair`` or cached per identity: callers keep keys for many
-identities alive at once (the scenario key cache holds every public key it
-ever derived), and parsed key objects for each would grow memory with every
-identity rather than with the few in use.  A malformed key raises on
-parse and is never cached, so ``verify`` returns False for it every time.
+A ``KeyPair`` parses its private half into an Ed25519 signing key and an
+X25519 seal key at most once each, on first use (``generate_keypair``
+hands over the two it parses to compute the public half), and ``sign``,
+``open_envelope`` and ``mac_keys`` use those.  So a parsed key lives
+exactly as long as the pair that holds it, and nothing here keeps keys
+for identities a process has seen.  ``verify`` parses the 32-byte public
+key on each call.  The key classes are looked up in this module's globals
+at call time, so a stand-in that counts parses sees every one.
 
 The pairwise MAC keys are not cached here: each actor keeps the keys it
 shares with each peer for its own run (``actors._ActorBase.pair_keys``).
@@ -40,21 +35,15 @@ shares with each peer for its own run (``actors._ActorBase.pair_keys``).
 Every primitive, SHA-256 and HMAC-SHA256 included, comes from the one
 ``cryptography`` library.  No gset module imports ``hashlib`` or ``hmac``:
 either would load the system's libcrypto beside the OpenSSL that
-``cryptography`` bundles, at a few MiB of resident memory.  The
-private half of a key pair is two SHA-256 derivations
-(``derive_private_key``) and the public half two scalar multiplications,
-so the scenario key cache keeps only each identity's 64-byte public key
-and derives the private half again on each use.
+``cryptography`` bundles, at a few MiB of resident memory.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from random import Random
-from typing import Any, Callable
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes, hmac
@@ -80,7 +69,6 @@ _CEK_SIZE = 32
 _WRAPPED_KEY_SIZE = _KEY_SEGMENT + _GCM_NONCE_SIZE + _CEK_SIZE + _GCM_TAG_SIZE
 _U64_MAX = 2**64 - 1
 MAC_SIZE = 32              # HMAC-SHA256 tag length
-_KEY_CACHE_SIZE = 16       # parsed keys kept by sign, verify, open_envelope, mac_keys
 
 _SIGN_DERIVE_TAG = b"gset/keys/sign/v1"
 _SEAL_DERIVE_TAG = b"gset/keys/seal/v1"
@@ -180,11 +168,35 @@ class DualSignature:
 
 @dataclass(frozen=True)
 class KeyPair:
-    """Key material bound to a subject identity label."""
+    """Key material bound to a subject identity label.
+
+    ``signing_key()`` and ``seal_key()`` parse their half of
+    ``private_key`` on first use and keep it on the pair; the parsed
+    objects take no part in equality.
+    """
 
     public_key: bytes
     private_key: bytes
     subject_id: str
+    _signing: Ed25519PrivateKey | None = field(default=None, compare=False, repr=False)
+    _sealing: X25519PrivateKey | None = field(default=None, compare=False, repr=False)
+
+    def signing_key(self) -> Ed25519PrivateKey:
+        if self._signing is None:
+            parsed = Ed25519PrivateKey.from_private_bytes(self._private()[:_KEY_SEGMENT])
+            object.__setattr__(self, "_signing", parsed)
+        return self._signing
+
+    def seal_key(self) -> X25519PrivateKey:
+        if self._sealing is None:
+            parsed = X25519PrivateKey.from_private_bytes(self._private()[_KEY_SEGMENT:])
+            object.__setattr__(self, "_sealing", parsed)
+        return self._sealing
+
+    def _private(self) -> bytes:
+        if len(self.private_key) != PRIVATE_KEY_SIZE:
+            raise MissingKeyError(f"no private key material for {self.subject_id!r}")
+        return self.private_key
 
 
 def _sha256(data: bytes) -> bytes:
@@ -232,26 +244,12 @@ def generate_keypair(subject_id: str, seed: int) -> KeyPair:
     sign_key = Ed25519PrivateKey.from_private_bytes(private[:_KEY_SEGMENT])
     seal_key = X25519PrivateKey.from_private_bytes(private[_KEY_SEGMENT:])
     public = sign_key.public_key().public_bytes_raw() + seal_key.public_key().public_bytes_raw()
-    return KeyPair(public_key=public, private_key=private, subject_id=subject_id)
-
-
-def _require_private(key: KeyPair) -> bytes:
-    if len(key.private_key) != PRIVATE_KEY_SIZE:
-        raise MissingKeyError(f"no private key material for {key.subject_id!r}")
-    return key.private_key
-
-
-@lru_cache(maxsize=_KEY_CACHE_SIZE)
-def _parsed_key(parse: Callable[[bytes], Any], raw: bytes) -> Any:
-    """``parse(raw)``, remembered for the last few (parser, raw key) pairs."""
-    return parse(raw)
+    return KeyPair(public, private, subject_id, sign_key, seal_key)
 
 
 def sign(key: KeyPair, message: bytes) -> Signature:
     """Sign ``message`` with the subject's signing key."""
-    private = _require_private(key)
-    signer = _parsed_key(Ed25519PrivateKey.from_private_bytes, private[:_KEY_SEGMENT])
-    return Signature(bytes=signer.sign(bytes(message)), signer_id=key.subject_id)
+    return Signature(bytes=key.signing_key().sign(bytes(message)), signer_id=key.subject_id)
 
 
 def verify(public_key: bytes, message: bytes, sig: Signature) -> bool:
@@ -265,7 +263,7 @@ def verify(public_key: bytes, message: bytes, sig: Signature) -> bool:
     if not isinstance(sig, Signature) or len(sig.bytes) != SIGNATURE_SIZE:
         return False
     try:
-        verifier = _parsed_key(Ed25519PublicKey.from_public_bytes, public_key[:_KEY_SEGMENT])
+        verifier = Ed25519PublicKey.from_public_bytes(public_key[:_KEY_SEGMENT])
         verifier.verify(sig.bytes, bytes(message))
     except (InvalidSignature, ValueError):
         return False
@@ -300,11 +298,10 @@ def mac_keys(
     two directions or two pairs.  A missing or malformed peer key yields
     None rather than raising, as ``verify`` yields False.
     """
-    private = _require_private(own)
+    seal_key = own.seal_key()
     if not isinstance(peer_public_key, bytes) or len(peer_public_key) != PUBLIC_KEY_SIZE:
         return None
     try:
-        seal_key = _parsed_key(X25519PrivateKey.from_private_bytes, private[_KEY_SEGMENT:])
         peer_seal_key = X25519PublicKey.from_public_bytes(peer_public_key[_KEY_SEGMENT:])
         shared = seal_key.exchange(peer_seal_key)
     except ValueError:  # a low-order peer point gives an all-zero secret
@@ -408,7 +405,7 @@ def open_envelope(key: KeyPair, envelope: SealedEnvelope) -> bytes:
         raise WrongRecipientError(
             f"envelope for {envelope.recipient_id!r}, not {key.subject_id!r}"
         )
-    private = _require_private(key)
+    seal_key = key.seal_key()
     if len(envelope.wrapped_key) != _WRAPPED_KEY_SIZE:
         raise EnvelopeIntegrityError("wrapped key has the wrong shape")
     if len(envelope.ciphertext) <= _GCM_NONCE_SIZE:
@@ -419,7 +416,6 @@ def open_envelope(key: KeyPair, envelope: SealedEnvelope) -> bytes:
     wrap_nonce = envelope.wrapped_key[_KEY_SEGMENT:_KEY_SEGMENT + _GCM_NONCE_SIZE]
     wrapped = envelope.wrapped_key[_KEY_SEGMENT + _GCM_NONCE_SIZE:]
     try:
-        seal_key = _parsed_key(X25519PrivateKey.from_private_bytes, private[_KEY_SEGMENT:])
         shared = seal_key.exchange(X25519PublicKey.from_public_bytes(eph_pub))
         kek = HKDF(
             algorithm=hashes.SHA256(),

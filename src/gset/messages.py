@@ -12,13 +12,13 @@ manager, order details never leave the requester/provider side, and the
 dual signature ties the two halves together through digests alone.
 
 Messages are frozen dataclasses registered with the canonical codec; each
-validates its own invariants on construction and on encode.  A trailing
-``*_signature`` field is a detached Ed25519 signature, and a trailing
-``*_mac`` field a 32-byte HMAC-SHA256 tag, over the leading part of the
-message's encoding: the type tag and every field before the
-authenticator.  The sender authenticates that part of the bytes it sends
-(``build_signed``, ``build_maced``), and the receiver checks the same part
-of the bytes it received (``codec.decode_authenticated``,
+validates its own invariants on construction (at the sender) and on decode
+(at the receiver).  A trailing ``*_signature`` field is a detached Ed25519
+signature, and a trailing ``*_mac`` field a 32-byte HMAC-SHA256 tag, over
+the leading part of the message's encoding: the type tag and every field
+before the authenticator.  The sender authenticates that part of the bytes
+it sends (``build_signed``, ``build_maced``), and the receiver checks the
+same part of the bytes it received (``codec.decode_authenticated``,
 ``verify_signed``, ``verify_maced``); neither end encodes the message a
 second time.
 
@@ -119,26 +119,29 @@ def _need(condition: bool, what: str) -> None:
         raise ValidationError(what)
 
 
+# The checks below run on every message built or decoded, so each tests
+# first and formats its text only on failure.
 def _need_nonce(value: bytes, what: str) -> None:
-    _need(isinstance(value, bytes) and len(value) == NONCE_SIZE,
-          f"{what} must be {NONCE_SIZE} bytes")
+    if not (isinstance(value, bytes) and len(value) == NONCE_SIZE):
+        raise ValidationError(f"{what} must be {NONCE_SIZE} bytes")
 
 
 def _need_label(value: str, what: str) -> None:
-    _need(isinstance(value, str) and bool(value), f"{what} must be non-empty")
+    if not (isinstance(value, str) and value):
+        raise ValidationError(f"{what} must be non-empty")
 
 
 def _need_mac(value: bytes, what: str) -> None:
-    _need(isinstance(value, bytes) and len(value) == MAC_SIZE,
-          f"{what} must be {MAC_SIZE} bytes")
+    if not (isinstance(value, bytes) and len(value) == MAC_SIZE):
+        raise ValidationError(f"{what} must be {MAC_SIZE} bytes")
 
 
 def _need_u64(value: int, what: str, minimum: int = 0) -> None:
-    _need(
+    if not (
         isinstance(value, int) and not isinstance(value, bool)
-        and minimum <= value <= _U64_MAX,
-        f"{what} must be an unsigned 64-bit integer >= {minimum}",
-    )
+        and minimum <= value <= _U64_MAX
+    ):
+        raise ValidationError(f"{what} must be an unsigned 64-bit integer >= {minimum}")
 
 
 # --- shared components -------------------------------------------------------
@@ -353,7 +356,8 @@ class ObjectUpload:
         _need_nonce(self.order_nonce, "order_nonce")
         _need(len(self.objects) > 0, "upload must contain at least one object")
         for i, obj in enumerate(self.objects):
-            _need(isinstance(obj, bytes) and bool(obj), f"objects[{i}] must be non-empty")
+            if not (isinstance(obj, bytes) and obj):
+                raise ValidationError(f"objects[{i}] must be non-empty")
 
 
 @canonical_message

@@ -4,6 +4,10 @@ A scenario is fully determined by its config.  ``build_scenario`` derives
 everything else (keys, account reference, payload objects, the kick-off
 message) from the seed, so two builds from equal configs are
 indistinguishable, which is what makes transcript replay meaningful.
+
+Each build derives its four key pairs afresh and keeps them only in the
+scenario's actors, so the keys live and die with the run.  Nothing here
+remembers an identity from one build to the next.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .actors import (
     TrustManager,
     TrustManagerConfig,
 )
-from .crypto import KeyPair, derive_private_key, generate_keypair
+from .crypto import generate_keypair
 from .messages import UsageDescriptor
 from .simnet import (
     Actor,
@@ -102,22 +106,6 @@ def ini_overrides(path: str | Path) -> dict:
     return overrides
 
 
-# The 64-byte public key of every (subject, seed) identity derived so far.
-# Only the public half is kept: it costs two scalar multiplications to
-# derive, the private half two SHA-256 calls, which ``_keypair`` repeats on
-# each use.  No parsed key object is kept (see the ``crypto`` docstring).
-_key_cache: dict[tuple[str, int], bytes] = {}
-
-
-def _keypair(subject_id: str, seed: int) -> KeyPair:
-    public = _key_cache.get((subject_id, seed))
-    if public is None:
-        pair = generate_keypair(subject_id, seed)
-        _key_cache[(subject_id, seed)] = pair.public_key
-        return pair
-    return KeyPair(public, derive_private_key(subject_id, seed), subject_id)
-
-
 def _objects(config: ScenarioConfig) -> tuple[bytes, ...]:
     """``object_count`` objects of ``object_size`` bytes each, cut in order
     from one AES-256-CTR keystream keyed by SHA-256(f"{seed}/objects") under
@@ -172,7 +160,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     if len(set(ids)) != len(ids):
         raise ScenarioError(f"actor ids must be distinct, got {ids}")
 
-    keys = {subject: _keypair(subject, config.seed) for subject in ids}
+    keys = {subject: generate_keypair(subject, config.seed) for subject in ids}
     directory = {subject: pair.public_key for subject, pair in keys.items()}
 
     account_ref = "ACCT-" + Random(f"{config.seed}/account-ref").randbytes(24).hex()

@@ -660,7 +660,7 @@ def test_redeemed_object_failing_its_ticket_digest_is_ignored():
     assert outs[:-1] == [[]] * (len(responses) - 1)
     [(dest, raw)] = outs[-1]
     assert dest == "SP"
-    assert codec.decode(raw, ServiceComplete).order_nonce == actors.sr.grant.order_nonce
+    assert codec.decode(raw, ServiceComplete).order_nonce == actors.sr.granted_order
     assert actors.sr.completed
     assert actors.sr.retrieved[genuine.ticket_id] == genuine.payload
 

@@ -5,8 +5,9 @@ import configparser
 
 import pytest
 
-from gset import PUBLIC_KEY_SIZE, PRIVATE_KEY_SIZE
+from gset import PUBLIC_KEY_SIZE, PRIVATE_KEY_SIZE, cli
 from gset.cli import main
+from gset.scenario import endpoints_factory
 
 
 def run_cli(argv, env=None, cwd=None, monkeypatch=None, capsys=None):
@@ -40,6 +41,22 @@ def test_demo_stdout_is_deterministic(tmp_path, monkeypatch, capsys):
     second = capsys.readouterr().out
     assert first == second
     assert (tmp_path / "t.gsett").read_bytes() == first_bytes
+
+
+def test_demo_reports_where_a_rerun_diverges(tmp_path, monkeypatch, capsys):
+    # a rebuilder that swaps in another seed cannot reproduce the wire
+    def other_seed(config):
+        rebuild = endpoints_factory(config)
+        return lambda seed: rebuild(seed + 1)
+
+    monkeypatch.setattr(cli, "endpoints_factory", other_seed)
+    code, out, _ = run_cli(
+        ["demo-storage"], cwd=tmp_path, monkeypatch=monkeypatch, capsys=capsys
+    )
+    assert code == 1
+    [row] = [line for line in out.splitlines() if "reliability" in line]
+    assert row.startswith("  [FAIL] reliability  rerun DIVERGED from the recorded transcript: ")
+    assert "differs: expected" in row
 
 
 def test_demo_reports_business_denial_but_exits_zero(tmp_path, monkeypatch, capsys):

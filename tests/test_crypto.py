@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gset.crypto
 from gset import (
     MAC_SIZE,
     Digest,
@@ -175,6 +176,54 @@ def test_sign_without_private_key_raises():
     public_only = KeyPair(public_key=kp.public_key, private_key=b"", subject_id="SP")
     with pytest.raises(MissingKeyError):
         sign(public_only, b"m")
+
+
+def _count_parses(monkeypatch) -> dict[str, int]:
+    """Private-key parses from here on, per key class of ``gset.crypto``."""
+    counts = {"Ed25519PrivateKey": 0, "X25519PrivateKey": 0}
+    for name in counts:
+        cls = getattr(gset.crypto, name)
+
+        def parse(data, _cls=cls, _name=name):
+            counts[_name] += 1
+            return _cls.from_private_bytes(data)
+
+        monkeypatch.setattr(
+            gset.crypto, name, type(name, (), {"from_private_bytes": staticmethod(parse)})
+        )
+    return counts
+
+
+def test_a_key_pair_parses_each_half_once(monkeypatch):
+    sp = generate_keypair("SP", 7)
+    tm_public = generate_keypair("TM", 7).public_key
+    envelopes = [seal(tm_public, "TM", b"payment", Random(i)) for i in range(3)]
+    parses = _count_parses(monkeypatch)
+
+    def use(pair):
+        for envelope in envelopes:
+            assert verify(tm_public, b"m", sign(pair, b"m"))
+            assert mac_keys(pair, "SP", sp.public_key) is not None
+            assert open_envelope(pair, envelope) == b"payment"
+
+    # deriving parses both halves, and the pair keeps them for every use
+    tm = generate_keypair("TM", 7)
+    use(tm)
+    assert parses == {"Ed25519PrivateKey": 1, "X25519PrivateKey": 1}
+    # a pair built from its bytes parses each half on first use, once
+    use(KeyPair(tm.public_key, tm.private_key, "TM"))
+    assert parses == {"Ed25519PrivateKey": 2, "X25519PrivateKey": 2}
+
+
+def test_two_pairs_of_one_identity_parse_separately(monkeypatch):
+    tm = generate_keypair("TM", 7)
+    parses = _count_parses(monkeypatch)
+    first, second = (KeyPair(tm.public_key, tm.private_key, "TM") for _ in range(2))
+    assert first == second
+    assert sign(first, b"m") == sign(second, b"m")
+    assert mac_keys(first, "SP", tm.public_key) == mac_keys(second, "SP", tm.public_key)
+    # nothing parsed for one pair is handed to the other
+    assert parses == {"Ed25519PrivateKey": 2, "X25519PrivateKey": 2}
 
 
 # --- pairwise MAC keys -------------------------------------------------------

@@ -7,11 +7,12 @@ back onto the queue shows here before it shows in any timing.  MACs made
 and checked, and the X25519 agreements behind them, are gated the same way:
 a server-to-server leg back under a signature, or a pairwise key derived
 more than once per peer and run, shows here.  Private-key parses are gated
-too: each signing key and each seal key is parsed once per run.  So are the
+too: each key pair parses each of its halves at most once.  So are the
 bytes hashed, signed and verified: a second hash of an object, or object
 bytes back under a signature, shows as a byte count.  So are the codec's
 encodes: a message encoded twice by its sender, or encoded again by its
-receiver to check its authenticator, shows as a call count.
+receiver to check its authenticator, shows as a call count.  So are the
+messages' invariant checks: a message checked again on encode shows here.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ import sys
 import gset.codec
 import gset.crypto
 from gset import ScenarioConfig, run_storage_scenario
-from gset.scenario import build_scenario
 
 
 def _count_calls(
@@ -133,9 +133,7 @@ class _CountingKeyClass:
 
 
 def _key_parses(monkeypatch, config: ScenarioConfig) -> int:
-    """Private-key parses of one run whose identities were derived beforehand."""
-    build_scenario(config)  # derives and caches the run's key pairs
-    gset.crypto._parsed_key.cache_clear()
+    """Private-key parses of one run, its key derivation included."""
     calls = [0]
     for name in ("Ed25519PrivateKey", "X25519PrivateKey"):
         monkeypatch.setattr(gset.crypto, name, _CountingKeyClass(getattr(gset.crypto, name), calls))
@@ -143,15 +141,17 @@ def _key_parses(monkeypatch, config: ScenarioConfig) -> int:
     return calls[0]
 
 
-# three signing keys (SR, SP, TM), three seal keys (SP, TM, AP: the trust
-# manager's serves its envelope and both its pairs) and one ephemeral seal key
+# Deriving the four key pairs parses both halves of each, to compute the
+# public halves; the run reuses those objects and adds one ephemeral seal
+# key.  Two of the eight are parsed only to publish their public halves:
+# the requester's seal key and the account provider's signing key.
 def test_default_transaction_parses_each_key_once(monkeypatch):
-    assert _key_parses(monkeypatch, ScenarioConfig()) == 7
+    assert _key_parses(monkeypatch, ScenarioConfig()) == 9
 
 
 def test_bulk_transaction_parses_each_key_once(monkeypatch):
     config = ScenarioConfig(object_count=16, object_size=65536)
-    assert _key_parses(monkeypatch, config) == 7
+    assert _key_parses(monkeypatch, config) == 9
 
 
 def _codec_calls(monkeypatch, config: ScenarioConfig) -> tuple[int, int, int]:
@@ -180,3 +180,31 @@ def test_default_transaction_encodes_each_message_once(monkeypatch):
 def test_bulk_transaction_encodes_each_message_once(monkeypatch):
     config = ScenarioConfig(object_count=16, object_size=65536)
     assert _codec_calls(monkeypatch, config) == (39, 1, 13)
+
+
+def _validations(monkeypatch, config: ScenarioConfig) -> int:
+    """``validate`` calls of one run, over every registered message type."""
+    calls = [0]
+    for cls in gset.codec.registered_types().values():
+        original = cls.__dict__.get("validate")
+        if original is None:
+            continue
+
+        def counted(self, _original=original):
+            calls[0] += 1
+            _original(self)
+
+        monkeypatch.setattr(cls, "validate", counted)
+    assert run_storage_scenario(config).complete_success()
+    return calls[0]
+
+
+# Each message is checked once where it is built and once where it is
+# decoded, nested messages included, and never again on encode.
+def test_default_transaction_validates_each_message_once_per_end(monkeypatch):
+    assert _validations(monkeypatch, ScenarioConfig()) == 79
+
+
+def test_bulk_transaction_validates_each_message_once_per_end(monkeypatch):
+    config = ScenarioConfig(object_count=16, object_size=65536)
+    assert _validations(monkeypatch, config) == 183

@@ -6,6 +6,7 @@ import gc
 import hashlib
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -28,8 +29,7 @@ from gset.attacks import (
     run_attack_suite,
     tamper_sweep,
 )
-from gset.crypto import PUBLIC_KEY_SIZE, generate_keypair
-from gset.scenario import _key_cache, _keypair, ini_overrides
+from gset.scenario import ini_overrides
 
 
 # --- configuration ------------------------------------------------------------
@@ -143,19 +143,25 @@ def test_scenario_markers_cover_both_sides():
     assert b"mobile-storage" in scenario.markers.usage_markers
 
 
-def test_a_cached_identity_rebuilds_the_full_key_pair():
-    config = ScenarioConfig(seed=41)
-    build_scenario(config)  # derives and caches the four identities
-    for subject in ("SR", "SP", "TM", "AP"):
-        assert (subject, config.seed) in _key_cache
-        assert _keypair(subject, config.seed) == generate_keypair(subject, config.seed)
+def test_building_scenarios_keeps_nothing_per_identity():
+    # Python memory kept after building scenarios for N fresh seeds, then N
+    # more: the second N may add a constant, never something per identity
+    # (a process-wide cache of four 64-byte keys per seed adds ~80 KB here).
+    def build(seeds):
+        for seed in seeds:
+            build_scenario(ScenarioConfig(seed=seed))
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
 
-
-def test_the_key_cache_holds_only_public_keys():
-    build_scenario(ScenarioConfig())
-    assert _key_cache
-    for public in _key_cache.values():
-        assert type(public) is bytes and len(public) == PUBLIC_KEY_SIZE
+    n = 100
+    gc.collect()
+    tracemalloc.start()
+    try:
+        after_n = build(range(10**9, 10**9 + n))
+        after_2n = build(range(10**9 + n, 10**9 + 2 * n))
+    finally:
+        tracemalloc.stop()
+    assert after_2n - after_n < 4096
 
 
 def test_a_run_loads_one_crypto_library():
