@@ -8,11 +8,14 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from random import Random
 
 import pytest
 
 import gset
 from gset import (
+    Adversary,
+    AdversaryMode,
     ScenarioConfig,
     ScenarioError,
     ServiceProvider,
@@ -22,6 +25,7 @@ from gset import (
 )
 from gset.attacks import (
     REPLAY_CORE,
+    REPLAY_TARGETS,
     TAMPER_EXPECTATIONS,
     TAMPER_TARGETS,
     eavesdrop_check,
@@ -250,6 +254,61 @@ def test_complete_success_requires_every_book_to_balance():
     assert not tweaked.complete_success()
     tweaked = dataclasses.replace(report, objects_retrieved=2)
     assert not tweaked.complete_success()
+
+
+# --- the audit of every run, pinned ------------------------------------------------
+
+# SHA-256 over the repr of each pinned run's summary, in run order: a change
+# to how an actor keeps its state must leave every audited fact and note as is.
+RUN_REPORTS_SHA256 = "c9c3207f4b538e39fcf7cf362a756a55d67c953b11feff9a69c935de7cd0fd2b"
+
+
+def _pinned_runs():
+    """(attack, config, adversary) of each pinned run, in run order: the
+    tamper sweep's adversaries at 10 mutations per type, built as
+    ``tamper_sweep`` builds them, every replay target, and seeds 0-9."""
+    seed = 7
+    for target in TAMPER_TARGETS:
+        for index in range(10):
+            adversary = Adversary(
+                mode=AdversaryMode.TAMPER,
+                target=target,
+                mutation="bit=rand",
+                max_hits=1,
+                rng=Random(f"{seed}/tamper/{target}/{index}"),
+            )
+            yield f"tamper:{target}#{index}", ScenarioConfig(seed=seed), adversary
+    for target in REPLAY_TARGETS:
+        adversary = Adversary(mode=AdversaryMode.REPLAY, target=target, max_hits=1)
+        yield f"replay:{target}", ScenarioConfig(seed=seed), adversary
+    for s in range(10):
+        yield f"seed:{s}", ScenarioConfig(seed=s), None
+
+
+def _summary(attack: str, report) -> tuple:
+    return (
+        attack,
+        report.business_outcome,
+        report.holds_created,
+        report.settle_count,
+        report.tokens_minted,
+        report.grants_issued,
+        report.objects_retrieved,
+        report.retrieval_mismatches,
+        report.provider_receivable,
+        report.settled_total,
+        report.invariant_failures,
+        report.privacy.clean,
+        [(actor_id, actor.notes) for actor_id, actor in report.scenario.endpoints.items()],
+    )
+
+
+def test_every_pinned_run_audits_as_before():
+    digest = hashlib.sha256()
+    for attack, config, adversary in _pinned_runs():
+        report = run_storage_scenario(config, adversary=adversary)
+        digest.update(repr(_summary(attack, report)).encode("utf-8"))
+    assert digest.hexdigest() == RUN_REPORTS_SHA256
 
 
 # --- attack sweeps (small scale; the acceptance gate runs them full-size) ---------
