@@ -12,13 +12,14 @@ Those seven server-to-server legs carry a pairwise MAC; the signed
 messages of the requester's legs and the trust manager's capture token
 keep their signatures (see ``_authentic``).
 
-The privacy split is enforced here by what each actor stores:
+The privacy split is enforced here by what each actor stores, one
+record per order or token:
 
-* the provider keeps order state, tokens, and objects, and never sees
+* the provider keeps orders, quoted prices, and objects, and never sees
   payment plaintext (it only relays the sealed envelope);
-* the trust manager keeps payment nonces and the tokens it minted and
-  spent, and never sees order plaintext (it only handles digests and
-  amounts);
+* the trust manager keeps payment nonces and what a capture of each
+  token it minted reads (not the signed token), and never sees order
+  plaintext (it only handles digests and amounts);
 * the account provider keeps a ledger keyed by account digests.
 
 ``deliver`` is the only way into an actor (the requester's ``begin``
@@ -28,7 +29,8 @@ only makes the first message); tests drive the actors through it too.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
+from enum import IntEnum
 from functools import cache
 from random import Random
 from typing import Callable, Mapping, Protocol
@@ -114,8 +116,6 @@ def _state_encode(value) -> bytes:
     """Canonical bytes of one piece of actor state (see ``state_bytes``)."""
     if isinstance(value, Ledger):
         value = value.snapshot()
-    if value is None:
-        return b"N"
     if isinstance(value, int):  # bools and IntEnums too
         width = max(8, (value.bit_length() + 8) // 8)
         return _leaf(b"I", value.to_bytes(width, "big", signed=True))
@@ -148,10 +148,13 @@ class _ActorBase:
     # cyclic garbage collector.
     _HANDLERS: Mapping[type, Callable] = {}
 
-    def __init__(self, identity: KeyPair, directory: Mapping[str, bytes], rng: Random) -> None:
+    def __init__(
+        self, identity: KeyPair, directory: Mapping[str, bytes], config, rng: Random
+    ) -> None:
         self.identity = identity
         self.subject_id = identity.subject_id
         self.directory = directory
+        self.config = config
         self.rng = rng
         # peer id -> (key to the peer, key from the peer), derived on first use
         self.pair_keys: dict[str, tuple[bytes, bytes]] = {}
@@ -230,14 +233,14 @@ class _ActorBase:
         ``digests`` are an ``ObjectUpload``'s object digests, which its
         signature covers in place of the objects.
         """
-        field = codec.authenticator_field_name(type(msg))
-        if field.endswith("_mac"):
+        name = codec.authenticator_field_name(type(msg))
+        if name.endswith("_mac"):
             keys = self._keys_with(peer_id)
             return keys is not None and verify_maced(msg, keys[1], covered)
         public = self._key_of(peer_id)
         if public is None:
             return False
-        sig = getattr(msg, field)
+        sig = getattr(msg, name)
         if sig.signer_id != peer_id:
             return False
         return verify_signed(msg, public, digests, covered)
@@ -282,9 +285,31 @@ class RequesterConfig:
     account_ref: str
     authorized_limit: int
     objects: tuple[bytes, ...]
-    # On, the requester refuses to authorize a limit below the quoted price
-    # before anything is sent; off, the trust manager's check is the one hit.
-    enforce_limit_sanity: bool
+
+
+class RequesterPhase(IntEnum):
+    """An order's steps at the requester in protocol order; a denial ends it at FAILED."""
+
+    AUTHORIZING = 0  # dual-signed authorization sent, no decision yet
+    FAILED = 1  # authorization denied
+    UPLOADING = 2  # approved, objects uploaded, no grant yet
+    REDEEMING = 3  # grant accepted, tickets outstanding
+    COMPLETED = 4  # every object retrieved, completion sent
+
+
+@dataclass
+class RequesterOrder:
+    phase: RequesterPhase = RequesterPhase.AUTHORIZING
+    digests: tuple[Digest, ...] = ()  # what the upload signature committed to
+    # ticket_id -> ticket, in grant order: one per uploaded object
+    tickets: dict[bytes, Ticket] = field(default_factory=dict)
+    retrieved: dict[bytes, bytes] = field(default_factory=dict)
+    refusals: set[bytes] = field(default_factory=set)  # tickets the provider refused
+
+    def awaits(self, ticket_id: bytes) -> bool:
+        """Is ``ticket_id`` this order's, neither redeemed nor refused?"""
+        done = ticket_id in self.retrieved or ticket_id in self.refusals
+        return ticket_id in self.tickets and not done
 
 
 class ServiceRequester(_ActorBase):
@@ -297,19 +322,10 @@ class ServiceRequester(_ActorBase):
         config: RequesterConfig,
         rng: Random,
     ) -> None:
-        super().__init__(identity, directory, rng)
-        self.config = config
+        super().__init__(identity, directory, config, rng)
         self.pending_usage: list[tuple[bytes, UsageDescriptor]] = []
-        self.pending_auths: set[bytes] = set()
-        # what the upload signature committed to, one digest per object
-        self.uploaded_digests: tuple[Digest, ...] = ()
-        # the order nonce of the one grant accepted; its tickets are in ``tickets``
-        self.granted_order: bytes | None = None
-        self.tickets: dict[bytes, Ticket] = {}
-        self.unredeemed: set[bytes] = set()
-        self.retrieved: dict[bytes, bytes] = {}
-        self.redeem_failures = 0
-        self.completed = False
+        # order_nonce -> the order, from its authorization on
+        self.orders: dict[bytes, RequesterOrder] = {}
 
     def begin(self, usage: UsageDescriptor) -> tuple[str, bytes]:
         """Kick-off message for a simulation run: a price request for
@@ -341,10 +357,6 @@ class ServiceRequester(_ActorBase):
             return refuse("quote signature does not verify")
         if now >= quote.expiry:
             return refuse(f"quote expired at tick {quote.expiry}, now {now}")
-        if self.config.enforce_limit_sanity and self.config.authorized_limit < quote.price:
-            return refuse(
-                f"authorized limit {self.config.authorized_limit} below price {quote.price}"
-            )
         order = OrderInfo(
             quote_id=quote.quote_id,
             usage=quote.usage,
@@ -363,7 +375,7 @@ class ServiceRequester(_ActorBase):
             return refuse(f"no public key for {self.config.trust_manager_id!r}")
         envelope = seal(tm_key, self.config.trust_manager_id, payment_bytes, self.rng)
         dual = make_dual_signature(self.identity, order_bytes, payment_bytes)
-        self.pending_auths.add(order.order_nonce)
+        self.orders[order.order_nonce] = RequesterOrder()
         self.pending_usage.pop(matched)
         auth = AuthorizationRequest(order_info=order, payment_envelope=envelope, dual=dual)
         return [(self.config.provider_id, codec.encode(auth))]
@@ -384,18 +396,20 @@ class ServiceRequester(_ActorBase):
         if not self._authentic(decision, self.config.provider_id, covered):
             self._note("auth decision signature does not verify")
             return []
-        if decision.order_nonce not in self.pending_auths:
+        record = self.orders.get(decision.order_nonce)
+        if record is None or record.phase != RequesterPhase.AUTHORIZING:
             self._note("auth decision for no pending order")
             return []
-        self.pending_auths.remove(decision.order_nonce)
         if not decision.approved:
+            record.phase = RequesterPhase.FAILED
             self._note("authorization denied")
             return []
-        self.uploaded_digests = object_digests(self.config.objects)
+        record.phase = RequesterPhase.UPLOADING
+        record.digests = object_digests(self.config.objects)
         _, raw = build_signed(
             ObjectUpload,
             self.identity,
-            digests=self.uploaded_digests,
+            digests=record.digests,
             order_nonce=decision.order_nonce,
             objects=self.config.objects,
         )
@@ -407,21 +421,24 @@ class ServiceRequester(_ActorBase):
         if not self._authentic(grant, self.config.provider_id, covered):
             self._note("service grant signature does not verify")
             return []
-        if self.granted_order is not None:
+        record = self.orders.get(grant.order_nonce)
+        if record is not None and record.phase > RequesterPhase.UPLOADING:
             self._note("duplicate service grant ignored")
             return []
-        if len(grant.tickets) != len(self.uploaded_digests):
+        if record is None or record.phase != RequesterPhase.UPLOADING:
+            self._note("service grant for no uploaded order")
+            return []
+        if len(grant.tickets) != len(record.digests):
             self._note("grant ticket count does not match uploaded objects")
             return []
-        for ticket, digest in zip(grant.tickets, self.uploaded_digests):
+        for ticket, digest in zip(grant.tickets, record.digests):
             if ticket.object_digest != digest:
                 self._note("grant ticket digest does not match uploaded object")
                 return []
-        self.granted_order = grant.order_nonce
+        record.phase = RequesterPhase.REDEEMING
         out: Outbound = []
         for ticket in grant.tickets:
-            self.tickets[ticket.ticket_id] = ticket
-            self.unredeemed.add(ticket.ticket_id)
+            record.tickets[ticket.ticket_id] = ticket
             request = TicketRedeemRequest(ticket_id=ticket.ticket_id)
             out.append((self.config.provider_id, codec.encode(request)))
         return out
@@ -431,22 +448,24 @@ class ServiceRequester(_ActorBase):
     ) -> Outbound:
         # The response is unsigned: the signed grant's ticket already commits
         # to the object's digest, so the digest is the integrity check.
-        if resp.ticket_id not in self.unredeemed:
+        found = next(((n, r) for n, r in self.orders.items() if r.awaits(resp.ticket_id)), None)
+        if found is None:
             self._note("redeem response for no outstanding ticket")
             return []
-        if resp.ok and not self.tickets[resp.ticket_id].matches(resp.payload):
+        order_nonce, record = found
+        if resp.ok and not record.tickets[resp.ticket_id].matches(resp.payload):
             self._note("redeemed object does not match ticket digest")
             return []
-        self.unredeemed.discard(resp.ticket_id)
         if not resp.ok:
-            self.redeem_failures += 1
+            record.refusals.add(resp.ticket_id)
             self._note("ticket redemption refused")
             return []
-        self.retrieved[resp.ticket_id] = resp.payload
-        if self.unredeemed or self.redeem_failures or self.completed:
+        record.retrieved[resp.ticket_id] = resp.payload
+        # a refused ticket is never retrieved, so that order never completes
+        if len(record.retrieved) < len(record.tickets):
             return []
-        self.completed = True
-        _, raw = build_signed(ServiceComplete, self.identity, order_nonce=self.granted_order)
+        record.phase = RequesterPhase.COMPLETED
+        _, raw = build_signed(ServiceComplete, self.identity, order_nonce=order_nonce)
         return [(self.config.provider_id, raw)]
 
     _HANDLERS = {
@@ -469,6 +488,24 @@ class ProviderConfig:
     quote_ttl: int
 
 
+class ProviderPhase(IntEnum):
+    """An order's steps at the provider in protocol order; a denial ends it at DENIED."""
+
+    RELAYED = 0  # payment half relayed to the trust manager, no outcome yet
+    DENIED = 1  # refused by the trust manager, or its token did not verify
+    APPROVED = 2  # a verified token is held, no upload yet
+    GRANTED = 3  # objects stored, tickets issued
+    CAPTURED = 4  # the token settled, its charge booked
+
+
+@dataclass
+class ProviderOrder:
+    requester: str
+    phase: ProviderPhase = ProviderPhase.RELAYED
+    token_id: bytes = b""  # the approving token's id and amount, from APPROVED on
+    charge: int = 0
+
+
 class ServiceProvider(_ActorBase):
     """Prices usage, relays authorizations, stores objects, collects credit."""
 
@@ -479,19 +516,14 @@ class ServiceProvider(_ActorBase):
         config: ProviderConfig,
         rng: Random,
     ) -> None:
-        super().__init__(identity, directory, rng)
-        self.config = config
-        self.issued_quotes: dict[bytes, PriceQuote] = {}
+        super().__init__(identity, directory, config, rng)
+        # quote_id -> (usage, price, expiry) of each quote issued
+        self.issued_quotes: dict[bytes, tuple[UsageDescriptor, int, int]] = {}
         self.denials: list[DenialReason] = []
-        # order_nonce -> requester id; only orders matched to an issued quote
-        self.orders: dict[bytes, str] = {}
-        # order_nonce -> verified token, until its capture settles
-        self.approved_tokens: dict[bytes, CaptureToken] = {}
-        # order nonces of the orders whose objects are stored
-        self.granted: set[bytes] = set()
+        # order_nonce -> the order; only orders matched to an issued quote
+        self.orders: dict[bytes, ProviderOrder] = {}
         # ticket_id -> object, until the ticket is redeemed
         self.stored_objects: dict[bytes, bytes] = {}
-        self.receivable_total = 0
 
     # -- message handlers --
 
@@ -518,7 +550,7 @@ class ServiceProvider(_ActorBase):
             price=price,
             expiry=now + self.config.quote_ttl,
         )
-        self.issued_quotes[quote.quote_id] = quote
+        self.issued_quotes[quote.quote_id] = (quote.usage, price, quote.expiry)
         return [(sender, raw)]
 
     def _on_authorization(
@@ -559,9 +591,10 @@ class ServiceProvider(_ActorBase):
         quote = self.issued_quotes.get(order.quote_id)
         if quote is None:
             return deny(DenialReason.EXPIRED_QUOTE, "unknown quote reference")
-        if now >= quote.expiry:
+        usage, price, expiry = quote
+        if now >= expiry:
             return deny(DenialReason.EXPIRED_QUOTE, "quote expired")
-        if order.usage != quote.usage:
+        if order.usage != usage:
             return deny(DenialReason.EXPIRED_QUOTE, "order does not match quoted usage")
         if order.order_nonce in self.orders:
             self._note("duplicate authorization for an accepted order ignored")
@@ -572,63 +605,56 @@ class ServiceProvider(_ActorBase):
             AuthorizeAndHold,
             payment_envelope=auth.payment_envelope,
             dual=auth.dual,
-            charge_amount=quote.price,
+            charge_amount=price,
         )
         if relay is None:
             return []
-        self.orders[order.order_nonce] = sender
+        record = self.orders[order.order_nonce] = ProviderOrder(requester=sender)
         outcome = self._exchange(net, self.config.trust_manager_id, relay, AuthOutcome)
         if outcome is None:
             return []
         if not outcome.approved:
+            record.phase = ProviderPhase.DENIED
             self._note(f"authorization denied by trust manager: {outcome.reason.name}")
             return decide(False)
         token = outcome.token
         if (
             self._authentic(token, self.config.trust_manager_id)
             and token.provider_id == self.subject_id
-            and token.charge_amount == quote.price
+            and token.charge_amount == price
         ):
-            self.approved_tokens[order.order_nonce] = token
+            record.phase = ProviderPhase.APPROVED
+            record.token_id, record.charge = token.token_id, token.charge_amount
             return decide(True)
+        record.phase = ProviderPhase.DENIED
         self._note("approved outcome carried an unverifiable token")
         return decide(False)
-
-    def _store_and_grant(
-        self, order_nonce: bytes, objects: tuple[bytes, ...], digests: tuple[Digest, ...]
-    ) -> Sent:
-        """Store the payload and issue one single-use ticket per object.
-
-        ``digests`` are ``object_digests(objects)``, already computed to check
-        the upload signature.
-        """
-        tickets = []
-        for obj, digest in zip(objects, digests):
-            ticket = Ticket(ticket_id=self._nonce(), object_digest=digest)
-            self.stored_objects[ticket.ticket_id] = obj
-            tickets.append(ticket)
-        self.granted.add(order_nonce)
-        return build_signed(
-            ServiceGrant, self.identity, order_nonce=order_nonce, tickets=tuple(tickets)
-        )
 
     def _on_object_upload(
         self, sender: str, upload: ObjectUpload, covered, now: int, net
     ) -> Outbound:
-        if self.orders.get(upload.order_nonce) != sender:
+        record = self.orders.get(upload.order_nonce)
+        if record is None or record.requester != sender:
             self._note("upload for unknown order")
             return []
         digests = object_digests(upload.objects)
         if not self._authentic(upload, sender, digests=digests):
             self._note("upload signature does not verify")
             return []
-        if upload.order_nonce in self.granted:
+        if record.phase >= ProviderPhase.GRANTED:
             self._note("upload for already granted order")
             return []
-        if upload.order_nonce not in self.approved_tokens:
+        if record.phase != ProviderPhase.APPROVED:
             self._note("upload for unapproved order")
             return []
-        _, raw = self._store_and_grant(upload.order_nonce, upload.objects, digests)
+        # store the objects and issue one single-use ticket per object
+        record.phase = ProviderPhase.GRANTED
+        tickets = tuple(Ticket(ticket_id=self._nonce(), object_digest=d) for d in digests)
+        for ticket, obj in zip(tickets, upload.objects):
+            self.stored_objects[ticket.ticket_id] = obj
+        _, raw = build_signed(
+            ServiceGrant, self.identity, order_nonce=upload.order_nonce, tickets=tickets
+        )
         return [(sender, raw)]
 
     def _on_redeem_request(
@@ -644,26 +670,25 @@ class ServiceProvider(_ActorBase):
     def _on_service_complete(
         self, sender: str, done: ServiceComplete, covered, now: int, net
     ) -> Outbound:
-        if done.order_nonce not in self.granted:
+        record = self.orders.get(done.order_nonce)
+        if record is None or record.phase < ProviderPhase.GRANTED:
             self._note("completion for unknown grant")
             return []
-        if self.orders[done.order_nonce] != sender or not self._authentic(done, sender, covered):
+        if record.requester != sender or not self._authentic(done, sender, covered):
             self._note("completion signature does not verify")
             return []
-        token = self.approved_tokens.get(done.order_nonce)
-        if token is None:
+        if record.phase == ProviderPhase.CAPTURED:
             self._note("grant already captured")
             return []
-        # name the token to the trust manager and book the credit
+        # name the token to the trust manager; a settled capture books the charge
         request = self._maced_for(
-            self.config.trust_manager_id, CaptureRequest, token_id=token.token_id
+            self.config.trust_manager_id, CaptureRequest, token_id=record.token_id
         )
         response = self._exchange(net, self.config.trust_manager_id, request, CaptureResponse)
         if response is None:
             return []
         if response.settled:
-            self.receivable_total += token.charge_amount
-            del self.approved_tokens[done.order_nonce]
+            record.phase = ProviderPhase.CAPTURED
         else:
             self._note(f"capture refused: {response.reason.name}")
         return []
@@ -685,6 +710,15 @@ class TrustManagerConfig:
     account_providers: frozenset[str]
 
 
+@dataclass
+class MintedToken:
+    provider: str
+    account_provider: str
+    hold_ref: bytes
+    charge: int
+    spent: bool = False
+
+
 class TrustManager(_ActorBase):
     """Opens payment envelopes, enforces limits, places holds, mints tokens."""
 
@@ -695,12 +729,11 @@ class TrustManager(_ActorBase):
         config: TrustManagerConfig,
         rng: Random,
     ) -> None:
-        super().__init__(identity, directory, rng)
-        self.config = config
+        super().__init__(identity, directory, config, rng)
         self.seen_payment_nonces: set[bytes] = set()
         self.denials: list[DenialReason] = []
-        self.spent_tokens: set[bytes] = set()
-        self.minted_tokens: dict[bytes, CaptureToken] = {}
+        # token_id -> what a capture of the token reads; not the signed token
+        self.tokens: dict[bytes, MintedToken] = {}
 
     def _on_authorize_and_hold(
         self, sender: str, msg: AuthorizeAndHold, covered, now: int, net
@@ -768,7 +801,9 @@ class TrustManager(_ActorBase):
             account_provider_id=payment.account_provider_id,
             hold_ref=response.hold_ref,
         )
-        self.minted_tokens[token.token_id] = token
+        self.tokens[token.token_id] = MintedToken(
+            sender, payment.account_provider_id, response.hold_ref, msg.charge_amount
+        )
         return [(sender, codec.encode(AuthOutcome(token=token, reason=None)))]
 
     def _on_capture_request(
@@ -782,30 +817,30 @@ class TrustManager(_ActorBase):
 
         if not self._authentic(request, sender, covered):
             return refuse(DenialReason.BAD_SIGNATURE, "provider MAC fails")
-        token = self.minted_tokens.get(request.token_id)
-        if token is None or token.provider_id != sender:
+        token = self.tokens.get(request.token_id)
+        if token is None or token.provider != sender:
             return refuse(DenialReason.BAD_SIGNATURE, "no token minted here for this provider")
-        if token.token_id in self.spent_tokens:
+        if token.spent:
             return refuse(DenialReason.REPLAY, "token already spent")
 
         settle_nonce = self._nonce()
         settle = self._maced_for(
-            token.account_provider_id,
+            token.account_provider,
             SettleRequest,
             settle_nonce=settle_nonce,
             hold_ref=token.hold_ref,
         )
-        response = self._exchange(net, token.account_provider_id, settle, SettleResponse)
+        response = self._exchange(net, token.account_provider, settle, SettleResponse)
         if response is None:
             return refuse(DenialReason.UNKNOWN_ACCOUNT, "account provider unreachable")
         if response.settle_nonce != settle_nonce:
             return refuse(DenialReason.BAD_SIGNATURE, "settle response nonce mismatch")
         if not response.ok:
             return refuse(response.reason, "account provider refused settlement")
-        if response.amount != token.charge_amount:
+        if response.amount != token.charge:
             return refuse(DenialReason.BAD_SIGNATURE, "settled amount mismatch")
 
-        self.spent_tokens.add(token.token_id)
+        token.spent = True
         return self._maced_reply(sender, CaptureResponse, reason=None)
 
     _HANDLERS = {
@@ -832,8 +867,7 @@ class AccountProvider(_ActorBase):
         config: AccountProviderConfig,
         rng: Random,
     ) -> None:
-        super().__init__(identity, directory, rng)
-        self.config = config
+        super().__init__(identity, directory, config, rng)
         self.ledger = Ledger(rng=rng)
         self.seen_hold_nonces: set[bytes] = set()
 

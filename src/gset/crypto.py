@@ -217,30 +217,23 @@ def _derive_seed(tag: bytes, subject_id: str, seed: int) -> bytes:
     return _sha256(tag + struct.pack(">I", len(subject)) + subject + struct.pack(">Q", seed))
 
 
-def derive_private_key(subject_id: str, seed: int) -> bytes:
-    """The private half of ``generate_keypair(subject_id, seed)``.
-
-    Two SHA-256 derivations and no key parse: the raw Ed25519 signing
-    seed followed by the raw X25519 seal key.
-    """
-    if not isinstance(subject_id, str) or not subject_id:
-        raise InvalidIdentityError("subject_id must be a non-empty string")
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= _U64_MAX:
-        raise ValueError("seed must be an unsigned 64-bit integer")
-    return (
-        _derive_seed(_SIGN_DERIVE_TAG, subject_id, seed)
-        + _derive_seed(_SEAL_DERIVE_TAG, subject_id, seed)
-    )
-
-
 def generate_keypair(subject_id: str, seed: int) -> KeyPair:
     """Derive a keypair for ``subject_id`` from a 64-bit seed.
 
     The same (subject_id, seed) pair always yields the same key material,
     which keeps simulation transcripts reproducible.  Distinct subjects or
-    seeds diverge at the first derivation step.
+    seeds diverge at the first derivation step.  The private half is two
+    SHA-256 derivations: the raw Ed25519 signing seed followed by the raw
+    X25519 seal key.
     """
-    private = derive_private_key(subject_id, seed)
+    if not isinstance(subject_id, str) or not subject_id:
+        raise InvalidIdentityError("subject_id must be a non-empty string")
+    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= _U64_MAX:
+        raise ValueError("seed must be an unsigned 64-bit integer")
+    private = (
+        _derive_seed(_SIGN_DERIVE_TAG, subject_id, seed)
+        + _derive_seed(_SEAL_DERIVE_TAG, subject_id, seed)
+    )
     sign_key = Ed25519PrivateKey.from_private_bytes(private[:_KEY_SEGMENT])
     seal_key = X25519PrivateKey.from_private_bytes(private[_KEY_SEGMENT:])
     public = sign_key.public_key().public_bytes_raw() + seal_key.public_key().public_bytes_raw()

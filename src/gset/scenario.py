@@ -25,7 +25,9 @@ from .actors import (
     AccountProvider,
     AccountProviderConfig,
     ProviderConfig,
+    ProviderPhase,
     RequesterConfig,
+    RequesterPhase,
     ServiceProvider,
     ServiceRequester,
     TrustManager,
@@ -68,9 +70,6 @@ class ScenarioConfig:
     quote_ttl: int = 100
     max_ticks: int = 10_000
     adversary_spec: str = "none"
-    # Scenario runs exercise wire-level enforcement, so the requester's own
-    # limit-versus-price sanity check defaults off.
-    enforce_limit_sanity: bool = False
 
     @property
     def expected_price(self) -> int:
@@ -97,8 +96,6 @@ def ini_overrides(path: str | Path) -> dict:
         try:
             if known[key] == "int":
                 overrides[key] = section.getint(key)
-            elif known[key] == "bool":
-                overrides[key] = section.getboolean(key)
             else:
                 overrides[key] = section.get(key)
         except ValueError as exc:
@@ -182,7 +179,6 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
             account_ref=account_ref,
             authorized_limit=config.authorized_limit,
             objects=objects,
-            enforce_limit_sanity=config.enforce_limit_sanity,
         ),
         Random(f"{config.seed}/{config.requester_id}"),
     )
@@ -334,8 +330,11 @@ def run_storage_scenario(
     provider = scenario.provider
     trust_manager = scenario.trust_manager
     ledger = scenario.account_provider.ledger
+    # each order as the requester and the provider keep it
+    bought = requester.orders.values()
+    sold = provider.orders.values()
 
-    if ledger.settle_count >= 1 and requester.completed:
+    if ledger.settle_count >= 1 and any(o.phase == RequesterPhase.COMPLETED for o in bought):
         outcome = "APPROVED"
     elif trust_manager.denials:
         outcome = f"DENIED:{trust_manager.denials[0].name}"
@@ -348,17 +347,18 @@ def run_storage_scenario(
     for index, record in enumerate(transcript.records):
         if record.error:
             failures.append(f"record {index}: {record.error}")
-    if provider.receivable_total > ledger.total_settled():
+    receivable = sum(o.charge for o in sold if o.phase == ProviderPhase.CAPTURED)
+    if receivable > ledger.total_settled():
         failures.append(
-            f"provider booked {provider.receivable_total} "
+            f"provider booked {receivable} "
             f"but only {ledger.total_settled()} is settled"
         )
     # Compared with the uploaded bytes, not with the requester's own check.
-    # Its tickets are kept in grant order, one per uploaded object.
-    uploaded = dict(zip(requester.tickets, scenario.objects))
-    mismatches = sum(
-        obj != uploaded.get(ticket_id) for ticket_id, obj in requester.retrieved.items()
-    )
+    # An order's tickets are kept in grant order, one per uploaded object.
+    mismatches = 0
+    for order in bought:
+        uploaded = dict(zip(order.tickets, scenario.objects))
+        mismatches += sum(obj != uploaded.get(t) for t, obj in order.retrieved.items())
     if mismatches:
         failures.append(f"{mismatches} retrieved objects differ from the uploaded ones")
     for account in ledger.snapshot().accounts:
@@ -388,11 +388,11 @@ def run_storage_scenario(
         expected_price=config.expected_price,
         holds_created=ledger.holds_created(),
         settle_count=ledger.settle_count,
-        tokens_minted=len(trust_manager.minted_tokens),
-        grants_issued=len(provider.granted),
-        objects_retrieved=len(requester.retrieved),
+        tokens_minted=len(trust_manager.tokens),
+        grants_issued=sum(o.phase >= ProviderPhase.GRANTED for o in sold),
+        objects_retrieved=sum(len(o.retrieved) for o in bought),
         retrieval_mismatches=mismatches,
-        provider_receivable=provider.receivable_total,
+        provider_receivable=receivable,
         settled_total=ledger.total_settled(),
         ticks_used=transcript.records[-1].tick if transcript.records else 0,
         invariant_failures=failures,

@@ -9,7 +9,6 @@ _FIELDS = {
     "limit": "authorized_limit",
     "credit": "credit_limit",
     "rate": "rate",
-    "sanity": "enforce_limit_sanity",
     "quote_ttl": "quote_ttl",
 }
 

@@ -39,9 +39,9 @@ def test_happy_path_completes_and_transcript_is_reproducible():
     assert report.holds_created == 1
     assert report.settle_count == 1
     assert report.settled_total == report.expected_price == 30
-    requester = report.scenario.requester
-    assert len(requester.tickets) == 3
-    assert len(requester.retrieved) == 3
+    [order] = report.scenario.requester.orders.values()
+    assert len(order.tickets) == 3
+    assert len(order.retrieved) == 3
     assert report.retrieval_mismatches == 0
 
     again = run_storage_scenario(ScenarioConfig())

@@ -50,6 +50,7 @@ from gset import (
     verify,
     verify_signed,
 )
+from gset.actors import ProviderPhase, RequesterPhase
 from gset.messages import object_digests, upload_signing_payload
 
 from genmsg import flip_bit
@@ -152,10 +153,15 @@ def complete(actors, grant: ServiceGrant, now: int = 2):
     return request, codec.decode(response, CaptureResponse)
 
 
+def receivable(actors) -> int:
+    """The charges of the provider's captured orders."""
+    return sum(o.charge for o in actors.sp.orders.values() if o.phase == ProviderPhase.CAPTURED)
+
+
 def hold_token(actors, token) -> None:
     """Put ``token`` in place of the one token the provider holds."""
-    [order_nonce] = actors.sp.approved_tokens
-    actors.sp.approved_tokens[order_nonce] = token
+    [order] = [o for o in actors.sp.orders.values() if o.phase >= ProviderPhase.APPROVED]
+    order.token_id, order.charge = token.token_id, token.charge_amount
 
 
 # --- one way in ---------------------------------------------------------------
@@ -176,6 +182,81 @@ def test_deliver_is_the_only_way_into_an_actor(cls, extra):
         if not name.startswith("_") and callable(getattr(actor, name))
     }
     assert public == {"deliver", "state_bytes"} | extra
+
+
+# --- one record per order -----------------------------------------------------
+
+# What each actor records beyond its notes: per-order state lives in one
+# record per order, so a new parallel container shows up here.
+RECORDED = {
+    "SR": {"pending_usage", "orders"},
+    "SP": {"issued_quotes", "denials", "orders", "stored_objects"},
+    "TM": {"seen_payment_nonces", "denials", "tokens"},
+    "AP": {"ledger", "seen_hold_nonces"},
+}
+
+
+@pytest.mark.parametrize("actor_id", sorted(RECORDED))
+def test_each_actor_records_its_state_in_these_attributes(actor_id):
+    actor = run_storage_scenario(ScenarioConfig()).scenario.endpoints[actor_id]
+    assert set(vars(actor)) - actor._WIRING == {"subject_id", "notes"} | RECORDED[actor_id]
+
+
+def _denied(actors) -> None:
+    # a charge of 70 is over the default limit of 60
+    decide(actors, authorization(actors, 7), net=actors.net("SP"))
+
+
+# Each provider phase, reached through the protocol from fresh actors.
+TO_PROVIDER_PHASE = {
+    ProviderPhase.RELAYED: relay_of,
+    ProviderPhase.DENIED: _denied,
+    ProviderPhase.APPROVED: lambda actors: approved_order_nonces(actors, 1),
+    ProviderPhase.GRANTED: granted,
+    ProviderPhase.CAPTURED: lambda actors: complete(actors, granted(actors)),
+}
+
+REFUSED_IN_PHASE = [
+    ("ObjectUpload", ProviderPhase.RELAYED, "upload for unapproved order"),
+    ("ObjectUpload", ProviderPhase.DENIED, "upload for unapproved order"),
+    ("ObjectUpload", ProviderPhase.GRANTED, "upload for already granted order"),
+    ("ObjectUpload", ProviderPhase.CAPTURED, "upload for already granted order"),
+    ("ServiceComplete", ProviderPhase.RELAYED, "completion for unknown grant"),
+    ("ServiceComplete", ProviderPhase.DENIED, "completion for unknown grant"),
+    ("ServiceComplete", ProviderPhase.APPROVED, "completion for unknown grant"),
+    ("ServiceComplete", ProviderPhase.CAPTURED, "grant already captured"),
+    ("CaptureRequest", "spent", "capture refused (REPLAY): token already spent"),
+]
+
+
+@pytest.mark.parametrize(
+    "tag, phase, note", REFUSED_IN_PHASE,
+    ids=[f"{tag}-{getattr(phase, 'name', phase)}" for tag, phase, _ in REFUSED_IN_PHASE],
+)
+def test_a_message_its_order_phase_refuses_changes_nothing(tag, phase, note):
+    actors = build_actors()
+    if tag == "CaptureRequest":
+        request, _ = complete(actors, granted(actors))
+        [token] = actors.tm.tokens.values()
+        net = actors.net("TM", 3)
+        refusal = actors.tm._maced_for("SP", CaptureResponse, reason=DenialReason.REPLAY)[1]
+        assert actors.tm.deliver("SP", request, 3, net) == [("SP", refusal)]
+        assert actors.tm.notes[-1] == note
+        assert token.spent
+        assert net._runner.records == []
+        return
+    TO_PROVIDER_PHASE[phase](actors)
+    [(order_nonce, order)] = actors.sp.orders.items()
+    assert order.phase == phase
+    if tag == "ObjectUpload":
+        raw = codec.encode(upload_for(actors, order_nonce))
+    else:
+        _, raw = build_signed(ServiceComplete, actors.sr.identity, order_nonce=order_nonce)
+    net = actors.net("SP", 3)
+    assert actors.sp.deliver("SR", raw, 3, net) == []
+    assert actors.sp.notes[-1] == note
+    assert order.phase == phase
+    assert net._runner.records == []
 
 
 # --- price discovery --------------------------------------------------------
@@ -267,13 +348,7 @@ def _refused_quote(actors, quote: bytes, now: int, note: str) -> None:
     # the requester sends nothing and keeps no order for a quote it refuses
     assert actors.sr.deliver("SP", quote, now) == []
     assert actors.sr.notes[-1] == f"quote not usable: {note}"
-    assert actors.sr.pending_auths == set()
-
-
-def test_limit_below_price_fails_before_sending():
-    actors = build_actors(limit=40, sanity=True)
-    quote = quote_for(actors, 5)  # price 50
-    _refused_quote(actors, quote, 1, "authorized limit 40 below price 50")
+    assert actors.sr.orders == {}
 
 
 def test_expired_quote_rejected_by_requester():
@@ -389,7 +464,7 @@ def test_limit_60_charge_50_credit_100_approves_and_holds_50():
 
 
 def test_limit_60_charge_70_denied_over_limit_with_no_hold():
-    actors = build_actors(limit=60, credit=500, sanity=False)
+    actors = build_actors(limit=60, credit=500)
     _, outcome = approved_outcome(actors, quantity=7)
     assert not outcome.approved
     assert outcome.reason == DenialReason.OVER_LIMIT
@@ -423,7 +498,7 @@ def test_relay_presented_by_anyone_but_its_signer_is_refused():
     outcome = outcome_of(actors.tm, relay_of(actors, 5), actors.net("TM"), sender="SR")
     assert outcome.reason == DenialReason.BAD_SIGNATURE
     assert actors.ap.ledger.holds_created() == 0
-    assert actors.tm.minted_tokens == {}
+    assert actors.tm.tokens == {}
 
 
 def test_denied_attempt_still_burns_the_payment_nonce():
@@ -460,10 +535,10 @@ def test_minted_token_verifies_and_names_the_provider():
 
 
 def test_tm_state_is_clean_after_denial():
-    actors = build_actors(limit=60, sanity=False)
+    actors = build_actors(limit=60)
     _, outcome = approved_outcome(actors, quantity=7)
     assert not outcome.approved
-    assert actors.tm.minted_tokens == {}
+    assert actors.tm.tokens == {}
 
 
 # --- service grant and tickets -------------------------------------------------
@@ -569,7 +644,7 @@ def test_an_upload_payload_is_no_wire_upload_of_digests():
 
 
 def test_denied_outcome_stores_nothing():
-    actors = build_actors(limit=60, sanity=False)
+    actors = build_actors(limit=60)
     decision, upload_reply = decide_then_upload(actors, quantity=7)
     assert actors.tm.denials == [DenialReason.OVER_LIMIT]
     assert not decision.approved
@@ -609,7 +684,8 @@ def test_lost_outcome_cannot_approve_another_order_in_its_place():
         adversary=Adversary(mode=AdversaryMode.DROP, target="AuthOutcome", max_hits=1),
     )
     second = codec.decode(auths[1], AuthorizationRequest)
-    assert actors.sp.granted == {second.order_info.order_nonce}
+    granted = {n for n, o in actors.sp.orders.items() if o.phase >= ProviderPhase.GRANTED}
+    assert granted == {second.order_info.order_nonce}
     assert actors.ap.ledger.settle_count == 1
 
 
@@ -652,17 +728,18 @@ def test_redeemed_object_failing_its_ticket_digest_is_ignored():
     wrong = dataclasses.replace(genuine, payload=flipped)
     assert actors.sr.deliver("SP", codec.encode(wrong), 4) == []
     # ignored, not counted: the ticket is still outstanding
-    assert genuine.ticket_id in actors.sr.unredeemed
-    assert actors.sr.retrieved == {}
-    assert actors.sr.redeem_failures == 0
+    [(order_nonce, order)] = actors.sr.orders.items()
+    assert order.awaits(genuine.ticket_id)
+    assert order.retrieved == {}
+    assert order.refusals == set()
     # the genuine responses, delivered afterwards, complete the order
     outs = [actors.sr.deliver("SP", raw, 5) for raw in responses]
     assert outs[:-1] == [[]] * (len(responses) - 1)
     [(dest, raw)] = outs[-1]
     assert dest == "SP"
-    assert codec.decode(raw, ServiceComplete).order_nonce == actors.sr.granted_order
-    assert actors.sr.completed
-    assert actors.sr.retrieved[genuine.ticket_id] == genuine.payload
+    assert codec.decode(raw, ServiceComplete).order_nonce == order_nonce
+    assert order.phase == RequesterPhase.COMPLETED
+    assert order.retrieved[genuine.ticket_id] == genuine.payload
 
 
 # --- capture ---------------------------------------------------------------------
@@ -675,8 +752,9 @@ def test_capture_settles_the_held_amount():
     digest = hash_bytes(actors.scenario.account_ref.encode())
     assert actors.ap.ledger.settled_total(digest) == 50
     assert actors.ap.ledger.active_holds(digest) == {}
-    assert actors.sp.receivable_total == 50
-    assert actors.sp.approved_tokens == {}
+    assert receivable(actors) == 50
+    [order] = actors.sp.orders.values()
+    assert order.phase == ProviderPhase.CAPTURED
 
 
 def test_capturing_the_same_token_twice_fails_with_replay():
@@ -697,7 +775,7 @@ def test_capturing_the_same_token_twice_fails_with_replay():
     digest = hash_bytes(actors.scenario.account_ref.encode())
     assert actors.ap.ledger.settled_total(digest) == 50
     assert actors.ap.ledger.settle_count == 1
-    assert actors.sp.receivable_total == 50
+    assert receivable(actors) == 50
 
 
 def _refused_capture(actors, grant: ServiceGrant) -> None:
@@ -705,7 +783,7 @@ def _refused_capture(actors, grant: ServiceGrant) -> None:
     assert not response.settled
     assert response.reason == DenialReason.BAD_SIGNATURE
     assert actors.sp.notes[-1] == "capture refused: BAD_SIGNATURE"
-    assert actors.sp.receivable_total == 0
+    assert receivable(actors) == 0
     assert actors.ap.ledger.settle_count == 0
 
 
@@ -755,7 +833,7 @@ def test_a_capture_of_a_token_id_never_minted_is_refused():
     assert actors.tm.notes[-1] == (
         "capture refused (BAD_SIGNATURE): no token minted here for this provider"
     )
-    assert actors.tm.spent_tokens == set()
+    assert not any(token.spent for token in actors.tm.tokens.values())
     assert actors.ap.ledger.settle_count == 0
 
 

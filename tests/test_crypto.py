@@ -37,7 +37,7 @@ from gset import (
     verify_with_pi,
 )
 from gset.codec import signing_payload_from
-from gset.crypto import PRIVATE_KEY_SIZE, PUBLIC_KEY_SIZE, derive_private_key
+from gset.crypto import PRIVATE_KEY_SIZE, PUBLIC_KEY_SIZE
 from gset.messages import verify_maced
 
 from genmsg import flip_bit
@@ -66,12 +66,23 @@ def test_keypair_differs_across_subjects():
 
 
 def test_private_half_is_derived_without_the_public_half():
+    # from the subject and seed alone: the raw Ed25519 signing seed, then the
+    # raw X25519 seal key, each the SHA-256 of its tag, the length-prefixed
+    # subject and the u64 seed
+    def derived(tag: bytes, subject: str, seed: int) -> bytes:
+        name = subject.encode()
+        framed = tag + len(name).to_bytes(4, "big") + name + seed.to_bytes(8, "big")
+        return hashlib.sha256(framed).digest()
+
     for subject, seed in (("TM", 7), ("SR", 0), ("AP", 2**64 - 1)):
-        assert derive_private_key(subject, seed) == generate_keypair(subject, seed).private_key
+        assert generate_keypair(subject, seed).private_key == (
+            derived(b"gset/keys/sign/v1", subject, seed)
+            + derived(b"gset/keys/seal/v1", subject, seed)
+        )
     with pytest.raises(InvalidIdentityError):
-        derive_private_key("", 7)
+        generate_keypair("", 7)
     with pytest.raises(ValueError):
-        derive_private_key("TM", -1)
+        generate_keypair("TM", -1)
 
 
 def test_keypair_sizes():

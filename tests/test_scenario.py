@@ -16,11 +16,14 @@ import gset
 from gset import (
     Adversary,
     AdversaryMode,
+    ObjectUpload,
     ScenarioConfig,
     ScenarioError,
+    ServiceGrant,
     ServiceProvider,
     Ticket,
     build_scenario,
+    codec,
     run_storage_scenario,
 )
 from gset.attacks import (
@@ -185,7 +188,7 @@ def test_a_run_loads_one_crypto_library():
 
 
 def test_denial_outcomes_from_config():
-    # limit below price, requester-side sanity off at scenario level
+    # a limit below the price: the trust manager refuses before any hold
     over = run_storage_scenario(
         dataclasses.replace(ScenarioConfig(), authorized_limit=20)
     )
@@ -204,15 +207,16 @@ def test_a_wrong_retrieved_object_is_caught_by_the_audit(monkeypatch):
     # a different object for the first ticket: the audit compares bytes
     # with what was uploaded, so it does not rely on the requester's check
     monkeypatch.setattr(Ticket, "matches", lambda self, obj: True)
-    store_and_grant = ServiceProvider._store_and_grant
+    on_upload = ServiceProvider._HANDLERS[ObjectUpload]
 
-    def corrupting(self, order_nonce, objects, digests):
-        grant, raw = store_and_grant(self, order_nonce, objects, digests)
-        first = grant.tickets[0].ticket_id
+    def corrupting(self, sender, upload, covered, now, net):
+        out = on_upload(self, sender, upload, covered, now, net)
+        [(_, raw)] = out
+        first = codec.decode(raw, ServiceGrant).tickets[0].ticket_id
         self.stored_objects[first] = b"not what was uploaded"
-        return grant, raw
+        return out
 
-    monkeypatch.setattr(ServiceProvider, "_store_and_grant", corrupting)
+    monkeypatch.setitem(ServiceProvider._HANDLERS, ObjectUpload, corrupting)
     report = run_storage_scenario(ScenarioConfig())
     assert report.objects_retrieved == 3
     assert report.retrieval_mismatches == 1
