@@ -26,6 +26,7 @@ from gset import (
     run_storage_scenario,
     scan_for_markers,
 )
+from gset.attacks import REPLAY_TARGETS
 
 CONFIG = ScenarioConfig()
 
@@ -275,15 +276,51 @@ def test_replayed_completion_or_upload_is_served_and_captured_once(target):
     assert sent.count("CaptureRequest") == 1
 
 
+# One drop of each wire type at seed 11: (type, outcome, holds placed,
+# settlements, provider booked, account settled, credit still held).
+SINGLE_DROPS = [
+    ("PriceRequest", "INCOMPLETE", 0, 0, 0, 0, 0),
+    ("PriceQuote", "INCOMPLETE", 0, 0, 0, 0, 0),
+    ("AuthorizationRequest", "INCOMPLETE", 0, 0, 0, 0, 0),
+    ("AuthorizeAndHold", "INCOMPLETE", 0, 0, 0, 0, 0),
+    ("HoldRequest", "DENIED:UNKNOWN_ACCOUNT", 0, 0, 0, 0, 0),
+    # Stranded credit (ROADMAP item 3): the trust manager denies while the
+    # account provider keeps the hold, and every drop after it until the
+    # settlement leaves the hold open with nothing to release it.
+    ("HoldResponse", "DENIED:UNKNOWN_ACCOUNT", 1, 0, 0, 0, 30),
+    ("AuthOutcome", "INCOMPLETE", 1, 0, 0, 0, 30),
+    ("AuthDecision", "INCOMPLETE", 1, 0, 0, 0, 30),
+    ("ObjectUpload", "INCOMPLETE", 1, 0, 0, 0, 30),
+    ("ServiceGrant", "INCOMPLETE", 1, 0, 0, 0, 30),
+    ("TicketRedeemRequest", "INCOMPLETE", 1, 0, 0, 0, 30),
+    ("TicketRedeemResponse", "INCOMPLETE", 1, 0, 0, 0, 30),
+    ("ServiceComplete", "INCOMPLETE", 1, 0, 0, 0, 30),
+    ("CaptureRequest", "INCOMPLETE", 1, 0, 0, 0, 30),
+    ("SettleRequest", "INCOMPLETE", 1, 0, 0, 0, 30),
+    # Books that disagree (ROADMAP item 3): the account settled what the
+    # provider never booked, and the report passes it as APPROVED.
+    ("SettleResponse", "APPROVED", 1, 1, 0, 30, 0),
+    ("CaptureResponse", "APPROVED", 1, 1, 0, 30, 0),
+]
+
+
+def test_single_drops_cover_every_wire_type():
+    assert sorted(row[0] for row in SINGLE_DROPS) == sorted(REPLAY_TARGETS)
+
+
 @pytest.mark.parametrize(
-    "target, holds",
-    [("PriceQuote", 0), ("AuthorizeAndHold", 0), ("AuthOutcome", 1)],
-    ids=["PriceQuote", "AuthorizeAndHold", "AuthOutcome"],
+    "target, outcome, holds, settles, booked, settled, held",
+    SINGLE_DROPS,
+    ids=[row[0] for row in SINGLE_DROPS],
 )
-def test_dropped_quote_stalls_the_run_without_breakage(target, holds):
-    report = run_once(f"drop:{target}:1")
-    assert report.business_outcome == "INCOMPLETE"
+def test_a_single_drop_leaves_these_books(target, outcome, holds, settles, booked, settled, held):
+    report = run_storage_scenario(ScenarioConfig(seed=11, adversary_spec=f"drop:{target}:1"))
+    assert report.business_outcome == outcome
     assert report.holds_created == holds
+    assert report.settle_count == settles
+    assert report.provider_receivable == booked
+    assert report.settled_total == settled
+    assert report.scenario.account_provider.ledger.total_held() == held
     assert report.invariant_failures == []
     dropped = [r for r in report.transcript.records if r.action == "dropped"]
     assert len(dropped) == 1
