@@ -70,8 +70,8 @@ from .crypto import (
 )
 from .ledger import (
     DuplicateAccountError,
+    DuplicateHoldError,
     HoldClosedError,
-    HoldReceipt,
     InsufficientCreditError,
     Ledger,
     LedgerAccountState,

@@ -22,6 +22,11 @@ record per order or token:
   plaintext (it only handles digests and amounts);
 * the account provider keeps a ledger keyed by account digests.
 
+A hold has one name from request to settlement: the trust manager's
+``hold_nonce``.  The account provider places and settles the hold under
+it, and the trust manager keeps it in its record of the token, which
+therefore carries neither the hold nor the payer's account provider.
+
 ``deliver`` is the only way into an actor (the requester's ``begin``
 only makes the first message); tests drive the actors through it too.
 """
@@ -714,7 +719,7 @@ class TrustManagerConfig:
 class MintedToken:
     provider: str
     account_provider: str
-    hold_ref: bytes
+    hold_nonce: bytes  # the hold's one name, from request to settlement
     charge: int
     spent: bool = False
 
@@ -798,11 +803,9 @@ class TrustManager(_ActorBase):
             token_id=self._nonce(),
             provider_id=sender,
             charge_amount=msg.charge_amount,
-            account_provider_id=payment.account_provider_id,
-            hold_ref=response.hold_ref,
         )
         self.tokens[token.token_id] = MintedToken(
-            sender, payment.account_provider_id, response.hold_ref, msg.charge_amount
+            sender, payment.account_provider_id, hold_nonce, msg.charge_amount
         )
         return [(sender, codec.encode(AuthOutcome(token=token, reason=None)))]
 
@@ -823,17 +826,11 @@ class TrustManager(_ActorBase):
         if token.spent:
             return refuse(DenialReason.REPLAY, "token already spent")
 
-        settle_nonce = self._nonce()
-        settle = self._maced_for(
-            token.account_provider,
-            SettleRequest,
-            settle_nonce=settle_nonce,
-            hold_ref=token.hold_ref,
-        )
+        settle = self._maced_for(token.account_provider, SettleRequest, hold_nonce=token.hold_nonce)
         response = self._exchange(net, token.account_provider, settle, SettleResponse)
         if response is None:
             return refuse(DenialReason.UNKNOWN_ACCOUNT, "account provider unreachable")
-        if response.settle_nonce != settle_nonce:
+        if response.hold_nonce != token.hold_nonce:
             return refuse(DenialReason.BAD_SIGNATURE, "settle response nonce mismatch")
         if not response.ok:
             return refuse(response.reason, "account provider refused settlement")
@@ -868,39 +865,39 @@ class AccountProvider(_ActorBase):
         rng: Random,
     ) -> None:
         super().__init__(identity, directory, config, rng)
-        self.ledger = Ledger(rng=rng)
+        self.ledger = Ledger()
         self.seen_hold_nonces: set[bytes] = set()
 
     def _on_hold_request(self, sender: str, msg: HoldRequest, covered, now: int, net) -> Outbound:
-        def respond(hold_ref: bytes, reason: DenialReason | None) -> Outbound:
-            return self._maced_reply(
-                sender, HoldResponse, hold_nonce=msg.hold_nonce, hold_ref=hold_ref, reason=reason
-            )
+        """Place the hold under the trust manager's name for it, ``hold_nonce``."""
+
+        def respond(reason: DenialReason | None) -> Outbound:
+            return self._maced_reply(sender, HoldResponse, hold_nonce=msg.hold_nonce, reason=reason)
 
         if sender not in self.config.trust_managers \
                 or not self._authentic(msg, sender, covered):
             self._note("hold request MAC does not verify")
-            return respond(b"", DenialReason.BAD_SIGNATURE)
+            return respond(DenialReason.BAD_SIGNATURE)
         if msg.hold_nonce in self.seen_hold_nonces:
             self._note("hold request nonce already used")
-            return respond(b"", DenialReason.REPLAY)
+            return respond(DenialReason.REPLAY)
         self.seen_hold_nonces.add(msg.hold_nonce)
         try:
-            receipt = self.ledger.place_hold(msg.account_ref_digest, msg.amount)
+            self.ledger.place_hold(msg.account_ref_digest, msg.amount, msg.hold_nonce)
         except InsufficientCreditError as exc:
             self._note(f"hold refused: {exc}")
-            return respond(b"", DenialReason.INSUFFICIENT_CREDIT)
+            return respond(DenialReason.INSUFFICIENT_CREDIT)
         except (UnknownAccountError, LedgerError) as exc:
             self._note(f"hold refused: {exc}")
-            return respond(b"", DenialReason.UNKNOWN_ACCOUNT)
-        return respond(receipt.hold_ref, None)
+            return respond(DenialReason.UNKNOWN_ACCOUNT)
+        return respond(None)
 
     def _on_settle_request(
         self, sender: str, msg: SettleRequest, covered, now: int, net
     ) -> Outbound:
         def respond(amount: int, reason: DenialReason | None) -> Outbound:
             return self._maced_reply(
-                sender, SettleResponse, settle_nonce=msg.settle_nonce, amount=amount, reason=reason
+                sender, SettleResponse, hold_nonce=msg.hold_nonce, amount=amount, reason=reason
             )
 
         if sender not in self.config.trust_managers \
@@ -908,7 +905,7 @@ class AccountProvider(_ActorBase):
             self._note("settle request MAC does not verify")
             return respond(0, DenialReason.BAD_SIGNATURE)
         try:
-            amount = self.ledger.settle_hold(msg.hold_ref)
+            amount = self.ledger.settle_hold(msg.hold_nonce)
         except HoldClosedError:
             self._note("settle refused: hold already closed")
             return respond(0, DenialReason.REPLAY)

@@ -8,14 +8,16 @@ The conservation rule, re-asserted after every mutation, is
 
     settled_total + sum(active holds)  <=  credit_limit
 
-Holds move to settled exactly once, or are released explicitly.  Nothing
-expires on its own; release is an instruction, not a timer.
+A hold is named by its caller (the account provider passes the trust
+manager's hold nonce), and a name is used once: a name already placed,
+settled or released is refused.  Holds move to settled exactly once, or are
+released explicitly.  Nothing expires on its own; release is an
+instruction, not a timer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from random import Random
 
 from .codec import canonical_message
 from .crypto import Digest, hash_bytes
@@ -35,8 +37,12 @@ class UnknownAccountError(LedgerError):
     pass
 
 
+class DuplicateHoldError(LedgerError):
+    """The hold name was already used by this ledger."""
+
+
 class UnknownHoldError(LedgerError):
-    """The hold reference was never issued by this ledger."""
+    """No hold of that name was ever placed in this ledger."""
 
 
 class HoldClosedError(LedgerError):
@@ -48,13 +54,6 @@ class InsufficientCreditError(LedgerError):
         super().__init__(f"requested {requested}, available {available}")
         self.requested = requested
         self.available = available
-
-
-@dataclass(frozen=True)
-class HoldReceipt:
-    hold_ref: bytes
-    account_ref_digest: Digest
-    amount: int
 
 
 @canonical_message
@@ -89,8 +88,7 @@ class _Account:
 class Ledger:
     """Holds-and-settlements ledger for one account provider."""
 
-    def __init__(self, rng: Random | None = None) -> None:
-        self._rng = rng or Random()
+    def __init__(self) -> None:
         self._accounts: dict[bytes, _Account] = {}
         self._hold_owner: dict[bytes, bytes] = {}  # hold_ref -> account digest
         self.settled_refs: set[bytes] = set()
@@ -127,22 +125,23 @@ class Ledger:
     def active_holds(self, account_ref_digest: Digest) -> dict[bytes, int]:
         return dict(self._account(account_ref_digest).holds)
 
-    def place_hold(self, account_ref_digest: Digest, amount: int) -> HoldReceipt:
-        """Reserve ``amount`` against the account's remaining credit."""
+    def place_hold(self, account_ref_digest: Digest, amount: int, ref: bytes) -> None:
+        """Reserve ``amount`` against the account's remaining credit, as the
+        hold named ``ref``; a name is used once."""
         account = self._account(account_ref_digest)
         if not isinstance(amount, int) or isinstance(amount, bool) \
                 or not 1 <= amount <= _U64_MAX:
             raise LedgerError("amount must be a positive unsigned 64-bit integer")
+        if not isinstance(ref, bytes) or not ref:
+            raise LedgerError("hold name must be non-empty bytes")
+        if ref in self._hold_owner or ref in self.settled_refs or ref in self.released_refs:
+            raise DuplicateHoldError("hold name already used")
         available = account.available()
         if amount > available:
             raise InsufficientCreditError(requested=amount, available=available)
-        ref = self._rng.randbytes(16)
-        while ref in self._hold_owner or ref in self.settled_refs or ref in self.released_refs:
-            ref = self._rng.randbytes(16)
         account.holds[ref] = amount
         self._hold_owner[ref] = account_ref_digest.bytes
         self._assert_conserved(account)
-        return HoldReceipt(hold_ref=ref, account_ref_digest=account_ref_digest, amount=amount)
 
     def _open_hold(self, hold_ref: bytes) -> tuple[_Account, int]:
         owner = self._hold_owner.get(hold_ref)

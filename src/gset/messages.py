@@ -62,6 +62,14 @@ What an arbiter can still be shown is signed: the requester's order and
 payment cap (the dual signature) and the TM's approved charge (the
 ``CaptureToken``).
 
+A hold has one name from request to settlement: the ``hold_nonce`` the
+trust manager draws for its ``HoldRequest``.  The ``HoldResponse`` and the
+``SettleResponse`` echo it, and the ``SettleRequest`` names the hold to
+settle by it.  The ``CaptureToken`` carries only what its reader, the
+provider, reads: the token id it claims, its own id and the charge.  The
+payer's account provider and the hold stay in the trust manager's record of
+the token, so the provider never sees either.
+
 An ``ObjectUpload`` signature covers the order nonce and the SHA-256 digest
 of each object, not the object bytes (``upload_signing_payload``), so a
 forged upload needs a SHA-256 collision or second preimage on an object: the
@@ -219,16 +227,12 @@ class CaptureToken:
     token_id: bytes
     provider_id: str
     charge_amount: int
-    account_provider_id: str
-    hold_ref: bytes
     tm_signature: Signature
 
     def validate(self) -> None:
         _need_nonce(self.token_id, "token_id")
         _need_label(self.provider_id, "provider_id")
         _need_u64(self.charge_amount, "charge_amount", minimum=1)
-        _need_label(self.account_provider_id, "account_provider_id")
-        _need_nonce(self.hold_ref, "hold_ref")
 
 
 # --- pricing flow ------------------------------------------------------------
@@ -461,8 +465,9 @@ class HoldRequest:
 
 @canonical_message
 class HoldResponse:
+    """The hold named ``hold_nonce`` is placed, or refused for ``reason``."""
+
     hold_nonce: bytes
-    hold_ref: bytes
     reason: DenialReason | None
     ap_mac: bytes
 
@@ -472,30 +477,24 @@ class HoldResponse:
 
     def validate(self) -> None:
         _need_nonce(self.hold_nonce, "hold_nonce")
-        if self.ok:
-            _need_nonce(self.hold_ref, "hold_ref")
-        else:
-            _need(not self.hold_ref, "refused hold must carry no hold_ref")
         _need_mac(self.ap_mac, "ap_mac")
 
 
 @canonical_message
 class SettleRequest:
-    """Trust manager asks the account provider to settle a held amount."""
+    """Trust manager asks the account provider to settle the hold it named."""
 
-    settle_nonce: bytes
-    hold_ref: bytes
+    hold_nonce: bytes
     tm_mac: bytes
 
     def validate(self) -> None:
-        _need_nonce(self.settle_nonce, "settle_nonce")
-        _need_nonce(self.hold_ref, "hold_ref")
+        _need_nonce(self.hold_nonce, "hold_nonce")
         _need_mac(self.tm_mac, "tm_mac")
 
 
 @canonical_message
 class SettleResponse:
-    settle_nonce: bytes
+    hold_nonce: bytes
     amount: int
     reason: DenialReason | None
     ap_mac: bytes
@@ -505,7 +504,7 @@ class SettleResponse:
         return self.reason is None
 
     def validate(self) -> None:
-        _need_nonce(self.settle_nonce, "settle_nonce")
+        _need_nonce(self.hold_nonce, "hold_nonce")
         if self.ok:
             _need_u64(self.amount, "amount", minimum=1)
         else:

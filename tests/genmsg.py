@@ -110,9 +110,7 @@ def gen_ticket(rng: Random) -> Ticket:
 
 
 def gen_capture_token(rng: Random) -> CaptureToken:
-    return CaptureToken(
-        nonce(rng), label(rng), u64(rng, 1), label(rng), nonce(rng), gen_signature(rng)
-    )
+    return CaptureToken(nonce(rng), label(rng), u64(rng, 1), gen_signature(rng))
 
 
 def gen_price_request(rng: Random) -> PriceRequest:
@@ -190,13 +188,12 @@ def gen_hold_request(rng: Random) -> HoldRequest:
 
 
 def gen_hold_response(rng: Random) -> HoldResponse:
-    if rng.random() < 0.5:
-        return HoldResponse(nonce(rng), nonce(rng), None, gen_mac(rng))
-    return HoldResponse(nonce(rng), b"", gen_denial_reason(rng), gen_mac(rng))
+    reason = None if rng.random() < 0.5 else gen_denial_reason(rng)
+    return HoldResponse(nonce(rng), reason, gen_mac(rng))
 
 
 def gen_settle_request(rng: Random) -> SettleRequest:
-    return SettleRequest(nonce(rng), nonce(rng), gen_mac(rng))
+    return SettleRequest(nonce(rng), gen_mac(rng))
 
 
 def gen_settle_response(rng: Random) -> SettleResponse:

@@ -79,11 +79,12 @@ def test_limit_credit_grid_agrees_with_decision_oracle():
 
 
 # 3. The ledger agrees with a list-based reference model over a long
-#    randomized operation sequence: every accept/refuse decision and the
-#    final balances.
+#    randomized operation sequence: every accept/refuse decision, a reused
+#    hold name included, and the final balances.
 def test_ledger_matches_naive_oracle_over_ten_thousand_operations():
-    accounts_opened = drive_pair(seed=202, steps=10_000)
-    assert accounts_opened > 100
+    agreed = drive_pair(seed=202, steps=10_000)
+    assert agreed["open", "ok"] > 100
+    assert agreed["hold", "dup"] > 0
 
 
 # --- randomized privacy runs (shared by the two marker scans) ---------------------

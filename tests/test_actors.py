@@ -18,6 +18,7 @@ from gset import (
     CaptureRequest,
     CaptureResponse,
     DenialReason,
+    HoldRequest,
     HoldResponse,
     ObjectUpload,
     PaymentInfo,
@@ -530,8 +531,13 @@ def test_minted_token_verifies_and_names_the_provider():
     token = outcome.token
     tm_pub = actors.tm.identity.public_key
     assert token.provider_id == "SP"
-    assert token.account_provider_id == "AP"
     assert verify(tm_pub, codec.signing_payload(token), token.tm_signature)
+    # the payer's side stays with the trust manager: its record names the
+    # account provider and the hold, which the ledger keeps under that name
+    record = actors.tm.tokens[token.token_id]
+    assert record.account_provider == "AP"
+    digest = hash_bytes(actors.scenario.account_ref.encode())
+    assert actors.ap.ledger.active_holds(digest) == {record.hold_nonce: 50}
 
 
 def test_tm_state_is_clean_after_denial():
@@ -798,6 +804,49 @@ def test_token_signed_with_the_tm_key_but_minted_elsewhere_is_refused():
     _refused_capture(actors, grant)
 
 
+def _account_provider_naming(actors, other: bytes) -> None:
+    """Put an account provider in the registry that answers every hold and
+    settle request with a success, MAC'd under the genuine key, that names
+    the hold ``other`` in place of the one asked about; its ledger is left
+    alone."""
+
+    def deliver(sender, raw, now, net):
+        if isinstance(codec.decode(raw), HoldRequest):
+            return actors.ap._maced_reply(sender, HoldResponse, hold_nonce=other, reason=None)
+        return actors.ap._maced_reply(
+            sender, SettleResponse, hold_nonce=other, amount=50, reason=None
+        )
+
+    actors.registry["AP"] = SimpleNamespace(subject_id="AP", deliver=deliver)
+
+
+def test_a_hold_response_naming_another_hold_mints_no_token():
+    actors = build_actors()
+    relay = relay_of(actors)
+    _account_provider_naming(actors, bytes(16))
+    outcome = outcome_of(actors.tm, relay, actors.net("TM"))
+    assert outcome.reason == DenialReason.BAD_SIGNATURE
+    assert actors.tm.notes[-1] == (
+        "authorization denied (BAD_SIGNATURE): hold response nonce mismatch"
+    )
+    assert actors.tm.tokens == {}
+
+
+def test_a_settle_response_naming_another_hold_leaves_the_token_unspent():
+    actors = build_actors()
+    grant = granted(actors)
+    [token] = actors.tm.tokens.values()
+    _account_provider_naming(actors, bytes(16))
+    assert token.hold_nonce != bytes(16)
+    _refused_capture(actors, grant)
+    assert actors.tm.notes[-1] == (
+        "capture refused (BAD_SIGNATURE): settle response nonce mismatch"
+    )
+    assert not token.spent
+    digest = hash_bytes(actors.scenario.account_ref.encode())
+    assert actors.ap.ledger.active_holds(digest) == {token.hold_nonce: 50}
+
+
 def test_capture_request_must_come_from_the_named_provider():
     actors = build_actors()
     _, outcome = approved_outcome(actors, quantity=5)
@@ -870,13 +919,13 @@ def _stray_capture_response(actors):
 
 def _stray_hold_response(actors):
     return actors.ap._maced_for(
-        "TM", HoldResponse, hold_nonce=bytes(16), hold_ref=bytes(16), reason=None
+        "TM", HoldResponse, hold_nonce=bytes(16), reason=None
     )[1]
 
 
 def _stray_settle_response(actors):
     return actors.ap._maced_for(
-        "TM", SettleResponse, settle_nonce=bytes(16), amount=50, reason=None
+        "TM", SettleResponse, hold_nonce=bytes(16), amount=50, reason=None
     )[1]
 
 

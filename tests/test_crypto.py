@@ -269,11 +269,11 @@ def test_a_hold_request_tag_fails_on_a_settle_request_payload():
     hold = signing_payload_from(
         HoldRequest, {"hold_nonce": nonce, "account_ref_digest": hash_bytes(b"acct"), "amount": 50}
     )
-    settle = signing_payload_from(SettleRequest, {"settle_nonce": nonce, "hold_ref": nonce})
+    settle = signing_payload_from(SettleRequest, {"hold_nonce": nonce})
     tag = mac(tm_to_ap, hold)
     assert mac_ok(tm_to_ap, hold, tag)
     assert not mac_ok(tm_to_ap, settle, tag)
-    assert not verify_maced(SettleRequest(nonce, nonce, tag), tm_to_ap, settle)
+    assert not verify_maced(SettleRequest(nonce, tag), tm_to_ap, settle)
 
 
 def test_every_single_bit_flip_of_a_tag_fails():

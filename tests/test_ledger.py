@@ -1,6 +1,7 @@
 """Credit ledger semantics: holds, settlement, release, conservation."""
 from __future__ import annotations
 
+from collections import Counter
 from random import Random
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from gset import (
     DuplicateAccountError,
+    DuplicateHoldError,
     HoldClosedError,
     InsufficientCreditError,
     Ledger,
@@ -20,8 +22,13 @@ from gset import (
 )
 
 
+# Hold names, as the account provider passes the trust manager's hold nonces.
+A = bytes(range(16))
+B = bytes(range(1, 17))
+
+
 def fresh(limit=100, ref="ACCT-0001"):
-    ledger = Ledger(rng=Random(3))
+    ledger = Ledger()
     digest = ledger.open_account(ref, limit)
     return ledger, digest
 
@@ -48,7 +55,7 @@ def test_duplicate_open_rejected():
 
 
 def test_zero_or_negative_limit_rejected():
-    ledger = Ledger(rng=Random(3))
+    ledger = Ledger()
     with pytest.raises(LedgerError):
         ledger.open_account("ACCT-1", 0)
     with pytest.raises(LedgerError):
@@ -60,43 +67,69 @@ def test_zero_or_negative_limit_rejected():
 
 def test_hold_sequence_50_60_50_on_limit_100():
     ledger, digest = fresh(limit=100)
-    first = ledger.place_hold(digest, 50)
-    assert first.amount == 50
+    ledger.place_hold(digest, 50, A)
     assert ledger.available(digest) == 50
     with pytest.raises(InsufficientCreditError):
-        ledger.place_hold(digest, 60)
-    second = ledger.place_hold(digest, 50)
-    assert second.hold_ref != first.hold_ref
+        ledger.place_hold(digest, 60, B)
+    ledger.place_hold(digest, 50, B)
+    assert ledger.active_holds(digest) == {A: 50, B: 50}
     assert ledger.available(digest) == 0
 
 
 def test_hold_of_exactly_remaining_available_accepted():
     ledger, digest = fresh(limit=100)
-    ledger.place_hold(digest, 30)
-    receipt = ledger.place_hold(digest, 70)
-    assert receipt.amount == 70
+    ledger.place_hold(digest, 30, A)
+    ledger.place_hold(digest, 70, B)
+    assert ledger.active_holds(digest)[B] == 70
     assert ledger.available(digest) == 0
 
 
 def test_hold_on_unknown_account_rejected():
     ledger, _ = fresh()
     with pytest.raises(UnknownAccountError):
-        ledger.place_hold(hash_bytes(b"ACCT-9999"), 10)
+        ledger.place_hold(hash_bytes(b"ACCT-9999"), 10, A)
 
 
 def test_hold_amount_must_be_positive():
     ledger, digest = fresh()
     with pytest.raises(LedgerError):
-        ledger.place_hold(digest, 0)
+        ledger.place_hold(digest, 0, A)
     with pytest.raises(LedgerError):
-        ledger.place_hold(digest, -1)
+        ledger.place_hold(digest, -1, A)
 
 
-def test_hold_receipt_carries_account_digest():
+def test_hold_is_kept_under_its_name_on_its_account():
     ledger, digest = fresh()
-    receipt = ledger.place_hold(digest, 10)
-    assert receipt.account_ref_digest == digest
-    assert len(receipt.hold_ref) == 16
+    other = ledger.open_account("ACCT-0002", 100)
+    ledger.place_hold(digest, 10, A)
+    assert ledger.active_holds(digest) == {A: 10}
+    assert ledger.active_holds(other) == {}
+
+
+def test_hold_name_must_be_non_empty_bytes():
+    ledger, digest = fresh()
+    for name in (b"", "hold", None):
+        with pytest.raises(LedgerError):
+            ledger.place_hold(digest, 10, name)
+    assert ledger.holds_created() == 0
+
+
+@pytest.mark.parametrize("close", ["open", "settled", "released"])
+def test_a_hold_name_is_used_once(close):
+    ledger, digest = fresh(limit=100)
+    other = ledger.open_account("ACCT-0002", 100)
+    ledger.place_hold(digest, 10, A)
+    if close == "settled":
+        ledger.settle_hold(A)
+    elif close == "released":
+        ledger.release_hold(A)
+    before = ledger.snapshot()
+    # refused on any account, and the refusal changes nothing
+    for account in (digest, other):
+        with pytest.raises(DuplicateHoldError):
+            ledger.place_hold(account, 10, A)
+    assert ledger.snapshot() == before
+    assert ledger.holds_created() == 1
 
 
 # --- settle_hold ------------------------------------------------------------
@@ -104,9 +137,9 @@ def test_hold_receipt_carries_account_digest():
 
 def test_settle_moves_amount_from_hold_to_settled():
     ledger, digest = fresh(limit=100)
-    receipt = ledger.place_hold(digest, 50)
+    ledger.place_hold(digest, 50, A)
     assert ledger.available(digest) == 50
-    assert ledger.settle_hold(receipt.hold_ref) == 50
+    assert ledger.settle_hold(A) == 50
     assert ledger.settled_total(digest) == 50
     # the amount stays committed: available is unchanged by settlement
     assert ledger.available(digest) == 50
@@ -115,10 +148,10 @@ def test_settle_moves_amount_from_hold_to_settled():
 
 def test_settle_twice_errors():
     ledger, digest = fresh()
-    receipt = ledger.place_hold(digest, 50)
-    ledger.settle_hold(receipt.hold_ref)
+    ledger.place_hold(digest, 50, A)
+    ledger.settle_hold(A)
     with pytest.raises(HoldClosedError):
-        ledger.settle_hold(receipt.hold_ref)
+        ledger.settle_hold(A)
 
 
 def test_settle_unknown_ref_errors():
@@ -132,26 +165,26 @@ def test_settle_unknown_ref_errors():
 
 def test_release_restores_available_credit():
     ledger, digest = fresh(limit=100)
-    receipt = ledger.place_hold(digest, 50)
-    assert ledger.release_hold(receipt.hold_ref) == 50
+    ledger.place_hold(digest, 50, A)
+    assert ledger.release_hold(A) == 50
     assert ledger.available(digest) == 100
     assert ledger.settled_total(digest) == 0
 
 
 def test_release_then_settle_errors():
     ledger, digest = fresh()
-    receipt = ledger.place_hold(digest, 50)
-    ledger.release_hold(receipt.hold_ref)
+    ledger.place_hold(digest, 50, A)
+    ledger.release_hold(A)
     with pytest.raises(HoldClosedError):
-        ledger.settle_hold(receipt.hold_ref)
+        ledger.settle_hold(A)
 
 
 def test_release_twice_errors():
     ledger, digest = fresh()
-    receipt = ledger.place_hold(digest, 50)
-    ledger.release_hold(receipt.hold_ref)
+    ledger.place_hold(digest, 50, A)
+    ledger.release_hold(A)
     with pytest.raises(HoldClosedError):
-        ledger.release_hold(receipt.hold_ref)
+        ledger.release_hold(A)
 
 
 def test_release_unknown_ref_errors():
@@ -165,9 +198,9 @@ def test_release_unknown_ref_errors():
 
 def test_snapshot_round_trips_through_codec():
     ledger, digest = fresh(limit=100)
-    ledger.place_hold(digest, 20)
-    receipt = ledger.place_hold(digest, 30)
-    ledger.settle_hold(receipt.hold_ref)
+    ledger.place_hold(digest, 20, A)
+    ledger.place_hold(digest, 30, B)
+    ledger.settle_hold(B)
     snap = ledger.snapshot()
     assert codec.decode(codec.encode(ledger.snapshot())) == snap
     account = snap.accounts[0]
@@ -177,10 +210,10 @@ def test_snapshot_round_trips_through_codec():
 
 
 def test_serialized_state_never_contains_plaintext_ref():
-    ledger = Ledger(rng=Random(3))
+    ledger = Ledger()
     ref = "ACCT-SECRET-REF-0099"
     digest = ledger.open_account(ref, 500)
-    ledger.place_hold(digest, 77)
+    ledger.place_hold(digest, 77, A)
     assert ref.encode() not in codec.encode(ledger.snapshot())
 
 
@@ -188,7 +221,8 @@ def test_serialized_state_never_contains_plaintext_ref():
 
 
 class NaiveLedger:
-    """List-based reference model: no indexes, recompute everything."""
+    """List-based reference model: no indexes, recompute everything.  A
+    hold name is refused once any hold was placed under it."""
 
     def __init__(self):
         self.accounts = {}  # digest bytes -> limit
@@ -227,6 +261,8 @@ class NaiveLedger:
     def hold(self, d, amount, ref):
         if d not in self.accounts:
             return "unknown"
+        if any(kind == "hold" and r == ref for kind, _, r, _ in self.events):
+            return "dup"
         if amount > self.accounts[d] - self._settled(d) - self._held(d):
             return "refused"
         self.events.append(("hold", d, ref, amount))
@@ -244,10 +280,12 @@ class NaiveLedger:
 
 def drive_pair(seed, steps):
     rng = Random(seed)
-    ledger = Ledger(rng=Random(seed + 1))
+    ledger = Ledger()
     oracle = NaiveLedger()
     digests = []
+    placed = []  # every name placed, whether open, settled or released
     open_refs = []
+    agreed = Counter()  # (operation, outcome) -> times both sides gave it
     for step in range(steps):
         roll = rng.random()
         if roll < 0.08 or not digests:
@@ -260,21 +298,31 @@ def drive_pair(seed, steps):
                 got = "dup"
             want = oracle.open(d.bytes, limit)
             assert got == want, f"open disagrees at step {step}"
+            agreed["open", want] += 1
             if want == "ok":
                 digests.append(d)
         elif roll < 0.65:
             d = rng.choice(digests)
             amount = rng.randint(1, 250)
+            # now and then a name already placed: open, settled or released
+            if placed and rng.random() < 0.15:
+                ref = rng.choice(placed)
+            else:
+                ref = rng.randbytes(16)
             try:
-                receipt = ledger.place_hold(d, amount)
-                got, ref = "ok", receipt.hold_ref
+                ledger.place_hold(d, amount, ref)
+                got = "ok"
+            except DuplicateHoldError:
+                got = "dup"
             except InsufficientCreditError:
-                got, ref = "refused", rng.randbytes(16)
+                got = "refused"
             except UnknownAccountError:
-                got, ref = "unknown", rng.randbytes(16)
+                got = "unknown"
             want = oracle.hold(d.bytes, amount, ref)
             assert got == want, f"hold disagrees at step {step}"
+            agreed["hold", want] += 1
             if want == "ok":
+                placed.append(ref)
                 open_refs.append(ref)
         else:
             kind = "settle" if rng.random() < 0.5 else "release"
@@ -292,6 +340,7 @@ def drive_pair(seed, steps):
                 got = "bad-ref"
             want = oracle.close(kind, ref)
             assert got == want, f"{kind} disagrees at step {step}"
+            agreed[kind, want] += 1
             if want == "ok":
                 open_refs.remove(ref)
     # final balances must agree account by account
@@ -301,11 +350,16 @@ def drive_pair(seed, steps):
         held = oracle._held(d.bytes)
         settled = oracle._settled(d.bytes)
         assert ledger.available(d) == oracle.accounts[d.bytes] - held - settled
-    return len(digests)
+    return agreed
 
 
 def test_random_operations_match_naive_oracle():
-    assert drive_pair(seed=11, steps=600) > 0
+    agreed = drive_pair(seed=11, steps=600)
+    assert agreed["open", "ok"] > 0
+    # a reused name, an over-limit hold and a bad close each came up
+    assert agreed["hold", "dup"] > 0
+    assert agreed["hold", "refused"] > 0
+    assert agreed["settle", "bad-ref"] + agreed["release", "bad-ref"] > 0
 
 
 @settings(max_examples=20, deadline=None)
@@ -316,6 +370,6 @@ def test_oracle_equivalence_across_seeds(seed):
 
 def test_conservation_is_asserted_internally():
     ledger, digest = fresh(limit=60)
-    ledger.place_hold(digest, 60)
+    ledger.place_hold(digest, 60, A)
     with pytest.raises(InsufficientCreditError):
-        ledger.place_hold(digest, 1)
+        ledger.place_hold(digest, 1, B)

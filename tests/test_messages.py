@@ -131,14 +131,14 @@ def test_ticket_and_capture_token_rules():
     with pytest.raises(ValidationError):
         Ticket(b"", digest)
 
-    token = CaptureToken(NONCE, "SP", 50, "AP", NONCE, SIG)
+    token = CaptureToken(NONCE, "SP", 50, SIG)
     assert token.charge_amount == 50
     with pytest.raises(ValidationError):
-        CaptureToken(NONCE, "SP", 0, "AP", NONCE, SIG)
+        CaptureToken(NONCE, "SP", 0, SIG)
     with pytest.raises(ValidationError):
-        CaptureToken(NONCE, "", 50, "AP", NONCE, SIG)
+        CaptureToken(NONCE, "", 50, SIG)
     with pytest.raises(ValidationError):
-        CaptureToken(NONCE, "SP", 50, "AP", NONCE * 2, SIG)
+        CaptureToken(NONCE * 2, "SP", 50, SIG)
 
 
 def test_price_quote_allows_zero_price_and_expiry():
@@ -162,7 +162,7 @@ def test_authorize_and_hold_requires_positive_charge():
 
 
 def test_auth_outcome_approval_token_coupling():
-    token = CaptureToken(NONCE, "SP", 50, "AP", NONCE, SIG)
+    token = CaptureToken(NONCE, "SP", 50, SIG)
     assert AuthOutcome(token, None).approved
     assert not AuthOutcome(None, DenialReason.OVER_LIMIT).approved
     with pytest.raises(ValidationError):
@@ -197,12 +197,11 @@ def test_capture_response_reason_coupling():
 
 
 def test_hold_response_branches():
-    assert HoldResponse(NONCE, NONCE, None, MAC).ok
-    assert not HoldResponse(NONCE, b"", DenialReason.INSUFFICIENT_CREDIT, MAC).ok
+    # placed or refused, the response names its hold by the request's nonce
+    assert HoldResponse(NONCE, None, MAC).ok
+    assert not HoldResponse(NONCE, DenialReason.INSUFFICIENT_CREDIT, MAC).ok
     with pytest.raises(ValidationError):
-        HoldResponse(NONCE, b"", None, MAC)
-    with pytest.raises(ValidationError):
-        HoldResponse(NONCE, NONCE, DenialReason.REPLAY, MAC)
+        HoldResponse(b"", None, MAC)
 
 
 def test_settle_response_branches():
@@ -249,8 +248,7 @@ def test_the_evidence_tables_name_exactly_the_authenticated_types():
 
 
 def _token_fields() -> dict:
-    return dict(token_id=NONCE, provider_id="SP", charge_amount=50,
-                account_provider_id="AP", hold_ref=NONCE)
+    return dict(token_id=NONCE, provider_id="SP", charge_amount=50)
 
 
 def test_build_signed_round_trips_with_verify_signed():
@@ -266,13 +264,13 @@ def test_verify_signed_fails_for_wrong_key_or_altered_field():
     other = generate_keypair("TM2", seed=7)
     msg, _ = build_signed(CaptureToken, tm, **_token_fields())
     assert not verify_signed(msg, other.public_key)
-    altered = dataclasses.replace(msg, hold_ref=bytes(16))
+    altered = dataclasses.replace(msg, token_id=bytes(16))
     assert not verify_signed(altered, tm.public_key)
 
 
 def test_build_maced_round_trips_with_verify_maced():
     key = bytes(range(32))
-    msg, raw = build_maced(SettleRequest, key, settle_nonce=NONCE, hold_ref=NONCE)
+    msg, raw = build_maced(SettleRequest, key, hold_nonce=NONCE)
     assert len(msg.tm_mac) == 32
     assert verify_maced(msg, key, codec.decode_authenticated(raw)[1])
     assert raw == codec.encode(msg)
@@ -281,7 +279,7 @@ def test_build_maced_round_trips_with_verify_maced():
 
 def test_verify_maced_fails_for_wrong_key_or_altered_field():
     key = bytes(range(32))
-    msg, raw = build_maced(SettleRequest, key, settle_nonce=NONCE, hold_ref=NONCE)
+    msg, raw = build_maced(SettleRequest, key, hold_nonce=NONCE)
     assert not verify_maced(msg, bytes(32), codec.decode_authenticated(raw)[1])
-    altered = dataclasses.replace(msg, hold_ref=bytes(16))
+    altered = dataclasses.replace(msg, hold_nonce=bytes(16))
     assert not verify_maced(altered, key, codec.decode_authenticated(codec.encode(altered))[1])

@@ -58,12 +58,12 @@ def _counts(monkeypatch, config: ScenarioConfig) -> tuple[int, int, int, int, in
 
 
 def test_default_transaction_signs_verifies_and_records(monkeypatch):
-    assert _counts(monkeypatch, ScenarioConfig()) == (7, 8, 21, 3357, 13)
+    assert _counts(monkeypatch, ScenarioConfig()) == (7, 8, 21, 3291, 13)
 
 
 def test_bulk_transaction_signs_verifies_and_records(monkeypatch):
     config = ScenarioConfig(object_count=16, object_size=65536)
-    assert _counts(monkeypatch, config) == (7, 8, 47, 2_102_140, 39)
+    assert _counts(monkeypatch, config) == (7, 8, 47, 2_102_074, 39)
 
 
 def _mac_counts(monkeypatch, config: ScenarioConfig) -> tuple[int, int, int, int, int]:
@@ -109,12 +109,12 @@ def _bytes_through(monkeypatch, config: ScenarioConfig) -> tuple[int, int, int, 
 # and by the requester at redemption.  No object byte goes through Ed25519
 # or HMAC, and each MAC'd payload is checked once.
 def test_default_transaction_hashes_signs_and_verifies_bytes(monkeypatch):
-    assert _bytes_through(monkeypatch, ScenarioConfig()) == (1326, 688, 720, 761, 761)
+    assert _bytes_through(monkeypatch, ScenarioConfig()) == (1326, 662, 694, 721, 721)
 
 
 def test_bulk_transaction_hashes_signs_and_verifies_bytes(monkeypatch):
     config = ScenarioConfig(object_count=16, object_size=65536)
-    assert _bytes_through(monkeypatch, config) == (3_146_478, 1884, 1916, 761, 761)
+    assert _bytes_through(monkeypatch, config) == (3_146_478, 1858, 1890, 721, 721)
 
 
 class _CountingKeyClass:

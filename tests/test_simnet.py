@@ -414,6 +414,33 @@ def test_clean_run_passes_the_privacy_scan():
     assert "CLEAN" in report.privacy.render()
 
 
+def test_the_payers_account_provider_changes_nothing_the_provider_sees():
+    # The marker scan cannot see a short id like "AP"; compare the provider's
+    # whole view instead, with only the payer's account provider renamed.
+    views = []
+    for config in (
+        ScenarioConfig(seed=3),
+        ScenarioConfig(seed=3, account_provider_id="AP-long-name"),
+    ):
+        report = run_storage_scenario(config)
+        assert report.complete_success()
+        received = [
+            (codec.peek_type(r.payload), r.payload)
+            for r in report.transcript.records
+            if r.to_id == config.provider_id
+        ]
+        views.append((received, report.scenario.provider.state_bytes()))
+    (received, state), (received_long, state_long) = views
+    assert state == state_long
+    assert [kind for kind, _ in received] == [kind for kind, _ in received_long]
+    for (kind, raw), (_, raw_long) in zip(received, received_long):
+        # The one exception: the sealed payment envelope's length still
+        # tracks the payment labels, until its plaintext is padded (ROADMAP
+        # item 13).
+        if kind != "AuthorizationRequest":
+            assert raw == raw_long, kind
+
+
 def test_scanner_catches_a_deliberate_payment_leak_to_the_provider():
     scenario = build_scenario(CONFIG)
     leak = scenario.account_ref.encode()
