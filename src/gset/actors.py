@@ -2,30 +2,32 @@
 
 Each actor is a single-threaded state machine with one external surface:
 
-    deliver(sender_id, raw_bytes, now, net) -> [(dest_id, raw_bytes), ...]
+    deliver(sender_id, raw_bytes, now) -> [(dest_id, raw_bytes), ...]
 
 The simulated network calls ``deliver`` for every incoming message and
-queues whatever comes back; only the requester's legs travel that way.
-Every exchange between two servers is a ``net.call``, which the network
-also mediates and records, and its answer is the call's return value.
-Those seven server-to-server legs carry a pairwise MAC; the signed
-messages of the requester's legs and the trust manager's capture token
-keep their signatures (see ``_authentic``).
+queues whatever comes back; a handler only returns outbound messages and
+never waits for an answer.  A server that asks another keeps the request
+pending in its record of the order or hold, under a name the request
+carries (the order digest ``dual.oi_digest``, the ``hold_nonce``, the token
+id), and the answer's own handler resumes from that record.  The seven
+server-to-server legs carry a pairwise MAC; the signed messages of the
+requester's legs and the trust manager's capture token keep their
+signatures (see ``_authentic``).
 
 The privacy split is enforced here by what each actor stores, one
-record per order or token:
+record per order or hold:
 
 * the provider keeps orders, quoted prices, and objects, and never sees
   payment plaintext (it only relays the sealed envelope);
-* the trust manager keeps payment nonces and what a capture of each
-  token it minted reads (not the signed token), and never sees order
-  plaintext (it only handles digests and amounts);
+* the trust manager keeps payment nonces and, per hold, what the hold
+  and a capture of its token read (not the signed token), and never sees
+  order plaintext (it only handles digests and amounts);
 * the account provider keeps a ledger keyed by account digests.
 
 A hold has one name from request to settlement: the trust manager's
 ``hold_nonce``.  The account provider places and settles the hold under
-it, and the trust manager keeps it in its record of the token, which
-therefore carries neither the hold nor the payer's account provider.
+it, and the trust manager keys its record of the hold by it, so the
+token carries neither the hold nor the payer's account provider.
 
 ``deliver`` is the only way into an actor (the requester's ``begin``
 only makes the first message); tests drive the actors through it too.
@@ -38,7 +40,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from enum import IntEnum
 from functools import cache
 from random import Random
-from typing import Callable, Mapping, Protocol
+from typing import Callable, Mapping
 
 from . import codec
 from .codec import CodecError
@@ -95,15 +97,7 @@ from .messages import (
 )
 
 
-class Network(Protocol):
-    """Synchronous exchange surface the simulated network provides."""
-
-    def call(self, dest_id: str, raw: bytes) -> bytes | None: ...
-
-
 Outbound = list[tuple[str, bytes]]
-# A message and its encoding, made together so that it is encoded once.
-Sent = tuple[object, bytes]
 
 
 def _leaf(tag: bytes, data: bytes) -> bytes:
@@ -146,7 +140,7 @@ class _ActorBase:
     # directory, the randomness source, the fixed config, and the MAC keys
     # derived from the first two.
     _WIRING = frozenset({"identity", "directory", "rng", "config", "pair_keys"})
-    # Message type -> handler(self, sender, msg, covered, now, net), where
+    # Message type -> handler(self, sender, msg, covered, now), where
     # ``covered`` is what ``codec.decode_authenticated`` returned.  A class-level
     # table of plain functions: bound methods stored on the instance would
     # point back at it, so each run's actors could only be freed by the
@@ -154,7 +148,7 @@ class _ActorBase:
     _HANDLERS: Mapping[type, Callable] = {}
 
     def __init__(
-        self, identity: KeyPair, directory: Mapping[str, bytes], config, rng: Random
+        self, identity: KeyPair, directory: Mapping[str, bytes], config, rng: Random | None = None
     ) -> None:
         self.identity = identity
         self.subject_id = identity.subject_id
@@ -174,28 +168,18 @@ class _ActorBase:
     def _key_of(self, subject_id: str) -> bytes | None:
         return self.directory.get(subject_id)
 
-    def _exchange(self, net: Network | None, dest: str, sent: Sent | None, expect: type):
-        """One authenticated round trip to ``dest``; None on any failure, with a note."""
-        if sent is None:
-            return None
-        msg, raw = sent
-        if net is None:
-            self._note(f"no network channel for {type(msg).__name__}")
-            return None
-        reply = net.call(dest, raw)
-        if reply is None:
-            self._note(f"{type(msg).__name__} got no response")
-            return None
-        try:
-            response, covered = codec.decode_authenticated(reply, expect)
-        except CodecError as exc:
-            self._note(f"{expect.__name__} undecodable: {exc}")
-            return None
+    def _answers(self, msg, awaited: bool, sender: str, covered) -> bool:
+        """Is ``msg`` the answer to a request still pending?  ``awaited``: its
+        record awaits it from ``sender``, who must then have authenticated it.
+        One note if not, and the caller changes nothing."""
+        if not awaited:
+            self._note(f"{type(msg).__name__} answers no pending request")
+            return False
         # AuthOutcome is unsigned: an approval's authority is its token's signature
-        if expect is not AuthOutcome and not self._authentic(response, dest, covered):
-            self._note(f"{expect.__name__} authenticator does not verify")
-            return None
-        return response
+        if type(msg) is not AuthOutcome and not self._authentic(msg, sender, covered):
+            self._note(f"{type(msg).__name__} authenticator does not verify")
+            return False
+        return True
 
     def _keys_with(self, peer_id: str) -> tuple[bytes, bytes] | None:
         """The MAC keys shared with ``peer_id``: one X25519 agreement per peer and run."""
@@ -206,20 +190,13 @@ class _ActorBase:
                 self.pair_keys[peer_id] = keys
         return keys
 
-    def _maced_for(self, peer_id: str, cls: type, **fields) -> Sent | None:
-        """``cls`` with its MAC to ``peer_id``, and its encoding; None, with a
-        note, without a key."""
+    def _maced_to(self, peer_id: str, cls: type, **fields) -> Outbound:
+        """``cls`` MAC'd to ``peer_id``, to send; nothing, with a note, without a key."""
         keys = self._keys_with(peer_id)
         if keys is None:
             self._note(f"no MAC key for {peer_id}; {cls.__name__} not sent")
-            return None
-        return build_maced(cls, keys[0], **fields)
-
-    def _maced_reply(self, peer_id: str, cls: type, **fields) -> Outbound:
-        """``cls`` MAC'd to ``peer_id`` as the answer to its call; nothing
-        without a key."""
-        sent = self._maced_for(peer_id, cls, **fields)
-        return [] if sent is None else [(peer_id, sent[1])]
+            return []
+        return [(peer_id, build_maced(cls, keys[0], **fields)[1])]
 
     def _authentic(
         self,
@@ -250,7 +227,7 @@ class _ActorBase:
             return False
         return verify_signed(msg, public, digests, covered)
 
-    def deliver(self, sender: str, raw: bytes, now: int, net: Network | None = None) -> Outbound:
+    def deliver(self, sender: str, raw: bytes, now: int) -> Outbound:
         """Process one incoming message; returns outbound (dest, bytes) pairs.
 
         Malformed or unexpected input is logged and dropped, never raised:
@@ -265,7 +242,7 @@ class _ActorBase:
         if handler is None:
             self._note(f"ignored unexpected {type(msg).__name__} from {sender}")
             return []
-        return handler(self, sender, msg, covered, now, net)
+        return handler(self, sender, msg, covered, now)
 
     def state_bytes(self) -> bytes:
         """Deterministic bytes of everything this actor has recorded.
@@ -341,7 +318,7 @@ class ServiceRequester(_ActorBase):
 
     # -- message handlers --
 
-    def _on_price_quote(self, sender: str, quote: PriceQuote, covered, now: int, net) -> Outbound:
+    def _on_price_quote(self, sender: str, quote: PriceQuote, covered, now: int) -> Outbound:
         """Turn an acceptable quote into a dual-signed authorization."""
         if sender != self.config.provider_id:
             self._note(f"quote from unexpected sender {sender}")
@@ -385,9 +362,7 @@ class ServiceRequester(_ActorBase):
         auth = AuthorizationRequest(order_info=order, payment_envelope=envelope, dual=dual)
         return [(self.config.provider_id, codec.encode(auth))]
 
-    def _on_quote_denial(
-        self, sender: str, denial: QuoteDenial, covered, now: int, net
-    ) -> Outbound:
+    def _on_quote_denial(self, sender: str, denial: QuoteDenial, covered, now: int) -> Outbound:
         self._note(f"price request denied: {denial.reason}")
         self.pending_usage = [
             (nonce, usage) for nonce, usage in self.pending_usage
@@ -395,9 +370,7 @@ class ServiceRequester(_ActorBase):
         ]
         return []
 
-    def _on_auth_decision(
-        self, sender: str, decision: AuthDecision, covered, now: int, net
-    ) -> Outbound:
+    def _on_auth_decision(self, sender: str, decision: AuthDecision, covered, now: int) -> Outbound:
         if not self._authentic(decision, self.config.provider_id, covered):
             self._note("auth decision signature does not verify")
             return []
@@ -420,9 +393,7 @@ class ServiceRequester(_ActorBase):
         )
         return [(self.config.provider_id, raw)]
 
-    def _on_service_grant(
-        self, sender: str, grant: ServiceGrant, covered, now: int, net
-    ) -> Outbound:
+    def _on_service_grant(self, sender: str, grant: ServiceGrant, covered, now: int) -> Outbound:
         if not self._authentic(grant, self.config.provider_id, covered):
             self._note("service grant signature does not verify")
             return []
@@ -449,7 +420,7 @@ class ServiceRequester(_ActorBase):
         return out
 
     def _on_redeem_response(
-        self, sender: str, resp: TicketRedeemResponse, covered, now: int, net
+        self, sender: str, resp: TicketRedeemResponse, covered, now: int
     ) -> Outbound:
         # The response is unsigned: the signed grant's ticket already commits
         # to the object's digest, so the digest is the integrity check.
@@ -500,15 +471,17 @@ class ProviderPhase(IntEnum):
     DENIED = 1  # refused by the trust manager, or its token did not verify
     APPROVED = 2  # a verified token is held, no upload yet
     GRANTED = 3  # objects stored, tickets issued
-    CAPTURED = 4  # the token settled, its charge booked
+    CAPTURING = 4  # the token named to the trust manager, no answer yet
+    CAPTURED = 5  # the token settled, its charge booked
 
 
 @dataclass
 class ProviderOrder:
     requester: str
+    oi_digest: Digest  # the order's name to the trust manager and in its outcome
+    charge: int  # the quoted price
     phase: ProviderPhase = ProviderPhase.RELAYED
-    token_id: bytes = b""  # the approving token's id and amount, from APPROVED on
-    charge: int = 0
+    token_id: bytes = b""  # the approving token's id, from APPROVED on
 
 
 class ServiceProvider(_ActorBase):
@@ -530,11 +503,15 @@ class ServiceProvider(_ActorBase):
         # ticket_id -> object, until the ticket is redeemed
         self.stored_objects: dict[bytes, bytes] = {}
 
+    def _decide(self, requester: str, order_nonce: bytes, approved: bool) -> Outbound:
+        _, raw = build_signed(
+            AuthDecision, self.identity, order_nonce=order_nonce, approved=approved
+        )
+        return [(requester, raw)]
+
     # -- message handlers --
 
-    def _on_price_request(
-        self, sender: str, request: PriceRequest, covered, now: int, net
-    ) -> Outbound:
+    def _on_price_request(self, sender: str, request: PriceRequest, covered, now: int) -> Outbound:
         """Price a usage request: rate * quantity, valid for quote_ttl ticks."""
 
         def deny(reason: str) -> Outbound:
@@ -559,30 +536,25 @@ class ServiceProvider(_ActorBase):
         return [(sender, raw)]
 
     def _on_authorization(
-        self, sender: str, auth: AuthorizationRequest, covered, now: int, net
+        self, sender: str, auth: AuthorizationRequest, covered, now: int
     ) -> Outbound:
-        """Validate the order half, relay the payment half, answer the requester.
+        """Validate the order half and relay the payment half, or refuse.
 
         The order stays here.  The trust manager gets an AuthorizeAndHold,
         MAC'd to it, carrying the untouched sealed envelope; the order
-        plaintext goes no further.  A duplicate of an order already
-        accepted is ignored outright: that order's one relay has been
-        answered, and a second could only draw the trust manager's REPLAY
-        refusal.  Without a key for the trust manager there is no relay
-        and no answer, and the order is not kept.
+        plaintext goes no further, and the requester is answered once the
+        trust manager's outcome arrives.  A duplicate of an order already
+        accepted is ignored outright: that order has its one relay, and a
+        second could only draw the trust manager's REPLAY refusal.  Without
+        a key for the trust manager there is no relay and no answer, and the
+        order is not kept.
         """
         order = auth.order_info
-
-        def decide(approved: bool) -> Outbound:
-            _, raw = build_signed(
-                AuthDecision, self.identity, order_nonce=order.order_nonce, approved=approved
-            )
-            return [(sender, raw)]
 
         def deny(reason: DenialReason, detail: str) -> Outbound:
             self._note(f"authorization refused ({reason.name}): {detail}")
             self.denials.append(reason)
-            return decide(False)
+            return self._decide(sender, order.order_nonce, False)
 
         # authenticity first: any tampering surfaces as BAD_SIGNATURE before
         # policy questions like quote expiry get a say
@@ -605,39 +577,49 @@ class ServiceProvider(_ActorBase):
             self._note("duplicate authorization for an accepted order ignored")
             return []
 
-        relay = self._maced_for(
+        relay = self._maced_to(
             self.config.trust_manager_id,
             AuthorizeAndHold,
             payment_envelope=auth.payment_envelope,
             dual=auth.dual,
             charge_amount=price,
         )
-        if relay is None:
+        if relay:
+            self.orders[order.order_nonce] = ProviderOrder(sender, auth.dual.oi_digest, price)
+        return relay
+
+    def _on_auth_outcome(self, sender: str, outcome: AuthOutcome, covered, now: int) -> Outbound:
+        """Answer the requester of the relayed order the outcome names.
+
+        An approval stands only on a token the trust manager signed for this
+        provider, for the quoted price and for this order's digest.
+        """
+        found = next(
+            ((n, r) for n, r in self.orders.items() if r.oi_digest == outcome.oi_digest), None
+        )
+        tm = self.config.trust_manager_id
+        awaited = found is not None and found[1].phase == ProviderPhase.RELAYED and sender == tm
+        if not self._answers(outcome, awaited, sender, covered):
             return []
-        record = self.orders[order.order_nonce] = ProviderOrder(requester=sender)
-        outcome = self._exchange(net, self.config.trust_manager_id, relay, AuthOutcome)
-        if outcome is None:
-            return []
+        order_nonce, record = found
         if not outcome.approved:
             record.phase = ProviderPhase.DENIED
             self._note(f"authorization denied by trust manager: {outcome.reason.name}")
-            return decide(False)
+            return self._decide(record.requester, order_nonce, False)
         token = outcome.token
         if (
             self._authentic(token, self.config.trust_manager_id)
             and token.provider_id == self.subject_id
-            and token.charge_amount == price
+            and token.charge_amount == record.charge
+            and token.oi_digest == record.oi_digest
         ):
-            record.phase = ProviderPhase.APPROVED
-            record.token_id, record.charge = token.token_id, token.charge_amount
-            return decide(True)
+            record.phase, record.token_id = ProviderPhase.APPROVED, token.token_id
+            return self._decide(record.requester, order_nonce, True)
         record.phase = ProviderPhase.DENIED
         self._note("approved outcome carried an unverifiable token")
-        return decide(False)
+        return self._decide(record.requester, order_nonce, False)
 
-    def _on_object_upload(
-        self, sender: str, upload: ObjectUpload, covered, now: int, net
-    ) -> Outbound:
+    def _on_object_upload(self, sender: str, upload: ObjectUpload, covered, now: int) -> Outbound:
         record = self.orders.get(upload.order_nonce)
         if record is None or record.requester != sender:
             self._note("upload for unknown order")
@@ -663,7 +645,7 @@ class ServiceProvider(_ActorBase):
         return [(sender, raw)]
 
     def _on_redeem_request(
-        self, sender: str, request: TicketRedeemRequest, covered, now: int, net
+        self, sender: str, request: TicketRedeemRequest, covered, now: int
     ) -> Outbound:
         # stored objects are never empty, so no bytes means a refusal
         payload = self.stored_objects.pop(request.ticket_id, b"")
@@ -673,7 +655,7 @@ class ServiceProvider(_ActorBase):
         return [(sender, codec.encode(response))]
 
     def _on_service_complete(
-        self, sender: str, done: ServiceComplete, covered, now: int, net
+        self, sender: str, done: ServiceComplete, covered, now: int
     ) -> Outbound:
         record = self.orders.get(done.order_nonce)
         if record is None or record.phase < ProviderPhase.GRANTED:
@@ -682,28 +664,42 @@ class ServiceProvider(_ActorBase):
         if record.requester != sender or not self._authentic(done, sender, covered):
             self._note("completion signature does not verify")
             return []
-        if record.phase == ProviderPhase.CAPTURED:
-            self._note("grant already captured")
+        if record.phase >= ProviderPhase.CAPTURING:
+            captured = record.phase == ProviderPhase.CAPTURED
+            self._note("grant already captured" if captured else "capture already pending")
             return []
         # name the token to the trust manager; a settled capture books the charge
-        request = self._maced_for(
+        request = self._maced_to(
             self.config.trust_manager_id, CaptureRequest, token_id=record.token_id
         )
-        response = self._exchange(net, self.config.trust_manager_id, request, CaptureResponse)
-        if response is None:
+        if request:
+            record.phase = ProviderPhase.CAPTURING
+        return request
+
+    def _on_capture_response(
+        self, sender: str, response: CaptureResponse, covered, now: int
+    ) -> Outbound:
+        """Book a settled capture, or take a refused one back to GRANTED."""
+        record = next((r for r in self.orders.values() if r.token_id == response.token_id), None)
+        tm = self.config.trust_manager_id
+        awaited = record is not None and record.phase == ProviderPhase.CAPTURING and sender == tm
+        if not self._answers(response, awaited, sender, covered):
             return []
         if response.settled:
             record.phase = ProviderPhase.CAPTURED
         else:
+            record.phase = ProviderPhase.GRANTED
             self._note(f"capture refused: {response.reason.name}")
         return []
 
     _HANDLERS = {
         PriceRequest: _on_price_request,
         AuthorizationRequest: _on_authorization,
+        AuthOutcome: _on_auth_outcome,
         ObjectUpload: _on_object_upload,
         TicketRedeemRequest: _on_redeem_request,
         ServiceComplete: _on_service_complete,
+        CaptureResponse: _on_capture_response,
     }
 
 
@@ -715,13 +711,23 @@ class TrustManagerConfig:
     account_providers: frozenset[str]
 
 
+class HoldPhase(IntEnum):
+    """A hold's steps at the trust manager, in protocol order."""
+
+    HOLDING = 0  # hold asked of the account provider, no answer yet
+    MINTED = 1  # hold placed, token issued to the provider
+    SETTLING = 2  # the token captured, settlement asked for, no answer yet
+    SPENT = 3  # settled
+
+
 @dataclass
-class MintedToken:
+class Hold:
     provider: str
     account_provider: str
-    hold_nonce: bytes  # the hold's one name, from request to settlement
     charge: int
-    spent: bool = False
+    oi_digest: Digest  # the order the hold is for, as its outcome and token name it
+    phase: HoldPhase = HoldPhase.HOLDING
+    token_id: bytes = b""  # from MINTED on
 
 
 class TrustManager(_ActorBase):
@@ -737,22 +743,34 @@ class TrustManager(_ActorBase):
         super().__init__(identity, directory, config, rng)
         self.seen_payment_nonces: set[bytes] = set()
         self.denials: list[DenialReason] = []
-        # token_id -> what a capture of the token reads; not the signed token
-        self.tokens: dict[bytes, MintedToken] = {}
+        # hold_nonce, the hold's one name from request to settlement -> what
+        # the hold and its token's capture read; not the signed token
+        self.holds: dict[bytes, Hold] = {}
+
+    def _deny(self, provider: str, oi_digest: Digest, reason, detail: str) -> Outbound:
+        self._note(f"authorization denied ({reason.name}): {detail}")
+        self.denials.append(reason)
+        outcome = AuthOutcome(oi_digest=oi_digest, token=None, reason=reason)
+        return [(provider, codec.encode(outcome))]
+
+    def _capture_answer(self, provider: str, token_id: bytes, reason, detail: str = "") -> Outbound:
+        """The capture of ``token_id`` settled (``reason`` None) or refused."""
+        if reason is not None:
+            self._note(f"capture refused ({reason.name}): {detail}")
+        return self._maced_to(provider, CaptureResponse, token_id=token_id, reason=reason)
 
     def _on_authorize_and_hold(
-        self, sender: str, msg: AuthorizeAndHold, covered, now: int, net
+        self, sender: str, msg: AuthorizeAndHold, covered, now: int
     ) -> Outbound:
-        """Decide an authorization: open, verify, check limit, hold, mint.
+        """Decide an authorization up to its hold: open, verify, check limit, ask.
 
         Denials carry a precise reason; the only state a failed attempt
-        leaves behind is the payment nonce, which stays burned.
+        leaves behind is the payment nonce, which stays burned.  A repeat of
+        an authorization whose hold is still being asked for is not answered.
         """
 
         def deny(reason: DenialReason, detail: str) -> Outbound:
-            self._note(f"authorization denied ({reason.name}): {detail}")
-            self.denials.append(reason)
-            return [(sender, codec.encode(AuthOutcome(token=None, reason=reason)))]
+            return self._deny(sender, msg.dual.oi_digest, reason, detail)
 
         if not self._authentic(msg, sender, covered):
             return deny(DenialReason.BAD_SIGNATURE, "provider MAC fails")
@@ -765,6 +783,10 @@ class TrustManager(_ActorBase):
         except CodecError as exc:
             return deny(DenialReason.BAD_SIGNATURE, f"payment plaintext malformed: {exc}")
         if payment.payment_nonce in self.seen_payment_nonces:
+            if any(h.phase == HoldPhase.HOLDING and h.oi_digest == msg.dual.oi_digest
+                   for h in self.holds.values()):
+                self._note("repeat of an authorization on hold ignored")
+                return []
             return deny(DenialReason.REPLAY, "payment nonce already used")
         self.seen_payment_nonces.add(payment.payment_nonce)
         payer_key = self._key_of(msg.dual.signature.signer_id)
@@ -782,67 +804,89 @@ class TrustManager(_ActorBase):
 
         account_digest = hash_bytes(payment.account_ref.encode("utf-8"))
         hold_nonce = self._nonce()
-        hold = self._maced_for(
+        request = self._maced_to(
             payment.account_provider_id,
             HoldRequest,
             hold_nonce=hold_nonce,
             account_ref_digest=account_digest,
             amount=msg.charge_amount,
         )
-        response = self._exchange(net, payment.account_provider_id, hold, HoldResponse)
-        if response is None:
+        if not request:
             return deny(DenialReason.UNKNOWN_ACCOUNT, "account provider unreachable")
-        if response.hold_nonce != hold_nonce:
-            return deny(DenialReason.BAD_SIGNATURE, "hold response nonce mismatch")
-        if not response.ok:
-            return deny(response.reason, "account provider refused the hold")
+        self.holds[hold_nonce] = Hold(
+            sender, payment.account_provider_id, msg.charge_amount, msg.dual.oi_digest
+        )
+        return request
 
+    def _on_hold_response(self, sender: str, response: HoldResponse, covered, now: int) -> Outbound:
+        """Mint the token of a placed hold, or pass the hold's refusal on."""
+        hold = self.holds.get(response.hold_nonce)
+        asked = hold is not None and hold.account_provider == sender
+        if not self._answers(response, asked and hold.phase == HoldPhase.HOLDING, sender, covered):
+            return []
+        if not response.ok:
+            del self.holds[response.hold_nonce]
+            detail = "account provider refused the hold"
+            return self._deny(hold.provider, hold.oi_digest, response.reason, detail)
         token, _ = build_signed(
             CaptureToken,
             self.identity,
             token_id=self._nonce(),
-            provider_id=sender,
-            charge_amount=msg.charge_amount,
+            provider_id=hold.provider,
+            charge_amount=hold.charge,
+            oi_digest=hold.oi_digest,
         )
-        self.tokens[token.token_id] = MintedToken(
-            sender, payment.account_provider_id, hold_nonce, msg.charge_amount
-        )
-        return [(sender, codec.encode(AuthOutcome(token=token, reason=None)))]
+        hold.phase, hold.token_id = HoldPhase.MINTED, token.token_id
+        outcome = AuthOutcome(oi_digest=hold.oi_digest, token=token, reason=None)
+        return [(hold.provider, codec.encode(outcome))]
 
     def _on_capture_request(
-        self, sender: str, request: CaptureRequest, covered, now: int, net
+        self, sender: str, request: CaptureRequest, covered, now: int
     ) -> Outbound:
-        """Settle the minted token the request names by id, exactly once."""
+        """Ask for the settlement of the minted token the request names by id,
+        exactly once; a repeat while it is asked for is not answered."""
 
         def refuse(reason: DenialReason, detail: str) -> Outbound:
-            self._note(f"capture refused ({reason.name}): {detail}")
-            return self._maced_reply(sender, CaptureResponse, reason=reason)
+            return self._capture_answer(sender, request.token_id, reason, detail)
 
         if not self._authentic(request, sender, covered):
             return refuse(DenialReason.BAD_SIGNATURE, "provider MAC fails")
-        token = self.tokens.get(request.token_id)
-        if token is None or token.provider != sender:
+        found = next(
+            ((n, h) for n, h in self.holds.items() if h.token_id == request.token_id), None
+        )
+        if found is None or found[1].provider != sender:
             return refuse(DenialReason.BAD_SIGNATURE, "no token minted here for this provider")
-        if token.spent:
+        hold_nonce, hold = found
+        if hold.phase == HoldPhase.SETTLING:
+            self._note("repeat of a capture being settled ignored")
+            return []
+        if hold.phase == HoldPhase.SPENT:
             return refuse(DenialReason.REPLAY, "token already spent")
-
-        settle = self._maced_for(token.account_provider, SettleRequest, hold_nonce=token.hold_nonce)
-        response = self._exchange(net, token.account_provider, settle, SettleResponse)
-        if response is None:
+        settle = self._maced_to(hold.account_provider, SettleRequest, hold_nonce=hold_nonce)
+        if not settle:
             return refuse(DenialReason.UNKNOWN_ACCOUNT, "account provider unreachable")
-        if response.hold_nonce != token.hold_nonce:
-            return refuse(DenialReason.BAD_SIGNATURE, "settle response nonce mismatch")
-        if not response.ok:
-            return refuse(response.reason, "account provider refused settlement")
-        if response.amount != token.charge:
-            return refuse(DenialReason.BAD_SIGNATURE, "settled amount mismatch")
+        hold.phase = HoldPhase.SETTLING
+        return settle
 
-        token.spent = True
-        return self._maced_reply(sender, CaptureResponse, reason=None)
+    def _on_settle_response(
+        self, sender: str, response: SettleResponse, covered, now: int
+    ) -> Outbound:
+        """Answer the capture of a settled hold's token, or refuse it."""
+        hold = self.holds.get(response.hold_nonce)
+        asked = hold is not None and hold.account_provider == sender
+        if not self._answers(response, asked and hold.phase == HoldPhase.SETTLING, sender, covered):
+            return []
+        reason, detail = response.reason, "account provider refused settlement"
+        if response.ok and response.amount != hold.charge:
+            reason, detail = DenialReason.BAD_SIGNATURE, "settled amount mismatch"
+        hold.phase = HoldPhase.SPENT if reason is None else HoldPhase.MINTED
+        return self._capture_answer(hold.provider, hold.token_id, reason, detail)
 
     _HANDLERS = {
         AuthorizeAndHold: _on_authorize_and_hold,
+        HoldResponse: _on_hold_response,
         CaptureRequest: _on_capture_request,
+        SettleResponse: _on_settle_response,
     }
 
 
@@ -862,17 +906,17 @@ class AccountProvider(_ActorBase):
         identity: KeyPair,
         directory: Mapping[str, bytes],
         config: AccountProviderConfig,
-        rng: Random,
     ) -> None:
-        super().__init__(identity, directory, config, rng)
+        # draws nothing, so it takes no randomness source
+        super().__init__(identity, directory, config)
         self.ledger = Ledger()
         self.seen_hold_nonces: set[bytes] = set()
 
-    def _on_hold_request(self, sender: str, msg: HoldRequest, covered, now: int, net) -> Outbound:
+    def _on_hold_request(self, sender: str, msg: HoldRequest, covered, now: int) -> Outbound:
         """Place the hold under the trust manager's name for it, ``hold_nonce``."""
 
         def respond(reason: DenialReason | None) -> Outbound:
-            return self._maced_reply(sender, HoldResponse, hold_nonce=msg.hold_nonce, reason=reason)
+            return self._maced_to(sender, HoldResponse, hold_nonce=msg.hold_nonce, reason=reason)
 
         if sender not in self.config.trust_managers \
                 or not self._authentic(msg, sender, covered):
@@ -892,11 +936,9 @@ class AccountProvider(_ActorBase):
             return respond(DenialReason.UNKNOWN_ACCOUNT)
         return respond(None)
 
-    def _on_settle_request(
-        self, sender: str, msg: SettleRequest, covered, now: int, net
-    ) -> Outbound:
+    def _on_settle_request(self, sender: str, msg: SettleRequest, covered, now: int) -> Outbound:
         def respond(amount: int, reason: DenialReason | None) -> Outbound:
-            return self._maced_reply(
+            return self._maced_to(
                 sender, SettleResponse, hold_nonce=msg.hold_nonce, amount=amount, reason=reason
             )
 

@@ -550,9 +550,7 @@ def decode(raw: bytes, expected: type[M] | None = None) -> M:
     return _decode_message(data, 0, len(data), expected)[0]
 
 
-def decode_authenticated(
-    raw: bytes, expected: type[M] | None = None
-) -> tuple[M, memoryview | None]:
+def decode_authenticated(raw: bytes) -> tuple[Any, memoryview | None]:
     """Decode one message, and the part of ``raw`` its authenticator covers.
 
     That part is the received type tag and every field before the trailing
@@ -562,7 +560,7 @@ def decode_authenticated(
     large message is not copied; None for a type with no authenticator.
     """
     data = _input(raw)
-    msg, schema, last = _decode_message(data, 0, len(data), expected)
+    msg, schema, last = _decode_message(data, 0, len(data), None)
     if schema.authenticator is None:
         return msg, None
     return msg, memoryview(data)[:last]

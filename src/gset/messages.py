@@ -66,9 +66,15 @@ A hold has one name from request to settlement: the ``hold_nonce`` the
 trust manager draws for its ``HoldRequest``.  The ``HoldResponse`` and the
 ``SettleResponse`` echo it, and the ``SettleRequest`` names the hold to
 settle by it.  The ``CaptureToken`` carries only what its reader, the
-provider, reads: the token id it claims, its own id and the charge.  The
+provider, reads: the token id it claims, its own id, the charge and the
+order digest ``dual.oi_digest`` that binds the charge to its order.  The
 payer's account provider and the hold stay in the trust manager's record of
-the token, so the provider never sees either.
+the hold, so the provider never sees either.
+
+Every leg is a queued message, so each answer names what it answers: the
+``AuthOutcome`` its order by the order digest, the ``HoldResponse`` and
+``SettleResponse`` their hold by its nonce, and the ``CaptureResponse`` its
+token by id.
 
 An ``ObjectUpload`` signature covers the order nonce and the SHA-256 digest
 of each object, not the object bytes (``upload_signing_payload``), so a
@@ -222,11 +228,13 @@ class Ticket:
 
 @canonical_message
 class CaptureToken:
-    """Trust-manager-signed voucher the provider redeems to collect credit."""
+    """Trust-manager-signed voucher the provider redeems to collect credit,
+    for the charge it approved on the order ``oi_digest``."""
 
     token_id: bytes
     provider_id: str
     charge_amount: int
+    oi_digest: Digest
     tm_signature: Signature
 
     def validate(self) -> None:
@@ -315,8 +323,10 @@ class AuthorizeAndHold:
 
 @canonical_message
 class AuthOutcome:
-    """Trust manager's verdict: a capture token, or a precise refusal."""
+    """Trust manager's verdict on the order ``oi_digest``: a capture token, or
+    a precise refusal."""
 
+    oi_digest: Digest
     token: CaptureToken | None
     reason: DenialReason | None
 
@@ -434,6 +444,9 @@ class CaptureRequest:
 
 @canonical_message
 class CaptureResponse:
+    """The token ``token_id`` is settled, or its capture refused for ``reason``."""
+
+    token_id: bytes
     reason: DenialReason | None
     tm_mac: bytes
 
@@ -442,6 +455,7 @@ class CaptureResponse:
         return self.reason is None
 
     def validate(self) -> None:
+        _need_nonce(self.token_id, "token_id")
         _need_mac(self.tm_mac, "tm_mac")
 
 

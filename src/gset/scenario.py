@@ -24,6 +24,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from .actors import (
     AccountProvider,
     AccountProviderConfig,
+    HoldPhase,
     ProviderConfig,
     ProviderPhase,
     RequesterConfig,
@@ -202,7 +203,6 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         keys[config.account_provider_id],
         directory,
         AccountProviderConfig(trust_managers=frozenset({config.trust_manager_id})),
-        Random(f"{config.seed}/{config.account_provider_id}"),
     )
     account_provider.ledger.open_account(account_ref, config.credit_limit)
 
@@ -388,7 +388,7 @@ def run_storage_scenario(
         expected_price=config.expected_price,
         holds_created=ledger.holds_created(),
         settle_count=ledger.settle_count,
-        tokens_minted=len(trust_manager.tokens),
+        tokens_minted=sum(h.phase >= HoldPhase.MINTED for h in trust_manager.holds.values()),
         grants_issued=sum(o.phase >= ProviderPhase.GRANTED for o in sold),
         objects_retrieved=sum(len(o.retrieved) for o in bought),
         retrieval_mismatches=mismatches,

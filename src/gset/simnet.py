@@ -1,9 +1,10 @@
 """Deterministic simulated network with an interposable adversary.
 
-One FIFO queue, one delivery per tick.  Synchronous exchanges made through
-``net.call`` run nested inside the parent delivery and share its tick, so
-a transcript is a faithful, replayable record of every byte that moved,
-including the legs the adversary touched.
+One FIFO queue, one delivery per tick.  Every leg, the server-to-server
+ones included, is a message an actor's ``deliver`` returns and the queue
+delivers later; nothing runs nested inside another delivery.  So a
+transcript is a faithful, replayable record of every byte that moved, in
+the order it moved, including the legs the adversary touched.
 
 The adversary operates strictly on encoded bytes.  It can observe, flip
 bits, duplicate, or swallow messages; it cannot forge signatures or MACs
@@ -31,7 +32,7 @@ class SimnetError(Exception):
 class Actor(Protocol):
     subject_id: str
 
-    def deliver(self, sender: str, raw: bytes, now: int, net) -> list[tuple[str, bytes]]: ...
+    def deliver(self, sender: str, raw: bytes, now: int) -> list[tuple[str, bytes]]: ...
     def state_bytes(self) -> bytes: ...
 
 
@@ -258,89 +259,14 @@ class Transcript:
 
 
 class _NetHandle:
-    """The ``net`` object an actor sees: calls are attributed to its owner."""
+    """An empty stub: no delivery runs inside another.
 
-    def __init__(self, runner: "_Runner", owner_id: str) -> None:
-        self._runner = runner
-        self._owner_id = owner_id
+    ``perfbench/tracing.py`` wraps ``_NetHandle.call`` as its
+    ``simnet.net_call`` span, which therefore never opens; delete this class
+    together with that entry.
+    """
 
-    def call(self, dest_id: str, raw: bytes) -> bytes | None:
-        return self._runner.call(self._owner_id, dest_id, raw)
-
-
-class _Runner:
-    def __init__(
-        self,
-        endpoints: Mapping[str, Actor],
-        adversary: Adversary | None,
-        rng: Random | None,  # the adversary's; None without one
-    ) -> None:
-        self.endpoints = dict(endpoints)
-        self.adversary = adversary
-        self.rng = rng
-        self.queue: deque[tuple[str, str, bytes]] = deque()
-        self.records: list[TranscriptRecord] = []
-        self.tick = 0
-
-    def _interpose(self, frm: str, to: str, payload: bytes) -> tuple[str, bytes | None]:
-        if self.adversary is None:
-            return ("", payload)
-        action, delivered, inject = self.adversary.act(payload, self.rng)
-        for extra in inject:
-            self.queue.append((frm, to, extra))
-        return (action, delivered)
-
-    def _record(self, frm: str, to: str, payload: bytes, action: str, error: str) -> int:
-        self.records.append(
-            TranscriptRecord(
-                tick=self.tick, from_id=frm, to_id=to,
-                payload=payload, action=action, error=error,
-            )
-        )
-        return len(self.records) - 1
-
-    def _deliver(self, frm: str, to: str, payload: bytes) -> list[tuple[str, bytes]] | None:
-        """Shared delivery path; returns the actor's outbound list, or None."""
-        action, delivered = self._interpose(frm, to, payload)
-        if delivered is None:
-            self._record(frm, to, payload, action, "")
-            return None
-        actor = self.endpoints.get(to)
-        if actor is None:
-            self._record(frm, to, delivered, action, f"no endpoint {to!r}")
-            return None
-        index = self._record(frm, to, delivered, action, "")
-        try:
-            return actor.deliver(frm, delivered, self.tick, _NetHandle(self, to))
-        except Exception as exc:  # actors should never raise; keep the run honest
-            self.records[index] = replace(
-                self.records[index], error=f"{type(exc).__name__}: {exc}"
-            )
-            return None
-
-    def dispatch(self, frm: str, to: str, payload: bytes) -> None:
-        out = self._deliver(frm, to, payload)
-        for dest, raw in out or []:
-            self.queue.append((to, dest, raw))
-
-    def call(self, frm: str, to: str, payload: bytes) -> bytes | None:
-        out = self._deliver(frm, to, payload)
-        if out is None:
-            return None
-        response: bytes | None = None
-        for dest, raw in out:
-            if dest == frm and response is None:
-                response = raw
-            else:
-                self.queue.append((to, dest, raw))
-        if response is None:
-            return None
-        action, delivered = self._interpose(to, frm, response)
-        if delivered is None:
-            self._record(to, frm, response, action, "")
-            return None
-        self._record(to, frm, delivered, action, "")
-        return delivered
+    call = None
 
 
 def run_scenario(
@@ -352,27 +278,43 @@ def run_scenario(
 ) -> Transcript:
     """Pump the queue until empty or out of ticks; returns the transcript.
 
-    Every delivery, drop, tamper, and nested synchronous exchange lands in
-    the transcript in execution order.  Nested exchanges share the tick of
-    the delivery they ran inside.
+    Every delivery, drop and tamper lands in the transcript in execution
+    order, one delivery per tick.  A copy the adversary injects is queued
+    before what the receiving actor sends.
     """
     rng = None
     if adversary is not None:
         rng = adversary.rng if adversary.rng is not None else Random(f"{seed}/adversary")
-    runner = _Runner(endpoints, adversary, rng)
-    for wire in initial:
-        runner.queue.append((wire.from_id, wire.to_id, wire.payload))
-    while runner.queue and runner.tick < max_ticks:
-        runner.tick += 1
-        frm, to, payload = runner.queue.popleft()
-        runner.dispatch(frm, to, payload)
+    queue = deque((wire.from_id, wire.to_id, wire.payload) for wire in initial)
+    records: list[TranscriptRecord] = []
+    tick = 0
+    while queue and tick < max_ticks:
+        tick += 1
+        frm, to, payload = queue.popleft()
+        action, delivered = "", payload
+        if adversary is not None:
+            action, delivered, inject = adversary.act(payload, rng)
+            queue.extend((frm, to, extra) for extra in inject)
+        actor = endpoints.get(to)
+        if delivered is None or actor is None:
+            error = "" if delivered is None else f"no endpoint {to!r}"
+            kept = payload if delivered is None else delivered
+            records.append(TranscriptRecord(tick, frm, to, kept, action, error))
+            continue
+        records.append(TranscriptRecord(tick, frm, to, delivered, action, ""))
+        try:
+            out = actor.deliver(frm, delivered, tick)
+        except Exception as exc:  # actors should never raise; keep the run honest
+            records[-1] = replace(records[-1], error=f"{type(exc).__name__}: {exc}")
+            continue
+        queue.extend((to, dest, raw) for dest, raw in out)
     meta = TranscriptMeta(
         seed=seed,
         max_ticks=max_ticks,
         adversary_spec=adversary.spec if adversary is not None else "none",
         initial=tuple(initial),
     )
-    return Transcript(meta=meta, records=tuple(runner.records))
+    return Transcript(meta=meta, records=tuple(records))
 
 
 # --- replay-and-compare ------------------------------------------------------------

@@ -110,7 +110,7 @@ def gen_ticket(rng: Random) -> Ticket:
 
 
 def gen_capture_token(rng: Random) -> CaptureToken:
-    return CaptureToken(nonce(rng), label(rng), u64(rng, 1), gen_signature(rng))
+    return CaptureToken(nonce(rng), label(rng), u64(rng, 1), gen_digest(rng), gen_signature(rng))
 
 
 def gen_price_request(rng: Random) -> PriceRequest:
@@ -141,8 +141,8 @@ def gen_denial_reason(rng: Random) -> DenialReason:
 
 def gen_auth_outcome(rng: Random) -> AuthOutcome:
     if rng.random() < 0.5:
-        return AuthOutcome(gen_capture_token(rng), None)
-    return AuthOutcome(None, gen_denial_reason(rng))
+        return AuthOutcome(gen_digest(rng), gen_capture_token(rng), None)
+    return AuthOutcome(gen_digest(rng), None, gen_denial_reason(rng))
 
 
 def gen_auth_decision(rng: Random) -> AuthDecision:
@@ -179,8 +179,8 @@ def gen_capture_request(rng: Random) -> CaptureRequest:
 
 def gen_capture_response(rng: Random) -> CaptureResponse:
     if rng.random() < 0.5:
-        return CaptureResponse(None, gen_mac(rng))
-    return CaptureResponse(gen_denial_reason(rng), gen_mac(rng))
+        return CaptureResponse(nonce(rng), None, gen_mac(rng))
+    return CaptureResponse(nonce(rng), gen_denial_reason(rng), gen_mac(rng))
 
 
 def gen_hold_request(rng: Random) -> HoldRequest:

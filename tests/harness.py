@@ -1,8 +1,18 @@
-"""Shared test rig: the four actors of a built scenario, and a simnet call handle."""
+"""Shared test rig: the four actors of a built scenario, and a way to run
+the servers' legs through the simnet's queue."""
 from __future__ import annotations
 
-from gset import Adversary, AdversaryMode, Scenario, ScenarioConfig, build_scenario, peek_type
-from gset.simnet import _NetHandle, _Runner
+from gset import (
+    Adversary,
+    AdversaryMode,
+    Scenario,
+    ScenarioConfig,
+    TranscriptRecord,
+    WireMessage,
+    build_scenario,
+    peek_type,
+    run_scenario,
+)
 
 # build_actors keyword -> the ScenarioConfig field it sets
 _FIELDS = {
@@ -24,19 +34,25 @@ class ActorSet:
         self.ap = scenario.account_provider
         self.registry = scenario.endpoints
 
-    def net(self, caller_id: str, now: int = 0, drop: str | None = None) -> _NetHandle:
-        """The simnet's own call path at tick ``now``: with no adversary, or
-        with one that drops the first message of type ``drop``."""
+    def run(
+        self, sender: str, to: str, raw: bytes, drop: str | None = None
+    ) -> tuple[TranscriptRecord, ...]:
+        """Deliver ``raw`` from ``sender`` to ``to`` on ``run_scenario``'s queue,
+        then every message the servers send in turn, until the queue is empty.
+
+        The requester takes no part: what is sent to it is recorded with a
+        "no endpoint" error and not delivered, so a test plays its steps.
+        With ``drop``, the first message of that type is dropped.  Returns the
+        run's records, the delivery of ``raw`` first.
+        """
+        servers = {k: v for k, v in self.registry.items() if k != self.sr.subject_id}
         adversary = None if drop is None else Adversary(mode=AdversaryMode.DROP, target=drop)
-        runner = _Runner(self.registry, adversary, None)
-        runner.tick = now
-        return _NetHandle(runner, caller_id)
+        return run_scenario(servers, [WireMessage(sender, to, raw)], adversary).records
 
 
-def recorded(net: _NetHandle, tag: str) -> list[bytes]:
-    """The payloads of type ``tag`` among the calls made through ``net``, as
-    its runner recorded them (a dropped message included)."""
-    return [r.payload for r in net._runner.records if peek_type(r.payload) == tag]
+def recorded(records, tag: str) -> list[bytes]:
+    """The payloads of type ``tag`` among ``records``, a dropped one included."""
+    return [r.payload for r in records if peek_type(r.payload) == tag]
 
 
 def build_actors(**knobs) -> ActorSet:

@@ -1,4 +1,4 @@
-"""Behavior of the four principals, driven through ``deliver`` and the simnet's calls."""
+"""Behavior of the four principals, driven through ``deliver`` and the simnet's queue."""
 from __future__ import annotations
 
 import dataclasses
@@ -51,7 +51,7 @@ from gset import (
     verify,
     verify_signed,
 )
-from gset.actors import ProviderPhase, RequesterPhase
+from gset.actors import HoldPhase, ProviderPhase, RequesterPhase
 from gset.messages import object_digests, upload_signing_payload
 
 from genmsg import flip_bit
@@ -84,33 +84,33 @@ def authorization(actors, quantity: int = 5, now: int = 0) -> bytes:
     return raw
 
 
-def decide(actors, auth: bytes, now: int = 0, net=None) -> AuthDecision:
-    """The provider's decision on ``auth``, its relay going through ``net``."""
-    [(dest, raw)] = actors.sp.deliver("SR", auth, now, net)
-    assert dest == "SR"
+def decide(actors, auth: bytes) -> AuthDecision:
+    """The provider's decision on ``auth``, its relay to the trust manager and
+    the hold run on the simnet's queue."""
+    [raw] = recorded(actors.run("SR", "SP", auth), "AuthDecision")
     return codec.decode(raw, AuthDecision)
 
 
 def relay_of(actors, quantity: int = 5, now: int = 0) -> bytes:
     """The provider's AuthorizeAndHold for a fresh authorization, taken off
-    its call before it reaches the trust manager."""
-    net = actors.net("SP", now, drop="AuthorizeAndHold")
-    assert actors.sp.deliver("SR", authorization(actors, quantity, now), now, net) == []
-    [relay] = recorded(net, "AuthorizeAndHold")
+    the queue before it reaches the trust manager."""
+    records = actors.run("SR", "SP", authorization(actors, quantity, now), drop="AuthorizeAndHold")
+    [relay] = recorded(records, "AuthorizeAndHold")
     return relay
 
 
-def outcome_of(tm, relay: bytes, net, sender: str = "SP") -> AuthOutcome:
-    """The trust manager ``tm``'s answer to ``relay`` presented by ``sender``."""
-    [(dest, raw)] = tm.deliver(sender, relay, 0, net)
-    assert dest == sender
-    return codec.decode(raw, AuthOutcome)
+def outcome_of(actors, relay: bytes, sender: str = "SP") -> AuthOutcome:
+    """The outcome the actor registered as the trust manager sends for
+    ``relay`` presented by ``sender``, its hold run on the simnet's queue."""
+    [record] = [r for r in actors.run(sender, "TM", relay) if peek_type(r.payload) == "AuthOutcome"]
+    assert record.to_id == sender
+    return codec.decode(record.payload, AuthOutcome)
 
 
 def approved_outcome(actors, quantity: int = 5, now: int = 0):
     """A relay of a fresh authorization and the trust manager's outcome for it."""
     relay = relay_of(actors, quantity, now)
-    return relay, outcome_of(actors.tm, relay, actors.net("TM", now))
+    return relay, outcome_of(actors, relay)
 
 
 def upload_for(actors, order_nonce: bytes) -> ObjectUpload:
@@ -123,13 +123,13 @@ def upload_for(actors, order_nonce: bytes) -> ObjectUpload:
 
 
 def decide_then_upload(actors, quantity: int = 5, now: int = 0):
-    """The SP relays a fresh authorization to the TM by call and answers the
-    requester, then receives the requester's signed upload.
+    """The SP relays a fresh authorization to the TM and answers the
+    requester on its outcome, then receives the requester's signed upload.
 
     Returns the SP's decision and its answer to the upload.
     """
     auth = authorization(actors, quantity, now)
-    decision = decide(actors, auth, now, actors.net("SP", now))
+    decision = decide(actors, auth)
     upload = upload_for(actors, codec.decode(auth, AuthorizationRequest).order_info.order_nonce)
     return decision, actors.sp.deliver("SR", codec.encode(upload), now + 1)
 
@@ -140,29 +140,25 @@ def granted(actors, quantity: int = 5) -> ServiceGrant:
     return codec.decode(raw, ServiceGrant)
 
 
-def complete(actors, grant: ServiceGrant, now: int = 2):
-    """Deliver the requester's completion of ``grant`` to the provider.
-
-    Returns the capture call the provider makes: its request, as bytes, and
-    the trust manager's response.
-    """
+def capture_run(actors, grant: ServiceGrant, drop: str | None = None):
+    """Deliver the requester's completion of ``grant`` to the provider and run
+    the capture that follows on the simnet's queue; returns its records."""
     _, raw = build_signed(ServiceComplete, actors.sr.identity, order_nonce=grant.order_nonce)
-    net = actors.net("SP", now)
-    assert actors.sp.deliver("SR", raw, now, net) == []
-    [request] = recorded(net, "CaptureRequest")
-    [response] = recorded(net, "CaptureResponse")
+    return actors.run("SR", "SP", raw, drop=drop)
+
+
+def complete(actors, grant: ServiceGrant):
+    """The capture of ``grant``: the provider's request, as bytes, and the
+    trust manager's response."""
+    records = capture_run(actors, grant)
+    [request] = recorded(records, "CaptureRequest")
+    [response] = recorded(records, "CaptureResponse")
     return request, codec.decode(response, CaptureResponse)
 
 
 def receivable(actors) -> int:
     """The charges of the provider's captured orders."""
     return sum(o.charge for o in actors.sp.orders.values() if o.phase == ProviderPhase.CAPTURED)
-
-
-def hold_token(actors, token) -> None:
-    """Put ``token`` in place of the one token the provider holds."""
-    [order] = [o for o in actors.sp.orders.values() if o.phase >= ProviderPhase.APPROVED]
-    order.token_id, order.charge = token.token_id, token.charge_amount
 
 
 # --- one way in ---------------------------------------------------------------
@@ -192,7 +188,7 @@ def test_deliver_is_the_only_way_into_an_actor(cls, extra):
 RECORDED = {
     "SR": {"pending_usage", "orders"},
     "SP": {"issued_quotes", "denials", "orders", "stored_objects"},
-    "TM": {"seen_payment_nonces", "denials", "tokens"},
+    "TM": {"seen_payment_nonces", "denials", "holds"},
     "AP": {"ledger", "seen_hold_nonces"},
 }
 
@@ -205,7 +201,7 @@ def test_each_actor_records_its_state_in_these_attributes(actor_id):
 
 def _denied(actors) -> None:
     # a charge of 70 is over the default limit of 60
-    decide(actors, authorization(actors, 7), net=actors.net("SP"))
+    decide(actors, authorization(actors, 7))
 
 
 # Each provider phase, reached through the protocol from fresh actors.
@@ -214,7 +210,49 @@ TO_PROVIDER_PHASE = {
     ProviderPhase.DENIED: _denied,
     ProviderPhase.APPROVED: lambda actors: approved_order_nonces(actors, 1),
     ProviderPhase.GRANTED: granted,
+    ProviderPhase.CAPTURING: lambda actors: capture_run(actors, granted(actors), "CaptureResponse"),
     ProviderPhase.CAPTURED: lambda actors: complete(actors, granted(actors)),
+}
+
+# Each trust manager hold phase, reached likewise; returns the records of
+# the run that reached it.
+TO_HOLD_PHASE = {
+    HoldPhase.HOLDING: lambda actors: actors.run("SP", "TM", relay_of(actors), drop="HoldRequest"),
+    HoldPhase.MINTED: lambda actors: actors.run("SP", "TM", relay_of(actors)),
+    HoldPhase.SETTLING: lambda actors: capture_run(actors, granted(actors), "SettleRequest"),
+    HoldPhase.SPENT: lambda actors: capture_run(actors, granted(actors)),
+}
+
+# (sender, bytes) of each message to the provider about its order ``nonce``.
+# The two from the trust manager are the refusals a replayed relay or
+# capture draws, arriving after the approval or the settlement.
+TO_PROVIDER = {
+    "ObjectUpload": lambda actors, nonce, order: ("SR", codec.encode(upload_for(actors, nonce))),
+    "ServiceComplete": lambda actors, nonce, order: (
+        "SR", build_signed(ServiceComplete, actors.sr.identity, order_nonce=nonce)[1]
+    ),
+    "AuthOutcome": lambda actors, nonce, order: (
+        "TM", codec.encode(AuthOutcome(order.oi_digest, None, DenialReason.REPLAY))
+    ),
+    "CaptureResponse": lambda actors, nonce, order: ("TM", actors.tm._maced_to(
+        "SP", CaptureResponse, token_id=order.token_id, reason=DenialReason.REPLAY
+    )[0][1]),
+}
+
+# (sender, bytes) of each message to the trust manager about the hold
+# ``nonce``: the request that reached the phase again, or what the account
+# provider answers a replayed hold or settle request.
+TO_TRUST_MANAGER = {
+    "AuthorizeAndHold": lambda actors, nonce, records: (
+        "SP", recorded(records, "AuthorizeAndHold")[0]
+    ),
+    "CaptureRequest": lambda actors, nonce, records: ("SP", recorded(records, "CaptureRequest")[0]),
+    "HoldResponse": lambda actors, nonce, records: ("AP", actors.ap._maced_to(
+        "TM", HoldResponse, hold_nonce=nonce, reason=DenialReason.REPLAY
+    )[0][1]),
+    "SettleResponse": lambda actors, nonce, records: ("AP", actors.ap._maced_to(
+        "TM", SettleResponse, hold_nonce=nonce, amount=0, reason=DenialReason.REPLAY
+    )[0][1]),
 }
 
 REFUSED_IN_PHASE = [
@@ -225,39 +263,52 @@ REFUSED_IN_PHASE = [
     ("ServiceComplete", ProviderPhase.RELAYED, "completion for unknown grant"),
     ("ServiceComplete", ProviderPhase.DENIED, "completion for unknown grant"),
     ("ServiceComplete", ProviderPhase.APPROVED, "completion for unknown grant"),
+    ("ServiceComplete", ProviderPhase.CAPTURING, "capture already pending"),
     ("ServiceComplete", ProviderPhase.CAPTURED, "grant already captured"),
-    ("CaptureRequest", "spent", "capture refused (REPLAY): token already spent"),
+    ("AuthOutcome", ProviderPhase.APPROVED, "AuthOutcome answers no pending request"),
+    ("CaptureResponse", ProviderPhase.CAPTURED, "CaptureResponse answers no pending request"),
+    # at the trust manager (hold phases, lower case in the ids): a repeat
+    # while its first copy is pending draws no answer and no second request
+    ("AuthorizeAndHold", HoldPhase.HOLDING, "repeat of an authorization on hold ignored"),
+    ("CaptureRequest", HoldPhase.SETTLING, "repeat of a capture being settled ignored"),
+    ("CaptureRequest", HoldPhase.SPENT, "capture refused (REPLAY): token already spent"),
+    ("HoldResponse", HoldPhase.MINTED, "HoldResponse answers no pending request"),
+    ("SettleResponse", HoldPhase.SPENT, "SettleResponse answers no pending request"),
 ]
+
+
+def _phase_id(phase) -> str:
+    return phase.name if isinstance(phase, ProviderPhase) else phase.name.lower()
 
 
 @pytest.mark.parametrize(
     "tag, phase, note", REFUSED_IN_PHASE,
-    ids=[f"{tag}-{getattr(phase, 'name', phase)}" for tag, phase, _ in REFUSED_IN_PHASE],
+    ids=[f"{tag}-{_phase_id(phase)}" for tag, phase, _ in REFUSED_IN_PHASE],
 )
 def test_a_message_its_order_phase_refuses_changes_nothing(tag, phase, note):
     actors = build_actors()
-    if tag == "CaptureRequest":
-        request, _ = complete(actors, granted(actors))
-        [token] = actors.tm.tokens.values()
-        net = actors.net("TM", 3)
-        refusal = actors.tm._maced_for("SP", CaptureResponse, reason=DenialReason.REPLAY)[1]
-        assert actors.tm.deliver("SP", request, 3, net) == [("SP", refusal)]
-        assert actors.tm.notes[-1] == note
-        assert token.spent
-        assert net._runner.records == []
-        return
-    TO_PROVIDER_PHASE[phase](actors)
-    [(order_nonce, order)] = actors.sp.orders.items()
-    assert order.phase == phase
-    if tag == "ObjectUpload":
-        raw = codec.encode(upload_for(actors, order_nonce))
+    if isinstance(phase, HoldPhase):
+        records = TO_HOLD_PHASE[phase](actors)
+        receiver, [(key, record)] = actors.tm, actors.tm.holds.items()
+        sender, raw = TO_TRUST_MANAGER[tag](actors, key, records)
     else:
-        _, raw = build_signed(ServiceComplete, actors.sr.identity, order_nonce=order_nonce)
-    net = actors.net("SP", 3)
-    assert actors.sp.deliver("SR", raw, 3, net) == []
-    assert actors.sp.notes[-1] == note
-    assert order.phase == phase
-    assert net._runner.records == []
+        TO_PROVIDER_PHASE[phase](actors)
+        receiver, [(key, record)] = actors.sp, actors.sp.orders.items()
+        sender, raw = TO_PROVIDER[tag](actors, key, record)
+    assert record.phase == phase
+    books, noted = actors.ap.state_bytes(), len(receiver.notes)
+    records = actors.run(sender, receiver.subject_id, raw)
+    assert receiver.notes[noted:] == [note]
+    assert record.phase == phase
+    assert actors.ap.state_bytes() == books
+    answers = [(r.to_id, r.payload) for r in records[1:]]
+    if (tag, phase) == ("CaptureRequest", HoldPhase.SPENT):
+        # the one refusal that is an answer: a spent token's capture
+        assert answers == actors.tm._maced_to(
+            "SP", CaptureResponse, token_id=record.token_id, reason=DenialReason.REPLAY
+        )
+    else:
+        assert answers == []
 
 
 # --- price discovery --------------------------------------------------------
@@ -380,10 +431,12 @@ def test_dual_signature_binds_order_and_payment():
 def test_valid_authorization_becomes_hold_instruction_at_quoted_price():
     actors = build_actors()
     auth = authorization(actors, 5, now=1)
-    net = actors.net("SP", 1)
-    assert decide(actors, auth, 1, net).approved
-    [raw] = recorded(net, "AuthorizeAndHold")
-    relay, covered = codec.decode_authenticated(raw, AuthorizeAndHold)
+    records = actors.run("SR", "SP", auth)
+    [decision] = recorded(records, "AuthDecision")
+    assert codec.decode(decision, AuthDecision).approved
+    [raw] = recorded(records, "AuthorizeAndHold")
+    relay, covered = codec.decode_authenticated(raw)
+    assert isinstance(relay, AuthorizeAndHold)
     assert relay.charge_amount == 50
     # MAC'd under the provider-to-trust-manager key, which no one else's is
     assert actors.tm._authentic(relay, "SP", covered)
@@ -399,13 +452,13 @@ def test_relay_encoding_carries_no_usage_strings():
 
 
 def _refused_authorization(actors, auth: AuthorizationRequest, now: int, reason) -> None:
-    # the provider answers with a refusal and relays nothing
-    net = actors.net("SP", now)
-    decision = decide(actors, codec.encode(auth), now, net)
+    # the provider answers with a refusal at tick ``now`` and relays nothing
+    [(dest, raw)] = actors.sp.deliver("SR", codec.encode(auth), now)
+    decision = codec.decode(raw, AuthDecision)
+    assert dest == "SR"
     assert decision.order_nonce == auth.order_info.order_nonce
     assert not decision.approved
     assert actors.sp.denials[-1] == reason
-    assert net._runner.records == []
 
 
 def test_tampered_order_info_denied_as_bad_signature():
@@ -443,11 +496,10 @@ def test_expired_quote_denied_at_provider():
 def test_duplicate_authorization_is_ignored_not_answered():
     actors = build_actors()
     auth = authorization(actors, 5, now=1)
-    assert decide(actors, auth, 1, actors.net("SP", 1)).approved
-    again = actors.net("SP", 1)
-    assert actors.sp.deliver("SR", auth, 1, again) == []
+    assert decide(actors, auth).approved
+    # nothing relayed, nothing answered
+    assert actors.run("SR", "SP", auth)[1:] == ()
     assert actors.sp.notes[-1] == "duplicate authorization for an accepted order ignored"
-    assert again._runner.records == []
 
 
 # --- trust manager authorization ----------------------------------------------
@@ -485,7 +537,7 @@ def test_same_hold_instruction_twice_is_replay():
     actors = build_actors()
     relay, first = approved_outcome(actors, quantity=5)
     assert first.approved
-    second = outcome_of(actors.tm, relay, actors.net("TM"))
+    second = outcome_of(actors, relay)
     assert not second.approved
     assert second.reason == DenialReason.REPLAY
     digest = hash_bytes(actors.scenario.account_ref.encode())
@@ -496,17 +548,17 @@ def test_same_hold_instruction_twice_is_replay():
 def test_relay_presented_by_anyone_but_its_signer_is_refused():
     # the provider's identity on a relay is its signature's signer, nothing else
     actors = build_actors()
-    outcome = outcome_of(actors.tm, relay_of(actors, 5), actors.net("TM"), sender="SR")
+    outcome = outcome_of(actors, relay_of(actors, 5), sender="SR")
     assert outcome.reason == DenialReason.BAD_SIGNATURE
     assert actors.ap.ledger.holds_created() == 0
-    assert actors.tm.tokens == {}
+    assert actors.tm.holds == {}
 
 
 def test_denied_attempt_still_burns_the_payment_nonce():
     actors = build_actors(limit=200, credit=100)
     relay, outcome = approved_outcome(actors, quantity=15)
     assert outcome.reason == DenialReason.INSUFFICIENT_CREDIT
-    again = outcome_of(actors.tm, relay, actors.net("TM"))
+    again = outcome_of(actors, relay)
     assert again.reason == DenialReason.REPLAY
 
 
@@ -519,32 +571,43 @@ def test_unknown_account_provider_is_denied():
 
 
 def test_unreachable_account_provider_is_denied():
+    # without a key for the account provider, the trust manager cannot ask it
     actors = build_actors()
-    outcome = outcome_of(actors.tm, relay_of(actors, 5, now=1), net=None)
+    relay = relay_of(actors, 5, now=1)
+    del actors.tm.directory["AP"]
+    outcome = outcome_of(actors, relay)
     assert not outcome.approved
     assert outcome.reason == DenialReason.UNKNOWN_ACCOUNT
+    assert actors.tm.notes[-1] == (
+        "authorization denied (UNKNOWN_ACCOUNT): account provider unreachable"
+    )
+    assert actors.tm.holds == {}
 
 
 def test_minted_token_verifies_and_names_the_provider():
     actors = build_actors()
-    _, outcome = approved_outcome(actors, quantity=5)
+    relay, outcome = approved_outcome(actors, quantity=5)
     token = outcome.token
     tm_pub = actors.tm.identity.public_key
     assert token.provider_id == "SP"
     assert verify(tm_pub, codec.signing_payload(token), token.tm_signature)
+    # the signed token and the outcome name the order the relay was for
+    order = codec.decode(relay, AuthorizeAndHold).dual.oi_digest
+    assert token.oi_digest == outcome.oi_digest == order
     # the payer's side stays with the trust manager: its record names the
-    # account provider and the hold, which the ledger keeps under that name
-    record = actors.tm.tokens[token.token_id]
+    # account provider, and the hold is kept under its one name
+    [(hold_nonce, record)] = actors.tm.holds.items()
+    assert record.token_id == token.token_id
     assert record.account_provider == "AP"
     digest = hash_bytes(actors.scenario.account_ref.encode())
-    assert actors.ap.ledger.active_holds(digest) == {record.hold_nonce: 50}
+    assert actors.ap.ledger.active_holds(digest) == {hold_nonce: 50}
 
 
 def test_tm_state_is_clean_after_denial():
     actors = build_actors(limit=60)
     _, outcome = approved_outcome(actors, quantity=7)
     assert not outcome.approved
-    assert actors.tm.tokens == {}
+    assert actors.tm.holds == {}
 
 
 # --- service grant and tickets -------------------------------------------------
@@ -564,7 +627,7 @@ def approved_order_nonces(actors, count: int) -> list[bytes]:
     nonces = []
     for _ in range(count):
         auth = authorization(actors)
-        assert decide(actors, auth, 0, actors.net("SP")).approved
+        assert decide(actors, auth).approved
         nonces.append(codec.decode(auth, AuthorizationRequest).order_info.order_nonce)
     return nonces
 
@@ -663,14 +726,17 @@ def test_forged_token_rejected_with_no_storage():
     impostor = generate_keypair("TM", 999)
     real_tm = actors.tm
 
-    def forging_tm(sender, raw, now, net):
-        # the real verdict, its token re-signed by a key that is not the TM's
-        [(dest, out)] = real_tm.deliver(sender, raw, now, net)
-        token = codec.decode(out, AuthOutcome).token
+    def forging_tm(sender, raw, now):
+        # the real trust manager, its verdict's token re-signed by a key that
+        # is not the TM's
+        [(dest, out)] = real_tm.deliver(sender, raw, now)
+        if peek_type(out) != "AuthOutcome":
+            return [(dest, out)]
+        outcome = codec.decode(out, AuthOutcome)
         forged = dataclasses.replace(
-            token, tm_signature=sign(impostor, codec.signing_payload(token))
+            outcome.token, tm_signature=sign(impostor, codec.signing_payload(outcome.token))
         )
-        return [(dest, codec.encode(AuthOutcome(forged, None)))]
+        return [(dest, codec.encode(dataclasses.replace(outcome, token=forged)))]
 
     actors.registry["TM"] = SimpleNamespace(subject_id="TM", deliver=forging_tm)
     decision, upload_reply = decide_then_upload(actors)
@@ -769,13 +835,13 @@ def test_capturing_the_same_token_twice_fails_with_replay():
     request, first = complete(actors, grant)
     assert first.settled
     # the provider does not claim a captured order's token again
-    _, raw = build_signed(ServiceComplete, actors.sr.identity, order_nonce=grant.order_nonce)
-    assert actors.sp.deliver("SR", raw, 3, actors.net("SP", 3)) == []
+    assert capture_run(actors, grant)[1:] == ()
     assert actors.sp.notes[-1] == "grant already captured"
     # and the trust manager refuses the same request a second time
-    [(dest, again)] = actors.tm.deliver("SP", request, 3, actors.net("TM", 3))
-    second = codec.decode(again, CaptureResponse)
-    assert dest == "SP"
+    [again] = actors.run("SP", "TM", request)[1:]
+    second = codec.decode(again.payload, CaptureResponse)
+    assert again.to_id == "SP"
+    assert second.token_id == first.token_id
     assert not second.settled
     assert second.reason == DenialReason.REPLAY
     digest = hash_bytes(actors.scenario.account_ref.encode())
@@ -798,9 +864,12 @@ def test_token_signed_with_the_tm_key_but_minted_elsewhere_is_refused():
     grant = granted(actors)
     # a second trust manager with the same keys mints a token this one never did
     twin = TrustManager(actors.tm.identity, actors.tm.directory, actors.tm.config, Random("twin/TM"))
-    outcome = outcome_of(twin, relay_of(actors), actors.net("TM"))
+    actors.registry["TM"] = twin
+    outcome = outcome_of(actors, relay_of(actors))
+    actors.registry["TM"] = actors.tm
     assert outcome.approved
-    hold_token(actors, outcome.token)
+    # the granted order now names the twin's token
+    actors.sp.orders[grant.order_nonce].token_id = outcome.token.token_id
     _refused_capture(actors, grant)
 
 
@@ -810,10 +879,10 @@ def _account_provider_naming(actors, other: bytes) -> None:
     the hold ``other`` in place of the one asked about; its ledger is left
     alone."""
 
-    def deliver(sender, raw, now, net):
+    def deliver(sender, raw, now):
         if isinstance(codec.decode(raw), HoldRequest):
-            return actors.ap._maced_reply(sender, HoldResponse, hold_nonce=other, reason=None)
-        return actors.ap._maced_reply(
+            return actors.ap._maced_to(sender, HoldResponse, hold_nonce=other, reason=None)
+        return actors.ap._maced_to(
             sender, SettleResponse, hold_nonce=other, amount=50, reason=None
         )
 
@@ -824,27 +893,29 @@ def test_a_hold_response_naming_another_hold_mints_no_token():
     actors = build_actors()
     relay = relay_of(actors)
     _account_provider_naming(actors, bytes(16))
-    outcome = outcome_of(actors.tm, relay, actors.net("TM"))
-    assert outcome.reason == DenialReason.BAD_SIGNATURE
-    assert actors.tm.notes[-1] == (
-        "authorization denied (BAD_SIGNATURE): hold response nonce mismatch"
-    )
-    assert actors.tm.tokens == {}
+    records = actors.run("SP", "TM", relay)
+    # the response answers nothing pending: the hold stays asked for
+    assert recorded(records, "AuthOutcome") == []
+    assert actors.tm.notes[-1] == "HoldResponse answers no pending request"
+    [hold] = actors.tm.holds.values()
+    assert hold.phase == HoldPhase.HOLDING
+    assert hold.token_id == b""
 
 
 def test_a_settle_response_naming_another_hold_leaves_the_token_unspent():
     actors = build_actors()
     grant = granted(actors)
-    [token] = actors.tm.tokens.values()
+    [(hold_nonce, hold)] = actors.tm.holds.items()
     _account_provider_naming(actors, bytes(16))
-    assert token.hold_nonce != bytes(16)
-    _refused_capture(actors, grant)
-    assert actors.tm.notes[-1] == (
-        "capture refused (BAD_SIGNATURE): settle response nonce mismatch"
-    )
-    assert not token.spent
+    assert hold_nonce != bytes(16)
+    records = capture_run(actors, grant)
+    # the response answers nothing pending: the settlement stays asked for
+    assert recorded(records, "CaptureResponse") == []
+    assert actors.tm.notes[-1] == "SettleResponse answers no pending request"
+    assert hold.phase == HoldPhase.SETTLING
+    assert receivable(actors) == 0
     digest = hash_bytes(actors.scenario.account_ref.encode())
-    assert actors.ap.ledger.active_holds(digest) == {token.hold_nonce: 50}
+    assert actors.ap.ledger.active_holds(digest) == {hold_nonce: 50}
 
 
 def test_capture_request_must_come_from_the_named_provider():
@@ -852,9 +923,9 @@ def test_capture_request_must_come_from_the_named_provider():
     _, outcome = approved_outcome(actors, quantity=5)
 
     def capture(sender: str, raw: bytes) -> CaptureResponse:
-        [(dest, out)] = actors.tm.deliver(sender, raw, 0, actors.net("TM"))
-        assert dest == sender
-        return codec.decode(out, CaptureResponse)
+        [answer] = actors.run(sender, "TM", raw)[1:]
+        assert answer.to_id == sender
+        return codec.decode(answer.payload, CaptureResponse)
 
     token_id = outcome.token.token_id
     request = CaptureRequest(token_id=token_id, provider_mac=b"\x01" * 32)
@@ -874,15 +945,15 @@ def test_a_capture_of_a_token_id_never_minted_is_refused():
     _, outcome = approved_outcome(actors, quantity=5)
     unminted = bytes(16)
     assert unminted != outcome.token.token_id
-    _, raw = actors.sp._maced_for("TM", CaptureRequest, token_id=unminted)
-    [(dest, out)] = actors.tm.deliver("SP", raw, 0, actors.net("TM"))
-    response = codec.decode(out, CaptureResponse)
-    assert dest == "SP"
+    [(_, raw)] = actors.sp._maced_to("TM", CaptureRequest, token_id=unminted)
+    [answer] = actors.run("SP", "TM", raw)[1:]
+    response = codec.decode(answer.payload, CaptureResponse)
+    assert answer.to_id == "SP"
     assert response.reason == DenialReason.BAD_SIGNATURE
     assert actors.tm.notes[-1] == (
         "capture refused (BAD_SIGNATURE): no token minted here for this provider"
     )
-    assert not any(token.spent for token in actors.tm.tokens.values())
+    assert [hold.phase for hold in actors.tm.holds.values()] == [HoldPhase.MINTED]
     assert actors.ap.ledger.settle_count == 0
 
 
@@ -902,6 +973,7 @@ def test_a_capture_names_the_token_of_the_outcome():
     payloads = run_storage_scenario(ScenarioConfig()).transcript.payloads()
     token = _first(payloads, AuthOutcome).token
     assert _first(payloads, CaptureRequest).token_id == token.token_id
+    assert _first(payloads, CaptureResponse).token_id == token.token_id
 
 
 # --- defensive delivery ------------------------------------------------------------
@@ -909,47 +981,48 @@ def test_a_capture_names_the_token_of_the_outcome():
 
 def test_garbage_bytes_are_dropped_with_a_note():
     actors = build_actors()
-    assert actors.sp.deliver("SR", b"\x00\x01\x02", 0, None) == []
+    assert actors.sp.deliver("SR", b"\x00\x01\x02", 0) == []
     assert any("undecodable" in note or "decode" in note for note in actors.sp.notes)
 
 
 def _stray_capture_response(actors):
-    return actors.tm._maced_for("SP", CaptureResponse, reason=None)[1]
+    return actors.tm._maced_to("SP", CaptureResponse, token_id=bytes(16), reason=None)[0][1]
 
 
 def _stray_hold_response(actors):
-    return actors.ap._maced_for(
+    return actors.ap._maced_to(
         "TM", HoldResponse, hold_nonce=bytes(16), reason=None
-    )[1]
+    )[0][1]
 
 
 def _stray_settle_response(actors):
-    return actors.ap._maced_for(
+    return actors.ap._maced_to(
         "TM", SettleResponse, hold_nonce=bytes(16), amount=50, reason=None
-    )[1]
+    )[0][1]
 
 
 @pytest.mark.parametrize(
-    "receiver, sender, make",
+    "receiver, sender, make, note",
     [
         # a quote delivered to the account provider means nothing to it
-        ("ap", "SP", lambda actors: quote_for(actors, 5)),
-        # responses to synchronous calls are never queued; a queued one is
-        # a duplicate or an injection
-        ("sp", "TM", _stray_capture_response),
-        # a genuine outcome arriving outside the call that asked for it
-        ("sp", "TM", lambda actors: codec.encode(approved_outcome(actors)[1])),
-        ("tm", "AP", _stray_hold_response),
-        ("tm", "AP", _stray_settle_response),
+        ("ap", "SP", lambda actors: quote_for(actors, 5), "ignored unexpected PriceQuote from SP"),
+        # an answer naming no request its receiver made
+        ("sp", "TM", _stray_capture_response, "CaptureResponse answers no pending request"),
+        ("tm", "AP", _stray_hold_response, "HoldResponse answers no pending request"),
+        ("tm", "AP", _stray_settle_response, "SettleResponse answers no pending request"),
+        # a genuine outcome whose order has had its answer
+        ("sp", "TM", lambda actors: codec.encode(approved_outcome(actors)[1]),
+         "AuthOutcome answers no pending request"),
     ],
-    ids=["PriceQuote-to-AP", "CaptureResponse-to-SP", "AuthOutcome-to-SP",
-         "HoldResponse-to-TM", "SettleResponse-to-TM"],
+    ids=["PriceQuote-to-AP", "CaptureResponse-to-SP", "HoldResponse-to-TM",
+         "SettleResponse-to-TM", "AuthOutcome-to-SP"],
 )
-def test_unexpected_message_type_is_ignored(receiver, sender, make):
+def test_unexpected_message_type_is_ignored(receiver, sender, make, note):
     actors = build_actors()
     actor = getattr(actors, receiver)
-    assert actor.deliver(sender, make(actors), 0, None) == []
-    assert actor.notes[-1].startswith("ignored unexpected")
+    raw = make(actors)
+    assert actors.run(sender, actor.subject_id, raw)[1:] == ()
+    assert actor.notes[-1] == note
 
 
 def test_state_bytes_are_deterministic():
@@ -1052,8 +1125,10 @@ def test_a_malformed_peer_key_is_a_refusal_not_an_exception():
     relay = relay_of(actors, 5)
     for bad in (b"", b"\x00" * 63, b"\x00" * 64):  # short, and a low-order X25519 point
         directory = {**actors.tm.directory, "SP": bad}
-        tm = TrustManager(actors.tm.identity, directory, actors.tm.config, Random(0))
-        outcome = outcome_of(tm, relay, actors.net("TM"))
+        tm = actors.registry["TM"] = TrustManager(
+            actors.tm.identity, directory, actors.tm.config, Random(0)
+        )
+        outcome = outcome_of(actors, relay)
         assert outcome.reason == DenialReason.BAD_SIGNATURE
         assert tm.pair_keys == {}
 
@@ -1063,8 +1138,8 @@ def test_an_actor_without_a_peer_key_sends_that_peer_nothing():
     _, outcome = approved_outcome(actors, quantity=5)
     del actors.tm.directory["SP"]
     actors.tm.pair_keys.clear()
-    _, raw = actors.sp._maced_for("TM", CaptureRequest, token_id=outcome.token.token_id)
-    assert actors.tm.deliver("SP", raw, 0, actors.net("TM")) == []
+    [(_, raw)] = actors.sp._maced_to("TM", CaptureRequest, token_id=outcome.token.token_id)
+    assert actors.run("SP", "TM", raw)[1:] == ()
     assert actors.tm.notes[-1] == "no MAC key for SP; CaptureResponse not sent"
     assert actors.ap.ledger.settle_count == 0
 

@@ -25,6 +25,7 @@ from gset import (
     SettleResponse,
     Signature,
     UsageDescriptor,
+    hash_bytes,
 )
 from gset.codec import (
     CodecError,
@@ -203,7 +204,7 @@ def test_bool_field_must_be_zero_or_one():
 
 
 def test_enum_field_must_hold_a_known_value():
-    msg = AuthOutcome(None, DenialReason.OVER_LIMIT)
+    msg = AuthOutcome(hash_bytes(b"order"), None, DenialReason.OVER_LIMIT)
     raw = bytearray(encode(msg))
     assert raw.count(struct.pack(">Q", int(DenialReason.OVER_LIMIT))) == 1
     i = raw.find(struct.pack(">Q", int(DenialReason.OVER_LIMIT)))
@@ -381,10 +382,16 @@ def test_token_round_trip_preserves_signature_bytes():
 # its settle_nonce and hold_ref for the hold nonce, the SettleResponse
 # echoes the hold nonce, and the CaptureToken inside the AuthOutcome lost
 # its account_provider_id and hold_ref; only those four types' records
-# changed, with the same routes, ticks and types.
+# changed, with the same routes, ticks and types.  They were re-taken again
+# when every server-to-server leg became a queued message: each record now
+# has a tick of its own (record i at tick i + 1), the AuthOutcome names its
+# order by digest and its token carries that digest too (+72 bytes), and the
+# CaptureResponse names its token (+20 bytes); over seeds 0-39 of the
+# default and the 16 x 64 KiB runs, routes, types, record order and every
+# other payload were as before.
 
-DEFAULT_TRANSCRIPT_SHA256 = "5d5cc9395d962222ed484a40eba722c14b9bf91a9755dfb63ab177edc36b17f4"
-DECODE_OUTCOMES_SHA256 = "d53b97b00470cf823d072412d13c61b24fa7bdd5a5d7b171679d768034dba864"
+DEFAULT_TRANSCRIPT_SHA256 = "5a9568aa69e75a65303a85c4ff1a6a39a37c3defc2c52646843e6d8760b0b7ae"
+DECODE_OUTCOMES_SHA256 = "9e45e2f24d3d202b27c4fc99695a4bd668721dba4efd5617bc3febf6ba8149bc"
 
 
 def _outcome(fn, raw: bytes) -> tuple:

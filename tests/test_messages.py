@@ -38,6 +38,7 @@ import genmsg
 SIG = Signature(bytes=b"s" * 64, signer_id="X")
 MAC = b"m" * 32
 NONCE = bytes(range(16))
+ORDER = hash_bytes(b"order")  # an order digest
 
 
 def _trailing_authenticator(suffix: str) -> set[str]:
@@ -131,14 +132,14 @@ def test_ticket_and_capture_token_rules():
     with pytest.raises(ValidationError):
         Ticket(b"", digest)
 
-    token = CaptureToken(NONCE, "SP", 50, SIG)
+    token = CaptureToken(NONCE, "SP", 50, ORDER, SIG)
     assert token.charge_amount == 50
     with pytest.raises(ValidationError):
-        CaptureToken(NONCE, "SP", 0, SIG)
+        CaptureToken(NONCE, "SP", 0, ORDER, SIG)
     with pytest.raises(ValidationError):
-        CaptureToken(NONCE, "", 50, SIG)
+        CaptureToken(NONCE, "", 50, ORDER, SIG)
     with pytest.raises(ValidationError):
-        CaptureToken(NONCE * 2, "SP", 50, SIG)
+        CaptureToken(NONCE * 2, "SP", 50, ORDER, SIG)
 
 
 def test_price_quote_allows_zero_price_and_expiry():
@@ -162,13 +163,13 @@ def test_authorize_and_hold_requires_positive_charge():
 
 
 def test_auth_outcome_approval_token_coupling():
-    token = CaptureToken(NONCE, "SP", 50, SIG)
-    assert AuthOutcome(token, None).approved
-    assert not AuthOutcome(None, DenialReason.OVER_LIMIT).approved
+    token = CaptureToken(NONCE, "SP", 50, ORDER, SIG)
+    assert AuthOutcome(ORDER, token, None).approved
+    assert not AuthOutcome(ORDER, None, DenialReason.OVER_LIMIT).approved
     with pytest.raises(ValidationError):
-        AuthOutcome(None, None)
+        AuthOutcome(ORDER, None, None)
     with pytest.raises(ValidationError):
-        AuthOutcome(token, DenialReason.OVER_LIMIT)
+        AuthOutcome(ORDER, token, DenialReason.OVER_LIMIT)
 
 
 def test_object_upload_rules():
@@ -192,8 +193,10 @@ def test_redeem_response_payload_coupling():
 
 
 def test_capture_response_reason_coupling():
-    assert CaptureResponse(None, MAC).settled
-    assert not CaptureResponse(DenialReason.REPLAY, MAC).settled
+    assert CaptureResponse(NONCE, None, MAC).settled
+    assert not CaptureResponse(NONCE, DenialReason.REPLAY, MAC).settled
+    with pytest.raises(ValidationError):
+        CaptureResponse(b"short", None, MAC)
 
 
 def test_hold_response_branches():
@@ -248,7 +251,7 @@ def test_the_evidence_tables_name_exactly_the_authenticated_types():
 
 
 def _token_fields() -> dict:
-    return dict(token_id=NONCE, provider_id="SP", charge_amount=50)
+    return dict(token_id=NONCE, provider_id="SP", charge_amount=50, oi_digest=ORDER)
 
 
 def test_build_signed_round_trips_with_verify_signed():

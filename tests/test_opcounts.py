@@ -2,8 +2,8 @@
 
 Signs, verifies, wire records, wire bytes and ticks per run do not depend
 on the machine, so they are gated exactly: a check added to or dropped from
-the protocol, a wire field added back, or a server-to-server exchange moved
-back onto the queue shows here before it shows in any timing.  MACs made
+the protocol, a wire field added back, or a delivery nested inside another
+so that the two share a tick shows here before it shows in any timing.  MACs made
 and checked, and the X25519 agreements behind them, are gated the same way:
 a server-to-server leg back under a signature, or a pairwise key derived
 more than once per peer and run, shows here.  Private-key parses are gated
@@ -58,12 +58,13 @@ def _counts(monkeypatch, config: ScenarioConfig) -> tuple[int, int, int, int, in
 
 
 def test_default_transaction_signs_verifies_and_records(monkeypatch):
-    assert _counts(monkeypatch, ScenarioConfig()) == (7, 8, 21, 3291, 13)
+    # one delivery per tick: as many ticks as records
+    assert _counts(monkeypatch, ScenarioConfig()) == (7, 8, 21, 3383, 21)
 
 
 def test_bulk_transaction_signs_verifies_and_records(monkeypatch):
     config = ScenarioConfig(object_count=16, object_size=65536)
-    assert _counts(monkeypatch, config) == (7, 8, 47, 2_102_074, 39)
+    assert _counts(monkeypatch, config) == (7, 8, 47, 2_102_166, 47)
 
 
 def _mac_counts(monkeypatch, config: ScenarioConfig) -> tuple[int, int, int, int, int]:
@@ -109,12 +110,12 @@ def _bytes_through(monkeypatch, config: ScenarioConfig) -> tuple[int, int, int, 
 # and by the requester at redemption.  No object byte goes through Ed25519
 # or HMAC, and each MAC'd payload is checked once.
 def test_default_transaction_hashes_signs_and_verifies_bytes(monkeypatch):
-    assert _bytes_through(monkeypatch, ScenarioConfig()) == (1326, 662, 694, 721, 721)
+    assert _bytes_through(monkeypatch, ScenarioConfig()) == (1326, 698, 730, 741, 741)
 
 
 def test_bulk_transaction_hashes_signs_and_verifies_bytes(monkeypatch):
     config = ScenarioConfig(object_count=16, object_size=65536)
-    assert _bytes_through(monkeypatch, config) == (3_146_478, 1858, 1890, 721, 721)
+    assert _bytes_through(monkeypatch, config) == (3_146_478, 1894, 1926, 741, 741)
 
 
 class _CountingKeyClass:
