@@ -43,7 +43,7 @@ from random import Random
 from typing import Callable, Mapping
 
 from . import codec
-from .codec import CodecError
+from .codec import Bulk, CodecError
 from .crypto import (
     Digest,
     EnvelopeError,
@@ -120,7 +120,7 @@ def _state_encode(value) -> bytes:
         return _leaf(b"I", value.to_bytes(width, "big", signed=True))
     if isinstance(value, str):
         return _leaf(b"S", value.encode("utf-8"))
-    if isinstance(value, bytes):
+    if isinstance(value, (bytes, memoryview)):  # a view as the same bytes
         return _leaf(b"B", value)
     if is_dataclass(value):
         parts = [_state_encode(getattr(value, name)) for name in _field_names(type(value))]
@@ -285,7 +285,7 @@ class RequesterOrder:
     digests: tuple[Digest, ...] = ()  # what the upload signature committed to
     # ticket_id -> ticket, in grant order: one per uploaded object
     tickets: dict[bytes, Ticket] = field(default_factory=dict)
-    retrieved: dict[bytes, bytes] = field(default_factory=dict)
+    retrieved: dict[bytes, Bulk] = field(default_factory=dict)
     refusals: set[bytes] = field(default_factory=set)  # tickets the provider refused
 
     def awaits(self, ticket_id: bytes) -> bool:
@@ -501,7 +501,7 @@ class ServiceProvider(_ActorBase):
         # order_nonce -> the order; only orders matched to an issued quote
         self.orders: dict[bytes, ProviderOrder] = {}
         # ticket_id -> object, until the ticket is redeemed
-        self.stored_objects: dict[bytes, bytes] = {}
+        self.stored_objects: dict[bytes, Bulk] = {}
 
     def _decide(self, requester: str, order_nonce: bytes, approved: bool) -> Outbound:
         _, raw = build_signed(

@@ -24,7 +24,9 @@ a decoder closure, so no call dispatches on a field's kind.  An encoder
 appends length prefixes and contents to one chunk list, which is joined
 once per message, so a large byte field is copied once rather than once per
 level of framing.  A decoder reads the one input buffer at absolute
-offsets and slices only leaf values.  The wire format is the one above.
+offsets and slices only leaf values, except that a ``Bulk`` leaf is not
+copied at all: it decodes as a read-only view of the received frame, and
+its encoder appends such a view as it is.  The wire format is the one above.
 
 A trailing signature or MAC covers the type tag and every field before it,
 which is the leading part of the message's own encoding.  So
@@ -183,6 +185,16 @@ def _decode_bytes(data: bytes, start: int, stop: int, what: str) -> bytes:
     return data[start:stop]
 
 
+def _encode_bulk(value: Any, out: list, what: str) -> int:
+    if isinstance(value, memoryview) and value.c_contiguous:
+        return _put(value.cast("B"), out)  # a byte view, so len() counts bytes
+    return _encode_bytes(value, out, what)
+
+
+def _decode_bulk(data: bytes, start: int, stop: int, what: str) -> memoryview:
+    return memoryview(data)[start:stop]
+
+
 def _encode_digest(value: Any, out: list, what: str) -> int:
     if not isinstance(value, Digest):
         raise EncodeError(f"{what}: expected Digest")
@@ -292,11 +304,16 @@ def _optional_codec(inner: tuple[Encoder, Decoder]) -> tuple[Encoder, Decoder]:
     return encode_optional, decode_optional
 
 
+# A large byte field: it decodes as a read-only view of the received frame,
+# which ``_input`` has made an immutable ``bytes``, so nothing else writes it.
+Bulk = bytes | memoryview
+
 _LEAVES: dict[Any, tuple[Encoder, Decoder]] = {
     bool: (_encode_bool, _decode_bool),
     int: (_encode_u64, _decode_u64),
     str: (_encode_str, _decode_str),
     bytes: (_encode_bytes, _decode_bytes),
+    Bulk: (_encode_bulk, _decode_bulk),
     Digest: (_encode_digest, _decode_digest),
 }
 
@@ -376,6 +393,17 @@ def _compile_schema(cls: type, tag: str, compiled: list, authenticator: str | No
     )
 
 
+def _bulk_repr(msg: Any) -> str:
+    """The dataclass repr of ``msg`` with each view shown as its bytes: a
+    view's own repr names its address, which differs from run to run."""
+    def shown(value: Any) -> Any:
+        if isinstance(value, tuple):
+            return tuple(map(shown, value))
+        return bytes(value) if isinstance(value, memoryview) else value
+    body = ", ".join(f"{f.name}={shown(getattr(msg, f.name))!r}" for f in dataclasses.fields(msg))
+    return f"{type(msg).__qualname__}({body})"
+
+
 def register_message(cls: type) -> type:
     """Register an existing dataclass with the canonical codec.
 
@@ -404,6 +432,8 @@ def register_message(cls: type) -> type:
             last_name.endswith("_mac") and hints[last_name] is bytes
         ):
             authenticator = last_name
+    if any(Bulk in (tp, *typing.get_args(tp)) for tp in hints.values()):
+        cls.__repr__ = _bulk_repr
     schema = _compile_schema(cls, tag, compiled, authenticator)
     _BY_TAG[tag] = schema
     _BY_CLASS[cls] = schema

@@ -97,7 +97,7 @@ from functools import partial
 from typing import TypeVar
 
 from . import codec
-from .codec import ValidationError, canonical_message
+from .codec import Bulk, ValidationError, canonical_message
 from .crypto import (
     MAC_SIZE,
     Digest,
@@ -360,17 +360,18 @@ class AuthDecision:
 
 @canonical_message
 class ObjectUpload:
-    """Requester ships the payload objects for an approved order."""
+    """Requester ships the payload objects for an approved order.  Decoded,
+    each object is a read-only view of the received frame (``Bulk``)."""
 
     order_nonce: bytes
-    objects: tuple[bytes, ...]
+    objects: tuple[Bulk, ...]
     requester_signature: Signature
 
     def validate(self) -> None:
         _need_nonce(self.order_nonce, "order_nonce")
         _need(len(self.objects) > 0, "upload must contain at least one object")
         for i, obj in enumerate(self.objects):
-            if not (isinstance(obj, bytes) and obj):
+            if not (isinstance(obj, (bytes, memoryview)) and obj):
                 raise ValidationError(f"objects[{i}] must be non-empty")
 
 
@@ -404,11 +405,12 @@ class TicketRedeemResponse:
 
     Stored objects are never empty (see ``ObjectUpload``), so an empty
     payload is unambiguous.  Unsigned: the requester checks the payload
-    against the digest its signed ``ServiceGrant`` ticket commits to.
+    against the digest its signed ``ServiceGrant`` ticket commits to.  Decoded,
+    the payload is a read-only view of the received frame (``Bulk``).
     """
 
     ticket_id: bytes
-    payload: bytes
+    payload: Bulk
 
     @property
     def ok(self) -> bool:

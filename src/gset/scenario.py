@@ -355,10 +355,12 @@ def run_storage_scenario(
         )
     # Compared with the uploaded bytes, not with the requester's own check.
     # An order's tickets are kept in grant order, one per uploaded object.
+    # A retrieved object is a view, which compares with bytes item by item,
+    # so it is compared as bytes.
     mismatches = 0
     for order in bought:
         uploaded = dict(zip(order.tickets, scenario.objects))
-        mismatches += sum(obj != uploaded.get(t) for t, obj in order.retrieved.items())
+        mismatches += sum(bytes(obj) != uploaded.get(t) for t, obj in order.retrieved.items())
     if mismatches:
         failures.append(f"{mismatches} retrieved objects differ from the uploaded ones")
     for account in ledger.snapshot().accounts:

@@ -796,7 +796,8 @@ def test_redeemed_object_failing_its_ticket_digest_is_ignored():
     ]
     responses = [actors.sp.deliver("SR", raw, 3)[0][1] for _, raw in requests]
     genuine = codec.decode(responses[0], TicketRedeemResponse)
-    flipped = genuine.payload[:-1] + bytes([genuine.payload[-1] ^ 1])
+    payload = bytes(genuine.payload)  # decoded, the payload is a view
+    flipped = payload[:-1] + bytes([payload[-1] ^ 1])
     wrong = dataclasses.replace(genuine, payload=flipped)
     assert actors.sr.deliver("SP", codec.encode(wrong), 4) == []
     # ignored, not counted: the ticket is still outstanding

@@ -361,6 +361,83 @@ def test_token_round_trip_preserves_signature_bytes():
     assert decode(encode(token), CaptureToken).tm_signature == token.tm_signature
 
 
+# --- bulk bytes read in place ----------------------------------------------
+#
+# Uploaded objects and redeemed payloads decode as read-only views of the
+# received frame, not as copies; the frame is an immutable bytes object.
+
+# The provider's state_bytes() once it has stored the default upload, taken
+# when it stored bytes copies: a view encodes as the same bytes.
+UPLOADED_PROVIDER_STATE_SHA256 = "bb0eca50c3e1d0e30292e96f2d8b690bb59049a98aa29118cf99676dc7a56e48"
+
+
+def _bulk_frames() -> tuple[bytes, bytes]:
+    """An ``ObjectUpload`` frame and a ``TicketRedeemResponse`` frame of one run."""
+    from gset import ScenarioConfig, run_storage_scenario
+    from harness import recorded
+
+    config = ScenarioConfig(object_count=3, object_size=4096)
+    records = run_storage_scenario(config).transcript.records
+    return recorded(records, "ObjectUpload")[0], recorded(records, "TicketRedeemResponse")[0]
+
+
+def _bulk_values(msg) -> list:
+    from gset import ObjectUpload
+
+    return list(msg.objects) if isinstance(msg, ObjectUpload) else [msg.payload]
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["ObjectUpload", "TicketRedeemResponse"])
+def test_bulk_fields_decode_as_read_only_views_of_the_frame(index):
+    frame = _bulk_frames()[index]
+    msg = decode(frame)
+    views = _bulk_values(msg)
+    assert views and all(isinstance(v, memoryview) and v.readonly for v in views)
+    assert all(v.obj is frame for v in views)
+    assert encode(msg) == frame
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["ObjectUpload", "TicketRedeemResponse"])
+def test_bulk_fields_decoded_from_a_bytearray_do_not_alias_it(index):
+    frame = _bulk_frames()[index]
+    buffer = bytearray(frame)
+    msg = decode(buffer)
+    before = [bytes(v) for v in _bulk_values(msg)]
+    buffer[:] = bytes(len(buffer))
+    assert [bytes(v) for v in _bulk_values(msg)] == before
+    assert encode(msg) == frame
+
+
+def test_bulk_fields_repr_as_their_bytes():
+    upload, response = (decode(frame) for frame in _bulk_frames())
+    copied = dataclasses.replace(response, payload=bytes(response.payload))
+    assert repr(response) == repr(copied)
+    assert "memory at" not in repr(upload)
+
+
+def test_a_refused_redeem_decodes_as_not_ok():
+    from gset import TicketRedeemResponse
+
+    refused = decode(encode(TicketRedeemResponse(ticket_id=bytes(16), payload=b"")))
+    assert isinstance(refused.payload, memoryview)
+    assert refused.ok is False
+
+
+def test_provider_state_holding_views_is_the_state_of_the_same_bytes():
+    from test_actors import decide_then_upload
+    from harness import build_actors
+
+    actors = build_actors()
+    decision, _ = decide_then_upload(actors)
+    assert decision.approved
+    stored = actors.sp.stored_objects
+    assert stored and all(isinstance(v, memoryview) for v in stored.values())
+    blob = actors.sp.state_bytes()
+    assert hashlib.sha256(blob).hexdigest() == UPLOADED_PROVIDER_STATE_SHA256
+    actors.sp.stored_objects = {k: bytes(v) for k, v in stored.items()}
+    assert actors.sp.state_bytes() == blob
+
+
 # --- wire-format pin --------------------------------------------------------
 #
 # Both digests were taken from the reference implementation of the codec.  A
