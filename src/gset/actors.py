@@ -7,12 +7,11 @@ Each actor is a single-threaded state machine with one external surface:
 The simulated network calls ``deliver`` for every incoming message and
 queues whatever comes back; a handler only returns outbound messages and
 never waits for an answer.  A server that asks another keeps the request
-pending in its record of the order or hold, under a name the request
-carries (the order digest ``dual.oi_digest``, the ``hold_nonce``, the token
-id), and the answer's own handler resumes from that record.  The seven
-server-to-server legs carry a pairwise MAC; the signed messages of the
-requester's legs and the trust manager's capture token keep their
-signatures (see ``_authentic``).
+pending in its record of the order or hold, under the name the request
+carries, and the answer's own handler finds that record by one lookup and
+resumes from it.  The seven server-to-server legs carry a pairwise MAC;
+the signed messages of the requester's legs and the trust manager's
+capture token keep their signatures (see ``_authentic``).
 
 The privacy split is enforced here by what each actor stores, one
 record per order or hold:
@@ -24,10 +23,12 @@ record per order or hold:
   order plaintext (it only handles digests and amounts);
 * the account provider keeps a ledger keyed by account digests.
 
-A hold has one name from request to settlement: the trust manager's
-``hold_nonce``.  The account provider places and settles the hold under
-it, and the trust manager keys its record of the hold by it, so the
-token carries neither the hold nor the payer's account provider.
+An order has one name: the order digest ``dual.oi_digest``, by which the
+requester and the provider key their orders and the trust manager finds
+an order's hold.  A hold has one name: the trust manager's ``hold_nonce``,
+by which it keys its record of the hold and the account provider places
+and settles the hold, never learning the order digest.  So the token
+carries neither the hold nor the payer's account provider.
 
 ``deliver`` is the only way into an actor (the requester's ``begin``
 only makes the first message); tests drive the actors through it too.
@@ -305,15 +306,18 @@ class ServiceRequester(_ActorBase):
         rng: Random,
     ) -> None:
         super().__init__(identity, directory, config, rng)
-        self.pending_usage: list[tuple[bytes, UsageDescriptor]] = []
-        # order_nonce -> the order, from its authorization on
-        self.orders: dict[bytes, RequesterOrder] = {}
+        # request nonce -> the usage asked for, until quoted or denied
+        self.pending_requests: dict[bytes, UsageDescriptor] = {}
+        # oi_digest -> the order, from its authorization on
+        self.orders: dict[Digest, RequesterOrder] = {}
+        # ticket_id -> the oi_digest of the order it was granted for
+        self.ticket_orders: dict[bytes, Digest] = {}
 
     def begin(self, usage: UsageDescriptor) -> tuple[str, bytes]:
         """Kick-off message for a simulation run: a price request for
         ``usage`` under a fresh nonce."""
         request = PriceRequest(usage=usage, nonce=self._nonce())
-        self.pending_usage.append((request.nonce, usage))
+        self.pending_requests[request.nonce] = usage
         return (self.config.provider_id, codec.encode(request))
 
     # -- message handlers --
@@ -323,11 +327,7 @@ class ServiceRequester(_ActorBase):
         if sender != self.config.provider_id:
             self._note(f"quote from unexpected sender {sender}")
             return []
-        matched = next(
-            (i for i, (_n, usage) in enumerate(self.pending_usage) if usage == quote.usage),
-            None,
-        )
-        if matched is None:
+        if self.pending_requests.get(quote.request_nonce) != quote.usage:
             self._note("quote does not match any pending request")
             return []
 
@@ -357,24 +357,21 @@ class ServiceRequester(_ActorBase):
             return refuse(f"no public key for {self.config.trust_manager_id!r}")
         envelope = seal(tm_key, self.config.trust_manager_id, payment_bytes, self.rng)
         dual = make_dual_signature(self.identity, order_bytes, payment_bytes)
-        self.orders[order.order_nonce] = RequesterOrder()
-        self.pending_usage.pop(matched)
-        auth = AuthorizationRequest(order_info=order, payment_envelope=envelope, dual=dual)
+        self.orders[dual.oi_digest] = RequesterOrder()
+        del self.pending_requests[quote.request_nonce]
+        auth = AuthorizationRequest(order_info=order_bytes, payment_envelope=envelope, dual=dual)
         return [(self.config.provider_id, codec.encode(auth))]
 
     def _on_quote_denial(self, sender: str, denial: QuoteDenial, covered, now: int) -> Outbound:
         self._note(f"price request denied: {denial.reason}")
-        self.pending_usage = [
-            (nonce, usage) for nonce, usage in self.pending_usage
-            if nonce != denial.request_nonce
-        ]
+        self.pending_requests.pop(denial.request_nonce, None)
         return []
 
     def _on_auth_decision(self, sender: str, decision: AuthDecision, covered, now: int) -> Outbound:
         if not self._authentic(decision, self.config.provider_id, covered):
             self._note("auth decision signature does not verify")
             return []
-        record = self.orders.get(decision.order_nonce)
+        record = self.orders.get(decision.oi_digest)
         if record is None or record.phase != RequesterPhase.AUTHORIZING:
             self._note("auth decision for no pending order")
             return []
@@ -388,7 +385,7 @@ class ServiceRequester(_ActorBase):
             ObjectUpload,
             self.identity,
             digests=record.digests,
-            order_nonce=decision.order_nonce,
+            oi_digest=decision.oi_digest,
             objects=self.config.objects,
         )
         return [(self.config.provider_id, raw)]
@@ -397,7 +394,7 @@ class ServiceRequester(_ActorBase):
         if not self._authentic(grant, self.config.provider_id, covered):
             self._note("service grant signature does not verify")
             return []
-        record = self.orders.get(grant.order_nonce)
+        record = self.orders.get(grant.oi_digest)
         if record is not None and record.phase > RequesterPhase.UPLOADING:
             self._note("duplicate service grant ignored")
             return []
@@ -415,6 +412,7 @@ class ServiceRequester(_ActorBase):
         out: Outbound = []
         for ticket in grant.tickets:
             record.tickets[ticket.ticket_id] = ticket
+            self.ticket_orders[ticket.ticket_id] = grant.oi_digest
             request = TicketRedeemRequest(ticket_id=ticket.ticket_id)
             out.append((self.config.provider_id, codec.encode(request)))
         return out
@@ -424,11 +422,11 @@ class ServiceRequester(_ActorBase):
     ) -> Outbound:
         # The response is unsigned: the signed grant's ticket already commits
         # to the object's digest, so the digest is the integrity check.
-        found = next(((n, r) for n, r in self.orders.items() if r.awaits(resp.ticket_id)), None)
-        if found is None:
+        oi_digest = self.ticket_orders.get(resp.ticket_id)
+        record = self.orders.get(oi_digest)
+        if record is None or not record.awaits(resp.ticket_id):
             self._note("redeem response for no outstanding ticket")
             return []
-        order_nonce, record = found
         if resp.ok and not record.tickets[resp.ticket_id].matches(resp.payload):
             self._note("redeemed object does not match ticket digest")
             return []
@@ -441,7 +439,7 @@ class ServiceRequester(_ActorBase):
         if len(record.retrieved) < len(record.tickets):
             return []
         record.phase = RequesterPhase.COMPLETED
-        _, raw = build_signed(ServiceComplete, self.identity, order_nonce=order_nonce)
+        _, raw = build_signed(ServiceComplete, self.identity, oi_digest=oi_digest)
         return [(self.config.provider_id, raw)]
 
     _HANDLERS = {
@@ -478,10 +476,8 @@ class ProviderPhase(IntEnum):
 @dataclass
 class ProviderOrder:
     requester: str
-    oi_digest: Digest  # the order's name to the trust manager and in its outcome
     charge: int  # the quoted price
     phase: ProviderPhase = ProviderPhase.RELAYED
-    token_id: bytes = b""  # the approving token's id, from APPROVED on
 
 
 class ServiceProvider(_ActorBase):
@@ -498,15 +494,13 @@ class ServiceProvider(_ActorBase):
         # quote_id -> (usage, price, expiry) of each quote issued
         self.issued_quotes: dict[bytes, tuple[UsageDescriptor, int, int]] = {}
         self.denials: list[DenialReason] = []
-        # order_nonce -> the order; only orders matched to an issued quote
-        self.orders: dict[bytes, ProviderOrder] = {}
+        # oi_digest -> the order; only orders matched to an issued quote
+        self.orders: dict[Digest, ProviderOrder] = {}
         # ticket_id -> object, until the ticket is redeemed
         self.stored_objects: dict[bytes, Bulk] = {}
 
-    def _decide(self, requester: str, order_nonce: bytes, approved: bool) -> Outbound:
-        _, raw = build_signed(
-            AuthDecision, self.identity, order_nonce=order_nonce, approved=approved
-        )
+    def _decide(self, requester: str, oi_digest: Digest, approved: bool) -> Outbound:
+        _, raw = build_signed(AuthDecision, self.identity, oi_digest=oi_digest, approved=approved)
         return [(requester, raw)]
 
     # -- message handlers --
@@ -527,6 +521,7 @@ class ServiceProvider(_ActorBase):
         quote, raw = build_signed(
             PriceQuote,
             self.identity,
+            request_nonce=request.nonce,
             quote_id=self._nonce(),
             usage=request.usage,
             price=price,
@@ -540,21 +535,22 @@ class ServiceProvider(_ActorBase):
     ) -> Outbound:
         """Validate the order half and relay the payment half, or refuse.
 
-        The order stays here.  The trust manager gets an AuthorizeAndHold,
-        MAC'd to it, carrying the untouched sealed envelope; the order
-        plaintext goes no further, and the requester is answered once the
-        trust manager's outcome arrives.  A duplicate of an order already
-        accepted is ignored outright: that order has its one relay, and a
-        second could only draw the trust manager's REPLAY refusal.  Without
-        a key for the trust manager there is no relay and no answer, and the
-        order is not kept.
+        The dual signature is checked on the order bytes as received, before
+        they are decoded.  The order stays here.  The trust manager gets an
+        AuthorizeAndHold, MAC'd to it, carrying the untouched sealed envelope;
+        the order plaintext goes no further, and the requester is answered
+        once the trust manager's outcome arrives.  A duplicate of an order
+        already accepted is ignored outright: that order has its one relay,
+        and a second could only draw the trust manager's REPLAY refusal.
+        Without a key for the trust manager there is no relay and no answer,
+        and the order is not kept.
         """
-        order = auth.order_info
+        oi_digest = auth.dual.oi_digest
 
         def deny(reason: DenialReason, detail: str) -> Outbound:
             self._note(f"authorization refused ({reason.name}): {detail}")
             self.denials.append(reason)
-            return self._decide(sender, order.order_nonce, False)
+            return self._decide(sender, oi_digest, False)
 
         # authenticity first: any tampering surfaces as BAD_SIGNATURE before
         # policy questions like quote expiry get a say
@@ -563,8 +559,12 @@ class ServiceProvider(_ActorBase):
         requester_key = self._key_of(sender)
         if requester_key is None:
             return deny(DenialReason.BAD_SIGNATURE, "unknown requester")
-        if not verify_with_oi(requester_key, codec.encode(order), auth.dual):
+        if not verify_with_oi(requester_key, auth.order_info, auth.dual):
             return deny(DenialReason.BAD_SIGNATURE, "dual signature fails on order side")
+        try:
+            order = codec.decode(auth.order_info, OrderInfo)
+        except CodecError as exc:
+            return deny(DenialReason.BAD_SIGNATURE, f"order plaintext malformed: {exc}")
         quote = self.issued_quotes.get(order.quote_id)
         if quote is None:
             return deny(DenialReason.EXPIRED_QUOTE, "unknown quote reference")
@@ -573,7 +573,7 @@ class ServiceProvider(_ActorBase):
             return deny(DenialReason.EXPIRED_QUOTE, "quote expired")
         if order.usage != usage:
             return deny(DenialReason.EXPIRED_QUOTE, "order does not match quoted usage")
-        if order.order_nonce in self.orders:
+        if oi_digest in self.orders:
             self._note("duplicate authorization for an accepted order ignored")
             return []
 
@@ -585,7 +585,7 @@ class ServiceProvider(_ActorBase):
             charge_amount=price,
         )
         if relay:
-            self.orders[order.order_nonce] = ProviderOrder(sender, auth.dual.oi_digest, price)
+            self.orders[oi_digest] = ProviderOrder(sender, price)
         return relay
 
     def _on_auth_outcome(self, sender: str, outcome: AuthOutcome, covered, now: int) -> Outbound:
@@ -594,33 +594,31 @@ class ServiceProvider(_ActorBase):
         An approval stands only on a token the trust manager signed for this
         provider, for the quoted price and for this order's digest.
         """
-        found = next(
-            ((n, r) for n, r in self.orders.items() if r.oi_digest == outcome.oi_digest), None
-        )
+        oi_digest = outcome.oi_digest
+        record = self.orders.get(oi_digest)
         tm = self.config.trust_manager_id
-        awaited = found is not None and found[1].phase == ProviderPhase.RELAYED and sender == tm
+        awaited = record is not None and record.phase == ProviderPhase.RELAYED and sender == tm
         if not self._answers(outcome, awaited, sender, covered):
             return []
-        order_nonce, record = found
         if not outcome.approved:
             record.phase = ProviderPhase.DENIED
             self._note(f"authorization denied by trust manager: {outcome.reason.name}")
-            return self._decide(record.requester, order_nonce, False)
+            return self._decide(record.requester, oi_digest, False)
         token = outcome.token
         if (
             self._authentic(token, self.config.trust_manager_id)
             and token.provider_id == self.subject_id
             and token.charge_amount == record.charge
-            and token.oi_digest == record.oi_digest
+            and token.oi_digest == oi_digest
         ):
-            record.phase, record.token_id = ProviderPhase.APPROVED, token.token_id
-            return self._decide(record.requester, order_nonce, True)
+            record.phase = ProviderPhase.APPROVED
+            return self._decide(record.requester, oi_digest, True)
         record.phase = ProviderPhase.DENIED
         self._note("approved outcome carried an unverifiable token")
-        return self._decide(record.requester, order_nonce, False)
+        return self._decide(record.requester, oi_digest, False)
 
     def _on_object_upload(self, sender: str, upload: ObjectUpload, covered, now: int) -> Outbound:
-        record = self.orders.get(upload.order_nonce)
+        record = self.orders.get(upload.oi_digest)
         if record is None or record.requester != sender:
             self._note("upload for unknown order")
             return []
@@ -640,7 +638,7 @@ class ServiceProvider(_ActorBase):
         for ticket, obj in zip(tickets, upload.objects):
             self.stored_objects[ticket.ticket_id] = obj
         _, raw = build_signed(
-            ServiceGrant, self.identity, order_nonce=upload.order_nonce, tickets=tickets
+            ServiceGrant, self.identity, oi_digest=upload.oi_digest, tickets=tickets
         )
         return [(sender, raw)]
 
@@ -657,7 +655,7 @@ class ServiceProvider(_ActorBase):
     def _on_service_complete(
         self, sender: str, done: ServiceComplete, covered, now: int
     ) -> Outbound:
-        record = self.orders.get(done.order_nonce)
+        record = self.orders.get(done.oi_digest)
         if record is None or record.phase < ProviderPhase.GRANTED:
             self._note("completion for unknown grant")
             return []
@@ -668,9 +666,9 @@ class ServiceProvider(_ActorBase):
             captured = record.phase == ProviderPhase.CAPTURED
             self._note("grant already captured" if captured else "capture already pending")
             return []
-        # name the token to the trust manager; a settled capture books the charge
+        # name the order's token to the trust manager; a settled capture books the charge
         request = self._maced_to(
-            self.config.trust_manager_id, CaptureRequest, token_id=record.token_id
+            self.config.trust_manager_id, CaptureRequest, oi_digest=done.oi_digest
         )
         if request:
             record.phase = ProviderPhase.CAPTURING
@@ -680,7 +678,7 @@ class ServiceProvider(_ActorBase):
         self, sender: str, response: CaptureResponse, covered, now: int
     ) -> Outbound:
         """Book a settled capture, or take a refused one back to GRANTED."""
-        record = next((r for r in self.orders.values() if r.token_id == response.token_id), None)
+        record = self.orders.get(response.oi_digest)
         tm = self.config.trust_manager_id
         awaited = record is not None and record.phase == ProviderPhase.CAPTURING and sender == tm
         if not self._answers(response, awaited, sender, covered):
@@ -727,7 +725,6 @@ class Hold:
     charge: int
     oi_digest: Digest  # the order the hold is for, as its outcome and token name it
     phase: HoldPhase = HoldPhase.HOLDING
-    token_id: bytes = b""  # from MINTED on
 
 
 class TrustManager(_ActorBase):
@@ -746,6 +743,8 @@ class TrustManager(_ActorBase):
         # hold_nonce, the hold's one name from request to settlement -> what
         # the hold and its token's capture read; not the signed token
         self.holds: dict[bytes, Hold] = {}
+        # oi_digest -> the hold_nonce of the order's one hold
+        self.order_holds: dict[Digest, bytes] = {}
 
     def _deny(self, provider: str, oi_digest: Digest, reason, detail: str) -> Outbound:
         self._note(f"authorization denied ({reason.name}): {detail}")
@@ -753,11 +752,12 @@ class TrustManager(_ActorBase):
         outcome = AuthOutcome(oi_digest=oi_digest, token=None, reason=reason)
         return [(provider, codec.encode(outcome))]
 
-    def _capture_answer(self, provider: str, token_id: bytes, reason, detail: str = "") -> Outbound:
-        """The capture of ``token_id`` settled (``reason`` None) or refused."""
+    def _capture_answer(self, provider: str, oi_digest: Digest, reason, detail="") -> Outbound:
+        """The capture of the order ``oi_digest``'s token settled (``reason``
+        None) or refused."""
         if reason is not None:
             self._note(f"capture refused ({reason.name}): {detail}")
-        return self._maced_to(provider, CaptureResponse, token_id=token_id, reason=reason)
+        return self._maced_to(provider, CaptureResponse, oi_digest=oi_digest, reason=reason)
 
     def _on_authorize_and_hold(
         self, sender: str, msg: AuthorizeAndHold, covered, now: int
@@ -765,8 +765,10 @@ class TrustManager(_ActorBase):
         """Decide an authorization up to its hold: open, verify, check limit, ask.
 
         Denials carry a precise reason; the only state a failed attempt
-        leaves behind is the payment nonce, which stays burned.  A repeat of
-        an authorization whose hold is still being asked for is not answered.
+        leaves behind is the payment nonce, which stays burned.  An order
+        gets at most one hold: a relay for an order whose hold is still
+        being asked for is not answered, and one for an order already held
+        is refused as a replay, whatever its payment half.
         """
 
         def deny(reason: DenialReason, detail: str) -> Outbound:
@@ -782,13 +784,15 @@ class TrustManager(_ActorBase):
             payment = codec.decode(payment_bytes, PaymentInfo)
         except CodecError as exc:
             return deny(DenialReason.BAD_SIGNATURE, f"payment plaintext malformed: {exc}")
+        held = self.holds.get(self.order_holds.get(msg.dual.oi_digest))
+        if held is not None and held.phase == HoldPhase.HOLDING:
+            self._note("repeat of an authorization on hold ignored")
+            return []
         if payment.payment_nonce in self.seen_payment_nonces:
-            if any(h.phase == HoldPhase.HOLDING and h.oi_digest == msg.dual.oi_digest
-                   for h in self.holds.values()):
-                self._note("repeat of an authorization on hold ignored")
-                return []
             return deny(DenialReason.REPLAY, "payment nonce already used")
         self.seen_payment_nonces.add(payment.payment_nonce)
+        if held is not None:
+            return deny(DenialReason.REPLAY, "order already held")
         payer_key = self._key_of(msg.dual.signature.signer_id)
         if payer_key is None:
             return deny(DenialReason.BAD_SIGNATURE, "unknown payer identity")
@@ -816,6 +820,7 @@ class TrustManager(_ActorBase):
         self.holds[hold_nonce] = Hold(
             sender, payment.account_provider_id, msg.charge_amount, msg.dual.oi_digest
         )
+        self.order_holds[msg.dual.oi_digest] = hold_nonce
         return request
 
     def _on_hold_response(self, sender: str, response: HoldResponse, covered, now: int) -> Outbound:
@@ -825,38 +830,35 @@ class TrustManager(_ActorBase):
         if not self._answers(response, asked and hold.phase == HoldPhase.HOLDING, sender, covered):
             return []
         if not response.ok:
-            del self.holds[response.hold_nonce]
+            del self.holds[response.hold_nonce], self.order_holds[hold.oi_digest]
             detail = "account provider refused the hold"
             return self._deny(hold.provider, hold.oi_digest, response.reason, detail)
         token, _ = build_signed(
             CaptureToken,
             self.identity,
-            token_id=self._nonce(),
             provider_id=hold.provider,
             charge_amount=hold.charge,
             oi_digest=hold.oi_digest,
         )
-        hold.phase, hold.token_id = HoldPhase.MINTED, token.token_id
+        hold.phase = HoldPhase.MINTED
         outcome = AuthOutcome(oi_digest=hold.oi_digest, token=token, reason=None)
         return [(hold.provider, codec.encode(outcome))]
 
     def _on_capture_request(
         self, sender: str, request: CaptureRequest, covered, now: int
     ) -> Outbound:
-        """Ask for the settlement of the minted token the request names by id,
-        exactly once; a repeat while it is asked for is not answered."""
+        """Ask for the settlement of the token minted for the order the request
+        names, exactly once; a repeat while it is asked for is not answered."""
 
         def refuse(reason: DenialReason, detail: str) -> Outbound:
-            return self._capture_answer(sender, request.token_id, reason, detail)
+            return self._capture_answer(sender, request.oi_digest, reason, detail)
 
         if not self._authentic(request, sender, covered):
             return refuse(DenialReason.BAD_SIGNATURE, "provider MAC fails")
-        found = next(
-            ((n, h) for n, h in self.holds.items() if h.token_id == request.token_id), None
-        )
-        if found is None or found[1].provider != sender:
+        hold_nonce = self.order_holds.get(request.oi_digest)
+        hold = self.holds.get(hold_nonce)
+        if hold is None or hold.provider != sender or hold.phase == HoldPhase.HOLDING:
             return refuse(DenialReason.BAD_SIGNATURE, "no token minted here for this provider")
-        hold_nonce, hold = found
         if hold.phase == HoldPhase.SETTLING:
             self._note("repeat of a capture being settled ignored")
             return []
@@ -880,7 +882,7 @@ class TrustManager(_ActorBase):
         if response.ok and response.amount != hold.charge:
             reason, detail = DenialReason.BAD_SIGNATURE, "settled amount mismatch"
         hold.phase = HoldPhase.SPENT if reason is None else HoldPhase.MINTED
-        return self._capture_answer(hold.provider, hold.token_id, reason, detail)
+        return self._capture_answer(hold.provider, hold.oi_digest, reason, detail)
 
     _HANDLERS = {
         AuthorizeAndHold: _on_authorize_and_hold,

@@ -40,9 +40,9 @@ TAMPER_EXPECTATIONS: dict[str, tuple[int, int]] = {
     "CaptureResponse": (1, 1),
 }
 
-# The price enquiry is deliberately unauthenticated; a flipped bit in its
-# nonce is a no-op and the run may legitimately still succeed.  Tampering
-# it must still never corrupt the books or leak anything.
+# The price enquiry is deliberately unauthenticated.  A flipped bit stalls
+# the run: its quote names no pending request or prices another usage.
+# Tampering it must still never corrupt the books or leak anything.
 RELAXED_TAMPER_TARGETS = ("PriceRequest",)
 
 TAMPER_TARGETS = tuple(TAMPER_EXPECTATIONS) + RELAXED_TAMPER_TARGETS

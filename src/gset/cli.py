@@ -9,8 +9,10 @@ unusable.
 from __future__ import annotations
 
 import argparse
+import configparser
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .attacks import run_attack_suite
@@ -21,7 +23,6 @@ from .scenario import (
     ScenarioConfig,
     ScenarioError,
     endpoints_factory,
-    ini_overrides,
     run_storage_scenario,
 )
 from .simnet import DivergenceReport, SimnetError, replay_transcript
@@ -62,6 +63,33 @@ def _resolve_seed(cli_seed: int | None, config_seed: int | None, env: dict) -> i
     if not 0 <= seed <= MAX_SEED:
         raise UsageError(f"seed must be an unsigned 64-bit integer, got {seed}")
     return seed
+
+
+def ini_overrides(path: str | Path) -> dict:
+    """Parse a scenario INI file into constructor keyword overrides."""
+    parser = configparser.ConfigParser()
+    try:
+        read = parser.read(str(path))
+    except configparser.Error as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
+    if not read:
+        raise ScenarioError(f"cannot read config file {path}")
+    if not parser.has_section("scenario"):
+        raise ScenarioError(f"{path}: missing [scenario] section")
+    section = parser["scenario"]
+    known = {f.name: f.type for f in fields(ScenarioConfig)}
+    overrides: dict = {}
+    for key in section:
+        if key not in known:
+            raise ScenarioError(f"{path}: unknown scenario key {key!r}")
+        try:
+            if known[key] == "int":
+                overrides[key] = section.getint(key)
+            else:
+                overrides[key] = section.get(key)
+        except ValueError as exc:
+            raise ScenarioError(f"{path}: bad value for {key!r}: {exc}") from exc
+    return overrides
 
 
 def _load_config(args, env: dict) -> ScenarioConfig:

@@ -36,9 +36,11 @@ what the signer said:
     ObjectUpload           SR      SP        the digests of the objects the requester
                                              shipped, to an arbiter
     ServiceGrant           SP      SR        receipt of those objects (one digest per
-                                             ticket) for the order it names, to an arbiter
-    ServiceComplete        SR      SP        the requester's acceptance of the order it
-                                             names, to the TM or an arbiter
+                                             ticket) for the order whose digest the dual
+                                             signature signs, to an arbiter
+    ServiceComplete        SR      SP        the requester's acceptance of that order,
+                                             named by the same digest, to the TM or an
+                                             arbiter
 
 The seven server-to-server legs are never handed to a third party: each is
 checked by its one receiver and goes no further.  They carry a MAC under a
@@ -57,26 +59,26 @@ Non-repudiation given up on those legs: the receiver can compute the tag
 itself, so none of these messages shows an arbiter who said it.  No
 arbiter can be shown the charge the provider asked the TM for, the TM's
 hold and settle instructions, the AP's hold placed or refused and amount
-settled, the provider's claim on a token id, or the TM's settled capture.
+settled, the provider's claim on an order's token, or the TM's settled
+capture.
 What an arbiter can still be shown is signed: the requester's order and
 payment cap (the dual signature) and the TM's approved charge (the
 ``CaptureToken``).
 
-A hold has one name from request to settlement: the ``hold_nonce`` the
-trust manager draws for its ``HoldRequest``.  The ``HoldResponse`` and the
-``SettleResponse`` echo it, and the ``SettleRequest`` names the hold to
-settle by it.  The ``CaptureToken`` carries only what its reader, the
-provider, reads: the token id it claims, its own id, the charge and the
-order digest ``dual.oi_digest`` that binds the charge to its order.  The
-payer's account provider and the hold stay in the trust manager's record of
-the hold, so the provider never sees either.
+An order has one name from authorization to capture: the order digest
+``dual.oi_digest``, which the dual signature signs, and every message about
+an order names it so; the order nonce stays inside ``OrderInfo``, where it
+makes the digest unique.  The trust manager mints at most one token per
+order, so the digest names the ``CaptureToken`` too, which carries only
+what the provider reads: the provider's id, the charge and the digest.  A
+hold has one name from request to settlement, the ``hold_nonce`` of the
+trust manager's ``HoldRequest``, which the other three hold and settle legs
+echo; the account provider never learns the order digest, and the provider
+never sees the payer's account provider or the hold.  So each answer names
+what it answers: a price request by its nonce, an order by its digest, a
+hold by its nonce.
 
-Every leg is a queued message, so each answer names what it answers: the
-``AuthOutcome`` its order by the order digest, the ``HoldResponse`` and
-``SettleResponse`` their hold by its nonce, and the ``CaptureResponse`` its
-token by id.
-
-An ``ObjectUpload`` signature covers the order nonce and the SHA-256 digest
+An ``ObjectUpload`` signature covers the order digest and the SHA-256 digest
 of each object, not the object bytes (``upload_signing_payload``), so a
 forged upload needs a SHA-256 collision or second preimage on an object: the
 assumption the tickets and the dual signature already rest on.
@@ -99,6 +101,7 @@ from typing import TypeVar
 from . import codec
 from .codec import Bulk, ValidationError, canonical_message
 from .crypto import (
+    DIGEST_SIZE,
     MAC_SIZE,
     Digest,
     DualSignature,
@@ -229,16 +232,14 @@ class Ticket:
 @canonical_message
 class CaptureToken:
     """Trust-manager-signed voucher the provider redeems to collect credit,
-    for the charge it approved on the order ``oi_digest``."""
+    for the charge it approved on the order ``oi_digest``, which names it."""
 
-    token_id: bytes
     provider_id: str
     charge_amount: int
     oi_digest: Digest
     tm_signature: Signature
 
     def validate(self) -> None:
-        _need_nonce(self.token_id, "token_id")
         _need_label(self.provider_id, "provider_id")
         _need_u64(self.charge_amount, "charge_amount", minimum=1)
 
@@ -259,8 +260,10 @@ class PriceRequest:
 
 @canonical_message
 class PriceQuote:
-    """Provider's signed offer: this usage, this price, until this tick."""
+    """Provider's signed offer, for the price request ``request_nonce``: this
+    usage, this price, until this tick."""
 
+    request_nonce: bytes
     quote_id: bytes
     usage: UsageDescriptor
     price: int
@@ -268,6 +271,7 @@ class PriceQuote:
     provider_signature: Signature
 
     def validate(self) -> None:
+        _need_nonce(self.request_nonce, "request_nonce")
         _need_nonce(self.quote_id, "quote_id")
         _need_u64(self.price, "price")
         _need_u64(self.expiry, "expiry")
@@ -292,12 +296,14 @@ class QuoteDenial:
 class AuthorizationRequest:
     """Requester to provider: order in the clear, payment sealed away.
 
-    ``dual.pi_digest`` is the hash of the sealed plaintext, letting the
-    provider run the order-side dual-signature check without opening the
-    envelope.
+    ``order_info`` is the encoded ``OrderInfo``, the bytes ``dual.oi_digest``
+    hashes, so the provider checks the bytes it received, as the trust
+    manager checks the payment plaintext it opens.  ``dual.pi_digest`` is
+    the hash of the sealed plaintext, letting the provider run the
+    order-side dual-signature check without opening the envelope.
     """
 
-    order_info: OrderInfo
+    order_info: bytes
     payment_envelope: SealedEnvelope
     dual: DualSignature
 
@@ -347,12 +353,9 @@ class AuthDecision:
     and account provider.
     """
 
-    order_nonce: bytes
+    oi_digest: Digest
     approved: bool
     provider_signature: Signature
-
-    def validate(self) -> None:
-        _need_nonce(self.order_nonce, "order_nonce")
 
 
 # --- service delivery and collection -----------------------------------------
@@ -363,12 +366,11 @@ class ObjectUpload:
     """Requester ships the payload objects for an approved order.  Decoded,
     each object is a read-only view of the received frame (``Bulk``)."""
 
-    order_nonce: bytes
+    oi_digest: Digest
     objects: tuple[Bulk, ...]
     requester_signature: Signature
 
     def validate(self) -> None:
-        _need_nonce(self.order_nonce, "order_nonce")
         _need(len(self.objects) > 0, "upload must contain at least one object")
         for i, obj in enumerate(self.objects):
             if not (isinstance(obj, (bytes, memoryview)) and obj):
@@ -377,15 +379,14 @@ class ObjectUpload:
 
 @canonical_message
 class ServiceGrant:
-    """Provider's receipt for the objects stored for the order ``order_nonce``:
+    """Provider's receipt for the objects stored for the order ``oi_digest``:
     one single-use ticket each."""
 
-    order_nonce: bytes
+    oi_digest: Digest
     tickets: tuple[Ticket, ...]
     provider_signature: Signature
 
     def validate(self) -> None:
-        _need_nonce(self.order_nonce, "order_nonce")
         _need(len(self.tickets) > 0, "grant must contain at least one ticket")
 
 
@@ -422,33 +423,31 @@ class TicketRedeemResponse:
 
 @canonical_message
 class ServiceComplete:
-    """Requester confirms delivery of the order ``order_nonce``; the provider
+    """Requester confirms delivery of the order ``oi_digest``; the provider
     may now collect credit."""
 
-    order_nonce: bytes
+    oi_digest: Digest
     requester_signature: Signature
-
-    def validate(self) -> None:
-        _need_nonce(self.order_nonce, "order_nonce")
 
 
 @canonical_message
 class CaptureRequest:
-    """Provider claims the token it names; the trust manager holds the token."""
+    """Provider claims the token of the order it names; the trust manager
+    holds the token."""
 
-    token_id: bytes
+    oi_digest: Digest
     provider_mac: bytes
 
     def validate(self) -> None:
-        _need_nonce(self.token_id, "token_id")
         _need_mac(self.provider_mac, "provider_mac")
 
 
 @canonical_message
 class CaptureResponse:
-    """The token ``token_id`` is settled, or its capture refused for ``reason``."""
+    """The token of the order ``oi_digest`` is settled, or its capture refused
+    for ``reason``."""
 
-    token_id: bytes
+    oi_digest: Digest
     reason: DenialReason | None
     tm_mac: bytes
 
@@ -457,7 +456,6 @@ class CaptureResponse:
         return self.reason is None
 
     def validate(self) -> None:
-        _need_nonce(self.token_id, "token_id")
         _need_mac(self.tm_mac, "tm_mac")
 
 
@@ -539,21 +537,21 @@ def object_digests(objects: tuple[bytes, ...]) -> tuple[Digest, ...]:
     return tuple(hash_bytes(obj) for obj in objects)
 
 
-def upload_signing_payload(order_nonce: bytes, digests: tuple[Digest, ...]) -> bytes:
-    """What an ``ObjectUpload`` signature covers: the order nonce and the
+def upload_signing_payload(oi_digest: Digest, digests: tuple[Digest, ...]) -> bytes:
+    """What an ``ObjectUpload`` signature covers: the order digest and the
     digest of each object, in upload order.
 
     Hash-then-sign, as in Ed25519ph: no object byte goes through Ed25519,
     and the digests are the ones the ``ServiceGrant`` tickets commit to.
-    The payload is a length-prefixed tag, the length-prefixed nonce, the
-    digest count and the 32-byte digests.  The tag is the distinct
+    The payload is a length-prefixed tag, the length-prefixed order digest,
+    the object digest count and the 32-byte object digests.  The tag is the distinct
     ``ObjectUpload/digests``: no registered type has that name, so the
     payload can be read neither as a wire ``ObjectUpload`` whose objects
     are 32-byte strings nor as the signing payload of any other type.
     """
-    _need_nonce(order_nonce, "order_nonce")
+    _need(isinstance(oi_digest, Digest), "the upload's order must be a Digest")
     _need(len(digests) > 0, "upload must commit to at least one object")
-    out = [_FRAMED_UPLOAD_DIGESTS_TAG, struct.pack(">I", NONCE_SIZE), order_nonce,
+    out = [_FRAMED_UPLOAD_DIGESTS_TAG, struct.pack(">I", DIGEST_SIZE), oi_digest.bytes,
            struct.pack(">I", len(digests))]
     for digest in digests:
         _need(isinstance(digest, Digest), "upload digests must be Digests")
@@ -574,7 +572,7 @@ def build_signed(
     caller passes, ``object_digests(objects)``.
     """
     if cls is ObjectUpload:
-        payload = upload_signing_payload(fields["order_nonce"], digests)
+        payload = upload_signing_payload(fields["oi_digest"], digests)
         upload = cls(**fields, requester_signature=sign(key, payload))
         return upload, codec.encode(upload)
     return codec.encode_authenticated(cls, fields, partial(sign, key))
@@ -592,11 +590,11 @@ def verify_signed(
     (``codec.decode_authenticated``); the receiver checks those bytes as
     they arrived.  Without it, as for a message nested in another, the part
     is encoded again from ``msg``.  An ``ObjectUpload``'s signature covers
-    its order nonce and object digests instead: the caller passes
+    its order digest and object digests instead: the caller passes
     ``object_digests(msg.objects)`` as ``digests``.
     """
     if type(msg) is ObjectUpload:
-        payload = upload_signing_payload(msg.order_nonce, digests)
+        payload = upload_signing_payload(msg.oi_digest, digests)
     else:
         payload = codec.signing_payload(msg) if covered is None else covered
     sig: Signature = getattr(msg, codec.authenticator_field_name(type(msg)))

@@ -12,9 +12,7 @@ remembers an identity from one build to the next.
 
 from __future__ import annotations
 
-import configparser
-from dataclasses import dataclass, field, fields, replace
-from pathlib import Path
+from dataclasses import dataclass, field, replace
 from random import Random
 from typing import Callable, Mapping
 
@@ -75,33 +73,6 @@ class ScenarioConfig:
     @property
     def expected_price(self) -> int:
         return self.rate * self.quantity
-
-
-def ini_overrides(path: str | Path) -> dict:
-    """Parse a scenario INI file into constructor keyword overrides."""
-    parser = configparser.ConfigParser()
-    try:
-        read = parser.read(str(path))
-    except configparser.Error as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
-    if not read:
-        raise ScenarioError(f"cannot read config file {path}")
-    if not parser.has_section("scenario"):
-        raise ScenarioError(f"{path}: missing [scenario] section")
-    section = parser["scenario"]
-    known = {f.name: f.type for f in fields(ScenarioConfig)}
-    overrides: dict = {}
-    for key in section:
-        if key not in known:
-            raise ScenarioError(f"{path}: unknown scenario key {key!r}")
-        try:
-            if known[key] == "int":
-                overrides[key] = section.getint(key)
-            else:
-                overrides[key] = section.get(key)
-        except ValueError as exc:
-            raise ScenarioError(f"{path}: bad value for {key!r}: {exc}") from exc
-    return overrides
 
 
 def _objects(config: ScenarioConfig) -> tuple[bytes, ...]:

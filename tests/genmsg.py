@@ -43,6 +43,7 @@ from gset import (
     TranscriptRecord,
     UsageDescriptor,
     WireMessage,
+    codec,
 )
 
 _LABEL_CHARS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_."
@@ -110,7 +111,7 @@ def gen_ticket(rng: Random) -> Ticket:
 
 
 def gen_capture_token(rng: Random) -> CaptureToken:
-    return CaptureToken(nonce(rng), label(rng), u64(rng, 1), gen_digest(rng), gen_signature(rng))
+    return CaptureToken(label(rng), u64(rng, 1), gen_digest(rng), gen_signature(rng))
 
 
 def gen_price_request(rng: Random) -> PriceRequest:
@@ -118,7 +119,9 @@ def gen_price_request(rng: Random) -> PriceRequest:
 
 
 def gen_price_quote(rng: Random) -> PriceQuote:
-    return PriceQuote(nonce(rng), gen_usage(rng), u64(rng), u64(rng), gen_signature(rng))
+    return PriceQuote(
+        nonce(rng), nonce(rng), gen_usage(rng), u64(rng), u64(rng), gen_signature(rng)
+    )
 
 
 def gen_quote_denial(rng: Random) -> QuoteDenial:
@@ -126,7 +129,8 @@ def gen_quote_denial(rng: Random) -> QuoteDenial:
 
 
 def gen_authorization_request(rng: Random) -> AuthorizationRequest:
-    return AuthorizationRequest(gen_order_info(rng), gen_envelope(rng), gen_dual(rng))
+    order = codec.encode(gen_order_info(rng))
+    return AuthorizationRequest(order, gen_envelope(rng), gen_dual(rng))
 
 
 def gen_authorize_and_hold(rng: Random) -> AuthorizeAndHold:
@@ -146,17 +150,17 @@ def gen_auth_outcome(rng: Random) -> AuthOutcome:
 
 
 def gen_auth_decision(rng: Random) -> AuthDecision:
-    return AuthDecision(nonce(rng), rng.random() < 0.5, gen_signature(rng))
+    return AuthDecision(gen_digest(rng), rng.random() < 0.5, gen_signature(rng))
 
 
 def gen_object_upload(rng: Random) -> ObjectUpload:
     objects = tuple(blob(rng, 1, 96) for _ in range(rng.randint(1, 3)))
-    return ObjectUpload(nonce(rng), objects, gen_signature(rng))
+    return ObjectUpload(gen_digest(rng), objects, gen_signature(rng))
 
 
 def gen_service_grant(rng: Random) -> ServiceGrant:
     tickets = tuple(gen_ticket(rng) for _ in range(rng.randint(1, 3)))
-    return ServiceGrant(nonce(rng), tickets, gen_signature(rng))
+    return ServiceGrant(gen_digest(rng), tickets, gen_signature(rng))
 
 
 def gen_redeem_request(rng: Random) -> TicketRedeemRequest:
@@ -170,17 +174,17 @@ def gen_redeem_response(rng: Random) -> TicketRedeemResponse:
 
 
 def gen_service_complete(rng: Random) -> ServiceComplete:
-    return ServiceComplete(nonce(rng), gen_signature(rng))
+    return ServiceComplete(gen_digest(rng), gen_signature(rng))
 
 
 def gen_capture_request(rng: Random) -> CaptureRequest:
-    return CaptureRequest(nonce(rng), gen_mac(rng))
+    return CaptureRequest(gen_digest(rng), gen_mac(rng))
 
 
 def gen_capture_response(rng: Random) -> CaptureResponse:
     if rng.random() < 0.5:
-        return CaptureResponse(nonce(rng), None, gen_mac(rng))
-    return CaptureResponse(nonce(rng), gen_denial_reason(rng), gen_mac(rng))
+        return CaptureResponse(gen_digest(rng), None, gen_mac(rng))
+    return CaptureResponse(gen_digest(rng), gen_denial_reason(rng), gen_mac(rng))
 
 
 def gen_hold_request(rng: Random) -> HoldRequest:

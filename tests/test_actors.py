@@ -18,9 +18,11 @@ from gset import (
     CaptureRequest,
     CaptureResponse,
     DenialReason,
+    Digest,
     HoldRequest,
     HoldResponse,
     ObjectUpload,
+    OrderInfo,
     PaymentInfo,
     PriceQuote,
     PriceRequest,
@@ -43,10 +45,12 @@ from gset import (
     generate_keypair,
     hash_bytes,
     mac_keys,
+    make_dual_signature,
     open_envelope,
     peek_type,
     run_scenario,
     run_storage_scenario,
+    seal,
     sign,
     verify,
     verify_signed,
@@ -113,11 +117,11 @@ def approved_outcome(actors, quantity: int = 5, now: int = 0):
     return relay, outcome_of(actors, relay)
 
 
-def upload_for(actors, order_nonce: bytes) -> ObjectUpload:
+def upload_for(actors, oi_digest: Digest) -> ObjectUpload:
     objects = actors.scenario.objects
     upload, _ = build_signed(
         ObjectUpload, actors.sr.identity, digests=object_digests(objects),
-        order_nonce=order_nonce, objects=objects,
+        oi_digest=oi_digest, objects=objects,
     )
     return upload
 
@@ -130,7 +134,7 @@ def decide_then_upload(actors, quantity: int = 5, now: int = 0):
     """
     auth = authorization(actors, quantity, now)
     decision = decide(actors, auth)
-    upload = upload_for(actors, codec.decode(auth, AuthorizationRequest).order_info.order_nonce)
+    upload = upload_for(actors, codec.decode(auth, AuthorizationRequest).dual.oi_digest)
     return decision, actors.sp.deliver("SR", codec.encode(upload), now + 1)
 
 
@@ -143,7 +147,7 @@ def granted(actors, quantity: int = 5) -> ServiceGrant:
 def capture_run(actors, grant: ServiceGrant, drop: str | None = None):
     """Deliver the requester's completion of ``grant`` to the provider and run
     the capture that follows on the simnet's queue; returns its records."""
-    _, raw = build_signed(ServiceComplete, actors.sr.identity, order_nonce=grant.order_nonce)
+    _, raw = build_signed(ServiceComplete, actors.sr.identity, oi_digest=grant.oi_digest)
     return actors.run("SR", "SP", raw, drop=drop)
 
 
@@ -184,11 +188,13 @@ def test_deliver_is_the_only_way_into_an_actor(cls, extra):
 # --- one record per order -----------------------------------------------------
 
 # What each actor records beyond its notes: per-order state lives in one
-# record per order, so a new parallel container shows up here.
+# record per order, so a new parallel container shows up here.  The
+# requester's ticket_orders and the trust manager's order_holds are
+# indexes: they map one name of an order to the key of its record.
 RECORDED = {
-    "SR": {"pending_usage", "orders"},
+    "SR": {"pending_requests", "orders", "ticket_orders"},
     "SP": {"issued_quotes", "denials", "orders", "stored_objects"},
-    "TM": {"seen_payment_nonces", "denials", "holds"},
+    "TM": {"seen_payment_nonces", "denials", "holds", "order_holds"},
     "AP": {"ledger", "seen_hold_nonces"},
 }
 
@@ -208,7 +214,7 @@ def _denied(actors) -> None:
 TO_PROVIDER_PHASE = {
     ProviderPhase.RELAYED: relay_of,
     ProviderPhase.DENIED: _denied,
-    ProviderPhase.APPROVED: lambda actors: approved_order_nonces(actors, 1),
+    ProviderPhase.APPROVED: lambda actors: approved_orders(actors, 1),
     ProviderPhase.GRANTED: granted,
     ProviderPhase.CAPTURING: lambda actors: capture_run(actors, granted(actors), "CaptureResponse"),
     ProviderPhase.CAPTURED: lambda actors: complete(actors, granted(actors)),
@@ -223,19 +229,19 @@ TO_HOLD_PHASE = {
     HoldPhase.SPENT: lambda actors: capture_run(actors, granted(actors)),
 }
 
-# (sender, bytes) of each message to the provider about its order ``nonce``.
-# The two from the trust manager are the refusals a replayed relay or
-# capture draws, arriving after the approval or the settlement.
+# (sender, bytes) of each message to the provider about its order
+# ``oi_digest``.  The two from the trust manager are the refusals a replayed
+# relay or capture draws, arriving after the approval or the settlement.
 TO_PROVIDER = {
-    "ObjectUpload": lambda actors, nonce, order: ("SR", codec.encode(upload_for(actors, nonce))),
-    "ServiceComplete": lambda actors, nonce, order: (
-        "SR", build_signed(ServiceComplete, actors.sr.identity, order_nonce=nonce)[1]
+    "ObjectUpload": lambda actors, oi_digest: ("SR", codec.encode(upload_for(actors, oi_digest))),
+    "ServiceComplete": lambda actors, oi_digest: (
+        "SR", build_signed(ServiceComplete, actors.sr.identity, oi_digest=oi_digest)[1]
     ),
-    "AuthOutcome": lambda actors, nonce, order: (
-        "TM", codec.encode(AuthOutcome(order.oi_digest, None, DenialReason.REPLAY))
+    "AuthOutcome": lambda actors, oi_digest: (
+        "TM", codec.encode(AuthOutcome(oi_digest, None, DenialReason.REPLAY))
     ),
-    "CaptureResponse": lambda actors, nonce, order: ("TM", actors.tm._maced_to(
-        "SP", CaptureResponse, token_id=order.token_id, reason=DenialReason.REPLAY
+    "CaptureResponse": lambda actors, oi_digest: ("TM", actors.tm._maced_to(
+        "SP", CaptureResponse, oi_digest=oi_digest, reason=DenialReason.REPLAY
     )[0][1]),
 }
 
@@ -294,7 +300,7 @@ def test_a_message_its_order_phase_refuses_changes_nothing(tag, phase, note):
     else:
         TO_PROVIDER_PHASE[phase](actors)
         receiver, [(key, record)] = actors.sp, actors.sp.orders.items()
-        sender, raw = TO_PROVIDER[tag](actors, key, record)
+        sender, raw = TO_PROVIDER[tag](actors, key)
     assert record.phase == phase
     books, noted = actors.ap.state_bytes(), len(receiver.notes)
     records = actors.run(sender, receiver.subject_id, raw)
@@ -305,7 +311,7 @@ def test_a_message_its_order_phase_refuses_changes_nothing(tag, phase, note):
     if (tag, phase) == ("CaptureRequest", HoldPhase.SPENT):
         # the one refusal that is an answer: a spent token's capture
         assert answers == actors.tm._maced_to(
-            "SP", CaptureResponse, token_id=record.token_id, reason=DenialReason.REPLAY
+            "SP", CaptureResponse, oi_digest=record.oi_digest, reason=DenialReason.REPLAY
         )
     else:
         assert answers == []
@@ -346,6 +352,32 @@ def test_two_quotes_for_same_request_have_distinct_ids():
     [(_, a)] = actors.sp.deliver("SR", request, 0)
     [(_, b)] = actors.sp.deliver("SR", request, 0)
     assert codec.decode(a, PriceQuote).quote_id != codec.decode(b, PriceQuote).quote_id
+
+
+def test_a_quote_answers_its_request_by_nonce():
+    # two requests for one usage; the requester pairs each quote with the
+    # request it names, not with the first request for that usage
+    actors = build_actors()
+    usage = usage_mb(actors, 5)
+    first, second = price_request(actors, usage), price_request(actors, usage)
+    [(_, quote)] = actors.sp.deliver("SR", second, 0)
+    assert codec.decode(quote, PriceQuote).request_nonce == codec.decode(second, PriceRequest).nonce
+    [(dest, _)] = actors.sr.deliver("SP", quote, 1)
+    assert dest == "SP"
+    assert codec.decode(second, PriceRequest).nonce not in actors.sr.pending_requests
+    assert codec.decode(first, PriceRequest).nonce in actors.sr.pending_requests
+    # the same quote again names no pending request
+    assert actors.sr.deliver("SP", quote, 2) == []
+    assert actors.sr.notes[-1] == "quote does not match any pending request"
+
+
+def test_a_quote_denial_ends_its_request():
+    actors = build_actors()
+    request = price_request(actors, UsageDescriptor("unpriced-service", "noop", 1, "each"))
+    [(_, denial)] = actors.sp.deliver("SR", request, 0)
+    assert codec.decode(request, PriceRequest).nonce in actors.sr.pending_requests
+    assert actors.sr.deliver("SP", denial, 1) == []
+    assert codec.decode(request, PriceRequest).nonce not in actors.sr.pending_requests
 
 
 def test_unknown_service_id_gets_a_denial():
@@ -421,7 +453,9 @@ def test_dual_signature_binds_order_and_payment():
     auth = codec.decode(authorization(actors, 5, now=1), AuthorizationRequest)
     # the payment half as the trust manager will see it
     payment = open_envelope(actors.tm.identity, auth.payment_envelope)
-    assert auth.dual.oi_digest == hash_bytes(codec.encode(auth.order_info))
+    # the order travels as the bytes its digest hashes
+    assert auth.dual.oi_digest == hash_bytes(auth.order_info)
+    assert codec.decode(auth.order_info, OrderInfo).usage == usage_mb(actors, 5)
     assert auth.dual.pi_digest == hash_bytes(payment)
 
 
@@ -456,7 +490,7 @@ def _refused_authorization(actors, auth: AuthorizationRequest, now: int, reason)
     [(dest, raw)] = actors.sp.deliver("SR", codec.encode(auth), now)
     decision = codec.decode(raw, AuthDecision)
     assert dest == "SR"
-    assert decision.order_nonce == auth.order_info.order_nonce
+    assert decision.oi_digest == auth.dual.oi_digest
     assert not decision.approved
     assert actors.sp.denials[-1] == reason
 
@@ -464,10 +498,9 @@ def _refused_authorization(actors, auth: AuthorizationRequest, now: int, reason)
 def test_tampered_order_info_denied_as_bad_signature():
     actors = build_actors()
     auth = codec.decode(authorization(actors, 5, now=1), AuthorizationRequest)
-    doctored_order = dataclasses.replace(
-        auth.order_info, usage=dataclasses.replace(auth.order_info.usage, quantity=4)
-    )
-    doctored = dataclasses.replace(auth, order_info=doctored_order)
+    order = codec.decode(auth.order_info, OrderInfo)
+    doctored_order = dataclasses.replace(order, usage=dataclasses.replace(order.usage, quantity=4))
+    doctored = dataclasses.replace(auth, order_info=codec.encode(doctored_order))
     _refused_authorization(actors, doctored, 1, DenialReason.BAD_SIGNATURE)
 
 
@@ -483,7 +516,7 @@ def test_unknown_quote_denied_as_expired():
     actors = build_actors()
     auth = codec.decode(authorization(actors, 5, now=1), AuthorizationRequest)
     # provider has dropped the quote by the time the order arrives
-    del actors.sp.issued_quotes[auth.order_info.quote_id]
+    del actors.sp.issued_quotes[codec.decode(auth.order_info, OrderInfo).quote_id]
     _refused_authorization(actors, auth, 1, DenialReason.EXPIRED_QUOTE)
 
 
@@ -545,6 +578,50 @@ def test_same_hold_instruction_twice_is_replay():
     assert sum(actors.ap.ledger.active_holds(digest).values()) == 50
 
 
+def second_payment_relay(actors, auth: bytes, charge: int) -> bytes:
+    """The provider's relay of a second payment half that the requester
+    dual-signs over the order of ``auth``: a fresh payment nonce, the same
+    order digest."""
+    order = codec.decode(auth, AuthorizationRequest)
+    config = actors.sr.config
+    payment = codec.encode(PaymentInfo(
+        config.account_provider_id, config.account_ref, config.authorized_limit, b"\x02" * 16
+    ))
+    envelope = seal(actors.tm.identity.public_key, "TM", payment, Random("second payment"))
+    dual = make_dual_signature(actors.sr.identity, order.order_info, payment)
+    assert dual.oi_digest == order.dual.oi_digest
+    to_tm = actors.sp._keys_with("TM")[0]
+    return build_maced(
+        AuthorizeAndHold, to_tm, payment_envelope=envelope, dual=dual, charge_amount=charge
+    )[1]
+
+
+def test_a_second_payment_half_for_a_held_order_is_refused():
+    # the requester signs two payment halves over one order; the trust
+    # manager places one hold for the order, not one per payment half
+    actors = build_actors()
+    auth = authorization(actors, 5)
+    assert decide(actors, auth).approved
+    outcome = outcome_of(actors, second_payment_relay(actors, auth, 50))
+    assert outcome.reason == DenialReason.REPLAY
+    assert actors.tm.notes[-1] == "authorization denied (REPLAY): order already held"
+    assert actors.ap.ledger.holds_created() == 1
+    assert len(actors.tm.holds) == 1
+
+
+def test_a_refused_hold_frees_its_order_for_another_payment_half():
+    # the account provider refuses the hold; the order keeps no hold, so a
+    # second payment half for it is asked of the account provider in turn
+    actors = build_actors(limit=200, credit=100)
+    auth = authorization(actors, 15)
+    assert not decide(actors, auth).approved
+    assert actors.tm.holds == {} and actors.tm.order_holds == {}
+    outcome = outcome_of(actors, second_payment_relay(actors, auth, 150))
+    assert outcome.reason == DenialReason.INSUFFICIENT_CREDIT
+    assert actors.tm.holds == {} and actors.tm.order_holds == {}
+    assert len(actors.ap.seen_hold_nonces) == 2
+
+
 def test_relay_presented_by_anyone_but_its_signer_is_refused():
     # the provider's identity on a relay is its signature's signer, nothing else
     actors = build_actors()
@@ -597,7 +674,8 @@ def test_minted_token_verifies_and_names_the_provider():
     # the payer's side stays with the trust manager: its record names the
     # account provider, and the hold is kept under its one name
     [(hold_nonce, record)] = actors.tm.holds.items()
-    assert record.token_id == token.token_id
+    assert actors.tm.order_holds == {token.oi_digest: hold_nonce}
+    assert record.oi_digest == token.oi_digest
     assert record.account_provider == "AP"
     digest = hash_bytes(actors.scenario.account_ref.encode())
     assert actors.ap.ledger.active_holds(digest) == {hold_nonce: 50}
@@ -622,14 +700,14 @@ def test_three_objects_make_three_digest_matched_tickets():
         assert actors.sp.stored_objects[ticket.ticket_id] == obj
 
 
-def approved_order_nonces(actors, count: int) -> list[bytes]:
-    """Order nonces of ``count`` orders the provider has approved."""
-    nonces = []
+def approved_orders(actors, count: int) -> list[Digest]:
+    """Order digests of ``count`` orders the provider has approved."""
+    digests = []
     for _ in range(count):
         auth = authorization(actors)
         assert decide(actors, auth).approved
-        nonces.append(codec.decode(auth, AuthorizationRequest).order_info.order_nonce)
-    return nonces
+        digests.append(codec.decode(auth, AuthorizationRequest).dual.oi_digest)
+    return digests
 
 
 def _flip_first_bit(objects: tuple[bytes, ...], index: int) -> tuple[bytes, ...]:
@@ -640,7 +718,7 @@ def _flip_first_bit(objects: tuple[bytes, ...], index: int) -> tuple[bytes, ...]
 def _signed_over_raw_bytes(actors, upload: ObjectUpload, _other: bytes) -> ObjectUpload:
     # the signature an upload carried when it covered the object bytes
     raw_payload = codec.signing_payload_from(
-        ObjectUpload, {"order_nonce": upload.order_nonce, "objects": upload.objects}
+        ObjectUpload, {"oi_digest": upload.oi_digest, "objects": upload.objects}
     )
     return dataclasses.replace(
         upload, requester_signature=sign(actors.sr.identity, raw_payload)
@@ -665,8 +743,8 @@ UPLOAD_FORGERIES = {
     "one object appended": lambda actors, up, other: dataclasses.replace(
         up, objects=up.objects + (b"delta" * 13,)
     ),
-    "another order's nonce": lambda actors, up, other: dataclasses.replace(
-        up, order_nonce=other
+    "another order's digest": lambda actors, up, other: dataclasses.replace(
+        up, oi_digest=other
     ),
     "signed over the raw object bytes": _signed_over_raw_bytes,
 }
@@ -674,12 +752,12 @@ UPLOAD_FORGERIES = {
 
 def test_honest_upload_signature_covers_the_object_digests():
     actors = build_actors()
-    [nonce] = approved_order_nonces(actors, 1)
-    upload = upload_for(actors, nonce)
+    [oi_digest] = approved_orders(actors, 1)
+    upload = upload_for(actors, oi_digest)
     public = actors.sr.identity.public_key
     digests = object_digests(actors.scenario.objects)
     assert verify_signed(upload, public, digests)
-    assert verify(public, upload_signing_payload(nonce, digests), upload.requester_signature)
+    assert verify(public, upload_signing_payload(oi_digest, digests), upload.requester_signature)
     [(dest, raw)] = actors.sp.deliver("SR", codec.encode(upload), 1)
     assert dest == "SR"
     assert len(actors.sp.stored_objects) == len(actors.scenario.objects)
@@ -688,24 +766,25 @@ def test_honest_upload_signature_covers_the_object_digests():
 @pytest.mark.parametrize("forgery", sorted(UPLOAD_FORGERIES))
 def test_provider_refuses_an_upload_its_signature_does_not_bind(forgery):
     actors = build_actors()
-    nonce, other = approved_order_nonces(actors, 2)
-    forged = UPLOAD_FORGERIES[forgery](actors, upload_for(actors, nonce), other)
+    oi_digest, other = approved_orders(actors, 2)
+    forged = UPLOAD_FORGERIES[forgery](actors, upload_for(actors, oi_digest), other)
     public = actors.sr.identity.public_key
     assert not verify_signed(forged, public, object_digests(forged.objects))
     assert actors.sp.deliver("SR", codec.encode(forged), 1) == []
     assert actors.sp.notes[-1] == "upload signature does not verify"
     assert actors.sp.stored_objects == {}
     # the refusal was the signature's: the honest upload is then granted
-    assert actors.sp.deliver("SR", codec.encode(upload_for(actors, nonce)), 2)
+    assert actors.sp.deliver("SR", codec.encode(upload_for(actors, oi_digest)), 2)
     assert len(actors.sp.stored_objects) == len(actors.scenario.objects)
 
 
 def test_an_upload_payload_is_no_wire_upload_of_digests():
     # signing payloads lead with their type tag; the upload's tag is its own
     digests = object_digests(build_actors().scenario.objects)
-    payload = upload_signing_payload(b"\x01" * 16, digests)
+    order = Digest(b"\x01" * 32)
+    payload = upload_signing_payload(order, digests)
     as_wire = codec.signing_payload_from(
-        ObjectUpload, {"order_nonce": b"\x01" * 16, "objects": tuple(d.bytes for d in digests)}
+        ObjectUpload, {"oi_digest": order, "objects": tuple(d.bytes for d in digests)}
     )
     assert payload != as_wire
     with pytest.raises(codec.CodecError):
@@ -756,8 +835,8 @@ def test_lost_outcome_cannot_approve_another_order_in_its_place():
         adversary=Adversary(mode=AdversaryMode.DROP, target="AuthOutcome", max_hits=1),
     )
     second = codec.decode(auths[1], AuthorizationRequest)
-    granted = {n for n, o in actors.sp.orders.items() if o.phase >= ProviderPhase.GRANTED}
-    assert granted == {second.order_info.order_nonce}
+    granted = {d for d, o in actors.sp.orders.items() if o.phase >= ProviderPhase.GRANTED}
+    assert granted == {second.dual.oi_digest}
     assert actors.ap.ledger.settle_count == 1
 
 
@@ -801,7 +880,7 @@ def test_redeemed_object_failing_its_ticket_digest_is_ignored():
     wrong = dataclasses.replace(genuine, payload=flipped)
     assert actors.sr.deliver("SP", codec.encode(wrong), 4) == []
     # ignored, not counted: the ticket is still outstanding
-    [(order_nonce, order)] = actors.sr.orders.items()
+    [(oi_digest, order)] = actors.sr.orders.items()
     assert order.awaits(genuine.ticket_id)
     assert order.retrieved == {}
     assert order.refusals == set()
@@ -810,7 +889,7 @@ def test_redeemed_object_failing_its_ticket_digest_is_ignored():
     assert outs[:-1] == [[]] * (len(responses) - 1)
     [(dest, raw)] = outs[-1]
     assert dest == "SP"
-    assert codec.decode(raw, ServiceComplete).order_nonce == order_nonce
+    assert codec.decode(raw, ServiceComplete).oi_digest == oi_digest
     assert order.phase == RequesterPhase.COMPLETED
     assert order.retrieved[genuine.ticket_id] == genuine.payload
 
@@ -842,7 +921,7 @@ def test_capturing_the_same_token_twice_fails_with_replay():
     [again] = actors.run("SP", "TM", request)[1:]
     second = codec.decode(again.payload, CaptureResponse)
     assert again.to_id == "SP"
-    assert second.token_id == first.token_id
+    assert second.oi_digest == first.oi_digest
     assert not second.settled
     assert second.reason == DenialReason.REPLAY
     digest = hash_bytes(actors.scenario.account_ref.encode())
@@ -862,16 +941,15 @@ def _refused_capture(actors, grant: ServiceGrant) -> None:
 
 def test_token_signed_with_the_tm_key_but_minted_elsewhere_is_refused():
     actors = build_actors()
-    grant = granted(actors)
-    # a second trust manager with the same keys mints a token this one never did
+    granted(actors)
+    # a second trust manager with the same keys approves an order this one never held
     twin = TrustManager(actors.tm.identity, actors.tm.directory, actors.tm.config, Random("twin/TM"))
     actors.registry["TM"] = twin
     outcome = outcome_of(actors, relay_of(actors))
     actors.registry["TM"] = actors.tm
     assert outcome.approved
-    # the granted order now names the twin's token
-    actors.sp.orders[grant.order_nonce].token_id = outcome.token.token_id
-    _refused_capture(actors, grant)
+    [(_, raw)] = actors.sp.deliver("SR", codec.encode(upload_for(actors, outcome.oi_digest)), 1)
+    _refused_capture(actors, codec.decode(raw, ServiceGrant))
 
 
 def _account_provider_naming(actors, other: bytes) -> None:
@@ -900,7 +978,6 @@ def test_a_hold_response_naming_another_hold_mints_no_token():
     assert actors.tm.notes[-1] == "HoldResponse answers no pending request"
     [hold] = actors.tm.holds.values()
     assert hold.phase == HoldPhase.HOLDING
-    assert hold.token_id == b""
 
 
 def test_a_settle_response_naming_another_hold_leaves_the_token_unspent():
@@ -928,25 +1005,24 @@ def test_capture_request_must_come_from_the_named_provider():
         assert answer.to_id == sender
         return codec.decode(answer.payload, CaptureResponse)
 
-    token_id = outcome.token.token_id
-    request = CaptureRequest(token_id=token_id, provider_mac=b"\x01" * 32)
+    oi_digest = outcome.oi_digest
+    request = CaptureRequest(oi_digest=oi_digest, provider_mac=b"\x01" * 32)
     response = capture("SP", codec.encode(request))
     assert not response.settled
     assert response.reason == DenialReason.BAD_SIGNATURE
     # the requester's own MAC is genuine, but the token names the provider
     to_tm = mac_keys(actors.sr.identity, "TM", actors.tm.identity.public_key)[0]
-    _, presented = build_maced(CaptureRequest, to_tm, token_id=token_id)
+    _, presented = build_maced(CaptureRequest, to_tm, oi_digest=oi_digest)
     response = capture("SR", presented)
     assert response.reason == DenialReason.BAD_SIGNATURE
     assert actors.ap.ledger.settle_count == 0
 
 
-def test_a_capture_of_a_token_id_never_minted_is_refused():
+def test_a_capture_for_an_order_never_held_is_refused():
     actors = build_actors()
     _, outcome = approved_outcome(actors, quantity=5)
-    unminted = bytes(16)
-    assert unminted != outcome.token.token_id
-    [(_, raw)] = actors.sp._maced_to("TM", CaptureRequest, token_id=unminted)
+    unheld = hash_bytes(b"an order the trust manager never held")
+    [(_, raw)] = actors.sp._maced_to("TM", CaptureRequest, oi_digest=unheld)
     [answer] = actors.run("SP", "TM", raw)[1:]
     response = codec.decode(answer.payload, CaptureResponse)
     assert answer.to_id == "SP"
@@ -958,6 +1034,20 @@ def test_a_capture_of_a_token_id_never_minted_is_refused():
     assert actors.ap.ledger.settle_count == 0
 
 
+def test_a_capture_before_the_token_is_minted_is_refused():
+    # the hold is still being asked for: no token exists to capture
+    actors = build_actors()
+    TO_HOLD_PHASE[HoldPhase.HOLDING](actors)
+    [hold] = actors.tm.holds.values()
+    [(_, raw)] = actors.sp._maced_to("TM", CaptureRequest, oi_digest=hold.oi_digest)
+    [answer] = actors.run("SP", "TM", raw)[1:]
+    assert codec.decode(answer.payload, CaptureResponse).reason == DenialReason.BAD_SIGNATURE
+    assert actors.tm.notes[-1] == (
+        "capture refused (BAD_SIGNATURE): no token minted here for this provider"
+    )
+    assert hold.phase == HoldPhase.HOLDING
+
+
 def _first(payloads: list[bytes], cls: type):
     return next(codec.decode(raw) for raw in payloads if peek_type(raw) == cls.__name__)
 
@@ -966,15 +1056,32 @@ def test_the_grant_and_the_completion_name_the_approved_order():
     payloads = run_storage_scenario(ScenarioConfig()).transcript.payloads()
     decision = _first(payloads, AuthDecision)
     assert decision.approved
-    assert _first(payloads, ServiceGrant).order_nonce == decision.order_nonce
-    assert _first(payloads, ServiceComplete).order_nonce == decision.order_nonce
+    # by the digest the dual signature signs, which the token names too
+    assert decision.oi_digest == _first(payloads, AuthorizationRequest).dual.oi_digest
+    assert _first(payloads, AuthOutcome).token.oi_digest == decision.oi_digest
+    assert _first(payloads, ServiceGrant).oi_digest == decision.oi_digest
+    assert _first(payloads, ServiceComplete).oi_digest == decision.oi_digest
+
+
+def test_the_account_provider_never_learns_the_order():
+    # holds reach the account provider under the trust manager's hold nonce
+    report = run_storage_scenario(ScenarioConfig())
+    payloads = report.transcript.payloads()
+    auth = _first(payloads, AuthorizationRequest)
+    names = (auth.dual.oi_digest.bytes, codec.decode(auth.order_info, OrderInfo).order_nonce)
+    to_ap = [r.payload for r in report.transcript.records if r.to_id == "AP"]
+    assert [peek_type(raw) for raw in to_ap] == ["HoldRequest", "SettleRequest"]
+    state = report.scenario.account_provider.state_bytes()
+    for name in names:
+        assert all(name not in raw for raw in to_ap)
+        assert name not in state
 
 
 def test_a_capture_names_the_token_of_the_outcome():
     payloads = run_storage_scenario(ScenarioConfig()).transcript.payloads()
     token = _first(payloads, AuthOutcome).token
-    assert _first(payloads, CaptureRequest).token_id == token.token_id
-    assert _first(payloads, CaptureResponse).token_id == token.token_id
+    assert _first(payloads, CaptureRequest).oi_digest == token.oi_digest
+    assert _first(payloads, CaptureResponse).oi_digest == token.oi_digest
 
 
 # --- defensive delivery ------------------------------------------------------------
@@ -987,7 +1094,9 @@ def test_garbage_bytes_are_dropped_with_a_note():
 
 
 def _stray_capture_response(actors):
-    return actors.tm._maced_to("SP", CaptureResponse, token_id=bytes(16), reason=None)[0][1]
+    return actors.tm._maced_to(
+        "SP", CaptureResponse, oi_digest=Digest(bytes(32)), reason=None
+    )[0][1]
 
 
 def _stray_hold_response(actors):
@@ -1139,7 +1248,7 @@ def test_an_actor_without_a_peer_key_sends_that_peer_nothing():
     _, outcome = approved_outcome(actors, quantity=5)
     del actors.tm.directory["SP"]
     actors.tm.pair_keys.clear()
-    [(_, raw)] = actors.sp._maced_to("TM", CaptureRequest, token_id=outcome.token.token_id)
+    [(_, raw)] = actors.sp._maced_to("TM", CaptureRequest, oi_digest=outcome.oi_digest)
     assert actors.run("SP", "TM", raw)[1:] == ()
     assert actors.tm.notes[-1] == "no MAC key for SP; CaptureResponse not sent"
     assert actors.ap.ledger.settle_count == 0

@@ -192,11 +192,11 @@ def test_invalid_utf8_rejected():
 
 
 def test_bool_field_must_be_zero_or_one():
-    msg = AuthDecision(bytes(16), False, Signature(b"s" * 64, "SP"))
+    msg = AuthDecision(hash_bytes(b"order"), False, Signature(b"s" * 64, "SP"))
     raw = bytearray(encode(msg))
-    # the bool follows the tag and the 16-byte order nonce; its 8-byte value
-    # starts after three 4-byte length prefixes plus the tag and nonce
-    offset = 4 + len("AuthDecision") + 4 + 16 + 4
+    # the bool follows the tag and the 32-byte order digest; its 8-byte value
+    # starts after three 4-byte length prefixes plus the tag and digest
+    offset = 4 + len("AuthDecision") + 4 + 32 + 4
     assert raw[offset + 7] == 0
     raw[offset + 7] = 2
     with pytest.raises(DecodeError):
@@ -238,7 +238,7 @@ def test_signing_payload_excludes_trailing_signature():
     payload = signing_payload(quote)
     assert payload not in encode(quote) or quote.provider_signature.bytes not in payload
     other = PriceQuote(
-        quote.quote_id, quote.usage, quote.price, quote.expiry,
+        quote.request_nonce, quote.quote_id, quote.usage, quote.price, quote.expiry,
         Signature(b"\x01" * 64, "someone-else"),
     )
     assert signing_payload(other) == payload
@@ -258,7 +258,7 @@ def test_signing_payload_depends_on_every_other_field():
     rng = Random("signing2")
     quote = genmsg.random_message(PriceQuote, rng)
     bumped = PriceQuote(
-        quote.quote_id, quote.usage, quote.price + 1, quote.expiry,
+        quote.request_nonce, quote.quote_id, quote.usage, quote.price + 1, quote.expiry,
         quote.provider_signature,
     )
     assert signing_payload(bumped) != signing_payload(quote)
@@ -367,8 +367,11 @@ def test_token_round_trip_preserves_signature_bytes():
 # received frame, not as copies; the frame is an immutable bytes object.
 
 # The provider's state_bytes() once it has stored the default upload, taken
-# when it stored bytes copies: a view encodes as the same bytes.
-UPLOADED_PROVIDER_STATE_SHA256 = "bb0eca50c3e1d0e30292e96f2d8b690bb59049a98aa29118cf99676dc7a56e48"
+# when it stored bytes copies: a view encodes as the same bytes.  Re-taken
+# when the provider came to key its orders by the order digest, and its
+# record of an order lost the digest and the token id; the stored objects
+# and the issued quote are as before.
+UPLOADED_PROVIDER_STATE_SHA256 = "ebd3e3bd91117279b5702a9ab49707379a3fdd28413112d6ff44b0bf08f18831"
 
 
 def _bulk_frames() -> tuple[bytes, bytes]:
@@ -465,10 +468,20 @@ def test_provider_state_holding_views_is_the_state_of_the_same_bytes():
 # order by digest and its token carries that digest too (+72 bytes), and the
 # CaptureResponse names its token (+20 bytes); over seeds 0-39 of the
 # default and the 16 x 64 KiB runs, routes, types, record order and every
-# other payload were as before.
+# other payload were as before.  They were re-taken again when the order
+# digest became each order's one name: the AuthDecision, ObjectUpload,
+# ServiceGrant, ServiceComplete, CaptureRequest and CaptureResponse name the
+# 32-byte digest for a 16-byte nonce or token id (+16 bytes each), the
+# CaptureToken inside the AuthOutcome lost its token id (-20), the
+# PriceQuote names its request's nonce (+20) and the AuthorizationRequest
+# carries the order as its tagged encoding (+13); over seeds 0-39 of the
+# default and the 16 x 64 KiB runs, routes, ticks, types, record order and
+# the payloads of the other eight types were as before, and so were the
+# decode outcomes of those eight types, TranscriptMeta, TranscriptRecord
+# and the decode_stream sweep.
 
-DEFAULT_TRANSCRIPT_SHA256 = "5a9568aa69e75a65303a85c4ff1a6a39a37c3defc2c52646843e6d8760b0b7ae"
-DECODE_OUTCOMES_SHA256 = "9e45e2f24d3d202b27c4fc99695a4bd668721dba4efd5617bc3febf6ba8149bc"
+DEFAULT_TRANSCRIPT_SHA256 = "8e8f0d7a15e6be86c682424fa3488c7a46c57fc1909e196ab4c6f2e7a7e9be7d"
+DECODE_OUTCOMES_SHA256 = "4d813c1304f7e98c6bbb0af09e7b05bfaf2bc39aecddb989d04de4a7d8a35e75"
 
 
 def _outcome(fn, raw: bytes) -> tuple:

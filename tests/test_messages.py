@@ -132,22 +132,22 @@ def test_ticket_and_capture_token_rules():
     with pytest.raises(ValidationError):
         Ticket(b"", digest)
 
-    token = CaptureToken(NONCE, "SP", 50, ORDER, SIG)
+    token = CaptureToken("SP", 50, ORDER, SIG)
     assert token.charge_amount == 50
     with pytest.raises(ValidationError):
-        CaptureToken(NONCE, "SP", 0, ORDER, SIG)
+        CaptureToken("SP", 0, ORDER, SIG)
     with pytest.raises(ValidationError):
-        CaptureToken(NONCE, "", 50, ORDER, SIG)
-    with pytest.raises(ValidationError):
-        CaptureToken(NONCE * 2, "SP", 50, ORDER, SIG)
+        CaptureToken("", 50, ORDER, SIG)
 
 
 def test_price_quote_allows_zero_price_and_expiry():
     usage = UsageDescriptor("svc", "op", 1, "megabyte")
-    quote = PriceQuote(NONCE, usage, 0, 0, SIG)
+    quote = PriceQuote(NONCE, NONCE, usage, 0, 0, SIG)
     assert quote.price == 0
     with pytest.raises(ValidationError):
-        PriceQuote(b"x", usage, 10, 5, SIG)
+        PriceQuote(NONCE, b"x", usage, 10, 5, SIG)
+    with pytest.raises(ValidationError):
+        PriceQuote(b"x", NONCE, usage, 10, 5, SIG)
 
 
 def test_quote_denial_needs_a_reason_string():
@@ -163,7 +163,7 @@ def test_authorize_and_hold_requires_positive_charge():
 
 
 def test_auth_outcome_approval_token_coupling():
-    token = CaptureToken(NONCE, "SP", 50, ORDER, SIG)
+    token = CaptureToken("SP", 50, ORDER, SIG)
     assert AuthOutcome(ORDER, token, None).approved
     assert not AuthOutcome(ORDER, None, DenialReason.OVER_LIMIT).approved
     with pytest.raises(ValidationError):
@@ -173,18 +173,18 @@ def test_auth_outcome_approval_token_coupling():
 
 
 def test_object_upload_rules():
-    ObjectUpload(NONCE, (b"a", b"bb"), SIG)
+    ObjectUpload(ORDER, (b"a", b"bb"), SIG)
     with pytest.raises(ValidationError):
-        ObjectUpload(NONCE, (), SIG)
+        ObjectUpload(ORDER, (), SIG)
     with pytest.raises(ValidationError):
-        ObjectUpload(NONCE, (b"a", b""), SIG)
+        ObjectUpload(ORDER, (b"a", b""), SIG)
 
 
 def test_service_grant_needs_tickets():
     ticket = Ticket(NONCE, hash_bytes(b"obj"))
-    ServiceGrant(NONCE, (ticket,), SIG)
+    ServiceGrant(ORDER, (ticket,), SIG)
     with pytest.raises(ValidationError):
-        ServiceGrant(NONCE, (), SIG)
+        ServiceGrant(ORDER, (), SIG)
 
 
 def test_redeem_response_payload_coupling():
@@ -193,10 +193,9 @@ def test_redeem_response_payload_coupling():
 
 
 def test_capture_response_reason_coupling():
-    assert CaptureResponse(NONCE, None, MAC).settled
-    assert not CaptureResponse(NONCE, DenialReason.REPLAY, MAC).settled
-    with pytest.raises(ValidationError):
-        CaptureResponse(b"short", None, MAC)
+    # the response names its order by digest, whose size the codec enforces
+    assert CaptureResponse(ORDER, None, MAC).settled
+    assert not CaptureResponse(ORDER, DenialReason.REPLAY, MAC).settled
 
 
 def test_hold_response_branches():
@@ -251,7 +250,7 @@ def test_the_evidence_tables_name_exactly_the_authenticated_types():
 
 
 def _token_fields() -> dict:
-    return dict(token_id=NONCE, provider_id="SP", charge_amount=50, oi_digest=ORDER)
+    return dict(provider_id="SP", charge_amount=50, oi_digest=ORDER)
 
 
 def test_build_signed_round_trips_with_verify_signed():
@@ -267,7 +266,7 @@ def test_verify_signed_fails_for_wrong_key_or_altered_field():
     other = generate_keypair("TM2", seed=7)
     msg, _ = build_signed(CaptureToken, tm, **_token_fields())
     assert not verify_signed(msg, other.public_key)
-    altered = dataclasses.replace(msg, token_id=bytes(16))
+    altered = dataclasses.replace(msg, oi_digest=hash_bytes(b"another order"))
     assert not verify_signed(altered, tm.public_key)
 
 
