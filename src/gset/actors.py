@@ -49,6 +49,7 @@ from .crypto import (
     Digest,
     EnvelopeError,
     KeyPair,
+    Signature,
     hash_bytes,
     mac_keys,
     make_dual_signature,
@@ -164,7 +165,7 @@ class _ActorBase:
         self.notes.append(text)
 
     def _nonce(self) -> bytes:
-        return self.rng.randbytes(16)
+        return self.rng.randbytes(codec.NONCE_SIZE)
 
     def _key_of(self, subject_id: str) -> bytes | None:
         return self.directory.get(subject_id)
@@ -208,22 +209,21 @@ class _ActorBase:
     ) -> bool:
         """Did ``peer_id`` send ``msg``, by its trailing signature or MAC?
 
-        A ``*_mac`` is checked under the key from ``peer_id`` to this actor; a
-        ``*_signature`` must name ``peer_id`` and verify under its public key.
+        A ``Mac`` is checked under the key from ``peer_id`` to this actor; a
+        ``Signature`` must name ``peer_id`` and verify under its public key.
         ``covered`` is the part of the received bytes the authenticator
         covers (``codec.decode_authenticated``); it is encoded again from
         ``msg`` only when absent, as for a token nested in another message.
         ``digests`` are an ``ObjectUpload``'s object digests, which its
         signature covers in place of the objects.
         """
-        name = codec.authenticator_field_name(type(msg))
-        if name.endswith("_mac"):
+        sig = getattr(msg, codec.authenticator_field_name(type(msg)))
+        if not isinstance(sig, Signature):
             keys = self._keys_with(peer_id)
             return keys is not None and verify_maced(msg, keys[1], covered)
         public = self._key_of(peer_id)
         if public is None:
             return False
-        sig = getattr(msg, name)
         if sig.signer_id != peer_id:
             return False
         return verify_signed(msg, public, digests, covered)
@@ -767,8 +767,8 @@ class TrustManager(_ActorBase):
         Denials carry a precise reason; the only state a failed attempt
         leaves behind is the payment nonce, which stays burned.  An order
         gets at most one hold: a relay for an order whose hold is still
-        being asked for is not answered, and one for an order already held
-        is refused as a replay, whatever its payment half.
+        being asked for is neither opened nor answered, and one for an order
+        already held is refused as a replay, whatever its payment half.
         """
 
         def deny(reason: DenialReason, detail: str) -> Outbound:
@@ -776,6 +776,10 @@ class TrustManager(_ActorBase):
 
         if not self._authentic(msg, sender, covered):
             return deny(DenialReason.BAD_SIGNATURE, "provider MAC fails")
+        held = self.holds.get(self.order_holds.get(msg.dual.oi_digest))
+        if held is not None and held.phase == HoldPhase.HOLDING:
+            self._note("repeat of an authorization on hold ignored")
+            return []
         try:
             payment_bytes = open_envelope(self.identity, msg.payment_envelope)
         except EnvelopeError as exc:
@@ -784,10 +788,6 @@ class TrustManager(_ActorBase):
             payment = codec.decode(payment_bytes, PaymentInfo)
         except CodecError as exc:
             return deny(DenialReason.BAD_SIGNATURE, f"payment plaintext malformed: {exc}")
-        held = self.holds.get(self.order_holds.get(msg.dual.oi_digest))
-        if held is not None and held.phase == HoldPhase.HOLDING:
-            self._note("repeat of an authorization on hold ignored")
-            return []
         if payment.payment_nonce in self.seen_payment_nonces:
             return deny(DenialReason.REPLAY, "payment nonce already used")
         self.seen_payment_nonces.add(payment.payment_nonce)

@@ -28,6 +28,14 @@ offsets and slices only leaf values, except that a ``Bulk`` leaf is not
 copied at all: it decodes as a read-only view of the received frame, and
 its encoder appends such a view as it is.  The wire format is the one above.
 
+A field annotated with a kind (``Nonce``, ``Mac``, ``Label``, ``U64``,
+``Positive``) encodes and decodes as its base type, and carries a rule: a
+nonce or a MAC has its one size, a label is non-empty, an amount fits in 64
+bits and a ``Positive`` one is at least 1.  ``canonical_message`` runs each
+field's rule when a message is constructed, so at the sender and, through
+decoding, at the receiver; a type's ``validate`` method states only what
+relates one field to another.  Each rule is stated once, here.
+
 A trailing signature or MAC covers the type tag and every field before it,
 which is the leading part of the message's own encoding.  So
 ``encode_authenticated`` encodes that part once, authenticates it and
@@ -45,10 +53,11 @@ import types
 import typing
 from typing import Any, Callable, TypeVar
 
-from .crypto import DIGEST_SIZE, Digest
+from .crypto import DIGEST_SIZE, MAC_SIZE, Digest
 
 _U32_MAX = 2**32 - 1
 _U64_MAX = 2**64 - 1
+NONCE_SIZE = 16
 
 M = TypeVar("M")
 
@@ -308,6 +317,39 @@ def _optional_codec(inner: tuple[Encoder, Decoder]) -> tuple[Encoder, Decoder]:
 # which ``_input`` has made an immutable ``bytes``, so nothing else writes it.
 Bulk = bytes | memoryview
 
+# --- field kinds ---------------------------------------------------------------
+#
+# A kind is a base type with a rule: it encodes and decodes as its base type,
+# and its rule, a test and the text of its failure, runs on every instance
+# constructed, so on decode too.
+
+Nonce = typing.NewType("Nonce", bytes)
+Mac = typing.NewType("Mac", bytes)
+Label = typing.NewType("Label", str)
+U64 = typing.NewType("U64", int)
+Positive = typing.NewType("Positive", int)
+
+
+def _unsigned(value: Any, minimum: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and minimum <= value <= _U64_MAX
+
+
+_RULES: dict[Any, tuple[Callable[[Any], bool], str]] = {
+    Nonce: (lambda v: isinstance(v, bytes) and len(v) == NONCE_SIZE, f"must be {NONCE_SIZE} bytes"),
+    Mac: (lambda v: isinstance(v, bytes) and len(v) == MAC_SIZE, f"must be {MAC_SIZE} bytes"),
+    Label: (lambda v: isinstance(v, str) and v != "", "must be non-empty"),
+    U64: (lambda v: _unsigned(v, 0), "must be an unsigned 64-bit integer >= 0"),
+    Positive: (lambda v: _unsigned(v, 1), "must be an unsigned 64-bit integer >= 1"),
+}
+
+
+def check(kind: Any, value: Any, what: str) -> None:
+    """Raise ``ValidationError`` unless ``value`` keeps ``kind``'s rule."""
+    ok, text = _RULES[kind]
+    if not ok(value):
+        raise ValidationError(f"{what} {text}")
+
+
 _LEAVES: dict[Any, tuple[Encoder, Decoder]] = {
     bool: (_encode_bool, _decode_bool),
     int: (_encode_u64, _decode_u64),
@@ -320,6 +362,8 @@ _LEAVES: dict[Any, tuple[Encoder, Decoder]] = {
 
 def _compile(tp: Any, owner: str) -> tuple[Encoder, Decoder]:
     """The encoder and decoder for a field annotated ``tp``."""
+    if tp in _RULES:
+        tp = tp.__supertype__
     leaf = _LEAVES.get(tp)
     if leaf is not None:
         return leaf
@@ -408,9 +452,9 @@ def register_message(cls: type) -> type:
     """Register an existing dataclass with the canonical codec.
 
     Field order on the wire is the dataclass declaration order.  A trailing
-    field of type Signature whose name ends in ``_signature``, or of type
-    bytes whose name ends in ``_mac``, is the message's authenticator (a
-    detached signature or a MAC) and is excluded from signing payloads.
+    field of type Signature whose name ends in ``_signature``, or of kind
+    ``Mac``, is the message's authenticator (a detached signature or a MAC)
+    and is excluded from signing payloads.
     Each field's encoder and decoder are compiled here, once.
     """
     from .crypto import Signature  # local import keeps layering one-way
@@ -428,8 +472,8 @@ def register_message(cls: type) -> type:
     authenticator = None
     if compiled:
         last_name = compiled[-1][0]
-        if (last_name.endswith("_signature") and hints[last_name] is Signature) or (
-            last_name.endswith("_mac") and hints[last_name] is bytes
+        if hints[last_name] is Mac or (
+            last_name.endswith("_signature") and hints[last_name] is Signature
         ):
             authenticator = last_name
     if any(Bulk in (tp, *typing.get_args(tp)) for tp in hints.values()):
@@ -443,15 +487,24 @@ def register_message(cls: type) -> type:
 def canonical_message(cls: type) -> type:
     """Declare a frozen dataclass message with canonical encoding.
 
-    A ``validate`` method, when present, runs on construction, so an
-    invariant-violating instance never exists and encoding need not check
-    again; decoding constructs the instance, so it runs there too.
+    On construction the rule of each field annotated with a kind runs, in
+    field order, and then the type's own ``validate`` method, when present,
+    for what relates one field to another.  So an invariant-violating
+    instance never exists and encoding need not check again; decoding
+    constructs the instance, so the checks run there too.
     ``encode_authenticated`` encodes the field values first and constructs
     the instance last, so a violation raises before any byte is returned.
     """
-    if "validate" in cls.__dict__ and "__post_init__" not in cls.__dict__:
+    hints = typing.get_type_hints(cls)
+    rules = tuple((name, *_RULES[tp]) for name, tp in hints.items() if tp in _RULES)
+    validates = "validate" in cls.__dict__
+    if rules or validates:
         def __post_init__(self) -> None:  # noqa: N807
-            self.validate()
+            for name, ok, text in rules:
+                if not ok(getattr(self, name)):
+                    raise ValidationError(f"{name} {text}")
+            if validates:
+                self.validate()
         cls.__post_init__ = __post_init__  # type: ignore[attr-defined]
     cls = dataclasses.dataclass(frozen=True)(cls)
     return register_message(cls)
@@ -533,7 +586,7 @@ def encode_authenticated(
 
 
 def authenticator_field_name(cls: type) -> str:
-    """Name of the trailing ``*_signature`` or ``*_mac`` field of ``cls``."""
+    """Name of the trailing ``*_signature`` or ``Mac`` field of ``cls``."""
     schema = _schema_for(cls)
     if schema.authenticator is None:
         raise EncodeError(f"{schema.tag} carries no signature or MAC")
@@ -584,7 +637,7 @@ def decode_authenticated(raw: bytes) -> tuple[Any, memoryview | None]:
     """Decode one message, and the part of ``raw`` its authenticator covers.
 
     That part is the received type tag and every field before the trailing
-    ``*_signature`` or ``*_mac``.  Decoding accepts only canonical bytes, so
+    ``*_signature`` or ``Mac``.  Decoding accepts only canonical bytes, so
     it equals ``signing_payload(msg)``: a receiver checks the bytes it
     received instead of encoding them again.  It is a view of ``raw``, so a
     large message is not copied; None for a type with no authenticator.

@@ -11,16 +11,18 @@ payment details exist only inside a sealed envelope addressed to the trust
 manager, order details never leave the requester/provider side, and the
 dual signature ties the two halves together through digests alone.
 
-Messages are frozen dataclasses registered with the canonical codec; each
-validates its own invariants on construction (at the sender) and on decode
-(at the receiver).  A trailing ``*_signature`` field is a detached Ed25519
-signature, and a trailing ``*_mac`` field a 32-byte HMAC-SHA256 tag, over
-the leading part of the message's encoding: the type tag and every field
-before the authenticator.  The sender authenticates that part of the bytes
-it sends (``build_signed``, ``build_maced``), and the receiver checks the
-same part of the bytes it received (``codec.decode_authenticated``,
-``verify_signed``, ``verify_maced``); neither end encodes the message a
-second time.
+Messages are frozen dataclasses registered with the canonical codec.  A
+field's rule is its kind (``codec.Nonce``, ``Mac``, ``Label``, ``U64``,
+``Positive``), which the codec checks on construction (at the sender) and on
+decode (at the receiver); the four ``validate`` methods below state only
+what relates one field to another.  A trailing ``*_signature`` field is a
+detached Ed25519 signature, and a trailing ``Mac`` field a 32-byte
+HMAC-SHA256 tag, over the leading part of the message's encoding: the type
+tag and every field before the authenticator.  The sender authenticates
+that part of the bytes it sends (``build_signed``, ``build_maced``), and the
+receiver checks the same part of the bytes it received
+(``codec.decode_authenticated``, ``verify_signed``, ``verify_maced``);
+neither end encodes the message a second time.
 
 One proof per fact.  Each signature below is checked by the party named as
 its verifier, and the signed message is what that party could later show to
@@ -99,10 +101,18 @@ from functools import partial
 from typing import TypeVar
 
 from . import codec
-from .codec import Bulk, ValidationError, canonical_message
+from .codec import (
+    U64,
+    Bulk,
+    Label,
+    Mac,
+    Nonce,
+    Positive,
+    ValidationError,
+    canonical_message,
+)
 from .crypto import (
     DIGEST_SIZE,
-    MAC_SIZE,
     Digest,
     DualSignature,
     KeyPair,
@@ -115,9 +125,7 @@ from .crypto import (
     verify,
 )
 
-NONCE_SIZE = 16
 M = TypeVar("M")
-_U64_MAX = 2**64 - 1
 
 
 class DenialReason(enum.IntEnum):
@@ -136,31 +144,6 @@ def _need(condition: bool, what: str) -> None:
         raise ValidationError(what)
 
 
-# The checks below run on every message built or decoded, so each tests
-# first and formats its text only on failure.
-def _need_nonce(value: bytes, what: str) -> None:
-    if not (isinstance(value, bytes) and len(value) == NONCE_SIZE):
-        raise ValidationError(f"{what} must be {NONCE_SIZE} bytes")
-
-
-def _need_label(value: str, what: str) -> None:
-    if not (isinstance(value, str) and value):
-        raise ValidationError(f"{what} must be non-empty")
-
-
-def _need_mac(value: bytes, what: str) -> None:
-    if not (isinstance(value, bytes) and len(value) == MAC_SIZE):
-        raise ValidationError(f"{what} must be {MAC_SIZE} bytes")
-
-
-def _need_u64(value: int, what: str, minimum: int = 0) -> None:
-    if not (
-        isinstance(value, int) and not isinstance(value, bool)
-        and minimum <= value <= _U64_MAX
-    ):
-        raise ValidationError(f"{what} must be an unsigned 64-bit integer >= {minimum}")
-
-
 # --- shared components -------------------------------------------------------
 
 
@@ -168,16 +151,10 @@ def _need_u64(value: int, what: str, minimum: int = 0) -> None:
 class UsageDescriptor:
     """What the requester wants to do: a service, an operation, an amount."""
 
-    service_id: str
-    operation: str
-    quantity: int
-    unit: str
-
-    def validate(self) -> None:
-        _need_label(self.service_id, "service_id")
-        _need_label(self.operation, "operation")
-        _need_u64(self.quantity, "quantity", minimum=1)
-        _need_label(self.unit, "unit")
+    service_id: Label
+    operation: Label
+    quantity: Positive
+    unit: Label
 
 
 @canonical_message
@@ -185,13 +162,9 @@ class OrderInfo:
     """The order half of an authorization: quote reference plus usage.  Its
     requester is the dual signature's signer."""
 
-    quote_id: bytes
+    quote_id: Nonce
     usage: UsageDescriptor
-    order_nonce: bytes
-
-    def validate(self) -> None:
-        _need_nonce(self.quote_id, "quote_id")
-        _need_nonce(self.order_nonce, "order_nonce")
+    order_nonce: Nonce
 
 
 @canonical_message
@@ -202,31 +175,22 @@ class PaymentInfo:
     the service provider never sees these fields in the clear.
     """
 
-    account_provider_id: str
-    account_ref: str
-    authorized_limit: int
-    payment_nonce: bytes
-
-    def validate(self) -> None:
-        _need_label(self.account_provider_id, "account_provider_id")
-        _need_label(self.account_ref, "account_ref")
-        _need_u64(self.authorized_limit, "authorized_limit", minimum=1)
-        _need_nonce(self.payment_nonce, "payment_nonce")
+    account_provider_id: Label
+    account_ref: Label
+    authorized_limit: Positive
+    payment_nonce: Nonce
 
 
 @canonical_message
 class Ticket:
     """Single-use claim on one stored object."""
 
-    ticket_id: bytes
+    ticket_id: Nonce
     object_digest: Digest
 
     def matches(self, obj: bytes) -> bool:
         """Is ``obj`` the object this ticket commits to?"""
         return hash_bytes(obj) == self.object_digest
-
-    def validate(self) -> None:
-        _need_nonce(self.ticket_id, "ticket_id")
 
 
 @canonical_message
@@ -234,14 +198,10 @@ class CaptureToken:
     """Trust-manager-signed voucher the provider redeems to collect credit,
     for the charge it approved on the order ``oi_digest``, which names it."""
 
-    provider_id: str
-    charge_amount: int
+    provider_id: Label
+    charge_amount: Positive
     oi_digest: Digest
     tm_signature: Signature
-
-    def validate(self) -> None:
-        _need_label(self.provider_id, "provider_id")
-        _need_u64(self.charge_amount, "charge_amount", minimum=1)
 
 
 # --- pricing flow ------------------------------------------------------------
@@ -252,10 +212,7 @@ class PriceRequest:
     """Unauthenticated enquiry; the provider answers whoever sent it."""
 
     usage: UsageDescriptor
-    nonce: bytes
-
-    def validate(self) -> None:
-        _need_nonce(self.nonce, "nonce")
+    nonce: Nonce
 
 
 @canonical_message
@@ -263,30 +220,20 @@ class PriceQuote:
     """Provider's signed offer, for the price request ``request_nonce``: this
     usage, this price, until this tick."""
 
-    request_nonce: bytes
-    quote_id: bytes
+    request_nonce: Nonce
+    quote_id: Nonce
     usage: UsageDescriptor
-    price: int
-    expiry: int
+    price: U64
+    expiry: U64
     provider_signature: Signature
-
-    def validate(self) -> None:
-        _need_nonce(self.request_nonce, "request_nonce")
-        _need_nonce(self.quote_id, "quote_id")
-        _need_u64(self.price, "price")
-        _need_u64(self.expiry, "expiry")
 
 
 @canonical_message
 class QuoteDenial:
     """Provider cannot price the requested usage."""
 
-    request_nonce: bytes
-    reason: str
-
-    def validate(self) -> None:
-        _need_nonce(self.request_nonce, "request_nonce")
-        _need_label(self.reason, "reason")
+    request_nonce: Nonce
+    reason: Label
 
 
 # --- authorization flow ------------------------------------------------------
@@ -319,12 +266,8 @@ class AuthorizeAndHold:
 
     payment_envelope: SealedEnvelope
     dual: DualSignature
-    charge_amount: int
-    provider_mac: bytes
-
-    def validate(self) -> None:
-        _need_u64(self.charge_amount, "charge_amount", minimum=1)
-        _need_mac(self.provider_mac, "provider_mac")
+    charge_amount: Positive
+    provider_mac: Mac
 
 
 @canonical_message
@@ -394,10 +337,7 @@ class ServiceGrant:
 class TicketRedeemRequest:
     """Bearer redemption: whoever holds the ticket id may claim the object."""
 
-    ticket_id: bytes
-
-    def validate(self) -> None:
-        _need_nonce(self.ticket_id, "ticket_id")
+    ticket_id: Nonce
 
 
 @canonical_message
@@ -410,15 +350,12 @@ class TicketRedeemResponse:
     the payload is a read-only view of the received frame (``Bulk``).
     """
 
-    ticket_id: bytes
+    ticket_id: Nonce
     payload: Bulk
 
     @property
     def ok(self) -> bool:
         return bool(self.payload)
-
-    def validate(self) -> None:
-        _need_nonce(self.ticket_id, "ticket_id")
 
 
 @canonical_message
@@ -436,10 +373,7 @@ class CaptureRequest:
     holds the token."""
 
     oi_digest: Digest
-    provider_mac: bytes
-
-    def validate(self) -> None:
-        _need_mac(self.provider_mac, "provider_mac")
+    provider_mac: Mac
 
 
 @canonical_message
@@ -449,14 +383,11 @@ class CaptureResponse:
 
     oi_digest: Digest
     reason: DenialReason | None
-    tm_mac: bytes
+    tm_mac: Mac
 
     @property
     def settled(self) -> bool:
         return self.reason is None
-
-    def validate(self) -> None:
-        _need_mac(self.tm_mac, "tm_mac")
 
 
 # --- trust manager / account provider exchange -------------------------------
@@ -466,64 +397,49 @@ class CaptureResponse:
 class HoldRequest:
     """Trust manager asks the account provider to reserve credit."""
 
-    hold_nonce: bytes
+    hold_nonce: Nonce
     account_ref_digest: Digest
-    amount: int
-    tm_mac: bytes
-
-    def validate(self) -> None:
-        _need_nonce(self.hold_nonce, "hold_nonce")
-        _need_u64(self.amount, "amount", minimum=1)
-        _need_mac(self.tm_mac, "tm_mac")
+    amount: Positive
+    tm_mac: Mac
 
 
 @canonical_message
 class HoldResponse:
     """The hold named ``hold_nonce`` is placed, or refused for ``reason``."""
 
-    hold_nonce: bytes
+    hold_nonce: Nonce
     reason: DenialReason | None
-    ap_mac: bytes
+    ap_mac: Mac
 
     @property
     def ok(self) -> bool:
         return self.reason is None
-
-    def validate(self) -> None:
-        _need_nonce(self.hold_nonce, "hold_nonce")
-        _need_mac(self.ap_mac, "ap_mac")
 
 
 @canonical_message
 class SettleRequest:
     """Trust manager asks the account provider to settle the hold it named."""
 
-    hold_nonce: bytes
-    tm_mac: bytes
-
-    def validate(self) -> None:
-        _need_nonce(self.hold_nonce, "hold_nonce")
-        _need_mac(self.tm_mac, "tm_mac")
+    hold_nonce: Nonce
+    tm_mac: Mac
 
 
 @canonical_message
 class SettleResponse:
-    hold_nonce: bytes
-    amount: int
+    hold_nonce: Nonce
+    amount: U64
     reason: DenialReason | None
-    ap_mac: bytes
+    ap_mac: Mac
 
     @property
     def ok(self) -> bool:
         return self.reason is None
 
     def validate(self) -> None:
-        _need_nonce(self.hold_nonce, "hold_nonce")
         if self.ok:
-            _need_u64(self.amount, "amount", minimum=1)
+            codec.check(Positive, self.amount, "amount")
         else:
             _need(self.amount == 0, "refused settlement must carry amount 0")
-        _need_mac(self.ap_mac, "ap_mac")
 
 
 # --- signing helpers ----------------------------------------------------------
@@ -602,7 +518,7 @@ def verify_signed(
 
 
 def build_maced(cls: type[M], key: bytes, **fields) -> tuple[M, bytes]:
-    """Construct ``cls`` with its trailing ``*_mac`` filled in under ``key``,
+    """Construct ``cls`` with its trailing ``Mac`` filled in under ``key``,
     the sender-to-receiver key from ``crypto.mac_keys``, and encode it.
 
     Returns the message and the bytes to send.  The tag covers the same

@@ -75,6 +75,18 @@ class ScenarioConfig:
         return self.rate * self.quantity
 
 
+# The fields a run cannot start without: each label non-empty, each count
+# at least 1.
+_LABELS = (
+    "requester_id", "provider_id", "trust_manager_id", "account_provider_id",
+    "service_id", "operation", "unit",
+)
+_COUNTS = (
+    "quantity", "rate", "authorized_limit", "credit_limit",
+    "object_count", "object_size", "max_ticks",
+)
+
+
 def _objects(config: ScenarioConfig) -> tuple[bytes, ...]:
     """``object_count`` objects of ``object_size`` bytes each, cut in order
     from one AES-256-CTR keystream keyed by SHA-256(f"{seed}/objects") under
@@ -128,6 +140,12 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     )
     if len(set(ids)) != len(ids):
         raise ScenarioError(f"actor ids must be distinct, got {ids}")
+    for name in _LABELS:
+        if not getattr(config, name):
+            raise ScenarioError(f"{name} must be non-empty")
+    for name in _COUNTS:
+        if getattr(config, name) < 1:
+            raise ScenarioError(f"{name} must be at least 1, got {getattr(config, name)}")
 
     keys = {subject: generate_keypair(subject, config.seed) for subject in ids}
     directory = {subject: pair.public_key for subject, pair in keys.items()}
@@ -279,14 +297,9 @@ class RunReport:
         return lines
 
 
-def run_storage_scenario(
-    config: ScenarioConfig,
-    adversary: Adversary | None = None,
-    scenario: Scenario | None = None,
-) -> RunReport:
-    """Build (unless given), run to quiescence, and audit one scenario."""
-    if scenario is None:
-        scenario = build_scenario(config)
+def run_storage_scenario(config: ScenarioConfig, adversary: Adversary | None = None) -> RunReport:
+    """Build, run to quiescence, and audit one scenario."""
+    scenario = build_scenario(config)
     if adversary is None:
         adversary = Adversary.from_spec(config.adversary_spec)
     transcript = run_scenario(

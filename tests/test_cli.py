@@ -195,6 +195,31 @@ def test_unknown_config_key_exits_two(tmp_path, monkeypatch, capsys):
     assert "wrong_key" in err
 
 
+UNUSABLE_SCENARIO_VALUES = [
+    ("quantity", "0"),
+    ("service_id", ""),
+    ("credit_limit", "0"),
+    ("max_ticks", "0"),
+    ("object_count", "0"),
+    ("object_size", "0"),
+    ("rate", "0"),
+    ("authorized_limit", "0"),
+]
+
+
+@pytest.mark.parametrize("key, value", UNUSABLE_SCENARIO_VALUES)
+def test_unusable_config_value_exits_two(tmp_path, monkeypatch, capsys, key, value):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(f"[scenario]\n{key} = {value}\n")
+    code, _, err = run_cli(
+        ["demo-storage", "--config", str(ini)],
+        cwd=tmp_path, monkeypatch=monkeypatch, capsys=capsys,
+    )
+    assert code == 2
+    [line] = err.splitlines()
+    assert line.startswith("error:") and key in line
+
+
 def test_malformed_tamper_mutation_in_config_exits_two(tmp_path, monkeypatch, capsys):
     ini = tmp_path / "bad.ini"
     ini.write_text("[scenario]\nadversary_spec = tamper:PriceQuote:bit=tail/0:1\n")

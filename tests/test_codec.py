@@ -6,6 +6,7 @@ import hashlib
 import struct
 import subprocess
 import sys
+import typing
 from random import Random
 
 import pytest
@@ -27,6 +28,7 @@ from gset import (
     UsageDescriptor,
     hash_bytes,
 )
+from gset import codec
 from gset.codec import (
     CodecError,
     DecodeError,
@@ -227,6 +229,106 @@ def test_encode_rejects_invariant_violations():
 def test_unregistered_object_rejected():
     with pytest.raises(EncodeError):
         encode(object())
+
+
+# --- field kinds ------------------------------------------------------------
+#
+# Driven by the schema: every field of every registered type annotated with
+# a kind keeps that kind's rule, nested messages included.
+
+# Each kind's wrong values and the text its rule refuses them with.
+KIND_REFUSALS = {
+    codec.Nonce: ((bytes(15), bytes(17), b"", "x" * 16), "must be 16 bytes"),
+    codec.Mac: ((bytes(31), bytes(33), b""), "must be 32 bytes"),
+    codec.Label: (("", b"label"), "must be non-empty"),
+    codec.U64: ((-1, 2**64, True), "must be an unsigned 64-bit integer >= 0"),
+    codec.Positive: ((0, -1, 2**64, True), "must be an unsigned 64-bit integer >= 1"),
+}
+# A wrong value of each kind that its base type encodes; every 64-bit value
+# is a ``U64``, so it has none.
+ENCODABLE_WRONG = {codec.Nonce: bytes(15), codec.Mac: bytes(31), codec.Label: "", codec.Positive: 0}
+
+
+KINDED = [
+    (cls, name, kind)
+    for cls in registered_types().values()
+    for name, kind in typing.get_type_hints(cls).items()
+    if kind in KIND_REFUSALS
+]
+
+
+def test_the_messages_declare_every_kind():
+    assert {kind for _, _, kind in KINDED} == set(KIND_REFUSALS)
+    assert {cls.__name__ for cls, _, _ in KINDED} >= {"Ticket", "UsageDescriptor"}
+
+
+@pytest.mark.parametrize(
+    "cls, name, kind", KINDED, ids=[f"{cls.__name__}.{name}" for cls, name, _ in KINDED]
+)
+def test_a_kinded_field_refuses_a_wrong_value_at_construction(cls, name, kind):
+    sample = genmsg.random_message(cls, Random(cls.__name__))
+    wrong, text = KIND_REFUSALS[kind]
+    for value in wrong:
+        with pytest.raises(ValidationError) as exc:
+            dataclasses.replace(sample, **{name: value})
+        assert str(exc.value) == f"{name} {text}"
+
+
+def _unchecked(msg, **changes):
+    """A copy of ``msg`` with ``changes``, built without its construction checks."""
+    copy = object.__new__(type(msg))
+    for f in dataclasses.fields(msg):
+        object.__setattr__(copy, f.name, changes.get(f.name, getattr(msg, f.name)))
+    return copy
+
+
+def _wrong_leaves(msg):
+    """Yield ``(bad copy of msg, type holding the field, field, kind)`` for
+    each kinded field of ``msg`` and of the messages nested in it, the bad
+    copy carrying that kind's encodable wrong value in that one field."""
+    hints = typing.get_type_hints(type(msg))
+    for f in dataclasses.fields(msg):
+        value = getattr(msg, f.name)
+        if hints[f.name] in ENCODABLE_WRONG:
+            wrong = ENCODABLE_WRONG[hints[f.name]]
+            yield _unchecked(msg, **{f.name: wrong}), type(msg), f.name, hints[f.name]
+        elif type(value) in registered_types().values():
+            for bad, owner, name, kind in _wrong_leaves(value):
+                yield _unchecked(msg, **{f.name: bad}), owner, name, kind
+        elif isinstance(value, tuple) and value and type(value[0]) in registered_types().values():
+            for bad, owner, name, kind in _wrong_leaves(value[0]):
+                yield _unchecked(msg, **{f.name: (bad, *value[1:])}), owner, name, kind
+
+
+def _frames_with_a_wrong_field():
+    cases = []
+    for cls in registered_types().values():
+        # the sample with the most nested fields: an approved outcome's token
+        samples = [genmsg.random_message(cls, Random(seed)) for seed in range(8)]
+        sample = max(samples, key=lambda msg: len(list(_wrong_leaves(msg))))
+        for bad, owner, name, kind in _wrong_leaves(sample):
+            where = name if owner is cls else f"{owner.__name__}.{name}"
+            cases.append(pytest.param(encode(bad), owner, name, kind, id=f"{cls.__name__}:{where}"))
+    return cases
+
+
+@pytest.mark.parametrize("raw, owner, name, kind", _frames_with_a_wrong_field())
+def test_a_frame_with_a_wrong_kinded_field_is_refused_on_decode(raw, owner, name, kind):
+    with pytest.raises(DecodeError) as exc:
+        decode(raw)
+    text = KIND_REFUSALS[kind][1]
+    assert f"{owner.__name__} invariant violated: {name} {text}" in str(exc.value)
+
+
+def test_a_mac_authenticator_is_known_by_its_kind():
+    maced = {
+        cls.__name__ for cls, name, kind in KINDED
+        if kind is codec.Mac and authenticator_field_name(cls) == name
+    }
+    assert maced == {
+        "AuthorizeAndHold", "HoldRequest", "HoldResponse", "CaptureRequest",
+        "SettleRequest", "SettleResponse", "CaptureResponse",
+    }
 
 
 # --- signing payloads -------------------------------------------------------

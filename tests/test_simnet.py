@@ -330,13 +330,12 @@ def test_a_single_drop_leaves_these_books(target, outcome, holds, settles, booke
 
 def test_eavesdropper_sees_everything_but_learns_no_payment_secrets():
     config = dataclasses.replace(CONFIG, adversary_spec="eavesdrop")
-    scenario = build_scenario(config)
     adversary = Adversary.from_spec("eavesdrop")
-    report = run_storage_scenario(config, adversary=adversary, scenario=scenario)
+    report = run_storage_scenario(config, adversary=adversary)
     assert report.complete_success()
     assert len(adversary.capture_log) == len(report.transcript.records)
     for blob in adversary.capture_log:
-        assert scan_for_markers("capture", blob, scenario.markers.payment_markers) == []
+        assert scan_for_markers("capture", blob, report.scenario.markers.payment_markers) == []
 
 
 def test_tamper_budget_limits_the_number_of_hits():
