@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .attacks import run_attack_suite
 from .codec import CodecError, peek_type
-from .crypto import generate_keypair
+from .crypto import U64_MAX, generate_keypair
 from .scenario import (
     RunReport,
     ScenarioConfig,
@@ -28,7 +28,6 @@ from .scenario import (
 from .simnet import DivergenceReport, SimnetError, replay_transcript
 
 DEFAULT_SEED = 7
-MAX_SEED = 2**64 - 1
 DEFAULT_IDS = ("SR", "SP", "TM", "AP")
 
 # What the --adversary shorthand expands to.  The tamper preset flips a
@@ -60,7 +59,7 @@ def _resolve_seed(cli_seed: int | None, config_seed: int | None, env: dict) -> i
             raise UsageError(f"GSET_SEED must be an integer, got {raw!r}")
     else:
         seed = DEFAULT_SEED
-    if not 0 <= seed <= MAX_SEED:
+    if not 0 <= seed <= U64_MAX:
         raise UsageError(f"seed must be an unsigned 64-bit integer, got {seed}")
     return seed
 
@@ -77,16 +76,14 @@ def ini_overrides(path: str | Path) -> dict:
     if not parser.has_section("scenario"):
         raise ScenarioError(f"{path}: missing [scenario] section")
     section = parser["scenario"]
-    known = {f.name: f.type for f in fields(ScenarioConfig)}
+    # each field's base type, an int or a str, is the type of its default
+    known = {f.name: type(f.default) for f in fields(ScenarioConfig)}
     overrides: dict = {}
     for key in section:
         if key not in known:
             raise ScenarioError(f"{path}: unknown scenario key {key!r}")
         try:
-            if known[key] == "int":
-                overrides[key] = section.getint(key)
-            else:
-                overrides[key] = section.get(key)
+            overrides[key] = section.getint(key) if known[key] is int else section.get(key)
         except ValueError as exc:
             raise ScenarioError(f"{path}: bad value for {key!r}: {exc}") from exc
     return overrides
@@ -97,10 +94,7 @@ def _load_config(args, env: dict) -> ScenarioConfig:
     overrides["seed"] = _resolve_seed(args.seed, overrides.get("seed"), env)
     if args.adversary is not None:
         overrides["adversary_spec"] = ADVERSARY_PRESETS[args.adversary]
-    try:
-        return ScenarioConfig(**overrides)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad scenario config: {exc}")
+    return ScenarioConfig(**overrides)
 
 
 def _record_line(index: int, record) -> str:

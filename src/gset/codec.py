@@ -34,7 +34,9 @@ nonce or a MAC has its one size, a label is non-empty, an amount fits in 64
 bits and a ``Positive`` one is at least 1.  ``canonical_message`` runs each
 field's rule when a message is constructed, so at the sender and, through
 decoding, at the receiver; a type's ``validate`` method states only what
-relates one field to another.  Each rule is stated once, here.
+no kind states, such as what relates one field to another.  Each rule is
+stated once, here: the messages, the transcript types of ``gset.simnet``
+and the scenario config, which ``check`` checks, declare kinds.
 
 A trailing signature or MAC covers the type tag and every field before it,
 which is the leading part of the message's own encoding.  So
@@ -53,10 +55,9 @@ import types
 import typing
 from typing import Any, Callable, TypeVar
 
-from .crypto import DIGEST_SIZE, MAC_SIZE, Digest
+from .crypto import DIGEST_SIZE, MAC_SIZE, U64_MAX, Digest
 
-_U32_MAX = 2**32 - 1
-_U64_MAX = 2**64 - 1
+U32_MAX = 2**32 - 1  # the most content a 4-byte length prefix counts
 NONCE_SIZE = 16
 
 M = TypeVar("M")
@@ -116,7 +117,7 @@ _ABSENT_FIELD = struct.pack(">II", 4, 0)  # an optional holding nothing
 
 def _put(content: bytes, out: list) -> int:
     """Append one leaf field; returns the bytes appended."""
-    if len(content) > _U32_MAX:
+    if len(content) > U32_MAX:
         raise EncodeError("field content exceeds 4-byte length prefix")
     out.append(_PACK_U32(len(content)))
     out.append(content)
@@ -125,7 +126,7 @@ def _put(content: bytes, out: list) -> int:
 
 def _close(out: list, slot: int, n: int) -> int:
     """Fill in the length slot ``out[slot]`` for ``n`` content bytes after it."""
-    if n > _U32_MAX:
+    if n > U32_MAX:
         raise EncodeError("field content exceeds 4-byte length prefix")
     out[slot] = _PACK_U32(n)
     return 4 + n
@@ -145,7 +146,7 @@ def _field(data: bytes, pos: int, end: int, what: str) -> tuple[int, int]:
 def _encode_u64(value: Any, out: list, what: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise EncodeError(f"{what}: expected an unsigned integer")
-    if not 0 <= value <= _U64_MAX:
+    if not 0 <= value <= U64_MAX:
         raise EncodeError(f"{what}: {value} outside unsigned 64-bit range")
     out.append(_PACK_U64_FIELD(8, value))
     return 12
@@ -257,7 +258,7 @@ def _sequence_codec(element: tuple[Encoder, Decoder]) -> tuple[Encoder, Decoder]
     def encode_sequence(value: Any, out: list, what: str) -> int:
         if not isinstance(value, (tuple, list)):
             raise EncodeError(f"{what}: expected a sequence")
-        if len(value) > _U32_MAX:
+        if len(value) > U32_MAX:
             raise EncodeError(f"{what}: sequence too long")
         slot = len(out)
         out.append(b"")
@@ -331,7 +332,7 @@ Positive = typing.NewType("Positive", int)
 
 
 def _unsigned(value: Any, minimum: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and minimum <= value <= _U64_MAX
+    return isinstance(value, int) and not isinstance(value, bool) and minimum <= value <= U64_MAX
 
 
 _RULES: dict[Any, tuple[Callable[[Any], bool], str]] = {

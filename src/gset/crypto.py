@@ -67,7 +67,7 @@ _GCM_NONCE_SIZE = 12
 _GCM_TAG_SIZE = 16
 _CEK_SIZE = 32
 _WRAPPED_KEY_SIZE = _KEY_SEGMENT + _GCM_NONCE_SIZE + _CEK_SIZE + _GCM_TAG_SIZE
-_U64_MAX = 2**64 - 1
+U64_MAX = 2**64 - 1       # the largest value of an unsigned 64-bit integer
 MAC_SIZE = 32              # HMAC-SHA256 tag length
 
 _SIGN_DERIVE_TAG = b"gset/keys/sign/v1"
@@ -228,7 +228,7 @@ def generate_keypair(subject_id: str, seed: int) -> KeyPair:
     """
     if not isinstance(subject_id, str) or not subject_id:
         raise InvalidIdentityError("subject_id must be a non-empty string")
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= _U64_MAX:
+    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= U64_MAX:
         raise ValueError("seed must be an unsigned 64-bit integer")
     private = (
         _derive_seed(_SIGN_DERIVE_TAG, subject_id, seed)
@@ -338,6 +338,12 @@ def _rand_bytes(rng: Random | None, n: int) -> bytes:
     return rng.randbytes(n)
 
 
+def _key_encryption_key(shared: bytes, aad: bytes) -> bytes:
+    """The key that wraps an envelope's content key: HKDF-SHA256 of the
+    X25519 secret, no salt, bound to the recipient id ``aad``."""
+    return HKDF(_SHA256, _CEK_SIZE, salt=None, info=_ENVELOPE_INFO + aad).derive(shared)
+
+
 def seal(
     recipient_public_key: bytes,
     recipient_id: str,
@@ -368,13 +374,7 @@ def seal(
     recipient_seal_key = X25519PublicKey.from_public_bytes(
         recipient_public_key[_KEY_SEGMENT:]
     )
-    shared = ephemeral.exchange(recipient_seal_key)
-    kek = HKDF(
-        algorithm=hashes.SHA256(),
-        length=_CEK_SIZE,
-        salt=None,
-        info=_ENVELOPE_INFO + aad,
-    ).derive(shared)
+    kek = _key_encryption_key(ephemeral.exchange(recipient_seal_key), aad)
     wrap_nonce = _rand_bytes(rng, _GCM_NONCE_SIZE)
     eph_pub = ephemeral.public_key().public_bytes_raw()
     # the exact ephemeral key bytes ride along as AAD: X25519 masks the top
@@ -410,12 +410,7 @@ def open_envelope(key: KeyPair, envelope: SealedEnvelope) -> bytes:
     wrapped = envelope.wrapped_key[_KEY_SEGMENT + _GCM_NONCE_SIZE:]
     try:
         shared = seal_key.exchange(X25519PublicKey.from_public_bytes(eph_pub))
-        kek = HKDF(
-            algorithm=hashes.SHA256(),
-            length=_CEK_SIZE,
-            salt=None,
-            info=_ENVELOPE_INFO + aad,
-        ).derive(shared)
+        kek = _key_encryption_key(shared, aad)
         cek = AESGCM(kek).decrypt(wrap_nonce, wrapped, aad + eph_pub)
         payload_nonce = envelope.ciphertext[:_GCM_NONCE_SIZE]
         body = envelope.ciphertext[_GCM_NONCE_SIZE:]
@@ -446,21 +441,20 @@ def make_dual_signature(key: KeyPair, order_info: bytes, payment_info: bytes) ->
     )
 
 
-def verify_with_oi(public_key: bytes, order_info: bytes, dual: DualSignature) -> bool:
-    """Verify a dual signature holding the order plaintext.
+def _verify_dual(public_key: bytes, half: bytes, digest: Digest, dual: DualSignature) -> bool:
+    """Verify ``dual`` from the plaintext of one half and the digest it holds for that half."""
+    return hash_bytes(half) == digest and verify(
+        public_key, _linked(dual.oi_digest, dual.pi_digest), dual.signature
+    )
 
-    The payment half is known only through ``dual.pi_digest``.
-    """
-    if hash_bytes(order_info) != dual.oi_digest:
-        return False
-    return verify(public_key, _linked(dual.oi_digest, dual.pi_digest), dual.signature)
+
+def verify_with_oi(public_key: bytes, order_info: bytes, dual: DualSignature) -> bool:
+    """Verify a dual signature holding the order plaintext; the payment half
+    is known only through ``dual.pi_digest``."""
+    return _verify_dual(public_key, order_info, dual.oi_digest, dual)
 
 
 def verify_with_pi(public_key: bytes, payment_info: bytes, dual: DualSignature) -> bool:
-    """Verify a dual signature holding the payment plaintext.
-
-    The order half is known only through ``dual.oi_digest``.
-    """
-    if hash_bytes(payment_info) != dual.pi_digest:
-        return False
-    return verify(public_key, _linked(dual.oi_digest, dual.pi_digest), dual.signature)
+    """Verify a dual signature holding the payment plaintext; the order half
+    is known only through ``dual.oi_digest``."""
+    return _verify_dual(public_key, payment_info, dual.pi_digest, dual)

@@ -20,9 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .codec import canonical_message
-from .crypto import Digest, hash_bytes
-
-_U64_MAX = 2**64 - 1
+from .crypto import U64_MAX, Digest, hash_bytes
 
 
 class LedgerError(Exception):
@@ -102,7 +100,7 @@ class Ledger:
         if not isinstance(account_ref, str) or not account_ref:
             raise LedgerError("account_ref must be a non-empty string")
         if not isinstance(credit_limit, int) or isinstance(credit_limit, bool) \
-                or not 1 <= credit_limit <= _U64_MAX:
+                or not 1 <= credit_limit <= U64_MAX:
             raise LedgerError("credit_limit must be a positive unsigned 64-bit integer")
         digest = hash_bytes(account_ref.encode("utf-8"))
         if digest.bytes in self._accounts:
@@ -130,7 +128,7 @@ class Ledger:
         hold named ``ref``; a name is used once."""
         account = self._account(account_ref_digest)
         if not isinstance(amount, int) or isinstance(amount, bool) \
-                or not 1 <= amount <= _U64_MAX:
+                or not 1 <= amount <= U64_MAX:
             raise LedgerError("amount must be a positive unsigned 64-bit integer")
         if not isinstance(ref, bytes) or not ref:
             raise LedgerError("hold name must be non-empty bytes")

@@ -8,10 +8,18 @@ indistinguishable, which is what makes transcript replay meaningful.
 Each build derives its four key pairs afresh and keeps them only in the
 scenario's actors, so the keys live and die with the run.  Nothing here
 remembers an identity from one build to the next.
+
+Each config field but ``adversary_spec`` is annotated with its kind
+(``Label``, ``U64``, ``Positive``), the one statement of its rule.
+``build_scenario`` checks each through ``codec.check``, then what a run
+computes from two fields (the price, the latest quote expiry, the upload's
+size), and refuses a config that breaks any, before any object is made,
+with a ``ScenarioError`` naming the field.
 """
 
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass, field, replace
 from random import Random
 from typing import Callable, Mapping
@@ -32,8 +40,10 @@ from .actors import (
     TrustManager,
     TrustManagerConfig,
 )
-from .crypto import generate_keypair
-from .messages import UsageDescriptor
+from . import codec
+from .codec import Label, Positive, U64, ValidationError
+from .crypto import DIGEST_SIZE, SIGNATURE_SIZE, U64_MAX, Digest, Signature, generate_keypair
+from .messages import ObjectUpload, UsageDescriptor
 from .simnet import (
     Actor,
     Adversary,
@@ -52,39 +62,52 @@ class ScenarioError(Exception):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    seed: int = 7
-    requester_id: str = "SR"
-    provider_id: str = "SP"
-    trust_manager_id: str = "TM"
-    account_provider_id: str = "AP"
-    service_id: str = "mobile-storage"
-    operation: str = "store-objects"
-    unit: str = "megabyte"
-    quantity: int = 3
-    rate: int = 10
-    authorized_limit: int = 60
-    credit_limit: int = 500
-    object_count: int = 3
-    object_size: int = 64
-    quote_ttl: int = 100
-    max_ticks: int = 10_000
-    adversary_spec: str = "none"
+    seed: U64 = 7
+    requester_id: Label = "SR"
+    provider_id: Label = "SP"
+    trust_manager_id: Label = "TM"
+    account_provider_id: Label = "AP"
+    service_id: Label = "mobile-storage"
+    operation: Label = "store-objects"
+    unit: Label = "megabyte"
+    quantity: Positive = 3
+    rate: Positive = 10
+    authorized_limit: Positive = 60
+    credit_limit: Positive = 500
+    object_count: Positive = 3
+    object_size: Positive = 64
+    quote_ttl: Positive = 100
+    max_ticks: Positive = 10_000
+    adversary_spec: str = "none"  # "" or "none" for no adversary
 
     @property
     def expected_price(self) -> int:
         return self.rate * self.quantity
 
 
-# The fields a run cannot start without: each label non-empty, each count
-# at least 1.
-_LABELS = (
-    "requester_id", "provider_id", "trust_manager_id", "account_provider_id",
-    "service_id", "operation", "unit",
+# Each kinded field and its kind, the one statement of its rule.
+_KINDS = tuple(
+    (name, kind)
+    for name, kind in typing.get_type_hints(ScenarioConfig).items()
+    if isinstance(kind, typing.NewType)
 )
-_COUNTS = (
-    "quantity", "rate", "authorized_limit", "credit_limit",
-    "object_count", "object_size", "max_ticks",
-)
+
+
+# The bytes of an ``ObjectUpload`` frame beside its objects and its signer's
+# id: those of a one-object upload signed by "-", less that object's field (a
+# 4-byte length and 1 byte) and that id.  Taken once, so no run encodes it.
+_UPLOAD_FRAMING = len(codec.encode(ObjectUpload(
+    oi_digest=Digest(bytes(DIGEST_SIZE)),
+    objects=(b"\0",),
+    requester_signature=Signature(bytes(SIGNATURE_SIZE), "-"),
+))) - (4 + 1) - 1
+
+
+def _upload_size(config: ScenarioConfig) -> int:
+    """Bytes of the ``ObjectUpload`` frame a run sends, reckoned without
+    building its objects."""
+    signer = len(config.requester_id.encode("utf-8"))
+    return _UPLOAD_FRAMING + signer + config.object_count * (4 + config.object_size)
 
 
 def _objects(config: ScenarioConfig) -> tuple[bytes, ...]:
@@ -132,6 +155,25 @@ class Scenario:
 
 def build_scenario(config: ScenarioConfig) -> Scenario:
     """Derive keys, account, payload, and actors from the config alone."""
+    for name, kind in _KINDS:
+        try:
+            codec.check(kind, getattr(config, name), name)
+        except ValidationError as exc:
+            raise ScenarioError(f"{exc}, got {getattr(config, name)!r}") from None
+    if config.expected_price > U64_MAX:
+        raise ScenarioError(
+            f"rate x quantity must fit in 64 bits, got {config.rate} x {config.quantity}"
+        )
+    if config.max_ticks + config.quote_ttl > U64_MAX:
+        raise ScenarioError(  # the latest expiry a quote can carry
+            "max_ticks + quote_ttl must fit in 64 bits, "
+            f"got {config.max_ticks} + {config.quote_ttl}"
+        )
+    if _upload_size(config) > codec.U32_MAX:
+        raise ScenarioError(
+            "object_count x object_size must fit the upload's 4-byte length prefix, "
+            f"got {config.object_count} x {config.object_size}"
+        )
     ids = (
         config.requester_id,
         config.provider_id,
@@ -140,13 +182,6 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     )
     if len(set(ids)) != len(ids):
         raise ScenarioError(f"actor ids must be distinct, got {ids}")
-    for name in _LABELS:
-        if not getattr(config, name):
-            raise ScenarioError(f"{name} must be non-empty")
-    for name in _COUNTS:
-        if getattr(config, name) < 1:
-            raise ScenarioError(f"{name} must be at least 1, got {getattr(config, name)}")
-
     keys = {subject: generate_keypair(subject, config.seed) for subject in ids}
     directory = {subject: pair.public_key for subject, pair in keys.items()}
 

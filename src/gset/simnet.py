@@ -22,7 +22,7 @@ from random import Random
 from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 from . import codec
-from .codec import CodecError, ValidationError, canonical_message
+from .codec import CodecError, Label, Positive, ValidationError, canonical_message
 
 
 class SimnetError(Exception):
@@ -173,13 +173,11 @@ _ACTIONS = ("", "observed", "tampered", "replayed", "dropped")
 
 @canonical_message
 class WireMessage:
-    from_id: str
-    to_id: str
+    from_id: Label
+    to_id: Label
     payload: bytes
 
     def validate(self) -> None:
-        if not self.from_id or not self.to_id:
-            raise ValidationError("wire message needs both endpoint ids")
         if not self.payload:
             raise ValidationError("wire message payload must not be empty")
 
@@ -187,15 +185,13 @@ class WireMessage:
 @canonical_message
 class TranscriptRecord:
     tick: int
-    from_id: str
-    to_id: str
+    from_id: Label
+    to_id: Label
     payload: bytes
     action: str
     error: str
 
     def validate(self) -> None:
-        if not self.from_id or not self.to_id:
-            raise ValidationError("record needs both endpoint ids")
         if not self.payload:
             raise ValidationError("record payload must not be empty")
         if self.action not in _ACTIONS:
@@ -209,15 +205,9 @@ class TranscriptRecord:
 @canonical_message
 class TranscriptMeta:
     seed: int
-    max_ticks: int
-    adversary_spec: str
+    max_ticks: Positive
+    adversary_spec: Label  # "none" for no adversary
     initial: tuple[WireMessage, ...]
-
-    def validate(self) -> None:
-        if self.max_ticks < 1:
-            raise ValidationError("max_ticks must be at least 1")
-        if not self.adversary_spec:
-            raise ValidationError("adversary_spec must not be empty ('none' for no adversary)")
 
 
 @dataclass(frozen=True)
@@ -243,12 +233,10 @@ class Transcript:
         items = codec.decode_stream(raw)
         if not items or not isinstance(items[0], TranscriptMeta):
             raise SimnetError("not a transcript: missing leading metadata block")
-        records = []
         for item in items[1:]:
             if not isinstance(item, TranscriptRecord):
                 raise SimnetError(f"transcript holds a stray {type(item).__name__}")
-            records.append(item)
-        return cls(meta=items[0], records=tuple(records))
+        return cls(meta=items[0], records=tuple(items[1:]))
 
     @classmethod
     def load(cls, path: str | Path) -> "Transcript":
@@ -367,35 +355,23 @@ def replay_transcript(
     )
     expected = transcript.records
     actual = fresh.records
-    limit = min(len(expected), len(actual))
-    for index in range(limit):
-        if expected[index] != actual[index]:
-            return DivergenceReport(
-                matches=False,
-                first_divergence=index,
-                expected_records=len(expected),
-                actual_records=len(actual),
-                detail=(
-                    f"record {index} differs: expected "
-                    f"{_describe(expected[index])}, got {_describe(actual[index])}"
-                ),
-                replayed=fresh,
-            )
-    if len(expected) != len(actual):
-        return DivergenceReport(
-            matches=False,
-            first_divergence=limit,
-            expected_records=len(expected),
-            actual_records=len(actual),
-            detail=f"record counts differ: {len(expected)} recorded, {len(actual)} replayed",
-            replayed=fresh,
+    index = next((i for i, pair in enumerate(zip(expected, actual)) if pair[0] != pair[1]), None)
+    if index is not None:
+        detail = (
+            f"record {index} differs: expected "
+            f"{_describe(expected[index])}, got {_describe(actual[index])}"
         )
+    elif len(expected) != len(actual):
+        index = min(len(expected), len(actual))
+        detail = f"record counts differ: {len(expected)} recorded, {len(actual)} replayed"
+    else:
+        detail = "replay is byte-identical"
     return DivergenceReport(
-        matches=True,
-        first_divergence=None,
+        matches=index is None,
+        first_divergence=index,
         expected_records=len(expected),
         actual_records=len(actual),
-        detail="replay is byte-identical",
+        detail=detail,
         replayed=fresh,
     )
 

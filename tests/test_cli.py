@@ -5,6 +5,7 @@ import configparser
 
 import pytest
 
+import gset.scenario
 from gset import PUBLIC_KEY_SIZE, PRIVATE_KEY_SIZE, cli
 from gset.cli import main
 from gset.scenario import endpoints_factory
@@ -204,11 +205,26 @@ UNUSABLE_SCENARIO_VALUES = [
     ("object_size", "0"),
     ("rate", "0"),
     ("authorized_limit", "0"),
+    ("quote_ttl", "0"),
+    ("quantity", str(2**64)),
+    ("credit_limit", str(2**64)),
+    ("authorized_limit", str(2**64)),
+    # the price, rate x quantity, overflows 64 bits at the default rate 10
+    ("quantity", str(2**64 - 1)),
+    # a quote's expiry, at most max_ticks + quote_ttl, overflows 64 bits
+    ("quote_ttl", str(2**64 - 1)),
+    # three 2 GiB objects: refused before any is made, so nothing is allocated
+    ("object_size", str(2**31)),
 ]
 
 
 @pytest.mark.parametrize("key, value", UNUSABLE_SCENARIO_VALUES)
 def test_unusable_config_value_exits_two(tmp_path, monkeypatch, capsys, key, value):
+    # refused before any object is made, so an oversized upload never allocates
+    def no_objects(config):
+        raise AssertionError("objects made for an unusable config")
+
+    monkeypatch.setattr(gset.scenario, "_objects", no_objects)
     ini = tmp_path / "bad.ini"
     ini.write_text(f"[scenario]\n{key} = {value}\n")
     code, _, err = run_cli(

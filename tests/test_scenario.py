@@ -7,6 +7,7 @@ import hashlib
 import subprocess
 import sys
 import tracemalloc
+import typing
 from pathlib import Path
 from random import Random
 
@@ -38,6 +39,7 @@ from gset.attacks import (
     tamper_sweep,
 )
 from gset.cli import ini_overrides
+from gset.scenario import _upload_size
 
 from order_scaling import all_done, run_orders
 
@@ -56,6 +58,28 @@ def test_config_requires_distinct_actor_ids():
     config = dataclasses.replace(ScenarioConfig(), provider_id="SR")
     with pytest.raises(ScenarioError):
         build_scenario(config)
+
+
+def test_every_config_field_but_the_adversary_declares_a_kind():
+    # The kind is the one statement of a field's rule; adversary_spec stays
+    # a str, as "" means no adversary.
+    hints = typing.get_type_hints(ScenarioConfig)
+    kinds = (codec.Label, codec.U64, codec.Positive)
+    assert [name for name, tp in hints.items() if tp not in kinds] == ["adversary_spec"]
+    assert hints["adversary_spec"] is str
+
+
+@pytest.mark.parametrize("config", [
+    ScenarioConfig(),
+    ScenarioConfig(requester_id="requester-\u00e9", object_count=5, object_size=100),
+])
+def test_the_reckoned_upload_size_is_the_size_sent(config):
+    # build_scenario refuses an upload too large for its length prefix from
+    # this size, before any object exists.
+    report = run_storage_scenario(config)
+    records = report.transcript.records
+    [upload] = [r.payload for r in records if codec.peek_type(r.payload) == "ObjectUpload"]
+    assert _upload_size(config) == len(upload)
 
 
 def test_ini_overrides_full_round_trip(tmp_path):
