@@ -5,15 +5,19 @@ with a byte-level adversary and then audits the books: the attacker must
 never cause an approval, an extra hold, or an extra settlement, and must
 never learn payment details.  Findings are collected, not raised, so a
 whole suite can run and report in one pass.
+
+Each run is the sweep's base config with one adversary spec swapped in,
+and each finding is named by that spec (``tamper:HoldRequest:bit=rand/4:1``
+is the fifth tamper run over ``HoldRequest``).  So any run, and any
+finding, is rerun from its spec and seed alone, by ``gset demo-storage``
+or by ``replay_transcript`` on its transcript.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from random import Random
+from dataclasses import dataclass, field, replace
 
 from .scenario import RunReport, ScenarioConfig, run_storage_scenario
-from .simnet import Adversary, AdversaryMode
 
 # Wire message types in the order they first appear in a happy run, with
 # the books both sides should show after a single-shot tamper of that
@@ -91,13 +95,6 @@ def _audit_common(sweep: SweepReport, attack: str, report: RunReport) -> None:
         sweep.findings.append(
             AttackFinding(attack, "no payment/usage leakage", f"marker at {hit.location}")
         )
-    if report.retrieval_mismatches:
-        sweep.findings.append(
-            AttackFinding(
-                attack, "retrieved objects match the uploaded ones",
-                f"{report.retrieval_mismatches} mismatches",
-            )
-        )
 
 
 def tamper_sweep(seed: int = 7, mutations_per_type: int = 200) -> SweepReport:
@@ -112,15 +109,8 @@ def tamper_sweep(seed: int = 7, mutations_per_type: int = 200) -> SweepReport:
     for target in TAMPER_TARGETS:
         expectation = TAMPER_EXPECTATIONS.get(target)
         for index in range(mutations_per_type):
-            adversary = Adversary(
-                mode=AdversaryMode.TAMPER,
-                target=target,
-                mutation="bit=rand",
-                max_hits=1,
-                rng=Random(f"{seed}/tamper/{target}/{index}"),
-            )
-            attack = f"tamper:{target}#{index}"
-            report = run_storage_scenario(base, adversary=adversary)
+            attack = f"tamper:{target}:bit=rand/{index}:1"
+            report = run_storage_scenario(replace(base, adversary_spec=attack))
             _audit_common(sweep, attack, report)
             if expectation is None:
                 # relaxed target: books must stay consistent, nothing more
@@ -160,9 +150,8 @@ def replay_sweep(seed: int = 7) -> SweepReport:
     base = ScenarioConfig(seed=seed)
     sweep = SweepReport(name="replay")
     for target in REPLAY_TARGETS:
-        adversary = Adversary(mode=AdversaryMode.REPLAY, target=target, max_hits=1)
-        attack = f"replay:{target}"
-        report = run_storage_scenario(base, adversary=adversary)
+        attack = f"replay:{target}:1"
+        report = run_storage_scenario(replace(base, adversary_spec=attack))
         _audit_common(sweep, attack, report)
         if report.business_outcome != "APPROVED":
             sweep.findings.append(
@@ -192,20 +181,18 @@ def eavesdrop_check(seed: int = 7) -> SweepReport:
     """Record every byte on the wire and scan the haul for payment markers."""
     base = ScenarioConfig(seed=seed)
     sweep = SweepReport(name="eavesdrop")
-    adversary = Adversary(mode=AdversaryMode.PASSIVE_EAVESDROP, max_hits=0)
-    report = run_storage_scenario(base, adversary=adversary)
-    _audit_common(sweep, "eavesdrop:*", report)
+    attack = "eavesdrop:0"
+    report = run_storage_scenario(replace(base, adversary_spec=attack))
+    _audit_common(sweep, attack, report)
     if not report.complete_success():
         sweep.findings.append(
-            AttackFinding("eavesdrop:*", "passive observation changes nothing", "run degraded")
+            AttackFinding(attack, "passive observation changes nothing", "run degraded")
         )
-    if len(adversary.capture_log) != len(report.transcript.records):
+    records = report.transcript.records
+    observed = sum(record.action == "observed" for record in records)
+    if observed != len(records):
         sweep.findings.append(
-            AttackFinding(
-                "eavesdrop:*",
-                "every record captured",
-                f"{len(adversary.capture_log)} of {len(report.transcript.records)}",
-            )
+            AttackFinding(attack, "every record observed", f"{observed} of {len(records)}")
         )
     return sweep
 

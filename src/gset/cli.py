@@ -128,7 +128,7 @@ def _five_dimensions(report: RunReport, replay: DivergenceReport) -> tuple[list[
         or (r.to_id == requester and r.from_id in restricted)
     ]
     transparency = not crossed
-    trust = not report.invariant_failures and report.retrieval_mismatches == 0
+    trust = not report.invariant_failures
     privacy = report.privacy is not None and report.privacy.clean
     oracle = _oracle_outcome(config)
     adversary_active = config.adversary_spec not in ("", "none")
@@ -157,7 +157,7 @@ def _five_dimensions(report: RunReport, replay: DivergenceReport) -> tuple[list[
             trust, "trust",
             "every accepted message passed its signature or ticket-digest check; books reconcile"
             if trust
-            else "; ".join(report.invariant_failures) or "retrieval mismatches",
+            else "; ".join(report.invariant_failures),
         ),
         row(
             privacy, "privacy",

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .codec import canonical_message
-from .crypto import U64_MAX, Digest, hash_bytes
+from .codec import Positive, ValidationError, canonical_message, check
+from .crypto import Digest, hash_bytes
 
 
 class LedgerError(Exception):
@@ -73,6 +73,13 @@ class LedgerSnapshot:
     accounts: tuple[LedgerAccountState, ...]
 
 
+def _check_positive(value: int, what: str) -> None:
+    try:
+        check(Positive, value, what)
+    except ValidationError as exc:
+        raise LedgerError(str(exc)) from None
+
+
 @dataclass
 class _Account:
     credit_limit: int
@@ -99,9 +106,7 @@ class Ledger:
         """
         if not isinstance(account_ref, str) or not account_ref:
             raise LedgerError("account_ref must be a non-empty string")
-        if not isinstance(credit_limit, int) or isinstance(credit_limit, bool) \
-                or not 1 <= credit_limit <= U64_MAX:
-            raise LedgerError("credit_limit must be a positive unsigned 64-bit integer")
+        _check_positive(credit_limit, "credit_limit")
         digest = hash_bytes(account_ref.encode("utf-8"))
         if digest.bytes in self._accounts:
             raise DuplicateAccountError(f"account {digest.hex()[:12]} already exists")
@@ -127,9 +132,7 @@ class Ledger:
         """Reserve ``amount`` against the account's remaining credit, as the
         hold named ``ref``; a name is used once."""
         account = self._account(account_ref_digest)
-        if not isinstance(amount, int) or isinstance(amount, bool) \
-                or not 1 <= amount <= U64_MAX:
-            raise LedgerError("amount must be a positive unsigned 64-bit integer")
+        _check_positive(amount, "amount")
         if not isinstance(ref, bytes) or not ref:
             raise LedgerError("hold name must be non-empty bytes")
         if ref in self._hold_owner or ref in self.settled_refs or ref in self.released_refs:

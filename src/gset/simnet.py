@@ -10,13 +10,21 @@ The adversary operates strictly on encoded bytes.  It can observe, flip
 bits, duplicate, or swallow messages; it cannot forge signatures or MACs
 or open envelopes, which is exactly the boundary the protocol is supposed
 to hold.
+
+An adversary is named by its spec alone, ``mode[:target][:mutation][:max_hits]``
+(``Adversary.from_spec``), and the transcript records that spec and the
+run's seed.  Every random bit it flips is drawn from a stream the spec names
+under that seed (``bit=rand`` or ``bit=rand/N``), so the spec and the seed
+are the whole adversary and any run replays from its transcript.  What it
+did is the transcript's record actions; the records it ``observed`` are an
+eavesdropper's haul, which ``assert_privacy`` scans.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
-from enum import IntEnum
+from dataclasses import dataclass, replace
+from enum import Enum
 from pathlib import Path
 from random import Random
 from typing import Callable, Iterable, Mapping, Protocol, Sequence
@@ -39,49 +47,49 @@ class Actor(Protocol):
 # --- adversary -----------------------------------------------------------------
 
 
-class AdversaryMode(IntEnum):
-    PASSIVE_EAVESDROP = 1
-    TAMPER = 2
-    REPLAY = 3
-    DROP = 4
+class AdversaryMode(Enum):
+    """Each mode's value is its name in a spec."""
 
-
-_MODE_NAMES = {
-    AdversaryMode.PASSIVE_EAVESDROP: "eavesdrop",
-    AdversaryMode.TAMPER: "tamper",
-    AdversaryMode.REPLAY: "replay",
-    AdversaryMode.DROP: "drop",
-}
-_NAME_MODES = {name: mode for mode, name in _MODE_NAMES.items()}
+    PASSIVE_EAVESDROP = "eavesdrop"
+    TAMPER = "tamper"
+    REPLAY = "replay"
+    DROP = "drop"
 
 
 @dataclass
 class Adversary:
-    """On-path attacker working on wire bytes only.
+    """On-path attacker working on wire bytes only, named by its spec.
 
     ``target`` is a message type name (as reported by the codec) or None
     for any message.  ``max_hits`` caps how many matching messages are
     acted on; 0 means unlimited.  Tamper mutations:
 
-    * ``bit=rand``   flip one randomly chosen bit
+    * ``bit=rand``   flip one bit drawn from ``Random(f"{seed}/adversary")``
+    * ``bit=rand/N`` flip one bit drawn from
+      ``Random(f"{seed}/tamper/{target}/{N}")``, N >= 0: the N-th run of a
+      tamper sweep over ``target``
     * ``bit=tail/K`` flip the bit K >= 1 positions before the end
     * ``bit=abs/K``  flip bit K >= 0 from the start
 
-    Any other mutation raises ``SimnetError`` when the adversary is built.
+    ``seed`` is the run's, so the spec and the seed a transcript records
+    are the whole adversary.  Any other mutation raises ``SimnetError`` when
+    the adversary is built.
     """
 
     mode: AdversaryMode
     target: str | None = None
     mutation: str = "bit=rand"
     max_hits: int = 1
-    rng: Random | None = None
     hits: int = 0
-    capture_log: list[bytes] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         kind, _, arg = self.mutation.partition("/")
         k = int(arg) if arg.isascii() and arg.isdigit() else -1
-        if self.mutation == "bit=rand":
+        # the name of the stream a run draws random bits from, under its seed
+        self._stream = "adversary"
+        if kind == "bit=rand" and (self.mutation == kind or k >= 0):
+            if k >= 0:
+                self._stream = f"tamper/{self.target}/{k}"
             self._pick = lambda bits, rng: rng.randrange(bits)
         elif kind == "bit=tail" and k > 0:
             self._pick = lambda bits, rng: max(0, bits - k)
@@ -92,7 +100,7 @@ class Adversary:
 
     @property
     def spec(self) -> str:
-        parts = [_MODE_NAMES[self.mode]]
+        parts = [self.mode.value]
         if self.target is not None:
             parts.append(self.target)
         if self.mode is AdversaryMode.TAMPER:
@@ -107,9 +115,10 @@ class Adversary:
         if text == "" or text == "none":
             return None
         parts = text.split(":")
-        mode = _NAME_MODES.get(parts[0])
-        if mode is None:
-            raise SimnetError(f"unknown adversary mode {parts[0]!r}")
+        try:
+            mode = AdversaryMode(parts[0])
+        except ValueError:
+            raise SimnetError(f"unknown adversary mode {parts[0]!r}") from None
         rest = parts[1:]
         max_hits = 0 if mode is AdversaryMode.PASSIVE_EAVESDROP else 1
         if rest and rest[-1].isdigit():
@@ -157,7 +166,6 @@ class Adversary:
             return ("", payload, [])
         self.hits += 1
         if self.mode is AdversaryMode.PASSIVE_EAVESDROP:
-            self.capture_log.append(payload)
             return ("observed", payload, [])
         if self.mode is AdversaryMode.TAMPER:
             return ("tampered", self._mutate(payload, rng), [])
@@ -270,9 +278,7 @@ def run_scenario(
     order, one delivery per tick.  A copy the adversary injects is queued
     before what the receiving actor sends.
     """
-    rng = None
-    if adversary is not None:
-        rng = adversary.rng if adversary.rng is not None else Random(f"{seed}/adversary")
+    rng = None if adversary is None else Random(f"{seed}/{adversary._stream}")
     queue = deque((wire.from_id, wire.to_id, wire.payload) for wire in initial)
     records: list[TranscriptRecord] = []
     tick = 0
@@ -335,21 +341,17 @@ class DivergenceReport:
 def replay_transcript(
     transcript: Transcript,
     endpoints_factory: Callable[[int], Mapping[str, Actor]],
-    adversary: Adversary | None = None,
 ) -> DivergenceReport:
     """Re-run a recorded scenario from scratch and diff the wire traffic.
 
     ``endpoints_factory(seed)`` must rebuild the actors exactly as the
-    original run did.  The adversary is rebuilt from the recorded spec
-    unless a custom one is supplied.
+    original run did.  The adversary is rebuilt from the recorded spec.
     """
     meta = transcript.meta
-    if adversary is None:
-        adversary = Adversary.from_spec(meta.adversary_spec)
     fresh = run_scenario(
         endpoints_factory(meta.seed),
         meta.initial,
-        adversary=adversary,
+        adversary=Adversary.from_spec(meta.adversary_spec),
         seed=meta.seed,
         max_ticks=meta.max_ticks,
     )
@@ -442,14 +444,15 @@ def assert_privacy(
     markers: PrivacyMarkers,
     provider_id: str = "SP",
     trust_manager_id: str = "TM",
-    captured: Sequence[bytes] = (),
 ) -> PrivacyReport:
     """Scan every byte each restricted party received or stored.
 
     Payment markers must be absent from everything the provider saw (wire
-    and state) and from anything a passive eavesdropper captured; usage
-    markers must be absent from everything the trust manager saw.
+    and state) and from every record a passive eavesdropper observed, its
+    haul; usage markers must be absent from everything the trust manager
+    saw.
     """
+    captured = [record.payload for record in transcript.records if record.action == "observed"]
     hits: list[PrivacyHit] = []
     checked = 2 + len(captured)
     for index, record in enumerate(transcript.records):

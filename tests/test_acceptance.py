@@ -23,7 +23,6 @@ from gset import (
 )
 from gset.attacks import REPLAY_CORE, TAMPER_TARGETS, tamper_sweep
 from gset.codec import DecodeError, decode, encode
-from gset.simnet import Adversary, AdversaryMode
 
 import genmsg
 from test_ledger import drive_pair
@@ -183,9 +182,9 @@ def test_replayed_messages_never_double_hold_or_double_settle():
             rate=price_rate,
             authorized_limit=price + rng.randint(1, 500),
             credit_limit=price + rng.randint(1, 500),
+            adversary_spec=f"replay:{target}:1",
         )
-        adversary = Adversary(mode=AdversaryMode.REPLAY, target=target, max_hits=1)
-        report = run_storage_scenario(config, adversary=adversary)
+        report = run_storage_scenario(config)
         assert report.business_outcome == "APPROVED", (index, target, config.seed)
         assert report.holds_created == 1, (index, target, config.seed)
         assert report.settle_count == 1, (index, target, config.seed)

@@ -34,6 +34,7 @@ from gset import (
     ServiceRequester,
     SettleResponse,
     TicketRedeemRequest,
+    Ticket,
     TicketRedeemResponse,
     TrustManager,
     UsageDescriptor,
@@ -892,6 +893,84 @@ def test_redeemed_object_failing_its_ticket_digest_is_ignored():
     assert codec.decode(raw, ServiceComplete).oi_digest == oi_digest
     assert order.phase == RequesterPhase.COMPLETED
     assert order.retrieved[genuine.ticket_id] == genuine.payload
+
+
+def _uploading(actors):
+    """The requester's order, uploaded and awaiting its grant, and the genuine
+    grant the provider signed for it."""
+    decision, [(_, grant_raw)] = decide_then_upload(actors)
+    actors.sr.deliver("SP", codec.encode(decision), 1)
+    [(oi_digest, order)] = actors.sr.orders.items()
+    assert order.phase == RequesterPhase.UPLOADING
+    return order, codec.decode(grant_raw, ServiceGrant)
+
+
+def _refused_grant(actors, order, grant: ServiceGrant, note: str) -> None:
+    """The requester refuses ``grant`` with ``note``, redeems nothing, and
+    still takes the genuine grant for ``order`` afterwards."""
+    phase = order.phase
+    assert actors.sr.deliver("SP", codec.encode(grant), 2) == []
+    assert actors.sr.notes[-1] == note
+    assert order.phase == phase
+    assert order.tickets == {}
+    assert actors.sr.ticket_orders == {}
+
+
+def test_a_grant_for_an_order_not_uploading_is_refused():
+    actors = build_actors()
+    decision, [(_, grant_raw)] = decide_then_upload(actors)
+    # the grant arrives before the decision: the order is still authorizing
+    [order] = actors.sr.orders.values()
+    assert order.phase == RequesterPhase.AUTHORIZING
+    _refused_grant(
+        actors, order, codec.decode(grant_raw, ServiceGrant), "service grant for no uploaded order"
+    )
+
+
+def test_a_grant_one_ticket_short_is_refused():
+    actors = build_actors()
+    order, grant = _uploading(actors)
+    short, _ = build_signed(
+        ServiceGrant, actors.sp.identity, oi_digest=grant.oi_digest, tickets=grant.tickets[:-1]
+    )
+    _refused_grant(actors, order, short, "grant ticket count does not match uploaded objects")
+    assert len(actors.sr.deliver("SP", codec.encode(grant), 3)) == len(grant.tickets)
+    assert order.phase == RequesterPhase.REDEEMING
+
+
+def test_a_grant_with_a_wrong_ticket_digest_is_refused():
+    actors = build_actors()
+    order, grant = _uploading(actors)
+    last = grant.tickets[-1]
+    wrong = Ticket(ticket_id=last.ticket_id, object_digest=hash_bytes(b"another object"))
+    forged, _ = build_signed(
+        ServiceGrant, actors.sp.identity,
+        oi_digest=grant.oi_digest, tickets=(*grant.tickets[:-1], wrong),
+    )
+    _refused_grant(actors, order, forged, "grant ticket digest does not match uploaded object")
+    assert len(actors.sr.deliver("SP", codec.encode(grant), 3)) == len(grant.tickets)
+    assert order.phase == RequesterPhase.REDEEMING
+
+
+def test_a_refused_redemption_leaves_the_order_incomplete():
+    actors = build_actors()
+    order, grant = _uploading(actors)
+    requests = [raw for _, raw in actors.sr.deliver("SP", codec.encode(grant), 2)]
+    # someone else holding the first ticket id redeems it first
+    [(_, stolen)] = actors.sp.deliver("XX", requests[0], 3)
+    assert codec.decode(stolen, TicketRedeemResponse).ok
+    responses = [actors.sp.deliver("SR", raw, 4)[0][1] for raw in requests]
+    refused = codec.decode(responses[0], TicketRedeemResponse)
+    assert not refused.ok
+    assert actors.sr.deliver("SP", responses[0], 5) == []
+    assert actors.sr.notes[-1] == "ticket redemption refused"
+    assert order.refusals == {refused.ticket_id}
+    # every other object arrives, and still no completion is sent
+    for raw in responses[1:]:
+        assert actors.sr.deliver("SP", raw, 6) == []
+    assert len(order.retrieved) == len(grant.tickets) - 1
+    assert order.phase == RequesterPhase.REDEEMING
+    assert not order.awaits(refused.ticket_id)
 
 
 # --- capture ---------------------------------------------------------------------

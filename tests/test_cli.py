@@ -5,8 +5,10 @@ import configparser
 
 import pytest
 
+import gset.attacks
 import gset.scenario
 from gset import PUBLIC_KEY_SIZE, PRIVATE_KEY_SIZE, cli
+from gset.attacks import tamper_sweep
 from gset.cli import main
 from gset.scenario import endpoints_factory
 
@@ -245,6 +247,31 @@ def test_malformed_tamper_mutation_in_config_exits_two(tmp_path, monkeypatch, ca
     )
     assert code == 2
     assert "error:" in err
+
+
+def test_a_sweep_run_reruns_from_its_spec(tmp_path, monkeypatch, capsys):
+    spec = "tamper:AuthorizationRequest:bit=rand/3:1"
+    reports = []
+    run = gset.attacks.run_storage_scenario
+
+    def kept(config):
+        reports.append(run(config))
+        return reports[-1]
+
+    monkeypatch.setattr(gset.attacks, "run_storage_scenario", kept)
+    tamper_sweep(seed=7, mutations_per_type=4)
+    [swept] = [r for r in reports if r.config.adversary_spec == spec]
+
+    ini = tmp_path / "finding.ini"
+    ini.write_text(f"[scenario]\nadversary_spec = {spec}\n")
+    out_path = tmp_path / "finding.gsett"
+    code, out, err = run_cli(
+        ["demo-storage", "--seed", "7", "--config", str(ini), "--out", str(out_path)],
+        cwd=tmp_path, monkeypatch=monkeypatch, capsys=capsys,
+    )
+    assert code == 0, err
+    assert out_path.read_bytes() == swept.transcript.to_bytes()
+    assert "  [PASS] reliability  " in out
 
 
 def test_unknown_command_exits_two(capsys):

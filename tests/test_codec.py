@@ -21,11 +21,15 @@ from gset import (
     CaptureToken,
     DenialReason,
     HoldRequest,
+    ObjectUpload,
     PriceQuote,
     PriceRequest,
+    ServiceGrant,
     SettleResponse,
     Signature,
+    TranscriptRecord,
     UsageDescriptor,
+    WireMessage,
     hash_bytes,
 )
 from gset import codec
@@ -318,6 +322,49 @@ def test_a_frame_with_a_wrong_kinded_field_is_refused_on_decode(raw, owner, name
         decode(raw)
     text = KIND_REFUSALS[kind][1]
     assert f"{owner.__name__} invariant violated: {name} {text}" in str(exc.value)
+
+
+def _sample(cls, where=lambda msg: True):
+    """The first of ``cls``'s generated samples that ``where`` accepts."""
+    return next(
+        msg for msg in (genmsg.random_message(cls, Random(seed)) for seed in range(32))
+        if where(msg)
+    )
+
+
+def _frames_breaking_a_validate_rule():
+    """A frame breaking each ``validate`` rule left, with the text it must raise."""
+    approved = _sample(AuthOutcome, lambda msg: msg.token is not None)
+    denied = _sample(AuthOutcome, lambda msg: msg.token is None)
+    upload = _sample(ObjectUpload, lambda msg: len(msg.objects) > 1)
+    settled = _sample(SettleResponse, lambda msg: msg.ok)
+    refused = _sample(SettleResponse, lambda msg: not msg.ok)
+    wire = _sample(WireMessage)
+    record = _sample(TranscriptRecord)
+    one_of = "outcome must carry exactly one of token and reason"
+    cases = [
+        (_unchecked(approved, reason=denied.reason), one_of),
+        (_unchecked(denied, reason=None), one_of),
+        (_unchecked(upload, objects=()), "upload must contain at least one object"),
+        (_unchecked(upload, objects=(upload.objects[0], b"")), "objects[1] must be non-empty"),
+        (_unchecked(_sample(ServiceGrant), tickets=()), "grant must contain at least one ticket"),
+        (_unchecked(settled, amount=0), "amount must be an unsigned 64-bit integer >= 1"),
+        (_unchecked(refused, amount=5), "refused settlement must carry amount 0"),
+        (_unchecked(wire, payload=b""), "wire message payload must not be empty"),
+        (_unchecked(record, payload=b""), "record payload must not be empty"),
+        (_unchecked(record, action="forged"), "unknown adversary action 'forged'"),
+    ]
+    return [
+        pytest.param(encode(bad), f"{type(bad).__name__} invariant violated: {text}", id=text)
+        for bad, text in cases
+    ]
+
+
+@pytest.mark.parametrize("raw, text", _frames_breaking_a_validate_rule())
+def test_a_frame_breaking_a_validate_rule_is_refused_on_decode(raw, text):
+    with pytest.raises(DecodeError) as exc:
+        decode(raw)
+    assert text in str(exc.value)
 
 
 def test_a_mac_authenticator_is_known_by_its_kind():

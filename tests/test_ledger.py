@@ -62,6 +62,18 @@ def test_zero_or_negative_limit_rejected():
         ledger.open_account("ACCT-2", -5)
 
 
+@pytest.mark.parametrize("value", [0, -5, 2**64, True, "10"])
+def test_credit_limit_and_hold_amount_keep_the_positive_rule(value):
+    ledger, digest = fresh()
+    with pytest.raises(LedgerError) as exc:
+        ledger.open_account("ACCT-2", value)
+    assert str(exc.value) == "credit_limit must be an unsigned 64-bit integer >= 1"
+    with pytest.raises(LedgerError) as exc:
+        ledger.place_hold(digest, value, A)
+    assert str(exc.value) == "amount must be an unsigned 64-bit integer >= 1"
+    assert ledger.holds_created() == 0
+
+
 # --- place_hold -------------------------------------------------------------
 
 

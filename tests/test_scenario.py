@@ -9,23 +9,24 @@ import sys
 import tracemalloc
 import typing
 from pathlib import Path
-from random import Random
 
 import pytest
 
 import gset
 from gset import (
     Adversary,
-    AdversaryMode,
     ObjectUpload,
     ScenarioConfig,
     ScenarioError,
     ServiceGrant,
     ServiceProvider,
     Ticket,
+    Transcript,
     assert_privacy,
     build_scenario,
     codec,
+    endpoints_factory,
+    replay_transcript,
     run_storage_scenario,
 )
 from gset.attacks import (
@@ -336,25 +337,18 @@ RUN_REPORTS_SHA256 = "a5f40d79802a2d295f359876f24317c09bbdcdcd1c32bc60e20d25ae83
 
 
 def _pinned_runs():
-    """(attack, config, adversary) of each pinned run, in run order: the
-    tamper sweep's adversaries at 10 mutations per type, built as
-    ``tamper_sweep`` builds them, every replay target, and seeds 0-9."""
-    seed = 7
+    """(attack, config) of each pinned run, in run order: the tamper sweep's
+    runs at 10 mutations per type and the replay sweep's runs, each config
+    built as its sweep builds it, then seeds 0-9."""
+    base = ScenarioConfig(seed=7)
     for target in TAMPER_TARGETS:
         for index in range(10):
-            adversary = Adversary(
-                mode=AdversaryMode.TAMPER,
-                target=target,
-                mutation="bit=rand",
-                max_hits=1,
-                rng=Random(f"{seed}/tamper/{target}/{index}"),
-            )
-            yield f"tamper:{target}#{index}", ScenarioConfig(seed=seed), adversary
+            spec = f"tamper:{target}:bit=rand/{index}:1"
+            yield f"tamper:{target}#{index}", dataclasses.replace(base, adversary_spec=spec)
     for target in REPLAY_TARGETS:
-        adversary = Adversary(mode=AdversaryMode.REPLAY, target=target, max_hits=1)
-        yield f"replay:{target}", ScenarioConfig(seed=seed), adversary
+        yield f"replay:{target}", dataclasses.replace(base, adversary_spec=f"replay:{target}:1")
     for s in range(10):
-        yield f"seed:{s}", ScenarioConfig(seed=s), None
+        yield f"seed:{s}", ScenarioConfig(seed=s)
 
 
 def _summary(attack: str, report) -> tuple:
@@ -376,10 +370,17 @@ def _summary(attack: str, report) -> tuple:
 
 
 def test_every_pinned_run_audits_as_before():
+    # Each run also replays from its saved transcript, which names the
+    # adversary its config names.
     digest = hashlib.sha256()
-    for attack, config, adversary in _pinned_runs():
-        report = run_storage_scenario(config, adversary=adversary)
+    for attack, config in _pinned_runs():
+        report = run_storage_scenario(config)
         digest.update(repr(_summary(attack, report)).encode("utf-8"))
+        saved = Transcript.from_bytes(report.transcript.to_bytes())
+        named = Adversary.from_spec(saved.meta.adversary_spec)
+        assert named == Adversary.from_spec(config.adversary_spec), attack
+        replay = replay_transcript(saved, endpoints_factory(config))
+        assert replay.matches, (attack, replay.detail)
     assert digest.hexdigest() == RUN_REPORTS_SHA256
 
 

@@ -70,8 +70,31 @@ def test_active_modes_require_a_target():
             Adversary.from_spec(bad)
 
 
+def test_each_mode_is_named_by_its_spec_name():
+    assert [mode.value for mode in AdversaryMode] == ["eavesdrop", "tamper", "replay", "drop"]
+    assert Adversary.from_spec("drop:PriceQuote").mode is AdversaryMode.DROP
+    with pytest.raises(SimnetError) as exc:
+        Adversary.from_spec("TAMPER:PriceQuote")
+    assert str(exc.value) == "unknown adversary mode 'TAMPER'"
+
+
+def test_a_numbered_random_flip_draws_from_its_sweep_stream():
+    honest = run_once()
+    tampered = run_once("tamper:AuthorizationRequest:bit=rand/3:1")
+    assert tampered.transcript.meta.adversary_spec == "tamper:AuthorizationRequest:bit=rand/3:1"
+    [index] = [i for i, r in enumerate(tampered.transcript.records) if r.action == "tampered"]
+    before = honest.transcript.records[index].payload
+    after = tampered.transcript.records[index].payload
+    bit = Random("7/tamper/AuthorizationRequest/3").randrange(len(before) * 8)
+    flipped = bytearray(before)
+    flipped[bit // 8] ^= 1 << (7 - bit % 8)
+    assert after == bytes(flipped)
+
+
 @pytest.mark.parametrize(
-    "mutation", ["bit=tail/x", "bit=tail", "bit=tail/0", "bit=abs/-9", "bit=bogus"]
+    "mutation",
+    ["bit=tail/x", "bit=tail", "bit=tail/0", "bit=abs/-9", "bit=bogus",
+     "bit=rand/", "bit=rand/x", "bit=rand/-1"],
 )
 def test_malformed_mutation_is_refused_when_the_adversary_is_built(mutation):
     with pytest.raises(SimnetError):
@@ -330,12 +353,13 @@ def test_a_single_drop_leaves_these_books(target, outcome, holds, settles, booke
 
 def test_eavesdropper_sees_everything_but_learns_no_payment_secrets():
     config = dataclasses.replace(CONFIG, adversary_spec="eavesdrop")
-    adversary = Adversary.from_spec("eavesdrop")
-    report = run_storage_scenario(config, adversary=adversary)
+    report = run_storage_scenario(config)
     assert report.complete_success()
-    assert len(adversary.capture_log) == len(report.transcript.records)
-    for blob in adversary.capture_log:
-        assert scan_for_markers("capture", blob, report.scenario.markers.payment_markers) == []
+    records = report.transcript.records
+    assert all(record.action == "observed" for record in records)
+    for record in records:
+        markers = report.scenario.markers.payment_markers
+        assert scan_for_markers("capture", record.payload, markers) == []
 
 
 def test_tamper_budget_limits_the_number_of_hits():
@@ -522,11 +546,13 @@ def test_trust_manager_state_scan_reaches_every_recorded_attribute(attribute):
 
 def test_scanner_checks_eavesdropper_captures():
     scenario = build_scenario(CONFIG)
-    meta = TranscriptMeta(seed=1, max_ticks=5, adversary_spec="none", initial=())
-    transcript = Transcript(meta=meta, records=())
+    meta = TranscriptMeta(seed=1, max_ticks=5, adversary_spec="eavesdrop:0", initial=())
     leak = scenario.account_ref.encode()
-    report = assert_privacy(transcript, b"", b"", scenario.markers, captured=[leak])
-    assert not report.clean
+    observed = TranscriptRecord(1, "SR", "XX", leak, "observed", "")
+    transcript = Transcript(meta=meta, records=(observed,))
+    report = assert_privacy(transcript, b"", b"", scenario.markers)
+    assert [hit.location for hit in report.hits] == ["captured[0]"]
+    assert report.locations_checked == 3
 
 
 def test_scan_reports_first_offset_per_marker():
