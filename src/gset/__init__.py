@@ -117,7 +117,6 @@ from .scenario import (
     ScenarioConfig,
     ScenarioError,
     build_scenario,
-    endpoints_factory,
     run_storage_scenario,
 )
 from .simnet import (

@@ -83,18 +83,19 @@ class SweepReport:
     def ok(self) -> bool:
         return not self.findings
 
+    def expect(self, attack: str, held: bool, expectation: str, observed: str) -> None:
+        """Record a finding against ``attack`` unless ``expectation`` held."""
+        if not held:
+            self.findings.append(AttackFinding(attack, expectation, observed))
+
 
 def _audit_common(sweep: SweepReport, attack: str, report: RunReport) -> None:
     sweep.runs += 1
-    if report.invariant_failures:
-        sweep.findings.append(
-            AttackFinding(attack, "no invariant failures", "; ".join(report.invariant_failures))
-        )
-    if report.privacy is not None and not report.privacy.clean:
-        hit = report.privacy.hits[0]
-        sweep.findings.append(
-            AttackFinding(attack, "no payment/usage leakage", f"marker at {hit.location}")
-        )
+    failures = report.invariant_failures
+    sweep.expect(attack, not failures, "no invariant failures", "; ".join(failures))
+    leaks = report.privacy.hits if report.privacy is not None else ()
+    sweep.expect(attack, not leaks, "no payment/usage leakage",
+                 f"marker at {leaks[0].location}" if leaks else "")
 
 
 def tamper_sweep(seed: int = 7, mutations_per_type: int = 200) -> SweepReport:
@@ -112,35 +113,19 @@ def tamper_sweep(seed: int = 7, mutations_per_type: int = 200) -> SweepReport:
             attack = f"tamper:{target}:bit=rand/{index}:1"
             report = run_storage_scenario(replace(base, adversary_spec=attack))
             _audit_common(sweep, attack, report)
+            holds, settles = report.holds_created, report.settle_count
             if expectation is None:
                 # relaxed target: books must stay consistent, nothing more
-                if report.settle_count > report.holds_created or report.holds_created > 1:
-                    sweep.findings.append(
-                        AttackFinding(
-                            attack, "books stay consistent",
-                            f"{report.holds_created} holds, {report.settle_count} settlements",
-                        )
-                    )
+                sweep.expect(attack, settles <= holds <= 1, "books stay consistent",
+                             f"{holds} holds, {settles} settlements")
                 continue
             want_holds, want_settles = expectation
-            if report.complete_success():
-                sweep.findings.append(
-                    AttackFinding(attack, "tampered run must not fully succeed", "it did")
-                )
-            if report.holds_created != want_holds:
-                sweep.findings.append(
-                    AttackFinding(
-                        attack, f"exactly {want_holds} hold(s)",
-                        f"{report.holds_created} holds",
-                    )
-                )
-            if report.settle_count != want_settles:
-                sweep.findings.append(
-                    AttackFinding(
-                        attack, f"exactly {want_settles} settlement(s)",
-                        f"{report.settle_count} settlements",
-                    )
-                )
+            sweep.expect(attack, not report.complete_success(),
+                         "tampered run must not fully succeed", "it did")
+            sweep.expect(attack, holds == want_holds,
+                         f"exactly {want_holds} hold(s)", f"{holds} holds")
+            sweep.expect(attack, settles == want_settles,
+                         f"exactly {want_settles} settlement(s)", f"{settles} settlements")
     return sweep
 
 
@@ -149,31 +134,19 @@ def replay_sweep(seed: int = 7) -> SweepReport:
     with exactly one hold and one settlement."""
     base = ScenarioConfig(seed=seed)
     sweep = SweepReport(name="replay")
+    price = base.expected_price
     for target in REPLAY_TARGETS:
         attack = f"replay:{target}:1"
         report = run_storage_scenario(replace(base, adversary_spec=attack))
         _audit_common(sweep, attack, report)
-        if report.business_outcome != "APPROVED":
-            sweep.findings.append(
-                AttackFinding(
-                    attack, "honest flow still completes", report.business_outcome
-                )
-            )
-        if report.holds_created != 1:
-            sweep.findings.append(
-                AttackFinding(attack, "exactly 1 hold", f"{report.holds_created} holds")
-            )
-        if report.settle_count != 1:
-            sweep.findings.append(
-                AttackFinding(attack, "exactly 1 settlement", f"{report.settle_count} settlements")
-            )
-        if report.settled_total != base.expected_price:
-            sweep.findings.append(
-                AttackFinding(
-                    attack, f"settled total {base.expected_price}",
-                    f"settled total {report.settled_total}",
-                )
-            )
+        outcome = report.business_outcome
+        sweep.expect(attack, outcome == "APPROVED", "honest flow still completes", outcome)
+        sweep.expect(attack, report.holds_created == 1,
+                     "exactly 1 hold", f"{report.holds_created} holds")
+        sweep.expect(attack, report.settle_count == 1,
+                     "exactly 1 settlement", f"{report.settle_count} settlements")
+        sweep.expect(attack, report.settled_total == price,
+                     f"settled total {price}", f"settled total {report.settled_total}")
     return sweep
 
 
@@ -184,16 +157,12 @@ def eavesdrop_check(seed: int = 7) -> SweepReport:
     attack = "eavesdrop:0"
     report = run_storage_scenario(replace(base, adversary_spec=attack))
     _audit_common(sweep, attack, report)
-    if not report.complete_success():
-        sweep.findings.append(
-            AttackFinding(attack, "passive observation changes nothing", "run degraded")
-        )
+    sweep.expect(attack, report.complete_success(),
+                 "passive observation changes nothing", "run degraded")
     records = report.transcript.records
     observed = sum(record.action == "observed" for record in records)
-    if observed != len(records):
-        sweep.findings.append(
-            AttackFinding(attack, "every record observed", f"{observed} of {len(records)}")
-        )
+    sweep.expect(attack, observed == len(records),
+                 "every record observed", f"{observed} of {len(records)}")
     return sweep
 
 

@@ -16,13 +16,12 @@ from dataclasses import fields
 from pathlib import Path
 
 from .attacks import run_attack_suite
-from .codec import CodecError, peek_type
 from .crypto import U64_MAX, generate_keypair
 from .scenario import (
     RunReport,
     ScenarioConfig,
     ScenarioError,
-    endpoints_factory,
+    build_scenario,
     run_storage_scenario,
 )
 from .simnet import DivergenceReport, SimnetError, replay_transcript
@@ -37,7 +36,7 @@ ADVERSARY_PRESETS = {
     "none": "none",
     "tamper": "tamper:AuthorizationRequest:bit=tail/100:1",
     "replay": "replay:AuthorizeAndHold:1",
-    "eavesdrop": "eavesdrop",
+    "eavesdrop": "eavesdrop:0",
 }
 
 
@@ -98,11 +97,10 @@ def _load_config(args, env: dict) -> ScenarioConfig:
 
 
 def _record_line(index: int, record) -> str:
-    try:
-        kind = peek_type(record.payload)
-    except CodecError:
-        kind = "<garbled>"
-    line = f"  {index:3d}  t{record.tick:<4d} {record.from_id:>3s} -> {record.to_id:<3s} {kind}"
+    line = (
+        f"  {index:3d}  t{record.tick:<4d} {record.from_id:>3s} -> {record.to_id:<3s} "
+        f"{record.type_name}"
+    )
     if record.action:
         line += f"  [{record.action}]"
     if record.error:
@@ -131,7 +129,7 @@ def _five_dimensions(report: RunReport, replay: DivergenceReport) -> tuple[list[
     trust = not report.invariant_failures
     privacy = report.privacy is not None and report.privacy.clean
     oracle = _oracle_outcome(config)
-    adversary_active = config.adversary_spec not in ("", "none")
+    adversary_active = report.transcript.meta.adversary_spec != "none"
     agility = report.business_outcome == oracle or (
         adversary_active
         and report.business_outcome in ("DENIED:BAD_SIGNATURE", "DENIED:REPLAY")
@@ -182,8 +180,9 @@ def cmd_demo_storage(args, env: dict) -> int:
     config = _load_config(args, env)
     report = run_storage_scenario(config)
 
-    # the reliability dimension: an independent rerun must reproduce the wire
-    replay = replay_transcript(report.transcript, endpoints_factory(config))
+    # the reliability dimension: a rerun of the recorded meta on actors built
+    # afresh must reproduce the wire
+    replay = replay_transcript(report.transcript, build_scenario(config).endpoints)
 
     out_path = Path(args.out) if args.out else Path("gset-demo.gsett")
     report.transcript.save(out_path)

@@ -3,8 +3,12 @@
 A scenario is fully determined by its config.  ``build_scenario`` derives
 everything else (keys, account reference, payload objects, the kick-off
 message) from the seed, so two builds from equal configs are
-indistinguishable, which is what makes transcript replay meaningful.  A
-run's adversary is the one ``adversary_spec`` names, and no other.
+indistinguishable, which is what makes transcript replay meaningful.  It
+also builds the run's one input, ``Scenario.meta``: the seed, the tick
+budget, the adversary spec as the config names it (``""`` is ``"none"``)
+and the kick-off message.  A run is ``run_scenario(scenario.endpoints,
+scenario.meta)``, and its transcript replays on the endpoints of another
+build from the same config.
 
 Each build derives its four key pairs afresh and keeps them only in the
 scenario's actors, so the keys live and die with the run.  Nothing here
@@ -21,9 +25,8 @@ with a ``ScenarioError`` naming the field.
 from __future__ import annotations
 
 import typing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from random import Random
-from typing import Callable, Mapping
 
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -47,10 +50,10 @@ from .crypto import DIGEST_SIZE, SIGNATURE_SIZE, U64_MAX, Digest, Signature, gen
 from .messages import ObjectUpload, UsageDescriptor
 from .simnet import (
     Actor,
-    Adversary,
     PrivacyMarkers,
     PrivacyReport,
     Transcript,
+    TranscriptMeta,
     WireMessage,
     assert_privacy,
     run_scenario,
@@ -135,7 +138,7 @@ class Scenario:
     account_ref: str
     objects: tuple[bytes, ...]
     markers: PrivacyMarkers
-    initial: list[WireMessage]
+    meta: TranscriptMeta
 
     @property
     def requester(self) -> ServiceRequester:
@@ -249,7 +252,12 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         for actor in (requester, provider, trust_manager, account_provider)
     }
     to_id, kick = requester.begin(usage)
-    initial = [WireMessage(from_id=config.requester_id, to_id=to_id, payload=kick)]
+    meta = TranscriptMeta(
+        seed=config.seed,
+        max_ticks=config.max_ticks,
+        adversary_spec=config.adversary_spec or "none",
+        initial=(WireMessage(from_id=config.requester_id, to_id=to_id, payload=kick),),
+    )
     return Scenario(
         config=config,
         endpoints=endpoints,
@@ -257,17 +265,8 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         account_ref=account_ref,
         objects=objects,
         markers=markers,
-        initial=initial,
+        meta=meta,
     )
-
-
-def endpoints_factory(config: ScenarioConfig) -> Callable[[int], Mapping[str, Actor]]:
-    """Rebuilder for transcript replay: same config, seed swapped in."""
-
-    def factory(seed: int) -> Mapping[str, Actor]:
-        return build_scenario(replace(config, seed=seed)).endpoints
-
-    return factory
 
 
 @dataclass
@@ -336,13 +335,7 @@ def run_storage_scenario(config: ScenarioConfig) -> RunReport:
     """Build, run to quiescence, and audit one scenario, under the adversary
     ``config.adversary_spec`` names."""
     scenario = build_scenario(config)
-    transcript = run_scenario(
-        scenario.endpoints,
-        scenario.initial,
-        adversary=Adversary.from_spec(config.adversary_spec),
-        seed=config.seed,
-        max_ticks=config.max_ticks,
-    )
+    transcript = run_scenario(scenario.endpoints, scenario.meta)
 
     requester = scenario.requester
     provider = scenario.provider

@@ -11,13 +11,16 @@ bits, duplicate, or swallow messages; it cannot forge signatures or MACs
 or open envelopes, which is exactly the boundary the protocol is supposed
 to hold.
 
-An adversary is named by its spec alone, ``mode[:target][:mutation][:max_hits]``
-(``Adversary.from_spec``), and the transcript records that spec and the
-run's seed.  Every random bit it flips is drawn from a stream the spec names
-under that seed (``bit=rand`` or ``bit=rand/N``), so the spec and the seed
-are the whole adversary and any run replays from its transcript.  What it
-did is the transcript's record actions; the records it ``observed`` are an
-eavesdropper's haul, which ``assert_privacy`` scans.
+A run's one input is its ``TranscriptMeta``: the seed, the tick budget, the
+adversary spec ``mode[:target][:mutation][:max_hits]`` and the initial
+messages.  ``run_scenario(endpoints, meta)`` builds the adversary from the
+spec (``Adversary.from_spec``) for that run alone and returns the meta as
+the transcript's first block.  Every random bit the adversary flips is drawn
+from a stream the spec names under the seed (``bit=rand`` or
+``bit=rand/N``), so ``replay_transcript`` is one more run of the recorded
+meta on fresh actors.  What the adversary did is the transcript's record
+actions; the records it ``observed`` are an eavesdropper's haul, which
+``assert_privacy`` scans.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from random import Random
-from typing import Callable, Iterable, Mapping, Protocol, Sequence
+from typing import Iterable, Mapping, Protocol
 
 from . import codec
 from .codec import CodecError, Label, Positive, ValidationError, canonical_message
@@ -73,7 +76,8 @@ class Adversary:
 
     ``seed`` is the run's, so the spec and the seed a transcript records
     are the whole adversary.  Any other mutation raises ``SimnetError`` when
-    the adversary is built.
+    the adversary is built.  ``hits`` counts within one run, which builds
+    its own adversary.
     """
 
     mode: AdversaryMode
@@ -97,16 +101,6 @@ class Adversary:
             self._pick = lambda bits, rng: min(k, bits - 1)
         else:
             raise SimnetError(f"unknown mutation {self.mutation!r}")
-
-    @property
-    def spec(self) -> str:
-        parts = [self.mode.value]
-        if self.target is not None:
-            parts.append(self.target)
-        if self.mode is AdversaryMode.TAMPER:
-            parts.append(self.mutation)
-        parts.append(str(self.max_hits))
-        return ":".join(parts)
 
     @classmethod
     def from_spec(cls, spec: str) -> "Adversary | None":
@@ -209,6 +203,14 @@ class TranscriptRecord:
     def delivered(self) -> bool:
         return self.action != "dropped" and not self.error
 
+    @property
+    def type_name(self) -> str:
+        """The payload's message type, or ``<garbled>`` when it names none."""
+        try:
+            return codec.peek_type(self.payload)
+        except CodecError:
+            return "<garbled>"
+
 
 @canonical_message
 class TranscriptMeta:
@@ -265,24 +267,21 @@ class _NetHandle:
     call = None
 
 
-def run_scenario(
-    endpoints: Mapping[str, Actor],
-    initial: Sequence[WireMessage],
-    adversary: Adversary | None = None,
-    seed: int = 0,
-    max_ticks: int = 10_000,
-) -> Transcript:
-    """Pump the queue until empty or out of ticks; returns the transcript.
+def run_scenario(endpoints: Mapping[str, Actor], meta: TranscriptMeta) -> Transcript:
+    """Run ``meta`` on ``endpoints``: pump the queue until empty or out of
+    ticks, under the adversary ``meta.adversary_spec`` names, built for this
+    run alone.  Returns the transcript of ``meta`` as given.
 
     Every delivery, drop and tamper lands in the transcript in execution
     order, one delivery per tick.  A copy the adversary injects is queued
     before what the receiving actor sends.
     """
-    rng = None if adversary is None else Random(f"{seed}/{adversary._stream}")
-    queue = deque((wire.from_id, wire.to_id, wire.payload) for wire in initial)
+    adversary = Adversary.from_spec(meta.adversary_spec)
+    rng = None if adversary is None else Random(f"{meta.seed}/{adversary._stream}")
+    queue = deque((wire.from_id, wire.to_id, wire.payload) for wire in meta.initial)
     records: list[TranscriptRecord] = []
     tick = 0
-    while queue and tick < max_ticks:
+    while queue and tick < meta.max_ticks:
         tick += 1
         frm, to, payload = queue.popleft()
         action, delivered = "", payload
@@ -302,12 +301,6 @@ def run_scenario(
             records[-1] = replace(records[-1], error=f"{type(exc).__name__}: {exc}")
             continue
         queue.extend((to, dest, raw) for dest, raw in out)
-    meta = TranscriptMeta(
-        seed=seed,
-        max_ticks=max_ticks,
-        adversary_spec=adversary.spec if adversary is not None else "none",
-        initial=tuple(initial),
-    )
     return Transcript(meta=meta, records=tuple(records))
 
 
@@ -338,23 +331,13 @@ class DivergenceReport:
         return "\n".join(lines)
 
 
-def replay_transcript(
-    transcript: Transcript,
-    endpoints_factory: Callable[[int], Mapping[str, Actor]],
-) -> DivergenceReport:
-    """Re-run a recorded scenario from scratch and diff the wire traffic.
+def replay_transcript(transcript: Transcript, endpoints: Mapping[str, Actor]) -> DivergenceReport:
+    """Re-run a recorded meta on ``endpoints`` and diff the wire traffic.
 
-    ``endpoints_factory(seed)`` must rebuild the actors exactly as the
-    original run did.  The adversary is rebuilt from the recorded spec.
+    ``endpoints`` must be actors built afresh exactly as the original run's
+    were; the adversary is rebuilt from the recorded spec.
     """
-    meta = transcript.meta
-    fresh = run_scenario(
-        endpoints_factory(meta.seed),
-        meta.initial,
-        adversary=Adversary.from_spec(meta.adversary_spec),
-        seed=meta.seed,
-        max_ticks=meta.max_ticks,
-    )
+    fresh = run_scenario(endpoints, transcript.meta)
     expected = transcript.records
     actual = fresh.records
     index = next((i for i, pair in enumerate(zip(expected, actual)) if pair[0] != pair[1]), None)
@@ -379,12 +362,8 @@ def replay_transcript(
 
 
 def _describe(record: TranscriptRecord) -> str:
-    try:
-        kind = codec.peek_type(record.payload)
-    except CodecError:
-        kind = "<garbled>"
     suffix = f" [{record.action}]" if record.action else ""
-    return f"t{record.tick} {record.from_id}->{record.to_id} {kind}{suffix}"
+    return f"t{record.tick} {record.from_id}->{record.to_id} {record.type_name}{suffix}"
 
 
 # --- privacy scanning ----------------------------------------------------------------

@@ -2,9 +2,9 @@
 the servers' legs through the simnet's queue."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 from gset import (
-    Adversary,
-    AdversaryMode,
     Scenario,
     ScenarioConfig,
     TranscriptRecord,
@@ -46,8 +46,12 @@ class ActorSet:
         run's records, the delivery of ``raw`` first.
         """
         servers = {k: v for k, v in self.registry.items() if k != self.sr.subject_id}
-        adversary = None if drop is None else Adversary(mode=AdversaryMode.DROP, target=drop)
-        return run_scenario(servers, [WireMessage(sender, to, raw)], adversary).records
+        meta = replace(
+            self.scenario.meta,
+            adversary_spec="none" if drop is None else f"drop:{drop}:1",
+            initial=(WireMessage(sender, to, raw),),
+        )
+        return run_scenario(servers, meta).records
 
 
 def recorded(records, tag: str) -> list[bytes]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import statistics
 import sys
 import time
+from dataclasses import replace
 
 from gset import Scenario, ScenarioConfig, Transcript, WireMessage, build_scenario, run_scenario
 from gset.actors import ProviderPhase, RequesterPhase
@@ -65,8 +66,8 @@ def run_orders(n: int, capacity: int | None = None) -> tuple[Scenario, Transcrip
     run of ``n`` orders queued at once; and the run's transcript."""
     scenario = build_scenario(orders_config(capacity or n))
     # build_scenario queued the first
-    initial = list(scenario.initial) + queue_orders(scenario, n - 1)
-    transcript = run_scenario(scenario.endpoints, initial, max_ticks=scenario.config.max_ticks)
+    initial = scenario.meta.initial + tuple(queue_orders(scenario, n - 1))
+    transcript = run_scenario(scenario.endpoints, replace(scenario.meta, initial=initial))
     return scenario, transcript
 
 
@@ -83,9 +84,9 @@ def all_done(scenario: Scenario, n: int) -> bool:
 
 def batch_ms_per_order(scenario: Scenario) -> float:
     """Run ``BATCH`` more orders through the actor set; ms per order."""
-    initial = queue_orders(scenario, BATCH)
+    meta = replace(scenario.meta, initial=tuple(queue_orders(scenario, BATCH)))
     start = time.perf_counter()
-    run_scenario(scenario.endpoints, initial, max_ticks=scenario.config.max_ticks)
+    run_scenario(scenario.endpoints, meta)
     return (time.perf_counter() - start) * 1000 / BATCH
 
 

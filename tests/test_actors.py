@@ -9,8 +9,6 @@ import pytest
 
 from gset import (
     AccountProvider,
-    Adversary,
-    AdversaryMode,
     AuthDecision,
     AuthOutcome,
     AuthorizationRequest,
@@ -830,11 +828,11 @@ def test_lost_outcome_cannot_approve_another_order_in_its_place():
     # two orders in flight; the trust manager's answer to the first is lost
     actors = build_actors()
     auths = [authorization(actors) for _ in range(2)]
-    run_scenario(
-        actors.registry,
-        [WireMessage("SR", "SP", auth) for auth in auths],
-        adversary=Adversary(mode=AdversaryMode.DROP, target="AuthOutcome", max_hits=1),
-    )
+    run_scenario(actors.registry, dataclasses.replace(
+        actors.scenario.meta,
+        adversary_spec="drop:AuthOutcome:1",
+        initial=tuple(WireMessage("SR", "SP", auth) for auth in auths),
+    ))
     second = codec.decode(auths[1], AuthorizationRequest)
     granted = {d for d, o in actors.sp.orders.items() if o.phase >= ProviderPhase.GRANTED}
     assert granted == {second.dual.oi_digest}

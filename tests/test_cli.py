@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import configparser
+import dataclasses
 
 import pytest
 
@@ -10,7 +11,7 @@ import gset.scenario
 from gset import PUBLIC_KEY_SIZE, PRIVATE_KEY_SIZE, cli
 from gset.attacks import tamper_sweep
 from gset.cli import main
-from gset.scenario import endpoints_factory
+from gset.scenario import build_scenario
 
 
 def run_cli(argv, env=None, cwd=None, monkeypatch=None, capsys=None):
@@ -47,12 +48,11 @@ def test_demo_stdout_is_deterministic(tmp_path, monkeypatch, capsys):
 
 
 def test_demo_reports_where_a_rerun_diverges(tmp_path, monkeypatch, capsys):
-    # a rebuilder that swaps in another seed cannot reproduce the wire
+    # actors built under another seed cannot reproduce the wire
     def other_seed(config):
-        rebuild = endpoints_factory(config)
-        return lambda seed: rebuild(seed + 1)
+        return build_scenario(dataclasses.replace(config, seed=config.seed + 1))
 
-    monkeypatch.setattr(cli, "endpoints_factory", other_seed)
+    monkeypatch.setattr(cli, "build_scenario", other_seed)
     code, out, _ = run_cli(
         ["demo-storage"], cwd=tmp_path, monkeypatch=monkeypatch, capsys=capsys
     )

@@ -25,7 +25,6 @@ from gset import (
     assert_privacy,
     build_scenario,
     codec,
-    endpoints_factory,
     replay_transcript,
     run_storage_scenario,
 )
@@ -170,6 +169,21 @@ def test_equal_configs_give_equal_objects_and_seeds_differ():
     assert a == b
     assert len(set(a)) == len(a)
     assert not set(a) & set(c)
+
+
+@pytest.mark.parametrize("spec,recorded", [
+    ("none", "none"),
+    ("", "none"),
+    ("eavesdrop:0", "eavesdrop:0"),
+    ("tamper:HoldRequest:bit=rand/4:1", "tamper:HoldRequest:bit=rand/4:1"),
+])
+def test_the_built_meta_is_the_runs_transcript_meta(spec, recorded):
+    # the meta build_scenario makes is the run's one input, and the
+    # transcript records it as given, with "" recorded as "none"
+    config = ScenarioConfig(seed=5, max_ticks=900, adversary_spec=spec)
+    meta = build_scenario(config).meta
+    assert meta == run_storage_scenario(config).transcript.meta
+    assert (meta.seed, meta.max_ticks, meta.adversary_spec) == (5, 900, recorded)
 
 
 def test_scenario_markers_cover_both_sides():
@@ -379,7 +393,7 @@ def test_every_pinned_run_audits_as_before():
         saved = Transcript.from_bytes(report.transcript.to_bytes())
         named = Adversary.from_spec(saved.meta.adversary_spec)
         assert named == Adversary.from_spec(config.adversary_spec), attack
-        replay = replay_transcript(saved, endpoints_factory(config))
+        replay = replay_transcript(saved, build_scenario(config).endpoints)
         assert replay.matches, (attack, replay.detail)
     assert digest.hexdigest() == RUN_REPORTS_SHA256
 

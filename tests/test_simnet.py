@@ -20,7 +20,6 @@ from gset import (
     assert_privacy,
     build_scenario,
     codec,
-    endpoints_factory,
     replay_transcript,
     run_scenario,
     run_storage_scenario,
@@ -50,18 +49,12 @@ def test_eavesdrop_spec_defaults_to_unlimited():
     assert adversary.max_hits == 0
 
 
-def test_tamper_spec_round_trips():
-    spec = "tamper:AuthorizationRequest:bit=tail/100:1"
-    adversary = Adversary.from_spec(spec)
+def test_tamper_spec_parses():
+    adversary = Adversary.from_spec("tamper:AuthorizationRequest:bit=tail/100:1")
     assert adversary.mode == AdversaryMode.TAMPER
     assert adversary.target == "AuthorizationRequest"
     assert adversary.mutation == "bit=tail/100"
-    assert adversary.spec == spec
-
-
-def test_replay_and_drop_specs_round_trip():
-    for spec in ("replay:AuthorizeAndHold:1", "drop:PriceQuote:2"):
-        assert Adversary.from_spec(spec).spec == spec
+    assert adversary.max_hits == 1
 
 
 def test_active_modes_require_a_target():
@@ -142,8 +135,8 @@ def test_happy_path_books_match_the_quote():
 def test_final_states_are_deterministic():
     a = build_scenario(CONFIG)
     b = build_scenario(CONFIG)
-    run_scenario(a.endpoints, a.initial, seed=CONFIG.seed)
-    run_scenario(b.endpoints, b.initial, seed=CONFIG.seed)
+    run_scenario(a.endpoints, a.meta)
+    run_scenario(b.endpoints, b.meta)
     states_a = {sid: actor.state_bytes() for sid, actor in a.endpoints.items()}
     states_b = {sid: actor.state_bytes() for sid, actor in b.endpoints.items()}
     assert sorted(states_a) == ["AP", "SP", "SR", "TM"]
@@ -224,9 +217,13 @@ def wire(frm: str, to: str, payload: bytes = b"\x00\x00\x00\x01x") -> WireMessag
     return WireMessage(frm, to, payload)
 
 
+def run_meta(*initial: WireMessage, max_ticks: int = 10_000) -> TranscriptMeta:
+    return TranscriptMeta(seed=1, max_ticks=max_ticks, adversary_spec="none", initial=initial)
+
+
 def test_undeliverable_destination_becomes_an_error_record():
     a = EchoActor("A")
-    transcript = run_scenario({"A": a}, [wire("A", "NOWHERE")], seed=1)
+    transcript = run_scenario({"A": a}, run_meta(wire("A", "NOWHERE")))
     (record,) = transcript.records
     assert record.error != ""
     assert not record.delivered
@@ -234,7 +231,7 @@ def test_undeliverable_destination_becomes_an_error_record():
 
 
 def test_actor_exception_becomes_an_error_record():
-    transcript = run_scenario({"A": FaultyActor("A")}, [wire("X", "A")], seed=1)
+    transcript = run_scenario({"A": FaultyActor("A")}, run_meta(wire("X", "A")))
     (record,) = transcript.records
     assert "synthetic actor fault" in record.error
     assert not record.delivered
@@ -256,12 +253,12 @@ def test_max_ticks_stops_the_run():
 
     rearm(a, "B")
     rearm(b, "A")
-    transcript = run_scenario({"A": a, "B": b}, [wire("A", "B")], seed=1, max_ticks=5)
+    transcript = run_scenario({"A": a, "B": b}, run_meta(wire("A", "B"), max_ticks=5))
     assert len(transcript.records) == 5
 
 
 def test_empty_initial_messages_make_an_empty_transcript():
-    transcript = run_scenario({"A": EchoActor("A")}, [], seed=1)
+    transcript = run_scenario({"A": EchoActor("A")}, run_meta())
     assert transcript.records == ()
 
 
@@ -371,13 +368,14 @@ def test_tamper_budget_limits_the_number_of_hits():
 # --- replay-and-compare -----------------------------------------------------------
 
 
-def factory():
-    return endpoints_factory(CONFIG)
+def fresh(config: ScenarioConfig = CONFIG):
+    """The endpoints of a new build of ``config``, to replay a run on."""
+    return build_scenario(config).endpoints
 
 
 def test_happy_path_replays_cleanly():
     transcript = run_once().transcript
-    report = replay_transcript(transcript, factory())
+    report = replay_transcript(transcript, fresh())
     assert report.matches
     assert report.first_divergence is None
     assert "MATCH" in report.render()
@@ -385,8 +383,21 @@ def test_happy_path_replays_cleanly():
 
 def test_adversarial_run_replays_cleanly_from_its_spec():
     transcript = run_once("tamper:AuthorizationRequest:bit=tail/100:1").transcript
-    report = replay_transcript(transcript, factory())
+    report = replay_transcript(transcript, fresh())
     assert report.matches
+
+
+def test_one_meta_runs_alike_on_each_fresh_actor_set():
+    # a run builds its adversary from the meta, so a dropper given to a
+    # second run drops there too, and both runs replay from their meta
+    config = dataclasses.replace(CONFIG, adversary_spec="drop:PriceQuote:1")
+    meta = build_scenario(config).meta
+    first, second = (run_scenario(fresh(config), meta) for _ in range(2))
+    assert first == second
+    assert [r.action for r in first.records] == ["", "dropped"]
+    for transcript in (first, second):
+        report = replay_transcript(transcript, fresh(config))
+        assert report.matches, report.detail
 
 
 def test_edited_record_is_caught_at_or_next_to_the_edit():
@@ -399,7 +410,7 @@ def test_edited_record_is_caught_at_or_next_to_the_edit():
         records = list(transcript.records)
         records[k] = doctored
         edited = Transcript(meta=transcript.meta, records=tuple(records))
-        report = replay_transcript(edited, factory())
+        report = replay_transcript(edited, fresh())
         assert not report.matches
         assert report.first_divergence is not None
         assert report.first_divergence <= k + 1
@@ -409,7 +420,7 @@ def test_edited_record_is_caught_at_or_next_to_the_edit():
 def test_truncated_transcript_reports_count_mismatch():
     transcript = run_once().transcript
     edited = Transcript(meta=transcript.meta, records=transcript.records[:-1])
-    report = replay_transcript(edited, factory())
+    report = replay_transcript(edited, fresh())
     assert not report.matches
     assert report.expected_records == len(transcript.records) - 1
     assert report.actual_records == len(transcript.records)
@@ -418,7 +429,7 @@ def test_truncated_transcript_reports_count_mismatch():
 def test_empty_transcript_replays_to_an_empty_report():
     meta = TranscriptMeta(seed=CONFIG.seed, max_ticks=10, adversary_spec="none", initial=())
     empty = Transcript(meta=meta, records=())
-    report = replay_transcript(empty, factory())
+    report = replay_transcript(empty, fresh())
     assert report.matches
     assert report.expected_records == 0
     assert report.actual_records == 0
