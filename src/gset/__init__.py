@@ -15,8 +15,11 @@ deterministic simulated network with an adversary, and a scenario CLI.
 from .actors import (
     AccountProvider,
     AccountProviderConfig,
+    Event,
+    EventKind,
     ProviderConfig,
     RequesterConfig,
+    Send,
     ServiceProvider,
     ServiceRequester,
     TrustManager,

@@ -2,16 +2,18 @@
 
 Each actor is a single-threaded state machine with one external surface:
 
-    deliver(sender_id, raw_bytes, now) -> [(dest_id, raw_bytes), ...]
+    deliver(sender_id, raw_bytes, now) -> [Send(to, raw) | Event, ...]
 
-The simulated network calls ``deliver`` for every incoming message and
-queues whatever comes back; a handler only returns outbound messages and
-never waits for an answer.  A server that asks another keeps the request
-pending in its record of the order or hold, under the name the request
-carries, and the answer's own handler finds that record by one lookup and
-resumes from it.  The seven server-to-server legs carry a pairwise MAC;
-the signed messages of the requester's legs and the trust manager's
-capture token keep their signatures (see ``_authentic``).
+A handler performs no I/O and never waits for an answer: it returns its
+effects.  A ``Send`` is a message the simulated network queues; an
+``Event`` is what the actor refused or ignored, by kind, order and denial
+code, never free text, which the network records after the record that
+drew it.  The happy path draws no event.  A server that asks another keeps
+the request pending in its record of the order or hold, under the name the
+request carries, and the answer's own handler finds that record by one
+lookup and resumes from it.  The seven server-to-server legs carry a
+pairwise MAC; the signed messages of the requester's legs and the trust
+manager's capture token keep their signatures (see ``_authentic``).
 
 The privacy split is enforced here by what each actor stores, one
 record per order or hold:
@@ -41,10 +43,10 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from enum import IntEnum
 from functools import cache
 from random import Random
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from . import codec
-from .codec import Bulk, CodecError
+from .codec import Bulk, CodecError, Label, canonical_message
 from .crypto import (
     Digest,
     EnvelopeError,
@@ -60,11 +62,11 @@ from .crypto import (
     verify_with_pi,
 )
 from .ledger import (
+    DuplicateHoldError,
     HoldClosedError,
     InsufficientCreditError,
     Ledger,
     LedgerError,
-    UnknownAccountError,
 )
 from .messages import (
     AuthDecision,
@@ -99,7 +101,58 @@ from .messages import (
 )
 
 
-Outbound = list[tuple[str, bytes]]
+class Send(NamedTuple):
+    """An effect: the bytes ``raw``, for the network to queue to ``to``."""
+
+    to: str
+    raw: bytes
+
+
+class EventKind(IntEnum):
+    """What an actor refused or ignored: a ``*_REFUSED`` kind is its own refusal,
+    with a denial code, a ``*_DENIED`` kind a refusal it was told of."""
+
+    UNDECODABLE = 1  # the bytes decode to no message
+    UNEXPECTED_TYPE = 2  # no handler here for the message's type
+    UNEXPECTED_SENDER = 3  # a quote from a party other than the provider
+    BAD_AUTHENTICATOR = 4  # its signature or MAC does not verify
+    NOT_PENDING = 5  # it answers no pending request, or its order is not at its step
+    DUPLICATE = 6  # a repeat of a step taken or under way
+    NO_MAC_KEY = 7  # no MAC key for the peer, so nothing is sent to it
+    NO_PUBLIC_KEY = 8  # no public key for the trust manager, so no order
+    QUOTE_EXPIRED = 9
+    QUOTE_DENIED = 10
+    AUTHORIZATION_DENIED = 11
+    AUTHORIZATION_REFUSED = 12  # a run's outcome reads the first
+    GRANT_MISMATCH = 13  # the grant's tickets do not match the uploaded objects
+    OBJECT_MISMATCH = 14  # a redeemed object does not match its ticket
+    REDEMPTION_DENIED = 15
+    REDEMPTION_REFUSED = 16  # an unknown or spent ticket
+    BAD_TOKEN = 17  # an approval whose token does not verify or fit the order
+    CAPTURE_DENIED = 18
+    CAPTURE_REFUSED = 19
+    HOLD_REFUSED = 20
+    SETTLE_REFUSED = 21
+
+
+@canonical_message
+class Event:
+    """An effect: what ``actor`` refused or ignored in the delivery at ``tick``,
+    the order it concerns if the actor knows it, and the denial code if any."""
+
+    tick: int
+    actor: Label
+    kind: EventKind
+    order: Digest | None
+    reason: DenialReason | None
+
+    def __str__(self) -> str:
+        reason = "" if self.reason is None else f" {self.reason.name}"
+        order = "" if self.order is None else f" order {self.order.hex()[:12]}"
+        return f"{self.actor} {self.kind.name}{reason}{order}"
+
+
+Effects = list[Send | Event]
 
 
 def _leaf(tag: bytes, data: bytes) -> bytes:
@@ -159,10 +212,9 @@ class _ActorBase:
         self.rng = rng
         # peer id -> (key to the peer, key from the peer), derived on first use
         self.pair_keys: dict[str, tuple[bytes, bytes]] = {}
-        self.notes: list[str] = []
 
-    def _note(self, text: str) -> None:
-        self.notes.append(text)
+    def _event(self, now: int, kind: EventKind, order=None, reason=None) -> Event:
+        return Event(now, self.subject_id, kind, order, reason)
 
     def _nonce(self) -> bytes:
         return self.rng.randbytes(codec.NONCE_SIZE)
@@ -170,18 +222,16 @@ class _ActorBase:
     def _key_of(self, subject_id: str) -> bytes | None:
         return self.directory.get(subject_id)
 
-    def _answers(self, msg, awaited: bool, sender: str, covered) -> bool:
-        """Is ``msg`` the answer to a request still pending?  ``awaited``: its
-        record awaits it from ``sender``, who must then have authenticated it.
-        One note if not, and the caller changes nothing."""
+    def _unanswered(self, msg, awaited: bool, sender: str, covered, now: int) -> list[Event]:
+        """Nothing if ``msg`` answers a request still pending (``awaited`` from
+        ``sender``, who authenticated it); else the event, and nothing changes."""
+        order = getattr(msg, "oi_digest", None)
         if not awaited:
-            self._note(f"{type(msg).__name__} answers no pending request")
-            return False
+            return [self._event(now, EventKind.NOT_PENDING, order)]
         # AuthOutcome is unsigned: an approval's authority is its token's signature
         if type(msg) is not AuthOutcome and not self._authentic(msg, sender, covered):
-            self._note(f"{type(msg).__name__} authenticator does not verify")
-            return False
-        return True
+            return [self._event(now, EventKind.BAD_AUTHENTICATOR, order)]
+        return []
 
     def _keys_with(self, peer_id: str) -> tuple[bytes, bytes] | None:
         """The MAC keys shared with ``peer_id``: one X25519 agreement per peer and run."""
@@ -192,13 +242,19 @@ class _ActorBase:
                 self.pair_keys[peer_id] = keys
         return keys
 
-    def _maced_to(self, peer_id: str, cls: type, **fields) -> Outbound:
-        """``cls`` MAC'd to ``peer_id``, to send; nothing, with a note, without a key."""
+    def _maced_to(self, peer_id: str, cls: type, now: int, **fields) -> Send | Event:
+        """``cls`` MAC'd to ``peer_id``, to send; without a key, the event saying so."""
         keys = self._keys_with(peer_id)
         if keys is None:
-            self._note(f"no MAC key for {peer_id}; {cls.__name__} not sent")
-            return []
-        return [(peer_id, build_maced(cls, keys[0], **fields)[1])]
+            return self._event(now, EventKind.NO_MAC_KEY)
+        return Send(peer_id, build_maced(cls, keys[0], **fields)[1])
+
+    def _reply(self, peer_id: str, cls: type, now: int, kind, reason, **fields) -> Effects:
+        """``cls`` MAC'd to ``peer_id`` with ``reason``, after the event ``kind`` if refused."""
+        answer = self._maced_to(peer_id, cls, now, reason=reason, **fields)
+        if reason is None:
+            return [answer]
+        return [self._event(now, kind, fields.get("oi_digest"), reason), answer]
 
     def _authentic(
         self,
@@ -228,21 +284,20 @@ class _ActorBase:
             return False
         return verify_signed(msg, public, digests, covered)
 
-    def deliver(self, sender: str, raw: bytes, now: int) -> Outbound:
-        """Process one incoming message; returns outbound (dest, bytes) pairs.
+    def deliver(self, sender: str, raw: bytes, now: int) -> Effects:
+        """Process one incoming message; returns its effects, the messages to
+        send and an event for each refusal.
 
-        Malformed or unexpected input is logged and dropped, never raised:
-        a hostile network must not be able to crash an actor.
+        Malformed or unexpected input draws an event and is dropped, never
+        raised: a hostile network must not be able to crash an actor.
         """
         try:
             msg, covered = codec.decode_authenticated(raw)
-        except CodecError as exc:
-            self._note(f"rejected undecodable message from {sender}: {exc}")
-            return []
+        except CodecError:
+            return [self._event(now, EventKind.UNDECODABLE)]
         handler = self._HANDLERS.get(type(msg))
         if handler is None:
-            self._note(f"ignored unexpected {type(msg).__name__} from {sender}")
-            return []
+            return [self._event(now, EventKind.UNEXPECTED_TYPE)]
         return handler(self, sender, msg, covered, now)
 
     def state_bytes(self) -> bytes:
@@ -313,37 +368,26 @@ class ServiceRequester(_ActorBase):
         # ticket_id -> the oi_digest of the order it was granted for
         self.ticket_orders: dict[bytes, Digest] = {}
 
-    def begin(self, usage: UsageDescriptor) -> tuple[str, bytes]:
+    def begin(self, usage: UsageDescriptor) -> Send:
         """Kick-off message for a simulation run: a price request for
         ``usage`` under a fresh nonce."""
         request = PriceRequest(usage=usage, nonce=self._nonce())
         self.pending_requests[request.nonce] = usage
-        return (self.config.provider_id, codec.encode(request))
+        return Send(self.config.provider_id, codec.encode(request))
 
     # -- message handlers --
 
-    def _on_price_quote(self, sender: str, quote: PriceQuote, covered, now: int) -> Outbound:
+    def _on_price_quote(self, sender: str, quote: PriceQuote, covered, now: int) -> Effects:
         """Turn an acceptable quote into a dual-signed authorization."""
         if sender != self.config.provider_id:
-            self._note(f"quote from unexpected sender {sender}")
-            return []
+            return [self._event(now, EventKind.UNEXPECTED_SENDER)]
         if self.pending_requests.get(quote.request_nonce) != quote.usage:
-            self._note("quote does not match any pending request")
-            return []
-
-        def refuse(detail: str) -> Outbound:
-            self._note(f"quote not usable: {detail}")
-            return []
-
+            return [self._event(now, EventKind.NOT_PENDING)]
         if not self._authentic(quote, self.config.provider_id, covered):
-            return refuse("quote signature does not verify")
+            return [self._event(now, EventKind.BAD_AUTHENTICATOR)]
         if now >= quote.expiry:
-            return refuse(f"quote expired at tick {quote.expiry}, now {now}")
-        order = OrderInfo(
-            quote_id=quote.quote_id,
-            usage=quote.usage,
-            order_nonce=self._nonce(),
-        )
+            return [self._event(now, EventKind.QUOTE_EXPIRED)]
+        order = OrderInfo(quote_id=quote.quote_id, usage=quote.usage, order_nonce=self._nonce())
         payment = PaymentInfo(
             account_provider_id=self.config.account_provider_id,
             account_ref=self.config.account_ref,
@@ -354,93 +398,75 @@ class ServiceRequester(_ActorBase):
         payment_bytes = codec.encode(payment)
         tm_key = self._key_of(self.config.trust_manager_id)
         if tm_key is None:
-            return refuse(f"no public key for {self.config.trust_manager_id!r}")
+            return [self._event(now, EventKind.NO_PUBLIC_KEY)]
         envelope = seal(tm_key, self.config.trust_manager_id, payment_bytes, self.rng)
         dual = make_dual_signature(self.identity, order_bytes, payment_bytes)
         self.orders[dual.oi_digest] = RequesterOrder()
         del self.pending_requests[quote.request_nonce]
         auth = AuthorizationRequest(order_info=order_bytes, payment_envelope=envelope, dual=dual)
-        return [(self.config.provider_id, codec.encode(auth))]
+        return [Send(self.config.provider_id, codec.encode(auth))]
 
-    def _on_quote_denial(self, sender: str, denial: QuoteDenial, covered, now: int) -> Outbound:
-        self._note(f"price request denied: {denial.reason}")
+    def _on_quote_denial(self, sender: str, denial: QuoteDenial, covered, now: int) -> Effects:
         self.pending_requests.pop(denial.request_nonce, None)
-        return []
+        return [self._event(now, EventKind.QUOTE_DENIED)]
 
-    def _on_auth_decision(self, sender: str, decision: AuthDecision, covered, now: int) -> Outbound:
+    def _on_auth_decision(self, sender: str, decision: AuthDecision, covered, now: int) -> Effects:
+        oi_digest = decision.oi_digest
         if not self._authentic(decision, self.config.provider_id, covered):
-            self._note("auth decision signature does not verify")
-            return []
-        record = self.orders.get(decision.oi_digest)
+            return [self._event(now, EventKind.BAD_AUTHENTICATOR, oi_digest)]
+        record = self.orders.get(oi_digest)
         if record is None or record.phase != RequesterPhase.AUTHORIZING:
-            self._note("auth decision for no pending order")
-            return []
+            return [self._event(now, EventKind.NOT_PENDING, oi_digest)]
         if not decision.approved:
             record.phase = RequesterPhase.FAILED
-            self._note("authorization denied")
-            return []
+            return [self._event(now, EventKind.AUTHORIZATION_DENIED, oi_digest)]
         record.phase = RequesterPhase.UPLOADING
         record.digests = object_digests(self.config.objects)
-        _, raw = build_signed(
-            ObjectUpload,
-            self.identity,
-            digests=record.digests,
-            oi_digest=decision.oi_digest,
-            objects=self.config.objects,
-        )
-        return [(self.config.provider_id, raw)]
+        _, raw = build_signed(ObjectUpload, self.identity, digests=record.digests,
+                              oi_digest=oi_digest, objects=self.config.objects)
+        return [Send(self.config.provider_id, raw)]
 
-    def _on_service_grant(self, sender: str, grant: ServiceGrant, covered, now: int) -> Outbound:
+    def _on_service_grant(self, sender: str, grant: ServiceGrant, covered, now: int) -> Effects:
+        oi_digest = grant.oi_digest
         if not self._authentic(grant, self.config.provider_id, covered):
-            self._note("service grant signature does not verify")
-            return []
-        record = self.orders.get(grant.oi_digest)
+            return [self._event(now, EventKind.BAD_AUTHENTICATOR, oi_digest)]
+        record = self.orders.get(oi_digest)
         if record is not None and record.phase > RequesterPhase.UPLOADING:
-            self._note("duplicate service grant ignored")
-            return []
+            return [self._event(now, EventKind.DUPLICATE, oi_digest)]
         if record is None or record.phase != RequesterPhase.UPLOADING:
-            self._note("service grant for no uploaded order")
-            return []
-        if len(grant.tickets) != len(record.digests):
-            self._note("grant ticket count does not match uploaded objects")
-            return []
-        for ticket, digest in zip(grant.tickets, record.digests):
-            if ticket.object_digest != digest:
-                self._note("grant ticket digest does not match uploaded object")
-                return []
+            return [self._event(now, EventKind.NOT_PENDING, oi_digest)]
+        if len(grant.tickets) != len(record.digests) or any(
+            ticket.object_digest != digest for ticket, digest in zip(grant.tickets, record.digests)
+        ):
+            return [self._event(now, EventKind.GRANT_MISMATCH, oi_digest)]
         record.phase = RequesterPhase.REDEEMING
-        out: Outbound = []
         for ticket in grant.tickets:
             record.tickets[ticket.ticket_id] = ticket
-            self.ticket_orders[ticket.ticket_id] = grant.oi_digest
-            request = TicketRedeemRequest(ticket_id=ticket.ticket_id)
-            out.append((self.config.provider_id, codec.encode(request)))
-        return out
+            self.ticket_orders[ticket.ticket_id] = oi_digest
+        to = self.config.provider_id
+        return [Send(to, codec.encode(TicketRedeemRequest(t))) for t in record.tickets]
 
     def _on_redeem_response(
         self, sender: str, resp: TicketRedeemResponse, covered, now: int
-    ) -> Outbound:
+    ) -> Effects:
         # The response is unsigned: the signed grant's ticket already commits
         # to the object's digest, so the digest is the integrity check.
         oi_digest = self.ticket_orders.get(resp.ticket_id)
         record = self.orders.get(oi_digest)
         if record is None or not record.awaits(resp.ticket_id):
-            self._note("redeem response for no outstanding ticket")
-            return []
+            return [self._event(now, EventKind.NOT_PENDING, oi_digest)]
         if resp.ok and not record.tickets[resp.ticket_id].matches(resp.payload):
-            self._note("redeemed object does not match ticket digest")
-            return []
+            return [self._event(now, EventKind.OBJECT_MISMATCH, oi_digest)]
         if not resp.ok:
             record.refusals.add(resp.ticket_id)
-            self._note("ticket redemption refused")
-            return []
+            return [self._event(now, EventKind.REDEMPTION_DENIED, oi_digest)]
         record.retrieved[resp.ticket_id] = resp.payload
         # a refused ticket is never retrieved, so that order never completes
         if len(record.retrieved) < len(record.tickets):
             return []
         record.phase = RequesterPhase.COMPLETED
         _, raw = build_signed(ServiceComplete, self.identity, oi_digest=oi_digest)
-        return [(self.config.provider_id, raw)]
+        return [Send(self.config.provider_id, raw)]
 
     _HANDLERS = {
         PriceQuote: _on_price_quote,
@@ -493,24 +519,23 @@ class ServiceProvider(_ActorBase):
         super().__init__(identity, directory, config, rng)
         # quote_id -> (usage, price, expiry) of each quote issued
         self.issued_quotes: dict[bytes, tuple[UsageDescriptor, int, int]] = {}
-        self.denials: list[DenialReason] = []
         # oi_digest -> the order; only orders matched to an issued quote
         self.orders: dict[Digest, ProviderOrder] = {}
         # ticket_id -> object, until the ticket is redeemed
         self.stored_objects: dict[bytes, Bulk] = {}
 
-    def _decide(self, requester: str, oi_digest: Digest, approved: bool) -> Outbound:
+    def _decide(self, requester: str, oi_digest: Digest, approved: bool) -> Effects:
         _, raw = build_signed(AuthDecision, self.identity, oi_digest=oi_digest, approved=approved)
-        return [(requester, raw)]
+        return [Send(requester, raw)]
 
     # -- message handlers --
 
-    def _on_price_request(self, sender: str, request: PriceRequest, covered, now: int) -> Outbound:
+    def _on_price_request(self, sender: str, request: PriceRequest, covered, now: int) -> Effects:
         """Price a usage request: rate * quantity, valid for quote_ttl ticks."""
 
-        def deny(reason: str) -> Outbound:
+        def deny(reason: str) -> Effects:
             denial = QuoteDenial(request_nonce=request.nonce, reason=reason)
-            return [(sender, codec.encode(denial))]
+            return [Send(sender, codec.encode(denial))]
 
         rate = self.config.pricing.get(request.usage.service_id)
         if rate is None:
@@ -528,11 +553,11 @@ class ServiceProvider(_ActorBase):
             expiry=now + self.config.quote_ttl,
         )
         self.issued_quotes[quote.quote_id] = (quote.usage, price, quote.expiry)
-        return [(sender, raw)]
+        return [Send(sender, raw)]
 
     def _on_authorization(
         self, sender: str, auth: AuthorizationRequest, covered, now: int
-    ) -> Outbound:
+    ) -> Effects:
         """Validate the order half and relay the payment half, or refuse.
 
         The dual signature is checked on the order bytes as received, before
@@ -547,48 +572,35 @@ class ServiceProvider(_ActorBase):
         """
         oi_digest = auth.dual.oi_digest
 
-        def deny(reason: DenialReason, detail: str) -> Outbound:
-            self._note(f"authorization refused ({reason.name}): {detail}")
-            self.denials.append(reason)
-            return self._decide(sender, oi_digest, False)
+        def deny(reason: DenialReason) -> Effects:
+            event = self._event(now, EventKind.AUTHORIZATION_REFUSED, oi_digest, reason)
+            return [event, *self._decide(sender, oi_digest, False)]
 
         # authenticity first: any tampering surfaces as BAD_SIGNATURE before
         # policy questions like quote expiry get a say
-        if auth.dual.signature.signer_id != sender:
-            return deny(DenialReason.BAD_SIGNATURE, "dual signature names a different requester")
-        requester_key = self._key_of(sender)
-        if requester_key is None:
-            return deny(DenialReason.BAD_SIGNATURE, "unknown requester")
-        if not verify_with_oi(requester_key, auth.order_info, auth.dual):
-            return deny(DenialReason.BAD_SIGNATURE, "dual signature fails on order side")
+        key = self._key_of(sender)  # the requester's
+        if auth.dual.signature.signer_id != sender or key is None \
+                or not verify_with_oi(key, auth.order_info, auth.dual):
+            return deny(DenialReason.BAD_SIGNATURE)
         try:
             order = codec.decode(auth.order_info, OrderInfo)
-        except CodecError as exc:
-            return deny(DenialReason.BAD_SIGNATURE, f"order plaintext malformed: {exc}")
-        quote = self.issued_quotes.get(order.quote_id)
-        if quote is None:
-            return deny(DenialReason.EXPIRED_QUOTE, "unknown quote reference")
-        usage, price, expiry = quote
-        if now >= expiry:
-            return deny(DenialReason.EXPIRED_QUOTE, "quote expired")
-        if order.usage != usage:
-            return deny(DenialReason.EXPIRED_QUOTE, "order does not match quoted usage")
+        except CodecError:
+            return deny(DenialReason.BAD_SIGNATURE)
+        # a quote never issued reads as one that expired at tick 0
+        usage, price, expiry = self.issued_quotes.get(order.quote_id, (None, 0, 0))
+        if now >= expiry or order.usage != usage:
+            return deny(DenialReason.EXPIRED_QUOTE)
         if oi_digest in self.orders:
-            self._note("duplicate authorization for an accepted order ignored")
-            return []
+            return [self._event(now, EventKind.DUPLICATE, oi_digest)]
 
-        relay = self._maced_to(
-            self.config.trust_manager_id,
-            AuthorizeAndHold,
-            payment_envelope=auth.payment_envelope,
-            dual=auth.dual,
-            charge_amount=price,
-        )
-        if relay:
+        relay = self._maced_to(self.config.trust_manager_id, AuthorizeAndHold, now,
+                               payment_envelope=auth.payment_envelope, dual=auth.dual,
+                               charge_amount=price)
+        if type(relay) is Send:
             self.orders[oi_digest] = ProviderOrder(sender, price)
-        return relay
+        return [relay]
 
-    def _on_auth_outcome(self, sender: str, outcome: AuthOutcome, covered, now: int) -> Outbound:
+    def _on_auth_outcome(self, sender: str, outcome: AuthOutcome, covered, now: int) -> Effects:
         """Answer the requester of the relayed order the outcome names.
 
         An approval stands only on a token the trust manager signed for this
@@ -598,15 +610,12 @@ class ServiceProvider(_ActorBase):
         record = self.orders.get(oi_digest)
         tm = self.config.trust_manager_id
         awaited = record is not None and record.phase == ProviderPhase.RELAYED and sender == tm
-        if not self._answers(outcome, awaited, sender, covered):
-            return []
-        if not outcome.approved:
-            record.phase = ProviderPhase.DENIED
-            self._note(f"authorization denied by trust manager: {outcome.reason.name}")
-            return self._decide(record.requester, oi_digest, False)
+        if ignored := self._unanswered(outcome, awaited, sender, covered, now):
+            return ignored
         token = outcome.token
         if (
-            self._authentic(token, self.config.trust_manager_id)
+            outcome.approved
+            and self._authentic(token, tm)
             and token.provider_id == self.subject_id
             and token.charge_amount == record.charge
             and token.oi_digest == oi_digest
@@ -614,81 +623,73 @@ class ServiceProvider(_ActorBase):
             record.phase = ProviderPhase.APPROVED
             return self._decide(record.requester, oi_digest, True)
         record.phase = ProviderPhase.DENIED
-        self._note("approved outcome carried an unverifiable token")
-        return self._decide(record.requester, oi_digest, False)
+        if outcome.approved:  # on a token that does not verify or fit the order
+            event = self._event(now, EventKind.BAD_TOKEN, oi_digest)
+        else:
+            event = self._event(now, EventKind.AUTHORIZATION_DENIED, oi_digest, outcome.reason)
+        return [event, *self._decide(record.requester, oi_digest, False)]
 
-    def _on_object_upload(self, sender: str, upload: ObjectUpload, covered, now: int) -> Outbound:
-        record = self.orders.get(upload.oi_digest)
+    def _on_object_upload(self, sender: str, upload: ObjectUpload, covered, now: int) -> Effects:
+        oi_digest = upload.oi_digest
+        record = self.orders.get(oi_digest)
         if record is None or record.requester != sender:
-            self._note("upload for unknown order")
-            return []
+            return [self._event(now, EventKind.NOT_PENDING, oi_digest)]
         digests = object_digests(upload.objects)
         if not self._authentic(upload, sender, digests=digests):
-            self._note("upload signature does not verify")
-            return []
+            return [self._event(now, EventKind.BAD_AUTHENTICATOR, oi_digest)]
         if record.phase >= ProviderPhase.GRANTED:
-            self._note("upload for already granted order")
-            return []
+            return [self._event(now, EventKind.DUPLICATE, oi_digest)]
         if record.phase != ProviderPhase.APPROVED:
-            self._note("upload for unapproved order")
-            return []
+            return [self._event(now, EventKind.NOT_PENDING, oi_digest)]
         # store the objects and issue one single-use ticket per object
         record.phase = ProviderPhase.GRANTED
         tickets = tuple(Ticket(ticket_id=self._nonce(), object_digest=d) for d in digests)
         for ticket, obj in zip(tickets, upload.objects):
             self.stored_objects[ticket.ticket_id] = obj
-        _, raw = build_signed(
-            ServiceGrant, self.identity, oi_digest=upload.oi_digest, tickets=tickets
-        )
-        return [(sender, raw)]
+        _, raw = build_signed(ServiceGrant, self.identity, oi_digest=oi_digest, tickets=tickets)
+        return [Send(sender, raw)]
 
     def _on_redeem_request(
         self, sender: str, request: TicketRedeemRequest, covered, now: int
-    ) -> Outbound:
+    ) -> Effects:
         # stored objects are never empty, so no bytes means a refusal
         payload = self.stored_objects.pop(request.ticket_id, b"")
-        if not payload:
-            self._note("redemption refused: unknown or spent ticket")
         response = TicketRedeemResponse(ticket_id=request.ticket_id, payload=payload)
-        return [(sender, codec.encode(response))]
+        answer = Send(sender, codec.encode(response))
+        return [answer] if payload else [self._event(now, EventKind.REDEMPTION_REFUSED), answer]
 
     def _on_service_complete(
         self, sender: str, done: ServiceComplete, covered, now: int
-    ) -> Outbound:
-        record = self.orders.get(done.oi_digest)
+    ) -> Effects:
+        oi_digest = done.oi_digest
+        record = self.orders.get(oi_digest)
         if record is None or record.phase < ProviderPhase.GRANTED:
-            self._note("completion for unknown grant")
-            return []
+            return [self._event(now, EventKind.NOT_PENDING, oi_digest)]
         if record.requester != sender or not self._authentic(done, sender, covered):
-            self._note("completion signature does not verify")
-            return []
+            return [self._event(now, EventKind.BAD_AUTHENTICATOR, oi_digest)]
         if record.phase >= ProviderPhase.CAPTURING:
-            captured = record.phase == ProviderPhase.CAPTURED
-            self._note("grant already captured" if captured else "capture already pending")
-            return []
+            return [self._event(now, EventKind.DUPLICATE, oi_digest)]
         # name the order's token to the trust manager; a settled capture books the charge
-        request = self._maced_to(
-            self.config.trust_manager_id, CaptureRequest, oi_digest=done.oi_digest
-        )
-        if request:
+        tm = self.config.trust_manager_id
+        request = self._maced_to(tm, CaptureRequest, now, oi_digest=oi_digest)
+        if type(request) is Send:
             record.phase = ProviderPhase.CAPTURING
-        return request
+        return [request]
 
     def _on_capture_response(
         self, sender: str, response: CaptureResponse, covered, now: int
-    ) -> Outbound:
+    ) -> Effects:
         """Book a settled capture, or take a refused one back to GRANTED."""
         record = self.orders.get(response.oi_digest)
         tm = self.config.trust_manager_id
         awaited = record is not None and record.phase == ProviderPhase.CAPTURING and sender == tm
-        if not self._answers(response, awaited, sender, covered):
-            return []
+        if ignored := self._unanswered(response, awaited, sender, covered, now):
+            return ignored
         if response.settled:
             record.phase = ProviderPhase.CAPTURED
-        else:
-            record.phase = ProviderPhase.GRANTED
-            self._note(f"capture refused: {response.reason.name}")
-        return []
+            return []
+        record.phase = ProviderPhase.GRANTED
+        return [self._event(now, EventKind.CAPTURE_DENIED, response.oi_digest, response.reason)]
 
     _HANDLERS = {
         PriceRequest: _on_price_request,
@@ -739,29 +740,20 @@ class TrustManager(_ActorBase):
     ) -> None:
         super().__init__(identity, directory, config, rng)
         self.seen_payment_nonces: set[bytes] = set()
-        self.denials: list[DenialReason] = []
         # hold_nonce, the hold's one name from request to settlement -> what
         # the hold and its token's capture read; not the signed token
         self.holds: dict[bytes, Hold] = {}
         # oi_digest -> the hold_nonce of the order's one hold
         self.order_holds: dict[Digest, bytes] = {}
 
-    def _deny(self, provider: str, oi_digest: Digest, reason, detail: str) -> Outbound:
-        self._note(f"authorization denied ({reason.name}): {detail}")
-        self.denials.append(reason)
+    def _deny(self, provider: str, oi_digest: Digest, reason, now: int) -> Effects:
+        event = self._event(now, EventKind.AUTHORIZATION_REFUSED, oi_digest, reason)
         outcome = AuthOutcome(oi_digest=oi_digest, token=None, reason=reason)
-        return [(provider, codec.encode(outcome))]
-
-    def _capture_answer(self, provider: str, oi_digest: Digest, reason, detail="") -> Outbound:
-        """The capture of the order ``oi_digest``'s token settled (``reason``
-        None) or refused."""
-        if reason is not None:
-            self._note(f"capture refused ({reason.name}): {detail}")
-        return self._maced_to(provider, CaptureResponse, oi_digest=oi_digest, reason=reason)
+        return [event, Send(provider, codec.encode(outcome))]
 
     def _on_authorize_and_hold(
         self, sender: str, msg: AuthorizeAndHold, covered, now: int
-    ) -> Outbound:
+    ) -> Effects:
         """Decide an authorization up to its hold: open, verify, check limit, ask.
 
         Denials carry a precise reason; the only state a failed attempt
@@ -770,69 +762,56 @@ class TrustManager(_ActorBase):
         being asked for is neither opened nor answered, and one for an order
         already held is refused as a replay, whatever its payment half.
         """
+        oi_digest = msg.dual.oi_digest
 
-        def deny(reason: DenialReason, detail: str) -> Outbound:
-            return self._deny(sender, msg.dual.oi_digest, reason, detail)
+        def deny(reason: DenialReason) -> Effects:
+            return self._deny(sender, oi_digest, reason, now)
 
         if not self._authentic(msg, sender, covered):
-            return deny(DenialReason.BAD_SIGNATURE, "provider MAC fails")
-        held = self.holds.get(self.order_holds.get(msg.dual.oi_digest))
+            return deny(DenialReason.BAD_SIGNATURE)
+        held = self.holds.get(self.order_holds.get(oi_digest))
         if held is not None and held.phase == HoldPhase.HOLDING:
-            self._note("repeat of an authorization on hold ignored")
-            return []
+            return [self._event(now, EventKind.DUPLICATE, oi_digest)]
         try:
             payment_bytes = open_envelope(self.identity, msg.payment_envelope)
-        except EnvelopeError as exc:
-            return deny(DenialReason.BAD_SIGNATURE, f"envelope failed to open: {exc}")
-        try:
             payment = codec.decode(payment_bytes, PaymentInfo)
-        except CodecError as exc:
-            return deny(DenialReason.BAD_SIGNATURE, f"payment plaintext malformed: {exc}")
+        except (EnvelopeError, CodecError):
+            return deny(DenialReason.BAD_SIGNATURE)
         if payment.payment_nonce in self.seen_payment_nonces:
-            return deny(DenialReason.REPLAY, "payment nonce already used")
+            return deny(DenialReason.REPLAY)
         self.seen_payment_nonces.add(payment.payment_nonce)
-        if held is not None:
-            return deny(DenialReason.REPLAY, "order already held")
+        if held is not None:  # the order is already held
+            return deny(DenialReason.REPLAY)
         payer_key = self._key_of(msg.dual.signature.signer_id)
-        if payer_key is None:
-            return deny(DenialReason.BAD_SIGNATURE, "unknown payer identity")
-        if not verify_with_pi(payer_key, payment_bytes, msg.dual):
-            return deny(DenialReason.BAD_SIGNATURE, "dual signature fails on payment side")
+        if payer_key is None or not verify_with_pi(payer_key, payment_bytes, msg.dual):
+            return deny(DenialReason.BAD_SIGNATURE)
         if msg.charge_amount > payment.authorized_limit:
-            return deny(
-                DenialReason.OVER_LIMIT,
-                f"charge {msg.charge_amount} exceeds limit {payment.authorized_limit}",
-            )
+            return deny(DenialReason.OVER_LIMIT)
         if payment.account_provider_id not in self.config.account_providers:
-            return deny(DenialReason.UNKNOWN_ACCOUNT, "account provider not recognised")
+            return deny(DenialReason.UNKNOWN_ACCOUNT)
 
         account_digest = hash_bytes(payment.account_ref.encode("utf-8"))
         hold_nonce = self._nonce()
-        request = self._maced_to(
-            payment.account_provider_id,
-            HoldRequest,
-            hold_nonce=hold_nonce,
-            account_ref_digest=account_digest,
-            amount=msg.charge_amount,
-        )
-        if not request:
-            return deny(DenialReason.UNKNOWN_ACCOUNT, "account provider unreachable")
-        self.holds[hold_nonce] = Hold(
-            sender, payment.account_provider_id, msg.charge_amount, msg.dual.oi_digest
-        )
-        self.order_holds[msg.dual.oi_digest] = hold_nonce
-        return request
+        request = self._maced_to(payment.account_provider_id, HoldRequest, now,
+                                 hold_nonce=hold_nonce, account_ref_digest=account_digest,
+                                 amount=msg.charge_amount)
+        if type(request) is not Send:  # the account provider is unreachable
+            return [request, *deny(DenialReason.UNKNOWN_ACCOUNT)]
+        self.holds[hold_nonce] = Hold(sender, payment.account_provider_id, msg.charge_amount,
+                                      oi_digest)
+        self.order_holds[oi_digest] = hold_nonce
+        return [request]
 
-    def _on_hold_response(self, sender: str, response: HoldResponse, covered, now: int) -> Outbound:
+    def _on_hold_response(self, sender: str, response: HoldResponse, covered, now: int) -> Effects:
         """Mint the token of a placed hold, or pass the hold's refusal on."""
         hold = self.holds.get(response.hold_nonce)
-        asked = hold is not None and hold.account_provider == sender
-        if not self._answers(response, asked and hold.phase == HoldPhase.HOLDING, sender, covered):
-            return []
+        awaited = hold is not None and hold.account_provider == sender \
+            and hold.phase == HoldPhase.HOLDING
+        if ignored := self._unanswered(response, awaited, sender, covered, now):
+            return ignored
         if not response.ok:
             del self.holds[response.hold_nonce], self.order_holds[hold.oi_digest]
-            detail = "account provider refused the hold"
-            return self._deny(hold.provider, hold.oi_digest, response.reason, detail)
+            return self._deny(hold.provider, hold.oi_digest, response.reason, now)
         token, _ = build_signed(
             CaptureToken,
             self.identity,
@@ -842,47 +821,50 @@ class TrustManager(_ActorBase):
         )
         hold.phase = HoldPhase.MINTED
         outcome = AuthOutcome(oi_digest=hold.oi_digest, token=token, reason=None)
-        return [(hold.provider, codec.encode(outcome))]
+        return [Send(hold.provider, codec.encode(outcome))]
 
     def _on_capture_request(
         self, sender: str, request: CaptureRequest, covered, now: int
-    ) -> Outbound:
+    ) -> Effects:
         """Ask for the settlement of the token minted for the order the request
         names, exactly once; a repeat while it is asked for is not answered."""
 
-        def refuse(reason: DenialReason, detail: str) -> Outbound:
-            return self._capture_answer(sender, request.oi_digest, reason, detail)
+        def refuse(reason: DenialReason) -> Effects:
+            return self._reply(sender, CaptureResponse, now, EventKind.CAPTURE_REFUSED, reason,
+                               oi_digest=request.oi_digest)
 
         if not self._authentic(request, sender, covered):
-            return refuse(DenialReason.BAD_SIGNATURE, "provider MAC fails")
+            return refuse(DenialReason.BAD_SIGNATURE)
         hold_nonce = self.order_holds.get(request.oi_digest)
         hold = self.holds.get(hold_nonce)
+        # no token minted here for this provider
         if hold is None or hold.provider != sender or hold.phase == HoldPhase.HOLDING:
-            return refuse(DenialReason.BAD_SIGNATURE, "no token minted here for this provider")
+            return refuse(DenialReason.BAD_SIGNATURE)
         if hold.phase == HoldPhase.SETTLING:
-            self._note("repeat of a capture being settled ignored")
-            return []
+            return [self._event(now, EventKind.DUPLICATE, request.oi_digest)]
         if hold.phase == HoldPhase.SPENT:
-            return refuse(DenialReason.REPLAY, "token already spent")
-        settle = self._maced_to(hold.account_provider, SettleRequest, hold_nonce=hold_nonce)
-        if not settle:
-            return refuse(DenialReason.UNKNOWN_ACCOUNT, "account provider unreachable")
+            return refuse(DenialReason.REPLAY)
+        settle = self._maced_to(hold.account_provider, SettleRequest, now, hold_nonce=hold_nonce)
+        if type(settle) is not Send:  # the account provider is unreachable
+            return [settle, *refuse(DenialReason.UNKNOWN_ACCOUNT)]
         hold.phase = HoldPhase.SETTLING
-        return settle
+        return [settle]
 
     def _on_settle_response(
         self, sender: str, response: SettleResponse, covered, now: int
-    ) -> Outbound:
+    ) -> Effects:
         """Answer the capture of a settled hold's token, or refuse it."""
         hold = self.holds.get(response.hold_nonce)
-        asked = hold is not None and hold.account_provider == sender
-        if not self._answers(response, asked and hold.phase == HoldPhase.SETTLING, sender, covered):
-            return []
-        reason, detail = response.reason, "account provider refused settlement"
-        if response.ok and response.amount != hold.charge:
-            reason, detail = DenialReason.BAD_SIGNATURE, "settled amount mismatch"
+        awaited = hold is not None and hold.account_provider == sender \
+            and hold.phase == HoldPhase.SETTLING
+        if ignored := self._unanswered(response, awaited, sender, covered, now):
+            return ignored
+        reason = response.reason
+        if response.ok and response.amount != hold.charge:  # settled another amount
+            reason = DenialReason.BAD_SIGNATURE
         hold.phase = HoldPhase.SPENT if reason is None else HoldPhase.MINTED
-        return self._capture_answer(hold.provider, hold.oi_digest, reason, detail)
+        return self._reply(hold.provider, CaptureResponse, now, EventKind.CAPTURE_REFUSED, reason,
+                           oi_digest=hold.oi_digest)
 
     _HANDLERS = {
         AuthorizeAndHold: _on_authorize_and_hold,
@@ -912,51 +894,40 @@ class AccountProvider(_ActorBase):
         # draws nothing, so it takes no randomness source
         super().__init__(identity, directory, config)
         self.ledger = Ledger()
-        self.seen_hold_nonces: set[bytes] = set()
 
-    def _on_hold_request(self, sender: str, msg: HoldRequest, covered, now: int) -> Outbound:
-        """Place the hold under the trust manager's name for it, ``hold_nonce``."""
-
-        def respond(reason: DenialReason | None) -> Outbound:
-            return self._maced_to(sender, HoldResponse, hold_nonce=msg.hold_nonce, reason=reason)
-
+    def _on_hold_request(self, sender: str, msg: HoldRequest, covered, now: int) -> Effects:
+        """Place the hold under the trust manager's name for it, ``hold_nonce``.
+        The ledger uses a name up once asked, so a repeat is a REPLAY."""
+        reason = None
         if sender not in self.config.trust_managers \
                 or not self._authentic(msg, sender, covered):
-            self._note("hold request MAC does not verify")
-            return respond(DenialReason.BAD_SIGNATURE)
-        if msg.hold_nonce in self.seen_hold_nonces:
-            self._note("hold request nonce already used")
-            return respond(DenialReason.REPLAY)
-        self.seen_hold_nonces.add(msg.hold_nonce)
-        try:
-            self.ledger.place_hold(msg.account_ref_digest, msg.amount, msg.hold_nonce)
-        except InsufficientCreditError as exc:
-            self._note(f"hold refused: {exc}")
-            return respond(DenialReason.INSUFFICIENT_CREDIT)
-        except (UnknownAccountError, LedgerError) as exc:
-            self._note(f"hold refused: {exc}")
-            return respond(DenialReason.UNKNOWN_ACCOUNT)
-        return respond(None)
+            reason = DenialReason.BAD_SIGNATURE
+        else:
+            try:
+                self.ledger.place_hold(msg.account_ref_digest, msg.amount, msg.hold_nonce)
+            except DuplicateHoldError:
+                reason = DenialReason.REPLAY
+            except InsufficientCreditError:
+                reason = DenialReason.INSUFFICIENT_CREDIT
+            except LedgerError:
+                reason = DenialReason.UNKNOWN_ACCOUNT
+        return self._reply(sender, HoldResponse, now, EventKind.HOLD_REFUSED, reason,
+                           hold_nonce=msg.hold_nonce)
 
-    def _on_settle_request(self, sender: str, msg: SettleRequest, covered, now: int) -> Outbound:
-        def respond(amount: int, reason: DenialReason | None) -> Outbound:
-            return self._maced_to(
-                sender, SettleResponse, hold_nonce=msg.hold_nonce, amount=amount, reason=reason
-            )
-
+    def _on_settle_request(self, sender: str, msg: SettleRequest, covered, now: int) -> Effects:
+        amount, reason = 0, None
         if sender not in self.config.trust_managers \
                 or not self._authentic(msg, sender, covered):
-            self._note("settle request MAC does not verify")
-            return respond(0, DenialReason.BAD_SIGNATURE)
-        try:
-            amount = self.ledger.settle_hold(msg.hold_nonce)
-        except HoldClosedError:
-            self._note("settle refused: hold already closed")
-            return respond(0, DenialReason.REPLAY)
-        except LedgerError as exc:
-            self._note(f"settle refused: {exc}")
-            return respond(0, DenialReason.UNKNOWN_ACCOUNT)
-        return respond(amount, None)
+            reason = DenialReason.BAD_SIGNATURE
+        else:
+            try:
+                amount = self.ledger.settle_hold(msg.hold_nonce)
+            except HoldClosedError:
+                reason = DenialReason.REPLAY
+            except LedgerError:
+                reason = DenialReason.UNKNOWN_ACCOUNT
+        return self._reply(sender, SettleResponse, now, EventKind.SETTLE_REFUSED, reason,
+                           hold_nonce=msg.hold_nonce, amount=amount)
 
     _HANDLERS = {
         HoldRequest: _on_hold_request,

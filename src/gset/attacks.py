@@ -9,8 +9,9 @@ whole suite can run and report in one pass.
 Each run is the sweep's base config with one adversary spec swapped in,
 and each finding is named by that spec (``tamper:HoldRequest:bit=rand/4:1``
 is the fifth tamper run over ``HoldRequest``).  So any run, and any
-finding, is rerun from its spec and seed alone, by ``gset demo-storage``
-or by ``replay_transcript`` on its transcript.
+finding, is rerun from its spec and seed alone: ``gset demo-storage``
+prints each refusal the run drew as an event under its record, and
+``replay_transcript`` on its transcript compares those events too.
 """
 
 from __future__ import annotations

@@ -134,7 +134,7 @@ def _five_dimensions(report: RunReport, replay: DivergenceReport) -> tuple[list[
         adversary_active
         and report.business_outcome in ("DENIED:BAD_SIGNATURE", "DENIED:REPLAY")
     )
-    agility_note = (
+    agility_text = (
         f"decision for (price={report.expected_price}, limit={config.authorized_limit}, "
         f"credit={config.credit_limit}) matches the live-policy oracle: {oracle}"
         if report.business_outcome == oracle
@@ -164,7 +164,7 @@ def _five_dimensions(report: RunReport, replay: DivergenceReport) -> tuple[list[
             if privacy
             else f"marker found at {report.privacy.hits[0].location}",
         ),
-        row(agility, "agility", agility_note),
+        row(agility, "agility", agility_text),
         row(
             replay.matches, "reliability",
             f"rerun with seed {config.seed} reproduced the transcript byte for byte"
@@ -195,8 +195,10 @@ def cmd_demo_storage(args, env: dict) -> int:
     print(f"limit {config.authorized_limit}, account credit {config.credit_limit}")
     print()
     print("wire transcript:")
-    for index, record in enumerate(report.transcript.records):
+    for index, (record, events) in enumerate(report.transcript.steps()):
         print(_record_line(index, record))
+        for event in events:  # indented under the record whose delivery drew it
+            print(f"{'':20s}{event}")
     print()
     for line in report.describe():
         print(line)

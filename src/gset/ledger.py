@@ -9,10 +9,10 @@ The conservation rule, re-asserted after every mutation, is
     settled_total + sum(active holds)  <=  credit_limit
 
 A hold is named by its caller (the account provider passes the trust
-manager's hold nonce), and a name is used once: a name already placed,
-settled or released is refused.  Holds move to settled exactly once, or are
-released explicitly.  Nothing expires on its own; release is an
-instruction, not a timer.
+manager's hold nonce), and a name is used once: the first ``place_hold``
+under it uses it up, whether it places the hold or refuses it.  Holds move
+to settled exactly once, or are released explicitly.  Nothing expires on
+its own; release is an instruction, not a timer.
 """
 
 from __future__ import annotations
@@ -96,6 +96,7 @@ class Ledger:
     def __init__(self) -> None:
         self._accounts: dict[bytes, _Account] = {}
         self._hold_owner: dict[bytes, bytes] = {}  # hold_ref -> account digest
+        self.used_refs: set[bytes] = set()  # every name place_hold was given
         self.settled_refs: set[bytes] = set()
         self.released_refs: set[bytes] = set()
 
@@ -130,13 +131,14 @@ class Ledger:
 
     def place_hold(self, account_ref_digest: Digest, amount: int, ref: bytes) -> None:
         """Reserve ``amount`` against the account's remaining credit, as the
-        hold named ``ref``; a name is used once."""
-        account = self._account(account_ref_digest)
-        _check_positive(amount, "amount")
+        hold named ``ref``, a name this call uses up even when it refuses."""
         if not isinstance(ref, bytes) or not ref:
             raise LedgerError("hold name must be non-empty bytes")
-        if ref in self._hold_owner or ref in self.settled_refs or ref in self.released_refs:
+        if ref in self.used_refs:
             raise DuplicateHoldError("hold name already used")
+        self.used_refs.add(ref)
+        account = self._account(account_ref_digest)
+        _check_positive(amount, "amount")
         available = account.available()
         if amount > available:
             raise InsufficientCreditError(requested=amount, available=available)

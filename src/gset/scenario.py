@@ -34,6 +34,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from .actors import (
     AccountProvider,
     AccountProviderConfig,
+    EventKind,
     HoldPhase,
     ProviderConfig,
     ProviderPhase,
@@ -337,20 +338,20 @@ def run_storage_scenario(config: ScenarioConfig) -> RunReport:
     scenario = build_scenario(config)
     transcript = run_scenario(scenario.endpoints, scenario.meta)
 
-    requester = scenario.requester
     provider = scenario.provider
     trust_manager = scenario.trust_manager
     ledger = scenario.account_provider.ledger
     # each order as the requester and the provider keep it
-    bought = requester.orders.values()
+    bought = scenario.requester.orders.values()
     sold = provider.orders.values()
+    # the trust manager's first refusal decides, then the provider's
+    refused = [e for e in transcript.events if e.kind == EventKind.AUTHORIZATION_REFUSED]
+    refused.sort(key=lambda event: event.actor != config.trust_manager_id)
 
     if ledger.settle_count >= 1 and any(o.phase == RequesterPhase.COMPLETED for o in bought):
         outcome = "APPROVED"
-    elif trust_manager.denials:
-        outcome = f"DENIED:{trust_manager.denials[0].name}"
-    elif provider.denials:
-        outcome = f"DENIED:{provider.denials[0].name}"
+    elif refused:
+        outcome = f"DENIED:{refused[0].reason.name}"
     else:
         outcome = "INCOMPLETE"
 

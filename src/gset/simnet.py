@@ -1,10 +1,10 @@
 """Deterministic simulated network with an interposable adversary.
 
-One FIFO queue, one delivery per tick.  Every leg, the server-to-server
-ones included, is a message an actor's ``deliver`` returns and the queue
-delivers later; nothing runs nested inside another delivery.  So a
-transcript is a faithful, replayable record of every byte that moved, in
-the order it moved, including the legs the adversary touched.
+One FIFO queue, one delivery per tick.  Each ``Send`` an actor's ``deliver``
+returns, the server-to-server legs included, is queued and delivered later,
+and each ``Event`` is recorded after the record of its delivery.  So a
+transcript is a faithful, replayable record of every byte that moved and
+every refusal, in order, including the legs the adversary touched.
 
 The adversary operates strictly on encoded bytes.  It can observe, flip
 bits, duplicate, or swallow messages; it cannot forge signatures or MACs
@@ -18,9 +18,9 @@ spec (``Adversary.from_spec``) for that run alone and returns the meta as
 the transcript's first block.  Every random bit the adversary flips is drawn
 from a stream the spec names under the seed (``bit=rand`` or
 ``bit=rand/N``), so ``replay_transcript`` is one more run of the recorded
-meta on fresh actors.  What the adversary did is the transcript's record
-actions; the records it ``observed`` are an eavesdropper's haul, which
-``assert_privacy`` scans.
+meta on fresh actors, whose records and events must match.  What the
+adversary did is the transcript's record actions; the records it
+``observed`` are an eavesdropper's haul, which ``assert_privacy`` scans.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from random import Random
 from typing import Iterable, Mapping, Protocol
 
 from . import codec
+from .actors import Effects, Event
 from .codec import CodecError, Label, Positive, ValidationError, canonical_message
 
 
@@ -41,9 +42,11 @@ class SimnetError(Exception):
 
 
 class Actor(Protocol):
+    """An endpoint: ``deliver`` returns effects, ``Send``s to queue and ``Event``s to record."""
+
     subject_id: str
 
-    def deliver(self, sender: str, raw: bytes, now: int) -> list[tuple[str, bytes]]: ...
+    def deliver(self, sender: str, raw: bytes, now: int) -> Effects: ...
     def state_bytes(self) -> bytes: ...
 
 
@@ -222,17 +225,27 @@ class TranscriptMeta:
 
 @dataclass(frozen=True)
 class Transcript:
-    """Everything that moved on the wire during one run, in order."""
+    """Everything that moved on the wire during one run, in order, and the
+    events it drew; its bytes hold each record followed by its events."""
 
     meta: TranscriptMeta
     records: tuple[TranscriptRecord, ...]
+    events: tuple[Event, ...] = ()
 
     def payloads(self) -> list[bytes]:
         return [r.payload for r in self.records]
 
+    def steps(self) -> list[tuple[TranscriptRecord, tuple[Event, ...]]]:
+        """Each record with the events its delivery drew."""
+        drawn: dict[int, list[Event]] = {}
+        for event in self.events:
+            drawn.setdefault(event.tick, []).append(event)
+        return [(record, tuple(drawn.get(record.tick, ()))) for record in self.records]
+
     def to_bytes(self) -> bytes:
         chunks = [codec.encode(self.meta)]
-        chunks += [codec.encode(record) for record in self.records]
+        for record, events in self.steps():
+            chunks += [codec.encode(record), *map(codec.encode, events)]
         return b"".join(chunks)
 
     def save(self, path: str | Path) -> None:
@@ -243,10 +256,15 @@ class Transcript:
         items = codec.decode_stream(raw)
         if not items or not isinstance(items[0], TranscriptMeta):
             raise SimnetError("not a transcript: missing leading metadata block")
+        records, events = [], []
         for item in items[1:]:
-            if not isinstance(item, TranscriptRecord):
-                raise SimnetError(f"transcript holds a stray {type(item).__name__}")
-        return cls(meta=items[0], records=tuple(items[1:]))
+            if isinstance(item, TranscriptRecord):
+                records.append(item)
+            elif isinstance(item, Event) and records and item.tick == records[-1].tick:
+                events.append(item)
+            else:  # another type, or an event that does not follow the record of its tick
+                raise SimnetError(f"stray {type(item).__name__} after {len(records)} records")
+        return cls(meta=items[0], records=tuple(records), events=tuple(events))
 
     @classmethod
     def load(cls, path: str | Path) -> "Transcript":
@@ -272,14 +290,15 @@ def run_scenario(endpoints: Mapping[str, Actor], meta: TranscriptMeta) -> Transc
     ticks, under the adversary ``meta.adversary_spec`` names, built for this
     run alone.  Returns the transcript of ``meta`` as given.
 
-    Every delivery, drop and tamper lands in the transcript in execution
-    order, one delivery per tick.  A copy the adversary injects is queued
-    before what the receiving actor sends.
+    Every delivery, drop, tamper and event lands in the transcript in
+    execution order, one delivery per tick.  A copy the adversary injects is
+    queued before what the receiving actor sends.
     """
     adversary = Adversary.from_spec(meta.adversary_spec)
     rng = None if adversary is None else Random(f"{meta.seed}/{adversary._stream}")
     queue = deque((wire.from_id, wire.to_id, wire.payload) for wire in meta.initial)
     records: list[TranscriptRecord] = []
+    events: list[Event] = []
     tick = 0
     while queue and tick < meta.max_ticks:
         tick += 1
@@ -300,8 +319,9 @@ def run_scenario(endpoints: Mapping[str, Actor], meta: TranscriptMeta) -> Transc
         except Exception as exc:  # actors should never raise; keep the run honest
             records[-1] = replace(records[-1], error=f"{type(exc).__name__}: {exc}")
             continue
-        queue.extend((to, dest, raw) for dest, raw in out)
-    return Transcript(meta=meta, records=tuple(records))
+        events += [effect for effect in out if isinstance(effect, Event)]
+        queue.extend((to, *effect) for effect in out if not isinstance(effect, Event))
+    return Transcript(meta=meta, records=tuple(records), events=tuple(events))
 
 
 # --- replay-and-compare ------------------------------------------------------------
@@ -316,9 +336,6 @@ class DivergenceReport:
     detail: str
     replayed: Transcript
 
-    def __bool__(self) -> bool:
-        return self.matches
-
     def render(self) -> str:
         verdict = "MATCH" if self.matches else "DIVERGED"
         lines = [
@@ -332,25 +349,25 @@ class DivergenceReport:
 
 
 def replay_transcript(transcript: Transcript, endpoints: Mapping[str, Actor]) -> DivergenceReport:
-    """Re-run a recorded meta on ``endpoints`` and diff the wire traffic.
+    """Re-run a recorded meta on ``endpoints`` and diff each record and the events it drew.
 
     ``endpoints`` must be actors built afresh exactly as the original run's
     were; the adversary is rebuilt from the recorded spec.
     """
     fresh = run_scenario(endpoints, transcript.meta)
-    expected = transcript.records
-    actual = fresh.records
+    expected = transcript.steps()
+    actual = fresh.steps()
     index = next((i for i, pair in enumerate(zip(expected, actual)) if pair[0] != pair[1]), None)
     if index is not None:
         detail = (
             f"record {index} differs: expected "
-            f"{_describe(expected[index])}, got {_describe(actual[index])}"
+            f"{_describe(*expected[index])}, got {_describe(*actual[index])}"
         )
     elif len(expected) != len(actual):
         index = min(len(expected), len(actual))
         detail = f"record counts differ: {len(expected)} recorded, {len(actual)} replayed"
     else:
-        detail = "replay is byte-identical"
+        detail = "replay is byte-identical, events included"
     return DivergenceReport(
         matches=index is None,
         first_divergence=index,
@@ -361,9 +378,10 @@ def replay_transcript(transcript: Transcript, endpoints: Mapping[str, Actor]) ->
     )
 
 
-def _describe(record: TranscriptRecord) -> str:
+def _describe(record: TranscriptRecord, events: tuple[Event, ...]) -> str:
     suffix = f" [{record.action}]" if record.action else ""
-    return f"t{record.tick} {record.from_id}->{record.to_id} {record.type_name}{suffix}"
+    drew = "".join(f"; {event}" for event in events)
+    return f"t{record.tick} {record.from_id}->{record.to_id} {record.type_name}{suffix}{drew}"
 
 
 # --- privacy scanning ----------------------------------------------------------------
@@ -424,26 +442,28 @@ def assert_privacy(
     provider_id: str = "SP",
     trust_manager_id: str = "TM",
 ) -> PrivacyReport:
-    """Scan every byte each restricted party received or stored.
+    """Scan every byte each restricted party received, stored or returned.
 
     Payment markers must be absent from everything the provider saw (wire
-    and state) and from every record a passive eavesdropper observed, its
-    haul; usage markers must be absent from everything the trust manager
-    saw.
+    and state) or returned as an event, and from every record a passive
+    eavesdropper observed, its haul; usage markers must be absent from
+    everything the trust manager saw or returned.
     """
     captured = [record.payload for record in transcript.records if record.action == "observed"]
     hits: list[PrivacyHit] = []
     checked = 2 + len(captured)
+    restricted = {provider_id: markers.payment_markers, trust_manager_id: markers.usage_markers}
     for index, record in enumerate(transcript.records):
-        if record.to_id == provider_id:
+        if record.to_id in restricted:
             checked += 1
             hits += scan_for_markers(
-                f"wire->{provider_id} record {index}", record.payload, markers.payment_markers
+                f"wire->{record.to_id} record {index}", record.payload, restricted[record.to_id]
             )
-        elif record.to_id == trust_manager_id:
+    for index, event in enumerate(transcript.events):
+        if event.actor in restricted:
             checked += 1
             hits += scan_for_markers(
-                f"wire->{trust_manager_id} record {index}", record.payload, markers.usage_markers
+                f"{event.actor} event {index}", codec.encode(event), restricted[event.actor]
             )
     hits += scan_for_markers("provider-state", provider_state, markers.payment_markers)
     hits += scan_for_markers("trust-manager-state", trust_manager_state, markers.usage_markers)

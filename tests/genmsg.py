@@ -19,6 +19,8 @@ from gset import (
     DenialReason,
     Digest,
     DualSignature,
+    Event,
+    EventKind,
     HoldRequest,
     HoldResponse,
     LedgerAccountState,
@@ -235,6 +237,12 @@ def gen_transcript_meta(rng: Random) -> TranscriptMeta:
     return TranscriptMeta(u64(rng), u64(rng, 1), label(rng), initial)
 
 
+def gen_event(rng: Random) -> Event:
+    order = gen_digest(rng) if rng.random() < 0.5 else None
+    reason = None if rng.random() < 0.5 else gen_denial_reason(rng)
+    return Event(u64(rng), label(rng), rng.choice(list(EventKind)), order, reason)
+
+
 FACTORIES = {
     Signature: gen_signature,
     SealedEnvelope: gen_envelope,
@@ -268,6 +276,7 @@ FACTORIES = {
     WireMessage: gen_wire_message,
     TranscriptRecord: gen_transcript_record,
     TranscriptMeta: gen_transcript_meta,
+    Event: gen_event,
 }
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from gset import (
+    Event,
     Scenario,
     ScenarioConfig,
     TranscriptRecord,
@@ -24,7 +25,8 @@ _FIELDS = {
 
 
 class ActorSet:
-    """A built scenario's actors under short names."""
+    """A built scenario's actors under short names, and the events of every
+    ``run`` so far, in order."""
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
@@ -33,6 +35,7 @@ class ActorSet:
         self.tm = scenario.trust_manager
         self.ap = scenario.account_provider
         self.registry = scenario.endpoints
+        self.events: list[Event] = []
 
     def run(
         self, sender: str, to: str, raw: bytes, drop: str | None = None
@@ -43,7 +46,8 @@ class ActorSet:
         The requester takes no part: what is sent to it is recorded with a
         "no endpoint" error and not delivered, so a test plays its steps.
         With ``drop``, the first message of that type is dropped.  Returns the
-        run's records, the delivery of ``raw`` first.
+        run's records, the delivery of ``raw`` first; its events are appended
+        to ``events``.
         """
         servers = {k: v for k, v in self.registry.items() if k != self.sr.subject_id}
         meta = replace(
@@ -51,7 +55,9 @@ class ActorSet:
             adversary_spec="none" if drop is None else f"drop:{drop}:1",
             initial=(WireMessage(sender, to, raw),),
         )
-        return run_scenario(servers, meta).records
+        transcript = run_scenario(servers, meta)
+        self.events += transcript.events
+        return transcript.records
 
 
 def recorded(records, tag: str) -> list[bytes]:

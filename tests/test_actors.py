@@ -17,6 +17,8 @@ from gset import (
     CaptureResponse,
     DenialReason,
     Digest,
+    Event,
+    EventKind,
     HoldRequest,
     HoldResponse,
     ObjectUpload,
@@ -30,6 +32,7 @@ from gset import (
     ServiceGrant,
     ServiceProvider,
     ServiceRequester,
+    SettleRequest,
     SettleResponse,
     TicketRedeemRequest,
     Ticket,
@@ -164,6 +167,24 @@ def receivable(actors) -> int:
     return sum(o.charge for o in actors.sp.orders.values() if o.phase == ProviderPhase.CAPTURED)
 
 
+def drawn(effects) -> list[tuple]:
+    """(actor, kind, reason) of each event among ``effects``."""
+    return [(e.actor, e.kind, e.reason) for e in effects if isinstance(e, Event)]
+
+
+def events_of(actors, actor_id: str) -> list[Event]:
+    """The events ``actor_id`` drew in the runs so far."""
+    return [e for e in actors.events if e.actor == actor_id]
+
+
+def refused_by(actors, actor_id: str) -> list[DenialReason]:
+    """The reasons of the authorizations ``actor_id`` refused in the runs so far."""
+    return [
+        e.reason for e in actors.events
+        if e.actor == actor_id and e.kind == EventKind.AUTHORIZATION_REFUSED
+    ]
+
+
 # --- one way in ---------------------------------------------------------------
 
 
@@ -186,22 +207,22 @@ def test_deliver_is_the_only_way_into_an_actor(cls, extra):
 
 # --- one record per order -----------------------------------------------------
 
-# What each actor records beyond its notes: per-order state lives in one
-# record per order, so a new parallel container shows up here.  The
+# What each actor records: per-order state lives in one record per order,
+# so a new parallel container shows up here.  The
 # requester's ticket_orders and the trust manager's order_holds are
 # indexes: they map one name of an order to the key of its record.
 RECORDED = {
     "SR": {"pending_requests", "orders", "ticket_orders"},
-    "SP": {"issued_quotes", "denials", "orders", "stored_objects"},
-    "TM": {"seen_payment_nonces", "denials", "holds", "order_holds"},
-    "AP": {"ledger", "seen_hold_nonces"},
+    "SP": {"issued_quotes", "orders", "stored_objects"},
+    "TM": {"seen_payment_nonces", "holds", "order_holds"},
+    "AP": {"ledger"},
 }
 
 
 @pytest.mark.parametrize("actor_id", sorted(RECORDED))
 def test_each_actor_records_its_state_in_these_attributes(actor_id):
     actor = run_storage_scenario(ScenarioConfig()).scenario.endpoints[actor_id]
-    assert set(vars(actor)) - actor._WIRING == {"subject_id", "notes"} | RECORDED[actor_id]
+    assert set(vars(actor)) - actor._WIRING == {"subject_id"} | RECORDED[actor_id]
 
 
 def _denied(actors) -> None:
@@ -240,8 +261,8 @@ TO_PROVIDER = {
         "TM", codec.encode(AuthOutcome(oi_digest, None, DenialReason.REPLAY))
     ),
     "CaptureResponse": lambda actors, oi_digest: ("TM", actors.tm._maced_to(
-        "SP", CaptureResponse, oi_digest=oi_digest, reason=DenialReason.REPLAY
-    )[0][1]),
+        "SP", CaptureResponse, 0, oi_digest=oi_digest, reason=DenialReason.REPLAY
+    ).raw),
 }
 
 # (sender, bytes) of each message to the trust manager about the hold
@@ -253,32 +274,36 @@ TO_TRUST_MANAGER = {
     ),
     "CaptureRequest": lambda actors, nonce, records: ("SP", recorded(records, "CaptureRequest")[0]),
     "HoldResponse": lambda actors, nonce, records: ("AP", actors.ap._maced_to(
-        "TM", HoldResponse, hold_nonce=nonce, reason=DenialReason.REPLAY
-    )[0][1]),
+        "TM", HoldResponse, 0, hold_nonce=nonce, reason=DenialReason.REPLAY
+    ).raw),
     "SettleResponse": lambda actors, nonce, records: ("AP", actors.ap._maced_to(
-        "TM", SettleResponse, hold_nonce=nonce, amount=0, reason=DenialReason.REPLAY
-    )[0][1]),
+        "TM", SettleResponse, 0, hold_nonce=nonce, amount=0, reason=DenialReason.REPLAY
+    ).raw),
 }
 
+_NOT_PENDING = (EventKind.NOT_PENDING, None)
+_DUPLICATE = (EventKind.DUPLICATE, None)
+
+# (type, phase, (kind, reason) of the one event its delivery draws)
 REFUSED_IN_PHASE = [
-    ("ObjectUpload", ProviderPhase.RELAYED, "upload for unapproved order"),
-    ("ObjectUpload", ProviderPhase.DENIED, "upload for unapproved order"),
-    ("ObjectUpload", ProviderPhase.GRANTED, "upload for already granted order"),
-    ("ObjectUpload", ProviderPhase.CAPTURED, "upload for already granted order"),
-    ("ServiceComplete", ProviderPhase.RELAYED, "completion for unknown grant"),
-    ("ServiceComplete", ProviderPhase.DENIED, "completion for unknown grant"),
-    ("ServiceComplete", ProviderPhase.APPROVED, "completion for unknown grant"),
-    ("ServiceComplete", ProviderPhase.CAPTURING, "capture already pending"),
-    ("ServiceComplete", ProviderPhase.CAPTURED, "grant already captured"),
-    ("AuthOutcome", ProviderPhase.APPROVED, "AuthOutcome answers no pending request"),
-    ("CaptureResponse", ProviderPhase.CAPTURED, "CaptureResponse answers no pending request"),
+    ("ObjectUpload", ProviderPhase.RELAYED, _NOT_PENDING),
+    ("ObjectUpload", ProviderPhase.DENIED, _NOT_PENDING),
+    ("ObjectUpload", ProviderPhase.GRANTED, _DUPLICATE),
+    ("ObjectUpload", ProviderPhase.CAPTURED, _DUPLICATE),
+    ("ServiceComplete", ProviderPhase.RELAYED, _NOT_PENDING),
+    ("ServiceComplete", ProviderPhase.DENIED, _NOT_PENDING),
+    ("ServiceComplete", ProviderPhase.APPROVED, _NOT_PENDING),
+    ("ServiceComplete", ProviderPhase.CAPTURING, _DUPLICATE),
+    ("ServiceComplete", ProviderPhase.CAPTURED, _DUPLICATE),
+    ("AuthOutcome", ProviderPhase.APPROVED, _NOT_PENDING),
+    ("CaptureResponse", ProviderPhase.CAPTURED, _NOT_PENDING),
     # at the trust manager (hold phases, lower case in the ids): a repeat
     # while its first copy is pending draws no answer and no second request
-    ("AuthorizeAndHold", HoldPhase.HOLDING, "repeat of an authorization on hold ignored"),
-    ("CaptureRequest", HoldPhase.SETTLING, "repeat of a capture being settled ignored"),
-    ("CaptureRequest", HoldPhase.SPENT, "capture refused (REPLAY): token already spent"),
-    ("HoldResponse", HoldPhase.MINTED, "HoldResponse answers no pending request"),
-    ("SettleResponse", HoldPhase.SPENT, "SettleResponse answers no pending request"),
+    ("AuthorizeAndHold", HoldPhase.HOLDING, _DUPLICATE),
+    ("CaptureRequest", HoldPhase.SETTLING, _DUPLICATE),
+    ("CaptureRequest", HoldPhase.SPENT, (EventKind.CAPTURE_REFUSED, DenialReason.REPLAY)),
+    ("HoldResponse", HoldPhase.MINTED, _NOT_PENDING),
+    ("SettleResponse", HoldPhase.SPENT, _NOT_PENDING),
 ]
 
 
@@ -287,10 +312,10 @@ def _phase_id(phase) -> str:
 
 
 @pytest.mark.parametrize(
-    "tag, phase, note", REFUSED_IN_PHASE,
+    "tag, phase, refusal", REFUSED_IN_PHASE,
     ids=[f"{tag}-{_phase_id(phase)}" for tag, phase, _ in REFUSED_IN_PHASE],
 )
-def test_a_message_its_order_phase_refuses_changes_nothing(tag, phase, note):
+def test_a_message_its_order_phase_refuses_changes_nothing(tag, phase, refusal):
     actors = build_actors()
     if isinstance(phase, HoldPhase):
         records = TO_HOLD_PHASE[phase](actors)
@@ -301,17 +326,18 @@ def test_a_message_its_order_phase_refuses_changes_nothing(tag, phase, note):
         receiver, [(key, record)] = actors.sp, actors.sp.orders.items()
         sender, raw = TO_PROVIDER[tag](actors, key)
     assert record.phase == phase
-    books, noted = actors.ap.state_bytes(), len(receiver.notes)
+    books, before = actors.ap.state_bytes(), len(actors.events)
     records = actors.run(sender, receiver.subject_id, raw)
-    assert receiver.notes[noted:] == [note]
+    mine = [e for e in actors.events[before:] if e.actor == receiver.subject_id]
+    assert drawn(mine) == [(receiver.subject_id, *refusal)]
     assert record.phase == phase
     assert actors.ap.state_bytes() == books
     answers = [(r.to_id, r.payload) for r in records[1:]]
     if (tag, phase) == ("CaptureRequest", HoldPhase.SPENT):
         # the one refusal that is an answer: a spent token's capture
-        assert answers == actors.tm._maced_to(
-            "SP", CaptureResponse, oi_digest=record.oi_digest, reason=DenialReason.REPLAY
-        )
+        assert answers == [actors.tm._maced_to(
+            "SP", CaptureResponse, 0, oi_digest=record.oi_digest, reason=DenialReason.REPLAY
+        )]
     else:
         assert answers == []
 
@@ -366,8 +392,7 @@ def test_a_quote_answers_its_request_by_nonce():
     assert codec.decode(second, PriceRequest).nonce not in actors.sr.pending_requests
     assert codec.decode(first, PriceRequest).nonce in actors.sr.pending_requests
     # the same quote again names no pending request
-    assert actors.sr.deliver("SP", quote, 2) == []
-    assert actors.sr.notes[-1] == "quote does not match any pending request"
+    assert actors.sr.deliver("SP", quote, 2) == [Event(2, "SR", EventKind.NOT_PENDING, None, None)]
 
 
 def test_a_quote_denial_ends_its_request():
@@ -375,8 +400,19 @@ def test_a_quote_denial_ends_its_request():
     request = price_request(actors, UsageDescriptor("unpriced-service", "noop", 1, "each"))
     [(_, denial)] = actors.sp.deliver("SR", request, 0)
     assert codec.decode(request, PriceRequest).nonce in actors.sr.pending_requests
-    assert actors.sr.deliver("SP", denial, 1) == []
+    assert drawn(actors.sr.deliver("SP", denial, 1)) == [("SR", EventKind.QUOTE_DENIED, None)]
     assert codec.decode(request, PriceRequest).nonce not in actors.sr.pending_requests
+
+
+def test_a_quote_from_another_party_than_the_provider_is_ignored():
+    actors = build_actors()
+    quote = quote_for(actors, 5)
+    pending = dict(actors.sr.pending_requests)
+    assert actors.sr.deliver("TM", quote, 1) == [
+        Event(1, "SR", EventKind.UNEXPECTED_SENDER, None, None)
+    ]
+    assert actors.sr.pending_requests == pending
+    assert actors.sr.orders == {}
 
 
 def test_unknown_service_id_gets_a_denial():
@@ -427,24 +463,23 @@ def test_envelope_bytes_hide_the_account_ref():
     assert marker not in raw
 
 
-def _refused_quote(actors, quote: bytes, now: int, note: str) -> None:
+def _refused_quote(actors, quote: bytes, now: int, kind: EventKind) -> None:
     # the requester sends nothing and keeps no order for a quote it refuses
-    assert actors.sr.deliver("SP", quote, now) == []
-    assert actors.sr.notes[-1] == f"quote not usable: {note}"
+    assert actors.sr.deliver("SP", quote, now) == [Event(now, "SR", kind, None, None)]
     assert actors.sr.orders == {}
 
 
 def test_expired_quote_rejected_by_requester():
     actors = build_actors(quote_ttl=10)
     quote = quote_for(actors, 5, now=0)
-    _refused_quote(actors, quote, 10, "quote expired at tick 10, now 10")
+    _refused_quote(actors, quote, 10, EventKind.QUOTE_EXPIRED)
 
 
 def test_forged_quote_signature_rejected():
     actors = build_actors()
     quote = codec.decode(quote_for(actors, 5), PriceQuote)
     doctored = codec.encode(dataclasses.replace(quote, price=1))
-    _refused_quote(actors, doctored, 1, "quote signature does not verify")
+    _refused_quote(actors, doctored, 1, EventKind.BAD_AUTHENTICATOR)
 
 
 def test_dual_signature_binds_order_and_payment():
@@ -486,12 +521,12 @@ def test_relay_encoding_carries_no_usage_strings():
 
 def _refused_authorization(actors, auth: AuthorizationRequest, now: int, reason) -> None:
     # the provider answers with a refusal at tick ``now`` and relays nothing
-    [(dest, raw)] = actors.sp.deliver("SR", codec.encode(auth), now)
+    [event, (dest, raw)] = actors.sp.deliver("SR", codec.encode(auth), now)
     decision = codec.decode(raw, AuthDecision)
     assert dest == "SR"
     assert decision.oi_digest == auth.dual.oi_digest
     assert not decision.approved
-    assert actors.sp.denials[-1] == reason
+    assert event == Event(now, "SP", EventKind.AUTHORIZATION_REFUSED, auth.dual.oi_digest, reason)
 
 
 def test_tampered_order_info_denied_as_bad_signature():
@@ -531,7 +566,7 @@ def test_duplicate_authorization_is_ignored_not_answered():
     assert decide(actors, auth).approved
     # nothing relayed, nothing answered
     assert actors.run("SR", "SP", auth)[1:] == ()
-    assert actors.sp.notes[-1] == "duplicate authorization for an accepted order ignored"
+    assert drawn(actors.events[-1:]) == [("SP", EventKind.DUPLICATE, None)]
 
 
 # --- trust manager authorization ----------------------------------------------
@@ -553,7 +588,7 @@ def test_limit_60_charge_70_denied_over_limit_with_no_hold():
     _, outcome = approved_outcome(actors, quantity=7)
     assert not outcome.approved
     assert outcome.reason == DenialReason.OVER_LIMIT
-    assert actors.tm.denials == [DenialReason.OVER_LIMIT]
+    assert refused_by(actors, "TM") == [DenialReason.OVER_LIMIT]
     assert actors.ap.ledger.holds_created() == 0
 
 
@@ -603,7 +638,9 @@ def test_a_second_payment_half_for_a_held_order_is_refused():
     assert decide(actors, auth).approved
     outcome = outcome_of(actors, second_payment_relay(actors, auth, 50))
     assert outcome.reason == DenialReason.REPLAY
-    assert actors.tm.notes[-1] == "authorization denied (REPLAY): order already held"
+    assert drawn(events_of(actors, "TM")[-1:]) == [
+        ("TM", EventKind.AUTHORIZATION_REFUSED, DenialReason.REPLAY)
+    ]
     assert actors.ap.ledger.holds_created() == 1
     assert len(actors.tm.holds) == 1
 
@@ -618,7 +655,7 @@ def test_a_refused_hold_frees_its_order_for_another_payment_half():
     outcome = outcome_of(actors, second_payment_relay(actors, auth, 150))
     assert outcome.reason == DenialReason.INSUFFICIENT_CREDIT
     assert actors.tm.holds == {} and actors.tm.order_holds == {}
-    assert len(actors.ap.seen_hold_nonces) == 2
+    assert len(actors.ap.ledger.used_refs) == 2
 
 
 def test_relay_presented_by_anyone_but_its_signer_is_refused():
@@ -654,9 +691,10 @@ def test_unreachable_account_provider_is_denied():
     outcome = outcome_of(actors, relay)
     assert not outcome.approved
     assert outcome.reason == DenialReason.UNKNOWN_ACCOUNT
-    assert actors.tm.notes[-1] == (
-        "authorization denied (UNKNOWN_ACCOUNT): account provider unreachable"
-    )
+    assert drawn(events_of(actors, "TM")[-2:]) == [
+        ("TM", EventKind.NO_MAC_KEY, None),
+        ("TM", EventKind.AUTHORIZATION_REFUSED, DenialReason.UNKNOWN_ACCOUNT),
+    ]
     assert actors.tm.holds == {}
 
 
@@ -685,6 +723,68 @@ def test_tm_state_is_clean_after_denial():
     _, outcome = approved_outcome(actors, quantity=7)
     assert not outcome.approved
     assert actors.tm.holds == {}
+
+
+# --- account provider ------------------------------------------------------------
+
+
+def _to_account_provider(actors, cls: type, **fields) -> tuple[list[tuple], object]:
+    """The events of the account provider's delivery of ``cls``, MAC'd to it
+    by the trust manager, and its decoded answer."""
+    raw = build_maced(cls, actors.tm._keys_with("AP")[0], **fields)[1]
+    *events, answer = actors.ap.deliver("TM", raw, 1)
+    return drawn(events), codec.decode(answer.raw)
+
+
+def _hold_request(actors, nonce: bytes, amount: int = 30, account: Digest | None = None):
+    account = account or hash_bytes(actors.scenario.account_ref.encode())
+    return _to_account_provider(
+        actors, HoldRequest, hold_nonce=nonce, account_ref_digest=account, amount=amount
+    )
+
+
+def test_a_hold_name_its_ledger_has_used_is_refused_as_a_replay():
+    # the ledger is the one record of the names used, whoever used them
+    actors = build_actors()
+    digest = hash_bytes(actors.scenario.account_ref.encode())
+    actors.ap.ledger.place_hold(digest, 10, b"\x07" * 16)
+    events, answer = _hold_request(actors, b"\x07" * 16)
+    assert answer.reason == DenialReason.REPLAY
+    assert events == [("AP", EventKind.HOLD_REFUSED, DenialReason.REPLAY)]
+    assert actors.ap.ledger.active_holds(digest) == {b"\x07" * 16: 10}
+
+
+def test_a_hold_refused_for_credit_stays_refused_once_credit_is_freed():
+    actors = build_actors(credit=100)
+    digest = hash_bytes(actors.scenario.account_ref.encode())
+    actors.ap.ledger.place_hold(digest, 80, b"\x01" * 16)
+    events, answer = _hold_request(actors, b"\x02" * 16)
+    assert answer.reason == DenialReason.INSUFFICIENT_CREDIT
+    assert events == [("AP", EventKind.HOLD_REFUSED, DenialReason.INSUFFICIENT_CREDIT)]
+    actors.ap.ledger.release_hold(b"\x01" * 16)
+    # the same request again, now that 100 is free: a replay, and no hold
+    events, answer = _hold_request(actors, b"\x02" * 16)
+    assert answer.reason == DenialReason.REPLAY
+    assert events == [("AP", EventKind.HOLD_REFUSED, DenialReason.REPLAY)]
+    assert actors.ap.ledger.active_holds(digest) == {}
+    assert actors.ap.ledger.available(digest) == 100
+
+
+def test_a_hold_on_an_account_the_ledger_does_not_keep_is_refused():
+    actors = build_actors()
+    elsewhere = hash_bytes(b"ACCT-kept-elsewhere")
+    events, answer = _hold_request(actors, b"\x03" * 16, account=elsewhere)
+    assert answer.reason == DenialReason.UNKNOWN_ACCOUNT
+    assert events == [("AP", EventKind.HOLD_REFUSED, DenialReason.UNKNOWN_ACCOUNT)]
+    assert actors.ap.ledger.holds_created() == 0
+
+
+def test_a_settlement_of_a_hold_never_placed_is_refused():
+    actors = build_actors()
+    events, answer = _to_account_provider(actors, SettleRequest, hold_nonce=b"\x04" * 16)
+    assert (answer.amount, answer.reason) == (0, DenialReason.UNKNOWN_ACCOUNT)
+    assert events == [("AP", EventKind.SETTLE_REFUSED, DenialReason.UNKNOWN_ACCOUNT)]
+    assert actors.ap.ledger.settle_count == 0
 
 
 # --- service grant and tickets -------------------------------------------------
@@ -769,8 +869,9 @@ def test_provider_refuses_an_upload_its_signature_does_not_bind(forgery):
     forged = UPLOAD_FORGERIES[forgery](actors, upload_for(actors, oi_digest), other)
     public = actors.sr.identity.public_key
     assert not verify_signed(forged, public, object_digests(forged.objects))
-    assert actors.sp.deliver("SR", codec.encode(forged), 1) == []
-    assert actors.sp.notes[-1] == "upload signature does not verify"
+    assert actors.sp.deliver("SR", codec.encode(forged), 1) == [
+        Event(1, "SP", EventKind.BAD_AUTHENTICATOR, forged.oi_digest, None)
+    ]
     assert actors.sp.stored_objects == {}
     # the refusal was the signature's: the honest upload is then granted
     assert actors.sp.deliver("SR", codec.encode(upload_for(actors, oi_digest)), 2)
@@ -793,9 +894,9 @@ def test_an_upload_payload_is_no_wire_upload_of_digests():
 def test_denied_outcome_stores_nothing():
     actors = build_actors(limit=60)
     decision, upload_reply = decide_then_upload(actors, quantity=7)
-    assert actors.tm.denials == [DenialReason.OVER_LIMIT]
+    assert refused_by(actors, "TM") == [DenialReason.OVER_LIMIT]
     assert not decision.approved
-    assert upload_reply == []
+    assert drawn(upload_reply) == [("SP", EventKind.NOT_PENDING, None)]
     assert actors.sp.stored_objects == {}
 
 
@@ -819,8 +920,8 @@ def test_forged_token_rejected_with_no_storage():
     actors.registry["TM"] = SimpleNamespace(subject_id="TM", deliver=forging_tm)
     decision, upload_reply = decide_then_upload(actors)
     assert not decision.approved
-    assert "approved outcome carried an unverifiable token" in actors.sp.notes
-    assert upload_reply == []
+    assert ("SP", EventKind.BAD_TOKEN, None) in drawn(actors.events)
+    assert drawn(upload_reply) == [("SP", EventKind.NOT_PENDING, None)]
     assert actors.sp.stored_objects == {}
 
 
@@ -850,7 +951,8 @@ def test_ticket_redeems_to_matching_object_once():
     assert hash_bytes(response.payload) == ticket.object_digest
     # the same ticket a second time is refused
     again = actors.sp.deliver("SR", request, 3)
-    response2 = codec.decode(again[0][1], TicketRedeemResponse)
+    assert drawn(again) == [("SP", EventKind.REDEMPTION_REFUSED, None)]
+    response2 = codec.decode(again[-1].raw, TicketRedeemResponse)
     assert not response2.ok
 
 
@@ -858,7 +960,7 @@ def test_fabricated_ticket_is_refused():
     actors = build_actors()
     granted(actors)
     out = actors.sp.deliver("SR", codec.encode(TicketRedeemRequest(b"\x42" * 16)), 2)
-    response = codec.decode(out[0][1], TicketRedeemResponse)
+    response = codec.decode(out[-1].raw, TicketRedeemResponse)
     assert not response.ok
 
 
@@ -877,9 +979,10 @@ def test_redeemed_object_failing_its_ticket_digest_is_ignored():
     payload = bytes(genuine.payload)  # decoded, the payload is a view
     flipped = payload[:-1] + bytes([payload[-1] ^ 1])
     wrong = dataclasses.replace(genuine, payload=flipped)
-    assert actors.sr.deliver("SP", codec.encode(wrong), 4) == []
+    ignored = actors.sr.deliver("SP", codec.encode(wrong), 4)
     # ignored, not counted: the ticket is still outstanding
     [(oi_digest, order)] = actors.sr.orders.items()
+    assert ignored == [Event(4, "SR", EventKind.OBJECT_MISMATCH, oi_digest, None)]
     assert order.awaits(genuine.ticket_id)
     assert order.retrieved == {}
     assert order.refusals == set()
@@ -903,12 +1006,11 @@ def _uploading(actors):
     return order, codec.decode(grant_raw, ServiceGrant)
 
 
-def _refused_grant(actors, order, grant: ServiceGrant, note: str) -> None:
-    """The requester refuses ``grant`` with ``note``, redeems nothing, and
-    still takes the genuine grant for ``order`` afterwards."""
+def _refused_grant(actors, order, grant: ServiceGrant, kind: EventKind) -> None:
+    """The requester refuses ``grant`` with the event ``kind``, redeems
+    nothing, and still takes the genuine grant for ``order`` afterwards."""
     phase = order.phase
-    assert actors.sr.deliver("SP", codec.encode(grant), 2) == []
-    assert actors.sr.notes[-1] == note
+    assert drawn(actors.sr.deliver("SP", codec.encode(grant), 2)) == [("SR", kind, None)]
     assert order.phase == phase
     assert order.tickets == {}
     assert actors.sr.ticket_orders == {}
@@ -921,7 +1023,7 @@ def test_a_grant_for_an_order_not_uploading_is_refused():
     [order] = actors.sr.orders.values()
     assert order.phase == RequesterPhase.AUTHORIZING
     _refused_grant(
-        actors, order, codec.decode(grant_raw, ServiceGrant), "service grant for no uploaded order"
+        actors, order, codec.decode(grant_raw, ServiceGrant), EventKind.NOT_PENDING
     )
 
 
@@ -931,7 +1033,7 @@ def test_a_grant_one_ticket_short_is_refused():
     short, _ = build_signed(
         ServiceGrant, actors.sp.identity, oi_digest=grant.oi_digest, tickets=grant.tickets[:-1]
     )
-    _refused_grant(actors, order, short, "grant ticket count does not match uploaded objects")
+    _refused_grant(actors, order, short, EventKind.GRANT_MISMATCH)
     assert len(actors.sr.deliver("SP", codec.encode(grant), 3)) == len(grant.tickets)
     assert order.phase == RequesterPhase.REDEEMING
 
@@ -945,7 +1047,7 @@ def test_a_grant_with_a_wrong_ticket_digest_is_refused():
         ServiceGrant, actors.sp.identity,
         oi_digest=grant.oi_digest, tickets=(*grant.tickets[:-1], wrong),
     )
-    _refused_grant(actors, order, forged, "grant ticket digest does not match uploaded object")
+    _refused_grant(actors, order, forged, EventKind.GRANT_MISMATCH)
     assert len(actors.sr.deliver("SP", codec.encode(grant), 3)) == len(grant.tickets)
     assert order.phase == RequesterPhase.REDEEMING
 
@@ -957,11 +1059,12 @@ def test_a_refused_redemption_leaves_the_order_incomplete():
     # someone else holding the first ticket id redeems it first
     [(_, stolen)] = actors.sp.deliver("XX", requests[0], 3)
     assert codec.decode(stolen, TicketRedeemResponse).ok
-    responses = [actors.sp.deliver("SR", raw, 4)[0][1] for raw in requests]
+    responses = [actors.sp.deliver("SR", raw, 4)[-1].raw for raw in requests]
     refused = codec.decode(responses[0], TicketRedeemResponse)
     assert not refused.ok
-    assert actors.sr.deliver("SP", responses[0], 5) == []
-    assert actors.sr.notes[-1] == "ticket redemption refused"
+    assert drawn(actors.sr.deliver("SP", responses[0], 5)) == [
+        ("SR", EventKind.REDEMPTION_DENIED, None)
+    ]
     assert order.refusals == {refused.ticket_id}
     # every other object arrives, and still no completion is sent
     for raw in responses[1:]:
@@ -993,7 +1096,7 @@ def test_capturing_the_same_token_twice_fails_with_replay():
     assert first.settled
     # the provider does not claim a captured order's token again
     assert capture_run(actors, grant)[1:] == ()
-    assert actors.sp.notes[-1] == "grant already captured"
+    assert drawn(actors.events[-1:]) == [("SP", EventKind.DUPLICATE, None)]
     # and the trust manager refuses the same request a second time
     [again] = actors.run("SP", "TM", request)[1:]
     second = codec.decode(again.payload, CaptureResponse)
@@ -1011,7 +1114,9 @@ def _refused_capture(actors, grant: ServiceGrant) -> None:
     _, response = complete(actors, grant)
     assert not response.settled
     assert response.reason == DenialReason.BAD_SIGNATURE
-    assert actors.sp.notes[-1] == "capture refused: BAD_SIGNATURE"
+    assert drawn(actors.events[-1:]) == [
+        ("SP", EventKind.CAPTURE_DENIED, DenialReason.BAD_SIGNATURE)
+    ]
     assert receivable(actors) == 0
     assert actors.ap.ledger.settle_count == 0
 
@@ -1037,10 +1142,10 @@ def _account_provider_naming(actors, other: bytes) -> None:
 
     def deliver(sender, raw, now):
         if isinstance(codec.decode(raw), HoldRequest):
-            return actors.ap._maced_to(sender, HoldResponse, hold_nonce=other, reason=None)
-        return actors.ap._maced_to(
-            sender, SettleResponse, hold_nonce=other, amount=50, reason=None
-        )
+            return [actors.ap._maced_to(sender, HoldResponse, now, hold_nonce=other, reason=None)]
+        return [actors.ap._maced_to(
+            sender, SettleResponse, now, hold_nonce=other, amount=50, reason=None
+        )]
 
     actors.registry["AP"] = SimpleNamespace(subject_id="AP", deliver=deliver)
 
@@ -1052,7 +1157,7 @@ def test_a_hold_response_naming_another_hold_mints_no_token():
     records = actors.run("SP", "TM", relay)
     # the response answers nothing pending: the hold stays asked for
     assert recorded(records, "AuthOutcome") == []
-    assert actors.tm.notes[-1] == "HoldResponse answers no pending request"
+    assert drawn(actors.events[-1:]) == [("TM", EventKind.NOT_PENDING, None)]
     [hold] = actors.tm.holds.values()
     assert hold.phase == HoldPhase.HOLDING
 
@@ -1066,7 +1171,7 @@ def test_a_settle_response_naming_another_hold_leaves_the_token_unspent():
     records = capture_run(actors, grant)
     # the response answers nothing pending: the settlement stays asked for
     assert recorded(records, "CaptureResponse") == []
-    assert actors.tm.notes[-1] == "SettleResponse answers no pending request"
+    assert drawn(actors.events[-1:]) == [("TM", EventKind.NOT_PENDING, None)]
     assert hold.phase == HoldPhase.SETTLING
     assert receivable(actors) == 0
     digest = hash_bytes(actors.scenario.account_ref.encode())
@@ -1099,13 +1204,13 @@ def test_a_capture_for_an_order_never_held_is_refused():
     actors = build_actors()
     _, outcome = approved_outcome(actors, quantity=5)
     unheld = hash_bytes(b"an order the trust manager never held")
-    [(_, raw)] = actors.sp._maced_to("TM", CaptureRequest, oi_digest=unheld)
+    _, raw = actors.sp._maced_to("TM", CaptureRequest, 0, oi_digest=unheld)
     [answer] = actors.run("SP", "TM", raw)[1:]
     response = codec.decode(answer.payload, CaptureResponse)
     assert answer.to_id == "SP"
     assert response.reason == DenialReason.BAD_SIGNATURE
-    assert actors.tm.notes[-1] == (
-        "capture refused (BAD_SIGNATURE): no token minted here for this provider"
+    assert events_of(actors, "TM")[-1] == Event(
+        1, "TM", EventKind.CAPTURE_REFUSED, unheld, DenialReason.BAD_SIGNATURE
     )
     assert [hold.phase for hold in actors.tm.holds.values()] == [HoldPhase.MINTED]
     assert actors.ap.ledger.settle_count == 0
@@ -1116,12 +1221,12 @@ def test_a_capture_before_the_token_is_minted_is_refused():
     actors = build_actors()
     TO_HOLD_PHASE[HoldPhase.HOLDING](actors)
     [hold] = actors.tm.holds.values()
-    [(_, raw)] = actors.sp._maced_to("TM", CaptureRequest, oi_digest=hold.oi_digest)
+    _, raw = actors.sp._maced_to("TM", CaptureRequest, 0, oi_digest=hold.oi_digest)
     [answer] = actors.run("SP", "TM", raw)[1:]
     assert codec.decode(answer.payload, CaptureResponse).reason == DenialReason.BAD_SIGNATURE
-    assert actors.tm.notes[-1] == (
-        "capture refused (BAD_SIGNATURE): no token minted here for this provider"
-    )
+    assert drawn(events_of(actors, "TM")[-1:]) == [
+        ("TM", EventKind.CAPTURE_REFUSED, DenialReason.BAD_SIGNATURE)
+    ]
     assert hold.phase == HoldPhase.HOLDING
 
 
@@ -1164,52 +1269,53 @@ def test_a_capture_names_the_token_of_the_outcome():
 # --- defensive delivery ------------------------------------------------------------
 
 
-def test_garbage_bytes_are_dropped_with_a_note():
+def test_garbage_bytes_are_dropped_with_an_event():
     actors = build_actors()
-    assert actors.sp.deliver("SR", b"\x00\x01\x02", 0) == []
-    assert any("undecodable" in note or "decode" in note for note in actors.sp.notes)
+    assert actors.sp.deliver("SR", b"\x00\x01\x02", 0) == [
+        Event(0, "SP", EventKind.UNDECODABLE, None, None)
+    ]
 
 
 def _stray_capture_response(actors):
     return actors.tm._maced_to(
-        "SP", CaptureResponse, oi_digest=Digest(bytes(32)), reason=None
-    )[0][1]
+        "SP", CaptureResponse, 0, oi_digest=Digest(bytes(32)), reason=None
+    ).raw
 
 
 def _stray_hold_response(actors):
     return actors.ap._maced_to(
-        "TM", HoldResponse, hold_nonce=bytes(16), reason=None
-    )[0][1]
+        "TM", HoldResponse, 0, hold_nonce=bytes(16), reason=None
+    ).raw
 
 
 def _stray_settle_response(actors):
     return actors.ap._maced_to(
-        "TM", SettleResponse, hold_nonce=bytes(16), amount=50, reason=None
-    )[0][1]
+        "TM", SettleResponse, 0, hold_nonce=bytes(16), amount=50, reason=None
+    ).raw
 
 
 @pytest.mark.parametrize(
-    "receiver, sender, make, note",
+    "receiver, sender, make, kind",
     [
         # a quote delivered to the account provider means nothing to it
-        ("ap", "SP", lambda actors: quote_for(actors, 5), "ignored unexpected PriceQuote from SP"),
+        ("ap", "SP", lambda actors: quote_for(actors, 5), EventKind.UNEXPECTED_TYPE),
         # an answer naming no request its receiver made
-        ("sp", "TM", _stray_capture_response, "CaptureResponse answers no pending request"),
-        ("tm", "AP", _stray_hold_response, "HoldResponse answers no pending request"),
-        ("tm", "AP", _stray_settle_response, "SettleResponse answers no pending request"),
+        ("sp", "TM", _stray_capture_response, EventKind.NOT_PENDING),
+        ("tm", "AP", _stray_hold_response, EventKind.NOT_PENDING),
+        ("tm", "AP", _stray_settle_response, EventKind.NOT_PENDING),
         # a genuine outcome whose order has had its answer
         ("sp", "TM", lambda actors: codec.encode(approved_outcome(actors)[1]),
-         "AuthOutcome answers no pending request"),
+         EventKind.NOT_PENDING),
     ],
     ids=["PriceQuote-to-AP", "CaptureResponse-to-SP", "HoldResponse-to-TM",
          "SettleResponse-to-TM", "AuthOutcome-to-SP"],
 )
-def test_unexpected_message_type_is_ignored(receiver, sender, make, note):
+def test_unexpected_message_type_is_ignored(receiver, sender, make, kind):
     actors = build_actors()
     actor = getattr(actors, receiver)
     raw = make(actors)
     assert actors.run(sender, actor.subject_id, raw)[1:] == ()
-    assert actor.notes[-1] == note
+    assert drawn(actors.events[-1:]) == [(actor.subject_id, kind, None)]
 
 
 def test_state_bytes_are_deterministic():
@@ -1325,9 +1431,13 @@ def test_an_actor_without_a_peer_key_sends_that_peer_nothing():
     _, outcome = approved_outcome(actors, quantity=5)
     del actors.tm.directory["SP"]
     actors.tm.pair_keys.clear()
-    [(_, raw)] = actors.sp._maced_to("TM", CaptureRequest, oi_digest=outcome.oi_digest)
+    _, raw = actors.sp._maced_to("TM", CaptureRequest, 0, oi_digest=outcome.oi_digest)
     assert actors.run("SP", "TM", raw)[1:] == ()
-    assert actors.tm.notes[-1] == "no MAC key for SP; CaptureResponse not sent"
+    # the request's MAC cannot be checked either, and the refusal goes unsent
+    assert drawn(actors.events[-2:]) == [
+        ("TM", EventKind.CAPTURE_REFUSED, DenialReason.BAD_SIGNATURE),
+        ("TM", EventKind.NO_MAC_KEY, None),
+    ]
     assert actors.ap.ledger.settle_count == 0
 
 

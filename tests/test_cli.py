@@ -31,6 +31,7 @@ def test_happy_demo_exits_zero(tmp_path, monkeypatch, capsys):
     )
     assert code == 0, err
     assert "outcome            APPROVED" in out
+    assert not any(line.startswith(" " * 20) for line in out.splitlines())  # no event
     assert "verdict: all integrity scans held" in out
     assert (tmp_path / "gset-demo.gsett").exists()
 
@@ -113,6 +114,18 @@ def test_tamper_preset_passes_agility_scan(tmp_path, monkeypatch, capsys):
     assert code == 0
     assert "[PASS] agility" in out
     assert "rejected as DENIED:BAD_SIGNATURE" in out
+
+
+def test_demo_prints_each_event_under_the_record_that_drew_it(tmp_path, monkeypatch, capsys):
+    code, out, _ = run_cli(
+        ["demo-storage", "--adversary", "tamper"],
+        cwd=tmp_path, monkeypatch=monkeypatch, capsys=capsys,
+    )
+    assert code == 0
+    lines = out.splitlines()
+    at = lines.index("    2  t3     SR -> SP  AuthorizationRequest  [tampered]")
+    assert lines[at + 1].startswith(" " * 20 + "SP AUTHORIZATION_REFUSED BAD_SIGNATURE order ")
+    assert lines[at + 2] == "    3  t4     SP -> SR  AuthDecision"
 
 
 # --- seed handling ---------------------------------------------------------------

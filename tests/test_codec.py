@@ -519,8 +519,10 @@ def test_token_round_trip_preserves_signature_bytes():
 # when it stored bytes copies: a view encodes as the same bytes.  Re-taken
 # when the provider came to key its orders by the order digest, and its
 # record of an order lost the digest and the token id; the stored objects
-# and the issued quote are as before.
-UPLOADED_PROVIDER_STATE_SHA256 = "ebd3e3bd91117279b5702a9ab49707379a3fdd28413112d6ff44b0bf08f18831"
+# and the issued quote are as before.  Re-taken when handlers came to return
+# events in place of keeping notes and denials: the new state is the old
+# one's encoding with those two (empty) attributes left out.
+UPLOADED_PROVIDER_STATE_SHA256 = "f2ec89b0119cba0870df88a45afe4d4ed32347f60c5305a4efe5e30f8ddacd61"
 
 
 def _bulk_frames() -> tuple[bytes, bytes]:

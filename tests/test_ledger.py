@@ -25,6 +25,7 @@ from gset import (
 # Hold names, as the account provider passes the trust manager's hold nonces.
 A = bytes(range(16))
 B = bytes(range(1, 17))
+C = bytes(range(2, 18))
 
 
 def fresh(limit=100, ref="ACCT-0001"):
@@ -83,8 +84,8 @@ def test_hold_sequence_50_60_50_on_limit_100():
     assert ledger.available(digest) == 50
     with pytest.raises(InsufficientCreditError):
         ledger.place_hold(digest, 60, B)
-    ledger.place_hold(digest, 50, B)
-    assert ledger.active_holds(digest) == {A: 50, B: 50}
+    ledger.place_hold(digest, 50, C)
+    assert ledger.active_holds(digest) == {A: 50, C: 50}
     assert ledger.available(digest) == 0
 
 
@@ -107,7 +108,7 @@ def test_hold_amount_must_be_positive():
     with pytest.raises(LedgerError):
         ledger.place_hold(digest, 0, A)
     with pytest.raises(LedgerError):
-        ledger.place_hold(digest, -1, A)
+        ledger.place_hold(digest, -1, B)
 
 
 def test_hold_is_kept_under_its_name_on_its_account():
@@ -142,6 +143,24 @@ def test_a_hold_name_is_used_once(close):
             ledger.place_hold(account, 10, A)
     assert ledger.snapshot() == before
     assert ledger.holds_created() == 1
+
+
+@pytest.mark.parametrize("refusal", ["over the credit", "unknown account", "zero amount"])
+def test_a_refused_hold_uses_its_name_up(refusal):
+    # a hold refused under a name leaves that name used: asked again once
+    # the refusal no longer applies, it is refused as a repeat
+    ledger, digest = fresh(limit=100)
+    first = {
+        "over the credit": (digest, 101),
+        "unknown account": (hash_bytes(b"ACCT-9999"), 10),
+        "zero amount": (digest, 0),
+    }[refusal]
+    with pytest.raises(LedgerError) as refused:
+        ledger.place_hold(*first, A)
+    assert not isinstance(refused.value, DuplicateHoldError)
+    with pytest.raises(DuplicateHoldError):
+        ledger.place_hold(digest, 10, A)
+    assert ledger.holds_created() == 0 and ledger.available(digest) == 100
 
 
 # --- settle_hold ------------------------------------------------------------
@@ -234,11 +253,13 @@ def test_serialized_state_never_contains_plaintext_ref():
 
 class NaiveLedger:
     """List-based reference model: no indexes, recompute everything.  A
-    hold name is refused once any hold was placed under it."""
+    hold name is refused once any hold was asked for under it, placed or
+    refused."""
 
     def __init__(self):
         self.accounts = {}  # digest bytes -> limit
         self.events = []    # ("hold"|"settle"|"release", digest, ref, amount)
+        self.asked = []     # every hold name asked for, in order
 
     def _held(self, d):
         live = {}
@@ -271,10 +292,11 @@ class NaiveLedger:
         return "ok"
 
     def hold(self, d, amount, ref):
+        if ref in self.asked:
+            return "dup"
+        self.asked.append(ref)
         if d not in self.accounts:
             return "unknown"
-        if any(kind == "hold" and r == ref for kind, _, r, _ in self.events):
-            return "dup"
         if amount > self.accounts[d] - self._settled(d) - self._held(d):
             return "refused"
         self.events.append(("hold", d, ref, amount))
@@ -295,7 +317,8 @@ def drive_pair(seed, steps):
     ledger = Ledger()
     oracle = NaiveLedger()
     digests = []
-    placed = []  # every name placed, whether open, settled or released
+    asked = []  # every name asked for: refused, open, settled or released
+    refused = set()  # the names of holds refused for credit
     open_refs = []
     agreed = Counter()  # (operation, outcome) -> times both sides gave it
     for step in range(steps):
@@ -316,9 +339,9 @@ def drive_pair(seed, steps):
         elif roll < 0.65:
             d = rng.choice(digests)
             amount = rng.randint(1, 250)
-            # now and then a name already placed: open, settled or released
-            if placed and rng.random() < 0.15:
-                ref = rng.choice(placed)
+            # now and then a name already asked for: refused, open, settled or released
+            if asked and rng.random() < 0.15:
+                ref = rng.choice(asked)
             else:
                 ref = rng.randbytes(16)
             try:
@@ -333,8 +356,13 @@ def drive_pair(seed, steps):
             want = oracle.hold(d.bytes, amount, ref)
             assert got == want, f"hold disagrees at step {step}"
             agreed["hold", want] += 1
+            if want == "dup" and ref in refused:
+                agreed["hold", "dup of a refused name"] += 1
+            if want == "refused":
+                refused.add(ref)
+            if want != "dup":
+                asked.append(ref)
             if want == "ok":
-                placed.append(ref)
                 open_refs.append(ref)
         else:
             kind = "settle" if rng.random() < 0.5 else "release"
@@ -368,8 +396,10 @@ def drive_pair(seed, steps):
 def test_random_operations_match_naive_oracle():
     agreed = drive_pair(seed=11, steps=600)
     assert agreed["open", "ok"] > 0
-    # a reused name, an over-limit hold and a bad close each came up
+    # a reused name, a refused one among them, an over-limit hold and a bad
+    # close each came up
     assert agreed["hold", "dup"] > 0
+    assert agreed["hold", "dup of a refused name"] > 0
     assert agreed["hold", "refused"] > 0
     assert agreed["settle", "bad-ref"] + agreed["release", "bad-ref"] > 0
 

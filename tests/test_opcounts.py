@@ -20,7 +20,7 @@ import sys
 
 import gset.codec
 import gset.crypto
-from gset import ScenarioConfig, run_storage_scenario
+from gset import EventKind, ScenarioConfig, run_storage_scenario
 
 
 def _count_calls(
@@ -104,7 +104,7 @@ def test_a_repeated_relay_on_hold_is_ignored_unopened(monkeypatch):
     opens = _count_calls(monkeypatch, "open_envelope")
     report = run_storage_scenario(ScenarioConfig(adversary_spec="replay:AuthorizeAndHold:1"))
     assert report.complete_success()
-    assert "repeat of an authorization on hold ignored" in report.scenario.trust_manager.notes
+    assert [(e.actor, e.kind) for e in report.transcript.events] == [("TM", EventKind.DUPLICATE)]
     assert opens[0] == 1
 
 

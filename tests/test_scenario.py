@@ -323,7 +323,7 @@ def test_complete_success_requires_every_book_to_balance():
 # --- the audit of every run, pinned ------------------------------------------------
 
 # SHA-256 over the repr of each pinned run's summary, in run order: a change
-# to how an actor keeps its state must leave every audited fact and note as is.
+# to how an actor keeps its state must leave every audited fact and event as is.
 # Re-taken when every hold came to be named by the trust manager's hold nonce
 # alone: the messages that carried the other names got shorter, so the random
 # bit a tamper of an AuthOutcome, HoldResponse, SettleRequest or
@@ -347,7 +347,11 @@ def test_complete_success_requires_every_book_to_balance():
 # PriceRequest#8 now leaves its quote answering no pending request, so that
 # run stalls with no hold instead of completing.  Every replay and seeded
 # run is as before.
-RUN_REPORTS_SHA256 = "a5f40d79802a2d295f359876f24317c09bbdcdcd1c32bc60e20d25ae83f87fa2"
+# Re-taken when handlers came to return typed events in place of notes: the
+# last column is the transcript's events, not each actor's notes.  Compared
+# with the parent run by run, every other field is as before, and each run's
+# events map one to one, in order, onto its notes.
+RUN_REPORTS_SHA256 = "562ba38fc7a25e71919b26119b33a418f7eff3471be6da13a896434d5dc0d259"
 
 
 def _pinned_runs():
@@ -379,7 +383,7 @@ def _summary(attack: str, report) -> tuple:
         report.settled_total,
         report.invariant_failures,
         report.privacy.clean,
-        [(actor_id, actor.notes) for actor_id, actor in report.scenario.endpoints.items()],
+        report.transcript.events,
     )
 
 
@@ -391,6 +395,7 @@ def test_every_pinned_run_audits_as_before():
         report = run_storage_scenario(config)
         digest.update(repr(_summary(attack, report)).encode("utf-8"))
         saved = Transcript.from_bytes(report.transcript.to_bytes())
+        assert saved == report.transcript, attack
         named = Adversary.from_spec(saved.meta.adversary_spec)
         assert named == Adversary.from_spec(config.adversary_spec), attack
         replay = replay_transcript(saved, build_scenario(config).endpoints)

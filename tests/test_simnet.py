@@ -10,6 +10,10 @@ import pytest
 from gset import (
     Adversary,
     AdversaryMode,
+    DenialReason,
+    Digest,
+    Event,
+    EventKind,
     PrivacyMarkers,
     ScenarioConfig,
     SimnetError,
@@ -118,6 +122,7 @@ def test_happy_path_completes_and_is_deterministic():
     second = run_once()
     assert first.business_outcome == "APPROVED"
     assert first.complete_success()
+    assert first.transcript.events == ()  # the happy path draws no event
     assert first.transcript.to_bytes() == second.transcript.to_bytes()
 
 
@@ -170,6 +175,44 @@ def test_transcript_bytes_round_trip(tmp_path):
     path = tmp_path / "run.gsett"
     transcript.save(path)
     assert Transcript.load(path) == transcript
+
+
+TAMPERED_AUTHORIZATION = "tamper:AuthorizationRequest:bit=tail/100:1"
+
+
+def test_each_event_follows_the_record_that_drew_it():
+    transcript = run_once(TAMPERED_AUTHORIZATION).transcript
+    assert [(e.tick, e.actor, e.kind) for e in transcript.events] == [
+        (3, "SP", EventKind.AUTHORIZATION_REFUSED), (4, "SR", EventKind.AUTHORIZATION_DENIED)
+    ]
+    raw = transcript.to_bytes()
+    entries = [type(item).__name__ for item in codec.decode_stream(raw)[1:]]
+    record = "TranscriptRecord"
+    assert entries == [record, record, record, "Event", record, "Event"]
+    assert Transcript.from_bytes(raw) == transcript
+
+
+def _stream(*entries) -> bytes:
+    return b"".join(codec.encode(entry) for entry in entries)
+
+
+def test_an_event_naming_a_tick_with_no_record_is_refused():
+    transcript = run_once(TAMPERED_AUTHORIZATION).transcript
+    stray = dataclasses.replace(transcript.events[-1], tick=99)
+    with pytest.raises(SimnetError, match="stray Event"):
+        Transcript.from_bytes(_stream(transcript.meta, *transcript.records, stray))
+
+
+def test_an_event_out_of_order_is_refused():
+    transcript = run_once(TAMPERED_AUTHORIZATION).transcript
+    meta, records, (first, second) = transcript.meta, transcript.records, transcript.events
+    for entries in (
+        (*records, first, second),  # the provider's event after the next record
+        (first, *records, second),  # an event before any record
+        (*records[:3], second, first, records[3]),  # an event ahead of its record
+    ):
+        with pytest.raises(SimnetError, match="stray Event"):
+            Transcript.from_bytes(_stream(meta, *entries))
 
 
 def test_transcript_bytes_must_start_with_meta():
@@ -345,7 +388,7 @@ def test_a_single_drop_leaves_these_books(target, outcome, holds, settles, booke
     assert len(dropped) == 1
     assert not dropped[0].delivered
     if target in ("HoldRequest", "HoldResponse"):
-        assert report.scenario.trust_manager.denials == []
+        assert [e for e in report.transcript.events if e.actor == "TM"] == []
 
 
 def test_eavesdropper_sees_everything_but_learns_no_payment_secrets():
@@ -414,6 +457,20 @@ def test_edited_record_is_caught_at_or_next_to_the_edit():
         assert not report.matches
         assert report.first_divergence is not None
         assert report.first_divergence <= k + 1
+        assert "DIVERGED" in report.render()
+
+
+def test_replay_reports_a_decision_that_differs_at_the_record_that_drew_it():
+    # the wire is the same; only the provider's recorded decision differs
+    transcript = run_once(TAMPERED_AUTHORIZATION).transcript
+    first, rest = transcript.events[0], transcript.events[1:]
+    other = dataclasses.replace(first, reason=DenialReason.EXPIRED_QUOTE)
+    tampered = "t3 SR->SP AuthorizationRequest [tampered]"
+    for events, recorded in (((other, *rest), f"{tampered}; {other}"), (rest, tampered)):
+        report = replay_transcript(dataclasses.replace(transcript, events=events), fresh())
+        assert not report.matches
+        assert report.first_divergence == 2  # the delivery at tick 3
+        assert report.detail == f"record 2 differs: expected {recorded}, got {tampered}; {first}"
         assert "DIVERGED" in report.render()
 
 
@@ -491,6 +548,27 @@ def test_scanner_catches_a_deliberate_payment_leak_to_the_provider():
     assert report.hits[0].marker == leak
     assert "record" in report.hits[0].location
     assert "HIT" in report.render()
+
+
+def test_scanner_reaches_the_events_of_the_provider_and_the_trust_manager():
+    scenario = build_scenario(CONFIG)
+    payment = bytes.fromhex(scenario.account_ref.removeprefix("ACCT-"))  # 24 bytes
+    usage = scenario.config.service_id.encode()
+
+    def event(actor: str, marker: bytes) -> Event:
+        order = Digest(marker.ljust(32, b"\x00"))
+        return Event(1, actor, EventKind.NOT_PENDING, order, None)
+
+    meta = TranscriptMeta(seed=1, max_ticks=5, adversary_spec="none", initial=())
+    record = TranscriptRecord(1, "SR", "XX", b"\x00\x00\x00\x01x", "", "")
+    # the requester may hold either marker; the provider and the trust manager may not
+    events = (event("SR", payment), event("SP", payment), event("TM", usage), event("SR", usage))
+    transcript = Transcript(meta=meta, records=(record,), events=events)
+    report = assert_privacy(transcript, b"", b"", scenario.markers)
+    assert [(hit.location, hit.marker) for hit in report.hits] == [
+        ("SP event 1", payment), ("TM event 2", usage)
+    ]
+    assert report.locations_checked == 2 + 2
 
 
 def test_scanner_catches_usage_markers_in_trust_manager_state():
