@@ -38,15 +38,14 @@ only makes the first message); tests drive the actors through it too.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field, fields, is_dataclass
+import typing
+from dataclasses import dataclass, field, make_dataclass
 from enum import IntEnum
-from functools import cache
 from random import Random
 from typing import Callable, Mapping, NamedTuple
 
 from . import codec
-from .codec import Bulk, CodecError, Label, canonical_message
+from .codec import Bulk, CodecError, Label, canonical_message, register_message
 from .crypto import (
     Digest,
     EnvelopeError,
@@ -155,52 +154,27 @@ class Event:
 Effects = list[Send | Event]
 
 
-def _leaf(tag: bytes, data: bytes) -> bytes:
-    # The non-zero tag keeps the framing of adjacent leaves from forming a
-    # run of zero bytes that could read as a big-endian privacy marker.
-    return tag + struct.pack(">I", len(data)) + data
-
-
-@cache
-def _field_names(cls: type) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls))
-
-
-def _state_encode(value) -> bytes:
-    """Canonical bytes of one piece of actor state (see ``state_bytes``)."""
-    if isinstance(value, Ledger):
-        value = value.snapshot()
-    if isinstance(value, int):  # bools and IntEnums too
-        width = max(8, (value.bit_length() + 8) // 8)
-        return _leaf(b"I", value.to_bytes(width, "big", signed=True))
-    if isinstance(value, str):
-        return _leaf(b"S", value.encode("utf-8"))
-    if isinstance(value, (bytes, memoryview)):  # a view as the same bytes
-        return _leaf(b"B", value)
-    if is_dataclass(value):
-        parts = [_state_encode(getattr(value, name)) for name in _field_names(type(value))]
-    elif isinstance(value, dict):
-        parts = sorted(_state_encode(k) + _state_encode(v) for k, v in value.items())
-    elif isinstance(value, (set, frozenset)):
-        parts = sorted(_state_encode(item) for item in value)
-    elif isinstance(value, (list, tuple)):
-        parts = [_state_encode(item) for item in value]
-    else:
-        raise TypeError(f"no state encoding for {type(value).__name__}")
-    return b"L" + struct.pack(">I", len(parts)) + b"".join(parts)
-
-
 class _ActorBase:
-    # Construction-time wiring, not state: the private key, the public-key
-    # directory, the randomness source, the fixed config, and the MAC keys
-    # derived from the first two.
-    _WIRING = frozenset({"identity", "directory", "rng", "config", "pair_keys"})
+    # Construction-time wiring, not state: the private key and its subject
+    # id, the public-key directory, the randomness source, the fixed config,
+    # and the MAC keys derived from the first two.
+    _WIRING = frozenset({"identity", "subject_id", "directory", "rng", "config", "pair_keys"})
     # Message type -> handler(self, sender, msg, covered, now), where
     # ``covered`` is what ``codec.decode_authenticated`` returned.  A class-level
     # table of plain functions: bound methods stored on the instance would
     # point back at it, so each run's actors could only be freed by the
     # cyclic garbage collector.
     _HANDLERS: Mapping[type, Callable] = {}
+
+    def __init_subclass__(cls) -> None:
+        # The class's own annotations are its recorded state, declared once:
+        # they make its state message, and each is created empty per actor.
+        hints = typing.get_type_hints(cls)
+        declared = [(name, hints[name]) for name in cls.__dict__.get("__annotations__", {})]
+        state = make_dataclass(f"{cls.__name__}State", declared, frozen=True)
+        state.__module__ = cls.__module__
+        cls._State = register_message(state)
+        cls._RECORDED = tuple((name, typing.get_origin(tp) or tp) for name, tp in declared)
 
     def __init__(
         self, identity: KeyPair, directory: Mapping[str, bytes], config, rng: Random | None = None
@@ -212,6 +186,8 @@ class _ActorBase:
         self.rng = rng
         # peer id -> (key to the peer, key from the peer), derived on first use
         self.pair_keys: dict[str, tuple[bytes, bytes]] = {}
+        for name, make in self._RECORDED:
+            setattr(self, name, make())
 
     def _event(self, now: int, kind: EventKind, order=None, reason=None) -> Event:
         return Event(now, self.subject_id, kind, order, reason)
@@ -301,15 +277,17 @@ class _ActorBase:
         return handler(self, sender, msg, covered, now)
 
     def state_bytes(self) -> bytes:
-        """Deterministic bytes of everything this actor has recorded.
+        """Everything this actor has recorded, as one codec message.
 
-        Every instance attribute except the wiring is encoded, so state an
-        actor starts keeping is inside the privacy scanner's reach without
-        further bookkeeping.  Sets and mappings are sorted by encoding, so
-        hash order never reaches the bytes.
+        The message is the class's ``<Actor>State``, one field per declared
+        attribute, so ``codec.decode`` reads it back field by field.  Every
+        instance attribute but the wiring goes into it, so an attribute the
+        class does not declare raises here rather than escape the privacy
+        scanner.  Mappings and sets encode in the order of their entries'
+        bytes, so hash order never reaches the bytes.
         """
-        state = {k: v for k, v in vars(self).items() if k not in self._WIRING}
-        return _state_encode([type(self).__name__, state])
+        recorded = {k: v for k, v in vars(self).items() if k not in self._WIRING}
+        return codec.encode(self._State(**recorded))
 
 
 # --- service requester --------------------------------------------------------
@@ -335,6 +313,7 @@ class RequesterPhase(IntEnum):
     COMPLETED = 4  # every object retrieved, completion sent
 
 
+@register_message
 @dataclass
 class RequesterOrder:
     phase: RequesterPhase = RequesterPhase.AUTHORIZING
@@ -353,20 +332,12 @@ class RequesterOrder:
 class ServiceRequester(_ActorBase):
     """Asks for a price, authorizes payment, uploads, redeems, confirms."""
 
-    def __init__(
-        self,
-        identity: KeyPair,
-        directory: Mapping[str, bytes],
-        config: RequesterConfig,
-        rng: Random,
-    ) -> None:
-        super().__init__(identity, directory, config, rng)
-        # request nonce -> the usage asked for, until quoted or denied
-        self.pending_requests: dict[bytes, UsageDescriptor] = {}
-        # oi_digest -> the order, from its authorization on
-        self.orders: dict[Digest, RequesterOrder] = {}
-        # ticket_id -> the oi_digest of the order it was granted for
-        self.ticket_orders: dict[bytes, Digest] = {}
+    # request nonce -> the usage asked for, until quoted or denied
+    pending_requests: dict[bytes, UsageDescriptor]
+    # oi_digest -> the order, from its authorization on
+    orders: dict[Digest, RequesterOrder]
+    # ticket_id -> the oi_digest of the order it was granted for
+    ticket_orders: dict[bytes, Digest]
 
     def begin(self, usage: UsageDescriptor) -> Send:
         """Kick-off message for a simulation run: a price request for
@@ -499,6 +470,7 @@ class ProviderPhase(IntEnum):
     CAPTURED = 5  # the token settled, its charge booked
 
 
+@register_message
 @dataclass
 class ProviderOrder:
     requester: str
@@ -506,23 +478,24 @@ class ProviderOrder:
     phase: ProviderPhase = ProviderPhase.RELAYED
 
 
+@canonical_message
+class IssuedQuote:
+    """What the provider quoted: the usage, its price and the quote's expiry."""
+
+    usage: UsageDescriptor
+    price: int
+    expiry: int
+
+
 class ServiceProvider(_ActorBase):
     """Prices usage, relays authorizations, stores objects, collects credit."""
 
-    def __init__(
-        self,
-        identity: KeyPair,
-        directory: Mapping[str, bytes],
-        config: ProviderConfig,
-        rng: Random,
-    ) -> None:
-        super().__init__(identity, directory, config, rng)
-        # quote_id -> (usage, price, expiry) of each quote issued
-        self.issued_quotes: dict[bytes, tuple[UsageDescriptor, int, int]] = {}
-        # oi_digest -> the order; only orders matched to an issued quote
-        self.orders: dict[Digest, ProviderOrder] = {}
-        # ticket_id -> object, until the ticket is redeemed
-        self.stored_objects: dict[bytes, Bulk] = {}
+    # quote_id -> each quote issued
+    issued_quotes: dict[bytes, IssuedQuote]
+    # oi_digest -> the order; only orders matched to an issued quote
+    orders: dict[Digest, ProviderOrder]
+    # ticket_id -> object, until the ticket is redeemed
+    stored_objects: dict[bytes, Bulk]
 
     def _decide(self, requester: str, oi_digest: Digest, approved: bool) -> Effects:
         _, raw = build_signed(AuthDecision, self.identity, oi_digest=oi_digest, approved=approved)
@@ -552,7 +525,7 @@ class ServiceProvider(_ActorBase):
             price=price,
             expiry=now + self.config.quote_ttl,
         )
-        self.issued_quotes[quote.quote_id] = (quote.usage, price, quote.expiry)
+        self.issued_quotes[quote.quote_id] = IssuedQuote(quote.usage, price, quote.expiry)
         return [Send(sender, raw)]
 
     def _on_authorization(
@@ -586,18 +559,18 @@ class ServiceProvider(_ActorBase):
             order = codec.decode(auth.order_info, OrderInfo)
         except CodecError:
             return deny(DenialReason.BAD_SIGNATURE)
-        # a quote never issued reads as one that expired at tick 0
-        usage, price, expiry = self.issued_quotes.get(order.quote_id, (None, 0, 0))
-        if now >= expiry or order.usage != usage:
+        quote = self.issued_quotes.get(order.quote_id)
+        # a quote never issued reads as one that expired
+        if quote is None or now >= quote.expiry or order.usage != quote.usage:
             return deny(DenialReason.EXPIRED_QUOTE)
         if oi_digest in self.orders:
             return [self._event(now, EventKind.DUPLICATE, oi_digest)]
 
         relay = self._maced_to(self.config.trust_manager_id, AuthorizeAndHold, now,
                                payment_envelope=auth.payment_envelope, dual=auth.dual,
-                               charge_amount=price)
+                               charge_amount=quote.price)
         if type(relay) is Send:
-            self.orders[oi_digest] = ProviderOrder(sender, price)
+            self.orders[oi_digest] = ProviderOrder(sender, quote.price)
         return [relay]
 
     def _on_auth_outcome(self, sender: str, outcome: AuthOutcome, covered, now: int) -> Effects:
@@ -719,8 +692,11 @@ class HoldPhase(IntEnum):
     SPENT = 3  # settled
 
 
+@register_message
 @dataclass
-class Hold:
+class HoldRecord:
+    """The trust manager's record of one hold, from its request to its settlement."""
+
     provider: str
     account_provider: str
     charge: int
@@ -731,20 +707,12 @@ class Hold:
 class TrustManager(_ActorBase):
     """Opens payment envelopes, enforces limits, places holds, mints tokens."""
 
-    def __init__(
-        self,
-        identity: KeyPair,
-        directory: Mapping[str, bytes],
-        config: TrustManagerConfig,
-        rng: Random,
-    ) -> None:
-        super().__init__(identity, directory, config, rng)
-        self.seen_payment_nonces: set[bytes] = set()
-        # hold_nonce, the hold's one name from request to settlement -> what
-        # the hold and its token's capture read; not the signed token
-        self.holds: dict[bytes, Hold] = {}
-        # oi_digest -> the hold_nonce of the order's one hold
-        self.order_holds: dict[Digest, bytes] = {}
+    seen_payment_nonces: set[bytes]
+    # hold_nonce, the hold's one name from request to settlement -> what
+    # the hold and its token's capture read; not the signed token
+    holds: dict[bytes, HoldRecord]
+    # oi_digest -> the hold_nonce of the order's one hold
+    order_holds: dict[Digest, bytes]
 
     def _deny(self, provider: str, oi_digest: Digest, reason, now: int) -> Effects:
         event = self._event(now, EventKind.AUTHORIZATION_REFUSED, oi_digest, reason)
@@ -797,8 +765,8 @@ class TrustManager(_ActorBase):
                                  amount=msg.charge_amount)
         if type(request) is not Send:  # the account provider is unreachable
             return [request, *deny(DenialReason.UNKNOWN_ACCOUNT)]
-        self.holds[hold_nonce] = Hold(sender, payment.account_provider_id, msg.charge_amount,
-                                      oi_digest)
+        self.holds[hold_nonce] = HoldRecord(sender, payment.account_provider_id,
+                                            msg.charge_amount, oi_digest)
         self.order_holds[oi_digest] = hold_nonce
         return [request]
 
@@ -883,17 +851,10 @@ class AccountProviderConfig:
 
 
 class AccountProvider(_ActorBase):
-    """Holds the credit ledger and answers MAC'd hold/settle instructions."""
+    """Holds the credit ledger and answers MAC'd hold/settle instructions.
+    It draws nothing, so it takes no randomness source."""
 
-    def __init__(
-        self,
-        identity: KeyPair,
-        directory: Mapping[str, bytes],
-        config: AccountProviderConfig,
-    ) -> None:
-        # draws nothing, so it takes no randomness source
-        super().__init__(identity, directory, config)
-        self.ledger = Ledger()
+    ledger: Ledger
 
     def _on_hold_request(self, sender: str, msg: HoldRequest, covered, now: int) -> Effects:
         """Place the hold under the trust manager's name for it, ``hold_nonce``.

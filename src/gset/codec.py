@@ -12,11 +12,15 @@ The wire layout is fixed and self-delimiting:
 * a nested message is encoded as its fields alone, with no type-name
   field: the enclosing schema already fixes its type,
 * sequences are a 4-byte big-endian element count followed by each element
-  as a length-prefixed field; optional values are a sequence of zero or one.
+  as a length-prefixed field; optional values are a sequence of zero or one,
+* a mapping is a 4-byte big-endian entry count followed by each entry, its
+  key field and then its value field, and a set the same with key fields
+  alone, the entries in ascending order of their bytes, so hash order never
+  reaches the wire and each collection has one encoding.
 
 Decoding accepts exactly the image of encoding.  Trailing bytes, truncated
-input, unknown type tags, out-of-range values, and messages whose own
-invariants fail are all rejected, with the byte offset of the problem where
+input, unknown type tags, out-of-range values, entries out of order or
+repeated, and messages whose own invariants fail are all rejected, with the byte offset of the problem where
 one is known.
 
 ``register_message`` compiles each field's type, once, into an encoder and
@@ -284,6 +288,59 @@ def _sequence_codec(element: tuple[Encoder, Decoder]) -> tuple[Encoder, Decoder]
     return encode_sequence, decode_sequence
 
 
+def _collection_codec(
+    key: tuple[Encoder, Decoder], value: tuple[Encoder, Decoder] | None, build: type
+) -> tuple[Encoder, Decoder]:
+    """A mapping (with ``value``) or a set (without), decoding as ``build``."""
+    encode_key, decode_key = key
+    encode_value, decode_value = value or (None, None)
+    accepts = dict if value else (set, frozenset)
+
+    def encode_collection(collection: Any, out: list, what: str) -> int:
+        if not isinstance(collection, accepts):
+            raise EncodeError(f"{what}: expected a {build.__name__}")
+        # Distinct key fields are never prefixes of one another, so entries
+        # sort by their key fields as by their whole bytes.
+        keys = []
+        for item in collection:
+            chunks: list = []
+            size = encode_key(item, chunks, what)
+            keys.append((b"".join(chunks), size, item))
+        keys.sort(key=lambda entry: entry[0])
+        slot = len(out)
+        out.append(b"")
+        out.append(_PACK_U32(len(keys)))
+        n = 4
+        for key_field, size, item in keys:
+            out.append(key_field)
+            n += size
+            if encode_value is not None:
+                n += encode_value(collection[item], out, what)
+        return _close(out, slot, n)
+
+    def decode_collection(data: bytes, start: int, stop: int, what: str) -> Any:
+        if start + 4 > stop:
+            raise DecodeError(f"truncated input reading {what} count", start)
+        pos = start + 4
+        items, previous = [], b""
+        for i in range(_U32.unpack_from(data, start)[0]):
+            label = f"{what}[{i}]"
+            at, end = _field(data, pos, stop, label)
+            if data[pos:end] <= previous:
+                raise DecodeError(f"{what}: entries out of order or repeated", pos)
+            previous, pos = data[pos:end], end
+            item = decode_key(data, at, end, label)
+            if decode_value is not None:
+                at, pos = _field(data, pos, stop, label)
+                item = (item, decode_value(data, at, pos, label))
+            items.append(item)
+        if pos != stop:
+            raise DecodeError(f"{what}: trailing bytes after {build.__name__}", pos)
+        return build(items)
+
+    return encode_collection, decode_collection
+
+
 def _optional_codec(inner: tuple[Encoder, Decoder]) -> tuple[Encoder, Decoder]:
     encode_inner, decode_inner = inner
 
@@ -376,6 +433,11 @@ def _compile(tp: Any, owner: str) -> tuple[Encoder, Decoder]:
         if len(args) != 1 or len(typing.get_args(tp)) != 2:
             raise TypeError(f"{owner}: only Optional[...] unions are encodable")
         return _optional_codec(_compile(args[0], owner))
+    if origin is dict:
+        key, value = typing.get_args(tp)
+        return _collection_codec(_compile(key, owner), _compile(value, owner), dict)
+    if origin in (set, frozenset):
+        return _collection_codec(_compile(typing.get_args(tp)[0], owner), None, origin)
     if origin in (tuple, list):
         args = typing.get_args(tp)
         if origin is tuple and (len(args) != 2 or args[1] is not Ellipsis):
@@ -444,6 +506,8 @@ def _bulk_repr(msg: Any) -> str:
     def shown(value: Any) -> Any:
         if isinstance(value, tuple):
             return tuple(map(shown, value))
+        if isinstance(value, dict):
+            return {key: shown(item) for key, item in value.items()}
         return bytes(value) if isinstance(value, memoryview) else value
     body = ", ".join(f"{f.name}={shown(getattr(msg, f.name))!r}" for f in dataclasses.fields(msg))
     return f"{type(msg).__qualname__}({body})"

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .codec import Positive, ValidationError, canonical_message, check
+from .codec import Positive, ValidationError, canonical_message, check, register_message
 from .crypto import Digest, hash_bytes
 
 
@@ -80,8 +80,9 @@ def _check_positive(value: int, what: str) -> None:
         raise LedgerError(str(exc)) from None
 
 
+@register_message
 @dataclass
-class _Account:
+class Account:
     credit_limit: int
     settled_total: int = 0
     holds: dict[bytes, int] = field(default_factory=dict)
@@ -90,15 +91,17 @@ class _Account:
         return self.credit_limit - self.settled_total - sum(self.holds.values())
 
 
+@register_message
+@dataclass
 class Ledger:
-    """Holds-and-settlements ledger for one account provider."""
+    """Holds-and-settlements ledger for one account provider; a codec message,
+    so the account provider's recorded state is the whole ledger."""
 
-    def __init__(self) -> None:
-        self._accounts: dict[bytes, _Account] = {}
-        self._hold_owner: dict[bytes, bytes] = {}  # hold_ref -> account digest
-        self.used_refs: set[bytes] = set()  # every name place_hold was given
-        self.settled_refs: set[bytes] = set()
-        self.released_refs: set[bytes] = set()
+    _accounts: dict[bytes, Account] = field(default_factory=dict)
+    _hold_owner: dict[bytes, bytes] = field(default_factory=dict)  # hold_ref -> account digest
+    used_refs: set[bytes] = field(default_factory=set)  # every name place_hold was given
+    settled_refs: set[bytes] = field(default_factory=set)
+    released_refs: set[bytes] = field(default_factory=set)
 
     def open_account(self, account_ref: str, credit_limit: int) -> Digest:
         """Create an account for ``account_ref``; returns its digest key.
@@ -111,10 +114,10 @@ class Ledger:
         digest = hash_bytes(account_ref.encode("utf-8"))
         if digest.bytes in self._accounts:
             raise DuplicateAccountError(f"account {digest.hex()[:12]} already exists")
-        self._accounts[digest.bytes] = _Account(credit_limit=credit_limit)
+        self._accounts[digest.bytes] = Account(credit_limit=credit_limit)
         return digest
 
-    def _account(self, account_ref_digest: Digest) -> _Account:
+    def _account(self, account_ref_digest: Digest) -> Account:
         account = self._accounts.get(account_ref_digest.bytes)
         if account is None:
             raise UnknownAccountError(f"no account {account_ref_digest.hex()[:12]}")
@@ -146,7 +149,7 @@ class Ledger:
         self._hold_owner[ref] = account_ref_digest.bytes
         self._assert_conserved(account)
 
-    def _open_hold(self, hold_ref: bytes) -> tuple[_Account, int]:
+    def _open_hold(self, hold_ref: bytes) -> tuple[Account, int]:
         owner = self._hold_owner.get(hold_ref)
         if owner is None:
             if hold_ref in self.settled_refs or hold_ref in self.released_refs:
@@ -174,7 +177,7 @@ class Ledger:
         self._assert_conserved(account)
         return amount
 
-    def _assert_conserved(self, account: _Account) -> None:
+    def _assert_conserved(self, account: Account) -> None:
         held = sum(account.holds.values())
         if account.settled_total + held > account.credit_limit:
             raise AssertionError("ledger conservation violated")

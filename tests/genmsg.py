@@ -1,6 +1,6 @@
 """Random well-formed message factories shared by the test modules.
 
-One factory per registered wire type.  Every factory takes a ``random.Random``
+One factory per registered type, wire messages and recorded state alike.  Every factory takes a ``random.Random``
 and returns an instance that passes the type's own validation, so the codec
 tests can hammer encode/decode without tripping over semantic rules.
 """
@@ -47,6 +47,20 @@ from gset import (
     WireMessage,
     codec,
 )
+from gset.actors import (
+    AccountProvider,
+    HoldPhase,
+    HoldRecord,
+    IssuedQuote,
+    ProviderOrder,
+    ProviderPhase,
+    RequesterOrder,
+    RequesterPhase,
+    ServiceProvider,
+    ServiceRequester,
+    TrustManager,
+)
+from gset.ledger import Account, Ledger
 
 _LABEL_CHARS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_."
 U64_MAX = 2**64 - 1
@@ -243,6 +257,71 @@ def gen_event(rng: Random) -> Event:
     return Event(u64(rng), label(rng), rng.choice(list(EventKind)), order, reason)
 
 
+def some(rng: Random, gen) -> list:
+    """Zero to two values of ``gen``: a small collection."""
+    return [gen(rng) for _ in range(rng.randint(0, 2))]
+
+
+def gen_issued_quote(rng: Random) -> IssuedQuote:
+    return IssuedQuote(gen_usage(rng), u64(rng), u64(rng))
+
+
+def gen_requester_order(rng: Random) -> RequesterOrder:
+    tickets = {ticket.ticket_id: ticket for ticket in some(rng, gen_ticket)}
+    retrieved = {ticket_id: blob(rng) for ticket_id in tickets if rng.random() < 0.5}
+    return RequesterOrder(
+        rng.choice(list(RequesterPhase)), tuple(some(rng, gen_digest)), tickets, retrieved,
+        set(some(rng, nonce)),
+    )
+
+
+def gen_provider_order(rng: Random) -> ProviderOrder:
+    return ProviderOrder(label(rng), u64(rng), rng.choice(list(ProviderPhase)))
+
+
+def gen_hold_record(rng: Random) -> HoldRecord:
+    return HoldRecord(label(rng), label(rng), u64(rng), gen_digest(rng), rng.choice(list(HoldPhase)))
+
+
+def gen_account(rng: Random) -> Account:
+    return Account(u64(rng), u64(rng), {nonce(rng): u64(rng) for _ in range(rng.randint(0, 2))})
+
+
+def gen_ledger(rng: Random) -> Ledger:
+    accounts = {gen_digest(rng).bytes: gen_account(rng) for _ in range(rng.randint(0, 2))}
+    owners = {ref: key for key, account in accounts.items() for ref in account.holds}
+    return Ledger(accounts, owners, set(owners) | set(some(rng, nonce)), set(some(rng, nonce)),
+                  set(some(rng, nonce)))
+
+
+def gen_requester_state(rng: Random):
+    return ServiceRequester._State(
+        {nonce(rng): gen_usage(rng) for _ in range(rng.randint(0, 2))},
+        {gen_digest(rng): gen_requester_order(rng) for _ in range(rng.randint(0, 2))},
+        {nonce(rng): gen_digest(rng) for _ in range(rng.randint(0, 2))},
+    )
+
+
+def gen_provider_state(rng: Random):
+    return ServiceProvider._State(
+        {nonce(rng): gen_issued_quote(rng) for _ in range(rng.randint(0, 2))},
+        {gen_digest(rng): gen_provider_order(rng) for _ in range(rng.randint(0, 2))},
+        {nonce(rng): blob(rng) for _ in range(rng.randint(0, 2))},
+    )
+
+
+def gen_trust_manager_state(rng: Random):
+    return TrustManager._State(
+        set(some(rng, nonce)),
+        {nonce(rng): gen_hold_record(rng) for _ in range(rng.randint(0, 2))},
+        {gen_digest(rng): nonce(rng) for _ in range(rng.randint(0, 2))},
+    )
+
+
+def gen_account_provider_state(rng: Random):
+    return AccountProvider._State(gen_ledger(rng))
+
+
 FACTORIES = {
     Signature: gen_signature,
     SealedEnvelope: gen_envelope,
@@ -277,6 +356,16 @@ FACTORIES = {
     TranscriptRecord: gen_transcript_record,
     TranscriptMeta: gen_transcript_meta,
     Event: gen_event,
+    IssuedQuote: gen_issued_quote,
+    RequesterOrder: gen_requester_order,
+    ProviderOrder: gen_provider_order,
+    HoldRecord: gen_hold_record,
+    Account: gen_account,
+    Ledger: gen_ledger,
+    ServiceRequester._State: gen_requester_state,
+    ServiceProvider._State: gen_provider_state,
+    TrustManager._State: gen_trust_manager_state,
+    AccountProvider._State: gen_account_provider_state,
 }
 
 

@@ -222,7 +222,16 @@ RECORDED = {
 @pytest.mark.parametrize("actor_id", sorted(RECORDED))
 def test_each_actor_records_its_state_in_these_attributes(actor_id):
     actor = run_storage_scenario(ScenarioConfig()).scenario.endpoints[actor_id]
-    assert set(vars(actor)) - actor._WIRING == {"subject_id"} | RECORDED[actor_id]
+    assert set(vars(actor)) - actor._WIRING == RECORDED[actor_id]
+    # declared once: the attributes are the fields of the state message
+    assert {f.name for f in dataclasses.fields(actor._State)} == RECORDED[actor_id]
+
+
+def test_an_attribute_the_class_does_not_declare_is_refused():
+    actors = build_actors()
+    actors.sp.quotes_seen = {}
+    with pytest.raises(TypeError):
+        actors.sp.state_bytes()
 
 
 def _denied(actors) -> None:

@@ -521,8 +521,11 @@ def test_token_round_trip_preserves_signature_bytes():
 # record of an order lost the digest and the token id; the stored objects
 # and the issued quote are as before.  Re-taken when handlers came to return
 # events in place of keeping notes and denials: the new state is the old
-# one's encoding with those two (empty) attributes left out.
-UPLOADED_PROVIDER_STATE_SHA256 = "f2ec89b0119cba0870df88a45afe4d4ed32347f60c5305a4efe5e30f8ddacd61"
+# one's encoding with those two (empty) attributes left out.  Re-taken when
+# the recorded state became one codec message (``ServiceProviderState``) in
+# place of the actors' own encoding: decoded field by field, it holds the
+# same quotes, orders and objects the provider's attributes held before.
+UPLOADED_PROVIDER_STATE_SHA256 = "ba20749c2e8b6124498363a80e35a4155a06060f22ca6f3814d175eb1fd9b5e6"
 
 
 def _bulk_frames() -> tuple[bytes, bytes]:

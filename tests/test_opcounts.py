@@ -192,14 +192,16 @@ def _codec_calls(monkeypatch, config: ScenarioConfig) -> tuple[int, int, int]:
 # receiver checks the bytes it received, the order's among them, since the
 # order travels as the encoding its digest hashes; the one payload still
 # encoded on receipt is that of the capture token nested in the trust
-# manager's outcome, which travels without its type tag.
+# manager's outcome, which travels without its type tag.  The privacy
+# audit encodes the provider's and the trust manager's recorded state, one
+# ``encode`` each (+2 since that state became a codec message).
 def test_default_transaction_encodes_each_message_once(monkeypatch):
-    assert _codec_calls(monkeypatch, ScenarioConfig()) == (12, 1, 13)
+    assert _codec_calls(monkeypatch, ScenarioConfig()) == (14, 1, 13)
 
 
 def test_bulk_transaction_encodes_each_message_once(monkeypatch):
     config = ScenarioConfig(object_count=16, object_size=65536)
-    assert _codec_calls(monkeypatch, config) == (38, 1, 13)
+    assert _codec_calls(monkeypatch, config) == (40, 1, 13)
 
 
 def _validations(monkeypatch, config: ScenarioConfig) -> int:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import typing
 from collections import deque
 from random import Random
 
@@ -30,6 +31,7 @@ from gset import (
     scan_for_markers,
 )
 from gset.attacks import REPLAY_TARGETS
+from gset.codec import Bulk
 
 CONFIG = ScenarioConfig()
 
@@ -589,11 +591,17 @@ def _recorded_containers(actor) -> list[str]:
     )
 
 
-def _plant(held, leak: bytes) -> None:
-    if isinstance(held, dict):
-        held[leak] = leak
+def _plant(actor, attribute: str, leak: bytes) -> None:
+    """Put ``leak`` into ``actor``'s recorded ``attribute`` as a key of its
+    declared type (zero-padded, for a digest), beside a value of a byte type
+    holding it too, or else a copy of a value the run left there."""
+    held = getattr(actor, attribute)
+    key_type, *value_type = typing.get_args(typing.get_type_hints(actor._State)[attribute])
+    key = Digest(leak.ljust(32, b"\0")) if key_type is Digest else leak
+    if isinstance(held, set):
+        held.add(key)
     else:
-        (held.add if isinstance(held, set) else held.append)(leak)
+        held[key] = leak if value_type[0] in (bytes, Bulk) else next(iter(held.values()))
 
 
 _BUILT = build_scenario(CONFIG)
@@ -604,8 +612,8 @@ def test_provider_state_scan_reaches_every_recorded_attribute(attribute):
     report = run_once()
     assert report.complete_success() and report.privacy.clean
     scenario = report.scenario
-    leak = scenario.account_ref.encode()
-    _plant(getattr(scenario.provider, attribute), leak)
+    leak = bytes.fromhex(scenario.account_ref.removeprefix("ACCT-"))  # 24 bytes
+    _plant(scenario.provider, attribute, leak)
     privacy = assert_privacy(
         report.transcript,
         scenario.provider.state_bytes(),
@@ -621,7 +629,7 @@ def test_trust_manager_state_scan_reaches_every_recorded_attribute(attribute):
     assert report.complete_success() and report.privacy.clean
     scenario = report.scenario
     leak = scenario.config.service_id.encode()
-    _plant(getattr(scenario.trust_manager, attribute), leak)
+    _plant(scenario.trust_manager, attribute, leak)
     privacy = assert_privacy(
         report.transcript,
         scenario.provider.state_bytes(),
