@@ -7,8 +7,8 @@ Each actor is a single-threaded state machine with one external surface:
 A handler performs no I/O and never waits for an answer: it returns its
 effects.  A ``Send`` is a message the simulated network queues; an
 ``Event`` is what the actor refused or ignored, by kind, order and denial
-code, never free text, which the network records after the record that
-drew it.  The happy path draws no event.  A server that asks another keeps
+code, never free text, which the network keeps with the record whose
+delivery drew it.  The happy path draws no event.  A server that asks another keeps
 the request pending in its record of the order or hold, under the name the
 request carries, and the answer's own handler finds that record by one
 lookup and resumes from it.  The seven server-to-server legs carry a
@@ -24,6 +24,11 @@ record per order or hold:
   and a capture of its token read (not the signed token), and never sees
   order plaintext (it only handles digests and amounts);
 * the account provider keeps a ledger keyed by account digests.
+
+Each actor class declares what it stores once, as class annotations of
+codec-encodable types.  From them the class gets its ``<Actor>State``
+message, each instance its empty containers, and ``state_bytes`` its one
+encoding, which ``codec.decode`` reads back field by field.
 
 An order has one name: the order digest ``dual.oi_digest``, by which the
 requester and the provider key their orders and the trust manager finds
@@ -132,14 +137,15 @@ class EventKind(IntEnum):
     CAPTURE_REFUSED = 19
     HOLD_REFUSED = 20
     SETTLE_REFUSED = 21
+    QUOTE_REFUSED = 22  # no price for the request: no pricing, or over 2**64 - 1
 
 
 @canonical_message
 class Event:
-    """An effect: what ``actor`` refused or ignored in the delivery at ``tick``,
-    the order it concerns if the actor knows it, and the denial code if any."""
+    """An effect: what ``actor`` refused or ignored, the order it concerns if
+    the actor knows it, and the denial code if any.  Its tick and place are
+    those of the record whose delivery drew it."""
 
-    tick: int
     actor: Label
     kind: EventKind
     order: Digest | None
@@ -189,8 +195,8 @@ class _ActorBase:
         for name, make in self._RECORDED:
             setattr(self, name, make())
 
-    def _event(self, now: int, kind: EventKind, order=None, reason=None) -> Event:
-        return Event(now, self.subject_id, kind, order, reason)
+    def _event(self, kind: EventKind, order=None, reason=None) -> Event:
+        return Event(self.subject_id, kind, order, reason)
 
     def _nonce(self) -> bytes:
         return self.rng.randbytes(codec.NONCE_SIZE)
@@ -198,15 +204,15 @@ class _ActorBase:
     def _key_of(self, subject_id: str) -> bytes | None:
         return self.directory.get(subject_id)
 
-    def _unanswered(self, msg, awaited: bool, sender: str, covered, now: int) -> list[Event]:
+    def _unanswered(self, msg, awaited: bool, sender: str, covered) -> list[Event]:
         """Nothing if ``msg`` answers a request still pending (``awaited`` from
         ``sender``, who authenticated it); else the event, and nothing changes."""
         order = getattr(msg, "oi_digest", None)
         if not awaited:
-            return [self._event(now, EventKind.NOT_PENDING, order)]
+            return [self._event(EventKind.NOT_PENDING, order)]
         # AuthOutcome is unsigned: an approval's authority is its token's signature
         if type(msg) is not AuthOutcome and not self._authentic(msg, sender, covered):
-            return [self._event(now, EventKind.BAD_AUTHENTICATOR, order)]
+            return [self._event(EventKind.BAD_AUTHENTICATOR, order)]
         return []
 
     def _keys_with(self, peer_id: str) -> tuple[bytes, bytes] | None:
@@ -218,19 +224,19 @@ class _ActorBase:
                 self.pair_keys[peer_id] = keys
         return keys
 
-    def _maced_to(self, peer_id: str, cls: type, now: int, **fields) -> Send | Event:
+    def _maced_to(self, peer_id: str, cls: type, **fields) -> Send | Event:
         """``cls`` MAC'd to ``peer_id``, to send; without a key, the event saying so."""
         keys = self._keys_with(peer_id)
         if keys is None:
-            return self._event(now, EventKind.NO_MAC_KEY)
+            return self._event(EventKind.NO_MAC_KEY)
         return Send(peer_id, build_maced(cls, keys[0], **fields)[1])
 
-    def _reply(self, peer_id: str, cls: type, now: int, kind, reason, **fields) -> Effects:
+    def _reply(self, peer_id: str, cls: type, kind, reason, **fields) -> Effects:
         """``cls`` MAC'd to ``peer_id`` with ``reason``, after the event ``kind`` if refused."""
-        answer = self._maced_to(peer_id, cls, now, reason=reason, **fields)
+        answer = self._maced_to(peer_id, cls, reason=reason, **fields)
         if reason is None:
             return [answer]
-        return [self._event(now, kind, fields.get("oi_digest"), reason), answer]
+        return [self._event(kind, fields.get("oi_digest"), reason), answer]
 
     def _authentic(
         self,
@@ -270,10 +276,10 @@ class _ActorBase:
         try:
             msg, covered = codec.decode_authenticated(raw)
         except CodecError:
-            return [self._event(now, EventKind.UNDECODABLE)]
+            return [self._event(EventKind.UNDECODABLE)]
         handler = self._HANDLERS.get(type(msg))
         if handler is None:
-            return [self._event(now, EventKind.UNEXPECTED_TYPE)]
+            return [self._event(EventKind.UNEXPECTED_TYPE)]
         return handler(self, sender, msg, covered, now)
 
     def state_bytes(self) -> bytes:
@@ -351,13 +357,13 @@ class ServiceRequester(_ActorBase):
     def _on_price_quote(self, sender: str, quote: PriceQuote, covered, now: int) -> Effects:
         """Turn an acceptable quote into a dual-signed authorization."""
         if sender != self.config.provider_id:
-            return [self._event(now, EventKind.UNEXPECTED_SENDER)]
+            return [self._event(EventKind.UNEXPECTED_SENDER)]
         if self.pending_requests.get(quote.request_nonce) != quote.usage:
-            return [self._event(now, EventKind.NOT_PENDING)]
+            return [self._event(EventKind.NOT_PENDING)]
         if not self._authentic(quote, self.config.provider_id, covered):
-            return [self._event(now, EventKind.BAD_AUTHENTICATOR)]
+            return [self._event(EventKind.BAD_AUTHENTICATOR)]
         if now >= quote.expiry:
-            return [self._event(now, EventKind.QUOTE_EXPIRED)]
+            return [self._event(EventKind.QUOTE_EXPIRED)]
         order = OrderInfo(quote_id=quote.quote_id, usage=quote.usage, order_nonce=self._nonce())
         payment = PaymentInfo(
             account_provider_id=self.config.account_provider_id,
@@ -369,7 +375,7 @@ class ServiceRequester(_ActorBase):
         payment_bytes = codec.encode(payment)
         tm_key = self._key_of(self.config.trust_manager_id)
         if tm_key is None:
-            return [self._event(now, EventKind.NO_PUBLIC_KEY)]
+            return [self._event(EventKind.NO_PUBLIC_KEY)]
         envelope = seal(tm_key, self.config.trust_manager_id, payment_bytes, self.rng)
         dual = make_dual_signature(self.identity, order_bytes, payment_bytes)
         self.orders[dual.oi_digest] = RequesterOrder()
@@ -379,18 +385,18 @@ class ServiceRequester(_ActorBase):
 
     def _on_quote_denial(self, sender: str, denial: QuoteDenial, covered, now: int) -> Effects:
         self.pending_requests.pop(denial.request_nonce, None)
-        return [self._event(now, EventKind.QUOTE_DENIED)]
+        return [self._event(EventKind.QUOTE_DENIED)]
 
     def _on_auth_decision(self, sender: str, decision: AuthDecision, covered, now: int) -> Effects:
         oi_digest = decision.oi_digest
         if not self._authentic(decision, self.config.provider_id, covered):
-            return [self._event(now, EventKind.BAD_AUTHENTICATOR, oi_digest)]
+            return [self._event(EventKind.BAD_AUTHENTICATOR, oi_digest)]
         record = self.orders.get(oi_digest)
         if record is None or record.phase != RequesterPhase.AUTHORIZING:
-            return [self._event(now, EventKind.NOT_PENDING, oi_digest)]
+            return [self._event(EventKind.NOT_PENDING, oi_digest)]
         if not decision.approved:
             record.phase = RequesterPhase.FAILED
-            return [self._event(now, EventKind.AUTHORIZATION_DENIED, oi_digest)]
+            return [self._event(EventKind.AUTHORIZATION_DENIED, oi_digest)]
         record.phase = RequesterPhase.UPLOADING
         record.digests = object_digests(self.config.objects)
         _, raw = build_signed(ObjectUpload, self.identity, digests=record.digests,
@@ -400,16 +406,16 @@ class ServiceRequester(_ActorBase):
     def _on_service_grant(self, sender: str, grant: ServiceGrant, covered, now: int) -> Effects:
         oi_digest = grant.oi_digest
         if not self._authentic(grant, self.config.provider_id, covered):
-            return [self._event(now, EventKind.BAD_AUTHENTICATOR, oi_digest)]
+            return [self._event(EventKind.BAD_AUTHENTICATOR, oi_digest)]
         record = self.orders.get(oi_digest)
         if record is not None and record.phase > RequesterPhase.UPLOADING:
-            return [self._event(now, EventKind.DUPLICATE, oi_digest)]
+            return [self._event(EventKind.DUPLICATE, oi_digest)]
         if record is None or record.phase != RequesterPhase.UPLOADING:
-            return [self._event(now, EventKind.NOT_PENDING, oi_digest)]
+            return [self._event(EventKind.NOT_PENDING, oi_digest)]
         if len(grant.tickets) != len(record.digests) or any(
             ticket.object_digest != digest for ticket, digest in zip(grant.tickets, record.digests)
         ):
-            return [self._event(now, EventKind.GRANT_MISMATCH, oi_digest)]
+            return [self._event(EventKind.GRANT_MISMATCH, oi_digest)]
         record.phase = RequesterPhase.REDEEMING
         for ticket in grant.tickets:
             record.tickets[ticket.ticket_id] = ticket
@@ -425,12 +431,12 @@ class ServiceRequester(_ActorBase):
         oi_digest = self.ticket_orders.get(resp.ticket_id)
         record = self.orders.get(oi_digest)
         if record is None or not record.awaits(resp.ticket_id):
-            return [self._event(now, EventKind.NOT_PENDING, oi_digest)]
+            return [self._event(EventKind.NOT_PENDING, oi_digest)]
         if resp.ok and not record.tickets[resp.ticket_id].matches(resp.payload):
-            return [self._event(now, EventKind.OBJECT_MISMATCH, oi_digest)]
+            return [self._event(EventKind.OBJECT_MISMATCH, oi_digest)]
         if not resp.ok:
             record.refusals.add(resp.ticket_id)
-            return [self._event(now, EventKind.REDEMPTION_DENIED, oi_digest)]
+            return [self._event(EventKind.REDEMPTION_DENIED, oi_digest)]
         record.retrieved[resp.ticket_id] = resp.payload
         # a refused ticket is never retrieved, so that order never completes
         if len(record.retrieved) < len(record.tickets):
@@ -508,7 +514,7 @@ class ServiceProvider(_ActorBase):
 
         def deny(reason: str) -> Effects:
             denial = QuoteDenial(request_nonce=request.nonce, reason=reason)
-            return [Send(sender, codec.encode(denial))]
+            return [self._event(EventKind.QUOTE_REFUSED), Send(sender, codec.encode(denial))]
 
         rate = self.config.pricing.get(request.usage.service_id)
         if rate is None:
@@ -546,7 +552,7 @@ class ServiceProvider(_ActorBase):
         oi_digest = auth.dual.oi_digest
 
         def deny(reason: DenialReason) -> Effects:
-            event = self._event(now, EventKind.AUTHORIZATION_REFUSED, oi_digest, reason)
+            event = self._event(EventKind.AUTHORIZATION_REFUSED, oi_digest, reason)
             return [event, *self._decide(sender, oi_digest, False)]
 
         # authenticity first: any tampering surfaces as BAD_SIGNATURE before
@@ -564,9 +570,9 @@ class ServiceProvider(_ActorBase):
         if quote is None or now >= quote.expiry or order.usage != quote.usage:
             return deny(DenialReason.EXPIRED_QUOTE)
         if oi_digest in self.orders:
-            return [self._event(now, EventKind.DUPLICATE, oi_digest)]
+            return [self._event(EventKind.DUPLICATE, oi_digest)]
 
-        relay = self._maced_to(self.config.trust_manager_id, AuthorizeAndHold, now,
+        relay = self._maced_to(self.config.trust_manager_id, AuthorizeAndHold,
                                payment_envelope=auth.payment_envelope, dual=auth.dual,
                                charge_amount=quote.price)
         if type(relay) is Send:
@@ -583,7 +589,7 @@ class ServiceProvider(_ActorBase):
         record = self.orders.get(oi_digest)
         tm = self.config.trust_manager_id
         awaited = record is not None and record.phase == ProviderPhase.RELAYED and sender == tm
-        if ignored := self._unanswered(outcome, awaited, sender, covered, now):
+        if ignored := self._unanswered(outcome, awaited, sender, covered):
             return ignored
         token = outcome.token
         if (
@@ -597,23 +603,23 @@ class ServiceProvider(_ActorBase):
             return self._decide(record.requester, oi_digest, True)
         record.phase = ProviderPhase.DENIED
         if outcome.approved:  # on a token that does not verify or fit the order
-            event = self._event(now, EventKind.BAD_TOKEN, oi_digest)
+            event = self._event(EventKind.BAD_TOKEN, oi_digest)
         else:
-            event = self._event(now, EventKind.AUTHORIZATION_DENIED, oi_digest, outcome.reason)
+            event = self._event(EventKind.AUTHORIZATION_DENIED, oi_digest, outcome.reason)
         return [event, *self._decide(record.requester, oi_digest, False)]
 
     def _on_object_upload(self, sender: str, upload: ObjectUpload, covered, now: int) -> Effects:
         oi_digest = upload.oi_digest
         record = self.orders.get(oi_digest)
         if record is None or record.requester != sender:
-            return [self._event(now, EventKind.NOT_PENDING, oi_digest)]
+            return [self._event(EventKind.NOT_PENDING, oi_digest)]
         digests = object_digests(upload.objects)
         if not self._authentic(upload, sender, digests=digests):
-            return [self._event(now, EventKind.BAD_AUTHENTICATOR, oi_digest)]
+            return [self._event(EventKind.BAD_AUTHENTICATOR, oi_digest)]
         if record.phase >= ProviderPhase.GRANTED:
-            return [self._event(now, EventKind.DUPLICATE, oi_digest)]
+            return [self._event(EventKind.DUPLICATE, oi_digest)]
         if record.phase != ProviderPhase.APPROVED:
-            return [self._event(now, EventKind.NOT_PENDING, oi_digest)]
+            return [self._event(EventKind.NOT_PENDING, oi_digest)]
         # store the objects and issue one single-use ticket per object
         record.phase = ProviderPhase.GRANTED
         tickets = tuple(Ticket(ticket_id=self._nonce(), object_digest=d) for d in digests)
@@ -629,7 +635,7 @@ class ServiceProvider(_ActorBase):
         payload = self.stored_objects.pop(request.ticket_id, b"")
         response = TicketRedeemResponse(ticket_id=request.ticket_id, payload=payload)
         answer = Send(sender, codec.encode(response))
-        return [answer] if payload else [self._event(now, EventKind.REDEMPTION_REFUSED), answer]
+        return [answer] if payload else [self._event(EventKind.REDEMPTION_REFUSED), answer]
 
     def _on_service_complete(
         self, sender: str, done: ServiceComplete, covered, now: int
@@ -637,14 +643,14 @@ class ServiceProvider(_ActorBase):
         oi_digest = done.oi_digest
         record = self.orders.get(oi_digest)
         if record is None or record.phase < ProviderPhase.GRANTED:
-            return [self._event(now, EventKind.NOT_PENDING, oi_digest)]
+            return [self._event(EventKind.NOT_PENDING, oi_digest)]
         if record.requester != sender or not self._authentic(done, sender, covered):
-            return [self._event(now, EventKind.BAD_AUTHENTICATOR, oi_digest)]
+            return [self._event(EventKind.BAD_AUTHENTICATOR, oi_digest)]
         if record.phase >= ProviderPhase.CAPTURING:
-            return [self._event(now, EventKind.DUPLICATE, oi_digest)]
+            return [self._event(EventKind.DUPLICATE, oi_digest)]
         # name the order's token to the trust manager; a settled capture books the charge
         tm = self.config.trust_manager_id
-        request = self._maced_to(tm, CaptureRequest, now, oi_digest=oi_digest)
+        request = self._maced_to(tm, CaptureRequest, oi_digest=oi_digest)
         if type(request) is Send:
             record.phase = ProviderPhase.CAPTURING
         return [request]
@@ -656,13 +662,13 @@ class ServiceProvider(_ActorBase):
         record = self.orders.get(response.oi_digest)
         tm = self.config.trust_manager_id
         awaited = record is not None and record.phase == ProviderPhase.CAPTURING and sender == tm
-        if ignored := self._unanswered(response, awaited, sender, covered, now):
+        if ignored := self._unanswered(response, awaited, sender, covered):
             return ignored
         if response.settled:
             record.phase = ProviderPhase.CAPTURED
             return []
         record.phase = ProviderPhase.GRANTED
-        return [self._event(now, EventKind.CAPTURE_DENIED, response.oi_digest, response.reason)]
+        return [self._event(EventKind.CAPTURE_DENIED, response.oi_digest, response.reason)]
 
     _HANDLERS = {
         PriceRequest: _on_price_request,
@@ -714,8 +720,8 @@ class TrustManager(_ActorBase):
     # oi_digest -> the hold_nonce of the order's one hold
     order_holds: dict[Digest, bytes]
 
-    def _deny(self, provider: str, oi_digest: Digest, reason, now: int) -> Effects:
-        event = self._event(now, EventKind.AUTHORIZATION_REFUSED, oi_digest, reason)
+    def _deny(self, provider: str, oi_digest: Digest, reason) -> Effects:
+        event = self._event(EventKind.AUTHORIZATION_REFUSED, oi_digest, reason)
         outcome = AuthOutcome(oi_digest=oi_digest, token=None, reason=reason)
         return [event, Send(provider, codec.encode(outcome))]
 
@@ -733,13 +739,13 @@ class TrustManager(_ActorBase):
         oi_digest = msg.dual.oi_digest
 
         def deny(reason: DenialReason) -> Effects:
-            return self._deny(sender, oi_digest, reason, now)
+            return self._deny(sender, oi_digest, reason)
 
         if not self._authentic(msg, sender, covered):
             return deny(DenialReason.BAD_SIGNATURE)
         held = self.holds.get(self.order_holds.get(oi_digest))
         if held is not None and held.phase == HoldPhase.HOLDING:
-            return [self._event(now, EventKind.DUPLICATE, oi_digest)]
+            return [self._event(EventKind.DUPLICATE, oi_digest)]
         try:
             payment_bytes = open_envelope(self.identity, msg.payment_envelope)
             payment = codec.decode(payment_bytes, PaymentInfo)
@@ -760,7 +766,7 @@ class TrustManager(_ActorBase):
 
         account_digest = hash_bytes(payment.account_ref.encode("utf-8"))
         hold_nonce = self._nonce()
-        request = self._maced_to(payment.account_provider_id, HoldRequest, now,
+        request = self._maced_to(payment.account_provider_id, HoldRequest,
                                  hold_nonce=hold_nonce, account_ref_digest=account_digest,
                                  amount=msg.charge_amount)
         if type(request) is not Send:  # the account provider is unreachable
@@ -775,11 +781,11 @@ class TrustManager(_ActorBase):
         hold = self.holds.get(response.hold_nonce)
         awaited = hold is not None and hold.account_provider == sender \
             and hold.phase == HoldPhase.HOLDING
-        if ignored := self._unanswered(response, awaited, sender, covered, now):
+        if ignored := self._unanswered(response, awaited, sender, covered):
             return ignored
         if not response.ok:
             del self.holds[response.hold_nonce], self.order_holds[hold.oi_digest]
-            return self._deny(hold.provider, hold.oi_digest, response.reason, now)
+            return self._deny(hold.provider, hold.oi_digest, response.reason)
         token, _ = build_signed(
             CaptureToken,
             self.identity,
@@ -798,7 +804,7 @@ class TrustManager(_ActorBase):
         names, exactly once; a repeat while it is asked for is not answered."""
 
         def refuse(reason: DenialReason) -> Effects:
-            return self._reply(sender, CaptureResponse, now, EventKind.CAPTURE_REFUSED, reason,
+            return self._reply(sender, CaptureResponse, EventKind.CAPTURE_REFUSED, reason,
                                oi_digest=request.oi_digest)
 
         if not self._authentic(request, sender, covered):
@@ -809,10 +815,10 @@ class TrustManager(_ActorBase):
         if hold is None or hold.provider != sender or hold.phase == HoldPhase.HOLDING:
             return refuse(DenialReason.BAD_SIGNATURE)
         if hold.phase == HoldPhase.SETTLING:
-            return [self._event(now, EventKind.DUPLICATE, request.oi_digest)]
+            return [self._event(EventKind.DUPLICATE, request.oi_digest)]
         if hold.phase == HoldPhase.SPENT:
             return refuse(DenialReason.REPLAY)
-        settle = self._maced_to(hold.account_provider, SettleRequest, now, hold_nonce=hold_nonce)
+        settle = self._maced_to(hold.account_provider, SettleRequest, hold_nonce=hold_nonce)
         if type(settle) is not Send:  # the account provider is unreachable
             return [settle, *refuse(DenialReason.UNKNOWN_ACCOUNT)]
         hold.phase = HoldPhase.SETTLING
@@ -825,13 +831,13 @@ class TrustManager(_ActorBase):
         hold = self.holds.get(response.hold_nonce)
         awaited = hold is not None and hold.account_provider == sender \
             and hold.phase == HoldPhase.SETTLING
-        if ignored := self._unanswered(response, awaited, sender, covered, now):
+        if ignored := self._unanswered(response, awaited, sender, covered):
             return ignored
         reason = response.reason
         if response.ok and response.amount != hold.charge:  # settled another amount
             reason = DenialReason.BAD_SIGNATURE
         hold.phase = HoldPhase.SPENT if reason is None else HoldPhase.MINTED
-        return self._reply(hold.provider, CaptureResponse, now, EventKind.CAPTURE_REFUSED, reason,
+        return self._reply(hold.provider, CaptureResponse, EventKind.CAPTURE_REFUSED, reason,
                            oi_digest=hold.oi_digest)
 
     _HANDLERS = {
@@ -872,7 +878,7 @@ class AccountProvider(_ActorBase):
                 reason = DenialReason.INSUFFICIENT_CREDIT
             except LedgerError:
                 reason = DenialReason.UNKNOWN_ACCOUNT
-        return self._reply(sender, HoldResponse, now, EventKind.HOLD_REFUSED, reason,
+        return self._reply(sender, HoldResponse, EventKind.HOLD_REFUSED, reason,
                            hold_nonce=msg.hold_nonce)
 
     def _on_settle_request(self, sender: str, msg: SettleRequest, covered, now: int) -> Effects:
@@ -887,7 +893,7 @@ class AccountProvider(_ActorBase):
                 reason = DenialReason.REPLAY
             except LedgerError:
                 reason = DenialReason.UNKNOWN_ACCOUNT
-        return self._reply(sender, SettleResponse, now, EventKind.SETTLE_REFUSED, reason,
+        return self._reply(sender, SettleResponse, EventKind.SETTLE_REFUSED, reason,
                            hold_nonce=msg.hold_nonce, amount=amount)
 
     _HANDLERS = {

@@ -195,7 +195,7 @@ def cmd_demo_storage(args, env: dict) -> int:
     print(f"limit {config.authorized_limit}, account credit {config.credit_limit}")
     print()
     print("wire transcript:")
-    for index, (record, events) in enumerate(report.transcript.steps()):
+    for index, (record, events) in enumerate(report.transcript.steps):
         print(_record_line(index, record))
         for event in events:  # indented under the record whose delivery drew it
             print(f"{'':20s}{event}")

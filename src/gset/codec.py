@@ -20,8 +20,8 @@ The wire layout is fixed and self-delimiting:
 
 Decoding accepts exactly the image of encoding.  Trailing bytes, truncated
 input, unknown type tags, out-of-range values, entries out of order or
-repeated, and messages whose own invariants fail are all rejected, with the byte offset of the problem where
-one is known.
+repeated, and messages whose own invariants fail are all rejected, with the
+byte offset of the problem where one is known.
 
 ``register_message`` compiles each field's type, once, into an encoder and
 a decoder closure, so no call dispatches on a field's kind.  An encoder
@@ -294,43 +294,35 @@ def _collection_codec(
     """A mapping (with ``value``) or a set (without), decoding as ``build``."""
     encode_key, decode_key = key
     encode_value, decode_value = value or (None, None)
-    accepts = dict if value else (set, frozenset)
 
     def encode_collection(collection: Any, out: list, what: str) -> int:
-        if not isinstance(collection, accepts):
+        if not isinstance(collection, dict if value else (set, frozenset)):
             raise EncodeError(f"{what}: expected a {build.__name__}")
-        # Distinct key fields are never prefixes of one another, so entries
-        # sort by their key fields as by their whole bytes.
-        keys = []
+        entries = []
         for item in collection:
-            chunks: list = []
-            size = encode_key(item, chunks, what)
-            keys.append((b"".join(chunks), size, item))
-        keys.sort(key=lambda entry: entry[0])
+            entry: list = []
+            encode_key(item, entry, what)
+            if value:
+                encode_value(collection[item], entry, what)
+            entries.append(b"".join(entry))
+        entries.sort()
         slot = len(out)
-        out.append(b"")
-        out.append(_PACK_U32(len(keys)))
-        n = 4
-        for key_field, size, item in keys:
-            out.append(key_field)
-            n += size
-            if encode_value is not None:
-                n += encode_value(collection[item], out, what)
-        return _close(out, slot, n)
+        out += (b"", _PACK_U32(len(entries)), *entries)
+        return _close(out, slot, 4 + sum(map(len, entries)))
 
     def decode_collection(data: bytes, start: int, stop: int, what: str) -> Any:
         if start + 4 > stop:
             raise DecodeError(f"truncated input reading {what} count", start)
-        pos = start + 4
-        items, previous = [], b""
+        pos, items, previous = start + 4, [], b""
         for i in range(_U32.unpack_from(data, start)[0]):
             label = f"{what}[{i}]"
             at, end = _field(data, pos, stop, label)
+            # key fields are never prefixes of one another, so ascending
+            # key fields are ascending entries, with no key repeated
             if data[pos:end] <= previous:
                 raise DecodeError(f"{what}: entries out of order or repeated", pos)
-            previous, pos = data[pos:end], end
-            item = decode_key(data, at, end, label)
-            if decode_value is not None:
+            previous, pos, item = data[pos:end], end, decode_key(data, at, end, label)
+            if value:
                 at, pos = _field(data, pos, stop, label)
                 item = (item, decode_value(data, at, pos, label))
             items.append(item)
@@ -433,11 +425,9 @@ def _compile(tp: Any, owner: str) -> tuple[Encoder, Decoder]:
         if len(args) != 1 or len(typing.get_args(tp)) != 2:
             raise TypeError(f"{owner}: only Optional[...] unions are encodable")
         return _optional_codec(_compile(args[0], owner))
-    if origin is dict:
-        key, value = typing.get_args(tp)
-        return _collection_codec(_compile(key, owner), _compile(value, owner), dict)
-    if origin in (set, frozenset):
-        return _collection_codec(_compile(typing.get_args(tp)[0], owner), None, origin)
+    if origin in (dict, set, frozenset):  # dict[K, V], or set[K] with no value
+        key, *value = (_compile(arg, owner) for arg in typing.get_args(tp))
+        return _collection_codec(key, value[0] if value else None, origin)
     if origin in (tuple, list):
         args = typing.get_args(tp)
         if origin is tuple and (len(args) != 2 or args[1] is not Ellipsis):

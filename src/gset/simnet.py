@@ -2,9 +2,10 @@
 
 One FIFO queue, one delivery per tick.  Each ``Send`` an actor's ``deliver``
 returns, the server-to-server legs included, is queued and delivered later,
-and each ``Event`` is recorded after the record of its delivery.  So a
-transcript is a faithful, replayable record of every byte that moved and
-every refusal, in order, including the legs the adversary touched.
+and each ``Event`` is kept with the record of its delivery, which gives it
+its tick and its place.  So a transcript is a faithful, replayable record of
+every byte that moved and every refusal, in order, including the legs the
+adversary touched.
 
 The adversary operates strictly on encoded bytes.  It can observe, flip
 bits, duplicate, or swallow messages; it cannot forge signatures or MACs
@@ -223,28 +224,32 @@ class TranscriptMeta:
     initial: tuple[WireMessage, ...]
 
 
+Step = tuple[TranscriptRecord, tuple[Event, ...]]  # a record and the events its delivery drew
+
+
 @dataclass(frozen=True)
 class Transcript:
-    """Everything that moved on the wire during one run, in order, and the
-    events it drew; its bytes hold each record followed by its events."""
+    """Everything that moved on the wire during one run, in order, each
+    record with the events it drew; its bytes hold each record followed by
+    its events."""
 
     meta: TranscriptMeta
-    records: tuple[TranscriptRecord, ...]
-    events: tuple[Event, ...] = ()
+    steps: tuple[Step, ...]
+
+    @property
+    def records(self) -> tuple[TranscriptRecord, ...]:
+        return tuple(record for record, _ in self.steps)
+
+    @property
+    def events(self) -> tuple[Event, ...]:
+        return tuple(event for _, events in self.steps for event in events)
 
     def payloads(self) -> list[bytes]:
-        return [r.payload for r in self.records]
-
-    def steps(self) -> list[tuple[TranscriptRecord, tuple[Event, ...]]]:
-        """Each record with the events its delivery drew."""
-        drawn: dict[int, list[Event]] = {}
-        for event in self.events:
-            drawn.setdefault(event.tick, []).append(event)
-        return [(record, tuple(drawn.get(record.tick, ()))) for record in self.records]
+        return [record.payload for record, _ in self.steps]
 
     def to_bytes(self) -> bytes:
         chunks = [codec.encode(self.meta)]
-        for record, events in self.steps():
+        for record, events in self.steps:
             chunks += [codec.encode(record), *map(codec.encode, events)]
         return b"".join(chunks)
 
@@ -256,15 +261,15 @@ class Transcript:
         items = codec.decode_stream(raw)
         if not items or not isinstance(items[0], TranscriptMeta):
             raise SimnetError("not a transcript: missing leading metadata block")
-        records, events = [], []
+        steps: list[tuple[TranscriptRecord, list[Event]]] = []
         for item in items[1:]:
             if isinstance(item, TranscriptRecord):
-                records.append(item)
-            elif isinstance(item, Event) and records and item.tick == records[-1].tick:
-                events.append(item)
-            else:  # another type, or an event that does not follow the record of its tick
-                raise SimnetError(f"stray {type(item).__name__} after {len(records)} records")
-        return cls(meta=items[0], records=tuple(records), events=tuple(events))
+                steps.append((item, []))
+            elif isinstance(item, Event) and steps:  # drawn by the record before it
+                steps[-1][1].append(item)
+            else:  # another type, or an event before any record
+                raise SimnetError(f"stray {type(item).__name__} after {len(steps)} records")
+        return cls(items[0], tuple((record, tuple(events)) for record, events in steps))
 
     @classmethod
     def load(cls, path: str | Path) -> "Transcript":
@@ -297,8 +302,7 @@ def run_scenario(endpoints: Mapping[str, Actor], meta: TranscriptMeta) -> Transc
     adversary = Adversary.from_spec(meta.adversary_spec)
     rng = None if adversary is None else Random(f"{meta.seed}/{adversary._stream}")
     queue = deque((wire.from_id, wire.to_id, wire.payload) for wire in meta.initial)
-    records: list[TranscriptRecord] = []
-    events: list[Event] = []
+    steps: list[Step] = []
     tick = 0
     while queue and tick < meta.max_ticks:
         tick += 1
@@ -311,17 +315,17 @@ def run_scenario(endpoints: Mapping[str, Actor], meta: TranscriptMeta) -> Transc
         if delivered is None or actor is None:
             error = "" if delivered is None else f"no endpoint {to!r}"
             kept = payload if delivered is None else delivered
-            records.append(TranscriptRecord(tick, frm, to, kept, action, error))
+            steps.append((TranscriptRecord(tick, frm, to, kept, action, error), ()))
             continue
-        records.append(TranscriptRecord(tick, frm, to, delivered, action, ""))
+        record = TranscriptRecord(tick, frm, to, delivered, action, "")
         try:
             out = actor.deliver(frm, delivered, tick)
         except Exception as exc:  # actors should never raise; keep the run honest
-            records[-1] = replace(records[-1], error=f"{type(exc).__name__}: {exc}")
+            steps.append((replace(record, error=f"{type(exc).__name__}: {exc}"), ()))
             continue
-        events += [effect for effect in out if isinstance(effect, Event)]
+        steps.append((record, tuple(effect for effect in out if isinstance(effect, Event))))
         queue.extend((to, *effect) for effect in out if not isinstance(effect, Event))
-    return Transcript(meta=meta, records=tuple(records), events=tuple(events))
+    return Transcript(meta, tuple(steps))
 
 
 # --- replay-and-compare ------------------------------------------------------------
@@ -355,8 +359,8 @@ def replay_transcript(transcript: Transcript, endpoints: Mapping[str, Actor]) ->
     were; the adversary is rebuilt from the recorded spec.
     """
     fresh = run_scenario(endpoints, transcript.meta)
-    expected = transcript.steps()
-    actual = fresh.steps()
+    expected = transcript.steps
+    actual = fresh.steps
     index = next((i for i, pair in enumerate(zip(expected, actual)) if pair[0] != pair[1]), None)
     if index is not None:
         detail = (

@@ -1,8 +1,9 @@
 """Random well-formed message factories shared by the test modules.
 
-One factory per registered type, wire messages and recorded state alike.  Every factory takes a ``random.Random``
-and returns an instance that passes the type's own validation, so the codec
-tests can hammer encode/decode without tripping over semantic rules.
+One factory per registered type, wire messages and recorded state alike.
+Every factory takes a ``random.Random`` and returns an instance that passes
+the type's own validation, so the codec tests can hammer encode/decode
+without tripping over semantic rules.
 """
 from __future__ import annotations
 
@@ -254,12 +255,17 @@ def gen_transcript_meta(rng: Random) -> TranscriptMeta:
 def gen_event(rng: Random) -> Event:
     order = gen_digest(rng) if rng.random() < 0.5 else None
     reason = None if rng.random() < 0.5 else gen_denial_reason(rng)
-    return Event(u64(rng), label(rng), rng.choice(list(EventKind)), order, reason)
+    return Event(label(rng), rng.choice(list(EventKind)), order, reason)
 
 
 def some(rng: Random, gen) -> list:
     """Zero to two values of ``gen``: a small collection."""
     return [gen(rng) for _ in range(rng.randint(0, 2))]
+
+
+def some_map(rng: Random, key, value) -> dict:
+    """Zero to two entries, keys of ``key`` to values of ``value``."""
+    return {key(rng): value(rng) for _ in range(rng.randint(0, 2))}
 
 
 def gen_issued_quote(rng: Random) -> IssuedQuote:
@@ -280,15 +286,16 @@ def gen_provider_order(rng: Random) -> ProviderOrder:
 
 
 def gen_hold_record(rng: Random) -> HoldRecord:
-    return HoldRecord(label(rng), label(rng), u64(rng), gen_digest(rng), rng.choice(list(HoldPhase)))
+    phase = rng.choice(list(HoldPhase))
+    return HoldRecord(label(rng), label(rng), u64(rng), gen_digest(rng), phase)
 
 
 def gen_account(rng: Random) -> Account:
-    return Account(u64(rng), u64(rng), {nonce(rng): u64(rng) for _ in range(rng.randint(0, 2))})
+    return Account(u64(rng), u64(rng), some_map(rng, nonce, u64))
 
 
 def gen_ledger(rng: Random) -> Ledger:
-    accounts = {gen_digest(rng).bytes: gen_account(rng) for _ in range(rng.randint(0, 2))}
+    accounts = some_map(rng, lambda rng: gen_digest(rng).bytes, gen_account)
     owners = {ref: key for key, account in accounts.items() for ref in account.holds}
     return Ledger(accounts, owners, set(owners) | set(some(rng, nonce)), set(some(rng, nonce)),
                   set(some(rng, nonce)))
@@ -296,25 +303,25 @@ def gen_ledger(rng: Random) -> Ledger:
 
 def gen_requester_state(rng: Random):
     return ServiceRequester._State(
-        {nonce(rng): gen_usage(rng) for _ in range(rng.randint(0, 2))},
-        {gen_digest(rng): gen_requester_order(rng) for _ in range(rng.randint(0, 2))},
-        {nonce(rng): gen_digest(rng) for _ in range(rng.randint(0, 2))},
+        some_map(rng, nonce, gen_usage),
+        some_map(rng, gen_digest, gen_requester_order),
+        some_map(rng, nonce, gen_digest),
     )
 
 
 def gen_provider_state(rng: Random):
     return ServiceProvider._State(
-        {nonce(rng): gen_issued_quote(rng) for _ in range(rng.randint(0, 2))},
-        {gen_digest(rng): gen_provider_order(rng) for _ in range(rng.randint(0, 2))},
-        {nonce(rng): blob(rng) for _ in range(rng.randint(0, 2))},
+        some_map(rng, nonce, gen_issued_quote),
+        some_map(rng, gen_digest, gen_provider_order),
+        some_map(rng, nonce, blob),
     )
 
 
 def gen_trust_manager_state(rng: Random):
     return TrustManager._State(
         set(some(rng, nonce)),
-        {nonce(rng): gen_hold_record(rng) for _ in range(rng.randint(0, 2))},
-        {gen_digest(rng): nonce(rng) for _ in range(rng.randint(0, 2))},
+        some_map(rng, nonce, gen_hold_record),
+        some_map(rng, gen_digest, nonce),
     )
 
 

@@ -270,7 +270,7 @@ TO_PROVIDER = {
         "TM", codec.encode(AuthOutcome(oi_digest, None, DenialReason.REPLAY))
     ),
     "CaptureResponse": lambda actors, oi_digest: ("TM", actors.tm._maced_to(
-        "SP", CaptureResponse, 0, oi_digest=oi_digest, reason=DenialReason.REPLAY
+        "SP", CaptureResponse, oi_digest=oi_digest, reason=DenialReason.REPLAY
     ).raw),
 }
 
@@ -283,10 +283,10 @@ TO_TRUST_MANAGER = {
     ),
     "CaptureRequest": lambda actors, nonce, records: ("SP", recorded(records, "CaptureRequest")[0]),
     "HoldResponse": lambda actors, nonce, records: ("AP", actors.ap._maced_to(
-        "TM", HoldResponse, 0, hold_nonce=nonce, reason=DenialReason.REPLAY
+        "TM", HoldResponse, hold_nonce=nonce, reason=DenialReason.REPLAY
     ).raw),
     "SettleResponse": lambda actors, nonce, records: ("AP", actors.ap._maced_to(
-        "TM", SettleResponse, 0, hold_nonce=nonce, amount=0, reason=DenialReason.REPLAY
+        "TM", SettleResponse, hold_nonce=nonce, amount=0, reason=DenialReason.REPLAY
     ).raw),
 }
 
@@ -336,16 +336,18 @@ def test_a_message_its_order_phase_refuses_changes_nothing(tag, phase, refusal):
         sender, raw = TO_PROVIDER[tag](actors, key)
     assert record.phase == phase
     books, before = actors.ap.state_bytes(), len(actors.events)
+    state = receiver.state_bytes()
     records = actors.run(sender, receiver.subject_id, raw)
     mine = [e for e in actors.events[before:] if e.actor == receiver.subject_id]
     assert drawn(mine) == [(receiver.subject_id, *refusal)]
     assert record.phase == phase
+    assert receiver.state_bytes() == state
     assert actors.ap.state_bytes() == books
     answers = [(r.to_id, r.payload) for r in records[1:]]
     if (tag, phase) == ("CaptureRequest", HoldPhase.SPENT):
         # the one refusal that is an answer: a spent token's capture
         assert answers == [actors.tm._maced_to(
-            "SP", CaptureResponse, 0, oi_digest=record.oi_digest, reason=DenialReason.REPLAY
+            "SP", CaptureResponse, oi_digest=record.oi_digest, reason=DenialReason.REPLAY
         )]
     else:
         assert answers == []
@@ -401,13 +403,13 @@ def test_a_quote_answers_its_request_by_nonce():
     assert codec.decode(second, PriceRequest).nonce not in actors.sr.pending_requests
     assert codec.decode(first, PriceRequest).nonce in actors.sr.pending_requests
     # the same quote again names no pending request
-    assert actors.sr.deliver("SP", quote, 2) == [Event(2, "SR", EventKind.NOT_PENDING, None, None)]
+    assert actors.sr.deliver("SP", quote, 2) == [Event("SR", EventKind.NOT_PENDING, None, None)]
 
 
 def test_a_quote_denial_ends_its_request():
     actors = build_actors()
     request = price_request(actors, UsageDescriptor("unpriced-service", "noop", 1, "each"))
-    [(_, denial)] = actors.sp.deliver("SR", request, 0)
+    [_refused, (_, denial)] = actors.sp.deliver("SR", request, 0)
     assert codec.decode(request, PriceRequest).nonce in actors.sr.pending_requests
     assert drawn(actors.sr.deliver("SP", denial, 1)) == [("SR", EventKind.QUOTE_DENIED, None)]
     assert codec.decode(request, PriceRequest).nonce not in actors.sr.pending_requests
@@ -418,16 +420,24 @@ def test_a_quote_from_another_party_than_the_provider_is_ignored():
     quote = quote_for(actors, 5)
     pending = dict(actors.sr.pending_requests)
     assert actors.sr.deliver("TM", quote, 1) == [
-        Event(1, "SR", EventKind.UNEXPECTED_SENDER, None, None)
+        Event("SR", EventKind.UNEXPECTED_SENDER, None, None)
     ]
     assert actors.sr.pending_requests == pending
     assert actors.sr.orders == {}
 
 
+def _quote_refused(event) -> None:
+    # the provider records its own refusal of a quote: no order, no reason code
+    assert (event.actor, event.kind, event.order, event.reason) == (
+        "SP", EventKind.QUOTE_REFUSED, None, None
+    )
+
+
 def test_unknown_service_id_gets_a_denial():
     actors = build_actors()
     request = price_request(actors, UsageDescriptor("unpriced-service", "noop", 1, "each"))
-    [(dest, raw)] = actors.sp.deliver("SR", request, 0)
+    [event, (dest, raw)] = actors.sp.deliver("SR", request, 0)
+    _quote_refused(event)
     reply = codec.decode(raw, QuoteDenial)
     assert dest == "SR"
     assert reply.request_nonce == codec.decode(request, PriceRequest).nonce
@@ -436,7 +446,8 @@ def test_unknown_service_id_gets_a_denial():
 def test_price_beyond_u64_gets_a_denial_not_an_encode_error():
     actors = build_actors(rate=10)
     request = price_request(actors, usage_mb(actors, 2**64 - 1))
-    [(dest, raw)] = actors.sp.deliver("SR", request, 0)
+    [event, (dest, raw)] = actors.sp.deliver("SR", request, 0)
+    _quote_refused(event)
     reply = codec.decode(raw, QuoteDenial)
     assert dest == "SR"
     assert reply.request_nonce == codec.decode(request, PriceRequest).nonce
@@ -474,7 +485,7 @@ def test_envelope_bytes_hide_the_account_ref():
 
 def _refused_quote(actors, quote: bytes, now: int, kind: EventKind) -> None:
     # the requester sends nothing and keeps no order for a quote it refuses
-    assert actors.sr.deliver("SP", quote, now) == [Event(now, "SR", kind, None, None)]
+    assert actors.sr.deliver("SP", quote, now) == [Event("SR", kind, None, None)]
     assert actors.sr.orders == {}
 
 
@@ -535,7 +546,7 @@ def _refused_authorization(actors, auth: AuthorizationRequest, now: int, reason)
     assert dest == "SR"
     assert decision.oi_digest == auth.dual.oi_digest
     assert not decision.approved
-    assert event == Event(now, "SP", EventKind.AUTHORIZATION_REFUSED, auth.dual.oi_digest, reason)
+    assert event == Event("SP", EventKind.AUTHORIZATION_REFUSED, auth.dual.oi_digest, reason)
 
 
 def test_tampered_order_info_denied_as_bad_signature():
@@ -879,7 +890,7 @@ def test_provider_refuses_an_upload_its_signature_does_not_bind(forgery):
     public = actors.sr.identity.public_key
     assert not verify_signed(forged, public, object_digests(forged.objects))
     assert actors.sp.deliver("SR", codec.encode(forged), 1) == [
-        Event(1, "SP", EventKind.BAD_AUTHENTICATOR, forged.oi_digest, None)
+        Event("SP", EventKind.BAD_AUTHENTICATOR, forged.oi_digest, None)
     ]
     assert actors.sp.stored_objects == {}
     # the refusal was the signature's: the honest upload is then granted
@@ -991,7 +1002,7 @@ def test_redeemed_object_failing_its_ticket_digest_is_ignored():
     ignored = actors.sr.deliver("SP", codec.encode(wrong), 4)
     # ignored, not counted: the ticket is still outstanding
     [(oi_digest, order)] = actors.sr.orders.items()
-    assert ignored == [Event(4, "SR", EventKind.OBJECT_MISMATCH, oi_digest, None)]
+    assert ignored == [Event("SR", EventKind.OBJECT_MISMATCH, oi_digest, None)]
     assert order.awaits(genuine.ticket_id)
     assert order.retrieved == {}
     assert order.refusals == set()
@@ -1151,9 +1162,9 @@ def _account_provider_naming(actors, other: bytes) -> None:
 
     def deliver(sender, raw, now):
         if isinstance(codec.decode(raw), HoldRequest):
-            return [actors.ap._maced_to(sender, HoldResponse, now, hold_nonce=other, reason=None)]
+            return [actors.ap._maced_to(sender, HoldResponse, hold_nonce=other, reason=None)]
         return [actors.ap._maced_to(
-            sender, SettleResponse, now, hold_nonce=other, amount=50, reason=None
+            sender, SettleResponse, hold_nonce=other, amount=50, reason=None
         )]
 
     actors.registry["AP"] = SimpleNamespace(subject_id="AP", deliver=deliver)
@@ -1213,13 +1224,13 @@ def test_a_capture_for_an_order_never_held_is_refused():
     actors = build_actors()
     _, outcome = approved_outcome(actors, quantity=5)
     unheld = hash_bytes(b"an order the trust manager never held")
-    _, raw = actors.sp._maced_to("TM", CaptureRequest, 0, oi_digest=unheld)
+    _, raw = actors.sp._maced_to("TM", CaptureRequest, oi_digest=unheld)
     [answer] = actors.run("SP", "TM", raw)[1:]
     response = codec.decode(answer.payload, CaptureResponse)
     assert answer.to_id == "SP"
     assert response.reason == DenialReason.BAD_SIGNATURE
     assert events_of(actors, "TM")[-1] == Event(
-        1, "TM", EventKind.CAPTURE_REFUSED, unheld, DenialReason.BAD_SIGNATURE
+        "TM", EventKind.CAPTURE_REFUSED, unheld, DenialReason.BAD_SIGNATURE
     )
     assert [hold.phase for hold in actors.tm.holds.values()] == [HoldPhase.MINTED]
     assert actors.ap.ledger.settle_count == 0
@@ -1230,7 +1241,7 @@ def test_a_capture_before_the_token_is_minted_is_refused():
     actors = build_actors()
     TO_HOLD_PHASE[HoldPhase.HOLDING](actors)
     [hold] = actors.tm.holds.values()
-    _, raw = actors.sp._maced_to("TM", CaptureRequest, 0, oi_digest=hold.oi_digest)
+    _, raw = actors.sp._maced_to("TM", CaptureRequest, oi_digest=hold.oi_digest)
     [answer] = actors.run("SP", "TM", raw)[1:]
     assert codec.decode(answer.payload, CaptureResponse).reason == DenialReason.BAD_SIGNATURE
     assert drawn(events_of(actors, "TM")[-1:]) == [
@@ -1268,6 +1279,21 @@ def test_the_account_provider_never_learns_the_order():
         assert name not in state
 
 
+def test_the_account_provider_records_each_hold_name_it_used():
+    # its recorded state is the whole ledger, the names it used up included
+    actors = build_actors(credit=20)  # a charge of 50 is over the credit
+    records = actors.run("SP", "TM", relay_of(actors))
+    refused = codec.decode(recorded(records, "HoldRequest")[0], HoldRequest).hold_nonce
+    assert events_of(actors, "AP")[-1].reason == DenialReason.INSUFFICIENT_CREDIT
+    assert refused in actors.ap.state_bytes()
+
+    report = run_storage_scenario(ScenarioConfig())
+    assert report.complete_success()
+    payloads = report.transcript.payloads()
+    settled = _first(payloads, HoldRequest).hold_nonce
+    assert settled in report.scenario.account_provider.state_bytes()
+
+
 def test_a_capture_names_the_token_of_the_outcome():
     payloads = run_storage_scenario(ScenarioConfig()).transcript.payloads()
     token = _first(payloads, AuthOutcome).token
@@ -1281,25 +1307,25 @@ def test_a_capture_names_the_token_of_the_outcome():
 def test_garbage_bytes_are_dropped_with_an_event():
     actors = build_actors()
     assert actors.sp.deliver("SR", b"\x00\x01\x02", 0) == [
-        Event(0, "SP", EventKind.UNDECODABLE, None, None)
+        Event("SP", EventKind.UNDECODABLE, None, None)
     ]
 
 
 def _stray_capture_response(actors):
     return actors.tm._maced_to(
-        "SP", CaptureResponse, 0, oi_digest=Digest(bytes(32)), reason=None
+        "SP", CaptureResponse, oi_digest=Digest(bytes(32)), reason=None
     ).raw
 
 
 def _stray_hold_response(actors):
     return actors.ap._maced_to(
-        "TM", HoldResponse, 0, hold_nonce=bytes(16), reason=None
+        "TM", HoldResponse, hold_nonce=bytes(16), reason=None
     ).raw
 
 
 def _stray_settle_response(actors):
     return actors.ap._maced_to(
-        "TM", SettleResponse, 0, hold_nonce=bytes(16), amount=50, reason=None
+        "TM", SettleResponse, hold_nonce=bytes(16), amount=50, reason=None
     ).raw
 
 
@@ -1440,7 +1466,7 @@ def test_an_actor_without_a_peer_key_sends_that_peer_nothing():
     _, outcome = approved_outcome(actors, quantity=5)
     del actors.tm.directory["SP"]
     actors.tm.pair_keys.clear()
-    _, raw = actors.sp._maced_to("TM", CaptureRequest, 0, oi_digest=outcome.oi_digest)
+    _, raw = actors.sp._maced_to("TM", CaptureRequest, oi_digest=outcome.oi_digest)
     assert actors.run("SP", "TM", raw)[1:] == ()
     # the request's MAC cannot be checked either, and the refusal goes unsent
     assert drawn(actors.events[-2:]) == [

@@ -351,7 +351,13 @@ def test_complete_success_requires_every_book_to_balance():
 # last column is the transcript's events, not each actor's notes.  Compared
 # with the parent run by run, every other field is as before, and each run's
 # events map one to one, in order, onto its notes.
-RUN_REPORTS_SHA256 = "562ba38fc7a25e71919b26119b33a418f7eff3471be6da13a896434d5dc0d259"
+# Unchanged when each actor's recorded state became one codec message.
+# Re-taken when events lost their tick, which is their record's, and the
+# provider came to record its quote refusals: compared run by run, every
+# other field is as before, each earlier event is the new one at the tick of
+# the record that drew it, and the one event added is the provider's
+# QUOTE_REFUSED in tamper:PriceRequest#0.
+RUN_REPORTS_SHA256 = "5f134dbdccc0bbe4349f3470d14dfa5f2db222fe269a4b38d061192cdaaae222"
 
 
 def _pinned_runs():
@@ -400,7 +406,38 @@ def test_every_pinned_run_audits_as_before():
         assert named == Adversary.from_spec(config.adversary_spec), attack
         replay = replay_transcript(saved, build_scenario(config).endpoints)
         assert replay.matches, (attack, replay.detail)
+        # each actor's recorded state reads back field by field
+        for actor in report.scenario.endpoints.values():
+            state = actor.state_bytes()
+            assert codec.encode(codec.decode(state, actor._State)) == state, attack
     assert digest.hexdigest() == RUN_REPORTS_SHA256
+
+
+# --- false positives of the limit marker -------------------------------------------
+
+# The payment marker of the limit is its 8 big-endian bytes, so equal bytes
+# the provider receives or records read as a leak: the price 30 (in the
+# token it receives and in its quote and order), the framing of a capture
+# response's absent reason before its 32-byte MAC (32), and the quote's
+# expiry, tick 1 + quote_ttl 100.  These are every hit of the sweep below,
+# and the list may only shrink.
+LIMIT_MARKER_READINGS = {
+    (30, "none"): {"wire->SP record 6", "provider-state"},
+    (30, "drop:HoldResponse:1"): {"provider-state"},
+    (32, "none"): {"wire->SP record 20"},
+    (101, "none"): {"provider-state"},
+    (101, "drop:HoldResponse:1"): {"provider-state"},
+}
+
+
+def test_the_limit_marker_reads_as_a_leak_only_where_listed():
+    for limit in range(30, 301):
+        for spec in ("none", "drop:HoldResponse:1"):
+            report = run_storage_scenario(
+                ScenarioConfig(authorized_limit=limit, adversary_spec=spec)
+            )
+            hits = {hit.location for hit in report.privacy.hits}
+            assert hits <= LIMIT_MARKER_READINGS.get((limit, spec), set()), (limit, spec, hits)
 
 
 # --- attack sweeps (small scale; the acceptance gate runs them full-size) ---------

@@ -184,7 +184,8 @@ TAMPERED_AUTHORIZATION = "tamper:AuthorizationRequest:bit=tail/100:1"
 
 def test_each_event_follows_the_record_that_drew_it():
     transcript = run_once(TAMPERED_AUTHORIZATION).transcript
-    assert [(e.tick, e.actor, e.kind) for e in transcript.events] == [
+    drawn = [(record.tick, e.actor, e.kind) for record, events in transcript.steps for e in events]
+    assert drawn == [
         (3, "SP", EventKind.AUTHORIZATION_REFUSED), (4, "SR", EventKind.AUTHORIZATION_DENIED)
     ]
     raw = transcript.to_bytes()
@@ -198,23 +199,21 @@ def _stream(*entries) -> bytes:
     return b"".join(codec.encode(entry) for entry in entries)
 
 
-def test_an_event_naming_a_tick_with_no_record_is_refused():
-    transcript = run_once(TAMPERED_AUTHORIZATION).transcript
-    stray = dataclasses.replace(transcript.events[-1], tick=99)
-    with pytest.raises(SimnetError, match="stray Event"):
-        Transcript.from_bytes(_stream(transcript.meta, *transcript.records, stray))
-
-
-def test_an_event_out_of_order_is_refused():
+def test_an_event_before_any_record_is_refused():
     transcript = run_once(TAMPERED_AUTHORIZATION).transcript
     meta, records, (first, second) = transcript.meta, transcript.records, transcript.events
-    for entries in (
-        (*records, first, second),  # the provider's event after the next record
-        (first, *records, second),  # an event before any record
-        (*records[:3], second, first, records[3]),  # an event ahead of its record
-    ):
-        with pytest.raises(SimnetError, match="stray Event"):
-            Transcript.from_bytes(_stream(meta, *entries))
+    with pytest.raises(SimnetError, match="stray Event after 0 records"):
+        Transcript.from_bytes(_stream(meta, first, *records, second))
+
+
+def test_an_event_belongs_to_the_record_before_it():
+    # an event carries no tick: its place in the bytes is its record
+    transcript = run_once(TAMPERED_AUTHORIZATION).transcript
+    meta, records, (first, second) = transcript.meta, transcript.records, transcript.events
+    moved = Transcript.from_bytes(_stream(meta, *records, first, second))
+    assert moved.records == records and moved.events == (first, second)
+    assert moved.steps[2] == (records[2], ()) and moved.steps[-1] == (records[-1], (first, second))
+    assert moved != transcript
 
 
 def test_transcript_bytes_must_start_with_meta():
@@ -452,9 +451,9 @@ def test_edited_record_is_caught_at_or_next_to_the_edit():
         doctored = dataclasses.replace(
             record, payload=record.payload[:-1] + bytes([record.payload[-1] ^ 1])
         )
-        records = list(transcript.records)
-        records[k] = doctored
-        edited = Transcript(meta=transcript.meta, records=tuple(records))
+        steps = list(transcript.steps)
+        steps[k] = (doctored, steps[k][1])
+        edited = Transcript(transcript.meta, tuple(steps))
         report = replay_transcript(edited, fresh())
         assert not report.matches
         assert report.first_divergence is not None
@@ -465,11 +464,13 @@ def test_edited_record_is_caught_at_or_next_to_the_edit():
 def test_replay_reports_a_decision_that_differs_at_the_record_that_drew_it():
     # the wire is the same; only the provider's recorded decision differs
     transcript = run_once(TAMPERED_AUTHORIZATION).transcript
-    first, rest = transcript.events[0], transcript.events[1:]
+    record, (first,) = transcript.steps[2]
     other = dataclasses.replace(first, reason=DenialReason.EXPIRED_QUOTE)
     tampered = "t3 SR->SP AuthorizationRequest [tampered]"
-    for events, recorded in (((other, *rest), f"{tampered}; {other}"), (rest, tampered)):
-        report = replay_transcript(dataclasses.replace(transcript, events=events), fresh())
+    for events, recorded in (((other,), f"{tampered}; {other}"), ((), tampered)):
+        steps = list(transcript.steps)
+        steps[2] = (record, events)
+        report = replay_transcript(Transcript(transcript.meta, tuple(steps)), fresh())
         assert not report.matches
         assert report.first_divergence == 2  # the delivery at tick 3
         assert report.detail == f"record 2 differs: expected {recorded}, got {tampered}; {first}"
@@ -478,7 +479,7 @@ def test_replay_reports_a_decision_that_differs_at_the_record_that_drew_it():
 
 def test_truncated_transcript_reports_count_mismatch():
     transcript = run_once().transcript
-    edited = Transcript(meta=transcript.meta, records=transcript.records[:-1])
+    edited = Transcript(transcript.meta, transcript.steps[:-1])
     report = replay_transcript(edited, fresh())
     assert not report.matches
     assert report.expected_records == len(transcript.records) - 1
@@ -487,7 +488,7 @@ def test_truncated_transcript_reports_count_mismatch():
 
 def test_empty_transcript_replays_to_an_empty_report():
     meta = TranscriptMeta(seed=CONFIG.seed, max_ticks=10, adversary_spec="none", initial=())
-    empty = Transcript(meta=meta, records=())
+    empty = Transcript(meta, ())
     report = replay_transcript(empty, fresh())
     assert report.matches
     assert report.expected_records == 0
@@ -544,7 +545,7 @@ def test_scanner_catches_a_deliberate_payment_leak_to_the_provider():
         ),
     )
     meta = TranscriptMeta(seed=1, max_ticks=5, adversary_spec="none", initial=())
-    transcript = Transcript(meta=meta, records=records)
+    transcript = Transcript(meta, tuple((record, ()) for record in records))
     report = assert_privacy(transcript, b"", b"", scenario.markers)
     assert not report.clean
     assert report.hits[0].marker == leak
@@ -559,13 +560,13 @@ def test_scanner_reaches_the_events_of_the_provider_and_the_trust_manager():
 
     def event(actor: str, marker: bytes) -> Event:
         order = Digest(marker.ljust(32, b"\x00"))
-        return Event(1, actor, EventKind.NOT_PENDING, order, None)
+        return Event(actor, EventKind.NOT_PENDING, order, None)
 
     meta = TranscriptMeta(seed=1, max_ticks=5, adversary_spec="none", initial=())
     record = TranscriptRecord(1, "SR", "XX", b"\x00\x00\x00\x01x", "", "")
     # the requester may hold either marker; the provider and the trust manager may not
     events = (event("SR", payment), event("SP", payment), event("TM", usage), event("SR", usage))
-    transcript = Transcript(meta=meta, records=(record,), events=events)
+    transcript = Transcript(meta, ((record, events),))
     report = assert_privacy(transcript, b"", b"", scenario.markers)
     assert [(hit.location, hit.marker) for hit in report.hits] == [
         ("SP event 1", payment), ("TM event 2", usage)
@@ -573,10 +574,21 @@ def test_scanner_reaches_the_events_of_the_provider_and_the_trust_manager():
     assert report.locations_checked == 2 + 2
 
 
+def test_an_event_drawn_at_the_tick_of_the_limit_is_no_leak():
+    # an event carries no tick, so a refusal at tick == authorized_limit
+    # does not read as the limit marker
+    scenario = build_scenario(CONFIG)
+    meta = TranscriptMeta(seed=1, max_ticks=100, adversary_spec="none", initial=())
+    record = TranscriptRecord(CONFIG.authorized_limit, "SR", "XX", b"\x00\x00\x00\x01x", "", "")
+    events = (Event("SP", EventKind.DUPLICATE, None, None),)
+    report = assert_privacy(Transcript(meta, ((record, events),)), b"", b"", scenario.markers)
+    assert report.clean
+
+
 def test_scanner_catches_usage_markers_in_trust_manager_state():
     scenario = build_scenario(CONFIG)
     meta = TranscriptMeta(seed=1, max_ticks=5, adversary_spec="none", initial=())
-    transcript = Transcript(meta=meta, records=())
+    transcript = Transcript(meta, ())
     leaky_state = b"..." + scenario.config.service_id.encode() + b"..."
     report = assert_privacy(transcript, b"", leaky_state, scenario.markers)
     assert not report.clean
@@ -646,7 +658,7 @@ def test_scanner_checks_eavesdropper_captures():
     meta = TranscriptMeta(seed=1, max_ticks=5, adversary_spec="eavesdrop:0", initial=())
     leak = scenario.account_ref.encode()
     observed = TranscriptRecord(1, "SR", "XX", leak, "observed", "")
-    transcript = Transcript(meta=meta, records=(observed,))
+    transcript = Transcript(meta, ((observed, ()),))
     report = assert_privacy(transcript, b"", b"", scenario.markers)
     assert [hit.location for hit in report.hits] == ["captured[0]"]
     assert report.locations_checked == 3
