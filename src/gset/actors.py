@@ -701,8 +701,6 @@ class HoldPhase(IntEnum):
 @register_message
 @dataclass
 class HoldRecord:
-    """The trust manager's record of one hold, from its request to its settlement."""
-
     provider: str
     account_provider: str
     charge: int
