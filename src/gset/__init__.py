@@ -72,17 +72,11 @@ from .crypto import (
     verify_with_pi,
 )
 from .ledger import (
-    DuplicateAccountError,
-    DuplicateHoldError,
-    HoldClosedError,
-    InsufficientCreditError,
     Ledger,
     LedgerAccountState,
     LedgerError,
     LedgerHoldState,
     LedgerSnapshot,
-    UnknownAccountError,
-    UnknownHoldError,
 )
 from .messages import (
     AuthDecision,

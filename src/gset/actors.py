@@ -65,13 +65,7 @@ from .crypto import (
     verify_with_oi,
     verify_with_pi,
 )
-from .ledger import (
-    DuplicateHoldError,
-    HoldClosedError,
-    InsufficientCreditError,
-    Ledger,
-    LedgerError,
-)
+from .ledger import Ledger
 from .messages import (
     AuthDecision,
     AuthOutcome,
@@ -324,7 +318,7 @@ class RequesterPhase(IntEnum):
 class RequesterOrder:
     phase: RequesterPhase = RequesterPhase.AUTHORIZING
     digests: tuple[Digest, ...] = ()  # what the upload signature committed to
-    # ticket_id -> ticket, in grant order: one per uploaded object
+    # ticket_id -> ticket: one per uploaded object, as granted
     tickets: dict[bytes, Ticket] = field(default_factory=dict)
     retrieved: dict[bytes, Bulk] = field(default_factory=dict)
     refusals: set[bytes] = field(default_factory=set)  # tickets the provider refused
@@ -863,34 +857,20 @@ class AccountProvider(_ActorBase):
     def _on_hold_request(self, sender: str, msg: HoldRequest, covered, now: int) -> Effects:
         """Place the hold under the trust manager's name for it, ``hold_nonce``.
         The ledger uses a name up once asked, so a repeat is a REPLAY."""
-        reason = None
         if sender not in self.config.trust_managers \
                 or not self._authentic(msg, sender, covered):
             reason = DenialReason.BAD_SIGNATURE
         else:
-            try:
-                self.ledger.place_hold(msg.account_ref_digest, msg.amount, msg.hold_nonce)
-            except DuplicateHoldError:
-                reason = DenialReason.REPLAY
-            except InsufficientCreditError:
-                reason = DenialReason.INSUFFICIENT_CREDIT
-            except LedgerError:
-                reason = DenialReason.UNKNOWN_ACCOUNT
+            reason = self.ledger.place_hold(msg.account_ref_digest, msg.amount, msg.hold_nonce)
         return self._reply(sender, HoldResponse, EventKind.HOLD_REFUSED, reason,
                            hold_nonce=msg.hold_nonce)
 
     def _on_settle_request(self, sender: str, msg: SettleRequest, covered, now: int) -> Effects:
-        amount, reason = 0, None
         if sender not in self.config.trust_managers \
                 or not self._authentic(msg, sender, covered):
-            reason = DenialReason.BAD_SIGNATURE
+            amount, reason = 0, DenialReason.BAD_SIGNATURE
         else:
-            try:
-                amount = self.ledger.settle_hold(msg.hold_nonce)
-            except HoldClosedError:
-                reason = DenialReason.REPLAY
-            except LedgerError:
-                reason = DenialReason.UNKNOWN_ACCOUNT
+            amount, reason = self.ledger.settle_hold(msg.hold_nonce)
         return self._reply(sender, SettleResponse, EventKind.SETTLE_REFUSED, reason,
                            hold_nonce=msg.hold_nonce, amount=amount)
 

@@ -10,48 +10,38 @@ The conservation rule, re-asserted after every mutation, is
 
 A hold is named by its caller (the account provider passes the trust
 manager's hold nonce), and a name is used once: the first ``place_hold``
-under it uses it up, whether it places the hold or refuses it.  Holds move
-to settled exactly once, or are released explicitly.  Nothing expires on
-its own; release is an instruction, not a timer.
+under it uses it up, whether it places the hold or refuses it.  Each name
+has one record, ``HoldName``: the account it was asked of and its fate.
+Holds move to settled exactly once, or are released explicitly.  Nothing
+expires on its own; release is an instruction, not a timer.
+
+The ledger answers a refusal the way the protocol words it, as the
+``DenialReason`` the account provider sends back:
+
+    call     outcome                                      reason
+    hold     name already used                            REPLAY
+    hold     unknown account                              UNKNOWN_ACCOUNT
+    hold     over the available credit                    INSUFFICIENT_CREDIT
+    settle   name never asked for, or its hold refused    UNKNOWN_ACCOUNT
+    settle   hold already settled or released             REPLAY
+
+``release_hold`` answers as ``settle_hold`` does.  ``LedgerError`` is left
+for calls no message can make.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import IntEnum
 
 from .codec import Positive, ValidationError, canonical_message, check, register_message
 from .crypto import Digest, hash_bytes
+from .messages import DenialReason
 
 
 class LedgerError(Exception):
-    """Base class for ledger refusals and misuse."""
-
-
-class DuplicateAccountError(LedgerError):
-    pass
-
-
-class UnknownAccountError(LedgerError):
-    pass
-
-
-class DuplicateHoldError(LedgerError):
-    """The hold name was already used by this ledger."""
-
-
-class UnknownHoldError(LedgerError):
-    """No hold of that name was ever placed in this ledger."""
-
-
-class HoldClosedError(LedgerError):
-    """The hold was already settled or released."""
-
-
-class InsufficientCreditError(LedgerError):
-    def __init__(self, requested: int, available: int) -> None:
-        super().__init__(f"requested {requested}, available {available}")
-        self.requested = requested
-        self.available = available
+    """A call no message can make: a malformed name or amount, or an
+    account opened twice."""
 
 
 @canonical_message
@@ -80,12 +70,26 @@ def _check_positive(value: int, what: str) -> None:
         raise LedgerError(str(exc)) from None
 
 
+class HoldFate(IntEnum):
+    REFUSED = 0
+    OPEN = 1
+    SETTLED = 2
+    RELEASED = 3
+
+
+@register_message
+@dataclass
+class HoldName:
+    account: bytes  # the digest of the account the hold was asked of
+    fate: HoldFate
+
+
 @register_message
 @dataclass
 class Account:
     credit_limit: int
     settled_total: int = 0
-    holds: dict[bytes, int] = field(default_factory=dict)
+    holds: dict[bytes, int] = field(default_factory=dict)  # the open holds' amounts
 
     def available(self) -> int:
         return self.credit_limit - self.settled_total - sum(self.holds.values())
@@ -98,10 +102,7 @@ class Ledger:
     so the account provider's recorded state is the whole ledger."""
 
     _accounts: dict[bytes, Account] = field(default_factory=dict)
-    _hold_owner: dict[bytes, bytes] = field(default_factory=dict)  # hold_ref -> account digest
-    used_refs: set[bytes] = field(default_factory=set)  # every name place_hold was given
-    settled_refs: set[bytes] = field(default_factory=set)
-    released_refs: set[bytes] = field(default_factory=set)
+    names: dict[bytes, HoldName] = field(default_factory=dict)  # every name place_hold was given
 
     def open_account(self, account_ref: str, credit_limit: int) -> Digest:
         """Create an account for ``account_ref``; returns its digest key.
@@ -113,69 +114,63 @@ class Ledger:
         _check_positive(credit_limit, "credit_limit")
         digest = hash_bytes(account_ref.encode("utf-8"))
         if digest.bytes in self._accounts:
-            raise DuplicateAccountError(f"account {digest.hex()[:12]} already exists")
+            raise LedgerError(f"account {digest.hex()[:12]} already exists")
         self._accounts[digest.bytes] = Account(credit_limit=credit_limit)
         return digest
 
-    def _account(self, account_ref_digest: Digest) -> Account:
-        account = self._accounts.get(account_ref_digest.bytes)
-        if account is None:
-            raise UnknownAccountError(f"no account {account_ref_digest.hex()[:12]}")
-        return account
-
     def available(self, account_ref_digest: Digest) -> int:
-        return self._account(account_ref_digest).available()
+        return self._accounts[account_ref_digest.bytes].available()
 
     def settled_total(self, account_ref_digest: Digest) -> int:
-        return self._account(account_ref_digest).settled_total
+        return self._accounts[account_ref_digest.bytes].settled_total
 
     def active_holds(self, account_ref_digest: Digest) -> dict[bytes, int]:
-        return dict(self._account(account_ref_digest).holds)
+        return dict(self._accounts[account_ref_digest.bytes].holds)
 
-    def place_hold(self, account_ref_digest: Digest, amount: int, ref: bytes) -> None:
+    def place_hold(self, account_ref_digest: Digest, amount: int, ref: bytes) -> DenialReason | None:
         """Reserve ``amount`` against the account's remaining credit, as the
         hold named ``ref``, a name this call uses up even when it refuses."""
         if not isinstance(ref, bytes) or not ref:
             raise LedgerError("hold name must be non-empty bytes")
-        if ref in self.used_refs:
-            raise DuplicateHoldError("hold name already used")
-        self.used_refs.add(ref)
-        account = self._account(account_ref_digest)
         _check_positive(amount, "amount")
-        available = account.available()
-        if amount > available:
-            raise InsufficientCreditError(requested=amount, available=available)
-        account.holds[ref] = amount
-        self._hold_owner[ref] = account_ref_digest.bytes
-        self._assert_conserved(account)
+        if ref in self.names:
+            return DenialReason.REPLAY
+        account = self._accounts.get(account_ref_digest.bytes)
+        if account is None:
+            reason = DenialReason.UNKNOWN_ACCOUNT
+        elif amount > account.available():
+            reason = DenialReason.INSUFFICIENT_CREDIT
+        else:
+            reason = None
+            account.holds[ref] = amount
+            self._assert_conserved(account)
+        fate = HoldFate.OPEN if reason is None else HoldFate.REFUSED
+        self.names[ref] = HoldName(account_ref_digest.bytes, fate)
+        return reason
 
-    def _open_hold(self, hold_ref: bytes) -> tuple[Account, int]:
-        owner = self._hold_owner.get(hold_ref)
-        if owner is None:
-            if hold_ref in self.settled_refs or hold_ref in self.released_refs:
-                raise HoldClosedError("hold already settled or released")
-            raise UnknownHoldError("no such hold")
-        account = self._accounts[owner]
-        return account, account.holds[hold_ref]
+    def settle_hold(self, hold_ref: bytes) -> tuple[int, DenialReason | None]:
+        """Convert a hold into settled spend; returns the settled amount and
+        the refusal, as a ``SettleResponse`` carries them."""
+        return self._close(hold_ref, HoldFate.SETTLED)
 
-    def settle_hold(self, hold_ref: bytes) -> int:
-        """Convert a hold into settled spend; returns the settled amount."""
-        account, amount = self._open_hold(hold_ref)
-        del account.holds[hold_ref]
-        del self._hold_owner[hold_ref]
-        account.settled_total += amount
-        self.settled_refs.add(hold_ref)
-        self._assert_conserved(account)
-        return amount
+    def release_hold(self, hold_ref: bytes) -> tuple[int, DenialReason | None]:
+        """Drop a hold, returning the credit; returns the released amount and
+        the refusal."""
+        return self._close(hold_ref, HoldFate.RELEASED)
 
-    def release_hold(self, hold_ref: bytes) -> int:
-        """Drop a hold, returning the credit; returns the released amount."""
-        account, amount = self._open_hold(hold_ref)
-        del account.holds[hold_ref]
-        del self._hold_owner[hold_ref]
-        self.released_refs.add(hold_ref)
+    def _close(self, hold_ref: bytes, fate: HoldFate) -> tuple[int, DenialReason | None]:
+        name = self.names.get(hold_ref)
+        if name is None or name.fate == HoldFate.REFUSED:
+            return 0, DenialReason.UNKNOWN_ACCOUNT
+        if name.fate != HoldFate.OPEN:
+            return 0, DenialReason.REPLAY
+        account = self._accounts[name.account]
+        amount = account.holds.pop(hold_ref)
+        if fate == HoldFate.SETTLED:
+            account.settled_total += amount
+        name.fate = fate
         self._assert_conserved(account)
-        return amount
+        return amount, None
 
     def _assert_conserved(self, account: Account) -> None:
         held = sum(account.holds.values())
@@ -186,7 +181,7 @@ class Ledger:
 
     @property
     def settle_count(self) -> int:
-        return len(self.settled_refs)
+        return sum(name.fate == HoldFate.SETTLED for name in self.names.values())
 
     def total_settled(self) -> int:
         return sum(a.settled_total for a in self._accounts.values())
@@ -195,7 +190,7 @@ class Ledger:
         return sum(sum(a.holds.values()) for a in self._accounts.values())
 
     def holds_created(self) -> int:
-        return len(self._hold_owner) + len(self.settled_refs) + len(self.released_refs)
+        return sum(name.fate != HoldFate.REFUSED for name in self.names.values())
 
     def snapshot(self) -> LedgerSnapshot:
         accounts = []

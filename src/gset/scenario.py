@@ -39,6 +39,7 @@ from .actors import (
     ProviderConfig,
     ProviderPhase,
     RequesterConfig,
+    RequesterOrder,
     RequesterPhase,
     ServiceProvider,
     ServiceRequester,
@@ -332,6 +333,19 @@ class RunReport:
         return lines
 
 
+def retrieval_mismatches(order: RequesterOrder, objects: typing.Sequence[bytes]) -> int:
+    """The objects ``order`` retrieved that differ from the ones uploaded,
+    compared with the uploaded bytes, not with the requester's own check.
+    Each is paired with the object whose digest its ticket names, so the
+    order of the tickets does not matter.  A retrieved object is a view,
+    which compares with bytes item by item, so it is compared as bytes."""
+    uploaded = dict(zip(order.digests, objects))
+    return sum(
+        bytes(obj) != uploaded.get(order.tickets[t].object_digest)
+        for t, obj in order.retrieved.items()
+    )
+
+
 def run_storage_scenario(config: ScenarioConfig) -> RunReport:
     """Build, run to quiescence, and audit one scenario, under the adversary
     ``config.adversary_spec`` names."""
@@ -348,7 +362,8 @@ def run_storage_scenario(config: ScenarioConfig) -> RunReport:
     refused = [e for e in transcript.events if e.kind == EventKind.AUTHORIZATION_REFUSED]
     refused.sort(key=lambda event: event.actor != config.trust_manager_id)
 
-    if ledger.settle_count >= 1 and any(o.phase == RequesterPhase.COMPLETED for o in bought):
+    settle_count = ledger.settle_count
+    if settle_count >= 1 and any(o.phase == RequesterPhase.COMPLETED for o in bought):
         outcome = "APPROVED"
     elif refused:
         outcome = f"DENIED:{refused[0].reason.name}"
@@ -365,14 +380,7 @@ def run_storage_scenario(config: ScenarioConfig) -> RunReport:
             f"provider booked {receivable} "
             f"but only {ledger.total_settled()} is settled"
         )
-    # Compared with the uploaded bytes, not with the requester's own check.
-    # An order's tickets are kept in grant order, one per uploaded object.
-    # A retrieved object is a view, which compares with bytes item by item,
-    # so it is compared as bytes.
-    mismatches = 0
-    for order in bought:
-        uploaded = dict(zip(order.tickets, scenario.objects))
-        mismatches += sum(bytes(obj) != uploaded.get(t) for t, obj in order.retrieved.items())
+    mismatches = sum(retrieval_mismatches(order, scenario.objects) for order in bought)
     if mismatches:
         failures.append(f"{mismatches} retrieved objects differ from the uploaded ones")
     for account in ledger.snapshot().accounts:
@@ -399,7 +407,7 @@ def run_storage_scenario(config: ScenarioConfig) -> RunReport:
         business_outcome=outcome,
         expected_price=config.expected_price,
         holds_created=ledger.holds_created(),
-        settle_count=ledger.settle_count,
+        settle_count=settle_count,
         tokens_minted=sum(h.phase >= HoldPhase.MINTED for h in trust_manager.holds.values()),
         grants_issued=sum(o.phase >= ProviderPhase.GRANTED for o in sold),
         objects_retrieved=sum(len(o.retrieved) for o in bought),

@@ -61,7 +61,7 @@ from gset.actors import (
     ServiceRequester,
     TrustManager,
 )
-from gset.ledger import Account, Ledger
+from gset.ledger import Account, HoldFate, HoldName, Ledger
 
 _LABEL_CHARS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_."
 U64_MAX = 2**64 - 1
@@ -290,15 +290,23 @@ def gen_hold_record(rng: Random) -> HoldRecord:
     return HoldRecord(label(rng), label(rng), u64(rng), gen_digest(rng), phase)
 
 
+def gen_hold_name(rng: Random) -> HoldName:
+    return HoldName(gen_digest(rng).bytes, rng.choice(list(HoldFate)))
+
+
 def gen_account(rng: Random) -> Account:
     return Account(u64(rng), u64(rng), some_map(rng, nonce, u64))
 
 
 def gen_ledger(rng: Random) -> Ledger:
     accounts = some_map(rng, lambda rng: gen_digest(rng).bytes, gen_account)
-    owners = {ref: key for key, account in accounts.items() for ref in account.holds}
-    return Ledger(accounts, owners, set(owners) | set(some(rng, nonce)), set(some(rng, nonce)),
-                  set(some(rng, nonce)))
+    # each open hold's name is open on its account; the other names are closed
+    names = {ref: HoldName(key, HoldFate.OPEN)
+             for key, account in accounts.items() for ref in account.holds}
+    for ref, name in some_map(rng, nonce, gen_hold_name).items():
+        if name.fate != HoldFate.OPEN:
+            names.setdefault(ref, name)
+    return Ledger(accounts, names)
 
 
 def gen_requester_state(rng: Random):
@@ -367,6 +375,7 @@ FACTORIES = {
     RequesterOrder: gen_requester_order,
     ProviderOrder: gen_provider_order,
     HoldRecord: gen_hold_record,
+    HoldName: gen_hold_name,
     Account: gen_account,
     Ledger: gen_ledger,
     ServiceRequester._State: gen_requester_state,

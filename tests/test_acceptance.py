@@ -25,7 +25,7 @@ from gset.attacks import REPLAY_CORE, TAMPER_TARGETS, tamper_sweep
 from gset.codec import DecodeError, decode, encode
 
 import genmsg
-from test_ledger import drive_pair
+from ledger_model import drive_pair
 
 
 # 1. The default storage run completes the whole cycle (price, authorize,
@@ -78,12 +78,12 @@ def test_limit_credit_grid_agrees_with_decision_oracle():
 
 
 # 3. The ledger agrees with a list-based reference model over a long
-#    randomized operation sequence: every accept/refuse decision, a reused
-#    hold name included, and the final balances.
+#    randomized operation sequence: every answer and refusal reason, a reused
+#    hold name included, the final balances and every hold name's fate.
 def test_ledger_matches_naive_oracle_over_ten_thousand_operations():
     agreed = drive_pair(seed=202, steps=10_000)
     assert agreed["open", "ok"] > 100
-    assert agreed["hold", "dup"] > 0
+    assert agreed["hold", "REPLAY"] > 0
 
 
 # --- randomized privacy runs (shared by the two marker scans) ---------------------

@@ -58,6 +58,7 @@ from gset import (
     verify_signed,
 )
 from gset.actors import HoldPhase, ProviderPhase, RequesterPhase
+from gset.ledger import HoldFate, HoldName
 from gset.messages import object_digests, upload_signing_payload
 
 from genmsg import flip_bit
@@ -675,7 +676,7 @@ def test_a_refused_hold_frees_its_order_for_another_payment_half():
     outcome = outcome_of(actors, second_payment_relay(actors, auth, 150))
     assert outcome.reason == DenialReason.INSUFFICIENT_CREDIT
     assert actors.tm.holds == {} and actors.tm.order_holds == {}
-    assert len(actors.ap.ledger.used_refs) == 2
+    assert [name.fate for name in actors.ap.ledger.names.values()] == [HoldFate.REFUSED] * 2
 
 
 def test_relay_presented_by_anyone_but_its_signer_is_refused():
@@ -799,12 +800,26 @@ def test_a_hold_on_an_account_the_ledger_does_not_keep_is_refused():
     assert actors.ap.ledger.holds_created() == 0
 
 
-def test_a_settlement_of_a_hold_never_placed_is_refused():
-    actors = build_actors()
-    events, answer = _to_account_provider(actors, SettleRequest, hold_nonce=b"\x04" * 16)
-    assert (answer.amount, answer.reason) == (0, DenialReason.UNKNOWN_ACCOUNT)
-    assert events == [("AP", EventKind.SETTLE_REFUSED, DenialReason.UNKNOWN_ACCOUNT)]
-    assert actors.ap.ledger.settle_count == 0
+@pytest.mark.parametrize("hold, reason", [
+    ("never asked for", DenialReason.UNKNOWN_ACCOUNT),
+    ("refused", DenialReason.UNKNOWN_ACCOUNT),
+    ("released", DenialReason.REPLAY),
+])
+def test_a_settlement_of_a_hold_never_placed_is_refused(hold, reason):
+    actors = build_actors(credit=100)
+    digest = hash_bytes(actors.scenario.account_ref.encode())
+    name = b"\x04" * 16
+    if hold == "refused":
+        assert actors.ap.ledger.place_hold(digest, 101, name) == DenialReason.INSUFFICIENT_CREDIT
+    elif hold == "released":
+        actors.ap.ledger.place_hold(digest, 30, name)
+        assert actors.ap.ledger.release_hold(name) == (30, None)
+    before = actors.ap.state_bytes()
+    events, answer = _to_account_provider(actors, SettleRequest, hold_nonce=name)
+    assert (answer.amount, answer.reason) == (0, reason)
+    assert events == [("AP", EventKind.SETTLE_REFUSED, reason)]
+    assert actors.ap.state_bytes() == before
+    assert actors.ap.ledger.settle_count == 0 and actors.ap.ledger.available(digest) == 100
 
 
 # --- service grant and tickets -------------------------------------------------
@@ -1281,17 +1296,22 @@ def test_the_account_provider_never_learns_the_order():
 
 def test_the_account_provider_records_each_hold_name_it_used():
     # its recorded state is the whole ledger, the names it used up included
+    def names(ap: AccountProvider):
+        return codec.decode(ap.state_bytes(), AccountProvider._State).ledger.names
+
     actors = build_actors(credit=20)  # a charge of 50 is over the credit
     records = actors.run("SP", "TM", relay_of(actors))
     refused = codec.decode(recorded(records, "HoldRequest")[0], HoldRequest).hold_nonce
     assert events_of(actors, "AP")[-1].reason == DenialReason.INSUFFICIENT_CREDIT
-    assert refused in actors.ap.state_bytes()
+    account = hash_bytes(actors.scenario.account_ref.encode()).bytes
+    assert names(actors.ap) == {refused: HoldName(account, HoldFate.REFUSED)}
 
     report = run_storage_scenario(ScenarioConfig())
     assert report.complete_success()
     payloads = report.transcript.payloads()
     settled = _first(payloads, HoldRequest).hold_nonce
-    assert settled in report.scenario.account_provider.state_bytes()
+    account = hash_bytes(report.scenario.account_ref.encode()).bytes
+    assert names(report.scenario.account_provider) == {settled: HoldName(account, HoldFate.SETTLED)}
 
 
 def test_a_capture_names_the_token_of_the_outcome():

@@ -686,3 +686,18 @@ def _decode_outcomes_digest() -> str:
 
 def test_decode_outcomes_under_mutation_are_pinned():
     assert _decode_outcomes_digest() == DECODE_OUTCOMES_SHA256
+
+
+def test_no_wire_tag_cut_short_by_a_flipped_length_bit_is_registered():
+    # a flipped bit in the length of a record's type tag can cut the tag
+    # short; were the shorter tag registered (``Hold``, within
+    # ``HoldResponse``), the mutated record would decode further and the
+    # pinned decode outcomes would change
+    from gset import ScenarioConfig, run_storage_scenario
+
+    records = run_storage_scenario(ScenarioConfig()).transcript.records
+    wire = {peek_type(record.payload) for record in records}
+    cut = {tag[:len(tag) ^ (1 << bit)] for tag in wire for bit in range(8)
+           if len(tag) ^ (1 << bit) < len(tag)}
+    assert "Hold" in cut
+    assert cut.isdisjoint(registered_types())

@@ -20,6 +20,7 @@ from gset import (
     ScenarioError,
     ServiceGrant,
     ServiceProvider,
+    ServiceRequester,
     Ticket,
     Transcript,
     assert_privacy,
@@ -39,7 +40,7 @@ from gset.attacks import (
     tamper_sweep,
 )
 from gset.cli import ini_overrides
-from gset.scenario import _upload_size
+from gset.scenario import _upload_size, retrieval_mismatches
 
 from order_scaling import all_done, run_orders
 
@@ -264,6 +265,20 @@ def test_a_wrong_retrieved_object_is_caught_by_the_audit(monkeypatch):
     assert report.retrieval_mismatches == 1
     assert report.invariant_failures == ["1 retrieved objects differ from the uploaded ones"]
     assert not report.complete_success()
+
+
+def test_the_audit_pairs_objects_alike_on_a_decoded_requester():
+    # a mapping decodes in key order, so a decoded order's tickets are out
+    # of grant order; each retrieved object is paired with the uploaded one
+    # its ticket names by digest, not by its ticket's position
+    report = run_storage_scenario(ScenarioConfig())
+    requester = report.scenario.requester
+    decoded = codec.decode(requester.state_bytes(), ServiceRequester._State)
+    [live] = requester.orders.values()
+    [order] = decoded.orders.values()
+    assert list(order.tickets) != list(live.tickets)
+    assert retrieval_mismatches(live, report.scenario.objects) == 0
+    assert retrieval_mismatches(order, report.scenario.objects) == 0
 
 
 @pytest.mark.parametrize(
