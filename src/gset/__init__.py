@@ -54,10 +54,8 @@ from .crypto import (
     EnvelopeIntegrityError,
     InvalidIdentityError,
     KeyPair,
-    MissingKeyError,
     SealedEnvelope,
     Signature,
-    WrongRecipientError,
     generate_keypair,
     hash_bytes,
     mac,

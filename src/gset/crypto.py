@@ -9,8 +9,8 @@ messages lives here:
 * Ed25519 signatures,
 * pairwise HMAC-SHA256 tags between two servers that hold each other's
   public keys, under one key per direction,
-* sealed envelopes (a fresh symmetric key per message, wrapped to the
-  recipient's public key, with authenticated encryption throughout),
+* sealed envelopes: one ephemeral X25519 agreement with the recipient's
+  public key, and AES-GCM under the key derived from it,
 * dual signatures binding an order description to a payment description
   while letting each verifier see only its own half.
 
@@ -20,14 +20,14 @@ the private half mirrors that layout.  Certificate infrastructure is out
 of scope; callers distribute public keys through a trusted in-memory
 directory populated when a simulation is set up.
 
-A ``KeyPair`` parses its private half into an Ed25519 signing key and an
-X25519 seal key at most once each, on first use (``generate_keypair``
-hands over the two it parses to compute the public half), and ``sign``,
-``open_envelope`` and ``mac_keys`` use those.  So a parsed key lives
-exactly as long as the pair that holds it, and nothing here keeps keys
-for identities a process has seen.  ``verify`` parses the 32-byte public
-key on each call.  The key classes are looked up in this module's globals
-at call time, so a stand-in that counts parses sees every one.
+``generate_keypair`` parses the private half into an Ed25519 signing key
+and an X25519 seal key once, to compute the public half, and the
+``KeyPair`` it returns keeps both; ``sign``, ``open_envelope`` and
+``mac_keys`` use those.  So a parsed key lives exactly as long as the pair
+that holds it, and nothing here keeps keys for identities a process has
+seen.  ``verify`` parses the 32-byte public key on each call.  The key
+classes are looked up in this module's globals at call time, so a
+stand-in that counts parses sees every one.
 
 The pairwise MAC keys are not cached here: each actor keeps the keys it
 shares with each peer for its own run (``actors._ActorBase.pair_keys``).
@@ -63,10 +63,9 @@ SIGNATURE_SIZE = 64
 _KEY_SEGMENT = 32          # raw Ed25519 / X25519 key length
 PUBLIC_KEY_SIZE = 2 * _KEY_SEGMENT
 PRIVATE_KEY_SIZE = 2 * _KEY_SEGMENT
-_GCM_NONCE_SIZE = 12
-_GCM_TAG_SIZE = 16
-_CEK_SIZE = 32
-_WRAPPED_KEY_SIZE = _KEY_SEGMENT + _GCM_NONCE_SIZE + _CEK_SIZE + _GCM_TAG_SIZE
+_ENVELOPE_KEY_SIZE = 32    # AES-256-GCM
+# Each envelope key seals exactly one message, so one fixed nonce serves.
+_ENVELOPE_NONCE = bytes(12)
 U64_MAX = 2**64 - 1       # the largest value of an unsigned 64-bit integer
 MAC_SIZE = 32              # HMAC-SHA256 tag length
 
@@ -87,16 +86,8 @@ class InvalidIdentityError(CryptoError):
     """A subject identity label was empty or otherwise unusable."""
 
 
-class MissingKeyError(CryptoError):
-    """An operation needed private key material that is not present."""
-
-
 class EnvelopeError(CryptoError):
     """Base class for sealed-envelope failures."""
-
-
-class WrongRecipientError(EnvelopeError):
-    """The envelope is addressed to a different subject."""
 
 
 class EnvelopeIntegrityError(EnvelopeError):
@@ -133,21 +124,18 @@ class Signature:
 
 @dataclass(frozen=True)
 class SealedEnvelope:
-    """Hybrid-encrypted payload that opens only for the named recipient.
+    """A payload that opens only for the recipient it was sealed to.
 
-    ``ciphertext`` is the payload under a fresh content key; ``wrapped_key``
-    carries that content key wrapped to the recipient's public key.  Both
-    parts are authenticated, so any bit flip fails on open.
+    ``ephemeral_key`` is the sender's one-use X25519 public key;
+    ``ciphertext`` is the payload and its GCM tag under the key agreed with
+    it.  Both parts are authenticated, so any bit flip fails on open.
     """
 
-    recipient_id: str
+    ephemeral_key: bytes
     ciphertext: bytes
-    wrapped_key: bytes
 
     def __post_init__(self) -> None:
-        if not self.recipient_id:
-            raise ValueError("recipient_id must be non-empty")
-        if not self.ciphertext or not self.wrapped_key:
+        if not self.ephemeral_key or not self.ciphertext:
             raise ValueError("envelope parts must be non-empty")
 
 
@@ -168,35 +156,15 @@ class DualSignature:
 
 @dataclass(frozen=True)
 class KeyPair:
-    """Key material bound to a subject identity label.
-
-    ``signing_key()`` and ``seal_key()`` parse their half of
-    ``private_key`` on first use and keep it on the pair; the parsed
-    objects take no part in equality.
-    """
+    """Key material bound to a subject identity label, with the two halves
+    of ``private_key`` as parsed by ``generate_keypair``; the parsed
+    objects take no part in equality."""
 
     public_key: bytes
     private_key: bytes
     subject_id: str
-    _signing: Ed25519PrivateKey | None = field(default=None, compare=False, repr=False)
-    _sealing: X25519PrivateKey | None = field(default=None, compare=False, repr=False)
-
-    def signing_key(self) -> Ed25519PrivateKey:
-        if self._signing is None:
-            parsed = Ed25519PrivateKey.from_private_bytes(self._private()[:_KEY_SEGMENT])
-            object.__setattr__(self, "_signing", parsed)
-        return self._signing
-
-    def seal_key(self) -> X25519PrivateKey:
-        if self._sealing is None:
-            parsed = X25519PrivateKey.from_private_bytes(self._private()[_KEY_SEGMENT:])
-            object.__setattr__(self, "_sealing", parsed)
-        return self._sealing
-
-    def _private(self) -> bytes:
-        if len(self.private_key) != PRIVATE_KEY_SIZE:
-            raise MissingKeyError(f"no private key material for {self.subject_id!r}")
-        return self.private_key
+    signing_key: Ed25519PrivateKey = field(compare=False, repr=False)
+    seal_key: X25519PrivateKey = field(compare=False, repr=False)
 
 
 def _sha256(data: bytes) -> bytes:
@@ -242,7 +210,7 @@ def generate_keypair(subject_id: str, seed: int) -> KeyPair:
 
 def sign(key: KeyPair, message: bytes) -> Signature:
     """Sign ``message`` with the subject's signing key."""
-    return Signature(bytes=key.signing_key().sign(bytes(message)), signer_id=key.subject_id)
+    return Signature(bytes=key.signing_key.sign(bytes(message)), signer_id=key.subject_id)
 
 
 def verify(public_key: bytes, message: bytes, sig: Signature) -> bool:
@@ -291,12 +259,11 @@ def mac_keys(
     two directions or two pairs.  A missing or malformed peer key yields
     None rather than raising, as ``verify`` yields False.
     """
-    seal_key = own.seal_key()
     if not isinstance(peer_public_key, bytes) or len(peer_public_key) != PUBLIC_KEY_SIZE:
         return None
     try:
         peer_seal_key = X25519PublicKey.from_public_bytes(peer_public_key[_KEY_SEGMENT:])
-        shared = seal_key.exchange(peer_seal_key)
+        shared = own.seal_key.exchange(peer_seal_key)
     except ValueError:  # a low-order peer point gives an all-zero secret
         return None
     prk = _hmac_sha256(bytes(_SHA256.digest_size), shared).finalize()  # HKDF-Extract
@@ -338,10 +305,11 @@ def _rand_bytes(rng: Random | None, n: int) -> bytes:
     return rng.randbytes(n)
 
 
-def _key_encryption_key(shared: bytes, aad: bytes) -> bytes:
-    """The key that wraps an envelope's content key: HKDF-SHA256 of the
-    X25519 secret, no salt, bound to the recipient id ``aad``."""
-    return HKDF(_SHA256, _CEK_SIZE, salt=None, info=_ENVELOPE_INFO + aad).derive(shared)
+def _envelope_key(shared: bytes, recipient: bytes) -> bytes:
+    """The one key of an envelope: HKDF-SHA256 of the X25519 secret, no
+    salt, bound to the recipient id."""
+    hkdf = HKDF(_SHA256, _ENVELOPE_KEY_SIZE, salt=None, info=_ENVELOPE_INFO + recipient)
+    return hkdf.derive(shared)
 
 
 def seal(
@@ -352,11 +320,13 @@ def seal(
 ) -> SealedEnvelope:
     """Seal ``plaintext`` so that only ``recipient_id`` can open it.
 
-    A fresh content key encrypts the payload; an ephemeral key agreement
-    against the recipient's public key wraps the content key.  Passing a
-    seeded ``rng`` makes the envelope reproducible for simulation; two
-    calls still never produce identical envelopes because the randomness
-    stream advances.
+    One ephemeral X25519 agreement with the recipient's public key yields
+    the AES-GCM key, which encrypts the payload under the all-zero nonce.
+    The associated data is the recipient id followed by the exact ephemeral
+    key bytes: X25519 masks the top bit of a public key, so without them
+    one wire bit would be unauthenticated.  Passing a seeded ``rng`` makes
+    the envelope reproducible for simulation; two calls still never produce
+    identical envelopes because the randomness stream advances.
     """
     if not recipient_id:
         raise InvalidIdentityError("recipient_id must be non-empty")
@@ -365,56 +335,32 @@ def seal(
     if not plaintext:
         raise ValueError("plaintext must be non-empty")
 
-    aad = recipient_id.encode("utf-8")
-    cek = _rand_bytes(rng, _CEK_SIZE)
-    payload_nonce = _rand_bytes(rng, _GCM_NONCE_SIZE)
-    ciphertext = payload_nonce + AESGCM(cek).encrypt(payload_nonce, bytes(plaintext), aad)
-
+    recipient = recipient_id.encode("utf-8")
     ephemeral = X25519PrivateKey.from_private_bytes(_rand_bytes(rng, _KEY_SEGMENT))
-    recipient_seal_key = X25519PublicKey.from_public_bytes(
-        recipient_public_key[_KEY_SEGMENT:]
+    ephemeral_key = ephemeral.public_key().public_bytes_raw()
+    shared = ephemeral.exchange(
+        X25519PublicKey.from_public_bytes(recipient_public_key[_KEY_SEGMENT:])
     )
-    kek = _key_encryption_key(ephemeral.exchange(recipient_seal_key), aad)
-    wrap_nonce = _rand_bytes(rng, _GCM_NONCE_SIZE)
-    eph_pub = ephemeral.public_key().public_bytes_raw()
-    # the exact ephemeral key bytes ride along as AAD: X25519 masks the top
-    # u-coordinate bit, so without this one wire bit would be unauthenticated
-    wrapped = AESGCM(kek).encrypt(wrap_nonce, cek, aad + eph_pub)
-    wrapped_key = eph_pub + wrap_nonce + wrapped
-    return SealedEnvelope(
-        recipient_id=recipient_id, ciphertext=ciphertext, wrapped_key=wrapped_key
+    ciphertext = AESGCM(_envelope_key(shared, recipient)).encrypt(
+        _ENVELOPE_NONCE, bytes(plaintext), recipient + ephemeral_key
     )
+    return SealedEnvelope(ephemeral_key=ephemeral_key, ciphertext=ciphertext)
 
 
 def open_envelope(key: KeyPair, envelope: SealedEnvelope) -> bytes:
-    """Open a sealed envelope addressed to ``key.subject_id``.
+    """Open a sealed envelope as its recipient ``key.subject_id``.
 
     Raises:
-        WrongRecipientError: the envelope names a different subject.
         EnvelopeIntegrityError: authenticated decryption failed, which
-            covers tampered bytes and mismatched key material alike.
+            covers tampered bytes, an envelope sealed to another subject
+            and mismatched key material alike.
     """
-    if envelope.recipient_id != key.subject_id:
-        raise WrongRecipientError(
-            f"envelope for {envelope.recipient_id!r}, not {key.subject_id!r}"
-        )
-    seal_key = key.seal_key()
-    if len(envelope.wrapped_key) != _WRAPPED_KEY_SIZE:
-        raise EnvelopeIntegrityError("wrapped key has the wrong shape")
-    if len(envelope.ciphertext) <= _GCM_NONCE_SIZE:
-        raise EnvelopeIntegrityError("ciphertext too short")
-
-    aad = envelope.recipient_id.encode("utf-8")
-    eph_pub = envelope.wrapped_key[:_KEY_SEGMENT]
-    wrap_nonce = envelope.wrapped_key[_KEY_SEGMENT:_KEY_SEGMENT + _GCM_NONCE_SIZE]
-    wrapped = envelope.wrapped_key[_KEY_SEGMENT + _GCM_NONCE_SIZE:]
+    recipient = key.subject_id.encode("utf-8")
     try:
-        shared = seal_key.exchange(X25519PublicKey.from_public_bytes(eph_pub))
-        kek = _key_encryption_key(shared, aad)
-        cek = AESGCM(kek).decrypt(wrap_nonce, wrapped, aad + eph_pub)
-        payload_nonce = envelope.ciphertext[:_GCM_NONCE_SIZE]
-        body = envelope.ciphertext[_GCM_NONCE_SIZE:]
-        return AESGCM(cek).decrypt(payload_nonce, body, aad)
+        shared = key.seal_key.exchange(X25519PublicKey.from_public_bytes(envelope.ephemeral_key))
+        return AESGCM(_envelope_key(shared, recipient)).decrypt(
+            _ENVELOPE_NONCE, envelope.ciphertext, recipient + envelope.ephemeral_key
+        )
     except (InvalidTag, ValueError) as exc:
         raise EnvelopeIntegrityError("envelope failed authenticated decryption") from exc
 

@@ -104,7 +104,7 @@ def gen_mac(rng: Random) -> bytes:
 
 
 def gen_envelope(rng: Random) -> SealedEnvelope:
-    return SealedEnvelope(label(rng), blob(rng, 1, 120), blob(rng, 1, 120))
+    return SealedEnvelope(rng.randbytes(32), blob(rng, 1, 120))
 
 
 def gen_dual(rng: Random) -> DualSignature:

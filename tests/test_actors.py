@@ -480,7 +480,7 @@ def test_envelope_bytes_hide_the_account_ref():
     auth = codec.decode(raw, AuthorizationRequest)
     marker = actors.scenario.account_ref.encode()
     assert marker not in auth.payment_envelope.ciphertext
-    assert marker not in auth.payment_envelope.wrapped_key
+    assert marker not in auth.payment_envelope.ephemeral_key
     assert marker not in raw
 
 
@@ -633,16 +633,16 @@ def test_same_hold_instruction_twice_is_replay():
     assert sum(actors.ap.ledger.active_holds(digest).values()) == 50
 
 
-def second_payment_relay(actors, auth: bytes, charge: int) -> bytes:
+def second_payment_relay(actors, auth: bytes, charge: int, recipient: str = "TM") -> bytes:
     """The provider's relay of a second payment half that the requester
     dual-signs over the order of ``auth``: a fresh payment nonce, the same
-    order digest."""
+    order digest, sealed with the trust manager's key to ``recipient``."""
     order = codec.decode(auth, AuthorizationRequest)
     config = actors.sr.config
     payment = codec.encode(PaymentInfo(
         config.account_provider_id, config.account_ref, config.authorized_limit, b"\x02" * 16
     ))
-    envelope = seal(actors.tm.identity.public_key, "TM", payment, Random("second payment"))
+    envelope = seal(actors.tm.identity.public_key, recipient, payment, Random("second payment"))
     dual = make_dual_signature(actors.sr.identity, order.order_info, payment)
     assert dual.oi_digest == order.dual.oi_digest
     to_tm = actors.sp._keys_with("TM")[0]
@@ -677,6 +677,21 @@ def test_a_refused_hold_frees_its_order_for_another_payment_half():
     assert outcome.reason == DenialReason.INSUFFICIENT_CREDIT
     assert actors.tm.holds == {} and actors.tm.order_holds == {}
     assert [name.fate for name in actors.ap.ledger.names.values()] == [HoldFate.REFUSED] * 2
+
+
+def test_a_relay_sealed_to_another_trust_manager_id_is_refused():
+    # the envelope opens only under the id it was sealed to, even with the
+    # trust manager's own key: no hold is placed and no payment nonce burnt
+    actors = build_actors()
+    relay = second_payment_relay(actors, authorization(actors, 5), 50, recipient="TM9")
+    outcome = outcome_of(actors, relay)
+    assert outcome.reason == DenialReason.BAD_SIGNATURE
+    assert drawn(events_of(actors, "TM")) == [
+        ("TM", EventKind.AUTHORIZATION_REFUSED, DenialReason.BAD_SIGNATURE)
+    ]
+    assert actors.ap.ledger.holds_created() == 0
+    assert actors.tm.holds == {} and actors.tm.order_holds == {}
+    assert actors.tm.seen_payment_nonces == set()
 
 
 def test_relay_presented_by_anyone_but_its_signer_is_refused():

@@ -632,10 +632,17 @@ def test_provider_state_holding_views_is_the_state_of_the_same_bytes():
 # default and the 16 x 64 KiB runs, routes, ticks, types, record order and
 # the payloads of the other eight types were as before, and so were the
 # decode outcomes of those eight types, TranscriptMeta, TranscriptRecord
-# and the decode_stream sweep.
+# and the decode_stream sweep.  They were re-taken again when the sealed
+# envelope became its ephemeral key and its ciphertext under the agreed key,
+# without a content key, key wrap or recipient id (78 bytes fewer): only the
+# AuthorizationRequest and AuthorizeAndHold records changed, and only in
+# their payment envelope and the provider's MAC over it, with the same
+# routes, ticks and types, and the same payment plaintext inside; the decode
+# outcomes of every other type, TranscriptMeta, TranscriptRecord and the
+# decode_stream sweep were as before.
 
-DEFAULT_TRANSCRIPT_SHA256 = "8e8f0d7a15e6be86c682424fa3488c7a46c57fc1909e196ab4c6f2e7a7e9be7d"
-DECODE_OUTCOMES_SHA256 = "4d813c1304f7e98c6bbb0af09e7b05bfaf2bc39aecddb989d04de4a7d8a35e75"
+DEFAULT_TRANSCRIPT_SHA256 = "14d34ddbe3119ba90d819ecec3d8dccceb2376dc7bf368266065964d75d9323d"
+DECODE_OUTCOMES_SHA256 = "06f74bf49a1688614731406f5f5cf360f922bc7387823b4f8797a7665cfb996f"
 
 
 def _outcome(fn, raw: bytes) -> tuple:

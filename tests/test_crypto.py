@@ -7,6 +7,7 @@ import hmac
 from random import Random
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PublicKey
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,15 +15,11 @@ import gset.crypto
 from gset import (
     MAC_SIZE,
     Digest,
-    EnvelopeError,
     EnvelopeIntegrityError,
     HoldRequest,
     InvalidIdentityError,
-    KeyPair,
-    MissingKeyError,
     SettleRequest,
     Signature,
-    WrongRecipientError,
     generate_keypair,
     hash_bytes,
     mac,
@@ -182,13 +179,6 @@ def test_malformed_signature_returns_false_not_exception():
     assert not verify(b"short", b"m", sign(kp, b"m"))
 
 
-def test_sign_without_private_key_raises():
-    kp = generate_keypair("SP", 7)
-    public_only = KeyPair(public_key=kp.public_key, private_key=b"", subject_id="SP")
-    with pytest.raises(MissingKeyError):
-        sign(public_only, b"m")
-
-
 def _count_parses(monkeypatch) -> dict[str, int]:
     """Private-key parses from here on, per key class of ``gset.crypto``."""
     counts = {"Ed25519PrivateKey": 0, "X25519PrivateKey": 0}
@@ -221,18 +211,14 @@ def test_a_key_pair_parses_each_half_once(monkeypatch):
     tm = generate_keypair("TM", 7)
     use(tm)
     assert parses == {"Ed25519PrivateKey": 1, "X25519PrivateKey": 1}
-    # a pair built from its bytes parses each half on first use, once
-    use(KeyPair(tm.public_key, tm.private_key, "TM"))
-    assert parses == {"Ed25519PrivateKey": 2, "X25519PrivateKey": 2}
 
 
 def test_two_pairs_of_one_identity_parse_separately(monkeypatch):
-    tm = generate_keypair("TM", 7)
     parses = _count_parses(monkeypatch)
-    first, second = (KeyPair(tm.public_key, tm.private_key, "TM") for _ in range(2))
+    first, second = (generate_keypair("TM", 7) for _ in range(2))
     assert first == second
     assert sign(first, b"m") == sign(second, b"m")
-    assert mac_keys(first, "SP", tm.public_key) == mac_keys(second, "SP", tm.public_key)
+    assert mac_keys(first, "SP", first.public_key) == mac_keys(second, "SP", first.public_key)
     # nothing parsed for one pair is handed to the other
     assert parses == {"Ed25519PrivateKey": 2, "X25519PrivateKey": 2}
 
@@ -297,12 +283,6 @@ def test_a_wrong_or_malformed_peer_key_yields_false_not_an_exception():
         assert not mac_ok(sp_to_tm, b"m", bad_tag)
 
 
-def test_mac_keys_without_a_private_key_raise():
-    tm, sp = generate_keypair("TM", 7), generate_keypair("SP", 7)
-    with pytest.raises(MissingKeyError):
-        mac_keys(KeyPair(tm.public_key, b"", "TM"), "SP", sp.public_key)
-
-
 def test_mac_matches_rfc_4231_test_case_2():
     tag = mac(b"Jefe", b"what do ya want for nothing?")
     assert tag.hex() == "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
@@ -332,7 +312,10 @@ def test_seal_open_round_trip():
     tm = generate_keypair("TM", 7)
     plaintext = b"account ACCT-123, limit 60"
     env = seal(tm.public_key, "TM", plaintext)
-    assert env.recipient_id == "TM"
+    assert [f.name for f in dataclasses.fields(env)] == ["ephemeral_key", "ciphertext"]
+    # the ephemeral public key, then the payload and its 16-byte GCM tag
+    assert len(env.ephemeral_key) == 32
+    assert len(env.ciphertext) == len(plaintext) + 16
     assert open_envelope(tm, env) == plaintext
 
 
@@ -341,15 +324,22 @@ def test_ciphertext_does_not_contain_plaintext():
     secret = b"ACCT-5555-SECRET-REF"
     env = seal(tm.public_key, "TM", secret)
     assert secret not in env.ciphertext
-    assert secret not in env.wrapped_key
+    assert secret not in env.ephemeral_key
 
 
 def test_open_with_wrong_recipient_fails():
     tm = generate_keypair("TM", 7)
     sp = generate_keypair("SP", 7)
     env = seal(tm.public_key, "TM", b"secret payment details")
-    with pytest.raises(WrongRecipientError):
-        open_envelope(sp, env)
+    # the recipient id is bound into the key and the associated data, so the
+    # right seal key under another name does not open the envelope either
+    for opener, envelope in (
+        (sp, env),
+        (dataclasses.replace(tm, subject_id="TM2"), env),
+        (tm, seal(tm.public_key, "TM2", b"secret payment details")),
+    ):
+        with pytest.raises(EnvelopeIntegrityError):
+            open_envelope(opener, envelope)
 
 
 def test_open_with_wrong_key_material_fails():
@@ -366,7 +356,7 @@ def test_two_seals_of_same_plaintext_differ():
     a = seal(tm.public_key, "TM", b"same plaintext")
     b = seal(tm.public_key, "TM", b"same plaintext")
     assert a.ciphertext != b.ciphertext
-    assert a.wrapped_key != b.wrapped_key
+    assert a.ephemeral_key != b.ephemeral_key
 
 
 def test_seal_with_injected_rng_is_reproducible():
@@ -385,13 +375,42 @@ def test_seal_rejects_empty_plaintext():
 def test_every_bit_flip_in_envelope_fails_to_open():
     tm = generate_keypair("TM", 7)
     env = seal(tm.public_key, "TM", b"0123456789abcdef", rng=Random(1))
-    for bit in range(len(env.ciphertext) * 8):
-        bad = type(env)(env.recipient_id, flip_bit(env.ciphertext, bit), env.wrapped_key)
-        with pytest.raises(EnvelopeError):
+    # bit 248 is the top bit of the ephemeral key's last byte, which X25519
+    # masks: the agreement ignores it, so only the associated data catches it
+    for bit in range(len(env.ephemeral_key) * 8):
+        bad = dataclasses.replace(env, ephemeral_key=flip_bit(env.ephemeral_key, bit))
+        with pytest.raises(EnvelopeIntegrityError):
             open_envelope(tm, bad)
-    for bit in range(len(env.wrapped_key) * 8):
-        bad = type(env)(env.recipient_id, env.ciphertext, flip_bit(env.wrapped_key, bit))
-        with pytest.raises(EnvelopeError):
+    for bit in range(len(env.ciphertext) * 8):
+        bad = dataclasses.replace(env, ciphertext=flip_bit(env.ciphertext, bit))
+        with pytest.raises(EnvelopeIntegrityError):
+            open_envelope(tm, bad)
+
+
+def test_the_masked_ephemeral_bit_reaches_the_same_agreement():
+    # why the ephemeral key is authenticated: with its masked bit flipped it
+    # still yields the very secret the recipient derives from the original
+    tm = generate_keypair("TM", 7)
+    env = seal(tm.public_key, "TM", b"payload", rng=Random(1))
+    flipped = flip_bit(env.ephemeral_key, 248)  # top bit of the last byte
+    assert flipped != env.ephemeral_key
+    agree = tm.seal_key.exchange
+    assert agree(X25519PublicKey.from_public_bytes(flipped)) == agree(
+        X25519PublicKey.from_public_bytes(env.ephemeral_key)
+    )
+
+
+def test_a_truncated_or_malformed_envelope_fails_to_open():
+    tm = generate_keypair("TM", 7)
+    env = seal(tm.public_key, "TM", b"payload", rng=Random(1))
+    for bad in (
+        dataclasses.replace(env, ephemeral_key=env.ephemeral_key[:-1]),
+        dataclasses.replace(env, ephemeral_key=env.ephemeral_key + b"\x00"),
+        dataclasses.replace(env, ephemeral_key=bytes(32)),  # low order: all-zero secret
+        dataclasses.replace(env, ciphertext=env.ciphertext[:15]),
+        dataclasses.replace(env, ciphertext=env.ciphertext[:-1]),
+    ):
+        with pytest.raises(EnvelopeIntegrityError):
             open_envelope(tm, bad)
 
 

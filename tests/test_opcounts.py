@@ -6,10 +6,12 @@ the protocol, a wire field added back, or a delivery nested inside another
 so that the two share a tick shows here before it shows in any timing.  MACs made
 and checked, and the X25519 agreements behind them, are gated the same way:
 a server-to-server leg back under a signature, or a pairwise key derived
-more than once per peer and run, shows here.  Private-key parses are gated
-too: each key pair parses each of its halves at most once.  So are the
-bytes hashed, signed and verified: a second hash of an object, or object
-bytes back under a signature, shows as a byte count.  So are the codec's
+more than once per peer and run, shows here.  So are the AES-GCM keys: a
+content key wrapped under the envelope's agreed key shows here.
+Private-key parses are gated too: each key pair parses each of its halves
+once, when it is derived.  So are the bytes hashed, signed and verified: a
+second hash of an object, or object bytes back under a signature, shows as
+a byte count.  So are the codec's
 encodes: a message encoded twice by its sender, or encoded again by its
 receiver to check its authenticator, shows as a call count.  So are the
 messages' invariant checks: a message checked again on encode shows here.
@@ -60,15 +62,18 @@ def _counts(monkeypatch, config: ScenarioConfig) -> tuple[int, int, int, int, in
 # Wire bytes were re-taken when the order digest became each order's one
 # name (+109 per run: six 16-byte names became 32-byte digests, the token
 # lost its 20-byte id, the quote gained its 20-byte request nonce, and the
-# order travels as its tagged encoding, 13 bytes more).
+# order travels as its tagged encoding, 13 bytes more).  Re-taken at -156
+# when the sealed envelope lost its content key, key wrap and recipient id:
+# 78 bytes fewer in each of the two records that carry it, the
+# AuthorizationRequest and the AuthorizeAndHold.
 def test_default_transaction_signs_verifies_and_records(monkeypatch):
     # one delivery per tick: as many ticks as records
-    assert _counts(monkeypatch, ScenarioConfig()) == (7, 8, 21, 3492, 21)
+    assert _counts(monkeypatch, ScenarioConfig()) == (7, 8, 21, 3336, 21)
 
 
 def test_bulk_transaction_signs_verifies_and_records(monkeypatch):
     config = ScenarioConfig(object_count=16, object_size=65536)
-    assert _counts(monkeypatch, config) == (7, 8, 47, 2_102_275, 47)
+    assert _counts(monkeypatch, config) == (7, 8, 47, 2_102_119, 47)
 
 
 def _mac_counts(monkeypatch, config: ScenarioConfig) -> tuple[int, int, int, int, int]:
@@ -96,6 +101,32 @@ def test_default_transaction_macs_and_agreements(monkeypatch):
 def test_bulk_transaction_macs_and_agreements(monkeypatch):
     config = ScenarioConfig(object_count=16, object_size=65536)
     assert _mac_counts(monkeypatch, config) == (7, 7, 4, 1, 1)
+
+
+def _aead_keys(monkeypatch, config: ScenarioConfig) -> int:
+    """AES-GCM keys set up in one run: each ``AESGCM`` built in gset.crypto."""
+    calls = [0]
+    original = gset.crypto.AESGCM
+
+    def counted(key):
+        calls[0] += 1
+        return original(key)
+
+    monkeypatch.setattr(gset.crypto, "AESGCM", counted)
+    assert run_storage_scenario(config).complete_success()
+    return calls[0]
+
+
+# One key per envelope, used once to seal and once to open: the key of the
+# one agreement encrypts the payment half itself, with no content key
+# wrapped under it (4 keys when a content key was wrapped).
+def test_default_transaction_uses_one_aead_key_per_end(monkeypatch):
+    assert _aead_keys(monkeypatch, ScenarioConfig()) == 2
+
+
+def test_bulk_transaction_uses_one_aead_key_per_end(monkeypatch):
+    config = ScenarioConfig(object_count=16, object_size=65536)
+    assert _aead_keys(monkeypatch, config) == 2
 
 
 # A relay repeated while its order's hold is pending is ignored before the
@@ -127,13 +158,15 @@ def _bytes_through(monkeypatch, config: ScenarioConfig) -> tuple[int, int, int, 
 # name (the decision, upload, grant and completion name a 32-byte digest
 # for a 16-byte nonce, the quote names its request, the token lost its id),
 # and MAC'd bytes at +32 (the capture request and response name the digest).
+# MAC'd bytes were re-taken at -78 when the sealed envelope inside the MAC'd
+# AuthorizeAndHold lost its content key, key wrap and recipient id.
 def test_default_transaction_hashes_signs_and_verifies_bytes(monkeypatch):
-    assert _bytes_through(monkeypatch, ScenarioConfig()) == (1326, 762, 794, 773, 773)
+    assert _bytes_through(monkeypatch, ScenarioConfig()) == (1326, 762, 794, 695, 695)
 
 
 def test_bulk_transaction_hashes_signs_and_verifies_bytes(monkeypatch):
     config = ScenarioConfig(object_count=16, object_size=65536)
-    assert _bytes_through(monkeypatch, config) == (3_146_478, 1958, 1990, 773, 773)
+    assert _bytes_through(monkeypatch, config) == (3_146_478, 1958, 1990, 695, 695)
 
 
 class _CountingKeyClass:
