@@ -100,6 +100,7 @@ from .messages import (
     Ticket,
     TicketRedeemRequest,
     TicketRedeemResponse,
+    UploadManifest,
     UsageDescriptor,
     build_maced,
     build_signed,

@@ -11,9 +11,12 @@ code, never free text, which the network keeps with the record whose
 delivery drew it.  The happy path draws no event.  A server that asks another keeps
 the request pending in its record of the order or hold, under the name the
 request carries, and the answer's own handler finds that record by one
-lookup and resumes from it.  The seven server-to-server legs carry a
-pairwise MAC; the signed messages of the requester's legs and the trust
-manager's capture token keep their signatures (see ``_authentic``).
+lookup and resumes from it.  Every message goes out through one builder,
+``_send``, which signs, MACs or sends bare as the type's trailing field
+declares (``codec.authenticator``), and comes in through one check,
+``_authentic``, which reads the same fact: the seven server-to-server legs
+carry a pairwise MAC, and the signed messages of the requester's legs and
+the trust manager's capture token keep their signatures.
 
 The privacy split is enforced here by what each actor stores, one
 record per order or hold:
@@ -50,7 +53,7 @@ from random import Random
 from typing import Callable, Mapping, NamedTuple
 
 from . import codec
-from .codec import Bulk, CodecError, Label, canonical_message, register_message
+from .codec import Bulk, CodecError, Label, Mac, canonical_message, register_message
 from .crypto import (
     Digest,
     EnvelopeError,
@@ -90,6 +93,7 @@ from .messages import (
     Ticket,
     TicketRedeemRequest,
     TicketRedeemResponse,
+    UploadManifest,
     UsageDescriptor,
     build_maced,
     build_signed,
@@ -218,47 +222,44 @@ class _ActorBase:
                 self.pair_keys[peer_id] = keys
         return keys
 
-    def _maced_to(self, peer_id: str, cls: type, **fields) -> Send | Event:
-        """``cls`` MAC'd to ``peer_id``, to send; without a key, the event saying so."""
-        keys = self._keys_with(peer_id)
+    def _send(self, to: str, cls: type, covered: bytes | None = None, **fields) -> Send | Event:
+        """``cls`` built from ``fields``, to send to ``to``: signed (over
+        ``covered`` when given), MAC'd or bare, as its trailing field declares.
+        Without a MAC key for ``to``, the event saying so."""
+        kind = codec.authenticator(cls)
+        if kind is None:
+            return Send(to, codec.encode(cls(**fields)))
+        if kind is Signature:
+            return Send(to, build_signed(cls, self.identity, covered, **fields)[1])
+        keys = self._keys_with(to)
         if keys is None:
             return self._event(EventKind.NO_MAC_KEY)
-        return Send(peer_id, build_maced(cls, keys[0], **fields)[1])
+        return Send(to, build_maced(cls, keys[0], **fields)[1])
 
     def _reply(self, peer_id: str, cls: type, kind, reason, **fields) -> Effects:
-        """``cls`` MAC'd to ``peer_id`` with ``reason``, after the event ``kind`` if refused."""
-        answer = self._maced_to(peer_id, cls, reason=reason, **fields)
+        """``cls`` sent to ``peer_id`` with ``reason``, after the event ``kind`` if refused."""
+        answer = self._send(peer_id, cls, reason=reason, **fields)
         if reason is None:
             return [answer]
         return [self._event(kind, fields.get("oi_digest"), reason), answer]
 
-    def _authentic(
-        self,
-        msg,
-        peer_id: str,
-        covered: bytes | memoryview | None = None,
-        digests: tuple[Digest, ...] | None = None,
-    ) -> bool:
+    def _authentic(self, msg, peer_id: str, covered: bytes | memoryview | None = None) -> bool:
         """Did ``peer_id`` send ``msg``, by its trailing signature or MAC?
 
         A ``Mac`` is checked under the key from ``peer_id`` to this actor; a
         ``Signature`` must name ``peer_id`` and verify under its public key.
-        ``covered`` is the part of the received bytes the authenticator
-        covers (``codec.decode_authenticated``); it is encoded again from
-        ``msg`` only when absent, as for a token nested in another message.
-        ``digests`` are an ``ObjectUpload``'s object digests, which its
-        signature covers in place of the objects.
+        ``covered`` is what the authenticator covers: the part of the
+        received bytes ``codec.decode_authenticated`` returns, or an
+        ``ObjectUpload``'s manifest.  It is encoded again from ``msg`` only
+        when absent, as for a token nested in another message.
         """
-        sig = getattr(msg, codec.authenticator_field_name(type(msg)))
-        if not isinstance(sig, Signature):
+        if codec.authenticator(type(msg)) is Mac:
             keys = self._keys_with(peer_id)
             return keys is not None and verify_maced(msg, keys[1], covered)
         public = self._key_of(peer_id)
-        if public is None:
-            return False
-        if sig.signer_id != peer_id:
-            return False
-        return verify_signed(msg, public, digests, covered)
+        sig = getattr(msg, codec.authenticator_field_name(type(msg)))
+        return public is not None and sig.signer_id == peer_id \
+            and verify_signed(msg, public, covered)
 
     def deliver(self, sender: str, raw: bytes, now: int) -> Effects:
         """Process one incoming message; returns its effects, the messages to
@@ -342,9 +343,9 @@ class ServiceRequester(_ActorBase):
     def begin(self, usage: UsageDescriptor) -> Send:
         """Kick-off message for a simulation run: a price request for
         ``usage`` under a fresh nonce."""
-        request = PriceRequest(usage=usage, nonce=self._nonce())
-        self.pending_requests[request.nonce] = usage
-        return Send(self.config.provider_id, codec.encode(request))
+        nonce = self._nonce()
+        self.pending_requests[nonce] = usage
+        return self._send(self.config.provider_id, PriceRequest, usage=usage, nonce=nonce)
 
     # -- message handlers --
 
@@ -358,6 +359,9 @@ class ServiceRequester(_ActorBase):
             return [self._event(EventKind.BAD_AUTHENTICATOR)]
         if now >= quote.expiry:
             return [self._event(EventKind.QUOTE_EXPIRED)]
+        tm_key = self._key_of(self.config.trust_manager_id)
+        if tm_key is None:
+            return [self._event(EventKind.NO_PUBLIC_KEY)]
         order = OrderInfo(quote_id=quote.quote_id, usage=quote.usage, order_nonce=self._nonce())
         payment = PaymentInfo(
             account_provider_id=self.config.account_provider_id,
@@ -367,15 +371,12 @@ class ServiceRequester(_ActorBase):
         )
         order_bytes = codec.encode(order)
         payment_bytes = codec.encode(payment)
-        tm_key = self._key_of(self.config.trust_manager_id)
-        if tm_key is None:
-            return [self._event(EventKind.NO_PUBLIC_KEY)]
         envelope = seal(tm_key, self.config.trust_manager_id, payment_bytes, self.rng)
         dual = make_dual_signature(self.identity, order_bytes, payment_bytes)
         self.orders[dual.oi_digest] = RequesterOrder()
         del self.pending_requests[quote.request_nonce]
-        auth = AuthorizationRequest(order_info=order_bytes, payment_envelope=envelope, dual=dual)
-        return [Send(self.config.provider_id, codec.encode(auth))]
+        return [self._send(self.config.provider_id, AuthorizationRequest,
+                           order_info=order_bytes, payment_envelope=envelope, dual=dual)]
 
     def _on_quote_denial(self, sender: str, denial: QuoteDenial, covered, now: int) -> Effects:
         self.pending_requests.pop(denial.request_nonce, None)
@@ -393,9 +394,9 @@ class ServiceRequester(_ActorBase):
             return [self._event(EventKind.AUTHORIZATION_DENIED, oi_digest)]
         record.phase = RequesterPhase.UPLOADING
         record.digests = object_digests(self.config.objects)
-        _, raw = build_signed(ObjectUpload, self.identity, digests=record.digests,
-                              oi_digest=oi_digest, objects=self.config.objects)
-        return [Send(self.config.provider_id, raw)]
+        manifest = codec.encode(UploadManifest(oi_digest, record.digests))
+        return [self._send(self.config.provider_id, ObjectUpload, manifest,
+                           oi_digest=oi_digest, objects=self.config.objects)]
 
     def _on_service_grant(self, sender: str, grant: ServiceGrant, covered, now: int) -> Effects:
         oi_digest = grant.oi_digest
@@ -415,7 +416,7 @@ class ServiceRequester(_ActorBase):
             record.tickets[ticket.ticket_id] = ticket
             self.ticket_orders[ticket.ticket_id] = oi_digest
         to = self.config.provider_id
-        return [Send(to, codec.encode(TicketRedeemRequest(t))) for t in record.tickets]
+        return [self._send(to, TicketRedeemRequest, ticket_id=t) for t in record.tickets]
 
     def _on_redeem_response(
         self, sender: str, resp: TicketRedeemResponse, covered, now: int
@@ -436,8 +437,7 @@ class ServiceRequester(_ActorBase):
         if len(record.retrieved) < len(record.tickets):
             return []
         record.phase = RequesterPhase.COMPLETED
-        _, raw = build_signed(ServiceComplete, self.identity, oi_digest=oi_digest)
-        return [Send(self.config.provider_id, raw)]
+        return [self._send(self.config.provider_id, ServiceComplete, oi_digest=oi_digest)]
 
     _HANDLERS = {
         PriceQuote: _on_price_quote,
@@ -497,18 +497,14 @@ class ServiceProvider(_ActorBase):
     # ticket_id -> object, until the ticket is redeemed
     stored_objects: dict[bytes, Bulk]
 
-    def _decide(self, requester: str, oi_digest: Digest, approved: bool) -> Effects:
-        _, raw = build_signed(AuthDecision, self.identity, oi_digest=oi_digest, approved=approved)
-        return [Send(requester, raw)]
-
     # -- message handlers --
 
     def _on_price_request(self, sender: str, request: PriceRequest, covered, now: int) -> Effects:
         """Price a usage request: rate * quantity, valid for quote_ttl ticks."""
 
         def deny(reason: str) -> Effects:
-            denial = QuoteDenial(request_nonce=request.nonce, reason=reason)
-            return [self._event(EventKind.QUOTE_REFUSED), Send(sender, codec.encode(denial))]
+            denial = self._send(sender, QuoteDenial, request_nonce=request.nonce, reason=reason)
+            return [self._event(EventKind.QUOTE_REFUSED), denial]
 
         rate = self.config.pricing.get(request.usage.service_id)
         if rate is None:
@@ -516,17 +512,11 @@ class ServiceProvider(_ActorBase):
         price = rate * request.usage.quantity
         if price.bit_length() > 64:
             return deny(f"price for quantity {request.usage.quantity} exceeds 2**64 - 1")
-        quote, raw = build_signed(
-            PriceQuote,
-            self.identity,
-            request_nonce=request.nonce,
-            quote_id=self._nonce(),
-            usage=request.usage,
-            price=price,
-            expiry=now + self.config.quote_ttl,
-        )
-        self.issued_quotes[quote.quote_id] = IssuedQuote(quote.usage, price, quote.expiry)
-        return [Send(sender, raw)]
+        quote_id, expiry = self._nonce(), now + self.config.quote_ttl
+        quote = self._send(sender, PriceQuote, request_nonce=request.nonce, quote_id=quote_id,
+                           usage=request.usage, price=price, expiry=expiry)
+        self.issued_quotes[quote_id] = IssuedQuote(request.usage, price, expiry)
+        return [quote]
 
     def _on_authorization(
         self, sender: str, auth: AuthorizationRequest, covered, now: int
@@ -547,7 +537,7 @@ class ServiceProvider(_ActorBase):
 
         def deny(reason: DenialReason) -> Effects:
             event = self._event(EventKind.AUTHORIZATION_REFUSED, oi_digest, reason)
-            return [event, *self._decide(sender, oi_digest, False)]
+            return [event, self._send(sender, AuthDecision, oi_digest=oi_digest, approved=False)]
 
         # authenticity first: any tampering surfaces as BAD_SIGNATURE before
         # policy questions like quote expiry get a say
@@ -566,9 +556,9 @@ class ServiceProvider(_ActorBase):
         if oi_digest in self.orders:
             return [self._event(EventKind.DUPLICATE, oi_digest)]
 
-        relay = self._maced_to(self.config.trust_manager_id, AuthorizeAndHold,
-                               payment_envelope=auth.payment_envelope, dual=auth.dual,
-                               charge_amount=quote.price)
+        relay = self._send(self.config.trust_manager_id, AuthorizeAndHold,
+                           payment_envelope=auth.payment_envelope, dual=auth.dual,
+                           charge_amount=quote.price)
         if type(relay) is Send:
             self.orders[oi_digest] = ProviderOrder(sender, quote.price)
         return [relay]
@@ -586,21 +576,23 @@ class ServiceProvider(_ActorBase):
         if ignored := self._unanswered(outcome, awaited, sender, covered):
             return ignored
         token = outcome.token
-        if (
+        approved = (
             outcome.approved
             and self._authentic(token, tm)
             and token.provider_id == self.subject_id
             and token.charge_amount == record.charge
             and token.oi_digest == oi_digest
-        ):
-            record.phase = ProviderPhase.APPROVED
-            return self._decide(record.requester, oi_digest, True)
-        record.phase = ProviderPhase.DENIED
+        )
+        record.phase = ProviderPhase.APPROVED if approved else ProviderPhase.DENIED
+        decision = self._send(record.requester, AuthDecision, oi_digest=oi_digest,
+                              approved=approved)
+        if approved:
+            return [decision]
         if outcome.approved:  # on a token that does not verify or fit the order
             event = self._event(EventKind.BAD_TOKEN, oi_digest)
         else:
             event = self._event(EventKind.AUTHORIZATION_DENIED, oi_digest, outcome.reason)
-        return [event, *self._decide(record.requester, oi_digest, False)]
+        return [event, decision]
 
     def _on_object_upload(self, sender: str, upload: ObjectUpload, covered, now: int) -> Effects:
         oi_digest = upload.oi_digest
@@ -608,7 +600,7 @@ class ServiceProvider(_ActorBase):
         if record is None or record.requester != sender:
             return [self._event(EventKind.NOT_PENDING, oi_digest)]
         digests = object_digests(upload.objects)
-        if not self._authentic(upload, sender, digests=digests):
+        if not self._authentic(upload, sender, codec.encode(UploadManifest(oi_digest, digests))):
             return [self._event(EventKind.BAD_AUTHENTICATOR, oi_digest)]
         if record.phase >= ProviderPhase.GRANTED:
             return [self._event(EventKind.DUPLICATE, oi_digest)]
@@ -619,16 +611,15 @@ class ServiceProvider(_ActorBase):
         tickets = tuple(Ticket(ticket_id=self._nonce(), object_digest=d) for d in digests)
         for ticket, obj in zip(tickets, upload.objects):
             self.stored_objects[ticket.ticket_id] = obj
-        _, raw = build_signed(ServiceGrant, self.identity, oi_digest=oi_digest, tickets=tickets)
-        return [Send(sender, raw)]
+        return [self._send(sender, ServiceGrant, oi_digest=oi_digest, tickets=tickets)]
 
     def _on_redeem_request(
         self, sender: str, request: TicketRedeemRequest, covered, now: int
     ) -> Effects:
         # stored objects are never empty, so no bytes means a refusal
         payload = self.stored_objects.pop(request.ticket_id, b"")
-        response = TicketRedeemResponse(ticket_id=request.ticket_id, payload=payload)
-        answer = Send(sender, codec.encode(response))
+        answer = self._send(sender, TicketRedeemResponse, ticket_id=request.ticket_id,
+                            payload=payload)
         return [answer] if payload else [self._event(EventKind.REDEMPTION_REFUSED), answer]
 
     def _on_service_complete(
@@ -644,7 +635,7 @@ class ServiceProvider(_ActorBase):
             return [self._event(EventKind.DUPLICATE, oi_digest)]
         # name the order's token to the trust manager; a settled capture books the charge
         tm = self.config.trust_manager_id
-        request = self._maced_to(tm, CaptureRequest, oi_digest=oi_digest)
+        request = self._send(tm, CaptureRequest, oi_digest=oi_digest)
         if type(request) is Send:
             record.phase = ProviderPhase.CAPTURING
         return [request]
@@ -712,11 +703,6 @@ class TrustManager(_ActorBase):
     # oi_digest -> the hold_nonce of the order's one hold
     order_holds: dict[Digest, bytes]
 
-    def _deny(self, provider: str, oi_digest: Digest, reason) -> Effects:
-        event = self._event(EventKind.AUTHORIZATION_REFUSED, oi_digest, reason)
-        outcome = AuthOutcome(oi_digest=oi_digest, token=None, reason=reason)
-        return [event, Send(provider, codec.encode(outcome))]
-
     def _on_authorize_and_hold(
         self, sender: str, msg: AuthorizeAndHold, covered, now: int
     ) -> Effects:
@@ -731,7 +717,8 @@ class TrustManager(_ActorBase):
         oi_digest = msg.dual.oi_digest
 
         def deny(reason: DenialReason) -> Effects:
-            return self._deny(sender, oi_digest, reason)
+            return self._reply(sender, AuthOutcome, EventKind.AUTHORIZATION_REFUSED, reason,
+                               oi_digest=oi_digest, token=None)
 
         if not self._authentic(msg, sender, covered):
             return deny(DenialReason.BAD_SIGNATURE)
@@ -758,9 +745,9 @@ class TrustManager(_ActorBase):
 
         account_digest = hash_bytes(payment.account_ref.encode("utf-8"))
         hold_nonce = self._nonce()
-        request = self._maced_to(payment.account_provider_id, HoldRequest,
-                                 hold_nonce=hold_nonce, account_ref_digest=account_digest,
-                                 amount=msg.charge_amount)
+        request = self._send(payment.account_provider_id, HoldRequest,
+                             hold_nonce=hold_nonce, account_ref_digest=account_digest,
+                             amount=msg.charge_amount)
         if type(request) is not Send:  # the account provider is unreachable
             return [request, *deny(DenialReason.UNKNOWN_ACCOUNT)]
         self.holds[hold_nonce] = HoldRecord(sender, payment.account_provider_id,
@@ -775,19 +762,15 @@ class TrustManager(_ActorBase):
             and hold.phase == HoldPhase.HOLDING
         if ignored := self._unanswered(response, awaited, sender, covered):
             return ignored
-        if not response.ok:
+        token = None
+        if response.ok:  # the token travels nested in the outcome, under its own signature
+            token, _ = build_signed(CaptureToken, self.identity, provider_id=hold.provider,
+                                    charge_amount=hold.charge, oi_digest=hold.oi_digest)
+            hold.phase = HoldPhase.MINTED
+        else:
             del self.holds[response.hold_nonce], self.order_holds[hold.oi_digest]
-            return self._deny(hold.provider, hold.oi_digest, response.reason)
-        token, _ = build_signed(
-            CaptureToken,
-            self.identity,
-            provider_id=hold.provider,
-            charge_amount=hold.charge,
-            oi_digest=hold.oi_digest,
-        )
-        hold.phase = HoldPhase.MINTED
-        outcome = AuthOutcome(oi_digest=hold.oi_digest, token=token, reason=None)
-        return [Send(hold.provider, codec.encode(outcome))]
+        return self._reply(hold.provider, AuthOutcome, EventKind.AUTHORIZATION_REFUSED,
+                           response.reason, oi_digest=hold.oi_digest, token=token)
 
     def _on_capture_request(
         self, sender: str, request: CaptureRequest, covered, now: int
@@ -810,7 +793,7 @@ class TrustManager(_ActorBase):
             return [self._event(EventKind.DUPLICATE, request.oi_digest)]
         if hold.phase == HoldPhase.SPENT:
             return refuse(DenialReason.REPLAY)
-        settle = self._maced_to(hold.account_provider, SettleRequest, hold_nonce=hold_nonce)
+        settle = self._send(hold.account_provider, SettleRequest, hold_nonce=hold_nonce)
         if type(settle) is not Send:  # the account provider is unreachable
             return [settle, *refuse(DenialReason.UNKNOWN_ACCOUNT)]
         hold.phase = HoldPhase.SETTLING

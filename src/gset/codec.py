@@ -445,6 +445,7 @@ class _Schema:
     tag_field: bytes  # the framed type-name field that leads a top-level message
     fields: tuple[tuple[str, str, Encoder], ...]  # (name, "Tag.name" label, encoder)
     authenticator: str | None  # trailing signature or MAC field, if any
+    kind: Any  # that field's type, ``Signature`` or ``Mac``; None without one
     write: Callable[[Any, list], int]  # append every field
     # (data, pos, end, base) -> (message, offset of its last field)
     read: Callable[[bytes, int, int, int], tuple[Any, int]]
@@ -454,7 +455,9 @@ _BY_TAG: dict[str, _Schema] = {}
 _BY_CLASS: dict[type, _Schema] = {}
 
 
-def _compile_schema(cls: type, tag: str, compiled: list, authenticator: str | None) -> _Schema:
+def _compile_schema(
+    cls: type, tag: str, compiled: list, authenticator: str | None, kind: Any
+) -> _Schema:
     tag_bytes = tag.encode("utf-8")
     encoders = tuple((name, label, encoder) for name, label, encoder, _ in compiled)
     decoders = tuple((label, decoder) for _, label, _, decoder in compiled)
@@ -485,6 +488,7 @@ def _compile_schema(cls: type, tag: str, compiled: list, authenticator: str | No
         tag_field=_PACK_U32(len(tag_bytes)) + tag_bytes,
         fields=encoders,
         authenticator=authenticator,
+        kind=kind,
         write=write,
         read=read,
     )
@@ -509,7 +513,8 @@ def register_message(cls: type) -> type:
     Field order on the wire is the dataclass declaration order.  A trailing
     field of type Signature whose name ends in ``_signature``, or of kind
     ``Mac``, is the message's authenticator (a detached signature or a MAC)
-    and is excluded from signing payloads.
+    and is excluded from signing payloads; its type is recorded here, once,
+    as the type's ``authenticator``.
     Each field's encoder and decoder are compiled here, once.
     """
     from .crypto import Signature  # local import keeps layering one-way
@@ -524,16 +529,15 @@ def register_message(cls: type) -> type:
     for f in dataclasses.fields(cls):
         label = f"{tag}.{f.name}"
         compiled.append((f.name, label, *_compile(hints[f.name], label)))
-    authenticator = None
+    authenticator = kind = None
     if compiled:
         last_name = compiled[-1][0]
-        if hints[last_name] is Mac or (
-            last_name.endswith("_signature") and hints[last_name] is Signature
-        ):
-            authenticator = last_name
+        last = hints[last_name]
+        if last is Mac or (last_name.endswith("_signature") and last is Signature):
+            authenticator, kind = last_name, last
     if any(Bulk in (tp, *typing.get_args(tp)) for tp in hints.values()):
         cls.__repr__ = _bulk_repr
-    schema = _compile_schema(cls, tag, compiled, authenticator)
+    schema = _compile_schema(cls, tag, compiled, authenticator, kind)
     _BY_TAG[tag] = schema
     _BY_CLASS[cls] = schema
     return cls
@@ -638,6 +642,12 @@ def encode_authenticated(
     out = [payload]
     encoder(value, out, label)
     return msg, b"".join(out)
+
+
+def authenticator(cls: type) -> Any:
+    """How ``cls`` is authenticated: ``Signature``, ``Mac``, or None for a
+    type with no trailing authenticator."""
+    return _schema_for(cls).kind
 
 
 def authenticator_field_name(cls: type) -> str:

@@ -22,7 +22,9 @@ tag and every field before the authenticator.  The sender authenticates
 that part of the bytes it sends (``build_signed``, ``build_maced``), and the
 receiver checks the same part of the bytes it received
 (``codec.decode_authenticated``, ``verify_signed``, ``verify_maced``);
-neither end encodes the message a second time.
+neither end encodes the message a second time.  The trailing field is the
+one statement of how a type is authenticated (``codec.authenticator``):
+the actors' one send path and their one check both read it.
 
 One proof per fact.  Each signature below is checked by the party named as
 its verifier, and the signed message is what that party could later show to
@@ -80,10 +82,13 @@ never sees the payer's account provider or the hold.  So each answer names
 what it answers: a price request by its nonce, an order by its digest, a
 hold by its nonce.
 
-An ``ObjectUpload`` signature covers the order digest and the SHA-256 digest
-of each object, not the object bytes (``upload_signing_payload``), so a
-forged upload needs a SHA-256 collision or second preimage on an object: the
-assumption the tickets and the dual signature already rest on.
+An ``ObjectUpload`` signature covers the encoding of an ``UploadManifest``,
+the order digest and the SHA-256 digest of each object, not the object
+bytes, so a forged upload needs a SHA-256 collision or second preimage on
+an object: the assumption the tickets and the dual signature already rest
+on.  The manifest is a registered type that is never sent, so its encoding
+leads with its own type tag: it is no wire message and the signing payload
+of no other type.
 
 Unsigned: ``PriceRequest`` and ``QuoteDenial`` (an enquiry and its refusal
 commit nobody), ``AuthOutcome`` (an approval's authority is its token's
@@ -96,7 +101,6 @@ against, so a provider signature would prove the same fact twice.
 from __future__ import annotations
 
 import enum
-import struct
 from functools import partial
 from typing import TypeVar
 
@@ -112,7 +116,6 @@ from .codec import (
     canonical_message,
 )
 from .crypto import (
-    DIGEST_SIZE,
     Digest,
     DualSignature,
     KeyPair,
@@ -444,8 +447,16 @@ class SettleResponse:
 
 # --- signing helpers ----------------------------------------------------------
 
-_UPLOAD_DIGESTS_TAG = b"ObjectUpload/digests"
-_FRAMED_UPLOAD_DIGESTS_TAG = struct.pack(">I", len(_UPLOAD_DIGESTS_TAG)) + _UPLOAD_DIGESTS_TAG
+
+@canonical_message
+class UploadManifest:
+    """What an ``ObjectUpload`` signature covers, as its encoding: the order
+    digest and the SHA-256 digest of each object, in upload order, as the
+    ``ServiceGrant`` tickets commit to them.  Hash-then-sign, as in Ed25519ph:
+    no object byte goes through Ed25519.  Never sent; no actor handles it."""
+
+    oi_digest: Digest
+    digests: tuple[Digest, ...]
 
 
 def object_digests(objects: tuple[bytes, ...]) -> tuple[Digest, ...]:
@@ -453,66 +464,33 @@ def object_digests(objects: tuple[bytes, ...]) -> tuple[Digest, ...]:
     return tuple(hash_bytes(obj) for obj in objects)
 
 
-def upload_signing_payload(oi_digest: Digest, digests: tuple[Digest, ...]) -> bytes:
-    """What an ``ObjectUpload`` signature covers: the order digest and the
-    digest of each object, in upload order.
-
-    Hash-then-sign, as in Ed25519ph: no object byte goes through Ed25519,
-    and the digests are the ones the ``ServiceGrant`` tickets commit to.
-    The payload is a length-prefixed tag, the length-prefixed order digest,
-    the object digest count and the 32-byte object digests.  The tag is the distinct
-    ``ObjectUpload/digests``: no registered type has that name, so the
-    payload can be read neither as a wire ``ObjectUpload`` whose objects
-    are 32-byte strings nor as the signing payload of any other type.
-    """
-    _need(isinstance(oi_digest, Digest), "the upload's order must be a Digest")
-    _need(len(digests) > 0, "upload must commit to at least one object")
-    out = [_FRAMED_UPLOAD_DIGESTS_TAG, struct.pack(">I", DIGEST_SIZE), oi_digest.bytes,
-           struct.pack(">I", len(digests))]
-    for digest in digests:
-        _need(isinstance(digest, Digest), "upload digests must be Digests")
-        out.append(digest.bytes)
-    return b"".join(out)
-
-
 def build_signed(
-    cls: type[M], key: KeyPair, *, digests: tuple[Digest, ...] | None = None, **fields
+    cls: type[M], key: KeyPair, covered: bytes | None = None, **fields
 ) -> tuple[M, bytes]:
     """Construct ``cls`` with its detached signature filled in, and encode it.
 
-    Returns the message and the bytes to send.  The signature covers the
-    leading part of those bytes, the type tag and every field before the
-    signature, so any bit of the message body is tamper-evident and the
-    fields are encoded once.  An ``ObjectUpload`` is the one exception: its
-    signature covers ``upload_signing_payload``, over the ``digests`` the
-    caller passes, ``object_digests(objects)``.
+    Returns the message and the bytes to send.  The signature covers
+    ``covered`` when it is given, as an ``ObjectUpload``'s covers its
+    ``UploadManifest``; otherwise the leading part of those bytes, the type
+    tag and every field before the signature, so any bit of the message
+    body is tamper-evident and the fields are encoded once.
     """
-    if cls is ObjectUpload:
-        payload = upload_signing_payload(fields["oi_digest"], digests)
-        upload = cls(**fields, requester_signature=sign(key, payload))
-        return upload, codec.encode(upload)
-    return codec.encode_authenticated(cls, fields, partial(sign, key))
+    if covered is None:
+        return codec.encode_authenticated(cls, fields, partial(sign, key))
+    msg = cls(**fields, **{codec.authenticator_field_name(cls): sign(key, covered)})
+    return msg, codec.encode(msg)
 
 
-def verify_signed(
-    msg,
-    public_key: bytes,
-    digests: tuple[Digest, ...] | None = None,
-    covered: bytes | memoryview | None = None,
-) -> bool:
+def verify_signed(msg, public_key: bytes, covered: bytes | memoryview | None = None) -> bool:
     """Check a message's detached signature against ``public_key``.
 
-    ``covered`` is the part of the received bytes the signature covers
-    (``codec.decode_authenticated``); the receiver checks those bytes as
-    they arrived.  Without it, as for a message nested in another, the part
-    is encoded again from ``msg``.  An ``ObjectUpload``'s signature covers
-    its order digest and object digests instead: the caller passes
-    ``object_digests(msg.objects)`` as ``digests``.
+    ``covered`` is what the signature covers: for a received message the
+    part of its bytes ``codec.decode_authenticated`` returns, so the
+    receiver checks those bytes as they arrived, and for an ``ObjectUpload``
+    its ``UploadManifest``.  Without it, as for a message nested in another,
+    that part is encoded again from ``msg``.
     """
-    if type(msg) is ObjectUpload:
-        payload = upload_signing_payload(msg.oi_digest, digests)
-    else:
-        payload = codec.signing_payload(msg) if covered is None else covered
+    payload = codec.signing_payload(msg) if covered is None else covered
     sig: Signature = getattr(msg, codec.authenticator_field_name(type(msg)))
     return verify(public_key, payload, sig)
 

@@ -44,6 +44,7 @@ from gset import (
     TicketRedeemResponse,
     TranscriptMeta,
     TranscriptRecord,
+    UploadManifest,
     UsageDescriptor,
     WireMessage,
     codec,
@@ -173,6 +174,10 @@ def gen_auth_decision(rng: Random) -> AuthDecision:
 def gen_object_upload(rng: Random) -> ObjectUpload:
     objects = tuple(blob(rng, 1, 96) for _ in range(rng.randint(1, 3)))
     return ObjectUpload(gen_digest(rng), objects, gen_signature(rng))
+
+
+def gen_upload_manifest(rng: Random) -> UploadManifest:
+    return UploadManifest(gen_digest(rng), tuple(gen_digest(rng) for _ in range(rng.randint(1, 3))))
 
 
 def gen_service_grant(rng: Random) -> ServiceGrant:
@@ -354,6 +359,7 @@ FACTORIES = {
     AuthOutcome: gen_auth_outcome,
     AuthDecision: gen_auth_decision,
     ObjectUpload: gen_object_upload,
+    UploadManifest: gen_upload_manifest,
     ServiceGrant: gen_service_grant,
     TicketRedeemRequest: gen_redeem_request,
     TicketRedeemResponse: gen_redeem_response,

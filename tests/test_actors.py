@@ -1,7 +1,9 @@
 """Behavior of the four principals, driven through ``deliver`` and the simnet's queue."""
 from __future__ import annotations
 
+import ast
 import dataclasses
+import inspect
 from random import Random
 from types import SimpleNamespace
 
@@ -34,10 +36,12 @@ from gset import (
     ServiceRequester,
     SettleRequest,
     SettleResponse,
+    Signature,
     TicketRedeemRequest,
     Ticket,
     TicketRedeemResponse,
     TrustManager,
+    UploadManifest,
     UsageDescriptor,
     ValidationError,
     WireMessage,
@@ -57,13 +61,14 @@ from gset import (
     verify,
     verify_signed,
 )
+import gset.actors
 from gset.actors import HoldPhase, ProviderPhase, RequesterPhase
 from gset.ledger import HoldFate, HoldName
-from gset.messages import object_digests, upload_signing_payload
+from gset.messages import object_digests
 
-from genmsg import flip_bit
+from genmsg import flip_bit, random_message
 from harness import build_actors, recorded
-from test_messages import MACED_TYPES, _trailing_authenticator
+from test_messages import MACED_TYPES, _authenticated_by
 
 
 def usage_mb(actors, quantity: int) -> UsageDescriptor:
@@ -120,10 +125,15 @@ def approved_outcome(actors, quantity: int = 5, now: int = 0):
     return relay, outcome_of(actors, relay)
 
 
+def manifest_of(oi_digest: Digest, objects) -> bytes:
+    """What an upload's signature covers: its ``UploadManifest``, encoded."""
+    return codec.encode(UploadManifest(oi_digest, object_digests(objects)))
+
+
 def upload_for(actors, oi_digest: Digest) -> ObjectUpload:
     objects = actors.scenario.objects
     upload, _ = build_signed(
-        ObjectUpload, actors.sr.identity, digests=object_digests(objects),
+        ObjectUpload, actors.sr.identity, manifest_of(oi_digest, objects),
         oi_digest=oi_digest, objects=objects,
     )
     return upload
@@ -206,6 +216,45 @@ def test_deliver_is_the_only_way_into_an_actor(cls, extra):
     assert public == {"deliver", "state_bytes"} | extra
 
 
+# --- one way out --------------------------------------------------------------
+
+
+def _calls_in_actors() -> list[tuple[str | None, str | None, ast.Call]]:
+    """(the function or method it is in, the name called, the call) for every
+    call in ``gset.actors``; a closure's calls count as its method's."""
+    calls = []
+
+    def visit(node: ast.AST, owner: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                calls.append((owner, getattr(func, "id", getattr(func, "attr", None)), child))
+            is_def = isinstance(child, ast.FunctionDef) and owner is None
+            visit(child, child.name if is_def else owner)
+
+    visit(ast.parse(inspect.getsource(gset.actors)), None)
+    return calls
+
+
+def test_every_message_leaves_an_actor_through_send():
+    # _send alone builds a Send, and picks its signature, MAC or none from
+    # the type; the one other signature minted is the capture token's,
+    # which travels nested in the trust manager's outcome
+    calls = _calls_in_actors()
+    callers = {name: {owner for owner, called, _ in calls if called == name}
+               for name in ("Send", "build_maced", "build_signed")}
+    assert callers == {
+        "Send": {"_send"}, "build_maced": {"_send"}, "build_signed": {"_send", "_on_hold_response"},
+    }
+    [mint] = [call for owner, called, call in calls
+              if (owner, called) == ("_on_hold_response", "build_signed")]
+    assert ast.unparse(mint.args[0]) == "CaptureToken"
+    # the one Send of a codec.encode is _send's own, of the message it built
+    encoded = [ast.unparse(arg) for _, called, call in calls if called == "Send"
+               for arg in call.args if ast.unparse(arg).startswith("codec.encode(")]
+    assert encoded == ["codec.encode(cls(**fields))"]
+
+
 # --- one record per order -----------------------------------------------------
 
 # What each actor records: per-order state lives in one record per order,
@@ -270,7 +319,7 @@ TO_PROVIDER = {
     "AuthOutcome": lambda actors, oi_digest: (
         "TM", codec.encode(AuthOutcome(oi_digest, None, DenialReason.REPLAY))
     ),
-    "CaptureResponse": lambda actors, oi_digest: ("TM", actors.tm._maced_to(
+    "CaptureResponse": lambda actors, oi_digest: ("TM", actors.tm._send(
         "SP", CaptureResponse, oi_digest=oi_digest, reason=DenialReason.REPLAY
     ).raw),
 }
@@ -283,10 +332,10 @@ TO_TRUST_MANAGER = {
         "SP", recorded(records, "AuthorizeAndHold")[0]
     ),
     "CaptureRequest": lambda actors, nonce, records: ("SP", recorded(records, "CaptureRequest")[0]),
-    "HoldResponse": lambda actors, nonce, records: ("AP", actors.ap._maced_to(
+    "HoldResponse": lambda actors, nonce, records: ("AP", actors.ap._send(
         "TM", HoldResponse, hold_nonce=nonce, reason=DenialReason.REPLAY
     ).raw),
-    "SettleResponse": lambda actors, nonce, records: ("AP", actors.ap._maced_to(
+    "SettleResponse": lambda actors, nonce, records: ("AP", actors.ap._send(
         "TM", SettleResponse, hold_nonce=nonce, amount=0, reason=DenialReason.REPLAY
     ).raw),
 }
@@ -347,7 +396,7 @@ def test_a_message_its_order_phase_refuses_changes_nothing(tag, phase, refusal):
     answers = [(r.to_id, r.payload) for r in records[1:]]
     if (tag, phase) == ("CaptureRequest", HoldPhase.SPENT):
         # the one refusal that is an answer: a spent token's capture
-        assert answers == [actors.tm._maced_to(
+        assert answers == [actors.tm._send(
             "SP", CaptureResponse, oi_digest=record.oi_digest, reason=DenialReason.REPLAY
         )]
     else:
@@ -501,6 +550,19 @@ def test_forged_quote_signature_rejected():
     quote = codec.decode(quote_for(actors, 5), PriceQuote)
     doctored = codec.encode(dataclasses.replace(quote, price=1))
     _refused_quote(actors, doctored, 1, EventKind.BAD_AUTHENTICATOR)
+
+
+def test_a_requester_without_the_trust_managers_key_draws_no_nonce():
+    # no order can be sealed, so none is started: no nonce drawn, the
+    # request still pending
+    actors = build_actors()
+    quote = quote_for(actors, 5)
+    actors.sr.directory = {k: v for k, v in actors.sr.directory.items() if k != "TM"}
+    pending = dict(actors.sr.pending_requests)
+    drawn_so_far = actors.sr.rng.getstate()
+    _refused_quote(actors, quote, 1, EventKind.NO_PUBLIC_KEY)
+    assert actors.sr.pending_requests == pending
+    assert actors.sr.rng.getstate() == drawn_so_far
 
 
 def test_dual_signature_binds_order_and_payment():
@@ -904,9 +966,11 @@ def test_honest_upload_signature_covers_the_object_digests():
     [oi_digest] = approved_orders(actors, 1)
     upload = upload_for(actors, oi_digest)
     public = actors.sr.identity.public_key
-    digests = object_digests(actors.scenario.objects)
-    assert verify_signed(upload, public, digests)
-    assert verify(public, upload_signing_payload(oi_digest, digests), upload.requester_signature)
+    manifest = manifest_of(oi_digest, actors.scenario.objects)
+    assert verify_signed(upload, public, manifest)
+    assert verify(public, manifest, upload.requester_signature)
+    # not the leading part of the upload's own encoding, which holds the objects
+    assert not verify_signed(upload, public)
     [(dest, raw)] = actors.sp.deliver("SR", codec.encode(upload), 1)
     assert dest == "SR"
     assert len(actors.sp.stored_objects) == len(actors.scenario.objects)
@@ -918,7 +982,7 @@ def test_provider_refuses_an_upload_its_signature_does_not_bind(forgery):
     oi_digest, other = approved_orders(actors, 2)
     forged = UPLOAD_FORGERIES[forgery](actors, upload_for(actors, oi_digest), other)
     public = actors.sr.identity.public_key
-    assert not verify_signed(forged, public, object_digests(forged.objects))
+    assert not verify_signed(forged, public, manifest_of(forged.oi_digest, forged.objects))
     assert actors.sp.deliver("SR", codec.encode(forged), 1) == [
         Event("SP", EventKind.BAD_AUTHENTICATOR, forged.oi_digest, None)
     ]
@@ -928,17 +992,52 @@ def test_provider_refuses_an_upload_its_signature_does_not_bind(forgery):
     assert len(actors.sp.stored_objects) == len(actors.scenario.objects)
 
 
-def test_an_upload_payload_is_no_wire_upload_of_digests():
-    # signing payloads lead with their type tag; the upload's tag is its own
-    digests = object_digests(build_actors().scenario.objects)
-    order = Digest(b"\x01" * 32)
-    payload = upload_signing_payload(order, digests)
+def _honest_manifest(actors) -> bytes:
+    [oi_digest] = approved_orders(actors, 1)
+    return manifest_of(oi_digest, actors.scenario.objects)
+
+
+def test_an_upload_manifest_is_no_wire_upload():
+    # not of the objects, nor of objects that happen to be the 32-byte digests
+    actors = build_actors()
+    manifest = _honest_manifest(actors)
+    with pytest.raises(codec.MessageTypeError):
+        codec.decode(manifest, ObjectUpload)
+    shown = codec.decode(manifest, UploadManifest)
+    objects = tuple(digest.bytes for digest in shown.digests)
     as_wire = codec.signing_payload_from(
-        ObjectUpload, {"oi_digest": order, "objects": tuple(d.bytes for d in digests)}
+        ObjectUpload, {"oi_digest": shown.oi_digest, "objects": objects}
     )
-    assert payload != as_wire
-    with pytest.raises(codec.CodecError):
-        codec.decode(payload)
+    assert manifest != as_wire
+
+
+def test_an_upload_manifest_is_the_signing_payload_of_no_signed_type():
+    # every signing payload leads with its own type's tag field, and the
+    # manifest with the tag of a type that carries no authenticator
+    manifest = _honest_manifest(build_actors())
+    assert codec.peek_type(manifest) == "UploadManifest"
+    assert codec.authenticator(UploadManifest) is None
+    for tag in sorted(_authenticated_by(Signature) | _authenticated_by(codec.Mac)):
+        cls = codec.registered_types()[tag]
+        payload = codec.signing_payload(random_message(cls, Random(tag)))
+        assert codec.peek_type(payload) == tag
+        assert payload != manifest
+
+
+@pytest.mark.parametrize(
+    "actor_id, sender", [("sr", "SP"), ("sp", "SR"), ("tm", "SP"), ("ap", "TM")]
+)
+def test_an_upload_manifest_delivered_to_an_actor_is_an_unexpected_type(actor_id, sender):
+    actors = build_actors()
+    granted(actors)  # every actor has recorded an order or a hold
+    [oi_digest] = actors.sr.orders
+    manifest = manifest_of(oi_digest, actors.scenario.objects)
+    actor = getattr(actors, actor_id)
+    state = actor.state_bytes()
+    assert actor.deliver(sender, manifest, 2) == [
+        Event(actor.subject_id, EventKind.UNEXPECTED_TYPE, None, None)
+    ]
+    assert actor.state_bytes() == state
 
 
 def test_denied_outcome_stores_nothing():
@@ -1192,8 +1291,8 @@ def _account_provider_naming(actors, other: bytes) -> None:
 
     def deliver(sender, raw, now):
         if isinstance(codec.decode(raw), HoldRequest):
-            return [actors.ap._maced_to(sender, HoldResponse, hold_nonce=other, reason=None)]
-        return [actors.ap._maced_to(
+            return [actors.ap._send(sender, HoldResponse, hold_nonce=other, reason=None)]
+        return [actors.ap._send(
             sender, SettleResponse, hold_nonce=other, amount=50, reason=None
         )]
 
@@ -1254,7 +1353,7 @@ def test_a_capture_for_an_order_never_held_is_refused():
     actors = build_actors()
     _, outcome = approved_outcome(actors, quantity=5)
     unheld = hash_bytes(b"an order the trust manager never held")
-    _, raw = actors.sp._maced_to("TM", CaptureRequest, oi_digest=unheld)
+    _, raw = actors.sp._send("TM", CaptureRequest, oi_digest=unheld)
     [answer] = actors.run("SP", "TM", raw)[1:]
     response = codec.decode(answer.payload, CaptureResponse)
     assert answer.to_id == "SP"
@@ -1271,7 +1370,7 @@ def test_a_capture_before_the_token_is_minted_is_refused():
     actors = build_actors()
     TO_HOLD_PHASE[HoldPhase.HOLDING](actors)
     [hold] = actors.tm.holds.values()
-    _, raw = actors.sp._maced_to("TM", CaptureRequest, oi_digest=hold.oi_digest)
+    _, raw = actors.sp._send("TM", CaptureRequest, oi_digest=hold.oi_digest)
     [answer] = actors.run("SP", "TM", raw)[1:]
     assert codec.decode(answer.payload, CaptureResponse).reason == DenialReason.BAD_SIGNATURE
     assert drawn(events_of(actors, "TM")[-1:]) == [
@@ -1347,19 +1446,19 @@ def test_garbage_bytes_are_dropped_with_an_event():
 
 
 def _stray_capture_response(actors):
-    return actors.tm._maced_to(
+    return actors.tm._send(
         "SP", CaptureResponse, oi_digest=Digest(bytes(32)), reason=None
     ).raw
 
 
 def _stray_hold_response(actors):
-    return actors.ap._maced_to(
+    return actors.ap._send(
         "TM", HoldResponse, hold_nonce=bytes(16), reason=None
     ).raw
 
 
 def _stray_settle_response(actors):
-    return actors.ap._maced_to(
+    return actors.ap._send(
         "TM", SettleResponse, hold_nonce=bytes(16), amount=50, reason=None
     ).raw
 
@@ -1425,7 +1524,7 @@ def _signed_tags() -> tuple[str, ...]:
     """The wire types of the default run whose trailing authenticator is a
     signature, in the order they first travel.  (The capture token's
     signature travels nested.)"""
-    signed = _trailing_authenticator("_signature")
+    signed = _authenticated_by(Signature)
     payloads = run_storage_scenario(ScenarioConfig()).transcript.payloads()
     return tuple(dict.fromkeys(tag for tag in map(peek_type, payloads) if tag in signed))
 
@@ -1438,12 +1537,16 @@ def test_a_run_carries_five_signed_wire_types():
     assert sorted(SIGNED_TAGS) == sorted(
         ["PriceQuote", "AuthDecision", "ServiceGrant", "ObjectUpload", "ServiceComplete"]
     )
+    # and the capture token, whose signature travels nested in the outcome
+    assert _authenticated_by(Signature) == {*SIGNED_TAGS, "CaptureToken"}
 
 
 def _authentic(receiver, msg, sender: str, covered) -> bool:
-    # the provider hashes an upload's objects before it checks the signature
-    digests = object_digests(msg.objects) if type(msg) is ObjectUpload else None
-    return receiver._authentic(msg, sender, covered, digests)
+    # the provider checks an upload's signature over the manifest of the
+    # objects it received
+    if type(msg) is ObjectUpload:
+        covered = manifest_of(msg.oi_digest, msg.objects)
+    return receiver._authentic(msg, sender, covered)
 
 
 def _flip_every_bit(tag: str) -> None:
@@ -1501,7 +1604,7 @@ def test_an_actor_without_a_peer_key_sends_that_peer_nothing():
     _, outcome = approved_outcome(actors, quantity=5)
     del actors.tm.directory["SP"]
     actors.tm.pair_keys.clear()
-    _, raw = actors.sp._maced_to("TM", CaptureRequest, oi_digest=outcome.oi_digest)
+    _, raw = actors.sp._send("TM", CaptureRequest, oi_digest=outcome.oi_digest)
     assert actors.run("SP", "TM", raw)[1:] == ()
     # the request's MAC cannot be checked either, and the refusal goes unsent
     assert drawn(actors.events[-2:]) == [

@@ -41,21 +41,16 @@ NONCE = bytes(range(16))
 ORDER = hash_bytes(b"order")  # an order digest
 
 
-def _trailing_authenticator(suffix: str) -> set[str]:
-    names = set()
-    for tag, cls in codec.registered_types().items():
-        try:
-            field = codec.authenticator_field_name(cls)
-        except codec.EncodeError:
-            continue
-        if field.endswith(suffix):
-            names.add(tag)
-    return names
+def _authenticated_by(kind) -> set[str]:
+    """The registered types whose trailing authenticator is of ``kind``, as
+    the codec recorded it, the one fact the actors read too."""
+    types = codec.registered_types()
+    return {tag for tag, cls in types.items() if codec.authenticator(cls) is kind}
 
 
 # The registered types whose trailing authenticator is a MAC.
 MACED_TYPES = tuple(
-    codec.registered_types()[tag] for tag in sorted(_trailing_authenticator("_mac"))
+    codec.registered_types()[tag] for tag in sorted(_authenticated_by(codec.Mac))
 )
 
 
@@ -240,9 +235,9 @@ def _docstring_table(header: str) -> set[str]:
 
 def test_the_evidence_tables_name_exactly_the_authenticated_types():
     # AuthorizationRequest's dual signature is a field of its own, not a trailer
-    signed = _trailing_authenticator("_signature") | {"AuthorizationRequest"}
+    signed = _authenticated_by(Signature) | {"AuthorizationRequest"}
     assert _docstring_table("signed type") == signed
-    assert _docstring_table("MAC'd type") == _trailing_authenticator("_mac")
+    assert _docstring_table("MAC'd type") == _authenticated_by(codec.Mac)
     assert {cls.__name__ for cls in MACED_TYPES} == _docstring_table("MAC'd type")
 
 

@@ -159,14 +159,19 @@ def _bytes_through(monkeypatch, config: ScenarioConfig) -> tuple[int, int, int, 
 # for a 16-byte nonce, the quote names its request, the token lost its id),
 # and MAC'd bytes at +32 (the capture request and response name the digest).
 # MAC'd bytes were re-taken at -78 when the sealed envelope inside the MAC'd
-# AuthorizeAndHold lost its content key, key wrap and recipient id.
+# AuthorizeAndHold lost its content key, key wrap and recipient id.  Signed
+# and verified bytes were re-taken at +10 (+62 for 16 objects) when the
+# upload's signature came to cover the codec encoding of its UploadManifest:
+# the codec frames the digest sequence and each digest in it with a 4-byte
+# length (+4, and +4 per object), and the tag "UploadManifest" is 6 bytes
+# shorter than "ObjectUpload/digests".
 def test_default_transaction_hashes_signs_and_verifies_bytes(monkeypatch):
-    assert _bytes_through(monkeypatch, ScenarioConfig()) == (1326, 762, 794, 695, 695)
+    assert _bytes_through(monkeypatch, ScenarioConfig()) == (1326, 772, 804, 695, 695)
 
 
 def test_bulk_transaction_hashes_signs_and_verifies_bytes(monkeypatch):
     config = ScenarioConfig(object_count=16, object_size=65536)
-    assert _bytes_through(monkeypatch, config) == (3_146_478, 1958, 1990, 695, 695)
+    assert _bytes_through(monkeypatch, config) == (3_146_478, 2020, 2052, 695, 695)
 
 
 class _CountingKeyClass:
@@ -221,7 +226,9 @@ def _codec_calls(monkeypatch, config: ScenarioConfig) -> tuple[int, int, int]:
 # the authenticator appended (12 of them: 7 MAC'd legs and the price quote,
 # decision, grant, completion and capture token).  ``encode`` serves the
 # unauthenticated messages, the upload (its signature covers the object
-# digests), and the order and payment halves the dual signature hashes.  A
+# digests), the upload's ``UploadManifest`` at each end (+2 since the codec
+# encodes the manifest the signature covers, which was framed by hand), and
+# the order and payment halves the dual signature hashes.  A
 # receiver checks the bytes it received, the order's among them, since the
 # order travels as the encoding its digest hashes; the one payload still
 # encoded on receipt is that of the capture token nested in the trust
@@ -229,12 +236,12 @@ def _codec_calls(monkeypatch, config: ScenarioConfig) -> tuple[int, int, int]:
 # audit encodes the provider's and the trust manager's recorded state, one
 # ``encode`` each (+2 since that state became a codec message).
 def test_default_transaction_encodes_each_message_once(monkeypatch):
-    assert _codec_calls(monkeypatch, ScenarioConfig()) == (14, 1, 13)
+    assert _codec_calls(monkeypatch, ScenarioConfig()) == (16, 1, 13)
 
 
 def test_bulk_transaction_encodes_each_message_once(monkeypatch):
     config = ScenarioConfig(object_count=16, object_size=65536)
-    assert _codec_calls(monkeypatch, config) == (40, 1, 13)
+    assert _codec_calls(monkeypatch, config) == (42, 1, 13)
 
 
 def _validations(monkeypatch, config: ScenarioConfig) -> int:
