@@ -49,7 +49,6 @@ from .crypto import (
     PUBLIC_KEY_SIZE,
     CryptoError,
     Digest,
-    DualSignature,
     EnvelopeError,
     EnvelopeIntegrityError,
     InvalidIdentityError,
@@ -66,8 +65,7 @@ from .crypto import (
     seal,
     sign,
     verify,
-    verify_with_oi,
-    verify_with_pi,
+    verify_dual,
 )
 from .ledger import (
     Ledger,

@@ -33,11 +33,12 @@ codec-encodable types.  From them the class gets its ``<Actor>State``
 message, each instance its empty containers, and ``state_bytes`` its one
 encoding, which ``codec.decode`` reads back field by field.
 
-An order has one name: the order digest ``dual.oi_digest``, by which the
-requester and the provider key their orders and the trust manager finds
-an order's hold.  A hold has one name: the trust manager's ``hold_nonce``,
-by which it keys its record of the hold and the account provider places
-and settles the hold, never learning the order digest.  So the token
+An order has one name: the order digest ``oi_digest``, the hash of its
+encoded ``OrderInfo``, by which the requester and the provider key their
+orders and the trust manager finds an order's hold.  A hold has one name:
+the trust manager's ``hold_nonce``, by which it keys its record of the
+hold and the account provider places and settles the hold, never learning
+the order digest.  So the token
 carries neither the hold nor the payer's account provider.
 
 ``deliver`` is the only way into an actor (the requester's ``begin``
@@ -65,8 +66,7 @@ from .crypto import (
     open_envelope,
     seal,
     sign,
-    verify_with_oi,
-    verify_with_pi,
+    verify_dual,
 )
 from .ledger import Ledger
 from .messages import (
@@ -98,6 +98,8 @@ from .messages import (
     build_maced,
     build_signed,
     object_digests,
+    pad_payment,
+    unpad_payment,
     verify_maced,
     verify_signed,
 )
@@ -371,12 +373,13 @@ class ServiceRequester(_ActorBase):
         )
         order_bytes = codec.encode(order)
         payment_bytes = codec.encode(payment)
-        envelope = seal(tm_key, self.config.trust_manager_id, payment_bytes, self.rng)
-        dual = make_dual_signature(self.identity, order_bytes, payment_bytes)
-        self.orders[dual.oi_digest] = RequesterOrder()
+        envelope = seal(tm_key, self.config.trust_manager_id, pad_payment(payment_bytes), self.rng)
+        oi_digest, pi_digest = hash_bytes(order_bytes), hash_bytes(payment_bytes)
+        self.orders[oi_digest] = RequesterOrder()
         del self.pending_requests[quote.request_nonce]
         return [self._send(self.config.provider_id, AuthorizationRequest,
-                           order_info=order_bytes, payment_envelope=envelope, dual=dual)]
+                           order_info=order_bytes, payment_envelope=envelope, pi_digest=pi_digest,
+                           dual=make_dual_signature(self.identity, oi_digest, pi_digest))]
 
     def _on_quote_denial(self, sender: str, denial: QuoteDenial, covered, now: int) -> Effects:
         self.pending_requests.pop(denial.request_nonce, None)
@@ -523,17 +526,18 @@ class ServiceProvider(_ActorBase):
     ) -> Effects:
         """Validate the order half and relay the payment half, or refuse.
 
-        The dual signature is checked on the order bytes as received, before
-        they are decoded.  The order stays here.  The trust manager gets an
-        AuthorizeAndHold, MAC'd to it, carrying the untouched sealed envelope;
-        the order plaintext goes no further, and the requester is answered
-        once the trust manager's outcome arrives.  A duplicate of an order
+        The dual signature is checked on the digest of the order bytes as
+        received, which names the order, before they are decoded.  The order
+        stays here.  The trust manager gets an AuthorizeAndHold, MAC'd to it,
+        carrying the untouched sealed envelope and that digest; the order
+        plaintext goes no further, and the requester is answered once the
+        trust manager's outcome arrives.  A duplicate of an order
         already accepted is ignored outright: that order has its one relay,
         and a second could only draw the trust manager's REPLAY refusal.
         Without a key for the trust manager there is no relay and no answer,
         and the order is not kept.
         """
-        oi_digest = auth.dual.oi_digest
+        oi_digest = hash_bytes(auth.order_info)
 
         def deny(reason: DenialReason) -> Effects:
             event = self._event(EventKind.AUTHORIZATION_REFUSED, oi_digest, reason)
@@ -542,8 +546,8 @@ class ServiceProvider(_ActorBase):
         # authenticity first: any tampering surfaces as BAD_SIGNATURE before
         # policy questions like quote expiry get a say
         key = self._key_of(sender)  # the requester's
-        if auth.dual.signature.signer_id != sender or key is None \
-                or not verify_with_oi(key, auth.order_info, auth.dual):
+        if auth.dual.signer_id != sender or key is None \
+                or not verify_dual(key, oi_digest, auth.pi_digest, auth.dual):
             return deny(DenialReason.BAD_SIGNATURE)
         try:
             order = codec.decode(auth.order_info, OrderInfo)
@@ -557,8 +561,8 @@ class ServiceProvider(_ActorBase):
             return [self._event(EventKind.DUPLICATE, oi_digest)]
 
         relay = self._send(self.config.trust_manager_id, AuthorizeAndHold,
-                           payment_envelope=auth.payment_envelope, dual=auth.dual,
-                           charge_amount=quote.price)
+                           payment_envelope=auth.payment_envelope, oi_digest=oi_digest,
+                           dual=auth.dual, charge_amount=quote.price)
         if type(relay) is Send:
             self.orders[oi_digest] = ProviderOrder(sender, quote.price)
         return [relay]
@@ -714,7 +718,7 @@ class TrustManager(_ActorBase):
         being asked for is neither opened nor answered, and one for an order
         already held is refused as a replay, whatever its payment half.
         """
-        oi_digest = msg.dual.oi_digest
+        oi_digest = msg.oi_digest
 
         def deny(reason: DenialReason) -> Effects:
             return self._reply(sender, AuthOutcome, EventKind.AUTHORIZATION_REFUSED, reason,
@@ -726,7 +730,7 @@ class TrustManager(_ActorBase):
         if held is not None and held.phase == HoldPhase.HOLDING:
             return [self._event(EventKind.DUPLICATE, oi_digest)]
         try:
-            payment_bytes = open_envelope(self.identity, msg.payment_envelope)
+            payment_bytes = unpad_payment(open_envelope(self.identity, msg.payment_envelope))
             payment = codec.decode(payment_bytes, PaymentInfo)
         except (EnvelopeError, CodecError):
             return deny(DenialReason.BAD_SIGNATURE)
@@ -735,8 +739,9 @@ class TrustManager(_ActorBase):
         self.seen_payment_nonces.add(payment.payment_nonce)
         if held is not None:  # the order is already held
             return deny(DenialReason.REPLAY)
-        payer_key = self._key_of(msg.dual.signature.signer_id)
-        if payer_key is None or not verify_with_pi(payer_key, payment_bytes, msg.dual):
+        payer_key = self._key_of(msg.dual.signer_id)
+        if payer_key is None \
+                or not verify_dual(payer_key, oi_digest, hash_bytes(payment_bytes), msg.dual):
             return deny(DenialReason.BAD_SIGNATURE)
         if msg.charge_amount > payment.authorized_limit:
             return deny(DenialReason.OVER_LIMIT)

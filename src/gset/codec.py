@@ -741,8 +741,7 @@ def decode_stream(raw: bytes) -> list[Any]:
 
 # Crypto value types travel inside protocol messages, so they join the
 # registry here rather than having the crypto layer depend on the codec.
-from .crypto import DualSignature, SealedEnvelope, Signature  # noqa: E402
+from .crypto import SealedEnvelope, Signature  # noqa: E402
 
 register_message(Signature)
 register_message(SealedEnvelope)
-register_message(DualSignature)

@@ -11,8 +11,8 @@ messages lives here:
   public keys, under one key per direction,
 * sealed envelopes: one ephemeral X25519 agreement with the recipient's
   public key, and AES-GCM under the key derived from it,
-* dual signatures binding an order description to a payment description
-  while letting each verifier see only its own half.
+* dual signatures over the digests of an order half and a payment half,
+  each checked by a holder of one half with the other half's digest.
 
 Key material is carried as opaque byte strings: the public half is the
 Ed25519 verify key concatenated with the X25519 key-agreement key, and
@@ -137,21 +137,6 @@ class SealedEnvelope:
     def __post_init__(self) -> None:
         if not self.ephemeral_key or not self.ciphertext:
             raise ValueError("envelope parts must be non-empty")
-
-
-@dataclass(frozen=True)
-class DualSignature:
-    """Signature binding an order half to a payment half.
-
-    The signed message is ``hash(oi_digest || pi_digest)``, so a holder of
-    the order plaintext can verify against ``pi_digest``, and a holder of the
-    payment plaintext against ``oi_digest``, without either side seeing the
-    other's plaintext.
-    """
-
-    oi_digest: Digest
-    pi_digest: Digest
-    signature: Signature
 
 
 @dataclass(frozen=True)
@@ -367,40 +352,17 @@ def open_envelope(key: KeyPair, envelope: SealedEnvelope) -> bytes:
 
 def _linked(oi_digest: Digest, pi_digest: Digest) -> bytes:
     """The message a dual signature signs: ``hash(oi_digest || pi_digest)``."""
+    if not isinstance(oi_digest, Digest) or not isinstance(pi_digest, Digest):
+        raise TypeError("a dual signature links two digests")
     return hash_bytes(oi_digest.bytes + pi_digest.bytes).bytes
 
 
-def make_dual_signature(key: KeyPair, order_info: bytes, payment_info: bytes) -> DualSignature:
-    """Bind order bytes and payment bytes under one signature.
-
-    Only the two digests and the signature leave this function; callers
-    decide which plaintext half travels where.
-    """
-    if not order_info or not payment_info:
-        raise ValueError("order_info and payment_info must be non-empty")
-    oi_digest = hash_bytes(order_info)
-    pi_digest = hash_bytes(payment_info)
-    return DualSignature(
-        oi_digest=oi_digest,
-        pi_digest=pi_digest,
-        signature=sign(key, _linked(oi_digest, pi_digest)),
-    )
+def make_dual_signature(key: KeyPair, oi_digest: Digest, pi_digest: Digest) -> Signature:
+    """Bind an order half and a payment half under one signature, by their digests."""
+    return sign(key, _linked(oi_digest, pi_digest))
 
 
-def _verify_dual(public_key: bytes, half: bytes, digest: Digest, dual: DualSignature) -> bool:
-    """Verify ``dual`` from the plaintext of one half and the digest it holds for that half."""
-    return hash_bytes(half) == digest and verify(
-        public_key, _linked(dual.oi_digest, dual.pi_digest), dual.signature
-    )
-
-
-def verify_with_oi(public_key: bytes, order_info: bytes, dual: DualSignature) -> bool:
-    """Verify a dual signature holding the order plaintext; the payment half
-    is known only through ``dual.pi_digest``."""
-    return _verify_dual(public_key, order_info, dual.oi_digest, dual)
-
-
-def verify_with_pi(public_key: bytes, payment_info: bytes, dual: DualSignature) -> bool:
-    """Verify a dual signature holding the payment plaintext; the order half
-    is known only through ``dual.oi_digest``."""
-    return _verify_dual(public_key, payment_info, dual.pi_digest, dual)
+def verify_dual(public_key: bytes, oi_digest: Digest, pi_digest: Digest, sig: Signature) -> bool:
+    """Is ``sig`` a dual signature on the two digests?  A verifier hashes the
+    half it holds, and takes the other half's digest as it was sent."""
+    return verify(public_key, _linked(oi_digest, pi_digest), sig)

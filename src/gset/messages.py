@@ -9,7 +9,10 @@ redemption, CaptureRequest/CaptureResponse).
 The separation that gives the protocol its privacy property is structural:
 payment details exist only inside a sealed envelope addressed to the trust
 manager, order details never leave the requester/provider side, and the
-dual signature ties the two halves together through digests alone.
+dual signature ties the two halves together through digests alone, each
+half travelling with the other half's digest only, as in SET.  The payment
+is padded to ``PAYMENT_SIZE`` before it is sealed, so the envelope's length
+says nothing of its labels.
 
 Messages are frozen dataclasses registered with the canonical codec.  A
 field's rule is its kind (``codec.Nonce``, ``Mac``, ``Label``, ``U64``,
@@ -33,8 +36,9 @@ what the signer said:
 
     signed type            signer  verifier  evidence it gives, and to whom
     PriceQuote             SP      SR        the offered price, to the TM or an arbiter
-    AuthorizationRequest   SR      SP, TM    the order (SP) and the payment cap (TM),
-      .dual                                  bound together, to an arbiter
+    AuthorizationRequest   SR      SP, TM    the order (SP, beside the payment's digest)
+      .dual                                  and the payment cap (TM, beside the order's
+                                             digest), bound together, to an arbiter
     CaptureToken           TM      SP        the approved charge, to an arbiter
     AuthDecision           SP      SR        the approval or refusal, to an arbiter
     ObjectUpload           SR      SP        the digests of the objects the requester
@@ -70,17 +74,17 @@ payment cap (the dual signature) and the TM's approved charge (the
 ``CaptureToken``).
 
 An order has one name from authorization to capture: the order digest
-``dual.oi_digest``, which the dual signature signs, and every message about
-an order names it so; the order nonce stays inside ``OrderInfo``, where it
-makes the digest unique.  The trust manager mints at most one token per
-order, so the digest names the ``CaptureToken`` too, which carries only
-what the provider reads: the provider's id, the charge and the digest.  A
-hold has one name from request to settlement, the ``hold_nonce`` of the
-trust manager's ``HoldRequest``, which the other three hold and settle legs
-echo; the account provider never learns the order digest, and the provider
-never sees the payer's account provider or the hold.  So each answer names
-what it answers: a price request by its nonce, an order by its digest, a
-hold by its nonce.
+``oi_digest``, the hash of the encoded ``OrderInfo``, which the dual
+signature signs, and every message about an order names it so; the order
+nonce stays inside ``OrderInfo``, where it makes the digest unique.  The
+trust manager mints at most one token per order, so the digest names the
+``CaptureToken`` too, which carries only what the provider reads: the
+provider's id, the charge and the digest.  A hold has one name from request
+to settlement, the ``hold_nonce`` of the trust manager's ``HoldRequest``,
+which the other three hold and settle legs echo; the account provider never
+learns the order digest, and the provider never sees the payer's account
+provider or the hold.  So each answer names what it answers: a price
+request by its nonce, an order by its digest, a hold by its nonce.
 
 An ``ObjectUpload`` signature covers the encoding of an ``UploadManifest``,
 the order digest and the SHA-256 digest of each object, not the object
@@ -108,6 +112,7 @@ from . import codec
 from .codec import (
     U64,
     Bulk,
+    DecodeError,
     Label,
     Mac,
     Nonce,
@@ -117,7 +122,6 @@ from .codec import (
 )
 from .crypto import (
     Digest,
-    DualSignature,
     KeyPair,
     SealedEnvelope,
     Signature,
@@ -184,6 +188,24 @@ class PaymentInfo:
     payment_nonce: Nonce
 
 
+# A sealed payment's plaintext: the encoded ``PaymentInfo``, one 0x80 byte
+# and zeros up to this one size (the padding of ISO/IEC 7816-4).  A payment
+# with no room for the 0x80 byte raises ValueError.
+PAYMENT_SIZE = 192
+
+
+def pad_payment(payment: bytes) -> bytes:
+    return payment + b"\x80" + bytes(PAYMENT_SIZE - 1 - len(payment))
+
+
+def unpad_payment(plaintext: bytes) -> bytes:
+    """The payment ``pad_payment`` padded; any other plaintext is refused."""
+    body = plaintext.rstrip(b"\0")
+    if len(plaintext) != PAYMENT_SIZE or body[-1:] != b"\x80":
+        raise DecodeError("payment plaintext is not padded to its size")
+    return body[:-1]
+
+
 @canonical_message
 class Ticket:
     """Single-use claim on one stored object."""
@@ -246,16 +268,18 @@ class QuoteDenial:
 class AuthorizationRequest:
     """Requester to provider: order in the clear, payment sealed away.
 
-    ``order_info`` is the encoded ``OrderInfo``, the bytes ``dual.oi_digest``
-    hashes, so the provider checks the bytes it received, as the trust
-    manager checks the payment plaintext it opens.  ``dual.pi_digest`` is
-    the hash of the sealed plaintext, letting the provider run the
-    order-side dual-signature check without opening the envelope.
+    ``order_info`` is the encoded ``OrderInfo``, whose hash names the order,
+    so the provider hashes the bytes it received, as the trust manager
+    hashes the payment it opens.  With ``pi_digest``, the hash of the
+    unpadded payment, the provider checks the dual signature ``dual``
+    without opening the envelope; ``dual`` is no ``*_signature`` field, as
+    it signs the two digests, not this message.
     """
 
     order_info: bytes
     payment_envelope: SealedEnvelope
-    dual: DualSignature
+    pi_digest: Digest
+    dual: Signature
 
 
 @canonical_message
@@ -263,12 +287,14 @@ class AuthorizeAndHold:
     """Provider to trust manager: relay the sealed payment, name a charge.
 
     Deliberately contains no OrderInfo plaintext; the trust manager learns
-    the charge and the order digest (``dual.oi_digest``), never what was
-    ordered.  ``provider_mac`` is under the provider-to-trust-manager key.
+    the charge and the order digest ``oi_digest``, which with the payment it
+    opens checks ``dual``, never what was ordered.  ``provider_mac`` is
+    under the provider-to-trust-manager key.
     """
 
     payment_envelope: SealedEnvelope
-    dual: DualSignature
+    oi_digest: Digest
+    dual: Signature
     charge_amount: Positive
     provider_mac: Mac
 

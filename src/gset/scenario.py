@@ -18,8 +18,8 @@ Each config field but ``adversary_spec`` is annotated with its kind
 (``Label``, ``U64``, ``Positive``), the one statement of its rule.
 ``build_scenario`` checks each through ``codec.check``, then what a run
 computes from two fields (the price, the latest quote expiry, the upload's
-size), and refuses a config that breaks any, before any object is made,
-with a ``ScenarioError`` naming the field.
+size, the sealed payment's size), and refuses a config that breaks any,
+before any object is made, with a ``ScenarioError`` naming the field.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .actors import (
 from . import codec
 from .codec import Label, Positive, U64, ValidationError
 from .crypto import DIGEST_SIZE, SIGNATURE_SIZE, U64_MAX, Digest, Signature, generate_keypair
-from .messages import ObjectUpload, UsageDescriptor
+from .messages import PAYMENT_SIZE, ObjectUpload, PaymentInfo, UsageDescriptor
 from .simnet import (
     Actor,
     PrivacyMarkers,
@@ -107,6 +107,10 @@ _UPLOAD_FRAMING = len(codec.encode(ObjectUpload(
     objects=(b"\0",),
     requester_signature=Signature(bytes(SIGNATURE_SIZE), "-"),
 ))) - (4 + 1) - 1
+
+
+# The bytes of an encoded ``PaymentInfo`` beside its two labels, "-" each here.
+_PAYMENT_FRAMING = len(codec.encode(PaymentInfo("-", "-", 1, bytes(codec.NONCE_SIZE)))) - 2
 
 
 def _upload_size(config: ScenarioConfig) -> int:
@@ -180,6 +184,13 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
             "object_count x object_size must fit the upload's 4-byte length prefix, "
             f"got {config.object_count} x {config.object_size}"
         )
+    account_ref = "ACCT-" + Random(f"{config.seed}/account-ref").randbytes(24).hex()
+    payer = len(config.account_provider_id.encode("utf-8"))
+    if _PAYMENT_FRAMING + payer + len(account_ref) >= PAYMENT_SIZE:  # no room for 0x80
+        raise ScenarioError(
+            f"account_provider_id must fit the {PAYMENT_SIZE}-byte sealed payment, "
+            f"got {payer} bytes"
+        )
     ids = (
         config.requester_id,
         config.provider_id,
@@ -191,7 +202,6 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     keys = {subject: generate_keypair(subject, config.seed) for subject in ids}
     directory = {subject: pair.public_key for subject, pair in keys.items()}
 
-    account_ref = "ACCT-" + Random(f"{config.seed}/account-ref").randbytes(24).hex()
     objects = _objects(config)
     usage = UsageDescriptor(
         service_id=config.service_id,

@@ -19,7 +19,6 @@ from gset import (
     CaptureToken,
     DenialReason,
     Digest,
-    DualSignature,
     Event,
     EventKind,
     HoldRequest,
@@ -108,10 +107,6 @@ def gen_envelope(rng: Random) -> SealedEnvelope:
     return SealedEnvelope(rng.randbytes(32), blob(rng, 1, 120))
 
 
-def gen_dual(rng: Random) -> DualSignature:
-    return DualSignature(gen_digest(rng), gen_digest(rng), gen_signature(rng))
-
-
 def gen_usage(rng: Random) -> UsageDescriptor:
     return UsageDescriptor(label(rng), label(rng), u64(rng, 1), label(rng))
 
@@ -148,12 +143,12 @@ def gen_quote_denial(rng: Random) -> QuoteDenial:
 
 def gen_authorization_request(rng: Random) -> AuthorizationRequest:
     order = codec.encode(gen_order_info(rng))
-    return AuthorizationRequest(order, gen_envelope(rng), gen_dual(rng))
+    return AuthorizationRequest(order, gen_envelope(rng), gen_digest(rng), gen_signature(rng))
 
 
 def gen_authorize_and_hold(rng: Random) -> AuthorizeAndHold:
     return AuthorizeAndHold(
-        gen_envelope(rng), gen_dual(rng), u64(rng, 1), gen_mac(rng),
+        gen_envelope(rng), gen_digest(rng), gen_signature(rng), u64(rng, 1), gen_mac(rng),
     )
 
 
@@ -345,7 +340,6 @@ def gen_account_provider_state(rng: Random):
 FACTORIES = {
     Signature: gen_signature,
     SealedEnvelope: gen_envelope,
-    DualSignature: gen_dual,
     UsageDescriptor: gen_usage,
     OrderInfo: gen_order_info,
     PaymentInfo: gen_payment_info,

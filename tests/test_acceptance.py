@@ -16,10 +16,10 @@ from gset import (
     Digest,
     ScenarioConfig,
     generate_keypair,
+    hash_bytes,
     make_dual_signature,
     run_storage_scenario,
-    verify_with_oi,
-    verify_with_pi,
+    verify_dual,
 )
 from gset.attacks import REPLAY_CORE, TAMPER_TARGETS, tamper_sweep
 from gset.codec import DecodeError, decode, encode
@@ -193,28 +193,28 @@ def test_replayed_messages_never_double_hold_or_double_settle():
 
 
 # 8. Split verification of the dual signature over randomized pairs:
-#    honest checks pass; mutating either plaintext or either digest
-#    fails the corresponding check.
+#    honest checks pass from either half; mutating either plaintext or
+#    either digest fails the check of the half that holds it.
 def test_dual_signature_split_verification_over_randomized_pairs():
     signer = generate_keypair("dual-signer", seed=99)
     rng = Random("dual-pairs")
     for _ in range(1000):
         order_info = rng.randbytes(rng.randint(1, 64))
         payment_info = rng.randbytes(rng.randint(1, 64))
-        dual = make_dual_signature(signer, order_info, payment_info)
-        assert verify_with_oi(signer.public_key, order_info, dual)
-        assert verify_with_pi(signer.public_key, payment_info, dual)
+        oi_digest, pi_digest = hash_bytes(order_info), hash_bytes(payment_info)
+        dual = make_dual_signature(signer, oi_digest, pi_digest)
+        # the order's holder, and the payment's
+        assert verify_dual(signer.public_key, hash_bytes(order_info), pi_digest, dual)
+        assert verify_dual(signer.public_key, oi_digest, hash_bytes(payment_info), dual)
 
         bad_oi = genmsg.flip_bit(order_info, rng.randrange(len(order_info) * 8))
-        assert not verify_with_oi(signer.public_key, bad_oi, dual)
+        assert not verify_dual(signer.public_key, hash_bytes(bad_oi), pi_digest, dual)
         bad_pi = genmsg.flip_bit(payment_info, rng.randrange(len(payment_info) * 8))
-        assert not verify_with_pi(signer.public_key, bad_pi, dual)
-        bad_oid = Digest(genmsg.flip_bit(dual.oi_digest.bytes, rng.randrange(256)))
-        bad_dual = dataclasses.replace(dual, oi_digest=bad_oid)
-        assert not verify_with_pi(signer.public_key, payment_info, bad_dual)
-        bad_pid = Digest(genmsg.flip_bit(dual.pi_digest.bytes, rng.randrange(256)))
-        bad_dual = dataclasses.replace(dual, pi_digest=bad_pid)
-        assert not verify_with_oi(signer.public_key, order_info, bad_dual)
+        assert not verify_dual(signer.public_key, oi_digest, hash_bytes(bad_pi), dual)
+        bad_oid = Digest(genmsg.flip_bit(oi_digest.bytes, rng.randrange(256)))
+        assert not verify_dual(signer.public_key, bad_oid, hash_bytes(payment_info), dual)
+        bad_pid = Digest(genmsg.flip_bit(pi_digest.bytes, rng.randrange(256)))
+        assert not verify_dual(signer.public_key, hash_bytes(order_info), bad_pid, dual)
 
 
 # 9. Canonical encoding: decode(encode(m)) == m and encoding is injective

@@ -59,12 +59,13 @@ from gset import (
     seal,
     sign,
     verify,
+    verify_dual,
     verify_signed,
 )
 import gset.actors
 from gset.actors import HoldPhase, ProviderPhase, RequesterPhase
 from gset.ledger import HoldFate, HoldName
-from gset.messages import object_digests
+from gset.messages import PAYMENT_SIZE, object_digests, pad_payment, unpad_payment
 
 from genmsg import flip_bit, random_message
 from harness import build_actors, recorded
@@ -139,6 +140,12 @@ def upload_for(actors, oi_digest: Digest) -> ObjectUpload:
     return upload
 
 
+def order_digest(auth: bytes) -> Digest:
+    """The digest that names the order of the encoded authorization ``auth``:
+    the hash of its order bytes, as the provider computes it."""
+    return hash_bytes(codec.decode(auth, AuthorizationRequest).order_info)
+
+
 def decide_then_upload(actors, quantity: int = 5, now: int = 0):
     """The SP relays a fresh authorization to the TM and answers the
     requester on its outcome, then receives the requester's signed upload.
@@ -147,7 +154,7 @@ def decide_then_upload(actors, quantity: int = 5, now: int = 0):
     """
     auth = authorization(actors, quantity, now)
     decision = decide(actors, auth)
-    upload = upload_for(actors, codec.decode(auth, AuthorizationRequest).dual.oi_digest)
+    upload = upload_for(actors, order_digest(auth))
     return decision, actors.sp.deliver("SR", codec.encode(upload), now + 1)
 
 
@@ -517,7 +524,9 @@ def test_quote_signature_verifies_and_covers_price():
 def test_authorization_envelope_opens_at_tm_to_the_limit():
     actors = build_actors(limit=60)
     auth = codec.decode(authorization(actors, 5, now=1), AuthorizationRequest)
-    payment = codec.decode(open_envelope(actors.tm.identity, auth.payment_envelope), PaymentInfo)
+    plaintext = open_envelope(actors.tm.identity, auth.payment_envelope)
+    assert len(plaintext) == PAYMENT_SIZE
+    payment = codec.decode(unpad_payment(plaintext), PaymentInfo)
     assert payment.authorized_limit == 60
     assert payment.account_provider_id == "AP"
     assert payment.account_ref == actors.scenario.account_ref
@@ -568,12 +577,13 @@ def test_a_requester_without_the_trust_managers_key_draws_no_nonce():
 def test_dual_signature_binds_order_and_payment():
     actors = build_actors()
     auth = codec.decode(authorization(actors, 5, now=1), AuthorizationRequest)
-    # the payment half as the trust manager will see it
-    payment = open_envelope(actors.tm.identity, auth.payment_envelope)
-    # the order travels as the bytes its digest hashes
-    assert auth.dual.oi_digest == hash_bytes(auth.order_info)
+    # the payment half as the trust manager will see it, unpadded
+    payment = unpad_payment(open_envelope(actors.tm.identity, auth.payment_envelope))
+    # the order travels as the bytes its digest hashes, beside the payment's digest
     assert codec.decode(auth.order_info, OrderInfo).usage == usage_mb(actors, 5)
-    assert auth.dual.pi_digest == hash_bytes(payment)
+    assert auth.pi_digest == hash_bytes(payment)
+    key = actors.sr.identity.public_key
+    assert verify_dual(key, hash_bytes(auth.order_info), hash_bytes(payment), auth.dual)
 
 
 # --- provider-side authorization handling -------------------------------------
@@ -607,9 +617,10 @@ def _refused_authorization(actors, auth: AuthorizationRequest, now: int, reason)
     [event, (dest, raw)] = actors.sp.deliver("SR", codec.encode(auth), now)
     decision = codec.decode(raw, AuthDecision)
     assert dest == "SR"
-    assert decision.oi_digest == auth.dual.oi_digest
+    # named by the digest of the order bytes the provider received
+    assert decision.oi_digest == hash_bytes(auth.order_info)
     assert not decision.approved
-    assert event == Event("SP", EventKind.AUTHORIZATION_REFUSED, auth.dual.oi_digest, reason)
+    assert event == Event("SP", EventKind.AUTHORIZATION_REFUSED, decision.oi_digest, reason)
 
 
 def test_tampered_order_info_denied_as_bad_signature():
@@ -625,8 +636,26 @@ def test_dual_signature_mutation_denied_as_bad_signature():
     actors = build_actors()
     auth = codec.decode(authorization(actors, 5, now=1), AuthorizationRequest)
     wrong_pi = hash_bytes(b"some other payment half")
-    doctored = dataclasses.replace(auth, dual=dataclasses.replace(auth.dual, pi_digest=wrong_pi))
+    doctored = dataclasses.replace(auth, pi_digest=wrong_pi)
     _refused_authorization(actors, doctored, 1, DenialReason.BAD_SIGNATURE)
+
+
+def test_a_flip_inside_the_order_is_refused_under_the_digest_of_the_bytes_received():
+    # The provider names the order by the hash of the bytes it received, not
+    # by a digest the wire carries: the refusal names an order the requester
+    # never placed, so its own order is left authorizing, with no hold.
+    spec = "tamper:AuthorizationRequest:bit=abs/304:1"
+    report = run_storage_scenario(ScenarioConfig(adversary_spec=spec))
+    [record] = [r for r in report.transcript.records if r.action == "tampered"]
+    received = hash_bytes(codec.decode(record.payload, AuthorizationRequest).order_info)
+    [(placed, order)] = report.scenario.requester.orders.items()
+    assert received != placed and order.phase == RequesterPhase.AUTHORIZING
+    assert report.transcript.events == (
+        Event("SP", EventKind.AUTHORIZATION_REFUSED, received, DenialReason.BAD_SIGNATURE),
+        Event("SR", EventKind.NOT_PENDING, received, None),
+    )
+    assert report.business_outcome == "DENIED:BAD_SIGNATURE"
+    assert report.holds_created == 0 and report.scenario.provider.orders == {}
 
 
 def test_unknown_quote_denied_as_expired():
@@ -695,22 +724,24 @@ def test_same_hold_instruction_twice_is_replay():
     assert sum(actors.ap.ledger.active_holds(digest).values()) == 50
 
 
-def second_payment_relay(actors, auth: bytes, charge: int, recipient: str = "TM") -> bytes:
+def second_payment_relay(
+    actors, auth: bytes, charge: int, recipient: str = "TM", pad=pad_payment
+) -> bytes:
     """The provider's relay of a second payment half that the requester
     dual-signs over the order of ``auth``: a fresh payment nonce, the same
-    order digest, sealed with the trust manager's key to ``recipient``."""
-    order = codec.decode(auth, AuthorizationRequest)
+    order digest, sealed with the trust manager's key to ``recipient``, its
+    plaintext padded by ``pad``."""
+    oi_digest = order_digest(auth)
     config = actors.sr.config
     payment = codec.encode(PaymentInfo(
         config.account_provider_id, config.account_ref, config.authorized_limit, b"\x02" * 16
     ))
-    envelope = seal(actors.tm.identity.public_key, recipient, payment, Random("second payment"))
-    dual = make_dual_signature(actors.sr.identity, order.order_info, payment)
-    assert dual.oi_digest == order.dual.oi_digest
+    tm_key = actors.tm.identity.public_key
+    envelope = seal(tm_key, recipient, pad(payment), Random("second payment"))
+    dual = make_dual_signature(actors.sr.identity, oi_digest, hash_bytes(payment))
     to_tm = actors.sp._keys_with("TM")[0]
-    return build_maced(
-        AuthorizeAndHold, to_tm, payment_envelope=envelope, dual=dual, charge_amount=charge
-    )[1]
+    return build_maced(AuthorizeAndHold, to_tm, payment_envelope=envelope, oi_digest=oi_digest,
+                       dual=dual, charge_amount=charge)[1]
 
 
 def test_a_second_payment_half_for_a_held_order_is_refused():
@@ -753,6 +784,16 @@ def test_a_relay_sealed_to_another_trust_manager_id_is_refused():
     ]
     assert actors.ap.ledger.holds_created() == 0
     assert actors.tm.holds == {} and actors.tm.order_holds == {}
+    assert actors.tm.seen_payment_nonces == set()
+
+
+def test_a_payment_sealed_without_its_padding_is_refused():
+    # the trust manager opens only the padding the requester writes: no hold
+    # is placed and no payment nonce burnt
+    actors = build_actors()
+    relay = second_payment_relay(actors, authorization(actors, 5), 50, pad=lambda p: p)
+    assert outcome_of(actors, relay).reason == DenialReason.BAD_SIGNATURE
+    assert actors.ap.ledger.holds_created() == 0
     assert actors.tm.seen_payment_nonces == set()
 
 
@@ -804,7 +845,7 @@ def test_minted_token_verifies_and_names_the_provider():
     assert token.provider_id == "SP"
     assert verify(tm_pub, codec.signing_payload(token), token.tm_signature)
     # the signed token and the outcome name the order the relay was for
-    order = codec.decode(relay, AuthorizeAndHold).dual.oi_digest
+    order = codec.decode(relay, AuthorizeAndHold).oi_digest
     assert token.oi_digest == outcome.oi_digest == order
     # the payer's side stays with the trust manager: its record names the
     # account provider, and the hold is kept under its one name
@@ -917,7 +958,7 @@ def approved_orders(actors, count: int) -> list[Digest]:
     for _ in range(count):
         auth = authorization(actors)
         assert decide(actors, auth).approved
-        digests.append(codec.decode(auth, AuthorizationRequest).dual.oi_digest)
+        digests.append(order_digest(auth))
     return digests
 
 
@@ -1083,9 +1124,8 @@ def test_lost_outcome_cannot_approve_another_order_in_its_place():
         adversary_spec="drop:AuthOutcome:1",
         initial=tuple(WireMessage("SR", "SP", auth) for auth in auths),
     ))
-    second = codec.decode(auths[1], AuthorizationRequest)
     granted = {d for d, o in actors.sp.orders.items() if o.phase >= ProviderPhase.GRANTED}
-    assert granted == {second.dual.oi_digest}
+    assert granted == {order_digest(auths[1])}
     assert actors.ap.ledger.settle_count == 1
 
 
@@ -1387,8 +1427,9 @@ def test_the_grant_and_the_completion_name_the_approved_order():
     payloads = run_storage_scenario(ScenarioConfig()).transcript.payloads()
     decision = _first(payloads, AuthDecision)
     assert decision.approved
-    # by the digest the dual signature signs, which the token names too
-    assert decision.oi_digest == _first(payloads, AuthorizationRequest).dual.oi_digest
+    # by the digest of the order's bytes, which the dual signature signs and
+    # the token names too
+    assert decision.oi_digest == hash_bytes(_first(payloads, AuthorizationRequest).order_info)
     assert _first(payloads, AuthOutcome).token.oi_digest == decision.oi_digest
     assert _first(payloads, ServiceGrant).oi_digest == decision.oi_digest
     assert _first(payloads, ServiceComplete).oi_digest == decision.oi_digest
@@ -1399,7 +1440,8 @@ def test_the_account_provider_never_learns_the_order():
     report = run_storage_scenario(ScenarioConfig())
     payloads = report.transcript.payloads()
     auth = _first(payloads, AuthorizationRequest)
-    names = (auth.dual.oi_digest.bytes, codec.decode(auth.order_info, OrderInfo).order_nonce)
+    order = auth.order_info
+    names = (hash_bytes(order).bytes, codec.decode(order, OrderInfo).order_nonce)
     to_ap = [r.payload for r in report.transcript.records if r.to_id == "AP"]
     assert [peek_type(raw) for raw in to_ap] == ["HoldRequest", "SettleRequest"]
     state = report.scenario.account_provider.state_bytes()

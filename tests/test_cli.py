@@ -8,10 +8,21 @@ import pytest
 
 import gset.attacks
 import gset.scenario
-from gset import PUBLIC_KEY_SIZE, PRIVATE_KEY_SIZE, cli
+from gset import (
+    PRIVATE_KEY_SIZE,
+    PUBLIC_KEY_SIZE,
+    AuthorizationRequest,
+    ScenarioConfig,
+    Signature,
+    cli,
+    codec,
+    run_storage_scenario,
+)
 from gset.attacks import tamper_sweep
 from gset.cli import main
 from gset.scenario import build_scenario
+
+from harness import recorded
 
 
 def run_cli(argv, env=None, cwd=None, monkeypatch=None, capsys=None):
@@ -102,6 +113,33 @@ def test_adversary_presets(tmp_path, monkeypatch, capsys, preset, needle):
     )
     assert code == 0
     assert needle in out
+
+
+def _field_bounds(data: bytes, cls: type, pos: int, end: int) -> dict[str, tuple[int, int]]:
+    """The content bounds of each field of ``cls`` encoded in ``data[pos:end]``,
+    as the codec reads their lengths."""
+    bounds = {}
+    for name, _, _ in codec._schema_for(cls).fields:
+        bounds[name] = codec._field(data, pos, end, name)
+        pos = bounds[name][1]
+    assert pos == end
+    return bounds
+
+
+def test_the_tamper_preset_flips_a_bit_of_the_dual_signature():
+    # The run's outcome cannot tell: a flip in the payment's digest is a
+    # BAD_SIGNATURE denial too.  So locate the dual signature's bytes in the
+    # request the requester sent and find the flipped bit among them.
+    spec = cli.ADVERSARY_PRESETS["tamper"]
+    [sent] = recorded(run_storage_scenario(ScenarioConfig()).transcript.records,
+                      "AuthorizationRequest")
+    [tampered] = [r.payload for r in run_storage_scenario(ScenarioConfig(adversary_spec=spec))
+                  .transcript.records if r.action == "tampered"]
+    [at] = [i for i, (a, b) in enumerate(zip(sent, tampered)) if a != b]
+    fields_at = codec._field(sent, 0, len(sent), "type tag")[1]
+    dual = _field_bounds(sent, AuthorizationRequest, fields_at, len(sent))["dual"]
+    start, stop = _field_bounds(sent, Signature, *dual)["bytes"]
+    assert start <= at < stop
 
 
 def test_tamper_preset_passes_agility_scan(tmp_path, monkeypatch, capsys):

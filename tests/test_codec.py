@@ -638,10 +638,19 @@ def test_provider_state_holding_views_is_the_state_of_the_same_bytes():
 # payload of the same digests: only the ObjectUpload record changed, and
 # only in its 64 signature bytes, in the default and the 16 x 64 KiB runs,
 # with the same sizes, routes, types and events; only the ObjectUpload
-# decode outcomes moved.
+# decode outcomes moved.  They were re-taken again when each half of the
+# dual signature came to travel with the other half's digest only, and the
+# sealed payment's plaintext came to be padded to 192 bytes: the
+# AuthorizationRequest lost the order's digest and the AuthorizeAndHold the
+# payment's (-40 bytes each), and each envelope's ciphertext grew by 82
+# bytes; in the default and the 16 x 64 KiB runs the order bytes, the
+# ephemeral key, the signature, the remaining digest, the charge and the
+# opened payment were as before, and so were the routes, ticks, types,
+# events and every other record.  Per tag, only the AuthorizationRequest and
+# AuthorizeAndHold decode outcomes moved; the DualSignature type is gone.
 
-DEFAULT_TRANSCRIPT_SHA256 = "887204193399f9c8a18ab78c80cf27178a4873a7cac3c2c4fb66390078491811"
-DECODE_OUTCOMES_SHA256 = "90bd57a577967c38cce2623c8777553a44df9dc05f3e7574f9ad5480395f95da"
+DEFAULT_TRANSCRIPT_SHA256 = "df2e4de53107f45e1486ef3b7fa646bf6815d21f27935591835ace17d7d114df"
+DECODE_OUTCOMES_SHA256 = "16dee72d5a4c7b0d7528d7bbf50ca45d5ab1830b02b5a7c3a4a51aad2095969c"
 
 
 def _outcome(fn, raw: bytes) -> tuple:

@@ -30,8 +30,7 @@ from gset import (
     seal,
     sign,
     verify,
-    verify_with_oi,
-    verify_with_pi,
+    verify_dual,
 )
 from gset.codec import signing_payload_from
 from gset.crypto import PRIVATE_KEY_SIZE, PUBLIC_KEY_SIZE
@@ -425,70 +424,81 @@ def test_seal_open_round_trip_over_random_plaintexts(plaintext):
 
 OI = b"order: 3 megabytes of mobile-storage at 10 each"
 PI = b"payment: account ACCT-42, authorized limit 60"
+OI_DIGEST, PI_DIGEST = hash_bytes(OI), hash_bytes(PI)
+
+# Each verifier hashes the half it holds and takes the other half's digest
+# as sent: the provider hashes the order, the trust manager the payment.
 
 
 def test_dual_signature_structure():
     sr = generate_keypair("SR", 7)
-    dual = make_dual_signature(sr, OI, PI)
-    assert dual.oi_digest == hash_bytes(OI)
-    assert dual.pi_digest == hash_bytes(PI)
-    assert dual.signature.signer_id == "SR"
+    dual = make_dual_signature(sr, OI_DIGEST, PI_DIGEST)
+    assert dual.signer_id == "SR"
     # the signed message is the digest of the two digests, in OI || PI order
     target = hashlib.sha256(
         hashlib.sha256(OI).digest() + hashlib.sha256(PI).digest()
     ).digest()
-    assert verify(sr.public_key, target, dual.signature)
+    assert verify(sr.public_key, target, dual)
 
 
 def test_split_verification_passes_on_honest_inputs():
     sr = generate_keypair("SR", 7)
-    dual = make_dual_signature(sr, OI, PI)
-    assert verify_with_oi(sr.public_key, OI, dual)
-    assert verify_with_pi(sr.public_key, PI, dual)
+    dual = make_dual_signature(sr, OI_DIGEST, PI_DIGEST)
+    assert verify_dual(sr.public_key, hash_bytes(OI), PI_DIGEST, dual)
+    assert verify_dual(sr.public_key, OI_DIGEST, hash_bytes(PI), dual)
 
 
 def test_substituted_payment_info_fails_pi_verification():
     sr = generate_keypair("SR", 7)
-    dual = make_dual_signature(sr, OI, PI)
-    assert not verify_with_pi(sr.public_key, PI + b"!", dual)
+    dual = make_dual_signature(sr, OI_DIGEST, PI_DIGEST)
+    assert not verify_dual(sr.public_key, OI_DIGEST, hash_bytes(PI + b"!"), dual)
 
 
 def test_mutated_order_info_fails_oi_verification():
     sr = generate_keypair("SR", 7)
-    dual = make_dual_signature(sr, OI, PI)
+    dual = make_dual_signature(sr, OI_DIGEST, PI_DIGEST)
     mutated = bytearray(OI)
     mutated[0] ^= 0x01
-    assert not verify_with_oi(sr.public_key, bytes(mutated), dual)
+    assert not verify_dual(sr.public_key, hash_bytes(bytes(mutated)), PI_DIGEST, dual)
 
 
 def test_substituted_digests_fail_verification():
     sr = generate_keypair("SR", 7)
-    dual = make_dual_signature(sr, OI, PI)
+    dual = make_dual_signature(sr, OI_DIGEST, PI_DIGEST)
     wrong = hash_bytes(b"some other half")
-    assert not verify_with_oi(sr.public_key, OI, dataclasses.replace(dual, pi_digest=wrong))
-    assert not verify_with_pi(sr.public_key, PI, dataclasses.replace(dual, oi_digest=wrong))
+    assert not verify_dual(sr.public_key, hash_bytes(OI), wrong, dual)
+    assert not verify_dual(sr.public_key, wrong, hash_bytes(PI), dual)
+    # the two digests swapped: the signature binds which half is which
+    assert not verify_dual(sr.public_key, PI_DIGEST, OI_DIGEST, dual)
 
 
 def test_dual_signature_reproducible_across_key_regeneration():
-    a = make_dual_signature(generate_keypair("SR", 7), OI, PI)
-    b = make_dual_signature(generate_keypair("SR", 7), OI, PI)
+    a = make_dual_signature(generate_keypair("SR", 7), OI_DIGEST, PI_DIGEST)
+    b = make_dual_signature(generate_keypair("SR", 7), OI_DIGEST, PI_DIGEST)
     assert a == b
 
 
 def test_dual_signature_rejects_empty_inputs():
+    # a half is its digest: empty bytes in its place are refused, both to
+    # sign and to verify
     sr = generate_keypair("SR", 7)
-    with pytest.raises(ValueError):
-        make_dual_signature(sr, b"", PI)
-    with pytest.raises(ValueError):
-        make_dual_signature(sr, OI, b"")
+    with pytest.raises(TypeError):
+        make_dual_signature(sr, b"", PI_DIGEST)
+    with pytest.raises(TypeError):
+        make_dual_signature(sr, OI_DIGEST, b"")
+    dual = make_dual_signature(sr, OI_DIGEST, PI_DIGEST)
+    with pytest.raises(TypeError):
+        verify_dual(sr.public_key, b"", PI_DIGEST, dual)
+    with pytest.raises(TypeError):
+        verify_dual(sr.public_key, OI_DIGEST, b"", dual)
 
 
 def test_dual_signature_by_wrong_key_fails_both_ways():
     sr = generate_keypair("SR", 7)
     other = generate_keypair("SR", 8)
-    dual = make_dual_signature(other, OI, PI)
-    assert not verify_with_oi(sr.public_key, OI, dual)
-    assert not verify_with_pi(sr.public_key, PI, dual)
+    dual = make_dual_signature(other, OI_DIGEST, PI_DIGEST)
+    assert not verify_dual(sr.public_key, hash_bytes(OI), PI_DIGEST, dual)
+    assert not verify_dual(sr.public_key, OI_DIGEST, hash_bytes(PI), dual)
 
 
 def test_randomized_mutations_never_verify():
@@ -497,21 +507,17 @@ def test_randomized_mutations_never_verify():
     for _ in range(100):
         oi = rng.randbytes(rng.randint(1, 64))
         pi = rng.randbytes(rng.randint(1, 64))
-        dual = make_dual_signature(sr, oi, pi)
+        dual = make_dual_signature(sr, hash_bytes(oi), hash_bytes(pi))
         kind = rng.randrange(4)
         if kind == 0:
             bad = flip_bit(oi, rng.randrange(len(oi) * 8))
-            assert not verify_with_oi(sr.public_key, bad, dual)
+            assert not verify_dual(sr.public_key, hash_bytes(bad), hash_bytes(pi), dual)
         elif kind == 1:
             bad = flip_bit(pi, rng.randrange(len(pi) * 8))
-            assert not verify_with_pi(sr.public_key, bad, dual)
+            assert not verify_dual(sr.public_key, hash_bytes(oi), hash_bytes(bad), dual)
         elif kind == 2:
             bad_digest = Digest(flip_bit(hash_bytes(pi).bytes, rng.randrange(256)))
-            assert not verify_with_oi(
-                sr.public_key, oi, dataclasses.replace(dual, pi_digest=bad_digest)
-            )
+            assert not verify_dual(sr.public_key, hash_bytes(oi), bad_digest, dual)
         else:
             bad_digest = Digest(flip_bit(hash_bytes(oi).bytes, rng.randrange(256)))
-            assert not verify_with_pi(
-                sr.public_key, pi, dataclasses.replace(dual, oi_digest=bad_digest)
-            )
+            assert not verify_dual(sr.public_key, bad_digest, hash_bytes(pi), dual)

@@ -31,7 +31,16 @@ from gset import (
     hash_bytes,
 )
 from gset import messages
-from gset.messages import build_maced, build_signed, verify_maced, verify_signed
+from gset.codec import DecodeError
+from gset.messages import (
+    PAYMENT_SIZE,
+    build_maced,
+    build_signed,
+    pad_payment,
+    unpad_payment,
+    verify_maced,
+    verify_signed,
+)
 
 import genmsg
 
@@ -239,6 +248,31 @@ def test_the_evidence_tables_name_exactly_the_authenticated_types():
     assert _docstring_table("signed type") == signed
     assert _docstring_table("MAC'd type") == _authenticated_by(codec.Mac)
     assert {cls.__name__ for cls in MACED_TYPES} == _docstring_table("MAC'd type")
+
+
+# --- the sealed payment's padding ----------------------------------------------
+
+
+def test_a_padded_payment_has_one_size_and_opens_to_itself():
+    for payment in (b"", b"\x80", b"pay\x00", b"x" * (PAYMENT_SIZE - 1)):
+        padded = pad_payment(payment)
+        assert len(padded) == PAYMENT_SIZE
+        assert unpad_payment(padded) == payment
+    with pytest.raises(ValueError):
+        pad_payment(b"x" * PAYMENT_SIZE)
+
+
+def test_only_the_padding_pad_payment_writes_opens():
+    padded = pad_payment(b"pay")
+    for bad in (
+        padded[:-1],  # short
+        padded + b"\x00",  # long
+        padded[:-1] + b"\x01",  # a non-zero byte after the marker
+        b"pay" + bytes(PAYMENT_SIZE - 3),  # no marker
+        b"pay\x81" + bytes(PAYMENT_SIZE - 4),  # another marker
+    ):
+        with pytest.raises(DecodeError):
+            unpad_payment(bad)
 
 
 # --- detached signature and MAC helpers ----------------------------------------

@@ -40,7 +40,8 @@ from gset.attacks import (
     tamper_sweep,
 )
 from gset.cli import ini_overrides
-from gset.scenario import _upload_size, retrieval_mismatches
+from gset.messages import PAYMENT_SIZE
+from gset.scenario import _PAYMENT_FRAMING, _upload_size, retrieval_mismatches
 
 from order_scaling import all_done, run_orders
 
@@ -81,6 +82,16 @@ def test_the_reckoned_upload_size_is_the_size_sent(config):
     records = report.transcript.records
     [upload] = [r.payload for r in records if codec.peek_type(r.payload) == "ObjectUpload"]
     assert _upload_size(config) == len(upload)
+
+
+def test_an_account_provider_id_too_long_for_the_padded_payment_is_refused():
+    # the payment and the padding's 0x80 byte must fit PAYMENT_SIZE; the
+    # id is counted in UTF-8 bytes, and the account reference has one length
+    ref = build_scenario(ScenarioConfig()).account_ref
+    room = PAYMENT_SIZE - 1 - _PAYMENT_FRAMING - len(ref)
+    assert run_storage_scenario(ScenarioConfig(account_provider_id="A" * room)).complete_success()
+    with pytest.raises(ScenarioError, match="account_provider_id .* got 84 bytes"):
+        build_scenario(ScenarioConfig(account_provider_id="A" * (room - 1) + "\u00e9"))
 
 
 def test_ini_overrides_full_round_trip(tmp_path):
@@ -383,7 +394,26 @@ def test_complete_success_requires_every_book_to_balance():
 # order's own digest, so the provider passes the denial on.  None of the
 # 11 places a hold or settles, every audit is clean, and the other 186
 # runs are as before.
-RUN_REPORTS_SHA256 = "aba71956009970422e279fb7fe6adeb91c036db439ad94fec6e5ec5796f7da95"
+# Re-taken when each half of the dual signature came to travel with the
+# other half's digest only, the provider naming the order by the hash of
+# the order bytes it received, and the sealed payment came to be padded to
+# 192 bytes: the two messages are 40 bytes shorter and 82 longer, so the
+# random bit of some of their tamper runs lands in another field.  In
+# AuthorizationRequest #1, #3, #8 and #9 the flip lands inside the order,
+# which the provider still refuses (BAD_SIGNATURE), now under the digest of
+# the bytes it received, so the requester's decision answers no order it
+# placed (NOT_PENDING, not AUTHORIZATION_DENIED).  In AuthorizationRequest
+# #4 the flip lands in the ciphertext, so the trust manager refuses it
+# where the provider refused a flip in the order digest.  In
+# AuthorizeAndHold #4 and #6 the flip lands in the relayed order digest, so
+# the provider finds no order for the trust manager's refusal (NOT_PENDING)
+# where it passed a refusal on.  Three outcomes move, with no hold, token
+# or settlement either way: in AuthorizeAndHold #0 and #2 a length prefix
+# is hit and the relay stalls undecodable (INCOMPLETE, not
+# DENIED:BAD_SIGNATURE), and in AuthorizeAndHold #3 the flip that hit a
+# length prefix now lands in the ciphertext (DENIED:BAD_SIGNATURE, not
+# INCOMPLETE).  Every audit is clean, and the other 187 runs are as before.
+RUN_REPORTS_SHA256 = "510b400a74a7ecde82936f57037a513b298beefbd2eb90c5f6745d57612061b5"
 
 
 def _pinned_runs():

@@ -33,6 +33,8 @@ from gset import (
 from gset.attacks import REPLAY_TARGETS
 from gset.codec import Bulk
 
+from harness import recorded, view_differences
+
 CONFIG = ScenarioConfig()
 
 
@@ -512,28 +514,47 @@ def test_clean_run_passes_the_privacy_scan():
 def test_the_payers_account_provider_changes_nothing_the_provider_sees():
     # The marker scan cannot see a short id like "AP"; compare the provider's
     # whole view instead, with only the payer's account provider renamed.
-    views = []
-    for config in (
-        ScenarioConfig(seed=3),
-        ScenarioConfig(seed=3, account_provider_id="AP-long-name"),
-    ):
-        report = run_storage_scenario(config)
-        assert report.complete_success()
-        received = [
-            (codec.peek_type(r.payload), r.payload)
-            for r in report.transcript.records
-            if r.to_id == config.provider_id
-        ]
-        views.append((received, report.scenario.provider.state_bytes()))
-    (received, state), (received_long, state_long) = views
-    assert state == state_long
-    assert [kind for kind, _ in received] == [kind for kind, _ in received_long]
-    for (kind, raw), (_, raw_long) in zip(received, received_long):
-        # The one exception: the sealed payment envelope's length still
-        # tracks the payment labels, until its plaintext is padded (ROADMAP
-        # item 13).
-        if kind != "AuthorizationRequest":
-            assert raw == raw_long, kind
+    # Each record decodes field by field; the sealed payment's ciphertext,
+    # its digest and the dual signature differ with the payment, so they
+    # compare by length, and the padded payment keeps that length.
+    short, long = (
+        run_storage_scenario(ScenarioConfig(seed=3, account_provider_id=ap))
+        for ap in ("AP", "AP-long-name")
+    )
+    assert short.complete_success() and long.complete_success()
+    assert view_differences("SP", short, long) == []
+    assert short.scenario.provider.state_bytes() == long.scenario.provider.state_bytes()
+    # the payer's limit is as hidden
+    higher = run_storage_scenario(ScenarioConfig(seed=3, authorized_limit=10**6))
+    assert higher.complete_success() and view_differences("SP", short, higher) == []
+    for tag in ("AuthorizationRequest", "AuthorizeAndHold"):
+        [raw], [raw_long] = (recorded(r.transcript.records, tag) for r in (short, long))
+        assert len(raw) == len(raw_long), tag
+    # every other record the provider receives is the same bytes
+    for record, record_long in zip(short.transcript.records, long.transcript.records):
+        if record.to_id == "SP" and record.type_name != "AuthorizationRequest":
+            assert record.payload == record_long.payload, record.type_name
+
+
+def test_the_usage_changes_nothing_the_trust_manager_sees():
+    # The same charge for another service, operation and unit: the trust
+    # manager's records, events and state differ only in opaque bytes.
+    config = ScenarioConfig(seed=3)
+    other = dataclasses.replace(
+        config, service_id="cold-archive", operation="retrieve-all", unit="gigabyte"
+    )
+    first, second = run_storage_scenario(config), run_storage_scenario(other)
+    assert first.complete_success() and second.complete_success()
+    assert first.settled_total == second.settled_total == config.expected_price
+    assert view_differences("TM", first, second) == []
+    # the view check sees what the usage changes: the order digest it relays
+    [relay], [relay_other] = (
+        recorded(r.transcript.records, "AuthorizeAndHold") for r in (first, second)
+    )
+    assert relay != relay_other and len(relay) == len(relay_other)
+    # and a change of charge, which the trust manager must see, shows
+    pricier = run_storage_scenario(dataclasses.replace(other, rate=11))
+    assert "TM record 0 payload.charge_amount: 30 != 33" in view_differences("TM", first, pricier)
 
 
 def test_scanner_catches_a_deliberate_payment_leak_to_the_provider():
