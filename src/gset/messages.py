@@ -10,9 +10,8 @@ The separation that gives the protocol its privacy property is structural:
 payment details exist only inside a sealed envelope addressed to the trust
 manager, order details never leave the requester/provider side, and the
 dual signature ties the two halves together through digests alone, each
-half travelling with the other half's digest only, as in SET.  The payment
-is padded to ``PAYMENT_SIZE`` before it is sealed, so the envelope's length
-says nothing of its labels.
+half travelling with the other's digest only, as in SET.  The sealed payment
+is padded to ``PAYMENT_SIZE``, so its length says nothing of its labels.
 
 Messages are frozen dataclasses registered with the canonical codec.  A
 field's rule is its kind (``codec.Nonce``, ``Mac``, ``Label``, ``U64``,
@@ -188,13 +187,14 @@ class PaymentInfo:
     payment_nonce: Nonce
 
 
-# A sealed payment's plaintext: the encoded ``PaymentInfo``, one 0x80 byte
-# and zeros up to this one size (the padding of ISO/IEC 7816-4).  A payment
-# with no room for the 0x80 byte raises ValueError.
-PAYMENT_SIZE = 192
+# A sealed payment: the encoded ``PaymentInfo``, 0x80 and zeros up to this size
+# (ISO/IEC 7816-4); 110 bytes for AP id "AP", 120 for "AP-long-name"; 128 is the next 2**n.
+PAYMENT_SIZE = 128
 
 
 def pad_payment(payment: bytes) -> bytes:
+    if len(payment) >= PAYMENT_SIZE:
+        raise ValueError(f"a {len(payment)}-byte payment leaves no room for its padding")
     return payment + b"\x80" + bytes(PAYMENT_SIZE - 1 - len(payment))
 
 

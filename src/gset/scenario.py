@@ -109,7 +109,7 @@ _UPLOAD_FRAMING = len(codec.encode(ObjectUpload(
 ))) - (4 + 1) - 1
 
 
-# The bytes of an encoded ``PaymentInfo`` beside its two labels, "-" each here.
+# An encoded ``PaymentInfo`` less its two labels ("-" each), taken once like the upload's.
 _PAYMENT_FRAMING = len(codec.encode(PaymentInfo("-", "-", 1, bytes(codec.NONCE_SIZE)))) - 2
 
 

@@ -640,17 +640,17 @@ def test_provider_state_holding_views_is_the_state_of_the_same_bytes():
 # with the same sizes, routes, types and events; only the ObjectUpload
 # decode outcomes moved.  They were re-taken again when each half of the
 # dual signature came to travel with the other half's digest only, and the
-# sealed payment's plaintext came to be padded to 192 bytes: the
+# sealed payment's plaintext came to be padded to 128 bytes: the
 # AuthorizationRequest lost the order's digest and the AuthorizeAndHold the
-# payment's (-40 bytes each), and each envelope's ciphertext grew by 82
+# payment's (-40 bytes each), and each envelope's ciphertext grew by 18
 # bytes; in the default and the 16 x 64 KiB runs the order bytes, the
 # ephemeral key, the signature, the remaining digest, the charge and the
 # opened payment were as before, and so were the routes, ticks, types,
 # events and every other record.  Per tag, only the AuthorizationRequest and
 # AuthorizeAndHold decode outcomes moved; the DualSignature type is gone.
 
-DEFAULT_TRANSCRIPT_SHA256 = "df2e4de53107f45e1486ef3b7fa646bf6815d21f27935591835ace17d7d114df"
-DECODE_OUTCOMES_SHA256 = "16dee72d5a4c7b0d7528d7bbf50ca45d5ab1830b02b5a7c3a4a51aad2095969c"
+DEFAULT_TRANSCRIPT_SHA256 = "0d098cf9c6dd0c7957aac90bc46086b2979ebf768212004299da180f4da67990"
+DECODE_OUTCOMES_SHA256 = "537b31e827cf006269e54684945e5e31fdbff533a41cd85c0eb288c4f19f1432"
 
 
 def _outcome(fn, raw: bytes) -> tuple:

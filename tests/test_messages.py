@@ -258,8 +258,9 @@ def test_a_padded_payment_has_one_size_and_opens_to_itself():
         padded = pad_payment(payment)
         assert len(padded) == PAYMENT_SIZE
         assert unpad_payment(padded) == payment
-    with pytest.raises(ValueError):
-        pad_payment(b"x" * PAYMENT_SIZE)
+    for size in (PAYMENT_SIZE, PAYMENT_SIZE + 1):
+        with pytest.raises(ValueError, match="no room for its padding"):
+            pad_payment(b"x" * size)
 
 
 def test_only_the_padding_pad_payment_writes_opens():

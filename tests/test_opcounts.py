@@ -65,19 +65,19 @@ def _counts(monkeypatch, config: ScenarioConfig) -> tuple[int, int, int, int, in
 # order travels as its tagged encoding, 13 bytes more).  Re-taken at -156
 # when the sealed envelope lost its content key, key wrap and recipient id:
 # 78 bytes fewer in each of the two records that carry it, the
-# AuthorizationRequest and the AuthorizeAndHold.  Re-taken at +84 when each
+# AuthorizationRequest and the AuthorizeAndHold.  Re-taken at -44 when each
 # half of the dual signature came to travel with the other half's digest
 # only (-40 in each of those two records: a digest and its 4-byte length)
-# and the sealed payment's plaintext came to be padded to 192 bytes (+82 in
+# and the sealed payment's plaintext came to be padded to 128 bytes (+18 in
 # each: the default payment encodes in 110).
 def test_default_transaction_signs_verifies_and_records(monkeypatch):
     # one delivery per tick: as many ticks as records
-    assert _counts(monkeypatch, ScenarioConfig()) == (7, 8, 21, 3420, 21)
+    assert _counts(monkeypatch, ScenarioConfig()) == (7, 8, 21, 3292, 21)
 
 
 def test_bulk_transaction_signs_verifies_and_records(monkeypatch):
     config = ScenarioConfig(object_count=16, object_size=65536)
-    assert _counts(monkeypatch, config) == (7, 8, 47, 2_102_203, 47)
+    assert _counts(monkeypatch, config) == (7, 8, 47, 2_102_075, 47)
 
 
 def _mac_counts(monkeypatch, config: ScenarioConfig) -> tuple[int, int, int, int, int]:
@@ -168,17 +168,17 @@ def _bytes_through(monkeypatch, config: ScenarioConfig) -> tuple[int, int, int, 
 # upload's signature came to cover the codec encoding of its UploadManifest:
 # the codec frames the digest sequence and each digest in it with a 4-byte
 # length (+4, and +4 per object), and the tag "UploadManifest" is 6 bytes
-# shorter than "ObjectUpload/digests".  MAC'd bytes were re-taken at +42
+# shorter than "ObjectUpload/digests".  MAC'd bytes were re-taken at -22
 # when the AuthorizeAndHold lost the payment's digest (-40) and its sealed
-# payment came to be padded (+82); the padding is sealed, never hashed, so
+# payment came to be padded (+18); the padding is sealed, never hashed, so
 # the hashed bytes are as before.
 def test_default_transaction_hashes_signs_and_verifies_bytes(monkeypatch):
-    assert _bytes_through(monkeypatch, ScenarioConfig()) == (1326, 772, 804, 737, 737)
+    assert _bytes_through(monkeypatch, ScenarioConfig()) == (1326, 772, 804, 673, 673)
 
 
 def test_bulk_transaction_hashes_signs_and_verifies_bytes(monkeypatch):
     config = ScenarioConfig(object_count=16, object_size=65536)
-    assert _bytes_through(monkeypatch, config) == (3_146_478, 2020, 2052, 737, 737)
+    assert _bytes_through(monkeypatch, config) == (3_146_478, 2020, 2052, 673, 673)
 
 
 class _CountingKeyClass:

@@ -41,7 +41,7 @@ from gset.attacks import (
 )
 from gset.cli import ini_overrides
 from gset.messages import PAYMENT_SIZE
-from gset.scenario import _PAYMENT_FRAMING, _upload_size, retrieval_mismatches
+from gset.scenario import _upload_size, retrieval_mismatches
 
 from order_scaling import all_done, run_orders
 
@@ -86,11 +86,11 @@ def test_the_reckoned_upload_size_is_the_size_sent(config):
 
 def test_an_account_provider_id_too_long_for_the_padded_payment_is_refused():
     # the payment and the padding's 0x80 byte must fit PAYMENT_SIZE; the
-    # id is counted in UTF-8 bytes, and the account reference has one length
-    ref = build_scenario(ScenarioConfig()).account_ref
-    room = PAYMENT_SIZE - 1 - _PAYMENT_FRAMING - len(ref)
+    # default payment, for "AP", encodes in 110 bytes, so the id has room
+    # for 17 more bytes, counted in UTF-8
+    room = 2 + (PAYMENT_SIZE - 1 - 110)
     assert run_storage_scenario(ScenarioConfig(account_provider_id="A" * room)).complete_success()
-    with pytest.raises(ScenarioError, match="account_provider_id .* got 84 bytes"):
+    with pytest.raises(ScenarioError, match=f"account_provider_id .* got {room + 1} bytes"):
         build_scenario(ScenarioConfig(account_provider_id="A" * (room - 1) + "\u00e9"))
 
 
@@ -397,23 +397,25 @@ def test_complete_success_requires_every_book_to_balance():
 # Re-taken when each half of the dual signature came to travel with the
 # other half's digest only, the provider naming the order by the hash of
 # the order bytes it received, and the sealed payment came to be padded to
-# 192 bytes: the two messages are 40 bytes shorter and 82 longer, so the
-# random bit of some of their tamper runs lands in another field.  In
-# AuthorizationRequest #1, #3, #8 and #9 the flip lands inside the order,
-# which the provider still refuses (BAD_SIGNATURE), now under the digest of
-# the bytes it received, so the requester's decision answers no order it
-# placed (NOT_PENDING, not AUTHORIZATION_DENIED).  In AuthorizationRequest
-# #4 the flip lands in the ciphertext, so the trust manager refuses it
-# where the provider refused a flip in the order digest.  In
-# AuthorizeAndHold #4 and #6 the flip lands in the relayed order digest, so
-# the provider finds no order for the trust manager's refusal (NOT_PENDING)
-# where it passed a refusal on.  Three outcomes move, with no hold, token
-# or settlement either way: in AuthorizeAndHold #0 and #2 a length prefix
-# is hit and the relay stalls undecodable (INCOMPLETE, not
-# DENIED:BAD_SIGNATURE), and in AuthorizeAndHold #3 the flip that hit a
-# length prefix now lands in the ciphertext (DENIED:BAD_SIGNATURE, not
-# INCOMPLETE).  Every audit is clean, and the other 187 runs are as before.
-RUN_REPORTS_SHA256 = "510b400a74a7ecde82936f57037a513b298beefbd2eb90c5f6745d57612061b5"
+# 128 bytes: each of the two messages is 22 bytes shorter, so the random
+# bit of some of their tamper runs lands in another field.  In
+# AuthorizationRequest #1, #2, #3, #8 and #9 the flip lands inside the
+# order, which the provider still refuses (BAD_SIGNATURE), now under the
+# digest of the bytes it received, so the requester's decision answers no
+# order it placed (NOT_PENDING, not AUTHORIZATION_DENIED).  In
+# AuthorizationRequest #4 the flip lands in the ciphertext, so the trust
+# manager refuses it where the provider refused a flip in the order
+# digest.  In AuthorizeAndHold #2 the flip lands in the relayed order
+# digest, so the provider finds no order for the trust manager's refusal
+# (NOT_PENDING) where it passed a refusal on.  Two outcomes move, with no
+# hold, token or settlement either way: in AuthorizationRequest #7 the flip
+# hits the signature's length prefix and the request stalls undecodable at
+# the provider (INCOMPLETE, not DENIED:BAD_SIGNATURE), and in
+# AuthorizeAndHold #3 the flip that hit a length prefix now lands in the
+# relayed order digest, refused by the trust manager (DENIED:BAD_SIGNATURE,
+# not INCOMPLETE).  Every audit is clean, and the other 188 runs are as
+# before.
+RUN_REPORTS_SHA256 = "372888cbe89d03b7456b735d7b39e6cf65cf92c20fd5c8491fff44384754f21c"
 
 
 def _pinned_runs():
