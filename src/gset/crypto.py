@@ -21,18 +21,24 @@ of scope; callers distribute public keys through a trusted in-memory
 directory populated when a simulation is set up.
 
 ``generate_keypair`` parses the private half into an Ed25519 signing key
-and an X25519 seal key once, to compute the public half, and the
-``KeyPair`` it returns keeps both; ``sign``, ``open_envelope`` and
-``mac_keys`` use those.  So a parsed key lives exactly as long as the pair
-that holds it, and nothing here keeps keys for identities a process has
-seen.  ``verify`` parses the 32-byte public key on each call.  The key
+and an X25519 seal key once, to compute the public half; the ``KeyPair``
+it returns keeps the seal key, which ``open_envelope`` and ``mac_keys``
+use.  So a parsed key lives exactly as long as the pair that holds it,
+and nothing here keeps keys for identities a process has seen.  The key
 classes are looked up in this module's globals at call time, so a
 stand-in that counts parses sees every one.
+
+``sign`` and ``verify`` call libsodium's ``crypto_sign_detached`` and
+``crypto_sign_verify_detached`` through ``ctypes`` and parse no key
+object: libsodium takes the raw 32-byte seed and public key.  Ed25519 is
+deterministic, so its signatures are the same bytes any other correct
+implementation makes.  Importing this module raises ``ImportError`` when
+the libsodium shared library cannot be found or initialised.
 
 The pairwise MAC keys are not cached here: each actor keeps the keys it
 shares with each peer for its own run (``actors._ActorBase.pair_keys``).
 
-Every primitive, SHA-256 and HMAC-SHA256 included, comes from the one
+Every other primitive, SHA-256 and HMAC-SHA256 included, comes from the
 ``cryptography`` library.  No gset module imports ``hashlib`` or ``hmac``:
 either would load the system's libcrypto beside the OpenSSL that
 ``cryptography`` bundles, at a few MiB of resident memory.
@@ -40,6 +46,8 @@ either would load the system's libcrypto beside the OpenSSL that
 
 from __future__ import annotations
 
+import ctypes
+import ctypes.util
 import os
 import struct
 from dataclasses import dataclass, field
@@ -47,10 +55,7 @@ from random import Random
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes, hmac
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PrivateKey,
     X25519PublicKey,
@@ -76,6 +81,48 @@ _MAC_INFO = b"gset/mac/v1"
 _SHA256 = hashes.SHA256()
 # Copying an empty context costs less than setting up a new one.
 _EMPTY_SHA256 = hashes.Hash(_SHA256)
+
+
+def _load_sodium() -> ctypes.CDLL:
+    """The initialised libsodium; ``ImportError`` names it when it is missing.
+
+    ``find_library`` returns None for a missing library, and ``CDLL(None)``
+    would load the running program itself instead of failing.
+    """
+    path = ctypes.util.find_library("sodium")
+    if path is None:
+        raise ImportError("gset needs the libsodium shared library (>= 1.0.18); none was found")
+    try:
+        sodium = ctypes.CDLL(path)
+    except OSError as exc:
+        raise ImportError(f"gset cannot load libsodium from {path}: {exc}") from exc
+    if sodium.sodium_init() < 0:
+        raise ImportError(f"libsodium from {path} failed to initialise")
+    return sodium
+
+
+_sodium = _load_sodium()
+# One array type for every signature buffer, built here: an array type is
+# cyclic garbage once dropped, so one built per call would leave some
+# behind each signature.
+_SignatureBuffer = ctypes.c_char * SIGNATURE_SIZE
+_crypto_sign_detached = _sodium.crypto_sign_detached
+_crypto_sign_detached.argtypes = (
+    _SignatureBuffer,      # sig
+    ctypes.c_void_p,       # siglen_p, NULL: always 64
+    ctypes.c_char_p,       # m
+    ctypes.c_ulonglong,    # mlen
+    ctypes.c_char_p,       # sk: the 32-byte seed, then the 32-byte public key
+)
+_crypto_sign_detached.restype = ctypes.c_int
+_crypto_sign_verify_detached = _sodium.crypto_sign_verify_detached
+_crypto_sign_verify_detached.argtypes = (
+    ctypes.c_char_p,       # sig
+    ctypes.c_char_p,       # m
+    ctypes.c_ulonglong,    # mlen
+    ctypes.c_char_p,       # pk
+)
+_crypto_sign_verify_detached.restype = ctypes.c_int
 
 
 class CryptoError(Exception):
@@ -141,14 +188,14 @@ class SealedEnvelope:
 
 @dataclass(frozen=True)
 class KeyPair:
-    """Key material bound to a subject identity label, with the two halves
-    of ``private_key`` as parsed by ``generate_keypair``; the parsed
-    objects take no part in equality."""
+    """Key material bound to a subject identity label, with the X25519 half
+    of ``private_key`` as parsed by ``generate_keypair``; the parsed seal
+    key takes no part in equality.  ``sign`` reads the raw Ed25519 halves
+    of ``private_key`` and ``public_key``."""
 
     public_key: bytes
     private_key: bytes
     subject_id: str
-    signing_key: Ed25519PrivateKey = field(compare=False, repr=False)
     seal_key: X25519PrivateKey = field(compare=False, repr=False)
 
 
@@ -190,12 +237,17 @@ def generate_keypair(subject_id: str, seed: int) -> KeyPair:
     sign_key = Ed25519PrivateKey.from_private_bytes(private[:_KEY_SEGMENT])
     seal_key = X25519PrivateKey.from_private_bytes(private[_KEY_SEGMENT:])
     public = sign_key.public_key().public_bytes_raw() + seal_key.public_key().public_bytes_raw()
-    return KeyPair(public, private, subject_id, sign_key, seal_key)
+    return KeyPair(public, private, subject_id, seal_key)
 
 
 def sign(key: KeyPair, message: bytes) -> Signature:
-    """Sign ``message`` with the subject's signing key."""
-    return Signature(bytes=key.signing_key.sign(bytes(message)), signer_id=key.subject_id)
+    """Sign ``message`` with the subject's Ed25519 key."""
+    message = bytes(message)
+    signature = _SignatureBuffer()
+    secret = key.private_key[:_KEY_SEGMENT] + key.public_key[:_KEY_SEGMENT]
+    if _crypto_sign_detached(signature, None, message, len(message), secret) != 0:
+        raise CryptoError("libsodium failed to sign")
+    return Signature(bytes=signature.raw, signer_id=key.subject_id)
 
 
 def verify(public_key: bytes, message: bytes, sig: Signature) -> bool:
@@ -203,17 +255,18 @@ def verify(public_key: bytes, message: bytes, sig: Signature) -> bool:
 
     Malformed keys or signatures yield False rather than raising; a failed
     verification is an expected protocol outcome, not an exception.
+    libsodium also refuses a key of small order and a signature whose
+    scalar is not reduced, so no signature verifies under the identity
+    point.
     """
     if not isinstance(public_key, bytes) or len(public_key) != PUBLIC_KEY_SIZE:
         return False
     if not isinstance(sig, Signature) or len(sig.bytes) != SIGNATURE_SIZE:
         return False
-    try:
-        verifier = Ed25519PublicKey.from_public_bytes(public_key[:_KEY_SEGMENT])
-        verifier.verify(sig.bytes, bytes(message))
-    except (InvalidSignature, ValueError):
-        return False
-    return True
+    message = bytes(message)
+    return _crypto_sign_verify_detached(
+        sig.bytes, message, len(message), public_key[:_KEY_SEGMENT]
+    ) == 0
 
 
 def _framed_id(subject_id: str) -> bytes:

@@ -4,9 +4,17 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import hmac
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+    Ed25519PrivateKey,
+    Ed25519PublicKey,
+)
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PublicKey
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,9 +40,9 @@ from gset import (
     verify,
     verify_dual,
 )
-from gset.codec import signing_payload_from
+from gset.codec import encode, signing_payload_from
 from gset.crypto import PRIVATE_KEY_SIZE, PUBLIC_KEY_SIZE
-from gset.messages import verify_maced
+from gset.messages import UploadManifest, verify_maced
 
 from genmsg import flip_bit
 
@@ -176,6 +184,99 @@ def test_malformed_signature_returns_false_not_exception():
     assert not verify(kp.public_key, b"m", Signature(b"\x01", "SP"))
     assert not verify(kp.public_key, b"m", Signature(b"\xff" * 64, "SP"))
     assert not verify(b"short", b"m", sign(kp, b"m"))
+
+
+# --- Ed25519 against cryptography's, kept as the reference --------------------
+
+
+def _reference_sign(kp, message) -> bytes:
+    return Ed25519PrivateKey.from_private_bytes(kp.private_key[:32]).sign(bytes(message))
+
+
+def _reference_verify(public_key: bytes, message, signature: bytes) -> bool:
+    try:
+        Ed25519PublicKey.from_public_bytes(public_key[:32]).verify(signature, bytes(message))
+    except InvalidSignature:
+        return False
+    return True
+
+
+def _differential_messages() -> list:
+    manifest = encode(
+        UploadManifest(hash_bytes(b"order"), tuple(hash_bytes(bytes([i])) for i in range(3)))
+    )
+    bulk = Random(0xED).randbytes(65536)
+    return [b"", b"\x00", manifest, bulk, memoryview(bytearray(manifest))[1:]]
+
+
+def test_sign_and_verify_agree_with_the_reference_on_every_single_bit_flip():
+    # Ed25519 is deterministic, so the same seed and message give the same
+    # bytes in any correct implementation; each flip of the signature or of
+    # the key's Ed25519 half must draw the reference's verdict
+    for subject, seed in (("SR", 0), ("TM", 7), ("AP", 2**64 - 1)):
+        kp = generate_keypair(subject, seed)
+        for message in _differential_messages():
+            sig = sign(kp, message)
+            assert sig.bytes == _reference_sign(kp, message)
+            assert verify(kp.public_key, message, sig)
+            assert _reference_verify(kp.public_key, message, sig.bytes)
+            for bit in range(len(sig.bytes) * 8):
+                flipped = flip_bit(sig.bytes, bit)
+                assert verify(kp.public_key, message, Signature(flipped, subject)) == (
+                    _reference_verify(kp.public_key, message, flipped)
+                ), (subject, len(message), "signature", bit)
+            for bit in range(256):
+                key = flip_bit(kp.public_key, bit)
+                assert verify(key, message, sig) == _reference_verify(key, message, sig.bytes), (
+                    subject, len(message), "key", bit
+                )
+
+
+def test_a_small_order_key_verifies_nothing():
+    # the identity point, a point of order 2 and one of order 4, each with
+    # the X25519 half of a real key; (identity, 0) satisfies the verify
+    # equation under the identity key for every message, and cryptography
+    # 48's OpenSSL accepts it there
+    sp = generate_keypair("SP", 7)
+    honest = sign(sp, b"m")
+    crafted = Signature(b"\x01" + bytes(31) + bytes(32), "SP")
+    seal_half = sp.public_key[32:]
+    small_order = (b"\x01" + bytes(31), bytes.fromhex("ec" + "ff" * 30 + "7f"), bytes(32))
+    for point in small_order:
+        for sig in (honest, crafted):
+            assert verify(point + seal_half, b"m", sig) is False
+
+
+def _import_gset_with(patch: str) -> subprocess.CompletedProcess:
+    """``import gset`` in a fresh process after running ``patch``."""
+    script = (
+        "import ctypes, ctypes.util, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        f"{patch}\n"
+        "import gset\n"
+    )
+    src = str(Path(gset.crypto.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable, "-c", script, src], capture_output=True, text=True)
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        # find_library's answer for a library that is not installed
+        "ctypes.util.find_library = lambda name: None",
+        # a libsodium whose sodium_init() fails
+        "class _Sodium:\n"
+        "    def __init__(self, path): pass\n"
+        "    def sodium_init(self): return -1\n"
+        "ctypes.CDLL = _Sodium",
+    ],
+    ids=["missing", "init-fails"],
+)
+def test_an_unusable_libsodium_fails_the_import_by_name(patch):
+    result = _import_gset_with(patch)
+    assert result.returncode != 0
+    last = result.stderr.strip().splitlines()[-1]
+    assert last.startswith("ImportError:") and "libsodium" in last
 
 
 def _count_parses(monkeypatch) -> dict[str, int]:

@@ -9,7 +9,8 @@ a server-to-server leg back under a signature, or a pairwise key derived
 more than once per peer and run, shows here.  So are the AES-GCM keys: a
 content key wrapped under the envelope's agreed key shows here.
 Private-key parses are gated too: each key pair parses each of its halves
-once, when it is derived.  So are the bytes hashed, signed and verified: a
+once, when it is derived, and no signature is made or checked by a parsed
+Ed25519 key object.  So are the bytes hashed, signed and verified: a
 second hash of an object, or object bytes back under a signature, shows as
 a byte count.  So are the codec's
 encodes: a message encoded twice by its sender, or encoded again by its
@@ -19,6 +20,8 @@ messages' invariant checks: a message checked again on encode shows here.
 from __future__ import annotations
 
 import sys
+
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
 import gset.codec
 import gset.crypto
@@ -216,6 +219,64 @@ def test_default_transaction_parses_each_key_once(monkeypatch):
 def test_bulk_transaction_parses_each_key_once(monkeypatch):
     config = ScenarioConfig(object_count=16, object_size=65536)
     assert _key_parses(monkeypatch, config) == 9
+
+
+class _RefusingEd25519Key:
+    """A parsed Ed25519 key whose ``sign`` and ``verify`` fail the test."""
+
+    def __init__(self, key, calls: list[str]) -> None:
+        self._key = key
+        self._calls = calls
+
+    def sign(self, *args):
+        self._calls.append("sign")
+        raise AssertionError("gset.crypto signed through cryptography's Ed25519")
+
+    def verify(self, *args):
+        self._calls.append("verify")
+        raise AssertionError("gset.crypto verified through cryptography's Ed25519")
+
+    def public_key(self):
+        return _RefusingEd25519Key(self._key.public_key(), self._calls)
+
+    def __getattr__(self, name):
+        return getattr(self._key, name)
+
+
+class _RefusingEd25519Class:
+    """Stands in for an Ed25519 key class inside gset.crypto: its keys parse,
+    and refuse to sign or verify."""
+
+    def __init__(self, cls: type, calls: list[str]) -> None:
+        self._cls = cls
+        self._calls = calls
+
+    def from_private_bytes(self, data):
+        return _RefusingEd25519Key(self._cls.from_private_bytes(data), self._calls)
+
+    def from_public_bytes(self, data):
+        return _RefusingEd25519Key(self._cls.from_public_bytes(data), self._calls)
+
+    def __getattr__(self, name):
+        return getattr(self._cls, name)
+
+
+# Signatures are made and checked by libsodium on the raw key bytes; the
+# Ed25519 key object parsed at derivation only computes the public half.
+# The public key class is stood in for too, in case it is imported again.
+def test_no_signature_goes_through_cryptographys_ed25519(monkeypatch):
+    calls: list[str] = []
+    monkeypatch.setattr(
+        gset.crypto,
+        "Ed25519PrivateKey",
+        _RefusingEd25519Class(gset.crypto.Ed25519PrivateKey, calls),
+    )
+    monkeypatch.setattr(
+        gset.crypto, "Ed25519PublicKey", _RefusingEd25519Class(Ed25519PublicKey, calls),
+        raising=False,
+    )
+    assert run_storage_scenario(ScenarioConfig()).complete_success()
+    assert calls == []
 
 
 def _codec_calls(monkeypatch, config: ScenarioConfig) -> tuple[int, int, int]:
