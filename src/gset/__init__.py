@@ -114,6 +114,7 @@ from .scenario import (
     run_storage_scenario,
 )
 from .simnet import (
+    Action,
     Adversary,
     AdversaryMode,
     DivergenceReport,

@@ -211,7 +211,7 @@ class _ActorBase:
         if not awaited:
             return [self._event(EventKind.NOT_PENDING, order)]
         # AuthOutcome is unsigned: an approval's authority is its token's signature
-        if type(msg) is not AuthOutcome and not self._authentic(msg, sender, covered):
+        if codec.authenticator(type(msg)) is not None and not self._authentic(msg, sender, covered):
             return [self._event(EventKind.BAD_AUTHENTICATOR, order)]
         return []
 

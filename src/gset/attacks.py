@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .scenario import RunReport, ScenarioConfig, run_storage_scenario
+from .simnet import Action
 
 # Wire message types in the order they first appear in a happy run, with
 # the books both sides should show after a single-shot tamper of that
@@ -99,7 +100,7 @@ def _audit_common(sweep: SweepReport, attack: str, report: RunReport) -> None:
                  f"marker at {leaks[0].location}" if leaks else "")
 
 
-def tamper_sweep(seed: int = 7, mutations_per_type: int = 200) -> SweepReport:
+def tamper_sweep(seed: int = ScenarioConfig.seed, mutations_per_type: int = 200) -> SweepReport:
     """Flip one random bit per run in each wire message type, many times.
 
     A tampered message must never yield an approval or settlement of its
@@ -130,7 +131,7 @@ def tamper_sweep(seed: int = 7, mutations_per_type: int = 200) -> SweepReport:
     return sweep
 
 
-def replay_sweep(seed: int = 7) -> SweepReport:
+def replay_sweep(seed: int = ScenarioConfig.seed) -> SweepReport:
     """Duplicate each wire message type once; the flow must still finish
     with exactly one hold and one settlement."""
     base = ScenarioConfig(seed=seed)
@@ -151,7 +152,7 @@ def replay_sweep(seed: int = 7) -> SweepReport:
     return sweep
 
 
-def eavesdrop_check(seed: int = 7) -> SweepReport:
+def eavesdrop_check(seed: int = ScenarioConfig.seed) -> SweepReport:
     """Record every byte on the wire and scan the haul for payment markers."""
     base = ScenarioConfig(seed=seed)
     sweep = SweepReport(name="eavesdrop")
@@ -161,7 +162,7 @@ def eavesdrop_check(seed: int = 7) -> SweepReport:
     sweep.expect(attack, report.complete_success(),
                  "passive observation changes nothing", "run degraded")
     records = report.transcript.records
-    observed = sum(record.action == "observed" for record in records)
+    observed = sum(record.action is Action.OBSERVED for record in records)
     sweep.expect(attack, observed == len(records),
                  "every record observed", f"{observed} of {len(records)}")
     return sweep
@@ -204,7 +205,7 @@ class AttackSuiteReport:
         return "\n".join(lines)
 
 
-def run_attack_suite(seed: int = 7, iterations: int = 200) -> AttackSuiteReport:
+def run_attack_suite(seed: int = ScenarioConfig.seed, iterations: int = 200) -> AttackSuiteReport:
     """Tamper, replay, and eavesdrop sweeps with a shared seed."""
     if iterations < 1:
         raise ValueError("iterations must be positive")

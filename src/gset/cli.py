@@ -26,8 +26,9 @@ from .scenario import (
 )
 from .simnet import DivergenceReport, SimnetError, replay_transcript
 
-DEFAULT_SEED = 7
-DEFAULT_IDS = ("SR", "SP", "TM", "AP")
+DEFAULT_SEED = ScenarioConfig.seed
+DEFAULT_IDS = (ScenarioConfig.requester_id, ScenarioConfig.provider_id,
+               ScenarioConfig.trust_manager_id, ScenarioConfig.account_provider_id)
 
 # What the --adversary shorthand expands to.  The tamper preset flips a
 # bit near the tail of the authorization request, which lands inside the
@@ -102,7 +103,7 @@ def _record_line(index: int, record) -> str:
         f"{record.type_name}"
     )
     if record.action:
-        line += f"  [{record.action}]"
+        line += f"  [{record.action.name.lower()}]"
     if record.error:
         line += f"  !! {record.error}"
     return line
@@ -256,7 +257,7 @@ def cmd_keys(args, env: dict) -> int:
     return 0
 
 
-_CONFIG_HELP = """\
+_CONFIG_HELP = f"""\
 config file format (INI):
 
   [scenario]
@@ -269,7 +270,7 @@ config file format (INI):
   adversary_spec = none
 
 Any ScenarioConfig field may appear; unknown keys are rejected.
-Seed precedence: --seed, config file, GSET_SEED, default 7.
+Seed precedence: --seed, config file, GSET_SEED, default {DEFAULT_SEED}.
 """
 
 

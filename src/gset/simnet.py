@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from enum import Enum
+from enum import Enum, IntEnum
 from pathlib import Path
 from random import Random
 from typing import Iterable, Mapping, Protocol
@@ -52,6 +52,12 @@ class Actor(Protocol):
 
 
 # --- adversary -----------------------------------------------------------------
+
+
+class Action(IntEnum):
+    """What the adversary did to a record's message, shown as its name in lower case."""
+
+    NONE, OBSERVED, TAMPERED, REPLAYED, DROPPED = range(5)
 
 
 class AdversaryMode(Enum):
@@ -155,27 +161,24 @@ class Adversary:
         flipped[index // 8] ^= 1 << (7 - index % 8)
         return bytes(flipped)
 
-    def act(self, payload: bytes, rng: Random) -> tuple[str, bytes | None, list[bytes]]:
+    def act(self, payload: bytes, rng: Random) -> tuple[Action, bytes | None, list[bytes]]:
         """Interpose on one in-flight message.
 
         Returns (action, payload-to-deliver-or-None, extra copies to inject).
         """
         if not self._matches(payload):
-            return ("", payload, [])
+            return (Action.NONE, payload, [])
         self.hits += 1
         if self.mode is AdversaryMode.PASSIVE_EAVESDROP:
-            return ("observed", payload, [])
+            return (Action.OBSERVED, payload, [])
         if self.mode is AdversaryMode.TAMPER:
-            return ("tampered", self._mutate(payload, rng), [])
+            return (Action.TAMPERED, self._mutate(payload, rng), [])
         if self.mode is AdversaryMode.REPLAY:
-            return ("replayed", payload, [payload])
-        return ("dropped", None, [])
+            return (Action.REPLAYED, payload, [payload])
+        return (Action.DROPPED, None, [])
 
 
 # --- transcript ------------------------------------------------------------------
-
-_ACTIONS = ("", "observed", "tampered", "replayed", "dropped")
-
 
 @canonical_message
 class WireMessage:
@@ -194,18 +197,16 @@ class TranscriptRecord:
     from_id: Label
     to_id: Label
     payload: bytes
-    action: str
+    action: Action
     error: str
 
     def validate(self) -> None:
         if not self.payload:
             raise ValidationError("record payload must not be empty")
-        if self.action not in _ACTIONS:
-            raise ValidationError(f"unknown adversary action {self.action!r}")
 
     @property
     def delivered(self) -> bool:
-        return self.action != "dropped" and not self.error
+        return self.action is not Action.DROPPED and not self.error
 
     @property
     def type_name(self) -> str:
@@ -307,7 +308,7 @@ def run_scenario(endpoints: Mapping[str, Actor], meta: TranscriptMeta) -> Transc
     while queue and tick < meta.max_ticks:
         tick += 1
         frm, to, payload = queue.popleft()
-        action, delivered = "", payload
+        action, delivered = Action.NONE, payload
         if adversary is not None:
             action, delivered, inject = adversary.act(payload, rng)
             queue.extend((frm, to, extra) for extra in inject)
@@ -383,7 +384,7 @@ def replay_transcript(transcript: Transcript, endpoints: Mapping[str, Actor]) ->
 
 
 def _describe(record: TranscriptRecord, events: tuple[Event, ...]) -> str:
-    suffix = f" [{record.action}]" if record.action else ""
+    suffix = f" [{record.action.name.lower()}]" if record.action else ""
     drew = "".join(f"; {event}" for event in events)
     return f"t{record.tick} {record.from_id}->{record.to_id} {record.type_name}{suffix}{drew}"
 
@@ -453,7 +454,7 @@ def assert_privacy(
     eavesdropper observed, its haul; usage markers must be absent from
     everything the trust manager saw or returned.
     """
-    captured = [record.payload for record in transcript.records if record.action == "observed"]
+    captured = [r.payload for r in transcript.records if r.action is Action.OBSERVED]
     hits: list[PrivacyHit] = []
     checked = 2 + len(captured)
     restricted = {provider_id: markers.payment_markers, trust_manager_id: markers.usage_markers}

@@ -22,7 +22,7 @@ from gset import (
     verify_dual,
 )
 from gset.attacks import REPLAY_CORE, TAMPER_TARGETS, tamper_sweep
-from gset.codec import DecodeError, decode, encode
+from gset.codec import DecodeError, decode, encode, registered_types
 
 import genmsg
 from ledger_model import drive_pair
@@ -221,11 +221,11 @@ def test_dual_signature_split_verification_over_randomized_pairs():
 #    over 10,000 randomized messages per registered type; truncating a
 #    sample at every byte offset is rejected.
 def test_canonical_codec_identity_injectivity_truncation():
-    for cls, gen in genmsg.FACTORIES.items():
+    for cls in registered_types().values():
         rng = Random(f"codec-scale/{cls.__name__}")
         seen: dict[bytes, object] = {}
         for _ in range(10_000):
-            msg = gen(rng)
+            msg = genmsg.random_message(cls, rng)
             raw = encode(msg)
             prior = seen.setdefault(raw, msg)
             if prior is not msg:
@@ -235,7 +235,7 @@ def test_canonical_codec_identity_injectivity_truncation():
         # (a bare reason code), so only guard against a degenerate generator
         assert len(seen) > 1_000, cls.__name__
 
-        sample = encode(gen(rng))
+        sample = encode(genmsg.random_message(cls, rng))
         for cut in range(len(sample)):
             with pytest.raises(DecodeError):
                 decode(sample[:cut])

@@ -11,6 +11,7 @@ import pytest
 
 from gset import (
     AccountProvider,
+    Action,
     AuthDecision,
     AuthOutcome,
     AuthorizationRequest,
@@ -646,7 +647,7 @@ def test_a_flip_inside_the_order_is_refused_under_the_digest_of_the_bytes_receiv
     # never placed, so its own order is left authorizing, with no hold.
     spec = "tamper:AuthorizationRequest:bit=abs/304:1"
     report = run_storage_scenario(ScenarioConfig(adversary_spec=spec))
-    [record] = [r for r in report.transcript.records if r.action == "tampered"]
+    [record] = [r for r in report.transcript.records if r.action is Action.TAMPERED]
     received = hash_bytes(codec.decode(record.payload, AuthorizationRequest).order_info)
     [(placed, order)] = report.scenario.requester.orders.items()
     assert received != placed and order.phase == RequesterPhase.AUTHORIZING

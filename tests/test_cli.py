@@ -11,6 +11,7 @@ import gset.scenario
 from gset import (
     PRIVATE_KEY_SIZE,
     PUBLIC_KEY_SIZE,
+    Action,
     AuthorizationRequest,
     ScenarioConfig,
     Signature,
@@ -134,7 +135,7 @@ def test_the_tamper_preset_flips_a_bit_of_the_dual_signature():
     [sent] = recorded(run_storage_scenario(ScenarioConfig()).transcript.records,
                       "AuthorizationRequest")
     [tampered] = [r.payload for r in run_storage_scenario(ScenarioConfig(adversary_spec=spec))
-                  .transcript.records if r.action == "tampered"]
+                  .transcript.records if r.action is Action.TAMPERED]
     [at] = [i for i, (a, b) in enumerate(zip(sent, tampered)) if a != b]
     fields_at = codec._field(sent, 0, len(sent), "type tag")[1]
     dual = _field_bounds(sent, AuthorizationRequest, fields_at, len(sent))["dual"]

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
+from random import Random
 
 import pytest
 
@@ -161,7 +162,7 @@ def test_quote_denial_needs_a_reason_string():
 
 
 def test_authorize_and_hold_requires_positive_charge():
-    sample = genmsg.random_message(AuthorizeAndHold, genmsg.Random("aah"))
+    sample = genmsg.random_message(AuthorizeAndHold, Random("aah"))
     with pytest.raises(ValidationError):
         dataclasses.replace(sample, charge_amount=0)
 
@@ -221,7 +222,7 @@ def test_settle_response_branches():
 
 @pytest.mark.parametrize("cls", MACED_TYPES, ids=lambda cls: cls.__name__)
 def test_a_mac_must_be_32_bytes(cls):
-    sample = genmsg.random_message(cls, genmsg.Random(cls.__name__))
+    sample = genmsg.random_message(cls, Random(cls.__name__))
     field = codec.authenticator_field_name(cls)
     assert field.endswith("_mac")
     for size in (0, 31, 33, 64):

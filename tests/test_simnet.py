@@ -9,6 +9,7 @@ from random import Random
 import pytest
 
 from gset import (
+    Action,
     Adversary,
     AdversaryMode,
     DenialReason,
@@ -83,7 +84,7 @@ def test_a_numbered_random_flip_draws_from_its_sweep_stream():
     honest = run_once()
     tampered = run_once("tamper:AuthorizationRequest:bit=rand/3:1")
     assert tampered.transcript.meta.adversary_spec == "tamper:AuthorizationRequest:bit=rand/3:1"
-    [index] = [i for i, r in enumerate(tampered.transcript.records) if r.action == "tampered"]
+    [index] = [i for i, r in enumerate(tampered.transcript.records) if r.action is Action.TAMPERED]
     before = honest.transcript.records[index].payload
     after = tampered.transcript.records[index].payload
     bit = Random("7/tamper/AuthorizationRequest/3").randrange(len(before) * 8)
@@ -316,7 +317,7 @@ def test_tampered_authorization_is_denied_as_bad_signature():
     assert report.business_outcome == "DENIED:BAD_SIGNATURE"
     assert report.holds_created == 0
     assert report.settle_count == 0
-    tampered = [r for r in report.transcript.records if r.action == "tampered"]
+    tampered = [r for r in report.transcript.records if r.action is Action.TAMPERED]
     assert len(tampered) == 1
 
 
@@ -325,7 +326,7 @@ def test_replayed_hold_instruction_creates_exactly_one_hold():
     assert report.business_outcome == "APPROVED"
     assert report.holds_created == 1
     assert report.settle_count == 1
-    replayed = [r for r in report.transcript.records if r.action == "replayed"]
+    replayed = [r for r in report.transcript.records if r.action is Action.REPLAYED]
     assert len(replayed) == 1
 
 
@@ -387,7 +388,7 @@ def test_a_single_drop_leaves_these_books(target, outcome, holds, settles, booke
     assert report.settled_total == settled
     assert report.scenario.account_provider.ledger.total_held() == held
     assert report.invariant_failures == []
-    dropped = [r for r in report.transcript.records if r.action == "dropped"]
+    dropped = [r for r in report.transcript.records if r.action is Action.DROPPED]
     assert len(dropped) == 1
     assert not dropped[0].delivered
     if target in ("HoldRequest", "HoldResponse"):
@@ -399,7 +400,7 @@ def test_eavesdropper_sees_everything_but_learns_no_payment_secrets():
     report = run_storage_scenario(config)
     assert report.complete_success()
     records = report.transcript.records
-    assert all(record.action == "observed" for record in records)
+    assert all(record.action is Action.OBSERVED for record in records)
     for record in records:
         markers = report.scenario.markers.payment_markers
         assert scan_for_markers("capture", record.payload, markers) == []
@@ -407,7 +408,7 @@ def test_eavesdropper_sees_everything_but_learns_no_payment_secrets():
 
 def test_tamper_budget_limits_the_number_of_hits():
     report = run_once("tamper:TicketRedeemRequest:bit=tail/9:2")
-    tampered = [r for r in report.transcript.records if r.action == "tampered"]
+    tampered = [r for r in report.transcript.records if r.action is Action.TAMPERED]
     assert len(tampered) == 2
 
 
@@ -440,7 +441,7 @@ def test_one_meta_runs_alike_on_each_fresh_actor_set():
     meta = build_scenario(config).meta
     first, second = (run_scenario(fresh(config), meta) for _ in range(2))
     assert first == second
-    assert [r.action for r in first.records] == ["", "dropped"]
+    assert [r.action for r in first.records] == [Action.NONE, Action.DROPPED]
     for transcript in (first, second):
         report = replay_transcript(transcript, fresh(config))
         assert report.matches, report.detail
@@ -536,24 +537,32 @@ def test_the_payers_account_provider_changes_nothing_the_provider_sees():
             assert record.payload == record_long.payload, record.type_name
 
 
-def test_the_usage_changes_nothing_the_trust_manager_sees():
-    # The same charge for another service, operation and unit: the trust
-    # manager's records, events and state differ only in opaque bytes.
+@pytest.mark.parametrize("usage", [
+    dict(service_id="cold-archive", operation="retrieve-all", unit="gigabyte"),
+    dict(quantity=1, rate=30),
+    dict(quantity=5, rate=6),
+    dict(quantity=15, rate=2),
+    dict(quantity=30, rate=1),
+], ids=["service", "1x30", "5x6", "15x2", "30x1"])
+def test_the_usage_changes_nothing_the_trust_manager_sees(usage):
+    # The same charge for another usage, of another service, operation and
+    # unit or at another quantity and rate than 3 x 10: the trust manager's
+    # and the account provider's records, events and state differ only in
+    # opaque bytes.
     config = ScenarioConfig(seed=3)
-    other = dataclasses.replace(
-        config, service_id="cold-archive", operation="retrieve-all", unit="gigabyte"
-    )
+    other = dataclasses.replace(config, **usage)
     first, second = run_storage_scenario(config), run_storage_scenario(other)
     assert first.complete_success() and second.complete_success()
     assert first.settled_total == second.settled_total == config.expected_price
     assert view_differences("TM", first, second) == []
+    assert view_differences("AP", first, second) == []
     # the view check sees what the usage changes: the order digest it relays
     [relay], [relay_other] = (
         recorded(r.transcript.records, "AuthorizeAndHold") for r in (first, second)
     )
     assert relay != relay_other and len(relay) == len(relay_other)
     # and a change of charge, which the trust manager must see, shows
-    pricier = run_storage_scenario(dataclasses.replace(other, rate=11))
+    pricier = run_storage_scenario(dataclasses.replace(config, rate=11))
     assert "TM record 0 payload.charge_amount: 30 != 33" in view_differences("TM", first, pricier)
 
 
@@ -562,7 +571,7 @@ def test_scanner_catches_a_deliberate_payment_leak_to_the_provider():
     leak = scenario.account_ref.encode()
     records = (
         TranscriptRecord(
-            tick=1, from_id="SR", to_id="SP", payload=b"prefix" + leak, action="", error=""
+            tick=1, from_id="SR", to_id="SP", payload=b"prefix" + leak, action=Action.NONE, error=""
         ),
     )
     meta = TranscriptMeta(seed=1, max_ticks=5, adversary_spec="none", initial=())
@@ -584,7 +593,7 @@ def test_scanner_reaches_the_events_of_the_provider_and_the_trust_manager():
         return Event(actor, EventKind.NOT_PENDING, order, None)
 
     meta = TranscriptMeta(seed=1, max_ticks=5, adversary_spec="none", initial=())
-    record = TranscriptRecord(1, "SR", "XX", b"\x00\x00\x00\x01x", "", "")
+    record = TranscriptRecord(1, "SR", "XX", b"\x00\x00\x00\x01x", Action.NONE, "")
     # the requester may hold either marker; the provider and the trust manager may not
     events = (event("SR", payment), event("SP", payment), event("TM", usage), event("SR", usage))
     transcript = Transcript(meta, ((record, events),))
@@ -600,7 +609,9 @@ def test_an_event_drawn_at_the_tick_of_the_limit_is_no_leak():
     # does not read as the limit marker
     scenario = build_scenario(CONFIG)
     meta = TranscriptMeta(seed=1, max_ticks=100, adversary_spec="none", initial=())
-    record = TranscriptRecord(CONFIG.authorized_limit, "SR", "XX", b"\x00\x00\x00\x01x", "", "")
+    record = TranscriptRecord(
+        CONFIG.authorized_limit, "SR", "XX", b"\x00\x00\x00\x01x", Action.NONE, ""
+    )
     events = (Event("SP", EventKind.DUPLICATE, None, None),)
     report = assert_privacy(Transcript(meta, ((record, events),)), b"", b"", scenario.markers)
     assert report.clean
@@ -678,7 +689,7 @@ def test_scanner_checks_eavesdropper_captures():
     scenario = build_scenario(CONFIG)
     meta = TranscriptMeta(seed=1, max_ticks=5, adversary_spec="eavesdrop:0", initial=())
     leak = scenario.account_ref.encode()
-    observed = TranscriptRecord(1, "SR", "XX", leak, "observed", "")
+    observed = TranscriptRecord(1, "SR", "XX", leak, Action.OBSERVED, "")
     transcript = Transcript(meta, ((observed, ()),))
     report = assert_privacy(transcript, b"", b"", scenario.markers)
     assert [hit.location for hit in report.hits] == ["captured[0]"]
