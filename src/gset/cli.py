@@ -257,17 +257,16 @@ def cmd_keys(args, env: dict) -> int:
     return 0
 
 
+# The fields the help's example config sets, each at its default.
+_EXAMPLE_FIELDS = ("seed", "service_id", "quantity", "rate", "authorized_limit",
+                   "credit_limit", "adversary_spec")
+_EXAMPLE_CONFIG = "\n".join(
+    ["  [scenario]"] + [f"  {name} = {getattr(ScenarioConfig, name)}" for name in _EXAMPLE_FIELDS]
+)
 _CONFIG_HELP = f"""\
 config file format (INI):
 
-  [scenario]
-  seed = 7
-  service_id = mobile-storage
-  quantity = 3
-  rate = 10
-  authorized_limit = 60
-  credit_limit = 500
-  adversary_spec = none
+{_EXAMPLE_CONFIG}
 
 Any ScenarioConfig field may appear; unknown keys are rejected.
 Seed precedence: --seed, config file, GSET_SEED, default {DEFAULT_SEED}.

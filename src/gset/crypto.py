@@ -20,20 +20,24 @@ the private half mirrors that layout.  Certificate infrastructure is out
 of scope; callers distribute public keys through a trusted in-memory
 directory populated when a simulation is set up.
 
-``generate_keypair`` parses the private half into an Ed25519 signing key
-and an X25519 seal key once, to compute the public half; the ``KeyPair``
-it returns keeps the seal key, which ``open_envelope`` and ``mac_keys``
-use.  So a parsed key lives exactly as long as the pair that holds it,
-and nothing here keeps keys for identities a process has seen.  The key
-classes are looked up in this module's globals at call time, so a
-stand-in that counts parses sees every one.
+``generate_keypair`` takes the Ed25519 public key from libsodium's
+``crypto_sign_seed_keypair`` on the raw 32-byte seed, and parses the
+X25519 half of the private key into a seal key once, to compute its
+public half; the ``KeyPair`` it returns keeps the seal key, which
+``open_envelope`` and ``mac_keys`` use.  So a parsed key lives exactly as
+long as the pair that holds it, and nothing here keeps keys for
+identities a process has seen.  The key classes are looked up in this
+module's globals at call time, so a stand-in that counts parses sees
+every one.  No Ed25519 key object is made: ``Ed25519PrivateKey`` stays
+bound here only so that a parse counter installed on it finds the name.
 
 ``sign`` and ``verify`` call libsodium's ``crypto_sign_detached`` and
 ``crypto_sign_verify_detached`` through ``ctypes`` and parse no key
 object: libsodium takes the raw 32-byte seed and public key.  Ed25519 is
-deterministic, so its signatures are the same bytes any other correct
-implementation makes.  Importing this module raises ``ImportError`` when
-the libsodium shared library cannot be found or initialised.
+deterministic, so its keys and signatures are the same bytes any other
+correct implementation makes.  Importing this module raises
+``ImportError`` when the libsodium shared library cannot be found or
+initialised.
 
 The pairwise MAC keys are not cached here: each actor keeps the keys it
 shares with each peer for its own run (``actors._ActorBase.pair_keys``).
@@ -55,6 +59,7 @@ from random import Random
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes, hmac
+# Unused here; see the module docstring.
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PrivateKey,
@@ -123,6 +128,16 @@ _crypto_sign_verify_detached.argtypes = (
     ctypes.c_char_p,       # pk
 )
 _crypto_sign_verify_detached.restype = ctypes.c_int
+# The buffers of a seed key pair, built here for the reason above.
+_PublicKeyBuffer = ctypes.c_char * _KEY_SEGMENT
+_SecretKeyBuffer = ctypes.c_char * (2 * _KEY_SEGMENT)
+_crypto_sign_seed_keypair = _sodium.crypto_sign_seed_keypair
+_crypto_sign_seed_keypair.argtypes = (
+    _PublicKeyBuffer,      # pk
+    _SecretKeyBuffer,      # sk: the seed, then pk again
+    ctypes.c_char_p,       # seed: 32 bytes
+)
+_crypto_sign_seed_keypair.restype = ctypes.c_int
 
 
 class CryptoError(Exception):
@@ -190,8 +205,9 @@ class SealedEnvelope:
 class KeyPair:
     """Key material bound to a subject identity label, with the X25519 half
     of ``private_key`` as parsed by ``generate_keypair``; the parsed seal
-    key takes no part in equality.  ``sign`` reads the raw Ed25519 halves
-    of ``private_key`` and ``public_key``."""
+    key takes no part in equality.  The Ed25519 halves stay raw bytes:
+    libsodium derived the public one from the seed, and ``sign`` reads
+    both."""
 
     public_key: bytes
     private_key: bytes
@@ -234,9 +250,11 @@ def generate_keypair(subject_id: str, seed: int) -> KeyPair:
         _derive_seed(_SIGN_DERIVE_TAG, subject_id, seed)
         + _derive_seed(_SEAL_DERIVE_TAG, subject_id, seed)
     )
-    sign_key = Ed25519PrivateKey.from_private_bytes(private[:_KEY_SEGMENT])
+    sign_public = _PublicKeyBuffer()
+    if _crypto_sign_seed_keypair(sign_public, _SecretKeyBuffer(), private[:_KEY_SEGMENT]) != 0:
+        raise CryptoError("libsodium failed to derive a signing key")
     seal_key = X25519PrivateKey.from_private_bytes(private[_KEY_SEGMENT:])
-    public = sign_key.public_key().public_bytes_raw() + seal_key.public_key().public_bytes_raw()
+    public = sign_public.raw + seal_key.public_key().public_bytes_raw()
     return KeyPair(public, private, subject_id, seal_key)
 
 

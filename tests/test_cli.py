@@ -227,6 +227,17 @@ def test_bad_environment_seed_is_usage_error(
     assert expected in err
 
 
+def test_the_help_example_config_loads_as_the_defaults(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"], env={})
+    help_text = capsys.readouterr().out
+    lines = help_text.split("  [scenario]\n", 1)[1].split("\n\n", 1)[0].splitlines()
+    ini = tmp_path / "example.ini"
+    ini.write_text("\n".join(["[scenario]"] + [line.strip() for line in lines]) + "\n")
+    args = cli.build_parser().parse_args(["demo-storage", "--config", str(ini)])
+    assert cli._load_config(args, {}) == ScenarioConfig()
+
+
 # --- config errors ---------------------------------------------------------------
 
 

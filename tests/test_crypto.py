@@ -1,6 +1,7 @@
 """Identity, hashing, signing, envelope, and split-signature behavior."""
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import hashlib
 import hmac
@@ -193,6 +194,17 @@ def _reference_sign(kp, message) -> bytes:
     return Ed25519PrivateKey.from_private_bytes(kp.private_key[:32]).sign(bytes(message))
 
 
+def _reference_public(seed: bytes) -> bytes:
+    return Ed25519PrivateKey.from_private_bytes(seed).public_key().public_bytes_raw()
+
+
+def _sodium_public(seed: bytes) -> bytes:
+    """The Ed25519 public key of ``seed`` through the binding ``generate_keypair`` calls."""
+    public = gset.crypto._PublicKeyBuffer()
+    assert gset.crypto._crypto_sign_seed_keypair(public, gset.crypto._SecretKeyBuffer(), seed) == 0
+    return public.raw
+
+
 def _reference_verify(public_key: bytes, message, signature: bytes) -> bool:
     try:
         Ed25519PublicKey.from_public_bytes(public_key[:32]).verify(signature, bytes(message))
@@ -211,8 +223,22 @@ def _differential_messages() -> list:
 
 def test_sign_and_verify_agree_with_the_reference_on_every_single_bit_flip():
     # Ed25519 is deterministic, so the same seed and message give the same
-    # bytes in any correct implementation; each flip of the signature or of
-    # the key's Ed25519 half must draw the reference's verdict
+    # bytes in any correct implementation: RFC 8032 section 7.1 TEST 1's key,
+    # and the public half of every derived pair, are the reference's
+    rfc_seed = bytes.fromhex("9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60")
+    assert _sodium_public(rfc_seed) == bytes.fromhex(
+        "d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a"
+    )
+    rng = Random(0x8032)
+    pairs = [("SR", 0), ("AP", 2**64 - 1)] + [
+        (rng.choice(("SR", "SP", "TM", "AP", "AP-long-name", "é")), rng.getrandbits(64))
+        for _ in range(1000)
+    ]
+    for subject, seed in pairs:
+        kp = generate_keypair(subject, seed)
+        assert kp.public_key[:32] == _reference_public(kp.private_key[:32]), (subject, seed)
+    # each flip of the signature or of the key's Ed25519 half must draw the
+    # reference's verdict
     for subject, seed in (("SR", 0), ("TM", 7), ("AP", 2**64 - 1)):
         kp = generate_keypair(subject, seed)
         for message in _differential_messages():
@@ -279,6 +305,26 @@ def test_an_unusable_libsodium_fails_the_import_by_name(patch):
     assert last.startswith("ImportError:") and "libsodium" in last
 
 
+def test_every_libsodium_binding_declares_its_signature():
+    # an undeclared binding passes each Python int as a C int, so a length
+    # above 2**31 would be cut short without a word; ctypes' default restype
+    # is c_int, so only the argument count tells an undeclared binding apart
+    arity = {
+        "crypto_sign_detached": 5,
+        "crypto_sign_verify_detached": 4,
+        "crypto_sign_seed_keypair": 3,
+    }
+    bound = {
+        fn.__name__: fn
+        for fn in vars(gset.crypto).values()
+        if isinstance(fn, ctypes._CFuncPtr)
+    }
+    assert set(bound) == set(arity)
+    for name, fn in bound.items():
+        assert fn.argtypes is not None and len(fn.argtypes) == arity[name], name
+        assert fn.restype is ctypes.c_int, name
+
+
 def _count_parses(monkeypatch) -> dict[str, int]:
     """Private-key parses from here on, per key class of ``gset.crypto``."""
     counts = {"Ed25519PrivateKey": 0, "X25519PrivateKey": 0}
@@ -307,10 +353,11 @@ def test_a_key_pair_parses_each_half_once(monkeypatch):
             assert mac_keys(pair, "SP", sp.public_key) is not None
             assert open_envelope(pair, envelope) == b"payment"
 
-    # deriving parses both halves, and the pair keeps them for every use
+    # deriving parses the X25519 half, and the pair keeps it for every use;
+    # libsodium derives and uses the Ed25519 half as raw bytes, unparsed
     tm = generate_keypair("TM", 7)
     use(tm)
-    assert parses == {"Ed25519PrivateKey": 1, "X25519PrivateKey": 1}
+    assert parses == {"Ed25519PrivateKey": 0, "X25519PrivateKey": 1}
 
 
 def test_two_pairs_of_one_identity_parse_separately(monkeypatch):
@@ -319,8 +366,9 @@ def test_two_pairs_of_one_identity_parse_separately(monkeypatch):
     assert first == second
     assert sign(first, b"m") == sign(second, b"m")
     assert mac_keys(first, "SP", first.public_key) == mac_keys(second, "SP", first.public_key)
-    # nothing parsed for one pair is handed to the other
-    assert parses == {"Ed25519PrivateKey": 2, "X25519PrivateKey": 2}
+    # nothing parsed for one pair is handed to the other; no Ed25519 half
+    # is parsed, since libsodium takes both as raw bytes
+    assert parses == {"Ed25519PrivateKey": 0, "X25519PrivateKey": 2}
 
 
 # --- pairwise MAC keys -------------------------------------------------------

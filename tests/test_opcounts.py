@@ -8,9 +8,9 @@ and checked, and the X25519 agreements behind them, are gated the same way:
 a server-to-server leg back under a signature, or a pairwise key derived
 more than once per peer and run, shows here.  So are the AES-GCM keys: a
 content key wrapped under the envelope's agreed key shows here.
-Private-key parses are gated too: each key pair parses each of its halves
-once, when it is derived, and no signature is made or checked by a parsed
-Ed25519 key object.  So are the bytes hashed, signed and verified: a
+Private-key parses are gated too: each key pair parses its X25519 half
+once, when it is derived, and no Ed25519 key object is made, neither to
+derive a public key nor to make or check a signature.  So are the bytes hashed, signed and verified: a
 second hash of an object, or object bytes back under a signature, shows as
 a byte count.  So are the codec's
 encodes: a message encoded twice by its sender, or encoded again by its
@@ -20,8 +20,6 @@ messages' invariant checks: a message checked again on encode shows here.
 from __future__ import annotations
 
 import sys
-
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
 import gset.codec
 import gset.crypto
@@ -208,72 +206,40 @@ def _key_parses(monkeypatch, config: ScenarioConfig) -> int:
     return calls[0]
 
 
-# Deriving the four key pairs parses both halves of each, to compute the
-# public halves; the run reuses those objects and adds one ephemeral seal
-# key.  Two of the eight are parsed only to publish their public halves:
-# the requester's seal key and the account provider's signing key.
+# Deriving the four key pairs parses the X25519 half of each, to compute its
+# public half; libsodium derives each Ed25519 public half from the raw seed,
+# so no Ed25519 half is parsed.  The run reuses the four seal keys and adds
+# one ephemeral seal key: 4 + 1.  The requester's seal key is parsed only to
+# publish its public half.
 def test_default_transaction_parses_each_key_once(monkeypatch):
-    assert _key_parses(monkeypatch, ScenarioConfig()) == 9
+    assert _key_parses(monkeypatch, ScenarioConfig()) == 5
 
 
 def test_bulk_transaction_parses_each_key_once(monkeypatch):
     config = ScenarioConfig(object_count=16, object_size=65536)
-    assert _key_parses(monkeypatch, config) == 9
-
-
-class _RefusingEd25519Key:
-    """A parsed Ed25519 key whose ``sign`` and ``verify`` fail the test."""
-
-    def __init__(self, key, calls: list[str]) -> None:
-        self._key = key
-        self._calls = calls
-
-    def sign(self, *args):
-        self._calls.append("sign")
-        raise AssertionError("gset.crypto signed through cryptography's Ed25519")
-
-    def verify(self, *args):
-        self._calls.append("verify")
-        raise AssertionError("gset.crypto verified through cryptography's Ed25519")
-
-    def public_key(self):
-        return _RefusingEd25519Key(self._key.public_key(), self._calls)
-
-    def __getattr__(self, name):
-        return getattr(self._key, name)
+    assert _key_parses(monkeypatch, config) == 5
 
 
 class _RefusingEd25519Class:
-    """Stands in for an Ed25519 key class inside gset.crypto: its keys parse,
-    and refuse to sign or verify."""
+    """Stands in for an Ed25519 key class inside gset.crypto: any use of it,
+    a parse above all, fails the test."""
 
-    def __init__(self, cls: type, calls: list[str]) -> None:
-        self._cls = cls
+    def __init__(self, calls: list[str]) -> None:
         self._calls = calls
 
-    def from_private_bytes(self, data):
-        return _RefusingEd25519Key(self._cls.from_private_bytes(data), self._calls)
-
-    def from_public_bytes(self, data):
-        return _RefusingEd25519Key(self._cls.from_public_bytes(data), self._calls)
-
     def __getattr__(self, name):
-        return getattr(self._cls, name)
+        self._calls.append(name)
+        raise AssertionError(f"gset.crypto used cryptography's Ed25519 ({name})")
 
 
-# Signatures are made and checked by libsodium on the raw key bytes; the
-# Ed25519 key object parsed at derivation only computes the public half.
-# The public key class is stood in for too, in case it is imported again.
+# Keys are derived and signatures made and checked by libsodium on the raw
+# key bytes, so no cryptography Ed25519 object is made at all.  The public
+# key class is stood in for too, in case it is imported again.
 def test_no_signature_goes_through_cryptographys_ed25519(monkeypatch):
     calls: list[str] = []
+    monkeypatch.setattr(gset.crypto, "Ed25519PrivateKey", _RefusingEd25519Class(calls))
     monkeypatch.setattr(
-        gset.crypto,
-        "Ed25519PrivateKey",
-        _RefusingEd25519Class(gset.crypto.Ed25519PrivateKey, calls),
-    )
-    monkeypatch.setattr(
-        gset.crypto, "Ed25519PublicKey", _RefusingEd25519Class(Ed25519PublicKey, calls),
-        raising=False,
+        gset.crypto, "Ed25519PublicKey", _RefusingEd25519Class(calls), raising=False
     )
     assert run_storage_scenario(ScenarioConfig()).complete_success()
     assert calls == []
