@@ -116,7 +116,6 @@ from .scenario import (
 from .simnet import (
     Action,
     Adversary,
-    AdversaryMode,
     DivergenceReport,
     PrivacyHit,
     PrivacyMarkers,

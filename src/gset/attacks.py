@@ -95,7 +95,7 @@ def _audit_common(sweep: SweepReport, attack: str, report: RunReport) -> None:
     sweep.runs += 1
     failures = report.invariant_failures
     sweep.expect(attack, not failures, "no invariant failures", "; ".join(failures))
-    leaks = report.privacy.hits if report.privacy is not None else ()
+    leaks = report.privacy.hits
     sweep.expect(attack, not leaks, "no payment/usage leakage",
                  f"marker at {leaks[0].location}" if leaks else "")
 

@@ -128,7 +128,7 @@ def _five_dimensions(report: RunReport, replay: DivergenceReport) -> tuple[list[
     ]
     transparency = not crossed
     trust = not report.invariant_failures
-    privacy = report.privacy is not None and report.privacy.clean
+    privacy = report.privacy.clean
     oracle = _oracle_outcome(config)
     adversary_active = report.transcript.meta.adversary_spec != "none"
     agility = report.business_outcome == oracle or (

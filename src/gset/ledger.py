@@ -26,7 +26,8 @@ The ledger answers a refusal the way the protocol words it, as the
     settle   hold already settled or released             REPLAY
 
 ``release_hold`` answers as ``settle_hold`` does.  ``LedgerError`` is left
-for calls no message can make.
+for calls no message can make, and ``ValidationError`` for a ledger, built
+or decoded, that no sequence of calls makes.
 """
 
 from __future__ import annotations
@@ -91,6 +92,12 @@ class Account:
     settled_total: int = 0
     holds: dict[bytes, int] = field(default_factory=dict)  # the open holds' amounts
 
+    def validate(self) -> None:
+        """Raise ``ValidationError`` unless the limit is positive and conserved."""
+        check(Positive, self.credit_limit, "credit_limit")
+        if self.available() < 0:
+            raise ValidationError("ledger conservation violated")
+
     def available(self) -> int:
         return self.credit_limit - self.settled_total - sum(self.holds.values())
 
@@ -103,6 +110,19 @@ class Ledger:
 
     _accounts: dict[bytes, Account] = field(default_factory=dict)
     names: dict[bytes, HoldName] = field(default_factory=dict)  # every name place_hold was given
+
+    def __post_init__(self) -> None:
+        """Refuse, with ``ValidationError``, a state the ledger's own operations
+        could not make: each account keeps its limit, each open hold has its
+        one ``OPEN`` name, and a name not refused names an account it keeps."""
+        for account in self._accounts.values():
+            account.validate()
+        held = {(key, ref) for key, account in self._accounts.items() for ref in account.holds}
+        if held != {(n.account, ref) for ref, n in self.names.items() if n.fate == HoldFate.OPEN}:
+            raise ValidationError("the open holds and the OPEN hold names differ")
+        if any(n.fate != HoldFate.REFUSED and n.account not in self._accounts
+               for n in self.names.values()):
+            raise ValidationError("a hold name that was not refused names no account")
 
     def open_account(self, account_ref: str, credit_limit: int) -> Digest:
         """Create an account for ``account_ref``; returns its digest key.
@@ -143,7 +163,7 @@ class Ledger:
         else:
             reason = None
             account.holds[ref] = amount
-            self._assert_conserved(account)
+            account.validate()
         fate = HoldFate.OPEN if reason is None else HoldFate.REFUSED
         self.names[ref] = HoldName(account_ref_digest.bytes, fate)
         return reason
@@ -169,13 +189,8 @@ class Ledger:
         if fate == HoldFate.SETTLED:
             account.settled_total += amount
         name.fate = fate
-        self._assert_conserved(account)
+        account.validate()
         return amount, None
-
-    def _assert_conserved(self, account: Account) -> None:
-        held = sum(account.holds.values())
-        if account.settled_total + held > account.credit_limit:
-            raise AssertionError("ledger conservation violated")
 
     # --- observability -------------------------------------------------------
 

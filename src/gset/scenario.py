@@ -25,7 +25,7 @@ before any object is made, with a ``ScenarioError`` naming the field.
 from __future__ import annotations
 
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 
 from cryptography.hazmat.primitives import hashes
@@ -299,15 +299,15 @@ class RunReport:
     provider_receivable: int
     settled_total: int
     ticks_used: int
-    invariant_failures: list[str] = field(default_factory=list)
-    privacy: PrivacyReport | None = None
+    invariant_failures: list[str]
+    privacy: PrivacyReport
 
     def complete_success(self) -> bool:
         """Did the full happy path land, with clean books and clean privacy?"""
         return (
             self.business_outcome == "APPROVED"
             and not self.invariant_failures
-            and (self.privacy is None or self.privacy.clean)
+            and self.privacy.clean
             and self.objects_retrieved == self.config.object_count
             and self.holds_created == 1
             and self.settle_count == 1
@@ -330,12 +330,11 @@ class RunReport:
             f"account settled    {self.settled_total}",
             f"wire records       {len(self.transcript.records)} over {self.ticks_used} ticks",
         ]
-        if self.privacy is not None:
-            lines.append(
-                "privacy            clean"
-                if self.privacy.clean
-                else f"privacy            LEAKED at {self.privacy.hits[0].location}"
-            )
+        lines.append(
+            "privacy            clean"
+            if self.privacy.clean
+            else f"privacy            LEAKED at {self.privacy.hits[0].location}"
+        )
         if self.invariant_failures:
             lines.append(f"invariant failures {'; '.join(self.invariant_failures)}")
         else:

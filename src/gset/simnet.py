@@ -7,10 +7,10 @@ its tick and its place.  So a transcript is a faithful, replayable record of
 every byte that moved and every refusal, in order, including the legs the
 adversary touched.
 
-The adversary operates strictly on encoded bytes.  It can observe, flip
-bits, duplicate, or swallow messages; it cannot forge signatures or MACs
-or open envelopes, which is exactly the boundary the protocol is supposed
-to hold.
+The adversary operates strictly on encoded bytes, in one of its ``MODES``:
+it can observe, flip bits, duplicate, or swallow messages; it cannot forge
+signatures or MACs or open envelopes, which is exactly the boundary the
+protocol is supposed to hold.
 
 A run's one input is its ``TranscriptMeta``: the seed, the tick budget, the
 adversary spec ``mode[:target][:mutation][:max_hits]`` and the initial
@@ -27,8 +27,8 @@ adversary did is the transcript's record actions; the records it
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
-from enum import Enum, IntEnum
+from dataclasses import dataclass, field, replace
+from enum import IntEnum
 from pathlib import Path
 from random import Random
 from typing import Iterable, Mapping, Protocol
@@ -60,22 +60,28 @@ class Action(IntEnum):
     NONE, OBSERVED, TAMPERED, REPLAYED, DROPPED = range(5)
 
 
-class AdversaryMode(Enum):
-    """Each mode's value is its name in a spec."""
+# Each adversary mode: its name in a spec, and the action its records carry.
+MODES: dict[str, Action] = {
+    "eavesdrop": Action.OBSERVED,
+    "tamper": Action.TAMPERED,
+    "replay": Action.REPLAYED,
+    "drop": Action.DROPPED,
+}
 
-    PASSIVE_EAVESDROP = "eavesdrop"
-    TAMPER = "tamper"
-    REPLAY = "replay"
-    DROP = "drop"
+
+def _count(text: str) -> int:
+    """``text`` as a count of at most 20 ASCII digits, as a u64 has, else -1."""
+    return int(text) if text.isascii() and text.isdigit() and len(text) <= 20 else -1
 
 
 @dataclass
 class Adversary:
     """On-path attacker working on wire bytes only, named by its spec.
 
-    ``target`` is a message type name (as reported by the codec) or None
-    for any message.  ``max_hits`` caps how many matching messages are
-    acted on; 0 means unlimited.  Tamper mutations:
+    ``action`` is its mode's ``MODES`` entry, what it does to each message
+    it matches.  ``target`` is a message type name (as reported by the
+    codec) or None for any message.  ``max_hits`` caps how many matching
+    messages are acted on; 0 means unlimited.  Tamper mutations:
 
     * ``bit=rand``   flip one bit drawn from ``Random(f"{seed}/adversary")``
     * ``bit=rand/N`` flip one bit drawn from
@@ -84,26 +90,25 @@ class Adversary:
     * ``bit=tail/K`` flip the bit K >= 1 positions before the end
     * ``bit=abs/K``  flip bit K >= 0 from the start
 
-    ``seed`` is the run's, so the spec and the seed a transcript records
-    are the whole adversary.  Any other mutation raises ``SimnetError`` when
-    the adversary is built.  ``hits`` counts within one run, which builds
-    its own adversary.
+    ``seed`` is the run's, and ``stream`` names the stream under it, so the
+    spec and the seed a transcript records are the whole adversary.  Any
+    other mutation raises ``SimnetError`` when the adversary is built.
+    ``hits`` counts within one run, which builds its own adversary.
     """
 
-    mode: AdversaryMode
+    action: Action
     target: str | None = None
     mutation: str = "bit=rand"
     max_hits: int = 1
     hits: int = 0
+    stream: str = field(init=False, default="adversary")
 
     def __post_init__(self) -> None:
         kind, _, arg = self.mutation.partition("/")
-        k = int(arg) if arg.isascii() and arg.isdigit() else -1
-        # the name of the stream a run draws random bits from, under its seed
-        self._stream = "adversary"
+        k = _count(arg)
         if kind == "bit=rand" and (self.mutation == kind or k >= 0):
             if k >= 0:
-                self._stream = f"tamper/{self.target}/{k}"
+                self.stream = f"tamper/{self.target}/{k}"
             self._pick = lambda bits, rng: rng.randrange(bits)
         elif kind == "bit=tail" and k > 0:
             self._pick = lambda bits, rng: max(0, bits - k)
@@ -118,37 +123,28 @@ class Adversary:
         text = spec.strip()
         if text == "" or text == "none":
             return None
-        parts = text.split(":")
-        try:
-            mode = AdversaryMode(parts[0])
-        except ValueError:
-            raise SimnetError(f"unknown adversary mode {parts[0]!r}") from None
-        rest = parts[1:]
-        max_hits = 0 if mode is AdversaryMode.PASSIVE_EAVESDROP else 1
-        if rest and rest[-1].isdigit():
-            max_hits = int(rest[-1])
-            rest = rest[:-1]
+        mode, *rest = text.split(":")
+        action = MODES.get(mode)
+        if action is None:
+            raise SimnetError(f"unknown adversary mode {mode!r}")
+        max_hits = 0 if action is Action.OBSERVED else 1
+        if rest and _count(rest[-1]) >= 0:
+            max_hits = _count(rest.pop())
         mutation = "bit=rand"
-        if mode is AdversaryMode.TAMPER and rest and rest[-1].startswith("bit="):
-            mutation = rest[-1]
-            rest = rest[:-1]
-        target: str | None = None
-        if rest:
-            if len(rest) > 1:
-                raise SimnetError(f"cannot parse adversary spec {spec!r}")
-            target = rest[0] or None
-        if mode in (AdversaryMode.TAMPER, AdversaryMode.REPLAY, AdversaryMode.DROP) \
-                and target is None:
-            raise SimnetError(f"adversary mode {parts[0]!r} needs a target type")
-        return cls(mode=mode, target=target, mutation=mutation, max_hits=max_hits)
+        if action is Action.TAMPERED and rest and rest[-1].startswith("bit="):
+            mutation = rest.pop()
+        if len(rest) > 1:
+            raise SimnetError(f"cannot parse adversary spec {spec!r}")
+        target = (rest[0] or None) if rest else None
+        if target is None and action is not Action.OBSERVED:
+            raise SimnetError(f"adversary mode {mode!r} needs a target type")
+        return cls(action, target, mutation, max_hits)
 
     def _matches(self, payload: bytes) -> bool:
         if self.max_hits > 0 and self.hits >= self.max_hits:
             return False
-        if self.target is None:
-            return True
         try:
-            return codec.peek_type(payload) == self.target
+            return self.target is None or codec.peek_type(payload) == self.target
         except CodecError:
             return False
 
@@ -162,20 +158,14 @@ class Adversary:
         return bytes(flipped)
 
     def act(self, payload: bytes, rng: Random) -> tuple[Action, bytes | None, list[bytes]]:
-        """Interpose on one in-flight message.
-
-        Returns (action, payload-to-deliver-or-None, extra copies to inject).
-        """
+        """Interpose on one message: (action, payload to deliver or None, copies to inject)."""
         if not self._matches(payload):
             return (Action.NONE, payload, [])
         self.hits += 1
-        if self.mode is AdversaryMode.PASSIVE_EAVESDROP:
-            return (Action.OBSERVED, payload, [])
-        if self.mode is AdversaryMode.TAMPER:
-            return (Action.TAMPERED, self._mutate(payload, rng), [])
-        if self.mode is AdversaryMode.REPLAY:
-            return (Action.REPLAYED, payload, [payload])
-        return (Action.DROPPED, None, [])
+        if self.action is Action.TAMPERED:
+            payload = self._mutate(payload, rng)
+        copies = [payload] if self.action is Action.REPLAYED else []
+        return (self.action, None if self.action is Action.DROPPED else payload, copies)
 
 
 # --- transcript ------------------------------------------------------------------
@@ -301,7 +291,7 @@ def run_scenario(endpoints: Mapping[str, Actor], meta: TranscriptMeta) -> Transc
     queued before what the receiving actor sends.
     """
     adversary = Adversary.from_spec(meta.adversary_spec)
-    rng = None if adversary is None else Random(f"{meta.seed}/{adversary._stream}")
+    rng = None if adversary is None else Random(f"{meta.seed}/{adversary.stream}")
     queue = deque((wire.from_id, wire.to_id, wire.payload) for wire in meta.initial)
     steps: list[Step] = []
     tick = 0
@@ -423,20 +413,14 @@ class PrivacyReport:
     def render(self) -> str:
         verdict = "CLEAN" if self.clean else f"{len(self.hits)} HIT(S)"
         lines = [f"privacy scan: {verdict} over {self.locations_checked} locations"]
-        for hit in self.hits:
-            lines.append(
-                f"  {hit.location}: marker {hit.marker.hex()} at offset {hit.offset}"
-            )
+        lines += (f"  {hit.location}: marker {hit.marker.hex()} at offset {hit.offset}"
+                  for hit in self.hits)
         return "\n".join(lines)
 
 
 def scan_for_markers(location: str, blob: bytes, markers: Iterable[bytes]) -> list[PrivacyHit]:
-    hits = []
-    for marker in markers:
-        offset = blob.find(marker)
-        if offset >= 0:
-            hits.append(PrivacyHit(location=location, marker=marker, offset=offset))
-    return hits
+    found = ((marker, blob.find(marker)) for marker in markers)
+    return [PrivacyHit(location, marker, at) for marker, at in found if at >= 0]
 
 
 def assert_privacy(

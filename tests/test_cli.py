@@ -312,6 +312,18 @@ def test_malformed_tamper_mutation_in_config_exits_two(tmp_path, monkeypatch, ca
     assert "error:" in err
 
 
+def test_a_hit_count_that_is_not_ascii_digits_in_config_exits_two(tmp_path, monkeypatch, capsys):
+    ini = tmp_path / "bad.ini"
+    ini.write_text("[scenario]\nadversary_spec = tamper:PriceQuote:²\n", encoding="utf-8")
+    code, _, err = run_cli(
+        ["demo-storage", "--config", str(ini)],
+        cwd=tmp_path, monkeypatch=monkeypatch, capsys=capsys,
+    )
+    assert code == 2
+    [line] = err.splitlines()
+    assert line.startswith("error:")
+
+
 def test_a_sweep_run_reruns_from_its_spec(tmp_path, monkeypatch, capsys):
     spec = "tamper:AuthorizationRequest:bit=rand/3:1"
     reports = []

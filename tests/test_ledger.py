@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from random import Random
+
 from gset import DenialReason, Ledger, LedgerError, codec, hash_bytes
-from gset.ledger import HoldFate, HoldName
+from gset.codec import DecodeError, ValidationError
+from gset.ledger import Account, HoldFate, HoldName
 
 from ledger_model import drive_pair
 
@@ -230,6 +233,59 @@ def test_snapshot_round_trips_through_codec():
     assert account.credit_limit == 100
     assert account.settled_total == 30
     assert sum(h.amount for h in account.holds) == 20
+
+
+K = hash_bytes(b"ACCT-0001").bytes
+
+# Ledgers no sequence of the ledger's own operations makes: each account as
+# (credit_limit, settled_total, holds), and the hold names.
+OPEN, SETTLED = HoldFate.OPEN, HoldFate.SETTLED
+UNMADE = {
+    "an open name whose hold its account lacks": ({K: (100, 0, {})}, {A: HoldName(K, OPEN)}),
+    "a hold with no open name": ({K: (100, 0, {A: 10})}, {}),
+    "a credit limit of 0": ({K: (0, 0, {})}, {}),
+    "settled and held over the limit": ({K: (100, 80, {A: 30})}, {A: HoldName(K, OPEN)}),
+    "a settled name on no account": ({}, {A: HoldName(K, SETTLED)}),
+}
+
+
+@pytest.mark.parametrize("accounts, names", UNMADE.values(), ids=list(UNMADE))
+def test_a_ledger_its_operations_could_not_make_is_refused(accounts, names):
+    with pytest.raises(ValidationError):
+        Ledger({key: Account(*fields) for key, fields in accounts.items()}, names)
+    # the same state, reached by editing a ledger after it was built, does not decode
+    ledger = Ledger()
+    for key, (limit, settled, holds) in accounts.items():
+        account = ledger._accounts[key] = Account(1)
+        account.credit_limit, account.settled_total, account.holds = limit, settled, holds
+    ledger.names = names
+    with pytest.raises(DecodeError):
+        codec.decode(codec.encode(ledger), Ledger)
+
+
+def test_a_refused_name_may_name_an_account_the_ledger_does_not_keep():
+    ledger = Ledger()
+    assert ledger.place_hold(hash_bytes(b"ACCT-0001"), 10, A) == DenialReason.UNKNOWN_ACCOUNT
+    assert ledger.names == {A: HoldName(K, HoldFate.REFUSED)}
+    assert codec.decode(codec.encode(ledger), Ledger) == ledger
+
+
+def test_every_ledger_its_operations_make_decodes():
+    rng = Random("ledger-decodes")
+    ledger = Ledger()
+    digests = [ledger.open_account(f"ACCT-{i}", 100) for i in range(3)]
+    digests.append(hash_bytes(b"ACCT-unknown"))
+    names = [bytes([i]) * 16 for i in range(40)]
+    fates = set()
+    for _ in range(200):
+        ref = rng.choice(names)
+        if rng.random() < 0.5:
+            ledger.place_hold(rng.choice(digests), rng.randint(1, 60), ref)
+        else:
+            (ledger.settle_hold if rng.random() < 0.5 else ledger.release_hold)(ref)
+        assert codec.decode(codec.encode(ledger), Ledger) == ledger
+        fates |= {name.fate for name in ledger.names.values()}
+    assert fates == set(HoldFate)
 
 
 def test_serialized_state_never_contains_plaintext_ref():

@@ -280,8 +280,8 @@ def test_bulk_transaction_encodes_each_message_once(monkeypatch):
 
 def _validations(monkeypatch, config: ScenarioConfig) -> int:
     """Construction checks of one run: calls of the hook ``canonical_message``
-    installs, over every registered message type.  The crypto value types
-    check themselves and are not counted."""
+    installs, and of the ledger's own, over every registered message type.
+    The crypto value types check themselves and are not counted."""
     calls = [0]
     for cls in gset.codec.registered_types().values():
         original = cls.__dict__.get("__post_init__")
@@ -301,12 +301,14 @@ def _validations(monkeypatch, config: ScenarioConfig) -> int:
 # decoded, nested messages included, and never again on encode.  Re-taken
 # at 4 fewer when the decision and the completion came to name their order
 # by a digest, whose size the codec checks: neither type has a rule left.
+# Re-taken at 1 more when the ledger came to check itself when built: the
+# account provider's one ledger per run.
 # A type whose fields carry no kind and which has no ``validate`` gets no
 # hook, so it is not counted.
 def test_default_transaction_validates_each_message_once_per_end(monkeypatch):
-    assert _validations(monkeypatch, ScenarioConfig()) == 75
+    assert _validations(monkeypatch, ScenarioConfig()) == 76
 
 
 def test_bulk_transaction_validates_each_message_once_per_end(monkeypatch):
     config = ScenarioConfig(object_count=16, object_size=65536)
-    assert _validations(monkeypatch, config) == 179
+    assert _validations(monkeypatch, config) == 180

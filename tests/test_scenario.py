@@ -14,6 +14,7 @@ import pytest
 
 import gset
 from gset import (
+    AccountProvider,
     Adversary,
     ObjectUpload,
     ScenarioConfig,
@@ -23,6 +24,7 @@ from gset import (
     ServiceRequester,
     Ticket,
     Transcript,
+    TrustManager,
     assert_privacy,
     build_scenario,
     codec,
@@ -502,25 +504,17 @@ def test_the_limit_marker_reads_as_a_leak_only_where_listed():
 
 
 def test_tamper_targets_cover_all_signed_wire_types():
-    for name in (
-        "PriceQuote",
-        "AuthorizationRequest",
-        "AuthorizeAndHold",
-        "AuthOutcome",
-        "HoldRequest",
-        "HoldResponse",
-        "SettleRequest",
-        "SettleResponse",
-        "CaptureRequest",
-        "CaptureResponse",
-        "ObjectUpload",
-        "ServiceGrant",
-        "ServiceComplete",
-        "AuthDecision",
-        "TicketRedeemRequest",
-        "TicketRedeemResponse",
-    ):
-        assert name in TAMPER_TARGETS, name
+    # the sweep targets every type the default run sends, in the order it
+    # first sends them, the unsigned price enquiry aside
+    records = run_storage_scenario(ScenarioConfig()).transcript.records
+    sent = [record.type_name for record in records]
+    assert set(TAMPER_TARGETS) == set(sent)
+    first_sent = [name for name in dict.fromkeys(sent) if name != "PriceRequest"]
+    assert list(TAMPER_EXPECTATIONS) == first_sent
+    # a quote denial is the one type an actor handles that no sweep run sends
+    actors = (ServiceRequester, ServiceProvider, TrustManager, AccountProvider)
+    handled = {cls.__name__ for actor in actors for cls in actor._HANDLERS}
+    assert handled - set(TAMPER_TARGETS) == {"QuoteDenial"}
 
 
 def test_tamper_sweep_stays_clean_at_small_scale():

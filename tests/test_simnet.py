@@ -2,16 +2,18 @@
 from __future__ import annotations
 
 import dataclasses
+import string
 import typing
 from collections import deque
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gset import (
     Action,
     Adversary,
-    AdversaryMode,
     DenialReason,
     Digest,
     Event,
@@ -33,6 +35,7 @@ from gset import (
 )
 from gset.attacks import REPLAY_TARGETS
 from gset.codec import Bulk
+from gset.simnet import MODES
 
 from harness import recorded, view_differences
 
@@ -54,13 +57,13 @@ def test_no_adversary_specs():
 
 def test_eavesdrop_spec_defaults_to_unlimited():
     adversary = Adversary.from_spec("eavesdrop")
-    assert adversary.mode == AdversaryMode.PASSIVE_EAVESDROP
+    assert adversary.action is Action.OBSERVED
     assert adversary.max_hits == 0
 
 
 def test_tamper_spec_parses():
     adversary = Adversary.from_spec("tamper:AuthorizationRequest:bit=tail/100:1")
-    assert adversary.mode == AdversaryMode.TAMPER
+    assert adversary.action is Action.TAMPERED
     assert adversary.target == "AuthorizationRequest"
     assert adversary.mutation == "bit=tail/100"
     assert adversary.max_hits == 1
@@ -73,11 +76,45 @@ def test_active_modes_require_a_target():
 
 
 def test_each_mode_is_named_by_its_spec_name():
-    assert [mode.value for mode in AdversaryMode] == ["eavesdrop", "tamper", "replay", "drop"]
-    assert Adversary.from_spec("drop:PriceQuote").mode is AdversaryMode.DROP
+    # one action per spec name, and one spec name per action but NONE
+    assert list(MODES) == ["eavesdrop", "tamper", "replay", "drop"]
+    assert sorted(MODES.values()) == [action for action in Action if action is not Action.NONE]
+    for name, action in MODES.items():
+        assert Adversary.from_spec(f"{name}:PriceQuote").action is action
     with pytest.raises(SimnetError) as exc:
         Adversary.from_spec("TAMPER:PriceQuote")
     assert str(exc.value) == "unknown adversary mode 'TAMPER'"
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["tamper:PriceQuote:\u00b2", "drop:PriceQuote:\u0663", "tamper:PriceQuote:bit=abs/\u0663:1",
+     "drop:PriceQuote:" + "9" * 5000, "tamper:PriceQuote:bit=abs/" + "9" * 5000],
+)
+def test_a_count_not_of_at_most_20_ascii_digits_is_refused(spec):
+    with pytest.raises(SimnetError):
+        Adversary.from_spec(spec)
+
+
+# Specs built from ":", "/", "=", ASCII letters and digits, "\u00b2" and
+# "\u0663": a mode, or any text, then up to three parts.
+SPEC_CHARS = "/=" + string.ascii_letters + string.digits + "\u00b2\u0663"
+SPEC_MODE = st.one_of(st.sampled_from([*MODES, "none"]), st.text(SPEC_CHARS, max_size=8))
+SPEC_PART = st.one_of(
+    st.sampled_from(["PriceQuote", "bit=rand", "bit=tail/", "bit=abs/", "1", "\u00b2", "\u0663"]),
+    st.text(SPEC_CHARS, max_size=8),
+)
+SPECS = st.tuples(SPEC_MODE, st.lists(SPEC_PART, max_size=3)).map(lambda t: ":".join([t[0], *t[1]]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(SPECS)
+def test_a_spec_parses_to_an_adversary_or_none_or_raises_simnet_error(spec):
+    try:
+        adversary = Adversary.from_spec(spec)
+    except SimnetError:
+        return
+    assert adversary is None or isinstance(adversary, Adversary)
 
 
 def test_a_numbered_random_flip_draws_from_its_sweep_stream():
