@@ -22,51 +22,45 @@ directory populated when a simulation is set up.
 
 ``generate_keypair`` takes the Ed25519 public key from libsodium's
 ``crypto_sign_seed_keypair`` on the raw 32-byte seed, and parses the
-X25519 half of the private key into a seal key once, to compute its
+X25519 half of the private key into a seal key once, which computes its
 public half; the ``KeyPair`` it returns keeps the seal key, which
 ``open_envelope`` and ``mac_keys`` use.  So a parsed key lives exactly as
 long as the pair that holds it, and nothing here keeps keys for
 identities a process has seen.  The key classes are looked up in this
 module's globals at call time, so a stand-in that counts parses sees
-every one.  No Ed25519 key object is made: ``Ed25519PrivateKey`` stays
-bound here only so that a parse counter installed on it finds the name.
+every one.
 
-``sign`` and ``verify`` call libsodium's ``crypto_sign_detached`` and
-``crypto_sign_verify_detached`` through ``ctypes`` and parse no key
-object: libsodium takes the raw 32-byte seed and public key.  Ed25519 is
-deterministic, so its keys and signatures are the same bytes any other
-correct implementation makes.  Importing this module raises
-``ImportError`` when the libsodium shared library cannot be found or
-initialised.
+Two libraries serve every primitive.  libsodium, through ``ctypes``,
+makes and checks the Ed25519 signatures on the raw key bytes, runs the
+X25519 agreements (``crypto_scalarmult``) and AES-256-GCM
+(``crypto_aead_aes256gcm``), and supplies the ChaCha20 keystream that
+simulated objects are cut from.  Each binding declares its C signature
+once, at import.  SHA-256, HMAC-SHA256 and HKDF-SHA256 come from the
+standard library's ``hashlib`` and ``hmac``, which run on the system's
+OpenSSL.  No gset module imports ``cryptography``: it bundles an OpenSSL
+of its own, so a process would load two, at a few MiB of resident
+memory.  Ed25519 and X25519 are deterministic and AES-GCM is a standard,
+so every key, signature, tag and envelope is the same bytes any other
+correct implementation makes.
+
+Importing this module raises ``ImportError`` when the libsodium shared
+library cannot be found or initialised, or when this CPU lacks the AES-NI
+and CLMUL instructions libsodium's AES-256-GCM needs.
 
 The pairwise MAC keys are not cached here: each actor keeps the keys it
 shares with each peer for its own run (``actors._ActorBase.pair_keys``).
-
-Every other primitive, SHA-256 and HMAC-SHA256 included, comes from the
-``cryptography`` library.  No gset module imports ``hashlib`` or ``hmac``:
-either would load the system's libcrypto beside the OpenSSL that
-``cryptography`` bundles, at a few MiB of resident memory.
 """
 
 from __future__ import annotations
 
 import ctypes
-import ctypes.util
+import functools
+import hashlib
+import hmac
 import os
 import struct
 from dataclasses import dataclass, field
 from random import Random
-
-from cryptography.exceptions import InvalidSignature, InvalidTag
-from cryptography.hazmat.primitives import hashes, hmac
-# Unused here; see the module docstring.
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
-from cryptography.hazmat.primitives.asymmetric.x25519 import (
-    X25519PrivateKey,
-    X25519PublicKey,
-)
-from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-from cryptography.hazmat.primitives.kdf.hkdf import HKDF, HKDFExpand
 
 DIGEST_SIZE = 32
 SIGNATURE_SIZE = 64
@@ -74,36 +68,68 @@ _KEY_SEGMENT = 32          # raw Ed25519 / X25519 key length
 PUBLIC_KEY_SIZE = 2 * _KEY_SEGMENT
 PRIVATE_KEY_SIZE = 2 * _KEY_SEGMENT
 _ENVELOPE_KEY_SIZE = 32    # AES-256-GCM
+_GCM_TAG_SIZE = 16
+_GCM_NONCE_SIZE = 12
 # Each envelope key seals exactly one message, so one fixed nonce serves.
-_ENVELOPE_NONCE = bytes(12)
+_ENVELOPE_NONCE = bytes(_GCM_NONCE_SIZE)
 U64_MAX = 2**64 - 1       # the largest value of an unsigned 64-bit integer
 MAC_SIZE = 32              # HMAC-SHA256 tag length
+_KEYSTREAM_NONCE_SIZE = 12  # ChaCha20 (IETF)
 
 _SIGN_DERIVE_TAG = b"gset/keys/sign/v1"
 _SEAL_DERIVE_TAG = b"gset/keys/seal/v1"
 _ENVELOPE_INFO = b"gset/envelope/v1"
 _MAC_INFO = b"gset/mac/v1"
-_SHA256 = hashes.SHA256()
-# Copying an empty context costs less than setting up a new one.
-_EMPTY_SHA256 = hashes.Hash(_SHA256)
+_NO_SALT = bytes(DIGEST_SIZE)  # RFC 5869's salt when none is given
+
+# No Ed25519 key object is made: libsodium signs and verifies on the raw
+# key bytes.  The name stays bound only because perfbench's tracer installs
+# its parse counter on it (ROADMAP item 4).
+Ed25519PrivateKey = None
+
+_SONAME = "libsodium.so.23"  # libsodium 1.0.18
 
 
 def _load_sodium() -> ctypes.CDLL:
-    """The initialised libsodium; ``ImportError`` names it when it is missing.
+    """The initialised libsodium; ``ImportError`` names it when it is
+    missing or unusable.
 
-    ``find_library`` returns None for a missing library, and ``CDLL(None)``
-    would load the running program itself instead of failing.
+    The library is loaded by its soname first; only when that fails is
+    ``ctypes.util`` imported to look for another, since its search runs
+    ``ldconfig`` in a subprocess.  ``find_library`` returns None for a
+    missing library, and ``CDLL(None)`` would load the running program
+    itself instead of failing.
     """
-    path = ctypes.util.find_library("sodium")
-    if path is None:
-        raise ImportError("gset needs the libsodium shared library (>= 1.0.18); none was found")
     try:
-        sodium = ctypes.CDLL(path)
-    except OSError as exc:
-        raise ImportError(f"gset cannot load libsodium from {path}: {exc}") from exc
+        sodium = ctypes.CDLL(_SONAME)
+        path = _SONAME
+    except OSError:
+        from ctypes.util import find_library
+
+        path = find_library("sodium")
+        if path is None:
+            raise ImportError(
+                "gset needs the libsodium shared library (>= 1.0.18); none was found"
+            ) from None
+        try:
+            sodium = ctypes.CDLL(path)
+        except OSError as exc:
+            raise ImportError(f"gset cannot load libsodium from {path}: {exc}") from exc
     if sodium.sodium_init() < 0:
         raise ImportError(f"libsodium from {path} failed to initialise")
+    if not sodium.crypto_aead_aes256gcm_is_available():
+        raise ImportError(
+            "libsodium's AES-256-GCM needs a CPU with AES-NI and CLMUL, and this one lacks them"
+        )
     return sodium
+
+
+def _bind(name: str, *argtypes) -> ctypes._CFuncPtr:
+    """libsodium's ``name``, declared to take ``argtypes`` and return an int."""
+    fn = getattr(_sodium, name)
+    fn.argtypes = argtypes
+    fn.restype = ctypes.c_int
+    return fn
 
 
 _sodium = _load_sodium()
@@ -111,33 +137,80 @@ _sodium = _load_sodium()
 # cyclic garbage once dropped, so one built per call would leave some
 # behind each signature.
 _SignatureBuffer = ctypes.c_char * SIGNATURE_SIZE
-_crypto_sign_detached = _sodium.crypto_sign_detached
-_crypto_sign_detached.argtypes = (
+_crypto_sign_detached = _bind(
+    "crypto_sign_detached",
     _SignatureBuffer,      # sig
     ctypes.c_void_p,       # siglen_p, NULL: always 64
     ctypes.c_char_p,       # m
     ctypes.c_ulonglong,    # mlen
     ctypes.c_char_p,       # sk: the 32-byte seed, then the 32-byte public key
 )
-_crypto_sign_detached.restype = ctypes.c_int
-_crypto_sign_verify_detached = _sodium.crypto_sign_verify_detached
-_crypto_sign_verify_detached.argtypes = (
+_crypto_sign_verify_detached = _bind(
+    "crypto_sign_verify_detached",
     ctypes.c_char_p,       # sig
     ctypes.c_char_p,       # m
     ctypes.c_ulonglong,    # mlen
     ctypes.c_char_p,       # pk
 )
-_crypto_sign_verify_detached.restype = ctypes.c_int
-# The buffers of a seed key pair, built here for the reason above.
+# The buffers of a seed key pair, built here for the reason above.  A
+# 32-byte key buffer also takes an X25519 public key or shared secret.
 _PublicKeyBuffer = ctypes.c_char * _KEY_SEGMENT
 _SecretKeyBuffer = ctypes.c_char * (2 * _KEY_SEGMENT)
-_crypto_sign_seed_keypair = _sodium.crypto_sign_seed_keypair
-_crypto_sign_seed_keypair.argtypes = (
+_crypto_sign_seed_keypair = _bind(
+    "crypto_sign_seed_keypair",
     _PublicKeyBuffer,      # pk
     _SecretKeyBuffer,      # sk: the seed, then pk again
     ctypes.c_char_p,       # seed: 32 bytes
 )
-_crypto_sign_seed_keypair.restype = ctypes.c_int
+_crypto_scalarmult_base = _bind(
+    "crypto_scalarmult_base",
+    _PublicKeyBuffer,      # q: the public key
+    ctypes.c_char_p,       # n: the 32-byte private scalar
+)
+_crypto_scalarmult = _bind(
+    "crypto_scalarmult",
+    _PublicKeyBuffer,      # q: the shared secret; -1 when it is all zeros
+    ctypes.c_char_p,       # n: the 32-byte private scalar
+    ctypes.c_char_p,       # p: the peer's 32-byte public key
+)
+_crypto_aead_aes256gcm_encrypt = _bind(
+    "crypto_aead_aes256gcm_encrypt",
+    ctypes.c_char_p,       # c: out, mlen + 16 bytes
+    ctypes.c_void_p,       # clen_p, NULL: always mlen + 16
+    ctypes.c_char_p,       # m
+    ctypes.c_ulonglong,    # mlen
+    ctypes.c_char_p,       # ad
+    ctypes.c_ulonglong,    # adlen
+    ctypes.c_void_p,       # nsec, NULL: unused
+    ctypes.c_char_p,       # npub: the 12-byte nonce
+    ctypes.c_char_p,       # k: the 32-byte key
+)
+_crypto_aead_aes256gcm_decrypt = _bind(
+    "crypto_aead_aes256gcm_decrypt",
+    ctypes.c_char_p,       # m: out, clen - 16 bytes; -1 when the tag fails
+    ctypes.c_void_p,       # mlen_p, NULL: always clen - 16
+    ctypes.c_void_p,       # nsec, NULL: unused
+    ctypes.c_char_p,       # c
+    ctypes.c_ulonglong,    # clen
+    ctypes.c_char_p,       # ad
+    ctypes.c_ulonglong,    # adlen
+    ctypes.c_char_p,       # npub: the 12-byte nonce
+    ctypes.c_char_p,       # k: the 32-byte key
+)
+_crypto_stream_chacha20_ietf = _bind(
+    "crypto_stream_chacha20_ietf",
+    ctypes.c_char_p,       # c: out, clen bytes
+    ctypes.c_ulonglong,    # clen
+    ctypes.c_char_p,       # n: the 12-byte nonce
+    ctypes.c_char_p,       # k: the 32-byte key
+)
+
+
+@functools.lru_cache(maxsize=64)
+def _buffer_type(size: int) -> type:
+    """The array type of a ``size``-byte output buffer, kept per size for the
+    reason given at ``_SignatureBuffer``."""
+    return ctypes.c_char * size
 
 
 class CryptoError(Exception):
@@ -201,6 +274,41 @@ class SealedEnvelope:
             raise ValueError("envelope parts must be non-empty")
 
 
+class X25519PrivateKey:
+    """An X25519 private scalar and its public half, computed once when the
+    scalar is parsed."""
+
+    __slots__ = ("_scalar", "public_bytes")
+
+    def __init__(self, scalar: bytes, public_bytes: bytes) -> None:
+        self._scalar = scalar
+        self.public_bytes = public_bytes
+
+    @classmethod
+    def from_private_bytes(cls, data: bytes) -> X25519PrivateKey:
+        """Parse a raw 32-byte scalar; ``ValueError`` on any other length."""
+        if not isinstance(data, bytes) or len(data) != _KEY_SEGMENT:
+            raise ValueError("an X25519 private key is 32 bytes")
+        public = _PublicKeyBuffer()
+        if _crypto_scalarmult_base(public, data) != 0:
+            raise CryptoError("libsodium failed to derive an X25519 public key")
+        return cls(data, public.raw)
+
+    def exchange(self, peer_public_bytes: bytes) -> bytes:
+        """The secret agreed with a peer's raw 32-byte public key.
+
+        Raises ``ValueError`` on a key of another length and on a low-order
+        point, whose agreement is all zeros; X25519 ignores a public key's
+        top bit.
+        """
+        if not isinstance(peer_public_bytes, bytes) or len(peer_public_bytes) != _KEY_SEGMENT:
+            raise ValueError("an X25519 public key is 32 bytes")
+        shared = _PublicKeyBuffer()
+        if _crypto_scalarmult(shared, self._scalar, peer_public_bytes) != 0:
+            raise ValueError("a low-order X25519 point gives an all-zero secret")
+        return shared.raw
+
+
 @dataclass(frozen=True)
 class KeyPair:
     """Key material bound to a subject identity label, with the X25519 half
@@ -216,9 +324,7 @@ class KeyPair:
 
 
 def _sha256(data: bytes) -> bytes:
-    digest = _EMPTY_SHA256.copy()
-    digest.update(data)
-    return digest.finalize()
+    return hashlib.sha256(data).digest()
 
 
 def hash_bytes(data: bytes) -> Digest:
@@ -254,7 +360,7 @@ def generate_keypair(subject_id: str, seed: int) -> KeyPair:
     if _crypto_sign_seed_keypair(sign_public, _SecretKeyBuffer(), private[:_KEY_SEGMENT]) != 0:
         raise CryptoError("libsodium failed to derive a signing key")
     seal_key = X25519PrivateKey.from_private_bytes(private[_KEY_SEGMENT:])
-    public = sign_public.raw + seal_key.public_key().public_bytes_raw()
+    public = sign_public.raw + seal_key.public_bytes
     return KeyPair(public, private, subject_id, seal_key)
 
 
@@ -292,13 +398,19 @@ def _framed_id(subject_id: str) -> bytes:
     return struct.pack(">I", len(subject)) + subject
 
 
+def _hkdf_extract(secret: bytes) -> bytes:
+    """HKDF-Extract (RFC 5869) with SHA-256 and no salt."""
+    return hmac.digest(_NO_SALT, secret, "sha256")
+
+
+def _hkdf_expand(prk: bytes, info: bytes) -> bytes:
+    """The 32 bytes of HKDF-Expand's first block: HMAC(prk, info || 0x01)."""
+    return hmac.digest(prk, info + b"\x01", "sha256")
+
+
 def _mac_key(prk: bytes, sender_id: str, receiver_id: str) -> bytes:
     """HKDF-Expand of the extracted secret ``prk`` for one direction."""
-    return HKDFExpand(
-        algorithm=_SHA256,
-        length=MAC_SIZE,
-        info=_MAC_INFO + _framed_id(sender_id) + _framed_id(receiver_id),
-    ).derive(prk)
+    return _hkdf_expand(prk, _MAC_INFO + _framed_id(sender_id) + _framed_id(receiver_id))
 
 
 def mac_keys(
@@ -318,26 +430,19 @@ def mac_keys(
     if not isinstance(peer_public_key, bytes) or len(peer_public_key) != PUBLIC_KEY_SIZE:
         return None
     try:
-        peer_seal_key = X25519PublicKey.from_public_bytes(peer_public_key[_KEY_SEGMENT:])
-        shared = own.seal_key.exchange(peer_seal_key)
+        shared = own.seal_key.exchange(peer_public_key[_KEY_SEGMENT:])
     except ValueError:  # a low-order peer point gives an all-zero secret
         return None
-    prk = _hmac_sha256(bytes(_SHA256.digest_size), shared).finalize()  # HKDF-Extract
+    prk = _hkdf_extract(shared)
     return (
         _mac_key(prk, own.subject_id, peer_id),
         _mac_key(prk, peer_id, own.subject_id),
     )
 
 
-def _hmac_sha256(key: bytes, message: bytes) -> hmac.HMAC:
-    tagger = hmac.HMAC(key, _SHA256)
-    tagger.update(message)
-    return tagger
-
-
 def mac(key: bytes, message: bytes) -> bytes:
     """HMAC-SHA256 of ``message`` under one directional key from ``mac_keys``."""
-    return _hmac_sha256(key, message).finalize()
+    return hmac.digest(key, message, "sha256")
 
 
 def mac_ok(key: bytes, message: bytes, tag: bytes) -> bool:
@@ -348,11 +453,7 @@ def mac_ok(key: bytes, message: bytes, tag: bytes) -> bool:
     """
     if not isinstance(tag, bytes) or len(tag) != MAC_SIZE:
         return False
-    try:
-        _hmac_sha256(key, message).verify(tag)
-    except InvalidSignature:
-        return False
-    return True
+    return hmac.compare_digest(hmac.digest(key, message, "sha256"), tag)
 
 
 def _rand_bytes(rng: Random | None, n: int) -> bytes:
@@ -361,11 +462,42 @@ def _rand_bytes(rng: Random | None, n: int) -> bytes:
     return rng.randbytes(n)
 
 
+def _check_gcm_inputs(key: bytes, nonce: bytes) -> None:
+    """libsodium reads 32 key bytes and 12 nonce bytes whatever it is passed."""
+    if len(key) != _ENVELOPE_KEY_SIZE or len(nonce) != _GCM_NONCE_SIZE:
+        raise ValueError("AES-256-GCM takes a 32-byte key and a 12-byte nonce")
+
+
+def _aes256gcm_encrypt(key: bytes, nonce: bytes, plaintext: bytes, ad: bytes) -> bytes:
+    """AES-256-GCM: the ciphertext of ``plaintext`` followed by its 16-byte
+    tag, which also covers the associated data ``ad``."""
+    _check_gcm_inputs(key, nonce)
+    out = _buffer_type(len(plaintext) + _GCM_TAG_SIZE)()
+    if _crypto_aead_aes256gcm_encrypt(
+        out, None, plaintext, len(plaintext), ad, len(ad), None, nonce, key
+    ) != 0:
+        raise CryptoError("libsodium failed to encrypt")
+    return out.raw
+
+
+def _aes256gcm_decrypt(key: bytes, nonce: bytes, ciphertext: bytes, ad: bytes) -> bytes | None:
+    """The plaintext of an AES-256-GCM ``ciphertext`` and tag, or None when
+    the tag does not verify or there is no whole tag."""
+    _check_gcm_inputs(key, nonce)
+    if len(ciphertext) < _GCM_TAG_SIZE:
+        return None
+    out = _buffer_type(len(ciphertext) - _GCM_TAG_SIZE)()
+    if _crypto_aead_aes256gcm_decrypt(
+        out, None, None, ciphertext, len(ciphertext), ad, len(ad), nonce, key
+    ) != 0:
+        return None
+    return out.raw
+
+
 def _envelope_key(shared: bytes, recipient: bytes) -> bytes:
     """The one key of an envelope: HKDF-SHA256 of the X25519 secret, no
     salt, bound to the recipient id."""
-    hkdf = HKDF(_SHA256, _ENVELOPE_KEY_SIZE, salt=None, info=_ENVELOPE_INFO + recipient)
-    return hkdf.derive(shared)
+    return _hkdf_expand(_hkdf_extract(shared), _ENVELOPE_INFO + recipient)
 
 
 def seal(
@@ -393,12 +525,11 @@ def seal(
 
     recipient = recipient_id.encode("utf-8")
     ephemeral = X25519PrivateKey.from_private_bytes(_rand_bytes(rng, _KEY_SEGMENT))
-    ephemeral_key = ephemeral.public_key().public_bytes_raw()
-    shared = ephemeral.exchange(
-        X25519PublicKey.from_public_bytes(recipient_public_key[_KEY_SEGMENT:])
-    )
-    ciphertext = AESGCM(_envelope_key(shared, recipient)).encrypt(
-        _ENVELOPE_NONCE, bytes(plaintext), recipient + ephemeral_key
+    ephemeral_key = ephemeral.public_bytes
+    shared = ephemeral.exchange(recipient_public_key[_KEY_SEGMENT:])
+    ciphertext = _aes256gcm_encrypt(
+        _envelope_key(shared, recipient), _ENVELOPE_NONCE, bytes(plaintext),
+        recipient + ephemeral_key,
     )
     return SealedEnvelope(ephemeral_key=ephemeral_key, ciphertext=ciphertext)
 
@@ -413,12 +544,16 @@ def open_envelope(key: KeyPair, envelope: SealedEnvelope) -> bytes:
     """
     recipient = key.subject_id.encode("utf-8")
     try:
-        shared = key.seal_key.exchange(X25519PublicKey.from_public_bytes(envelope.ephemeral_key))
-        return AESGCM(_envelope_key(shared, recipient)).decrypt(
-            _ENVELOPE_NONCE, envelope.ciphertext, recipient + envelope.ephemeral_key
-        )
-    except (InvalidTag, ValueError) as exc:
+        shared = key.seal_key.exchange(envelope.ephemeral_key)
+    except ValueError as exc:
         raise EnvelopeIntegrityError("envelope failed authenticated decryption") from exc
+    plaintext = _aes256gcm_decrypt(
+        _envelope_key(shared, recipient), _ENVELOPE_NONCE, envelope.ciphertext,
+        recipient + envelope.ephemeral_key,
+    )
+    if plaintext is None:
+        raise EnvelopeIntegrityError("envelope failed authenticated decryption")
+    return plaintext
 
 
 def _linked(oi_digest: Digest, pi_digest: Digest) -> bytes:
@@ -437,3 +572,15 @@ def verify_dual(public_key: bytes, oi_digest: Digest, pi_digest: Digest, sig: Si
     """Is ``sig`` a dual signature on the two digests?  A verifier hashes the
     half it holds, and takes the other half's digest as it was sent."""
     return verify(public_key, _linked(oi_digest, pi_digest), sig)
+
+
+def keystream(key: bytes, nonce: int, size: int) -> bytes:
+    """``size`` bytes of the ChaCha20 (IETF) keystream under the 32-byte
+    ``key`` and the nonce ``nonce``, a 96-bit big-endian integer."""
+    if not isinstance(key, bytes) or len(key) != _KEY_SEGMENT:
+        raise ValueError("a keystream key is 32 bytes")
+    out = _buffer_type(size)()
+    nonce_bytes = nonce.to_bytes(_KEYSTREAM_NONCE_SIZE, "big")
+    if _crypto_stream_chacha20_ietf(out, size, nonce_bytes, key) != 0:
+        raise CryptoError("libsodium failed to make a keystream")
+    return out.raw

@@ -112,6 +112,9 @@ class Ledger:
     names: dict[bytes, HoldName] = field(default_factory=dict)  # every name place_hold was given
 
     def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
         """Refuse, with ``ValidationError``, a state the ledger's own operations
         could not make: each account keeps its limit, each open hold has its
         one ``OPEN`` name, and a name not refused names an account it keeps."""

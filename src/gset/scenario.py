@@ -24,12 +24,10 @@ before any object is made, with a ``ScenarioError`` naming the field.
 
 from __future__ import annotations
 
+import hashlib
 import typing
 from dataclasses import dataclass
 from random import Random
-
-from cryptography.hazmat.primitives import hashes
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from .actors import (
     AccountProvider,
@@ -48,7 +46,15 @@ from .actors import (
 )
 from . import codec
 from .codec import Label, Positive, U64, ValidationError
-from .crypto import DIGEST_SIZE, SIGNATURE_SIZE, U64_MAX, Digest, Signature, generate_keypair
+from .crypto import (
+    DIGEST_SIZE,
+    SIGNATURE_SIZE,
+    U64_MAX,
+    Digest,
+    Signature,
+    generate_keypair,
+    keystream,
+)
 from .messages import PAYMENT_SIZE, ObjectUpload, PaymentInfo, UsageDescriptor
 from .simnet import (
     Actor,
@@ -121,17 +127,14 @@ def _upload_size(config: ScenarioConfig) -> int:
 
 
 def _objects(config: ScenarioConfig) -> tuple[bytes, ...]:
-    """``object_count`` objects of ``object_size`` bytes each, cut in order
-    from one AES-256-CTR keystream keyed by SHA-256(f"{seed}/objects") under
-    a zero nonce.  A cipher stream costs far less per byte than
+    """``object_count`` objects of ``object_size`` bytes each: object ``i`` is
+    the ChaCha20 keystream keyed by SHA-256(f"{seed}/objects") under the
+    nonce ``i``.  A cipher stream costs far less per byte than
     ``Random.randbytes``, which made object generation a visible share of a
     bulk run.
     """
-    key = hashes.Hash(hashes.SHA256())
-    key.update(f"{config.seed}/objects".encode("utf-8"))
-    stream = Cipher(algorithms.AES(key.finalize()), modes.CTR(bytes(16))).encryptor()
-    zeros = bytes(config.object_size)
-    return tuple(stream.update(zeros) for _ in range(config.object_count))
+    key = hashlib.sha256(f"{config.seed}/objects".encode("utf-8")).digest()
+    return tuple(keystream(key, i, config.object_size) for i in range(config.object_count))
 
 
 @dataclass

@@ -7,6 +7,10 @@ type needs no code here.  A kind (``Nonce``, ``Mac``, ``Label``, ``U64``,
 ``__post_init__`` or ``validate`` refuses is retried, up to ``RETRIES`` times.
 Leaves and collections take their edge values now and then: 0 (1 for a
 ``Positive``), ``""``, ``b""``, and empty tuples, dicts and sets.
+
+A ``Ledger`` is the one override: random holds would almost never name a
+drawn account, so it is made by its own calls instead, and reaches open,
+settled, released and refused holds.
 """
 from __future__ import annotations
 
@@ -21,6 +25,7 @@ from typing import Any, Callable
 from gset import Digest, codec
 from gset.codec import U64, Bulk, Label, Mac, Nonce, Positive, ValidationError
 from gset.crypto import DIGEST_SIZE, MAC_SIZE
+from gset.ledger import Ledger
 
 RETRIES = 100
 EDGE = 0.1  # how often an integer, a str or a bytes leaf takes its edge value
@@ -90,9 +95,40 @@ def _compile(tp: Any) -> Draw:
     return _builder(tp)
 
 
+def _ledger(rng: Random) -> Ledger:
+    """A ledger made by ``open_account``, ``place_hold`` and ``settle_hold``
+    or ``release_hold`` calls.  A hold now and then names no account, reuses
+    a name or asks more than the account has, and is refused."""
+    ledger = Ledger()
+    accounts = [
+        ledger.open_account(f"{i}/{_label(rng)}", _LEAVES[Positive](rng))
+        for i in range(_count(rng))
+    ]
+    names: list[bytes] = []
+    for _ in range(int(rng.random() * 5)):
+        if accounts and rng.random() < 0.9:
+            account = rng.choice(accounts)
+        else:
+            account = Digest(rng.randbytes(DIGEST_SIZE))
+        name = rng.choice(names) if names and rng.random() < 0.1 else rng.randbytes(16)
+        ledger.place_hold(account, _LEAVES[Positive](rng), name)
+        names.append(name)
+    for name in names:
+        close = rng.choice((ledger.settle_hold, ledger.release_hold, None))
+        if close is not None:
+            close(name)
+    return ledger
+
+
+# Types drawn by code of their own in place of their hints.
+_OVERRIDES: dict[type, Draw] = {Ledger: _ledger}
+
+
 @functools.cache
 def _builder(cls: type) -> Draw:
     """The draw of the registered type ``cls``, compiled on first use."""
+    if cls in _OVERRIDES:
+        return _OVERRIDES[cls]
     hints = typing.get_type_hints(cls)
     draws = tuple(_compile(hints[f.name]) for f in dataclasses.fields(cls))
 

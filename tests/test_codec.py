@@ -581,7 +581,10 @@ def test_token_round_trip_preserves_signature_bytes():
 # the recorded state became one codec message (``ServiceProviderState``) in
 # place of the actors' own encoding: decoded field by field, it holds the
 # same quotes, orders and objects the provider's attributes held before.
-UPLOADED_PROVIDER_STATE_SHA256 = "ba20749c2e8b6124498363a80e35a4155a06060f22ca6f3814d175eb1fd9b5e6"
+# Re-taken when the objects came to be cut from a ChaCha20 keystream, one
+# nonce per object, in place of one AES-256-CTR keystream: the stored
+# objects and the tickets' object digests moved, and nothing else.
+UPLOADED_PROVIDER_STATE_SHA256 = "785662429a9f737cde0f27d93c7b52e58136e7b35f6beb00721a9aef31d5a93d"
 
 
 def _bulk_frames() -> tuple[bytes, bytes]:
@@ -718,9 +721,21 @@ def test_provider_state_holding_views_is_the_state_of_the_same_bytes():
 # default transcript have the same ticks, routes, payloads, errors, events and
 # action names; per tag, only the TranscriptRecord decode outcomes moved, and
 # with them the decode_stream sweep, whose stream holds a record.
+# They were re-taken again when the objects came to be cut from a ChaCha20
+# keystream, one nonce per object, in place of one AES-256-CTR keystream,
+# and X25519, AES-GCM, HKDF and HMAC moved to libsodium and the standard
+# library.  Only the records that carry object bytes or their digests moved
+# (the ObjectUpload, the ServiceGrant and the three TicketRedeemResponses),
+# with the same sizes, ticks, routes and events; per tag, only those three
+# tags' decode outcomes moved.  With the old objects swapped back in, the
+# new backends give the old transcript byte for byte (the test below).
 
-DEFAULT_TRANSCRIPT_SHA256 = "7cd665311e940c0dab3f9a3da10f2571596a5908642080f946a11c4cb26cdb29"
-DECODE_OUTCOMES_SHA256 = "a922027a8eec5496eada9013f26d517d1c9add5bf0ef1ffe5f9436c8d20014c4"
+DEFAULT_TRANSCRIPT_SHA256 = "019e22170507598d61a5e1927a3c61f2ffed8904aaa2986b8d2bfdeb5ab0dbcd"
+DECODE_OUTCOMES_SHA256 = "0ff45156cb9d8f5cd30c85e48e7d80297c41360fa31d1e981bd22dbedae0576c"
+# The default transcript when the objects were one AES-256-CTR keystream.
+AES_CTR_OBJECTS_TRANSCRIPT_SHA256 = (
+    "7cd665311e940c0dab3f9a3da10f2571596a5908642080f946a11c4cb26cdb29"
+)
 
 
 def _outcome(fn, raw: bytes) -> tuple:
@@ -746,6 +761,28 @@ def test_default_transcript_bytes_are_pinned():
 
     raw = run_storage_scenario(ScenarioConfig()).transcript.to_bytes()
     assert hashlib.sha256(raw).hexdigest() == DEFAULT_TRANSCRIPT_SHA256
+
+
+def _aes_ctr_objects(config) -> tuple[bytes, ...]:
+    """The objects as they were cut before: in order from one AES-256-CTR
+    keystream keyed by SHA-256(f"{seed}/objects") under a zero nonce."""
+    from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+
+    key = hashlib.sha256(f"{config.seed}/objects".encode("utf-8")).digest()
+    stream = Cipher(algorithms.AES(key), modes.CTR(bytes(16))).encryptor()
+    zeros = bytes(config.object_size)
+    return tuple(stream.update(zeros) for _ in range(config.object_count))
+
+
+def test_only_the_objects_moved_the_default_transcript(monkeypatch):
+    # every key, signature, agreement, envelope and tag of a run is the same
+    # bytes on libsodium and the standard library as on ``cryptography``
+    import gset.scenario
+    from gset import ScenarioConfig, run_storage_scenario
+
+    monkeypatch.setattr(gset.scenario, "_objects", _aes_ctr_objects)
+    raw = run_storage_scenario(ScenarioConfig()).transcript.to_bytes()
+    assert hashlib.sha256(raw).hexdigest() == AES_CTR_OBJECTS_TRANSCRIPT_SHA256
 
 
 def _decode_outcomes_digest() -> str:

@@ -16,7 +16,14 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
 )
-from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PublicKey
+from cryptography.hazmat.primitives.asymmetric.x25519 import (
+    X25519PrivateKey as ReferenceX25519PrivateKey,
+    X25519PublicKey,
+)
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+from cryptography.hazmat.primitives.hashes import SHA256
+from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -285,24 +292,40 @@ def _import_gset_with(patch: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-c", script, src], capture_output=True, text=True)
 
 
-@pytest.mark.parametrize(
-    "patch",
-    [
-        # find_library's answer for a library that is not installed
-        "ctypes.util.find_library = lambda name: None",
-        # a libsodium whose sodium_init() fails
-        "class _Sodium:\n"
-        "    def __init__(self, path): pass\n"
-        "    def sodium_init(self): return -1\n"
-        "ctypes.CDLL = _Sodium",
-    ],
-    ids=["missing", "init-fails"],
+# A libsodium stand-in whose sodium_init() and AES-GCM check answer as given.
+_FAKE_SODIUM = (
+    "class _Sodium:\n"
+    "    def __init__(self, path): pass\n"
+    "    def sodium_init(self): return {init}\n"
+    "    def crypto_aead_aes256gcm_is_available(self): return {aes}\n"
+    "ctypes.CDLL = _Sodium"
 )
-def test_an_unusable_libsodium_fails_the_import_by_name(patch):
+
+
+@pytest.mark.parametrize(
+    "patch,named",
+    [
+        # no library by the soname, and find_library's answer for a library
+        # that is not installed
+        (
+            "def _missing(name, *args, **kwargs):\n"
+            "    raise OSError(f'{name}: cannot open shared object file')\n"
+            "ctypes.CDLL = _missing\n"
+            "ctypes.util.find_library = lambda name: None",
+            "none was found",
+        ),
+        # a libsodium whose sodium_init() fails
+        (_FAKE_SODIUM.format(init=-1, aes=1), "failed to initialise"),
+        # a CPU without the instructions libsodium's AES-256-GCM needs
+        (_FAKE_SODIUM.format(init=0, aes=0), "AES-NI"),
+    ],
+    ids=["missing", "init-fails", "no-aes-ni"],
+)
+def test_an_unusable_libsodium_fails_the_import_by_name(patch, named):
     result = _import_gset_with(patch)
     assert result.returncode != 0
     last = result.stderr.strip().splitlines()[-1]
-    assert last.startswith("ImportError:") and "libsodium" in last
+    assert last.startswith("ImportError:") and "libsodium" in last and named in last
 
 
 def test_every_libsodium_binding_declares_its_signature():
@@ -313,6 +336,11 @@ def test_every_libsodium_binding_declares_its_signature():
         "crypto_sign_detached": 5,
         "crypto_sign_verify_detached": 4,
         "crypto_sign_seed_keypair": 3,
+        "crypto_scalarmult_base": 2,
+        "crypto_scalarmult": 3,
+        "crypto_aead_aes256gcm_encrypt": 9,
+        "crypto_aead_aes256gcm_decrypt": 9,
+        "crypto_stream_chacha20_ietf": 4,
     }
     bound = {
         fn.__name__: fn
@@ -323,6 +351,108 @@ def test_every_libsodium_binding_declares_its_signature():
     for name, fn in bound.items():
         assert fn.argtypes is not None and len(fn.argtypes) == arity[name], name
         assert fn.restype is ctypes.c_int, name
+
+
+# --- X25519, HKDF and AES-GCM against published vectors and the reference ----
+
+
+def test_x25519_matches_rfc_7748_section_6_1():
+    alice = bytes.fromhex("77076d0a7318a57d3c16c17251b26645df4c2f87ebc0992ab177fba51db92c2a")
+    bob = bytes.fromhex("5dab087e624a8a4b79e17f8b83800ee66f3bb1292618b6fd1c2f8b27ff88e0eb")
+    alice_public = bytes.fromhex("8520f0098930a754748b7ddcb43ef75a0dbf3a0d26381af4eba4a98eaa9b4e6a")
+    bob_public = bytes.fromhex("de9edb7d7b7dc1b4d35b61c2ece435373f8343c85b78674dadfc7e146f882b4f")
+    shared = bytes.fromhex("4a5d9d5ba4ce2de1728e3bf480350f25e07e21c947d19e3376f09b3c1e161742")
+    a = gset.crypto.X25519PrivateKey.from_private_bytes(alice)
+    b = gset.crypto.X25519PrivateKey.from_private_bytes(bob)
+    assert (a.public_bytes, b.public_bytes) == (alice_public, bob_public)
+    assert a.exchange(bob_public) == b.exchange(alice_public) == shared
+
+
+def test_hkdf_matches_rfc_5869_test_case_3():
+    # SHA-256 with no salt and no info, as gset extracts; gset expands one
+    # 32-byte block, so the first 32 bytes of the 42-byte OKM
+    prk = gset.crypto._hkdf_extract(bytes.fromhex("0b" * 22))
+    assert prk.hex() == "19ef24a32c717b167f33a91d6f648bdf96596776afdb6377ac434c1c293ccb04"
+    assert gset.crypto._hkdf_expand(prk, b"").hex() == (
+        "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d"
+    )
+
+
+_GCM_KEY = bytes.fromhex("feffe9928665731c6d6a8f9467308308" * 2)
+_GCM_IV = bytes.fromhex("cafebabefacedbaddecaf888")
+_GCM_PLAINTEXT = bytes.fromhex(
+    "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
+    "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255"
+)
+_GCM_CIPHERTEXT = bytes.fromhex(
+    "522dc1f099567d07f47f37a32a84427d643a8cdcbfe5c0c97598a2bd2555d1aa"
+    "8cb08e48590dbb3da7b08b1056828838c5f61e6393ba7a0abcc9f662898015ad"
+)
+
+
+@pytest.mark.parametrize(
+    "key,iv,plaintext,ad,ciphertext,tag",
+    [
+        (bytes(32), bytes(12), b"", b"", b"", "530f8afbc74536b9a963b4f1c4cb738b"),
+        (bytes(32), bytes(12), bytes(16), b"",
+         bytes.fromhex("cea7403d4d606b6e074ec5d3baf39d18"), "d0d1c8a799996bf0265b98b5d48ab919"),
+        (_GCM_KEY, _GCM_IV, _GCM_PLAINTEXT, b"", _GCM_CIPHERTEXT,
+         "b094dac5d93471bdec1a502270e3cc6c"),
+        (_GCM_KEY, _GCM_IV, _GCM_PLAINTEXT[:60],
+         bytes.fromhex("feedfacedeadbeeffeedfacedeadbeefabaddad2"), _GCM_CIPHERTEXT[:60],
+         "76fc6ece0f4e1768cddf8853bb2d551b"),
+    ],
+    ids=["13", "14", "15", "16"],
+)
+def test_aes_256_gcm_matches_mcgrew_viega_test_cases_13_to_16(key, iv, plaintext, ad, ciphertext, tag):
+    sealed = ciphertext + bytes.fromhex(tag)
+    assert gset.crypto._aes256gcm_encrypt(key, iv, plaintext, ad) == sealed
+    assert gset.crypto._aes256gcm_decrypt(key, iv, sealed, ad) == plaintext
+    for bit in range(len(sealed) * 8):
+        assert gset.crypto._aes256gcm_decrypt(key, iv, flip_bit(sealed, bit), ad) is None
+    assert gset.crypto._aes256gcm_decrypt(key, iv, sealed[:15], ad) is None
+
+
+def test_keystream_matches_rfc_8439_appendix_a_1_test_vector_1():
+    # ChaCha20 block 0 under the all-zero key and nonce
+    assert gset.crypto.keystream(bytes(32), 0, 64).hex() == (
+        "76b8e0ada0f13d90405d6ae55386bd28bdd219b8a08ded1aa836efcc8b770dc7"
+        "da41597c5157488d7724e03fb8d84a376a43b8f41518a11cc387b669b2ee6586"
+    )
+
+
+def test_x25519_hkdf_aes_gcm_and_chacha20_agree_with_the_reference():
+    # cryptography's X25519, HKDF-SHA256, AES-GCM and ChaCha20, kept as the
+    # reference, on random scalars, peers, secrets, keys, payloads,
+    # associated data and nonces
+    rng = Random(0x7748)
+    for _ in range(300):
+        scalar, peer = rng.randbytes(32), rng.randbytes(32)
+        ours = gset.crypto.X25519PrivateKey.from_private_bytes(scalar)
+        reference = ReferenceX25519PrivateKey.from_private_bytes(scalar)
+        assert ours.public_bytes == reference.public_key().public_bytes_raw()
+        assert ours.exchange(peer) == reference.exchange(X25519PublicKey.from_public_bytes(peer))
+        info = rng.randbytes(rng.randint(0, 40))
+        assert gset.crypto._hkdf_expand(gset.crypto._hkdf_extract(peer), info) == HKDF(
+            SHA256(), 32, salt=None, info=info
+        ).derive(peer)
+        key, nonce = rng.randbytes(32), rng.randbytes(12)
+        plaintext, ad = rng.randbytes(rng.randint(0, 300)), rng.randbytes(rng.randint(0, 40))
+        sealed = gset.crypto._aes256gcm_encrypt(key, nonce, plaintext, ad)
+        assert sealed == AESGCM(key).encrypt(nonce, plaintext, ad)
+        # cryptography's ChaCha20 nonce is the 32-bit block counter, then
+        # the 96-bit nonce
+        index, size = rng.getrandbits(96), rng.randint(0, 300)
+        counter_and_nonce = bytes(4) + index.to_bytes(12, "big")
+        chacha = Cipher(algorithms.ChaCha20(key, counter_and_nonce), mode=None).encryptor()
+        assert gset.crypto.keystream(key, index, size) == chacha.update(bytes(size))
+    # a low-order point: all-zero agreement, refused by both
+    with pytest.raises(ValueError):
+        ReferenceX25519PrivateKey.from_private_bytes(scalar).exchange(
+            X25519PublicKey.from_public_bytes(bytes(32))
+        )
+    with pytest.raises(ValueError):
+        ours.exchange(bytes(32))
 
 
 def _count_parses(monkeypatch) -> dict[str, int]:
@@ -543,9 +673,7 @@ def test_the_masked_ephemeral_bit_reaches_the_same_agreement():
     flipped = flip_bit(env.ephemeral_key, 248)  # top bit of the last byte
     assert flipped != env.ephemeral_key
     agree = tm.seal_key.exchange
-    assert agree(X25519PublicKey.from_public_bytes(flipped)) == agree(
-        X25519PublicKey.from_public_bytes(env.ephemeral_key)
-    )
+    assert agree(flipped) == agree(env.ephemeral_key)
 
 
 def test_a_truncated_or_malformed_envelope_fails_to_open():

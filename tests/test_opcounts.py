@@ -109,17 +109,14 @@ def test_bulk_transaction_macs_and_agreements(monkeypatch):
 
 
 def _aead_keys(monkeypatch, config: ScenarioConfig) -> int:
-    """AES-GCM keys set up in one run: each ``AESGCM`` built in gset.crypto."""
-    calls = [0]
-    original = gset.crypto.AESGCM
-
-    def counted(key):
-        calls[0] += 1
-        return original(key)
-
-    monkeypatch.setattr(gset.crypto, "AESGCM", counted)
+    """AES-GCM keys used in one run: each call of gset.crypto's AES-256-GCM
+    entry points, which take one key each."""
+    calls = [
+        _count_calls(monkeypatch, name)
+        for name in ("_aes256gcm_encrypt", "_aes256gcm_decrypt")
+    ]
     assert run_storage_scenario(config).complete_success()
-    return calls[0]
+    return sum(count[0] for count in calls)
 
 
 # One key per envelope, used once to seal and once to open: the key of the

@@ -169,10 +169,12 @@ BULK = dict(object_count=16, object_size=65536)
 
 
 def test_bulk_objects_are_pinned():
-    # one AES-256-CTR keystream keyed by SHA-256("1/objects"), zero nonce
+    # object i is the ChaCha20 keystream keyed by SHA-256("1/objects") under
+    # nonce i; re-taken when that replaced one AES-256-CTR keystream under a
+    # zero nonce (d30721cc...)
     objects = build_scenario(ScenarioConfig(seed=1, **BULK)).objects
     assert hashlib.sha256(b"".join(objects)).hexdigest() == (
-        "d30721ccdc0488ef2f3a49b1077b9333cbb8cdc94724c8ab4acf6216d55b253b"
+        "f4cf7157aa29b4dec69dfca2cfb4543a4313bda1ac096aefe5b2f7a7c86d6425"
     )
 
 
@@ -227,17 +229,39 @@ def test_building_scenarios_keeps_nothing_per_identity():
     assert after_2n - after_n < 4096
 
 
-def test_a_run_loads_one_crypto_library():
-    # in a fresh process, since the test runner itself imports hashlib;
-    # hashlib and hmac would load a second libcrypto through _hashlib
+def _after_one_run() -> tuple[list[str], list[str]]:
+    """The modules and the mapped libcrypto files of a fresh process that
+    imported gset and ran one default scenario; fresh, since the test
+    runner itself imports much of what gset might."""
     script = (
         "import sys; sys.path.insert(0, sys.argv[1]);"
         "import gset, gset.attacks;"
         "assert gset.run_storage_scenario(gset.ScenarioConfig()).complete_success();"
-        "sys.exit('_hashlib' in sys.modules)"
+        "maps = open('/proc/self/maps').read().split()\n"
+        "libcrypto = sorted({word for word in maps if '/libcrypto' in word})\n"
+        "print(' '.join(sys.modules)); print(' '.join(libcrypto))"
     )
     src = str(Path(gset.__file__).resolve().parent.parent)
-    subprocess.run([sys.executable, "-c", script, src], check=True)
+    out = subprocess.run(
+        [sys.executable, "-c", script, src], capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    return out[0].split(), out[1].split()
+
+
+def test_a_run_loads_one_crypto_library():
+    # hashlib and hmac run on the system's libcrypto and libsodium on its
+    # own code; cryptography would bring a second OpenSSL of its own
+    modules, libcrypto = _after_one_run()
+    assert not [m for m in modules if m.partition(".")[0] == "cryptography"]
+    assert len(libcrypto) == 1, libcrypto
+
+
+def test_a_run_imports_neither_cryptography_nor_subprocess():
+    # libsodium is loaded by its soname, so ctypes.util's search, which runs
+    # ldconfig in a subprocess, is not imported
+    modules, _ = _after_one_run()
+    assert "cryptography" not in modules
+    assert "subprocess" not in modules and "ctypes.util" not in modules
 
 
 # --- run reports ----------------------------------------------------------------
