@@ -4,6 +4,10 @@ Each actor is a single-threaded state machine with one external surface:
 
     deliver(sender_id, raw_bytes, now) -> [Send(to, raw) | Event, ...]
 
+Each actor still handles one message at a time: a handler may hash a bulk
+upload's objects on two cores (``crypto.hash_each``), but it returns only
+when every digest is in, and no two deliveries overlap.
+
 A handler performs no I/O and never waits for an answer: it returns its
 effects.  A ``Send`` is a message the simulated network queues; an
 ``Event`` is what the actor refused or ignored, by kind, order and denial
@@ -61,6 +65,7 @@ from .crypto import (
     KeyPair,
     Signature,
     hash_bytes,
+    hash_each,
     mac_keys,
     make_dual_signature,
     open_envelope,
@@ -97,7 +102,6 @@ from .messages import (
     UsageDescriptor,
     build_maced,
     build_signed,
-    object_digests,
     pad_payment,
     unpad_payment,
     verify_maced,
@@ -396,7 +400,7 @@ class ServiceRequester(_ActorBase):
             record.phase = RequesterPhase.FAILED
             return [self._event(EventKind.AUTHORIZATION_DENIED, oi_digest)]
         record.phase = RequesterPhase.UPLOADING
-        record.digests = object_digests(self.config.objects)
+        record.digests = hash_each(self.config.objects)
         manifest = codec.encode(UploadManifest(oi_digest, record.digests))
         return [self._send(self.config.provider_id, ObjectUpload, manifest,
                            oi_digest=oi_digest, objects=self.config.objects)]
@@ -603,7 +607,7 @@ class ServiceProvider(_ActorBase):
         record = self.orders.get(oi_digest)
         if record is None or record.requester != sender:
             return [self._event(EventKind.NOT_PENDING, oi_digest)]
-        digests = object_digests(upload.objects)
+        digests = hash_each(upload.objects)
         if not self._authentic(upload, sender, codec.encode(UploadManifest(oi_digest, digests))):
             return [self._event(EventKind.BAD_AUTHENTICATOR, oi_digest)]
         if record.phase >= ProviderPhase.GRANTED:

@@ -49,6 +49,28 @@ and CLMUL instructions libsodium's AES-256-GCM needs.
 
 The pairwise MAC keys are not cached here: each actor keeps the keys it
 shares with each peer for its own run (``actors._ActorBase.pair_keys``).
+
+Two batch calls, ``hash_each`` and ``keystreams``, split a batch over two
+cores.  Each item of a batch is one native call that releases the
+interpreter lock while it runs: ``hashlib`` releases it for inputs of
+2 KiB and more, and every ``ctypes`` call releases it.  So when a batch
+holds at least ``_SPLIT_BYTES`` (128 KiB) and the process may run on more
+than one CPU (``os.sched_getaffinity``), one helper thread takes the first
+half of the items while the caller runs the second, and the results are
+the bytes the plain loop gives.  Handing a half over and back costs about
+15-25 µs: timed back to back on a 2-vCPU AMD EPYC VM, ``hash_each`` of
+16 x 4 KiB took 35 µs whole and 40 µs split, of 16 x 8 KiB (128 KiB) 61
+and 44 µs, and of 16 x 64 KiB 437 and 234 µs, so the threshold sits where
+splitting starts to win.  Below it, on one CPU, or while another thread
+holds the helper, the caller runs the whole batch itself.  The helper is
+one daemon thread, started by the first batch that splits and reused
+after; importing this module starts nothing.  The helper calls only
+private names (``_sha256``, the libsodium binding and the two small
+functions around them), never a public function such as ``hash_bytes``:
+a tracer or a test that rebinds public names to count calls keeps one
+stack of open calls, which a second thread would interleave.  The caller
+makes every object a batch writes to, so the helper's thread makes no
+large allocation of its own.
 """
 
 from __future__ import annotations
@@ -59,8 +81,10 @@ import hashlib
 import hmac
 import os
 import struct
+import threading
 from dataclasses import dataclass, field
 from random import Random
+from typing import Callable, Sequence, TypeVar
 
 DIGEST_SIZE = 32
 SIGNATURE_SIZE = 64
@@ -199,11 +223,20 @@ _crypto_aead_aes256gcm_decrypt = _bind(
 )
 _crypto_stream_chacha20_ietf = _bind(
     "crypto_stream_chacha20_ietf",
-    ctypes.c_char_p,       # c: out, clen bytes
+    ctypes.c_char_p,       # c: out, clen bytes: a new bytes object's own
     ctypes.c_ulonglong,    # clen
     ctypes.c_char_p,       # n: the 12-byte nonce
     ctypes.c_char_p,       # k: the 32-byte key
 )
+# A keystream is written straight into the bytes object that holds it: the
+# C API lets the maker of a bytes object made from NULL fill it before any
+# other code sees it, and ``c_char_p`` passes a bytes object's own buffer.
+# So no ctypes array, and no copy out of one, comes between libsodium and
+# the object.  Declared on a function object of this module's own, not on
+# ``ctypes.pythonapi``'s shared one.
+_PyBytes_FromStringAndSize = ctypes.pythonapi["PyBytes_FromStringAndSize"]
+_PyBytes_FromStringAndSize.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t)
+_PyBytes_FromStringAndSize.restype = ctypes.py_object
 
 
 @functools.lru_cache(maxsize=64)
@@ -327,11 +360,25 @@ def _sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
+_BYTES_LIKE = (bytes, bytearray, memoryview)
+
+
+def _checked_sha256(data: bytes) -> bytes:
+    if not isinstance(data, _BYTES_LIKE):
+        raise TypeError("hash_bytes expects bytes")
+    return _sha256(data)
+
+
 def hash_bytes(data: bytes) -> Digest:
     """SHA-256 of ``data`` as a :class:`Digest`."""
-    if not isinstance(data, (bytes, bytearray, memoryview)):
-        raise TypeError("hash_bytes expects bytes")
-    return Digest(_sha256(data))
+    return Digest(_checked_sha256(data))
+
+
+def hash_each(items: Sequence[bytes]) -> tuple[Digest, ...]:
+    """``hash_bytes`` of each item, in order; a batch of 128 KiB or more is
+    split over two cores (see the module docstring)."""
+    total = sum(len(item) for item in items if isinstance(item, _BYTES_LIKE))
+    return tuple(map(Digest, _halves(_checked_sha256, items, total)))
 
 
 def _derive_seed(tag: bytes, subject_id: str, seed: int) -> bytes:
@@ -574,13 +621,138 @@ def verify_dual(public_key: bytes, oi_digest: Digest, pi_digest: Digest, sig: Si
     return verify(public_key, _linked(oi_digest, pi_digest), sig)
 
 
+def _check_keystream_key(key: bytes) -> None:
+    if not isinstance(key, bytes) or len(key) != _KEY_SEGMENT:
+        raise ValueError("a keystream key is 32 bytes")
+
+
+def _unfilled(size: int) -> bytes:
+    """A new ``size``-byte bytes object, not yet filled; see
+    ``_PyBytes_FromStringAndSize``."""
+    if size < 0:
+        raise ValueError("a keystream size is not negative")
+    return _PyBytes_FromStringAndSize(None, size)
+
+
+def _fill_keystream(out: bytes, nonce: int, key: bytes) -> int:
+    """libsodium's status after writing the keystream under ``nonce`` into
+    ``out``, a bytes object from ``_unfilled`` that no other code has seen."""
+    return _crypto_stream_chacha20_ietf(
+        out, len(out), nonce.to_bytes(_KEYSTREAM_NONCE_SIZE, "big"), key
+    )
+
+
 def keystream(key: bytes, nonce: int, size: int) -> bytes:
     """``size`` bytes of the ChaCha20 (IETF) keystream under the 32-byte
     ``key`` and the nonce ``nonce``, a 96-bit big-endian integer."""
-    if not isinstance(key, bytes) or len(key) != _KEY_SEGMENT:
-        raise ValueError("a keystream key is 32 bytes")
-    out = _buffer_type(size)()
-    nonce_bytes = nonce.to_bytes(_KEYSTREAM_NONCE_SIZE, "big")
-    if _crypto_stream_chacha20_ietf(out, size, nonce_bytes, key) != 0:
+    _check_keystream_key(key)
+    out = _unfilled(size)
+    if _fill_keystream(out, nonce, key) != 0:
         raise CryptoError("libsodium failed to make a keystream")
-    return out.raw
+    return out
+
+
+def keystreams(key: bytes, count: int, size: int) -> tuple[bytes, ...]:
+    """``keystream(key, i, size)`` for each nonce ``i`` below ``count``; a
+    batch of 128 KiB or more is split over two cores (see the module
+    docstring)."""
+    _check_keystream_key(key)
+    outs = tuple(_unfilled(size) for _ in range(count))
+
+    def fill(nonce: int) -> int:
+        return _fill_keystream(outs[nonce], nonce, key)
+
+    if any(_halves(fill, range(count), count * size)):
+        raise CryptoError("libsodium failed to make a keystream")
+    return outs
+
+
+# --- splitting a batch over two cores ------------------------------------------
+
+_SPLIT_BYTES = 128 * 1024
+# Monkeypatched off by the tests to take the one-CPU path.
+_CAN_SPLIT = len(os.sched_getaffinity(0)) > 1
+_T = TypeVar("_T")
+_R = TypeVar("_R")
+
+
+class _Helper:
+    """One daemon thread that runs the first half of a batch while the
+    caller runs the second.
+
+    ``_busy`` is held by the one caller that owns the helper; ``_go`` hands
+    a half over and ``_done`` hands its results, or the exception it
+    raised, back.
+    """
+
+    def __init__(self) -> None:
+        self._busy = threading.Lock()
+        self._go = threading.Lock()
+        self._go.acquire()
+        self._done = threading.Lock()
+        self._done.acquire()
+        self._job: tuple[Callable, Sequence] | None = None
+        self._out: list | Exception | None = None
+        threading.Thread(target=self._serve, name="gset-halves", daemon=True).start()
+
+    def _serve(self) -> None:
+        while True:
+            self._go.acquire()
+            fn, items = self._job
+            try:
+                self._out = [fn(item) for item in items]
+            except Exception as exc:  # raised again on the caller's thread
+                self._out = exc
+            self._done.release()
+
+    def split(self, fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R] | None:
+        """``fn`` of each item, in order, or None when another thread holds
+        the helper.  A failing item raises what the plain loop would: the
+        first half's exception before the second's.  An interrupt while the
+        halves run leaves the helper held, so from then on every batch runs
+        whole on its caller's thread."""
+        if not self._busy.acquire(blocking=False):
+            return None
+        half = len(items) // 2
+        self._job = fn, items[:half]
+        self._go.release()
+        try:
+            second = [fn(item) for item in items[half:]]
+        except Exception as exc:
+            second = exc
+        self._done.acquire()
+        first, self._job, self._out = self._out, None, None
+        self._busy.release()
+        for part in (first, second):
+            if isinstance(part, Exception):
+                raise part
+        return first + second
+
+
+_helper: _Helper | None = None
+_helper_lock = threading.Lock()  # held while the helper is made
+
+
+def _forget_helper() -> None:
+    """A forked child has no helper thread, whatever its parent had, and no
+    thread that holds the lock its parent made the helper under."""
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _halves(fn: Callable[[_T], _R], items: Sequence[_T], total: int) -> list[_R]:
+    """``fn`` of each item, in order; a batch of ``total`` bytes of at least
+    ``_SPLIT_BYTES`` runs half on the helper thread when it can.  ``fn``
+    must call only private names (see the module docstring)."""
+    global _helper
+    if _CAN_SPLIT and total >= _SPLIT_BYTES and len(items) > 1:
+        with _helper_lock:
+            if _helper is None:
+                _helper = _Helper()
+        results = _helper.split(fn, items)
+        if results is not None:
+            return results
+    return [fn(item) for item in items]

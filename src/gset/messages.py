@@ -485,11 +485,6 @@ class UploadManifest:
     digests: tuple[Digest, ...]
 
 
-def object_digests(objects: tuple[bytes, ...]) -> tuple[Digest, ...]:
-    """The SHA-256 digest of each object, in order."""
-    return tuple(hash_bytes(obj) for obj in objects)
-
-
 def build_signed(
     cls: type[M], key: KeyPair, covered: bytes | None = None, **fields
 ) -> tuple[M, bytes]:

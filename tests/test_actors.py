@@ -65,8 +65,9 @@ from gset import (
 )
 import gset.actors
 from gset.actors import HoldPhase, ProviderPhase, RequesterPhase
+from gset.crypto import hash_each
 from gset.ledger import HoldFate, HoldName
-from gset.messages import PAYMENT_SIZE, object_digests, pad_payment, unpad_payment
+from gset.messages import PAYMENT_SIZE, pad_payment, unpad_payment
 
 from genmsg import flip_bit, random_message
 from harness import build_actors, recorded
@@ -129,7 +130,7 @@ def approved_outcome(actors, quantity: int = 5, now: int = 0):
 
 def manifest_of(oi_digest: Digest, objects) -> bytes:
     """What an upload's signature covers: its ``UploadManifest``, encoded."""
-    return codec.encode(UploadManifest(oi_digest, object_digests(objects)))
+    return codec.encode(UploadManifest(oi_digest, hash_each(objects)))
 
 
 def upload_for(actors, oi_digest: Digest) -> ObjectUpload:

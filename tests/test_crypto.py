@@ -7,6 +7,7 @@ import hashlib
 import hmac
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from random import Random
 
@@ -347,10 +348,14 @@ def test_every_libsodium_binding_declares_its_signature():
         for fn in vars(gset.crypto).values()
         if isinstance(fn, ctypes._CFuncPtr)
     }
-    assert set(bound) == set(arity)
+    # and the C API call that makes the bytes object a keystream fills
+    python_api = {"PyBytes_FromStringAndSize": (2, ctypes.py_object)}
+    assert set(bound) == set(arity) | set(python_api)
     for name, fn in bound.items():
-        assert fn.argtypes is not None and len(fn.argtypes) == arity[name], name
-        assert fn.restype is ctypes.c_int, name
+        count, restype = python_api.get(name, (arity.get(name), ctypes.c_int))
+        assert fn.argtypes is not None and len(fn.argtypes) == count, name
+        assert fn.restype is restype, name
+    assert ctypes.pythonapi.PyBytes_FromStringAndSize.restype is ctypes.c_int  # untouched
 
 
 # --- X25519, HKDF and AES-GCM against published vectors and the reference ----
@@ -453,6 +458,158 @@ def test_x25519_hkdf_aes_gcm_and_chacha20_agree_with_the_reference():
         )
     with pytest.raises(ValueError):
         ours.exchange(bytes(32))
+
+
+# --- batches split over two cores ---------------------------------------------
+
+_SPLIT_BYTES = gset.crypto._SPLIT_BYTES
+_KEY = bytes(range(32))
+
+
+def _threads_calling(monkeypatch, name: str) -> list[int]:
+    """The thread of each call of ``gset.crypto.<name>`` from here on."""
+    original = getattr(gset.crypto, name)
+    threads: list[int] = []
+
+    def spied(*args):
+        threads.append(threading.get_ident())
+        return original(*args)
+
+    monkeypatch.setattr(gset.crypto, name, spied)
+    return threads
+
+
+def _batch(count: int, total: int) -> list[bytes]:
+    """``count`` random items of ``total`` bytes between them."""
+    rng = Random(f"{count}/{total}")
+    return [rng.randbytes(total // count + (i < total % count)) for i in range(count)]
+
+
+def _assert_split(threads: list[int], count: int, split: bool) -> None:
+    """The helper ran ``count // 2`` of the ``count`` calls when ``split``,
+    and the caller every call otherwise."""
+    helper_calls = [t for t in threads if t != threading.get_ident()]
+    assert len(threads) == count
+    assert len(helper_calls) == (count // 2 if split else 0)
+    assert len(set(helper_calls)) <= 1
+
+
+_COUNTS = (0, 1, 2, 3, 16, 17)
+# total bytes one below and one above the threshold
+_SIDES = {"below": _SPLIT_BYTES - 1, "above": _SPLIT_BYTES + 1}
+
+
+@pytest.mark.parametrize("can_split", [True, False], ids=["two-cpus", "one-cpu"])
+@pytest.mark.parametrize("view", [False, True], ids=["bytes", "memoryview"])
+@pytest.mark.parametrize("side", list(_SIDES))
+@pytest.mark.parametrize("count", _COUNTS)
+def test_hash_each_equals_hash_bytes_of_each_item(monkeypatch, count, side, view, can_split):
+    monkeypatch.setattr(gset.crypto, "_CAN_SPLIT", can_split)
+    items = _batch(count, _SIDES[side] if count else 0)
+    if view:
+        items = [memoryview(item) for item in items]
+    expected = tuple(hash_bytes(item) for item in items)
+    threads = _threads_calling(monkeypatch, "_checked_sha256")
+    assert gset.crypto.hash_each(items) == expected
+    _assert_split(threads, count, can_split and side == "above" and count > 1)
+
+
+@pytest.mark.parametrize("can_split", [True, False], ids=["two-cpus", "one-cpu"])
+@pytest.mark.parametrize("side", list(_SIDES))
+@pytest.mark.parametrize("count", _COUNTS)
+def test_keystreams_equal_keystream_of_each_nonce(monkeypatch, count, side, can_split):
+    monkeypatch.setattr(gset.crypto, "_CAN_SPLIT", can_split)
+    size = _SIDES[side] // count + (side == "above") if count else 64
+    assert count == 0 or (count * size >= _SPLIT_BYTES) == (side == "above")
+    expected = tuple(gset.crypto.keystream(_KEY, i, size) for i in range(count))
+    threads = _threads_calling(monkeypatch, "_fill_keystream")
+    assert gset.crypto.keystreams(_KEY, count, size) == expected
+    _assert_split(threads, count, can_split and side == "above" and count > 1)
+
+
+def test_an_empty_keystream_is_empty():
+    assert gset.crypto.keystream(_KEY, 0, 0) == b""
+    assert gset.crypto.keystreams(_KEY, 2, 0) == (b"", b"")
+
+
+def test_keystreams_refuse_what_keystream_refuses():
+    for key, size in ((bytes(31), 1), ("k" * 32, 1), (_KEY, -1)):
+        with pytest.raises(ValueError):
+            gset.crypto.keystream(key, 0, size)
+        with pytest.raises(ValueError):
+            gset.crypto.keystreams(key, 16, size)
+
+
+_NOT_CONTIGUOUS = memoryview(bytes(4096))[::2]
+
+
+# Index 0 is in the helper's half, 15 in the caller's.
+@pytest.mark.parametrize(
+    "bad",
+    [{0: "not bytes"}, {15: "not bytes"}, {0: _NOT_CONTIGUOUS}, {15: _NOT_CONTIGUOUS},
+     {0: _NOT_CONTIGUOUS, 15: "not bytes"}],
+    ids=["str-first", "str-second", "strided-first", "strided-second", "both"],
+)
+def test_a_bad_item_raises_what_the_plain_loop_raises(monkeypatch, bad):
+    monkeypatch.setattr(gset.crypto, "_CAN_SPLIT", True)
+    items: list = _batch(16, 16 * 16384)
+    for index, item in bad.items():
+        items[index] = item
+    with pytest.raises(Exception) as plain:
+        [hash_bytes(item) for item in items]
+    threads = _threads_calling(monkeypatch, "_checked_sha256")
+    with pytest.raises(plain.type):
+        gset.crypto.hash_each(items)
+    # the helper is free again: the next batch splits
+    good = _batch(16, 16 * 16384)
+    expected = tuple(map(hash_bytes, good))
+    threads.clear()
+    assert gset.crypto.hash_each(good) == expected
+    _assert_split(threads, 16, True)
+
+
+def test_concurrent_batches_each_get_their_own_results():
+    # more callers than cores, switching often: whoever finds the helper
+    # busy runs its whole batch itself, and no batch gets another's results
+    batches = [_batch(20, 20 * 8192 + k) for k in range(4)]
+    expected = [tuple(map(hash_bytes, batch)) for batch in batches]
+    streams = [gset.crypto.keystreams(bytes([k]) * 32, 4, 40000) for k in range(4)]
+    wrong: list[int] = []
+
+    def work(k: int) -> None:
+        for _ in range(25):
+            if gset.crypto.hash_each(batches[k]) != expected[k]:
+                wrong.append(k)
+            if gset.crypto.keystreams(bytes([k]) * 32, 4, 40000) != streams[k]:
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+
+
+def test_a_forked_child_splits_with_a_helper_of_its_own():
+    # the parent's helper thread does not survive a fork; a child that
+    # handed a half to it would wait until its alarm killed it
+    script = (
+        "import os, signal, sys; sys.path.insert(0, sys.argv[1]); import gset.crypto as c\n"
+        "c._CAN_SPLIT = True; batch = [bytes([i]) * 65536 for i in range(16)]\n"
+        "want = tuple(map(c.hash_bytes, batch)); assert c.hash_each(batch) == want\n"
+        "pid = os.fork()\n"
+        "if pid == 0: signal.alarm(30); os._exit(0 if c.hash_each(batch) == want else 1)\n"
+        "assert os.waitpid(pid, 0)[1] == 0"
+    )
+    src = str(Path(gset.crypto.__file__).resolve().parent.parent)
+    subprocess.run([sys.executable, "-c", script, src], check=True, timeout=60)
 
 
 def _count_parses(monkeypatch) -> dict[str, int]:

@@ -27,12 +27,12 @@ from gset import EventKind, ScenarioConfig, run_storage_scenario
 
 
 def _count_calls(
-    monkeypatch, name: str, data_arg: int | None = None, home=gset.crypto
+    monkeypatch, name: str, data_arg: int | None = None, home=gset.crypto, size=len
 ) -> list[int]:
     """Rebind ``<home>.<name>`` in every gset module that binds it.
 
-    Counts calls in ``[0]`` and, with ``data_arg``, the bytes passed as that
-    positional argument in ``[1]``.
+    Counts calls in ``[0]`` and, with ``data_arg``, the ``size`` of that
+    positional argument in ``[1]``: its bytes by default.
     """
     original = getattr(home, name)
     calls = [0, 0]
@@ -40,7 +40,7 @@ def _count_calls(
     def counted(*args, **kwargs):
         calls[0] += 1
         if data_arg is not None:
-            calls[1] += len(args[data_arg])
+            calls[1] += size(args[data_arg])
         return original(*args, **kwargs)
 
     for module_name, module in list(sys.modules.items()):
@@ -142,14 +142,19 @@ def test_a_repeated_relay_on_hold_is_ignored_unopened(monkeypatch):
 
 
 def _bytes_through(monkeypatch, config: ScenarioConfig) -> tuple[int, int, int, int, int]:
-    """Bytes hashed, signed, verified, MAC'd and MAC-checked in one run."""
+    """Bytes hashed, signed, verified, MAC'd and MAC-checked in one run.
+    Hashed bytes are those of ``hash_bytes`` and of each item of
+    ``hash_each``'s batches."""
     hashed = _count_calls(monkeypatch, "hash_bytes", data_arg=0)
+    batched = _count_calls(
+        monkeypatch, "hash_each", data_arg=0, size=lambda items: sum(map(len, items))
+    )
     signed = _count_calls(monkeypatch, "sign", data_arg=1)
     verified = _count_calls(monkeypatch, "verify", data_arg=1)
     maced = _count_calls(monkeypatch, "mac", data_arg=1)
     checked = _count_calls(monkeypatch, "mac_ok", data_arg=1)
     assert run_storage_scenario(config).complete_success()
-    return hashed[1], signed[1], verified[1], maced[1], checked[1]
+    return hashed[1] + batched[1], signed[1], verified[1], maced[1], checked[1]
 
 
 # Each object is hashed three times: by the requester to sign its upload, by
@@ -177,6 +182,25 @@ def test_default_transaction_hashes_signs_and_verifies_bytes(monkeypatch):
 def test_bulk_transaction_hashes_signs_and_verifies_bytes(monkeypatch):
     config = ScenarioConfig(object_count=16, object_size=65536)
     assert _bytes_through(monkeypatch, config) == (3_146_478, 2020, 2052, 673, 673)
+
+
+def _hash_batches(monkeypatch, config: ScenarioConfig) -> tuple[int, int]:
+    """``hash_each`` calls of one run, and the items of all its batches."""
+    batches = _count_calls(monkeypatch, "hash_each", data_arg=0)
+    assert run_storage_scenario(config).complete_success()
+    return batches[0], batches[1]
+
+
+# The object digests come in two batches of every object: the requester's
+# before it signs the upload and the provider's on receipt.  The third hash
+# of each object, at redemption, is one ``hash_bytes`` per ticket.
+def test_default_transaction_hashes_its_objects_in_two_batches(monkeypatch):
+    assert _hash_batches(monkeypatch, ScenarioConfig()) == (2, 2 * 3)
+
+
+def test_bulk_transaction_hashes_its_objects_in_two_batches(monkeypatch):
+    config = ScenarioConfig(object_count=16, object_size=65536)
+    assert _hash_batches(monkeypatch, config) == (2, 2 * 16)
 
 
 class _CountingKeyClass:
@@ -217,29 +241,15 @@ def test_bulk_transaction_parses_each_key_once(monkeypatch):
     assert _key_parses(monkeypatch, config) == 5
 
 
-class _RefusingEd25519Class:
-    """Stands in for an Ed25519 key class inside gset.crypto: any use of it,
-    a parse above all, fails the test."""
-
-    def __init__(self, calls: list[str]) -> None:
-        self._calls = calls
-
-    def __getattr__(self, name):
-        self._calls.append(name)
-        raise AssertionError(f"gset.crypto used cryptography's Ed25519 ({name})")
-
-
 # Keys are derived and signatures made and checked by libsodium on the raw
-# key bytes, so no cryptography Ed25519 object is made at all.  The public
-# key class is stood in for too, in case it is imported again.
+# key bytes: each of the 7 signs and 8 verifies gated above is one call of
+# libsodium's detached sign or verify, so none goes through any other
+# Ed25519 (``Ed25519PrivateKey`` is bound only for perfbench's parse counter).
 def test_no_signature_goes_through_cryptographys_ed25519(monkeypatch):
-    calls: list[str] = []
-    monkeypatch.setattr(gset.crypto, "Ed25519PrivateKey", _RefusingEd25519Class(calls))
-    monkeypatch.setattr(
-        gset.crypto, "Ed25519PublicKey", _RefusingEd25519Class(calls), raising=False
-    )
+    signs = _count_calls(monkeypatch, "_crypto_sign_detached")
+    verifies = _count_calls(monkeypatch, "_crypto_sign_verify_detached")
     assert run_storage_scenario(ScenarioConfig()).complete_success()
-    assert calls == []
+    assert (signs[0], verifies[0]) == (7, 8)
 
 
 def _codec_calls(monkeypatch, config: ScenarioConfig) -> tuple[int, int, int]:

@@ -4,8 +4,10 @@ from __future__ import annotations
 import dataclasses
 import gc
 import hashlib
+import inspect
 import subprocess
 import sys
+import threading
 import tracemalloc
 import typing
 from pathlib import Path
@@ -13,6 +15,9 @@ from pathlib import Path
 import pytest
 
 import gset
+import gset.codec
+import gset.crypto
+import gset.messages
 from gset import (
     AccountProvider,
     Adversary,
@@ -229,29 +234,37 @@ def test_building_scenarios_keeps_nothing_per_identity():
     assert after_2n - after_n < 4096
 
 
-def _after_one_run() -> tuple[list[str], list[str]]:
-    """The modules and the mapped libcrypto files of a fresh process that
-    imported gset and ran one default scenario; fresh, since the test
-    runner itself imports much of what gset might."""
+def _after_runs(
+    config: str = "ScenarioConfig()", runs: int = 1
+) -> tuple[list[str], list[str], int]:
+    """The modules, the mapped libcrypto files and the live threads of a
+    fresh process that imported gset and ran ``runs`` scenarios of
+    ``gset.<config>``; fresh, since the test runner itself imports much of
+    what gset might.  The process must exit by itself, helper threads and
+    all, within the timeout."""
     script = (
         "import sys; sys.path.insert(0, sys.argv[1]);"
         "import gset, gset.attacks;"
-        "assert gset.run_storage_scenario(gset.ScenarioConfig()).complete_success();"
+        f"config = gset.{config}\n"
+        f"for _ in range({runs}): assert gset.run_storage_scenario(config).complete_success()\n"
         "maps = open('/proc/self/maps').read().split()\n"
         "libcrypto = sorted({word for word in maps if '/libcrypto' in word})\n"
-        "print(' '.join(sys.modules)); print(' '.join(libcrypto))"
+        "modules = ' '.join(sys.modules)\n"
+        "import threading\n"
+        "print(modules); print(' '.join(libcrypto)); print(threading.active_count())"
     )
     src = str(Path(gset.__file__).resolve().parent.parent)
     out = subprocess.run(
-        [sys.executable, "-c", script, src], capture_output=True, text=True, check=True
+        [sys.executable, "-c", script, src], capture_output=True, text=True, check=True,
+        timeout=120,
     ).stdout.splitlines()
-    return out[0].split(), out[1].split()
+    return out[0].split(), out[1].split(), int(out[2])
 
 
 def test_a_run_loads_one_crypto_library():
     # hashlib and hmac run on the system's libcrypto and libsodium on its
     # own code; cryptography would bring a second OpenSSL of its own
-    modules, libcrypto = _after_one_run()
+    modules, libcrypto, _ = _after_runs()
     assert not [m for m in modules if m.partition(".")[0] == "cryptography"]
     assert len(libcrypto) == 1, libcrypto
 
@@ -259,9 +272,55 @@ def test_a_run_loads_one_crypto_library():
 def test_a_run_imports_neither_cryptography_nor_subprocess():
     # libsodium is loaded by its soname, so ctypes.util's search, which runs
     # ldconfig in a subprocess, is not imported
-    modules, _ = _after_one_run()
+    modules, _, _ = _after_runs()
     assert "cryptography" not in modules
     assert "subprocess" not in modules and "ctypes.util" not in modules
+
+
+def test_a_default_run_starts_no_thread():
+    # its batches are far below the size that is split over two cores, and
+    # nothing is started or imported for splitting until one is not
+    modules, _, threads = _after_runs()
+    assert threads == 1
+    assert "queue" not in modules
+    assert not [m for m in modules if m.partition(".")[0] == "concurrent"]
+
+
+def test_bulk_runs_start_at_most_one_helper_and_exit_by_themselves():
+    _, _, threads = _after_runs("ScenarioConfig(object_count=16, object_size=65536)", runs=20)
+    assert threads <= 2
+
+
+def test_no_public_function_runs_off_the_calling_thread(monkeypatch):
+    # a tracer or a test that rebinds the public functions to count calls
+    # keeps one stack of open calls; the helper that splits a bulk batch
+    # must call none of them, only private names
+    monkeypatch.setattr(gset.crypto, "_CAN_SPLIT", True)
+    threads: set[int] = set()
+    for home in (gset.crypto, gset.codec, gset.messages):
+        for name, fn in list(vars(home).items()):
+            if name.startswith("_") or not inspect.isfunction(fn) or fn.__module__ != home.__name__:
+                continue
+
+            def wrapped(*args, _fn=fn, **kwargs):
+                threads.add(threading.get_ident())
+                return _fn(*args, **kwargs)
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name.partition(".")[0] == "gset" and getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, wrapped)
+    hashing: set[int] = set()
+    sha256 = gset.crypto._checked_sha256
+
+    def spied(data):
+        hashing.add(threading.get_ident())
+        return sha256(data)
+
+    monkeypatch.setattr(gset.crypto, "_checked_sha256", spied)
+    config = ScenarioConfig(object_count=16, object_size=65536)
+    assert run_storage_scenario(config).complete_success()
+    assert threads == {threading.get_ident()}
+    assert len(hashing) == 2  # the objects were hashed on two threads
 
 
 # --- run reports ----------------------------------------------------------------
